@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-txn race-hedge bench bench-s6 bench-s7 bench-s8 experiments experiments-full fmt clean
+.PHONY: all build vet test race race-txn race-hedge bench bench-check bench-s6 bench-s7 bench-s8 experiments experiments-full fmt clean
 
 all: build vet test
 
@@ -26,8 +26,8 @@ race-txn:
 	$(GO) test -race -count=1 -run 'TestTx|TestWatermark|TestSharded' ./internal/client
 	$(GO) test -race -count=1 -run 'TestTx' .
 
-# Focused race pass over the tail-tolerance paths: hedged buffered and
-# streaming reads, health scoring, end-to-end deadlines, the flapping
+# Focused race pass over the tail-tolerance paths: hedged quorum rounds
+# and streaming scans, health scoring, end-to-end deadlines, the flapping
 # provider's repair loop, and the deadline-aware transport.
 race-hedge:
 	$(GO) test -race -count=1 -run 'TestHedge|TestNoHedges|TestHealth|TestCircuit|TestDynamic|TestReadDeadline|TestRepairFlapping' ./internal/client
@@ -35,6 +35,12 @@ race-hedge:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository benchmark is its own module (benchmark/go.mod), so the
+# targets above do not reach it: vet and test it here.
+bench-check:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 # Sustained-load serving suite with machine-readable output for trend
 # tracking (admission control, overload shedding, tenant fairness).

@@ -36,7 +36,6 @@ func main() {
 	schema := flag.String("schema", "", "CREATE TABLE statement to run first")
 	batch := flag.Int("batch", 500, "rows per insert batch")
 	timeout := flag.Duration("timeout", 0, "per-call deadline against providers (0 = none)")
-	serial := flag.Bool("serial", false, "use the serial (non-multiplexed) wire protocol")
 	flag.Parse()
 
 	if *table == "" || *csvPath == "" {
@@ -62,10 +61,7 @@ func main() {
 		}
 		opts.MasterKey = []byte(*key)
 		var err error
-		db, err = sssdb.OpenWith(strings.Split(*providers, ","), opts, sssdb.DialConfig{
-			Timeout:         *timeout,
-			SerialTransport: *serial,
-		})
+		db, err = sssdb.OpenWith(strings.Split(*providers, ","), opts, sssdb.DialConfig{Timeout: *timeout})
 		if err != nil {
 			fatal(err)
 		}

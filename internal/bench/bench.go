@@ -182,7 +182,7 @@ func All() []Runner {
 		{"A3", RunA3, "ablation: fixed-width share keys vs big.Int"},
 		{"A4", RunA4, "ablation: OPP polynomial degree"},
 		{"S1", RunS1, "supplementary: latency/bytes vs table size"},
-		{"S2", RunS2, "supplementary: streaming vs buffered scans"},
+		{"S2", RunS2, "supplementary: streaming scans"},
 		{"S3", RunS3, "supplementary: degraded writes and hinted-handoff repair"},
 		{"S4", RunS4, "supplementary: horizontal sharding scatter-gather scaling"},
 		{"S5", RunS5, "supplementary: paged storage at 1x/4x/10x cache budget"},

@@ -282,17 +282,17 @@ func TestAblations(t *testing.T) {
 	}
 	runQuick(t, RunS1)
 
-	// S2: the streaming path must reach its first row sooner than the
-	// buffered path completes its scan — the time-to-first-row claim at
-	// quick scale, where heap numbers are too small to assert on.
+	// S2: the first row must reach the caller before the scan completes —
+	// the time-to-first-row claim at quick scale, where heap numbers are
+	// too small to assert on.
 	s2 := runQuick(t, RunS2)
-	if len(s2.Rows) != 2 || s2.Rows[0][0] != "buffered" || s2.Rows[1][0] != "streaming" {
+	if len(s2.Rows) != 1 || s2.Rows[0][0] != "streaming" {
 		t.Fatalf("S2 shape: %v", s2.Rows)
 	}
-	bufferedFull := parseDurCell(t, s2.Rows[0][1])
-	streamFirst := parseDurCell(t, s2.Rows[1][2])
-	if streamFirst > bufferedFull {
-		t.Fatalf("streaming first row (%vµs) later than buffered full scan (%vµs)", streamFirst, bufferedFull)
+	fullScan := parseDurCell(t, s2.Rows[0][1])
+	firstRow := parseDurCell(t, s2.Rows[0][2])
+	if firstRow > fullScan {
+		t.Fatalf("first row (%vµs) later than the full scan (%vµs)", firstRow, fullScan)
 	}
 }
 

@@ -45,7 +45,6 @@ func RunS3(scale Scale) (*Table, error) {
 		f, err := newFleet(4, 2, client.Options{
 			WriteQuorum:    ph.quorum,
 			RepairInterval: 5 * time.Millisecond,
-			BufferedScans:  true,
 		})
 		if err != nil {
 			return nil, err

@@ -76,11 +76,6 @@ type Options struct {
 	// share reconstruction (scans) and share encoding (inserts/updates).
 	// 0 means GOMAXPROCS; 1 forces the serial path.
 	ParallelWorkers int
-	// BufferedScans disables the streaming scan path: plain SELECTs gather
-	// whole provider responses before reconstructing (the pre-streaming
-	// behavior). Benchmarks and differential tests use it as the baseline;
-	// verified reads always buffer regardless.
-	BufferedScans bool
 	// WriteQuorum is the number of providers that must acknowledge a
 	// mutation for it to commit (the paper's availability argument applied
 	// to writes: k-of-n sharing tolerates n-k failures, so writes need not
@@ -174,8 +169,8 @@ type Client struct {
 	aead     cipher.AEAD
 
 	// downMu guards down and the hint journals — the client state mutated
-	// on the read path (by callQuorum/callAvailable response collection)
-	// and by write-quorum hinting.
+	// on the read path (by provider streams and callQuorum/callAvailable
+	// response collection) and by write-quorum hinting.
 	downMu sync.Mutex
 	// down tracks providers considered crashed (failover state).
 	down []bool
@@ -438,15 +433,15 @@ type indexedResponse struct {
 	msg      proto.Message
 }
 
-// call sends one request to one provider, surfacing remote errors.
-func (c *Client) call(provider int, req proto.Message) (proto.Message, error) {
-	return c.callDeadline(provider, req, time.Time{})
-}
+// noDeadline is the zero deadline: writes, repair traffic and verification
+// digests run unbounded.
+var noDeadline time.Time
 
-// callDeadline is call under an absolute deadline (zero = unbounded). Every
-// call through here feeds the health ledger — including repair-loop pings,
-// so an idle client still tracks provider latency.
-func (c *Client) callDeadline(provider int, req proto.Message, deadline time.Time) (proto.Message, error) {
+// call sends one request to one provider under an absolute deadline
+// (noDeadline = unbounded), surfacing remote errors. Every call through
+// here feeds the health ledger — including repair-loop pings, so an idle
+// client still tracks provider latency.
+func (c *Client) call(provider int, req proto.Message, deadline time.Time) (proto.Message, error) {
 	start := time.Now()
 	resp, err := transport.CallWithDeadline(c.conns[provider], req, deadline)
 	if err != nil {
@@ -489,7 +484,7 @@ func (c *Client) callWrite(build func(provider int) proto.Message) ([]int, error
 	ch := make(chan res, len(targets))
 	for _, i := range targets {
 		go func(i int) {
-			_, err := c.call(i, msgs[i])
+			_, err := c.call(i, msgs[i], noDeadline)
 			ch <- res{provider: i, err: err}
 		}(i)
 	}
@@ -542,9 +537,9 @@ func (c *Client) callWrite(build func(provider int) proto.Message) ([]int, error
 
 // providerOrder snapshots the failover candidate order, best first:
 // reachable and fully caught up, then reachable but lagging (usable for
-// plain scans below their lag floor), then previously-down ones (they may
-// have recovered), with down-and-lagging last. Lagging providers appear at
-// all only because masking makes them safe for id-carrying scans; paths
+// streaming scans below their lag floor), then previously-down ones (they
+// may have recovered), with down-and-lagging last. Lagging providers appear
+// at all only because masking makes them safe for id-carrying scans; paths
 // that cannot mask use cleanOrder instead. Within each availability tier,
 // providers are ranked by observed health (EWMA latency, circuit breaker —
 // see health.go), so read sets prefer the currently-fastest K; the sort is
@@ -623,27 +618,13 @@ func (c *Client) markProvider(provider int, down bool) {
 	c.downMu.Unlock()
 }
 
-// callQuorum sends requests until `need` providers have answered, starting
-// with providers not marked down and failing over to the rest. Responses
-// come back ordered by provider index. Lagging providers are excluded:
+// callQuorum gathers `need` responses under an absolute deadline, hedging
+// stragglers. Candidates are the non-lagging providers, best-ranked first:
 // callQuorum serves statements that combine per-provider computations
-// without row ids to mask, and a provider that missed writes would
-// silently contribute stale state to them.
-func (c *Client) callQuorum(need int, build func(provider int) proto.Message) ([]indexedResponse, error) {
-	return c.callQuorumDeadline(need, c.cleanOrder(), build, c.readDeadline())
-}
-
-// callQuorumOrdered is callQuorum over an explicit candidate order; the
-// plain-scan path passes the full providerOrder (lagging included) because
-// lag-floor masking makes stale providers safe there.
-func (c *Client) callQuorumOrdered(need int, order []int, build func(provider int) proto.Message) ([]indexedResponse, error) {
-	return c.callQuorumDeadline(need, order, build, c.readDeadline())
-}
-
-// callQuorumDeadline gathers `need` responses from the candidate order
-// under an absolute deadline, hedging stragglers. The first `need`
-// candidates are launched concurrently; then the collector waits on three
-// clocks at once:
+// without row ids to mask, and a provider that missed writes would silently
+// contribute stale state to them. Responses come back ordered by provider
+// index. The first `need` candidates are launched concurrently; then the
+// collector waits on three clocks at once:
 //
 //   - a response arriving — failures launch the next candidate immediately
 //     (plain failover, not charged to the hedge budget), successes count
@@ -651,14 +632,15 @@ func (c *Client) callQuorumOrdered(need int, order []int, build func(provider in
 //   - the straggler threshold elapsing with candidates still unlaunched —
 //     one hedge is issued per elapse, budget permitting, and whichever of
 //     the duplicated calls answers first is used (the loser's response is
-//     discarded on arrival; over the mux transport an abandoned slow call
-//     dies with its own timeout);
+//     discarded on arrival; an abandoned slow call dies with its own
+//     timeout);
 //   - the deadline elapsing — the statement fails with ErrDeadline rather
 //     than waiting out a slow provider.
-func (c *Client) callQuorumDeadline(need int, order []int, build func(provider int) proto.Message, deadline time.Time) ([]indexedResponse, error) {
+func (c *Client) callQuorum(need int, build func(provider int) proto.Message, deadline time.Time) ([]indexedResponse, error) {
 	if need > c.opts.N {
 		return nil, fmt.Errorf("%w: need %d of %d", ErrNotEnough, need, c.opts.N)
 	}
+	order := c.cleanOrder()
 	type res struct {
 		provider int
 		msg      proto.Message
@@ -674,7 +656,7 @@ func (c *Client) callQuorumDeadline(need int, order []int, build func(provider i
 	launch := func(p int) {
 		launchedAt[p] = time.Now()
 		go func() {
-			msg, err := c.callDeadline(p, build(p), deadline)
+			msg, err := c.call(p, build(p), deadline)
 			ch <- res{provider: p, msg: msg, err: err}
 		}()
 	}
@@ -695,61 +677,13 @@ func (c *Client) callQuorumDeadline(need int, order []int, build func(provider i
 	}
 	for len(got) < need && inflight > 0 {
 		// The hedge timer is re-armed per wait: each stall of threshold
-		// duration with spare candidates available may add one hedge.
+		// duration with spare candidates available may add one hedge. With
+		// hedging off or no spare left the channel stays nil and never fires.
+		var ht *time.Timer
 		var hedgeCh <-chan time.Time
 		if threshold > 0 && next < len(order) {
-			ht := time.NewTimer(threshold)
+			ht = time.NewTimer(threshold)
 			hedgeCh = ht.C
-			select {
-			case r := <-ch:
-				ht.Stop()
-				inflight--
-				delete(launchedAt, r.provider)
-				if r.err != nil {
-					errs = append(errs, fmt.Errorf("provider %d: %w", r.provider, r.err))
-					c.markProvider(r.provider, true)
-					// Plain failover: replace the failed candidate if the
-					// quorum still needs it.
-					if len(got)+inflight < need && next < len(order) {
-						launch(order[next])
-						next++
-						inflight++
-					}
-					continue
-				}
-				c.markProvider(r.provider, false)
-				if len(got) < need {
-					if hedgedProvs[r.provider] {
-						c.health.hedgesWon.Add(1)
-					}
-					got = append(got, indexedResponse{provider: r.provider, msg: r.msg})
-				}
-			case <-hedgeCh:
-				for p, at := range launchedAt {
-					if stalled := time.Since(at); stalled >= threshold {
-						c.health.observeStall(p, stalled)
-						delete(launchedAt, p) // one stall sample per statement
-					}
-				}
-				if c.health.allowHedge() {
-					if hedgedProvs == nil {
-						hedgedProvs = make(map[int]bool)
-					}
-					hedgedProvs[order[next]] = true
-					launch(order[next])
-					next++
-					inflight++
-				} else {
-					// Budget denied: stop trying this statement (the timer
-					// would otherwise re-fire every threshold).
-					threshold = 0
-				}
-			case <-deadlineCh:
-				ht.Stop()
-				return nil, fmt.Errorf("%w: %d of %d needed answered before deadline (%v)",
-					ErrDeadline, len(got), need, errors.Join(errs...))
-			}
-			continue
 		}
 		select {
 		case r := <-ch:
@@ -758,12 +692,14 @@ func (c *Client) callQuorumDeadline(need int, order []int, build func(provider i
 			if r.err != nil {
 				errs = append(errs, fmt.Errorf("provider %d: %w", r.provider, r.err))
 				c.markProvider(r.provider, true)
+				// Plain failover: replace the failed candidate if the
+				// quorum still needs it.
 				if len(got)+inflight < need && next < len(order) {
 					launch(order[next])
 					next++
 					inflight++
 				}
-				continue
+				break
 			}
 			c.markProvider(r.provider, false)
 			if len(got) < need {
@@ -772,16 +708,48 @@ func (c *Client) callQuorumDeadline(need int, order []int, build func(provider i
 				}
 				got = append(got, indexedResponse{provider: r.provider, msg: r.msg})
 			}
+		case <-hedgeCh:
+			for p, at := range launchedAt {
+				if stalled := time.Since(at); stalled >= threshold {
+					c.health.observeStall(p, stalled)
+					delete(launchedAt, p) // one stall sample per statement
+				}
+			}
+			if c.health.allowHedge() {
+				if hedgedProvs == nil {
+					hedgedProvs = make(map[int]bool)
+				}
+				hedgedProvs[order[next]] = true
+				launch(order[next])
+				next++
+				inflight++
+			} else {
+				// Budget denied: stop trying this statement (the timer
+				// would otherwise re-fire every threshold).
+				threshold = 0
+			}
 		case <-deadlineCh:
+			if ht != nil {
+				ht.Stop()
+			}
 			return nil, fmt.Errorf("%w: %d of %d needed answered before deadline (%v)",
 				ErrDeadline, len(got), need, errors.Join(errs...))
 		}
+		if ht != nil {
+			ht.Stop()
+		}
 	}
+	return settleQuorum(got, need, errs, deadline)
+}
+
+// settleQuorum closes a gathering round: the responses ordered by provider
+// index, or — short of `need` — ErrNotEnough naming the failures. The
+// per-call transport deadlines and a collector's deadline timer race
+// benignly; a round that falls short past its deadline ran out of time, not
+// out of providers, and says ErrDeadline.
+func settleQuorum(got []indexedResponse, need int, errs []error, deadline time.Time) ([]indexedResponse, error) {
 	if len(got) < need {
 		base := ErrNotEnough
-		// The per-call transport deadlines and the collector's deadline
-		// timer race benignly; either way the statement ran out of time,
-		// not out of providers.
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			base = ErrDeadline
 		}
@@ -809,7 +777,7 @@ func (c *Client) callAvailable(minNeed int, build func(provider int) proto.Messa
 	ch := make(chan res, len(candidates))
 	for _, i := range candidates {
 		go func(i int) {
-			msg, err := c.callDeadline(i, build(i), deadline)
+			msg, err := c.call(i, build(i), deadline)
 			ch <- res{provider: i, msg: msg, err: err}
 		}(i)
 	}
@@ -825,16 +793,7 @@ func (c *Client) callAvailable(minNeed int, build func(provider int) proto.Messa
 		c.markProvider(r.provider, false)
 		got = append(got, indexedResponse{provider: r.provider, msg: r.msg})
 	}
-	if len(got) < minNeed {
-		base := ErrNotEnough
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			base = ErrDeadline
-		}
-		return nil, fmt.Errorf("%w: %d of %d needed answered (%v)",
-			base, len(got), minNeed, errors.Join(errs...))
-	}
-	sort.Slice(got, func(i, j int) bool { return got[i].provider < got[j].provider })
-	return got, nil
+	return settleQuorum(got, minNeed, errs, deadline)
 }
 
 // table looks up catalog metadata.

@@ -23,6 +23,13 @@ type fleet struct {
 
 func newFleet(t testing.TB, n, k int, opts Options) *fleet {
 	t.Helper()
+	return newFleetWrapped(t, n, k, opts, func(_ int, p *server.Provider) transport.Handler { return p })
+}
+
+// newFleetWrapped is newFleet with each provider's handler passed through
+// wrap, for tests that observe or perturb what a provider is asked.
+func newFleetWrapped(t testing.TB, n, k int, opts Options, wrap func(i int, p *server.Provider) transport.Handler) *fleet {
+	t.Helper()
 	f := &fleet{}
 	conns := make([]transport.Conn, n)
 	for i := 0; i < n; i++ {
@@ -31,7 +38,7 @@ func newFleet(t testing.TB, n, k int, opts Options) *fleet {
 			t.Fatal(err)
 		}
 		f.stores = append(f.stores, st)
-		fc := transport.NewFaulty(transport.NewLocal(server.New(st)))
+		fc := transport.NewFaulty(transport.NewLocal(wrap(i, server.New(st))))
 		f.faults = append(f.faults, fc)
 		conns[i] = fc
 	}

@@ -244,7 +244,7 @@ func (c *Client) insertValues(meta *tableMeta, rows [][]Value) (*Result, error) 
 		rollback := &proto.DeleteRequest{Table: meta.Name, RowIDs: ids}
 		var rollbackErrs []error
 		for _, p := range succeeded {
-			_, derr := c.call(p, rollback)
+			_, derr := c.call(p, rollback, noDeadline)
 			if derr == nil {
 				continue
 			}
@@ -438,7 +438,7 @@ func (c *Client) execDelete(s *sql.Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scan, err := c.scanTable(meta, preds, 0, false)
+	scan, err := c.scanTable(meta, preds, c.readOpts(0, false))
 	if err != nil {
 		return nil, err
 	}
@@ -489,7 +489,7 @@ func (c *Client) execUpdate(s *sql.Update) (*Result, error) {
 	}
 	// The paper's update flow: retrieve the affected tuples, reconstruct at
 	// the client, apply the change, re-share, redistribute (Sec. V-C).
-	scan, err := c.scanTable(meta, preds, 0, false)
+	scan, err := c.scanTable(meta, preds, c.readOpts(0, false))
 	if err != nil {
 		return nil, err
 	}

@@ -300,7 +300,7 @@ func compareInt64(a, b int64) int {
 // groupedLocal scans, groups client-side, and computes every aggregate via
 // aggregateLocal.
 func (c *Client) groupedLocal(meta *tableMeta, gcm *colMeta, gci int, preds []compiledPred, items []sql.SelectItem, verified bool) ([]*group, error) {
-	scan, err := c.scanTable(meta, preds, 0, verified)
+	scan, err := c.scanTable(meta, preds, c.readOpts(0, verified))
 	if err != nil {
 		return nil, err
 	}
@@ -359,13 +359,9 @@ func (c *Client) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 			return nil, nil
 		}
 	}
-	filters := make([]*proto.Filter, c.opts.N)
-	for i := range filters {
-		f, err := c.providerFilter(meta, preds, i)
-		if err != nil {
-			return nil, err
-		}
-		filters[i] = f
+	filters, err := c.providerFilters(meta, preds)
+	if err != nil {
+		return nil, err
 	}
 	// Distinct value columns needing SUM partials.
 	valueCols := map[string]*colMeta{}
@@ -395,7 +391,7 @@ func (c *Client) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 				GroupCol: gcm.Name + suffixOPP,
 				Filter:   filters[i],
 			}
-		})
+		}, c.readDeadline())
 		if err != nil {
 			return nil, err
 		}

@@ -212,13 +212,9 @@ func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joi
 			return &Result{Columns: joinColumns(items)}, nil
 		}
 	}
-	filters := make([]*proto.Filter, c.opts.N)
-	for i := range filters {
-		f, err := c.providerFilter(left, preds, i)
-		if err != nil {
-			return nil, err
-		}
-		filters[i] = f
+	filters, err := c.providerFilters(left, preds)
+	if err != nil {
+		return nil, err
 	}
 	responses, err := c.callQuorum(c.opts.K, func(i int) proto.Message {
 		return &proto.JoinRequest{
@@ -228,7 +224,7 @@ func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joi
 			RightCol:   rc.Name + suffixOPP,
 			Filter:     filters[i],
 		}
-	})
+	}, c.readDeadline())
 	if err != nil {
 		return nil, err
 	}
@@ -329,11 +325,11 @@ func (c *Client) joinLocal(left, right *tableMeta, lcName, rcName string, items 
 	if err != nil {
 		return nil, err
 	}
-	lScan, err := c.scanTable(left, lPreds, 0, false)
+	lScan, err := c.scanTable(left, lPreds, c.readOpts(0, false))
 	if err != nil {
 		return nil, err
 	}
-	rScan, err := c.scanTable(right, rPreds, 0, false)
+	rScan, err := c.scanTable(right, rPreds, c.readOpts(0, false))
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package client
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -169,32 +168,34 @@ func (cp compiledPred) matchesEnc(u uint64) bool {
 	return true
 }
 
-// providerFilter lowers the first compiled predicate into a share-space
-// filter for one provider (nil when there are no predicates).
-func (c *Client) providerFilter(meta *tableMeta, preds []compiledPred, provider int) (*proto.Filter, error) {
+// providerFilters is the paper's query rewriting step: it lowers the first
+// compiled predicate into one share-space filter per provider (all nil
+// when there are no predicates). Bounds are within the domain by
+// construction, so errors here are programming errors.
+func (c *Client) providerFilters(meta *tableMeta, preds []compiledPred) ([]*proto.Filter, error) {
+	filters := make([]*proto.Filter, c.opts.N)
 	if len(preds) == 0 {
-		return nil, nil
+		return filters, nil
 	}
 	cp := preds[0]
 	cm := &meta.Cols[cp.ci]
-	loShare, err := cm.oppSch.ShareAt(cp.lo, provider)
-	if err != nil {
-		return nil, err
+	for p := range filters {
+		loShare, err := cm.oppSch.ShareAt(cp.lo, p)
+		if err != nil {
+			return nil, err
+		}
+		hiShare, err := cm.oppSch.ShareAt(cp.hi, p)
+		if err != nil {
+			return nil, err
+		}
+		f := &proto.Filter{Col: cm.Name + suffixOPP, Op: proto.FilterEq, Lo: loShare.Bytes()}
+		if cp.lo != cp.hi {
+			f.Op = proto.FilterRange
+			f.Hi = hiShare.Bytes()
+		}
+		filters[p] = f
 	}
-	hiShare, err := cm.oppSch.ShareAt(cp.hi, provider)
-	if err != nil {
-		return nil, err
-	}
-	f := &proto.Filter{Col: cm.Name + suffixOPP}
-	if cp.lo == cp.hi {
-		f.Op = proto.FilterEq
-		f.Lo = loShare.Bytes()
-	} else {
-		f.Op = proto.FilterRange
-		f.Lo = loShare.Bytes()
-		f.Hi = hiShare.Bytes()
-	}
-	return f, nil
+	return filters, nil
 }
 
 // scanResult is the reconstructed output of a table scan.
@@ -209,60 +210,82 @@ type scanResult struct {
 	verified bool
 }
 
+// scanOpts are the per-statement knobs of a table scan.
+type scanOpts struct {
+	// limit caps the rows returned (0 = all).
+	limit uint64
+	// verified selects the proof-carrying whole-response path.
+	verified bool
+	// epoch hides rows with ids at or above it, which is what gives reads
+	// inside a transaction snapshot isolation: the epoch is the table's
+	// stable watermark captured at Begin, so everything committed since
+	// reads as absent. noEpoch disables the cap.
+	epoch uint64
+	// deadline bounds the scan end to end (noDeadline = unbounded).
+	deadline time.Time
+}
+
+// readOpts is the scanOpts of a foreground read outside a transaction. The
+// statement's deadline is fixed here, once: a scan that re-opens after a
+// provider failure shares it, so failover cannot extend the budget.
+func (c *Client) readOpts(limit uint64, verified bool) scanOpts {
+	return scanOpts{limit: limit, verified: verified, epoch: noEpoch, deadline: c.readDeadline()}
+}
+
 // scanTable runs the paper's core read path: rewrite the (first) predicate
 // into per-provider share filters, scan a quorum, align rows by id, and
 // reconstruct values. Residual predicates are evaluated client-side.
-// In verified mode every live provider is consulted, Merkle completeness
-// proofs are checked against per-provider digests, and cells are
-// robust-reconstructed to identify corrupt providers.
 //
-// Unverified scans stream: provider chunks align and reconstruct
-// incrementally (see stream.go) so the full result set is materialized only
-// once, as reconstructed values. Verified scans keep the buffered path — a
-// completeness proof covers the whole result — as do reads over pending
-// lazy updates (the overlay wants the full set). Any streaming failure
-// falls back to the buffered path below, which owns provider failover; no
-// rows have reached the caller at that point.
-func (c *Client) scanTable(meta *tableMeta, preds []compiledPred, limit uint64, verified bool) (*scanResult, error) {
-	return c.scanTableAsOf(meta, preds, limit, verified, noEpoch)
-}
-
-// scanTableAsOf is scanTable with an explicit snapshot epoch: rows with ids
-// at or above epoch are invisible on both the streaming and buffered paths,
-// which is what gives reads inside a transaction snapshot isolation — the
-// epoch is the table's stable watermark captured at Begin, so everything
-// committed since reads as absent. noEpoch disables the cap.
-func (c *Client) scanTableAsOf(meta *tableMeta, preds []compiledPred, limit uint64, verified bool, epoch uint64) (*scanResult, error) {
+// Every unverified scan drains the streaming zipper (stream.go), which owns
+// provider failover, hedging, watermark masking and LIMIT push-down.
+// Verified scans are the one genuinely different algorithm — a Merkle
+// completeness proof covers a whole response, and every live provider is
+// consulted so corrupt ones can be outvoted — and take scanVerified. Both
+// are post-processed the same way: pending lazy updates overlay the result,
+// then LIMIT truncates it.
+func (c *Client) scanTable(meta *tableMeta, preds []compiledPred, o scanOpts) (*scanResult, error) {
 	for _, cp := range preds {
 		if cp.empty {
-			return &scanResult{verified: verified}, nil
+			return &scanResult{verified: o.verified}, nil
 		}
 	}
-	// The statement's deadline is fixed here, once: the streaming attempt
-	// and a buffered fallback share it, so a failed stream cannot double
-	// the budget. A deadline failure does not fall back at all — the
-	// buffered path would just time out again, later.
-	deadline := c.readDeadline()
-	if !verified && !c.hasPending(meta.Name) && !c.opts.BufferedScans {
-		res, err := c.collectStreamAsOf(meta, preds, limit, epoch, deadline)
-		if err == nil {
-			return res, nil
-		}
-		if errors.Is(err, ErrDeadline) {
-			return nil, err
-		}
+	limit := o.limit
+	if c.hasPending(meta.Name) {
+		// The overlay may drop or add rows after the fact; fetch unlimited
+		// and truncate at the end.
+		o.limit = 0
 	}
-	return c.scanTableBufferedAsOf(meta, preds, limit, verified, epoch, deadline)
+	var res *scanResult
+	var err error
+	if o.verified {
+		res, err = c.scanVerified(meta, preds, o.deadline)
+	} else {
+		res, err = c.collectStream(meta, preds, o)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Lazy-update overlay: replace pending rows' values and re-evaluate the
+	// whole predicate set; add pending rows that now match.
+	if err := c.overlayPending(meta, res, preds); err != nil {
+		return nil, err
+	}
+	if limit > 0 && uint64(len(res.ids)) > limit {
+		res.ids = res.ids[:limit]
+		res.values = res.values[:limit]
+	}
+	return res, nil
 }
 
-// scanTableBuffered is the materializing scan: gather whole responses from
-// a quorum, then align, reconstruct, and filter.
-func (c *Client) scanTableBuffered(meta *tableMeta, preds []compiledPred, limit uint64, verified bool) (*scanResult, error) {
-	return c.scanTableBufferedAsOf(meta, preds, limit, verified, noEpoch, c.readDeadline())
-}
-
-func (c *Client) scanTableBufferedAsOf(meta *tableMeta, preds []compiledPred, limit uint64, verified bool, epoch uint64, deadline time.Time) (*scanResult, error) {
-	if verified && len(preds) == 0 {
+// scanVerified gathers whole proof-carrying responses from every reachable
+// non-lagging provider, checks each Merkle completeness proof against that
+// provider's digest, keeps the majority row set, and robust-reconstructs
+// cells to identify corrupt providers. The caller holds the exclusive
+// statement lock, so no insert is in flight and no row needs masking. A
+// completeness proof covers a whole range, so no LIMIT is pushed down:
+// scanTable truncates the result.
+func (c *Client) scanVerified(meta *tableMeta, preds []compiledPred, deadline time.Time) (*scanResult, error) {
+	if len(preds) == 0 {
 		// Synthesize a full-domain range on the first queryable column so
 		// the provider can attach a completeness proof.
 		for ci := range meta.Cols {
@@ -276,58 +299,21 @@ func (c *Client) scanTableBufferedAsOf(meta *tableMeta, preds []compiledPred, li
 			return nil, fmt.Errorf("%w: cannot verify a table with no queryable columns", ErrUnsupported)
 		}
 	}
-	pushLimit := limit
-	if len(preds) > 1 || c.hasPending(meta.Name) ||
-		(len(preds) == 1 && preds[0].set != nil) {
-		// Residual predicates (including IN, whose pushed range is a
-		// superset) or pending overlays may drop rows after the fact; fetch
-		// unlimited and truncate at the end.
-		pushLimit = 0
+	filters, err := c.providerFilters(meta, preds)
+	if err != nil {
+		return nil, err
 	}
-	// Precompute per-provider share-space filters; bounds are within the
-	// domain by construction, so errors here are programming errors.
-	filters := make([]*proto.Filter, c.opts.N)
-	for i := range filters {
-		f, err := c.providerFilter(meta, preds, i)
-		if err != nil {
-			return nil, err
-		}
-		filters[i] = f
-	}
-	buildScan := func(i int) proto.Message {
+	// Every reachable provider is asked: redundancy is what lets
+	// proof-failing or outvoted providers be dropped while a quorum of K
+	// survives.
+	responses, err := c.callAvailable(c.opts.K, func(i int) proto.Message {
 		return &proto.ScanRequest{
 			Table:         meta.Name,
 			Filter:        filters[i],
-			Limit:         pushLimit,
-			WithProof:     verified,
+			WithProof:     true,
 			TimeoutMillis: timeoutMillis(deadline),
 		}
-	}
-	// INSERTs run under the shared statement lock, so a batch may be landing
-	// provider by provider while this scan is in flight. Snapshot the stable
-	// watermark before sending: any id at or above it could be half-landed
-	// and is dropped from every response below, so the K row sets always
-	// agree on what both of them have fully durable. (Verified reads hold
-	// the exclusive lock — no insert is in flight and nothing is dropped.)
-	// A transaction's snapshot epoch tightens the same bound: rows committed
-	// after Begin sit at or above it and read as absent.
-	watermark := c.stableWatermark(meta)
-	if epoch < watermark {
-		watermark = epoch
-	}
-	var responses []indexedResponse
-	var err error
-	if verified {
-		// Verified reads want every reachable provider: redundancy is what
-		// lets proof-failing or outvoted providers be dropped while a
-		// quorum of K survives.
-		responses, err = c.callAvailable(c.opts.K, buildScan, deadline)
-	} else {
-		// Plain scans may fail over onto a lagging provider (one with
-		// queued hints): its rows below the lag floor are exactly its
-		// peers', and everything at or above the floor is masked below.
-		responses, err = c.callQuorumDeadline(c.opts.K, c.providerOrder(), buildScan, deadline)
-	}
+	}, deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -337,94 +323,33 @@ func (c *Client) scanTableBufferedAsOf(meta *tableMeta, preds []compiledPred, li
 	for _, r := range responses {
 		rr, ok := r.msg.(*proto.RowsResponse)
 		if !ok {
-			if verified {
-				// A mis-typed response is just another malicious behavior:
-				// drop the provider and continue if a quorum remains.
-				proofFaulty = append(proofFaulty, r.provider)
-				continue
-			}
-			return nil, fmt.Errorf("%w: provider %d returned %T", ErrInconsistent, r.provider, r.msg)
+			// A mis-typed response is just another malicious behavior:
+			// drop the provider and continue if a quorum remains.
+			proofFaulty = append(proofFaulty, r.provider)
+			continue
 		}
 		rowsByProvider[r.provider] = rr
 		providers = append(providers, r.provider)
 	}
-	if !verified {
-		// Cap the watermark by the lag floor of every participating
-		// provider: a lagging provider has missed mutations above its
-		// floor, so those ids are hidden from ALL responses — the K row
-		// sets then agree on what every participant has fully applied.
-		// (Floors only shrink via concurrent INSERT hints, whose fresh ids
-		// are above the stable watermark already snapshotted, so reading
-		// them after the responses arrived is race-free.)
-		if floor := c.lagFloor(meta.Name, providers); floor < watermark {
-			watermark = floor
-		}
-		for _, rr := range rowsByProvider {
-			keep := rr.Rows[:0]
-			for _, row := range rr.Rows {
-				if row.ID < watermark {
-					keep = append(keep, row)
-				}
-			}
-			rr.Rows = keep
-		}
-	}
-	if verified && len(providers) < c.opts.K {
+	if len(providers) < c.opts.K {
 		return nil, fmt.Errorf("%w: only %d well-formed responses (faulty: %v)",
 			ErrVerification, len(providers), proofFaulty)
 	}
-	if verified {
-		// Detection AND recovery: drop providers whose completeness proofs
-		// fail or that disagree with the majority row set, as long as a
-		// quorum of K honest-looking providers remains.
-		var verifyFaulty []int
-		providers, verifyFaulty, err = c.applyVerification(meta, preds, providers, rowsByProvider)
-		if err != nil {
-			return nil, err
-		}
-		proofFaulty = mergeFaulty(proofFaulty, verifyFaulty)
-	} else {
-		// Unverified reads demand strict agreement among the K providers.
-		base := rowsByProvider[providers[0]]
-		for _, p := range providers[1:] {
-			rr := rowsByProvider[p]
-			if len(rr.Rows) != len(base.Rows) {
-				return nil, fmt.Errorf("%w: provider %d returned %d rows, provider %d returned %d",
-					ErrInconsistent, p, len(rr.Rows), providers[0], len(base.Rows))
-			}
-			for i := range rr.Rows {
-				if rr.Rows[i].ID != base.Rows[i].ID {
-					return nil, fmt.Errorf("%w: row order diverges at position %d", ErrInconsistent, i)
-				}
-			}
-		}
-	}
-	res, err := c.reconstructRows(meta, providers, rowsByProvider, verified)
+	// Detection AND recovery: drop providers whose completeness proofs fail
+	// or that disagree with the majority row set, as long as a quorum of K
+	// honest-looking providers remains.
+	providers, verifyFaulty, err := c.applyVerification(meta, preds, providers, rowsByProvider)
 	if err != nil {
 		return nil, err
 	}
-	res.faulty = mergeFaulty(res.faulty, proofFaulty)
-	res.verified = verified
-	// Residual predicates: everything after the pushed predicate — plus the
-	// pushed predicate itself when it is an IN set, since the provider only
-	// saw its covering range.
-	residual := preds
-	if len(preds) > 0 && preds[0].set == nil {
-		residual = preds[1:]
-	}
-	if len(residual) > 0 {
-		if err := c.filterResidual(meta, res, residual); err != nil {
-			return nil, err
-		}
-	}
-	// Lazy-update overlay: replace pending rows' values and re-evaluate the
-	// whole predicate set; add pending rows that now match.
-	if err := c.overlayPending(meta, res, preds); err != nil {
+	res, err := c.reconstructRows(meta, providers, rowsByProvider, true)
+	if err != nil {
 		return nil, err
 	}
-	if limit > 0 && uint64(len(res.ids)) > limit {
-		res.ids = res.ids[:limit]
-		res.values = res.values[:limit]
+	res.faulty = mergeFaulty(res.faulty, mergeFaulty(proofFaulty, verifyFaulty))
+	res.verified = true
+	if err := c.filterResidual(meta, res, residualPreds(preds)); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -662,7 +587,7 @@ func (c *Client) verifyScan(meta *tableMeta, preds []compiledPred, providers []i
 		if err != nil {
 			return fmt.Errorf("%w: provider %d: %v", ErrVerification, p, err)
 		}
-		digResp, err := c.call(p, &proto.DigestRequest{Table: meta.Name, Col: oppCol})
+		digResp, err := c.call(p, &proto.DigestRequest{Table: meta.Name, Col: oppCol}, noDeadline)
 		if err != nil {
 			return fmt.Errorf("%w: provider %d digest: %v", ErrVerification, p, err)
 		}
@@ -744,8 +669,22 @@ func (c *Client) verifyScan(meta *tableMeta, preds []compiledPred, providers []i
 	return nil
 }
 
+// residualPreds returns the predicates the providers did not apply, for the
+// client to re-check: everything after the pushed first predicate — plus
+// the first itself when it is an IN set, since the provider only saw its
+// covering range.
+func residualPreds(preds []compiledPred) []compiledPred {
+	if len(preds) > 0 && preds[0].set == nil {
+		return preds[1:]
+	}
+	return preds
+}
+
 // filterResidual applies remaining predicates client-side.
 func (c *Client) filterResidual(meta *tableMeta, res *scanResult, preds []compiledPred) error {
+	if len(preds) == 0 {
+		return nil
+	}
 	outIDs := res.ids[:0]
 	outVals := res.values[:0]
 	enc := make([]uint64, len(meta.Cols))

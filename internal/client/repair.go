@@ -110,7 +110,7 @@ func (c *Client) repairLoop(kick, stop, done chan struct{}) {
 			// provider that cannot even answer a ping backs the probe off
 			// exponentially (capped at 64x the base interval) so a long
 			// outage does not burn a connection attempt every tick.
-			resp, err := c.call(p, &proto.PingRequest{})
+			resp, err := c.call(p, &proto.PingRequest{}, noDeadline)
 			if err != nil {
 				st.failures++
 				shift := st.failures
@@ -213,7 +213,7 @@ func (c *Client) replayHints(p int, stop chan struct{}) error {
 			c.popHint(p)
 			continue
 		}
-		if _, err := c.call(p, msg); err != nil {
+		if _, err := c.call(p, msg, noDeadline); err != nil {
 			var remote *proto.RemoteError
 			if !errors.As(err, &remote) {
 				c.markProvider(p, true)
@@ -341,7 +341,7 @@ func (c *Client) tableStateMatches(p, peer int, table string) (bool, error) {
 // resyncDigest fetches a provider's whole-table digest; a missing table
 // reports as nil rather than an error (the peer decides what that means).
 func (c *Client) resyncDigest(provider int, table string) (*proto.DigestResult, error) {
-	resp, err := c.call(provider, &proto.TableStateRequest{Table: table})
+	resp, err := c.call(provider, &proto.TableStateRequest{Table: table}, noDeadline)
 	if err != nil {
 		var remote *proto.RemoteError
 		if errors.As(err, &remote) && remote.Code == proto.CodeNoSuchTable {
@@ -366,10 +366,10 @@ func (c *Client) resyncDigest(provider int, table string) (*proto.DigestResult, 
 // holds the exclusive statement lock, so no statement observes the
 // polynomial swap in progress.
 func (c *Client) reseedTable(p int, meta *tableMeta) error {
-	// Zero deadline deliberately: repair scans rebuild provider state and
+	// No deadline deliberately: repair scans rebuild provider state and
 	// must run to completion even when the client bounds its foreground
 	// reads with Options.ReadDeadline.
-	scan, err := c.scanTableBufferedAsOf(meta, nil, 0, false, noEpoch, time.Time{})
+	scan, err := c.scanTable(meta, nil, scanOpts{epoch: noEpoch, deadline: noDeadline})
 	if err != nil {
 		return err
 	}
@@ -377,17 +377,17 @@ func (c *Client) reseedTable(p int, meta *tableMeta) error {
 	if err != nil {
 		return err
 	}
-	if _, err := c.call(p, &proto.DropTableRequest{Table: meta.Name}); err != nil {
+	if _, err := c.call(p, &proto.DropTableRequest{Table: meta.Name}, noDeadline); err != nil {
 		var remote *proto.RemoteError
 		if !errors.As(err, &remote) || remote.Code != proto.CodeNoSuchTable {
 			return err
 		}
 	}
-	if _, err := c.call(p, &proto.CreateTableRequest{Spec: meta.providerSpec()}); err != nil {
+	if _, err := c.call(p, &proto.CreateTableRequest{Spec: meta.providerSpec()}, noDeadline); err != nil {
 		return err
 	}
 	if len(scan.ids) > 0 {
-		if _, err := c.call(p, &proto.InsertRequest{Table: meta.Name, Rows: perProvider[p]}); err != nil {
+		if _, err := c.call(p, &proto.InsertRequest{Table: meta.Name, Rows: perProvider[p]}, noDeadline); err != nil {
 			return err
 		}
 	}
@@ -403,7 +403,7 @@ func (c *Client) reseedTable(p int, meta *tableMeta) error {
 			_ = c.hintMutation(i, update)
 			continue
 		}
-		if _, err := c.call(i, update); err != nil {
+		if _, err := c.call(i, update, noDeadline); err != nil {
 			var remote *proto.RemoteError
 			if errors.As(err, &remote) {
 				return err

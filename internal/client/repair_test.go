@@ -144,7 +144,7 @@ func TestInsertRollbackAttemptsAllAndHintsUnreachable(t *testing.T) {
 }
 
 func TestDegradedWriteBelowQuorumFails(t *testing.T) {
-	f := newFleet(t, 4, 2, Options{WriteQuorum: 3, BufferedScans: true})
+	f := newFleet(t, 4, 2, Options{WriteQuorum: 3})
 	setupEmployees(t, f)
 	f.faults[2].Crash()
 	f.faults[3].Crash()
@@ -162,7 +162,7 @@ func TestDegradedWriteBelowQuorumFails(t *testing.T) {
 // that provider's lag floor, so the K responses agree instead of exposing a
 // half-replicated write.
 func TestDegradedScanMasksLaggingProvider(t *testing.T) {
-	f := newFleet(t, 3, 2, Options{WriteQuorum: 2, RepairInterval: time.Hour, BufferedScans: true})
+	f := newFleet(t, 3, 2, Options{WriteQuorum: 2, RepairInterval: time.Hour})
 	setupEmployees(t, f) // 6 rows, ids 1..6
 	f.faults[2].Crash()
 	f.mustExec(t, `INSERT INTO employees VALUES ('Zed', 99, 4)`) // id 7, hinted for provider 2
@@ -193,7 +193,7 @@ func TestDegradedScanMasksLaggingProvider(t *testing.T) {
 // repair loop drains the hints and every K-subset of providers reconstructs
 // identical results with zero masked rows remaining.
 func TestDegradedWriteRecoverResync(t *testing.T) {
-	f := newFleet(t, 4, 2, Options{WriteQuorum: 3, RepairInterval: 10 * time.Millisecond, BufferedScans: true})
+	f := newFleet(t, 4, 2, Options{WriteQuorum: 3, RepairInterval: 10 * time.Millisecond})
 	setupEmployees(t, f) // 6 rows
 
 	f.faults[0].Crash()
@@ -260,7 +260,7 @@ func TestDegradedWriteRecoverResync(t *testing.T) {
 // test. Afterwards every provider must hold the identical row set and no
 // insert may have been double-applied.
 func TestCrashDuringReplayRace(t *testing.T) {
-	f := newFleet(t, 4, 2, Options{WriteQuorum: 3, RepairInterval: 5 * time.Millisecond, BufferedScans: true})
+	f := newFleet(t, 4, 2, Options{WriteQuorum: 3, RepairInterval: 5 * time.Millisecond})
 	f.mustExec(t, `CREATE TABLE kv (v INT)`)
 	f.faults[0].Crash()
 
@@ -334,7 +334,6 @@ func TestHintJournalReplayAfterRestart(t *testing.T) {
 		WriteQuorum:    2,
 		HintDir:        filepath.Join(base, "hints"),
 		RepairInterval: 10 * time.Millisecond,
-		BufferedScans:  true,
 	}
 	openFleet := func() ([]*store.Store, []*transport.FaultyConn, []transport.Conn) {
 		stores := make([]*store.Store, 3)
@@ -431,7 +430,7 @@ func TestHintJournalReplayAfterRestart(t *testing.T) {
 // replay alone cannot converge it: the resync digest comparison must catch
 // the divergence and trigger a full-table re-seed.
 func TestMerkleMismatchForcesReseed(t *testing.T) {
-	f := newFleet(t, 4, 2, Options{WriteQuorum: 3, RepairInterval: 10 * time.Millisecond, BufferedScans: true})
+	f := newFleet(t, 4, 2, Options{WriteQuorum: 3, RepairInterval: 10 * time.Millisecond})
 	setupEmployees(t, f) // ids 1..6
 	f.faults[1].Crash()
 	f.mustExec(t, `INSERT INTO employees VALUES ('New', 70, 4)`) // hinted for provider 1

@@ -49,7 +49,7 @@ func (c *Client) execSelect(s *sql.Select) (*Result, error) {
 		// LIMIT applies after the sort, so the scan cannot pre-truncate.
 		limit = 0
 	}
-	scan, err := c.scanTable(meta, preds, limit, verified)
+	scan, err := c.scanTable(meta, preds, c.readOpts(limit, verified))
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +184,7 @@ func (c *Client) execAggregates(meta *tableMeta, s *sql.Select) (*Result, error)
 		(len(preds) == 1 && preds[0].set != nil)
 	var scan *scanResult
 	if clientSide {
-		scan, err = c.scanTable(meta, preds, 0, verified)
+		scan, err = c.scanTable(meta, preds, c.readOpts(0, verified))
 		if err != nil {
 			return nil, err
 		}
@@ -266,13 +266,9 @@ func (c *Client) aggregateRemote(meta *tableMeta, preds []compiledPred, item sql
 			return emptyAggValue(item, cm)
 		}
 	}
-	filters := make([]*proto.Filter, c.opts.N)
-	for i := range filters {
-		f, err := c.providerFilter(meta, preds, i)
-		if err != nil {
-			return Value{}, err
-		}
-		filters[i] = f
+	filters, err := c.providerFilters(meta, preds)
+	if err != nil {
+		return Value{}, err
 	}
 	req := func(op proto.AggOp) func(int) proto.Message {
 		return func(i int) proto.Message {
@@ -285,7 +281,7 @@ func (c *Client) aggregateRemote(meta *tableMeta, preds []compiledPred, item sql
 		}
 	}
 	gather := func(op proto.AggOp) ([]indexedResponse, []*proto.AggResult, error) {
-		responses, err := c.callQuorum(c.opts.K, req(op))
+		responses, err := c.callQuorum(c.opts.K, req(op), c.readDeadline())
 		if err != nil {
 			return nil, nil, err
 		}

@@ -462,8 +462,9 @@ func (c *Client) shardWhereDML(meta *tableMeta, info *shardInfo, where []sql.Pre
 
 // gatherScan runs one read-locked scan of a single group on behalf of the
 // router: the same locking, predicate compilation, and pending-update
-// overlay a plain per-group SELECT would get.
-func (sub *Client) gatherScan(table string, where []sql.Predicate, verified bool) (*scanResult, error) {
+// overlay a plain per-group SELECT would get. epoch is the group's snapshot
+// cap for reads inside a transaction, noEpoch otherwise.
+func (sub *Client) gatherScan(table string, where []sql.Predicate, verified bool, epoch uint64) (*scanResult, error) {
 	if verified {
 		sub.mu.Lock()
 		defer sub.mu.Unlock()
@@ -479,7 +480,9 @@ func (sub *Client) gatherScan(table string, where []sql.Predicate, verified bool
 	if err != nil {
 		return nil, err
 	}
-	return sub.scanTable(meta, preds, 0, verified)
+	o := sub.readOpts(0, verified)
+	o.epoch = epoch
+	return sub.scanTable(meta, preds, o)
 }
 
 // gatherScanExclusive is gatherScan under the exclusive statement lock with
@@ -499,7 +502,7 @@ func (sub *Client) gatherScanExclusive(table string, where []sql.Predicate, veri
 	if err != nil {
 		return nil, err
 	}
-	return sub.scanTable(meta, preds, 0, verified)
+	return sub.scanTable(meta, preds, sub.readOpts(0, verified))
 }
 
 // fanScan gathers one scan per target group concurrently.
@@ -516,7 +519,7 @@ func (c *Client) fanScan(table string, where []sql.Predicate, targets []int, ver
 			if exclusive {
 				scan, err = c.shards[g].gatherScanExclusive(table, where, verified)
 			} else {
-				scan, err = c.shards[g].gatherScan(table, where, verified)
+				scan, err = c.shards[g].gatherScan(table, where, verified, noEpoch)
 			}
 			if err != nil {
 				errs[i] = fmt.Errorf("shard group %d: %w", g, err)

@@ -498,7 +498,7 @@ func (c *Client) fanJoinScans(table string, preds []sql.Predicate, qualifier str
 				if err != nil {
 					return nil, err
 				}
-				return sub.scanTable(meta, cp, 0, false)
+				return sub.scanTable(meta, cp, sub.readOpts(0, false))
 			}()
 			if err != nil {
 				errs[i] = fmt.Errorf("shard group %d: %w", g, err)

@@ -9,14 +9,17 @@ package client
 // layer ever materializes the full result set, and a satisfied LIMIT
 // cancels the outstanding provider streams instead of draining them.
 //
-// Verified (proof-carrying) reads never stream: a Merkle completeness
-// proof covers the entire result set, so they keep the buffered Scan path
-// (scanTableBuffered) explicitly.
+// This is the one unverified scan pipeline: Exec drains it (collectStream),
+// QueryRows iterates it, and both get provider failover from it
+// (rowStream.failover). Verified (proof-carrying) reads never stream — a
+// Merkle completeness proof covers the entire result set — and take
+// scanVerified instead.
 
 import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,13 +49,39 @@ type alignedBatch struct {
 
 // rowStream is a running streaming scan: K provider goroutines feed chunk
 // channels, one aligner goroutine zips them by row id, reconstructs, and
-// emits alignedBatches on out. err is valid once out is closed.
+// emits alignedBatches on out. err and failed are valid once out is closed.
 type rowStream struct {
 	out    chan alignedBatch
 	done   chan struct{}
 	stop   sync.Once
 	err    error
 	closed bool
+	// failed is the provider stream whose failure err reports (nil when
+	// err is providers disagreeing, or a local decode error): a re-opened
+	// scan routes around that provider.
+	failed *provStream
+
+	// What was asked, so a failed scan can re-open (see failover); avoid
+	// lists the providers whose streams failed earlier opens of this scan.
+	c     *Client
+	meta  *tableMeta
+	preds []compiledPred
+	o     scanOpts
+	avoid []int
+
+	// The rest is the aligner goroutine's: how to start a replacement
+	// provider stream mid-scan, and which hedge spares remain.
+	filters   []*proto.Filter
+	pushLimit uint64
+	watermark uint64
+	// threshold is the straggler threshold for this scan (0 = no hedging);
+	// it flips to 0 once the hedge budget denies, so a slow scan does not
+	// keep re-arming stall timers it can never act on.
+	threshold time.Duration
+	// spares are ranked candidates not in the read set: not down, not
+	// lagging (a lagging spare could not honor the already-fixed watermark
+	// — its lag floor might sit below rows this scan already emitted).
+	spares []int
 }
 
 // interrupt signals the provider goroutines to abandon their calls (the
@@ -88,6 +117,10 @@ type provStream struct {
 	// its siblings; rs.done still cancels all of them at once.
 	stop     chan struct{}
 	stopOnce sync.Once
+	// limit is the LIMIT pushed to this provider (0 = none) and received
+	// the rows it has sent, masked ones included; see spentLimitOnMasked.
+	limit    uint64
+	received uint64
 	cols     []string
 	rows     []proto.Row
 	off      int
@@ -123,6 +156,7 @@ func (ps *provStream) ingest(chunk *proto.RowsResponse, ok bool, watermark uint6
 	if ps.cols == nil && len(chunk.Columns) > 0 {
 		ps.cols = chunk.Columns
 	}
+	ps.received += uint64(len(chunk.Rows))
 	rows := chunk.Rows[:0]
 	for _, row := range chunk.Rows {
 		if row.ID >= watermark {
@@ -139,6 +173,17 @@ func (ps *provStream) ingest(chunk *proto.RowsResponse, ok bool, watermark uint6
 	ps.accepted += len(rows)
 }
 
+// spentLimitOnMasked reports that the stream ended because the provider
+// filled its pushed LIMIT, yet fewer than LIMIT rows survived: the provider
+// applies the limit before the client masks rows at or above the watermark
+// (a concurrent INSERT landing inside the range, a lag-floor cap), so every
+// masked row cost the result a slot the provider could have filled. The
+// aligner then continues the slot on an unlimited stream.
+func (ps *provStream) spentLimitOnMasked() bool {
+	return ps.eof && ps.err == nil && ps.limit > 0 &&
+		ps.received >= ps.limit && uint64(ps.accepted) < ps.limit
+}
+
 // ready reports that the aligner can make progress on this stream without
 // blocking: unconsumed rows are available or the stream has ended.
 func (ps *provStream) ready() bool {
@@ -146,81 +191,55 @@ func (ps *provStream) ready() bool {
 }
 
 // fill blocks until ps has at least one unconsumed row or has reached end
-// of stream, dropping rows at or above the insert watermark as they arrive
-// (the same stable-watermark filtering the buffered path applies).
-func (ps *provStream) fill(watermark uint64) {
-	for !ps.ready() {
-		chunk, ok := <-ps.ch
-		ps.ingest(chunk, ok, watermark)
+// of stream, dropping rows at or above the insert watermark as they arrive.
+// A positive d bounds the wait: fill returns false if the stream produced
+// nothing for d (the straggler threshold — the aligner then considers
+// hedging), true once the stream is ready.
+func (ps *provStream) fill(watermark uint64, d time.Duration) bool {
+	var stall <-chan time.Time
+	if d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		stall = t.C
 	}
-}
-
-// fillWait is fill with a stall bound: it returns false if the stream
-// produced nothing for d (the straggler threshold — the aligner then
-// considers hedging), true once the stream is ready.
-func (ps *provStream) fillWait(watermark uint64, d time.Duration) bool {
-	if d <= 0 {
-		ps.fill(watermark)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
 	for !ps.ready() {
 		select {
 		case chunk, ok := <-ps.ch:
 			ps.ingest(chunk, ok, watermark)
-		case <-t.C:
+		case <-stall:
 			return false
 		}
 	}
 	return true
 }
 
-// streamScan carries the per-scan state the aligner needs to hedge: how to
-// start a replacement provider stream mid-scan, and which spares remain.
-type streamScan struct {
-	c         *Client
-	rs        *rowStream
-	meta      *tableMeta
-	filters   []*proto.Filter
-	pushLimit uint64
-	watermark uint64
-	deadline  time.Time
-	// threshold is the straggler threshold for this scan (0 = no hedging);
-	// it flips to 0 once the hedge budget denies, so a slow scan does not
-	// keep re-arming stall timers it can never act on.
-	threshold time.Duration
-	// spares are ranked candidates not in the read set: not down, not
-	// lagging (a lagging spare could not honor the already-fixed watermark
-	// — its lag floor might sit below rows this scan already emitted).
-	spares []int
-}
-
-// start launches one provider chunk stream, skipping the first `skip`
-// post-watermark rows (0 for the initial read set; the slot position for a
-// hedge rival). Time-to-first-chunk feeds the health ledger — whole-stream
-// duration would scale with result size, not provider health.
-func (sc *streamScan) start(p int, skip int) *provStream {
+// start launches one provider chunk stream with `limit` pushed down,
+// skipping the first `skip` post-watermark rows (0 for the initial read
+// set; the slot position for a hedge rival or a continuation).
+// Time-to-first-chunk feeds the health ledger — whole-stream duration would
+// scale with result size, not provider health.
+func (rs *rowStream) start(p int, skip int, limit uint64) *provStream {
 	ps := &provStream{
 		p:        p,
 		ch:       make(chan *proto.RowsResponse, 1),
 		errc:     make(chan error, 1),
 		stop:     make(chan struct{}),
+		limit:    limit,
 		skip:     skip,
 		accepted: skip,
 	}
 	req := &proto.ScanRequest{
-		Table:         sc.meta.Name,
-		Filter:        sc.filters[p],
-		Limit:         sc.pushLimit,
-		TimeoutMillis: timeoutMillis(sc.deadline),
+		Table:         rs.meta.Name,
+		Filter:        rs.filters[p],
+		Limit:         limit,
+		TimeoutMillis: timeoutMillis(rs.o.deadline),
 	}
 	go func() {
 		started := time.Now()
 		first := true
-		err := transport.CallStreamWithDeadline(sc.c.conns[p], req, sc.deadline, func(chunk *proto.RowsResponse) error {
+		err := transport.CallStreamWithDeadline(rs.c.conns[p], req, rs.o.deadline, func(chunk *proto.RowsResponse) error {
 			if first {
-				sc.c.health.observe(p, time.Since(started), nil)
+				rs.c.health.observe(p, time.Since(started), nil)
 				first = false
 			}
 			select {
@@ -228,16 +247,16 @@ func (sc *streamScan) start(p int, skip int) *provStream {
 				return nil
 			case <-ps.stop:
 				return errStreamDone
-			case <-sc.rs.done:
+			case <-rs.done:
 				return errStreamDone
 			}
 		})
 		if err == nil {
-			sc.c.markProvider(p, false)
+			rs.c.markProvider(p, false)
 		} else if !errors.Is(err, errStreamDone) {
-			sc.c.markProvider(p, true)
+			rs.c.markProvider(p, true)
 			if first {
-				sc.c.health.observe(p, time.Since(started), err)
+				rs.c.health.observe(p, time.Since(started), err)
 			}
 		}
 		ps.errc <- err
@@ -248,22 +267,22 @@ func (sc *streamScan) start(p int, skip int) *provStream {
 
 // tryHedge starts a rival stream for a stalled slot, if a spare provider
 // and hedge budget remain.
-func (sc *streamScan) tryHedge(old *provStream) *provStream {
+func (rs *rowStream) tryHedge(old *provStream) *provStream {
 	// The stalled stream has provably produced nothing for a full
 	// threshold: feed that as a right-censored latency sample so ranking
 	// demotes a gray-failing provider without waiting for the stream to
 	// finish or die (see healthState.observeStall).
-	sc.c.health.observeStall(old.p, sc.threshold)
-	if len(sc.spares) == 0 {
+	rs.c.health.observeStall(old.p, rs.threshold)
+	if len(rs.spares) == 0 {
 		return nil
 	}
-	if !sc.c.health.allowHedge() {
-		sc.threshold = 0
+	if !rs.c.health.allowHedge() {
+		rs.threshold = 0
 		return nil
 	}
-	p := sc.spares[0]
-	sc.spares = sc.spares[1:]
-	return sc.start(p, old.accepted)
+	p := rs.spares[0]
+	rs.spares = rs.spares[1:]
+	return rs.start(p, old.accepted, old.limit)
 }
 
 // race waits for either the stalled stream or its rival to become usable
@@ -272,7 +291,7 @@ func (sc *streamScan) tryHedge(old *provStream) *provStream {
 // mid-stream failover. Both streams sit at the same slot position (the
 // rival skipped to it), so whichever produces rows first produces the SAME
 // rows; a clean EOF is equally adoptable from either.
-func (sc *streamScan) race(old, rival *provStream) *provStream {
+func (rs *rowStream) race(old, rival *provStream) *provStream {
 	oldCh, rivalCh := old.ch, rival.ch
 	for {
 		if old != nil && old.ready() {
@@ -296,93 +315,111 @@ func (sc *streamScan) race(old, rival *provStream) *provStream {
 			if old != nil {
 				old.cancel()
 			}
-			sc.c.health.hedgesWon.Add(1)
+			rs.c.health.hedgesWon.Add(1)
 			return rival
 		}
 		select {
 		case chunk, ok := <-oldCh:
-			old.ingest(chunk, ok, sc.watermark)
+			old.ingest(chunk, ok, rs.watermark)
 		case chunk, ok := <-rivalCh:
-			rival.ingest(chunk, ok, sc.watermark)
+			rival.ingest(chunk, ok, rs.watermark)
 		}
 	}
 }
 
-// openRowStream starts a streaming scan over the best-ranked K providers.
-// Any error after this point surfaces through rs.err when rs.out closes.
-func (c *Client) openRowStream(meta *tableMeta, preds []compiledPred, limit uint64) (*rowStream, error) {
-	return c.openRowStreamAsOf(meta, preds, limit, noEpoch, c.readDeadline())
-}
-
-// openRowStreamAsOf is openRowStream with a snapshot epoch capping the
-// insert watermark (transactional reads; see scanTableAsOf) and an
-// absolute deadline bounding every provider stream (zero = unbounded).
-func (c *Client) openRowStreamAsOf(meta *tableMeta, preds []compiledPred, limit uint64, epoch uint64, deadline time.Time) (*rowStream, error) {
-	pushLimit := limit
-	if len(preds) > 1 || (len(preds) == 1 && preds[0].set != nil) {
-		// Residual predicates (and IN, whose pushed range is a superset)
-		// drop rows client-side, so the provider cannot know when `limit`
-		// matches have been found; stream unlimited and cancel from here.
+// openRowStream starts a streaming scan over the best-ranked K providers
+// not in avoid (at least K must remain). Any error after this point
+// surfaces through rs.err when rs.out closes. o.epoch caps the insert
+// watermark (transactional reads) and o.deadline bounds every provider
+// stream.
+func (c *Client) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts, avoid []int) (*rowStream, error) {
+	pushLimit := o.limit
+	if len(residualPreds(preds)) > 0 {
+		// Residual predicates drop rows client-side, so the provider cannot
+		// know when `limit` matches have been found; stream unlimited and
+		// cancel from here.
 		pushLimit = 0
 	}
-	filters := make([]*proto.Filter, c.opts.N)
-	for i := range filters {
-		f, err := c.providerFilter(meta, preds, i)
-		if err != nil {
-			return nil, err
-		}
-		filters[i] = f
+	filters, err := c.providerFilters(meta, preds)
+	if err != nil {
+		return nil, err
 	}
+	// INSERTs run under the shared statement lock, so a batch may be landing
+	// provider by provider while this scan is in flight. Snapshot the stable
+	// watermark before sending: any id at or above it could be half-landed
+	// and is dropped from every stream, so the K row sets always agree on
+	// what all of them have fully durable.
 	watermark := c.stableWatermark(meta)
-	if epoch < watermark {
-		watermark = epoch
+	if o.epoch < watermark {
+		watermark = o.epoch
 	}
 	order := c.providerOrder()
+	order = slices.DeleteFunc(order, func(p int) bool { return slices.Contains(avoid, p) })
 	providers := append([]int(nil), order[:c.opts.K]...)
 	sort.Ints(providers)
-	// If failover put a lagging provider in the chosen K, cap the watermark
-	// by its lag floor: ids at or above it may have missed mutations there,
-	// so they are hidden from every stream (the buffered path applies the
-	// same masking).
+	// If failover put a lagging provider (one with queued hints) in the
+	// chosen K, cap the watermark by its lag floor: its rows below the floor
+	// are exactly its peers', and ids at or above it may have missed
+	// mutations there, so they are hidden from every stream.
 	if floor := c.lagFloor(meta.Name, providers); floor < watermark {
 		watermark = floor
 	}
 
 	rs := &rowStream{
-		out:  make(chan alignedBatch, 1),
-		done: make(chan struct{}),
-	}
-	sc := &streamScan{
+		out:       make(chan alignedBatch, 1),
+		done:      make(chan struct{}),
 		c:         c,
-		rs:        rs,
 		meta:      meta,
+		preds:     preds,
+		o:         o,
+		avoid:     avoid,
 		filters:   filters,
 		pushLimit: pushLimit,
 		watermark: watermark,
-		deadline:  deadline,
 		threshold: c.hedgeThreshold(),
 	}
 	// Hedge spares: the ranked also-rans that are both reachable and fully
-	// caught up (see streamScan.spares for why lagging ones cannot serve).
+	// caught up (see rowStream.spares for why lagging ones cannot serve).
 	c.downMu.Lock()
 	for _, p := range order[c.opts.K:] {
 		if !c.down[p] && !c.hints[p].lagging {
-			sc.spares = append(sc.spares, p)
+			rs.spares = append(rs.spares, p)
 		}
 	}
 	c.downMu.Unlock()
 	streams := make([]*provStream, len(providers))
 	for i, p := range providers {
-		streams[i] = sc.start(p, 0)
+		streams[i] = rs.start(p, 0, pushLimit)
 	}
-	go c.alignStreams(sc, meta, preds, streams, limit)
+	go rs.align(streams)
 	return rs, nil
 }
 
-// alignStreams is the zipper: it pops rows off the K provider streams in
-// lockstep, demands bytewise row-id agreement position by position (the
-// same strict check the buffered path runs on whole responses), and flushes
-// aligned spans through reconstruction whenever streamBatchRows accumulate.
+// failover re-opens a scan whose stream failed before any of its rows
+// reached the statement's caller; it returns the error to surface when
+// another attempt cannot help. The provider whose stream failed is avoided
+// for the rest of the statement, so the re-opened scan reads the next-best
+// K of the others — lagging providers admissible under the lag-floor cap
+// computed at open. Every attempt loses a provider, so N−K+1 of them
+// exhaust the fleet. An elapsed deadline is never retried (the retry would
+// only time out again, later), nor is disagreement among the providers.
+func (rs *rowStream) failover() (*rowStream, error) {
+	rs.Close()
+	err := mapDeadlineErr(rs.err)
+	if rs.failed == nil || errors.Is(err, ErrDeadline) {
+		return nil, err
+	}
+	avoid := append(rs.avoid[:len(rs.avoid):len(rs.avoid)], rs.failed.p)
+	if n, k := rs.c.opts.N, rs.c.opts.K; n-len(avoid) < k {
+		return nil, fmt.Errorf("%w: %d of %d failed this scan, %d needed, last: %w", ErrNotEnough, len(avoid), n, k, err)
+	}
+	return rs.c.openRowStream(rs.meta, rs.preds, rs.o, avoid)
+}
+
+// align is the zipper: it pops rows off the K provider streams in
+// lockstep, demands row-id agreement position by position (unverified reads
+// want strict agreement among the K providers), and flushes aligned spans
+// through reconstruction whenever streamBatchRows accumulate.
 //
 // A slot whose stream stalls past the straggler threshold is hedged: the
 // pending aligned batch is flushed first (a batch must never mix an old
@@ -390,8 +427,8 @@ func (c *Client) openRowStreamAsOf(meta *tableMeta, preds []compiledPred, limit 
 // the CURRENT slot provider), then a rival stream starts on a spare
 // provider, fast-forwarded to the slot position, and whichever of the two
 // becomes usable first owns the slot from then on.
-func (c *Client) alignStreams(sc *streamScan, meta *tableMeta, preds []compiledPred, streams []*provStream, limit uint64) {
-	rs, watermark := sc.rs, sc.watermark
+func (rs *rowStream) align(streams []*provStream) {
+	c, meta, preds, limit, watermark := rs.c, rs.meta, rs.preds, rs.o.limit, rs.watermark
 	defer close(rs.out)
 	// Whatever ends this aligner — completion, a satisfied LIMIT, a failed
 	// or inconsistent provider — the surviving provider goroutines must be
@@ -402,18 +439,11 @@ func (c *Client) alignStreams(sc *streamScan, meta *tableMeta, preds []compiledP
 	// the closed stream the cancels are already on the wire.
 	defer rs.interrupt()
 
-	// Residual predicates re-checked client-side, mirroring scanTable.
-	residual := preds
-	if len(preds) > 0 && preds[0].set == nil {
-		residual = preds[1:]
-	}
+	residual := residualPreds(preds)
 	remaining := limit
 
 	batch := make([][]proto.Row, len(streams))
 	batched := 0
-	fail := func(err error) {
-		rs.err = err
-	}
 	flush := func() (stop bool) {
 		if batched == 0 {
 			return false
@@ -426,7 +456,7 @@ func (c *Client) alignStreams(sc *streamScan, meta *tableMeta, preds []compiledP
 		rowsByProvider := make(map[int]*proto.RowsResponse, len(streams))
 		for i, ps := range streams {
 			if ps.cols == nil {
-				fail(fmt.Errorf("%w: provider %d sent rows without a column header", ErrInconsistent, ps.p))
+				rs.err = fmt.Errorf("%w: provider %d sent rows without a column header", ErrInconsistent, ps.p)
 				return true
 			}
 			providers[i] = ps.p
@@ -434,14 +464,12 @@ func (c *Client) alignStreams(sc *streamScan, meta *tableMeta, preds []compiledP
 		}
 		res, err := c.reconstructRows(meta, providers, rowsByProvider, false)
 		if err != nil {
-			fail(err)
+			rs.err = err
 			return true
 		}
-		if len(residual) > 0 {
-			if err := c.filterResidual(meta, res, residual); err != nil {
-				fail(err)
-				return true
-			}
+		if err := c.filterResidual(meta, res, residual); err != nil {
+			rs.err = err
+			return true
 		}
 		for i := range batch {
 			batch[i] = nil
@@ -472,21 +500,29 @@ func (c *Client) alignStreams(sc *streamScan, meta *tableMeta, preds []compiledP
 		allEOF := true
 		for si := range streams {
 			ps := streams[si]
-			if sc.threshold > 0 && !ps.fillWait(watermark, sc.threshold) {
+			if !ps.fill(watermark, rs.threshold) {
 				// Stalled past the straggler threshold. Flush the aligned
 				// batch under the current slot owners, then race a rival
 				// for the slot.
 				if flush() {
 					return
 				}
-				if rival := sc.tryHedge(ps); rival != nil {
-					ps = sc.race(ps, rival)
+				if rival := rs.tryHedge(ps); rival != nil {
+					ps = rs.race(ps, rival)
 					streams[si] = ps
 				}
 			}
-			ps.fill(watermark)
+			ps.fill(watermark, 0)
+			if ps.spentLimitOnMasked() {
+				// Same provider, same slot position, so the pending batch
+				// stays valid; the satisfied LIMIT cancels the tail.
+				ps = rs.start(ps.p, ps.accepted, 0)
+				streams[si] = ps
+				ps.fill(watermark, 0)
+			}
 			if ps.err != nil {
-				fail(fmt.Errorf("provider %d: %w", ps.p, ps.err))
+				rs.failed = ps
+				rs.err = fmt.Errorf("provider %d: %w", ps.p, ps.err)
 				return
 			}
 			n := len(ps.rows) - ps.off
@@ -503,8 +539,7 @@ func (c *Client) alignStreams(sc *streamScan, meta *tableMeta, preds []compiledP
 		}
 		if avail == 0 {
 			// Some provider is exhausted while another still has rows: the
-			// responses cannot agree, exactly as a length mismatch fails
-			// the buffered path.
+			// responses cannot agree.
 			var short, long = -1, -1
 			for _, ps := range streams {
 				if ps.eof && ps.off >= len(ps.rows) {
@@ -513,16 +548,22 @@ func (c *Client) alignStreams(sc *streamScan, meta *tableMeta, preds []compiledP
 					long = ps.p
 				}
 			}
-			fail(fmt.Errorf("%w: provider %d ended its stream before provider %d", ErrInconsistent, short, long))
+			rs.err = fmt.Errorf("%w: provider %d ended its stream before provider %d", ErrInconsistent, short, long)
 			return
+		}
+		if rs.pushLimit > 0 && uint64(batched+avail) > remaining {
+			// No residual filter, so every aligned row is a result row:
+			// stop at LIMIT. Streams need not agree past it — one that
+			// continued unlimited has rows its limited peers never sent.
+			avail = int(remaining) - batched
 		}
 		base := streams[0]
 		for i := 0; i < avail; i++ {
 			id := base.rows[base.off+i].ID
 			for _, ps := range streams[1:] {
 				if ps.rows[ps.off+i].ID != id {
-					fail(fmt.Errorf("%w: row order diverges at id %d (provider %d vs %d)",
-						ErrInconsistent, id, base.p, ps.p))
+					rs.err = fmt.Errorf("%w: row order diverges at id %d (provider %d vs %d)",
+						ErrInconsistent, id, base.p, ps.p)
 					return
 				}
 			}
@@ -531,7 +572,8 @@ func (c *Client) alignStreams(sc *streamScan, meta *tableMeta, preds []compiledP
 			batch[si] = append(batch[si], ps.rows[ps.off:ps.off+avail]...)
 			ps.off += avail
 		}
-		if batched += avail; batched >= streamBatchRows {
+		batched += avail
+		if batched >= streamBatchRows || (rs.pushLimit > 0 && uint64(batched) == remaining) {
 			if flush() {
 				return
 			}
@@ -539,36 +581,34 @@ func (c *Client) alignStreams(sc *streamScan, meta *tableMeta, preds []compiledP
 	}
 }
 
-// collectStream drains a streaming scan into a scanResult. Used by
-// scanTable: on any error the caller falls back to the buffered path (which
-// owns failover), since no rows have escaped to the user yet.
-func (c *Client) collectStream(meta *tableMeta, preds []compiledPred, limit uint64) (*scanResult, error) {
-	return c.collectStreamAsOf(meta, preds, limit, noEpoch, c.readDeadline())
-}
-
-// collectStreamAsOf is collectStream under a snapshot epoch and deadline.
-func (c *Client) collectStreamAsOf(meta *tableMeta, preds []compiledPred, limit uint64, epoch uint64, deadline time.Time) (*scanResult, error) {
-	rs, err := c.openRowStreamAsOf(meta, preds, limit, epoch, deadline)
+// collectStream drains a streaming scan into a scanResult. Nothing reaches
+// the statement's caller until the drain completes, so a provider stream
+// failing at any point — not only before the first batch — restarts the
+// drain on a re-opened scan.
+func (c *Client) collectStream(meta *tableMeta, preds []compiledPred, o scanOpts) (*scanResult, error) {
+	rs, err := c.openRowStream(meta, preds, o, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer rs.Close()
-	res := &scanResult{}
-	for b := range rs.out {
-		res.ids = append(res.ids, b.ids...)
-		res.values = append(res.values, b.values...)
+	for {
+		res := &scanResult{}
+		for b := range rs.out {
+			res.ids = append(res.ids, b.ids...)
+			res.values = append(res.values, b.values...)
+		}
+		if rs.err == nil {
+			return res, nil
+		}
+		if rs, err = rs.failover(); err != nil {
+			return nil, err
+		}
 	}
-	if rs.err != nil {
-		return nil, mapDeadlineErr(rs.err)
-	}
-	return res, nil
 }
 
 // mapDeadlineErr folds the two wire shapes of an elapsed read deadline — a
 // local transport timeout and the provider-side scan-abandoned remote error
 // — into ErrDeadline, so callers can tell "out of time" apart from "needs
-// failover" (a deadline failure must never retry on the buffered path: the
-// retry would just time out again, after doubling the wait).
+// failover".
 func mapDeadlineErr(err error) error {
 	var remote *proto.RemoteError
 	if errors.Is(err, os.ErrDeadlineExceeded) ||
@@ -594,10 +634,6 @@ type Rows struct {
 	cols []string
 	idx  []int
 
-	c      *Client
-	meta   *tableMeta
-	preds  []compiledPred
-	limit  uint64
 	rs     *rowStream
 	unlock func()
 
@@ -651,7 +687,7 @@ func (c *Client) QueryRows(query string) (*Rows, error) {
 		unlock()
 		return nil, err
 	}
-	if s.OrderBy != nil || c.hasPending(meta.Name) || c.opts.BufferedScans {
+	if s.OrderBy != nil || c.hasPending(meta.Name) {
 		res, err := c.execSelect(s)
 		unlock()
 		if err != nil {
@@ -675,16 +711,12 @@ func (c *Client) QueryRows(query string) (*Rows, error) {
 			return &Rows{cols: cols, finished: true}, nil
 		}
 	}
-	rs, err := c.openRowStream(meta, preds, s.Limit)
+	rs, err := c.openRowStream(meta, preds, c.readOpts(s.Limit, false), nil)
 	if err != nil {
 		unlock()
 		return nil, err
 	}
-	return &Rows{
-		cols: cols, idx: idx,
-		c: c, meta: meta, preds: preds, limit: s.Limit,
-		rs: rs, unlock: unlock,
-	}, nil
+	return &Rows{cols: cols, idx: idx, rs: rs, unlock: unlock}, nil
 }
 
 // materializedRows wraps an eagerly-computed Result in the iterator shape.
@@ -719,22 +751,15 @@ func (r *Rows) Next() bool {
 		}
 		b, ok := <-r.rs.out
 		if !ok {
-			err := mapDeadlineErr(r.rs.err)
-			if err == nil {
-				r.finish()
-				return false
-			}
-			if !r.delivered && !errors.Is(err, ErrDeadline) {
-				// Nothing reached the caller yet: retry on the buffered
-				// path, which owns provider failover. Deadline failures
-				// never retry — the buffered run would only time out again
-				// after doubling the wait.
-				if !r.fallbackBuffered() {
-					return false
+			if r.rs.err != nil && !r.delivered {
+				// Nothing reached the caller yet, so the scan may start
+				// over on other providers.
+				if r.rs, r.err = r.rs.failover(); r.err == nil {
+					continue
 				}
-				continue
+			} else {
+				r.err = mapDeadlineErr(r.rs.err)
 			}
-			r.err = err
 			r.finish()
 			return false
 		}
@@ -777,22 +802,6 @@ func (r *Rows) nextSharded() bool {
 	}
 	r.finish()
 	return false
-}
-
-// fallbackBuffered re-runs the query on the buffered scan path after an
-// early stream failure, reporting whether iteration can continue.
-func (r *Rows) fallbackBuffered() bool {
-	r.rs.Close()
-	r.rs = nil
-	res, err := r.c.scanTableBuffered(r.meta, r.preds, r.limit, false)
-	if err != nil {
-		r.err = err
-		r.finish()
-		return false
-	}
-	r.batch = alignedBatch{ids: res.ids, values: res.values}
-	r.pos = 0
-	return true
 }
 
 // Row returns the row Next advanced to. The slice is owned by the caller.

@@ -3,30 +3,28 @@ package client
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"sssdb/internal/proto"
+	"sssdb/internal/server"
+	"sssdb/internal/transport"
 )
 
-// execStreamingAndBuffered runs one query on both scan paths of the same
-// fleet and returns the row strings from each. The data, shares, and
-// providers are identical, so anything but byte-identical results is a bug
-// in the streaming pipeline.
-func execStreamingAndBuffered(t *testing.T, f *fleet, q string) (stream, buffered []string) {
-	t.Helper()
-	f.client.opts.BufferedScans = false
-	stream = rowsAsStrings(f.mustExec(t, q))
-	f.client.opts.BufferedScans = true
-	buffered = rowsAsStrings(f.mustExec(t, q))
-	f.client.opts.BufferedScans = false
-	return stream, buffered
-}
-
-// TestStreamingMatchesBuffered is the differential gate for the streaming
-// scan path: across every query shape Exec supports, the incremental
-// pipeline (provider cursors, chunk alignment, batch reconstruction) must
-// produce exactly the rows, order included, of the buffered path.
-func TestStreamingMatchesBuffered(t *testing.T) {
+// TestStreamingMatchesVerified is the differential gate for the streaming
+// scan pipeline against the one other implementation that reads the same
+// shares: SELECT VERIFIED gathers whole proof-carrying responses from every
+// provider and robust-reconstructs them, sharing no scan code with the
+// zipper (provider cursors, chunk alignment, batch reconstruction). Across
+// every query shape Exec supports the two must produce exactly the same
+// rows — order included wherever a predicate or ORDER BY fixes one; an
+// unpredicated verified read walks the index of the column it synthesizes
+// its proof range on, not the row heap. (TestDifferentialRandomWorkload
+// checks the stream against a plaintext oracle.)
+func TestStreamingMatchesVerified(t *testing.T) {
 	f := newFleet(t, 3, 2, Options{})
 	setupEmployees(t, f)
 
@@ -47,9 +45,18 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 		`SELECT COUNT(*), SUM(salary) FROM employees`,
 	}
 	for _, q := range queries {
-		stream, buffered := execStreamingAndBuffered(t, f, q)
-		if fmt.Sprint(stream) != fmt.Sprint(buffered) {
-			t.Errorf("%s:\n  streaming %v\n  buffered  %v", q, stream, buffered)
+		stream := f.mustExec(t, q)
+		verified := f.mustExec(t, q+` VERIFIED`)
+		if stream.Verified || !verified.Verified {
+			t.Errorf("%s: Verified flags %v/%v, want false/true", q, stream.Verified, verified.Verified)
+		}
+		got, want := rowsAsStrings(stream), rowsAsStrings(verified)
+		if !strings.Contains(q, "WHERE") && !strings.Contains(q, "ORDER BY") {
+			sort.Strings(got)
+			sort.Strings(want)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s:\n  streaming %v\n  verified  %v", q, got, want)
 		}
 	}
 }
@@ -217,21 +224,38 @@ func TestStreamingLimitWireBytes(t *testing.T) {
 	}
 }
 
-// TestStreamingFallbackOnCrash checks failover ownership: when a quorum
-// provider is down, the streaming attempt fails before any row reaches the
-// caller and both Exec and QueryRows silently retry on the buffered path,
-// which fails over to the surviving providers.
-func TestStreamingFallbackOnCrash(t *testing.T) {
-	f := newFleet(t, 3, 2, Options{})
-	setupEmployees(t, f)
+// scanCounter counts the unverified Scan requests that reach a provider
+// outside the streaming path.
+type scanCounter struct {
+	*server.Provider
+	buffered *atomic.Int32
+}
 
+func (h scanCounter) Handle(req proto.Message) proto.Message {
+	if m, ok := req.(*proto.ScanRequest); ok && !m.WithProof {
+		h.buffered.Add(1)
+	}
+	return h.Provider.Handle(req)
+}
+
+// TestStreamFailoverDeadAtOpen checks the stream owns failover: with a
+// quorum provider dead when the scan opens, Exec and QueryRows both succeed
+// on the surviving K — and no provider ever sees an unverified Scan outside
+// the streaming path, because no second scan path exists to fall back to.
+func TestStreamFailoverDeadAtOpen(t *testing.T) {
+	var buffered atomic.Int32
+	count := func(_ int, p *server.Provider) transport.Handler {
+		return scanCounter{Provider: p, buffered: &buffered}
+	}
+	f := newFleetWrapped(t, 3, 2, Options{}, count)
+	setupEmployees(t, f)
 	f.faults[0].Crash()
 	res := f.mustExec(t, `SELECT name FROM employees WHERE salary BETWEEN 10 AND 80`)
 	if len(res.Rows) != 6 {
 		t.Fatalf("Exec with crashed provider: %d rows, want 6", len(res.Rows))
 	}
 
-	f2 := newFleet(t, 3, 2, Options{})
+	f2 := newFleetWrapped(t, 3, 2, Options{}, count)
 	setupEmployees(t, f2)
 	f2.faults[1].Crash()
 	r, err := f2.client.QueryRows(`SELECT name FROM employees`)
@@ -240,6 +264,115 @@ func TestStreamingFallbackOnCrash(t *testing.T) {
 	}
 	if got := drainRows(t, r); len(got) != 6 {
 		t.Fatalf("QueryRows with crashed provider: %d rows, want 6", len(got))
+	}
+	if n := buffered.Load(); n != 0 {
+		t.Fatalf("providers served %d unverified Scan requests outside the stream", n)
+	}
+
+	// One failure too many: K healthy providers no longer exist, and the
+	// scan says so instead of retrying forever.
+	f2.faults[2].Crash()
+	_, err = f2.client.Exec(`SELECT name FROM employees`)
+	if !errors.Is(err, ErrNotEnough) || !errors.Is(err, transport.ErrInjectedCrash) {
+		t.Fatalf("Exec with 2 of 3 providers crashed: %v, want ErrNotEnough naming the injected crash", err)
+	}
+}
+
+// TestStreamFailoverMidStream kills a quorum provider after part of its
+// result has flowed, with hedging off so no rival stream can adopt the
+// slot. Nothing has reached the caller of Exec — nor of QueryRows, whose
+// first batch is still being aligned — so both must restart on the
+// surviving providers and return the full, identical result.
+func TestStreamFailoverMidStream(t *testing.T) {
+	const q = `SELECT name, salary, dept FROM employees WHERE salary >= 10`
+	for _, viaRows := range []bool{false, true} {
+		var active, started atomic.Int32
+		f := newFleetWrapped(t, 3, 2, Options{HedgeDelay: -1}, func(_ int, p *server.Provider) transport.Handler {
+			// One row per chunk, so a six-row table is a six-chunk stream.
+			return &leakProbe{Provider: p, active: &active, started: &started}
+		})
+		setupEmployees(t, f)
+		want := rowsAsStrings(f.mustExec(t, q))
+		if len(want) != 6 {
+			t.Fatalf("healthy fleet: %d rows, want 6", len(want))
+		}
+		f.faults[0].CrashAfterChunks(2)
+		var got []string
+		if viaRows {
+			r, err := f.client.QueryRows(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = drainRows(t, r)
+		} else {
+			got = rowsAsStrings(f.mustExec(t, q))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("QueryRows=%v after a mid-stream crash:\n  got  %v\n  want %v", viaRows, got, want)
+		}
+		if hs := f.client.HedgeStats(); hs.Issued != 0 {
+			t.Fatalf("hedging is off, yet %d hedges were issued", hs.Issued)
+		}
+	}
+}
+
+// TestLimitNotSpentOnMaskedRows pins the pushed-down LIMIT against a
+// concurrent INSERT. Providers apply the limit themselves, before the
+// client drops rows at or above the insert watermark, so a half-landed row
+// that matches the range used to cost the result a slot: LIMIT 20 returned
+// 19 when the row had reached every provider read, and an inconsistency
+// error when it had reached only one of them.
+func TestLimitNotSpentOnMaskedRows(t *testing.T) {
+	for name, landed := range map[string][]int{
+		"landed on one of the two providers read": {0},
+		"landed everywhere":                       {0, 1, 2},
+	} {
+		f := newFleet(t, 3, 2, Options{})
+		f.mustExec(t, `CREATE TABLE t (v INT)`)
+		const stable = 30
+		rows := make([][]Value, stable)
+		for i := range rows {
+			rows[i] = []Value{IntValue(int64(100 + i))}
+		}
+		if _, err := f.client.InsertValues("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		// An INSERT caught between its provider round trips: ids reserved
+		// (so scans mask them), rows stored at some providers, nothing
+		// acknowledged. v = 5 sorts ahead of every stable row in the
+		// providers' index order, so it takes the first LIMIT slot.
+		c := f.client
+		meta := c.tables["t"]
+		base := c.reserveIDs(meta, 1)
+		perProvider, err := c.encodeRowsAt(meta, []uint64{base}, [][]Value{{IntValue(5)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range landed {
+			if _, err := c.call(p, &proto.InsertRequest{Table: "t", Rows: perProvider[p]}, noDeadline); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, limit := range []int{1, 20, stable} {
+			q := fmt.Sprintf(`SELECT v FROM t WHERE v BETWEEN 0 AND 1000 LIMIT %d`, limit)
+			res, err := c.Exec(q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, q, err)
+			}
+			if len(res.Rows) != limit {
+				t.Fatalf("%s: %s returned %d rows with %d stable rows in range", name, q, len(res.Rows), stable)
+			}
+			for i, row := range res.Rows {
+				if row[0].I != int64(100+i) {
+					t.Fatalf("%s: %s row %d is %d, want %d", name, q, i, row[0].I, 100+i)
+				}
+			}
+		}
+		// More than the stable rows can fill: everything stable, no error.
+		if res := f.mustExec(t, `SELECT v FROM t WHERE v BETWEEN 0 AND 1000 LIMIT 40`); len(res.Rows) != stable {
+			t.Fatalf("%s: LIMIT 40 returned %d rows, want the %d stable ones", name, len(res.Rows), stable)
+		}
+		c.releaseIDs(meta, base)
 	}
 }
 

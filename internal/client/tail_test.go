@@ -42,20 +42,21 @@ func TestNoHedgesWhenAllHealthy(t *testing.T) {
 	}
 }
 
-// A straggling provider in the buffered read set gets hedged: the query
-// completes near the healthy providers' latency, not the straggler's.
-func TestHedgeCoversStragglerBuffered(t *testing.T) {
-	f := newFleet(t, 4, 2, Options{HedgeDelay: 10 * time.Millisecond, BufferedScans: true})
+// A straggling provider in a whole-response quorum round (callQuorum, the
+// path aggregates and joins take) gets hedged: the query completes near the
+// healthy providers' latency, not the straggler's.
+func TestHedgeCoversStragglerAggregate(t *testing.T) {
+	f := newFleet(t, 4, 2, Options{HedgeDelay: 10 * time.Millisecond})
 	setupEmployees(t, f)
 	// Find a provider the next read set will include (health ties keep
 	// index order, but don't depend on that).
-	slow := f.client.providerOrder()[0]
+	slow := f.client.cleanOrder()[0]
 	f.faults[slow].SetDelay(2 * time.Second)
 	start := time.Now()
-	res := f.mustExec(t, `SELECT name FROM employees WHERE dept = 1`)
+	res := f.mustExec(t, `SELECT SUM(salary) FROM employees WHERE dept = 1`)
 	elapsed := time.Since(start)
-	if len(res.Rows) != 2 {
-		t.Fatalf("hedged query returned %d rows, want 2", len(res.Rows))
+	if got := fmt.Sprint(rowsAsStrings(res)); got != "[30]" {
+		t.Fatalf("hedged aggregate returned %s, want [30]", got)
 	}
 	if elapsed > time.Second {
 		t.Errorf("hedged query took %v; straggler latency leaked through", elapsed)
@@ -75,17 +76,18 @@ func TestHedgeCoversStragglerBuffered(t *testing.T) {
 // neutral rank, every statement hedges, and a few statements in, the hedge
 // budget runs dry and statements start dying on the straggler — exactly
 // K-1 healthy answers short. Sequential statements here stay fast and
-// hedge only during the first few, before ranking learns.
+// hedge only during the first few, before ranking learns. (Aggregates, so
+// the stall is observed by callQuorum's hedge timer.)
 func TestStallObservationDemotesWithoutCompletion(t *testing.T) {
-	f := newFleet(t, 3, 2, Options{HedgeDelay: 10 * time.Millisecond, BufferedScans: true})
+	f := newFleet(t, 3, 2, Options{HedgeDelay: 10 * time.Millisecond})
 	setupEmployees(t, f)
-	slow := f.client.providerOrder()[0]
+	slow := f.client.cleanOrder()[0]
 	// Far beyond the test's total runtime: no call to this provider ever
 	// completes, so the ledger's only possible signal is the stall itself.
 	f.faults[slow].SetDelay(time.Hour)
 	for i := 0; i < 12; i++ {
 		start := time.Now()
-		f.mustExec(t, `SELECT name FROM employees WHERE dept = 1`)
+		f.mustExec(t, `SELECT SUM(salary) FROM employees WHERE dept = 1`)
 		if el := time.Since(start); el > 2*time.Second {
 			t.Fatalf("query %d took %v; straggler leaked into the read set after ranking should have demoted it", i, el)
 		}
@@ -340,7 +342,7 @@ func TestReadDeadlineHealthyFleet(t *testing.T) {
 // lets the hints actually drain.
 func TestRepairFlappingProvider(t *testing.T) {
 	const interval = 20 * time.Millisecond
-	f := newFleet(t, 3, 2, Options{WriteQuorum: 2, RepairInterval: interval, BufferedScans: true})
+	f := newFleet(t, 3, 2, Options{WriteQuorum: 2, RepairInterval: interval})
 	setupEmployees(t, f)
 
 	f.faults[2].Crash()

@@ -255,7 +255,9 @@ func (tx *Tx) execSelect(s *sql.Select) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.scanTableAsOf(meta, preds, s.Limit, false, tx.epochAt(s.Table, 0))
+	o := c.readOpts(s.Limit, false)
+	o.epoch = tx.epochAt(s.Table, 0)
+	res, err := c.scanTable(meta, preds, o)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +284,7 @@ func (tx *Tx) shardSelect(s *sql.Select) (*Result, error) {
 		wg.Add(1)
 		go func(i, g int) {
 			defer wg.Done()
-			scan, err := c.shards[g].gatherScanAsOf(s.Table, s.Where, tx.epochAt(s.Table, g))
+			scan, err := c.shards[g].gatherScan(s.Table, s.Where, false, tx.epochAt(s.Table, g))
 			if err != nil {
 				errs[i] = fmt.Errorf("shard group %d: %w", g, err)
 				return
@@ -304,21 +306,6 @@ func (tx *Tx) shardSelect(s *sql.Select) (*Result, error) {
 		merged.values = merged.values[:s.Limit]
 	}
 	return projectResult(cols, idx, merged), nil
-}
-
-// gatherScanAsOf is gatherScan with an explicit snapshot epoch.
-func (sub *Client) gatherScanAsOf(table string, where []sql.Predicate, epoch uint64) (*scanResult, error) {
-	unlock := sub.lockForRead()
-	defer unlock()
-	meta, err := sub.table(table)
-	if err != nil {
-		return nil, err
-	}
-	preds, err := sub.compilePredicates(meta, where, "")
-	if err != nil {
-		return nil, err
-	}
-	return sub.scanTableAsOf(meta, preds, 0, false, epoch)
 }
 
 // projectResult lowers a scanResult onto the selected columns.
@@ -512,7 +499,7 @@ func (c *Client) evalTxUpdate(s *sql.Update) (*tableMeta, [][]proto.Row, bool, e
 	if err != nil {
 		return nil, nil, false, err
 	}
-	scan, err := c.scanTable(meta, preds, 0, false)
+	scan, err := c.scanTable(meta, preds, c.readOpts(0, false))
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -544,7 +531,7 @@ func (c *Client) evalTxDelete(s *sql.Delete) (*tableMeta, []uint64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	scan, err := c.scanTable(meta, preds, 0, false)
+	scan, err := c.scanTable(meta, preds, c.readOpts(0, false))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -639,7 +626,7 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 			for i, op := range t.ops {
 				raw[i] = proto.Encode(op)
 			}
-			_, err := t.sub.call(t.prov, &proto.TxPrepareRequest{TxID: txid, Ops: raw})
+			_, err := t.sub.call(t.prov, &proto.TxPrepareRequest{TxID: txid, Ops: raw}, noDeadline)
 			ch <- prepRes{t: t, err: err}
 		}(t)
 	}
@@ -667,7 +654,7 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 			wg.Add(1)
 			go func(t txTarget) {
 				defer wg.Done()
-				_, _ = t.sub.call(t.prov, &proto.TxAbortRequest{TxID: txid})
+				_, _ = t.sub.call(t.prov, &proto.TxAbortRequest{TxID: txid}, noDeadline)
 			}(t)
 		}
 		wg.Wait()
@@ -727,7 +714,7 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 		wg.Add(1)
 		go func(t txTarget) {
 			defer wg.Done()
-			_, err := t.sub.call(t.prov, &proto.TxCommitRequest{TxID: txid})
+			_, err := t.sub.call(t.prov, &proto.TxCommitRequest{TxID: txid}, noDeadline)
 			if err == nil {
 				return
 			}
@@ -1036,7 +1023,7 @@ func (c *Client) redriveCommit(txid uint64, order []uint32, ops map[uint32][][]b
 		if !ok {
 			continue
 		}
-		if _, err := sub.call(prov, &proto.TxCommitRequest{TxID: txid}); err != nil {
+		if _, err := sub.call(prov, &proto.TxCommitRequest{TxID: txid}, noDeadline); err != nil {
 			var remote *proto.RemoteError
 			if !errors.As(err, &remote) {
 				sub.markProvider(prov, true)
@@ -1064,7 +1051,7 @@ func (c *Client) redriveAbort(txid uint64, order []uint32) {
 		if !ok {
 			continue
 		}
-		_, _ = sub.call(prov, &proto.TxAbortRequest{TxID: txid})
+		_, _ = sub.call(prov, &proto.TxAbortRequest{TxID: txid}, noDeadline)
 	}
 }
 

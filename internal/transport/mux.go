@@ -40,9 +40,6 @@ type DialConfig struct {
 	// stream of its response) that does not complete within Timeout fails
 	// with a net.Error whose Timeout() is true. Zero disables deadlines.
 	Timeout time.Duration
-	// DisableMultiplex forces the legacy one-in-flight-per-connection
-	// protocol (v1). Used by benchmarks and old-server interop tests.
-	DisableMultiplex bool
 	// MaxRedials caps automatic reconnect attempts per call after the
 	// connection dies. 0 means the default (2); negative disables
 	// reconnecting entirely.
@@ -115,23 +112,23 @@ type tcpConn struct {
 	closed bool
 }
 
-// session is one established TCP connection. Multiplexed (v2) sessions
-// share the wire between any number of in-flight calls: writers serialize
-// frame writes through sendMu, and a single reader goroutine demultiplexes
-// response frames into the pending map by request id.
+// session is one established TCP connection, shared by any number of
+// in-flight calls: writers serialize frame writes through sendMu, and a
+// single reader goroutine demultiplexes response frames into the pending
+// map by request id.
 type session struct {
 	nc    net.Conn
 	br    *bufio.Reader
 	bw    *bufio.Writer
 	stats *counters
 
-	// version is 0 until negotiated, then protoVersionLegacy or
-	// protoVersionMux.
-	version atomic.Int32
+	// negotiated flips once the hello/ack handshake has succeeded (and the
+	// reader goroutine is running).
+	negotiated atomic.Bool
 
-	// sendMu serializes frame writes (and, on legacy sessions, whole
-	// calls). On multiplexed sessions it guards wbuf/wspare/flushing: the
-	// double-buffered group-commit write path of writeRequest.
+	// sendMu serializes the handshake and frame writes. It guards
+	// wbuf/wspare/flushing: the double-buffered group-commit write path of
+	// writeRequest.
 	sendMu   sync.Mutex
 	wbuf     []byte
 	wspare   []byte
@@ -186,9 +183,6 @@ func (c *tcpConn) dialSession() (*session, error) {
 		bw:      bufio.NewWriterSize(nc, connBufSize),
 		stats:   &c.counters,
 		pending: make(map[uint64]*pendingCall),
-	}
-	if c.cfg.DisableMultiplex {
-		s.version.Store(protoVersionLegacy)
 	}
 	return s, nil
 }
@@ -258,59 +252,55 @@ func (s *session) abandon(id uint64) {
 	}
 }
 
-// negotiate performs the hello/ack exchange once per session and returns
-// the agreed protocol version. Concurrent first calls serialize on sendMu;
-// losers observe the winner's result. timeout is the caller's per-attempt
-// budget (its Timeout tightened by any call deadline), so a silent peer
-// cannot hold negotiation longer than the call it serves.
-func (c *tcpConn) negotiate(s *session, timeout time.Duration) (int32, error) {
+// negotiate performs the hello/ack exchange once per session. Concurrent
+// first calls serialize on sendMu; losers observe the winner's result.
+// timeout is the caller's per-attempt budget (its Timeout tightened by any
+// call deadline), so a silent peer cannot hold negotiation longer than the
+// call it serves. Anything but an ack naming protoVersion is an error; the
+// caller fails the session, closing the connection.
+func (c *tcpConn) negotiate(s *session, timeout time.Duration) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	if v := s.version.Load(); v != 0 {
-		return v, nil
+	if s.negotiated.Load() {
+		return nil
 	}
 	if s.isDead() {
-		return 0, s.deathErr()
+		return s.deathErr()
 	}
 	if timeout > 0 {
 		if err := s.nc.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	hello := helloBody(protoVersionMux, c.cfg.Tenant)
-	if err := writeFrame(s.bw, hello); err != nil {
-		return 0, err
+	hello := helloBody(protoVersion, c.cfg.Tenant)
+	if err := writeHandshake(s.bw, hello); err != nil {
+		return err
 	}
 	if err := s.bw.Flush(); err != nil {
-		return 0, err
+		return err
 	}
-	s.stats.sent.Add(frameLen(hello))
-	ack, err := readFrame(s.br)
+	s.stats.sent.Add(handshakeLen(hello))
+	ack, err := readHandshake(s.br)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	s.stats.recv.Add(frameLen(ack))
+	s.stats.recv.Add(handshakeLen(ack))
 	if timeout > 0 {
-		// Multiplexed sessions use per-request timers, not socket
-		// deadlines; legacy sessions re-arm the deadline per call.
+		// Calls use per-request timers, not socket deadlines.
 		if err := s.nc.SetDeadline(time.Time{}); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	if v, _, ok := parseNegotiation(ack, ackPrefix); ok && v >= protoVersionMux {
-		s.version.Store(protoVersionMux)
-		go s.readLoop()
-		return protoVersionMux, nil
+	v, _, ok := parseNegotiation(ack, ackPrefix)
+	if !ok {
+		return fmt.Errorf("transport: %s did not acknowledge the protocol hello", c.addr)
 	}
-	// A legacy server answers the hello with a decode error; any valid
-	// ErrorResponse body means "v1 spoken here".
-	if msg, derr := proto.Decode(ack); derr == nil {
-		if _, isErr := msg.(*proto.ErrorResponse); isErr {
-			s.version.Store(protoVersionLegacy)
-			return protoVersionLegacy, nil
-		}
+	if v != protoVersion {
+		return fmt.Errorf("transport: %s acknowledged protocol version %d, want %d", c.addr, v, protoVersion)
 	}
-	return 0, fmt.Errorf("transport: unexpected negotiation response from %s", c.addr)
+	s.negotiated.Store(true)
+	go s.readLoop()
+	return nil
 }
 
 // Call implements Conn.
@@ -327,30 +317,20 @@ func (c *tcpConn) CallDeadline(req proto.Message, deadline time.Time) (proto.Mes
 
 // CallStream implements StreamCaller.
 func (c *tcpConn) CallStream(req proto.Message, yield func(*proto.RowsResponse) error) error {
-	return c.callStream(req, yield, time.Time{})
+	return c.CallStreamDeadline(req, time.Time{}, yield)
 }
 
 // CallStreamDeadline implements StreamDeadlineCaller; the deadline covers
 // the whole chunk stream.
 func (c *tcpConn) CallStreamDeadline(req proto.Message, deadline time.Time, yield func(*proto.RowsResponse) error) error {
-	return c.callStream(req, yield, deadline)
-}
-
-func (c *tcpConn) callStream(req proto.Message, yield func(*proto.RowsResponse) error, deadline time.Time) error {
 	resp, err := c.do(req, yield, deadline)
 	if err != nil {
 		return err
 	}
-	switch m := resp.(type) {
-	case nil:
+	if resp == nil {
 		return nil // chunks were already delivered through yield
-	case *proto.RowsResponse:
-		return yield(m)
-	case *proto.ErrorResponse:
-		return m.Err()
-	default:
-		return fmt.Errorf("transport: unexpected %T in row stream", resp)
 	}
+	return yieldWhole(resp, yield)
 }
 
 // do runs one call with transparent busy-retries: a response the server
@@ -438,26 +418,18 @@ func (c *tcpConn) doOnce(req proto.Message, yield func(*proto.RowsResponse) erro
 			lastErr = err
 			continue
 		}
-		ver := s.version.Load()
-		if ver == 0 {
-			ver, err = c.negotiate(s, timeout)
-			if err != nil {
+		if !s.negotiated.Load() {
+			if err := c.negotiate(s, timeout); err != nil {
 				s.fail(err)
 				lastErr = err
 				continue
 			}
 		}
-		var resp proto.Message
-		var wrote bool
-		if ver == protoVersionLegacy {
-			resp, wrote, err = c.legacyCall(s, body, timeout)
-		} else {
-			// A timer fired because of the caller's deadline says nothing
-			// about session health, so only Timeout-sized waits count toward
-			// wedge detection.
-			countWedge := timeout == c.cfg.Timeout
-			resp, wrote, err = c.muxCall(s, body, yield, timeout, countWedge)
-		}
+		// A timer fired because of the caller's deadline says nothing about
+		// session health, so only Timeout-sized waits count toward wedge
+		// detection.
+		countWedge := timeout == c.cfg.Timeout
+		resp, wrote, err := c.muxCall(s, body, yield, timeout, countWedge)
 		if err == nil {
 			return resp, nil
 		}
@@ -477,44 +449,7 @@ func redialBackoff(attempt int) time.Duration {
 	return d
 }
 
-// legacyCall is the v1 path: the whole write→read round trip holds sendMu.
-func (c *tcpConn) legacyCall(s *session, body []byte, timeout time.Duration) (resp proto.Message, wrote bool, err error) {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	if s.isDead() {
-		return nil, false, s.deathErr()
-	}
-	if timeout > 0 {
-		if err := s.nc.SetDeadline(time.Now().Add(timeout)); err != nil {
-			s.fail(err)
-			return nil, false, err
-		}
-	}
-	if err := writeFrame(s.bw, body); err != nil {
-		s.fail(err)
-		return nil, true, err
-	}
-	if err := s.bw.Flush(); err != nil {
-		s.fail(err)
-		return nil, true, err
-	}
-	c.sent.Add(frameLen(body))
-	c.calls.Add(1)
-	respBody, err := readFrame(s.br)
-	if err != nil {
-		s.fail(err)
-		return nil, true, err
-	}
-	c.recv.Add(frameLen(respBody))
-	msg, err := proto.Decode(respBody)
-	if err != nil {
-		s.fail(err)
-		return nil, true, err
-	}
-	return msg, true, nil
-}
-
-// muxCall is the v2 path: register a pending entry, write one request
+// muxCall runs one exchange: register a pending entry, write one request
 // frame, and wait for the reader goroutine to deliver the response (or the
 // per-request timer to fire).
 func (c *tcpConn) muxCall(s *session, body []byte, yield func(*proto.RowsResponse) error, timeout time.Duration, countWedge bool) (resp proto.Message, wrote bool, err error) {
@@ -538,7 +473,7 @@ func (c *tcpConn) muxCall(s *session, body []byte, yield func(*proto.RowsRespons
 		s.abandon(id)
 		return nil, true, err
 	}
-	c.sent.Add(frameLenV2(body))
+	c.sent.Add(frameLen(body))
 	c.calls.Add(1)
 
 	var timeoutC <-chan time.Time
@@ -603,7 +538,7 @@ func (s *session) writeRequest(id uint64, flags uint8, body []byte) error {
 		s.sendMu.Unlock()
 		return s.deathErr()
 	}
-	s.wbuf = appendFrameV2(s.wbuf, id, flags, body)
+	s.wbuf = appendFrame(s.wbuf, id, flags, body)
 	if s.flushing {
 		// The active flusher will pick these bytes up; if its write fails
 		// it fails the session, which completes our pending call too.
@@ -640,21 +575,21 @@ func (s *session) writeRequest(id uint64, flags uint8, body []byte) error {
 // demux drops whatever frames were in flight.
 func (s *session) sendCancel(id uint64) {
 	if s.writeRequest(id, flagCancel, nil) == nil {
-		s.stats.sent.Add(frameLenV2(nil))
+		s.stats.sent.Add(frameLen(nil))
 	}
 }
 
-// readLoop is the demux goroutine of a v2 session: it owns the read half
+// readLoop is the demux goroutine of a session: it owns the read half
 // of the socket, routes every response frame to its pending call, and on
 // connection death cancels everything in flight.
 func (s *session) readLoop() {
 	for {
-		id, flags, body, err := readFrameV2(s.br)
+		id, flags, body, err := readFrame(s.br)
 		if err != nil {
 			s.fail(err)
 			return
 		}
-		s.stats.recv.Add(frameLenV2(body))
+		s.stats.recv.Add(frameLen(body))
 		msg, err := proto.Decode(body)
 		if err != nil {
 			// Undecodable response: the stream is not trustworthy beyond

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,8 +149,8 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 	}
 }
 
-// TestMuxStatsExact locks down byte accounting under v2 framing: the
-// handshake travels as legacy frames, each request/response as a v2 frame.
+// TestMuxStatsExact locks down byte accounting: the handshake travels as
+// id-less frames, each request/response as a full frame.
 func TestMuxStatsExact(t *testing.T) {
 	srv := newTestServer(t, &sleepHandler{}, ServerConfig{})
 	c, err := Dial(srv.Addr().String())
@@ -161,13 +162,13 @@ func TestMuxStatsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	hello := frameLen(helloBody(protoVersionMux, "")) // 6-byte body + 8-byte legacy header
-	ping := frameLenV2(proto.Encode(&proto.PingRequest{}))
+	hello := handshakeLen(helloBody(protoVersion, "")) // 6-byte body + 8-byte handshake header
+	ping := frameLen(proto.Encode(&proto.PingRequest{}))
 	if want := hello + ping; st.BytesSent != want {
 		t.Fatalf("sent %d bytes, want %d", st.BytesSent, want)
 	}
-	ack := frameLen(ackBody(protoVersionMux))
-	ok := frameLenV2(proto.Encode(&proto.OKResponse{}))
+	ack := handshakeLen(ackBody(protoVersion))
+	ok := frameLen(proto.Encode(&proto.OKResponse{}))
 	if want := ack + ok; st.BytesReceived != want {
 		t.Fatalf("received %d bytes, want %d", st.BytesReceived, want)
 	}
@@ -280,87 +281,47 @@ func TestCallStreamFallback(t *testing.T) {
 	}
 }
 
-// legacyServer emulates a pre-v2 provider: strict one-frame-in, one-frame-
-// out, no negotiation. A v2 client must detect it and fall back.
-func legacyServer(t *testing.T, h Handler) (addr string, closeFn func()) {
-	t.Helper()
+// TestWrongVersionAckRejected dials a peer that acknowledges the hello
+// with a version this client does not speak: the call must fail naming the
+// version, and the client must close the connection rather than keep
+// talking to it.
+func TestWrongVersionAckRejected(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ln.Close()
+	closed := make(chan struct{})
 	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer nc.Close()
-				for {
-					body, err := readFrame(nc)
-					if err != nil {
-						return
-					}
-					req, err := proto.Decode(body)
-					var resp proto.Message
-					if err != nil {
-						resp = &proto.ErrorResponse{Code: proto.CodeBadRequest, Msg: err.Error()}
-					} else {
-						resp = h.Handle(req)
-					}
-					if err := writeFrame(nc, proto.Encode(resp)); err != nil {
-						return
-					}
-				}
-			}()
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		if _, err := readHandshake(nc); err != nil {
+			return
+		}
+		if err := writeHandshake(nc, ackBody(protoVersion+1)); err != nil {
+			return
+		}
+		// The client hanging up is the only thing that ends this read.
+		if _, err := readHandshake(nc); err != nil {
+			close(closed)
 		}
 	}()
-	return ln.Addr().String(), func() { ln.Close() }
-}
-
-// TestNegotiationFallbackToLegacyServer dials an old-protocol provider
-// with a new client and checks calls still work (on the v1 path).
-func TestNegotiationFallbackToLegacyServer(t *testing.T) {
-	h := &sleepHandler{}
-	addr, stop := legacyServer(t, h)
-	defer stop()
-	c, err := Dial(addr)
+	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: 2 * time.Second, MaxRedials: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 5; i++ {
-		resp, err := c.Call(&proto.ScanRequest{Table: "t"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := resp.(*proto.RowsResponse); !ok {
-			t.Fatalf("got %#v", resp)
-		}
+	_, err = c.Call(&proto.PingRequest{})
+	if err == nil || !strings.Contains(err.Error(), "protocol version 3") {
+		t.Fatalf("call against a version-3 peer: %v, want a version error", err)
 	}
-	tc := c.(*tcpConn)
-	if v := tc.sess.version.Load(); v != protoVersionLegacy {
-		t.Fatalf("negotiated version %d, want legacy", v)
-	}
-}
-
-// TestLegacyClientAgainstMuxServer forces the v1 client path against a v2
-// server: the server must recognize the absent hello and serve in order.
-func TestLegacyClientAgainstMuxServer(t *testing.T) {
-	h := &sleepHandler{}
-	srv := newTestServer(t, h, ServerConfig{})
-	c, err := DialWith(srv.Addr().String(), DialConfig{DisableMultiplex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 5; i++ {
-		if _, err := c.Call(&proto.PingRequest{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := h.calls.Load(); got != 5 {
-		t.Fatalf("handler saw %d calls", got)
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("client kept the connection open after a wrong-version ack")
 	}
 }
 

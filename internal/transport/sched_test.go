@@ -242,60 +242,6 @@ func TestClientBusyRetry(t *testing.T) {
 	<-results
 }
 
-// TestServerBusyLegacyPath routes a v1 (non-multiplexed) client through
-// the same admission control: with the single worker blocked and the
-// anonymous tenant's queue full, a legacy call is shed with busy.
-func TestServerBusyLegacyPath(t *testing.T) {
-	h := &blockingHandler{release: make(chan struct{})}
-	defer h.unblock()
-	srv := newTestServer(t, h, ServerConfig{MaxInflight: 1, MaxQueue: -1})
-	// Legacy connections serve one request at a time, so saturation needs
-	// several connections.
-	block, err := DialWith(srv.Addr().String(), DialConfig{Timeout: 5 * time.Second, DisableMultiplex: true, BusyRetries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer block.Close()
-	queued, err := DialWith(srv.Addr().String(), DialConfig{Timeout: 5 * time.Second, DisableMultiplex: true, BusyRetries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer queued.Close()
-	go block.Call(&proto.ScanRequest{Table: "t"})
-	deadline := time.Now().Add(2 * time.Second)
-	for h.started.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no handler started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	go queued.Call(&proto.ScanRequest{Table: "t"})
-	// Wait for the queued call to take the single queue slot. The v1
-	// client writes then blocks reading, so poll the scheduler.
-	for {
-		st := srv.SchedStats()
-		if st.QueueDepth == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queued call never staged: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	c, err := DialWith(srv.Addr().String(), DialConfig{Timeout: 5 * time.Second, DisableMultiplex: true, BusyRetries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	resp, err := c.Call(&proto.ScanRequest{Table: "t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if er, ok := resp.(*proto.ErrorResponse); !ok || er.Code != proto.CodeServerBusy {
-		t.Fatalf("legacy overflow call got %#v, want CodeServerBusy", resp)
-	}
-}
-
 // TestServerShutdownDrains checks graceful shutdown semantics: in-flight
 // and queued work completes, new work is shed, and Shutdown reports a
 // clean drain.

@@ -85,11 +85,9 @@ func (cfg ServerConfig) withDefaults() ServerConfig {
 // Server accepts framed connections and dispatches them to a Handler
 // through a server-wide admission scheduler: requests from every
 // connection land in per-tenant FIFO queues (the tenant is announced in
-// the connection hello; legacy and anonymous connections share one queue)
-// drained deficit-weighted round-robin into a global worker budget.
-// Requests beyond a tenant's queue bound are shed fast with
-// CodeServerBusy. Legacy (v1) connections are served one request at a
-// time, in order, through the same scheduler.
+// the connection hello; anonymous connections share one queue) drained
+// deficit-weighted round-robin into a global worker budget. Requests
+// beyond a tenant's queue bound are shed fast with CodeServerBusy.
 type Server struct {
 	handler  Handler
 	cfg      ServerConfig
@@ -175,35 +173,29 @@ func (s *Server) serveConn(nc net.Conn) {
 	}()
 	br := bufio.NewReaderSize(nc, connBufSize)
 	bw := bufio.NewWriterSize(nc, connBufSize)
-	// The first frame decides the protocol version: a hello upgrades the
-	// connection to v2 (and names the tenant the session belongs to);
-	// anything else is a legacy client's first request.
-	first, err := readFrame(br)
+	// The first frame must be a hello this server can speak to (it also
+	// names the tenant the session belongs to). Anything else — a stray
+	// client, a peer from another protocol generation — is told why and
+	// disconnected rather than having its bytes guessed at.
+	first, err := readHandshake(br)
 	if err != nil {
 		return
 	}
-	if _, tenant, isHello := parseNegotiation(first, helloPrefix); isHello {
-		if err := writeFrame(bw, ackBody(protoVersionMux)); err != nil {
-			return
+	v, tenant, isHello := parseNegotiation(first, helloPrefix)
+	if !isHello || v < protoVersion {
+		bad := &proto.ErrorResponse{Code: proto.CodeBadRequest, Msg: "transport: connection must open with a protocol hello"}
+		if writeHandshake(bw, proto.Encode(bad)) == nil {
+			_ = bw.Flush() // best effort: the connection closes either way
 		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		s.serveMux(nc, br, bw, string(tenant))
 		return
 	}
-	if !s.serveLegacyRequest(bw, first) {
+	if err := writeHandshake(bw, ackBody(protoVersion)); err != nil {
 		return
 	}
-	for {
-		body, err := readFrame(br)
-		if err != nil {
-			return // client went away or sent garbage; drop the connection
-		}
-		if !s.serveLegacyRequest(bw, body) {
-			return
-		}
+	if err := bw.Flush(); err != nil {
+		return
 	}
+	s.serveMux(nc, br, bw, string(tenant))
 }
 
 // handleOne runs one buffered request through the handler, attaching the
@@ -217,32 +209,6 @@ func (s *Server) handleOne(req proto.Message) proto.Message {
 	return resp
 }
 
-// serveLegacyRequest handles one v1 request body (through the admission
-// scheduler, tenant "") and reports whether the connection is still usable.
-func (s *Server) serveLegacyRequest(bw *bufio.Writer, body []byte) bool {
-	req, err := proto.Decode(body)
-	var resp proto.Message
-	if err != nil {
-		resp = &proto.ErrorResponse{Code: proto.CodeBadRequest, Msg: err.Error()}
-	} else {
-		done := make(chan proto.Message, 1)
-		admitted := s.sched.submit("", &schedItem{enq: time.Now(), run: func() {
-			done <- s.handleOne(req)
-		}, shed: func() {
-			done <- busyResponse()
-		}})
-		if admitted {
-			resp = <-done
-		} else {
-			resp = busyResponse()
-		}
-	}
-	if err := writeFrame(bw, proto.Encode(resp)); err != nil {
-		return false
-	}
-	return bw.Flush() == nil
-}
-
 // outFrame is one response frame queued for the writer goroutine.
 type outFrame struct {
 	id    uint64
@@ -250,9 +216,9 @@ type outFrame struct {
 	body  []byte
 }
 
-// serveMux runs the v2 loop: the read side decodes request frames and
-// submits each to the server-wide scheduler under this connection's
-// tenant; scheduler workers push response frames — possibly several chunk
+// serveMux runs a negotiated connection: the read side decodes request
+// frames and submits each to the server-wide scheduler under this
+// connection's tenant; scheduler workers push response frames — possibly several chunk
 // frames per response — into out, and a single writer goroutine serializes
 // them onto the socket, so responses complete in whatever order the
 // handlers finish. Requests the scheduler sheds are answered inline with
@@ -283,7 +249,7 @@ func (s *Server) serveMux(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, tenan
 		cancelMu.Unlock()
 	}
 	for {
-		id, flags, body, err := readFrameV2(br)
+		id, flags, body, err := readFrame(br)
 		if err != nil {
 			break
 		}
@@ -413,7 +379,7 @@ func (s *Server) writeLoop(nc net.Conn, bw *bufio.Writer, out <-chan outFrame) {
 			continue
 		}
 		arm()
-		if err := writeFrameV2(bw, f.id, f.flags, f.body); err != nil {
+		if err := writeFrame(bw, f.id, f.flags, f.body); err != nil {
 			failed = true
 			nc.Close()
 			continue

@@ -1,25 +1,19 @@
 // Package transport moves protocol messages between the data source and
 // providers. Two interchangeable implementations exist: a framed TCP
 // transport for real deployments (cmd/dasd) and an in-process loopback that
-// runs the identical encode/decode path — so unit tests and benchmarks
-// measure exactly the bytes a network deployment would move, without socket
-// noise.
+// runs the identical encode/decode path and counts the identical frame
+// sizes — so unit tests and benchmarks measure exactly the bytes a network
+// deployment would move, without socket noise.
 //
-// The TCP transport speaks two protocol versions, negotiated per
-// connection:
-//
-//   - v1 (legacy): one request in flight per connection; each frame is
-//     [len u32][crc u32][body], and the server replies strictly in order.
-//   - v2 (multiplexed): frames carry a request ID and flags
-//     ([len u32][crc u32][id u64][flags u8][body]), any number of requests
-//     share one connection, the server dispatches them to a bounded worker
-//     pool and replies out of order, and large row responses stream back as
-//     a chunked sequence of frames with bounded buffering on both ends.
-//
-// Negotiation keeps old and new peers interoperable: a v2 client opens
-// with a hello frame that a v1 server rejects as an undecodable request
-// (the client then falls back to v1), while a v1 client's first frame is a
-// real request, which a v2 server recognizes and serves in legacy mode.
+// There is one wire protocol (version 2). A connection opens with a
+// hello/ack handshake naming the version and the session's tenant; a peer
+// that opens with anything else, or acks any other version, is answered
+// with an error and disconnected. After the handshake every frame is
+// [len u32][crc u32][id u64][flags u8][body]: any number of requests share
+// one connection, the server dispatches them through its admission
+// scheduler and replies out of order, large row responses stream back as a
+// chunked sequence of frames with bounded buffering on both ends, and a
+// client that has what it needs cancels the rest of a stream by id.
 //
 // The package also provides fault injection (crash, delay, response
 // corruption) used by the fault-tolerance and malicious-provider
@@ -43,13 +37,12 @@ import (
 // maxFrameSize bounds one frame; matches the proto list limits.
 const maxFrameSize = 256 << 20
 
-// Protocol versions a connection can negotiate.
-const (
-	protoVersionLegacy = 1
-	protoVersionMux    = 2
-)
+// protoVersion is the one protocol version spoken; the handshake names it
+// so a peer from a different generation fails loudly instead of misparsing
+// frames.
+const protoVersion = 2
 
-// v2 frame flags.
+// Frame flags.
 const (
 	// flagFinal marks the last frame of a response (or a whole request).
 	flagFinal = 0x01
@@ -77,8 +70,8 @@ var ErrFrameCorrupt = errors.New("transport: corrupt frame")
 var ErrStreamCanceled = errors.New("transport: stream canceled by client")
 
 // Stats counts traffic through a Conn. Byte counts include framing
-// overhead (and, for v2 connections, the negotiation handshake), mirroring
-// what a network capture would show. Calls counts logical request/response
+// overhead (and, over TCP, the negotiation handshake), mirroring what a
+// network capture would show. Calls counts logical request/response
 // exchanges, not frames: a response streamed as several chunk frames is
 // still one call.
 type Stats struct {
@@ -88,9 +81,8 @@ type Stats struct {
 }
 
 // Conn is a request/response channel to one provider. Implementations are
-// safe for concurrent use; the multiplexed TCP transport runs concurrent
-// calls truly in parallel on one connection, while legacy (v1) and
-// loopback connections serialize them.
+// safe for concurrent use; the TCP transport runs concurrent calls truly in
+// parallel on one connection.
 type Conn interface {
 	// Call sends a request and waits for the provider's response.
 	Call(req proto.Message) (proto.Message, error)
@@ -168,6 +160,13 @@ func CallStream(c Conn, req proto.Message, yield func(*proto.RowsResponse) error
 	if err != nil {
 		return err
 	}
+	return yieldWhole(resp, yield)
+}
+
+// yieldWhole delivers a response that arrived in one piece to a stream
+// consumer: rows as a single chunk, a provider-side error as
+// *proto.RemoteError.
+func yieldWhole(resp proto.Message, yield func(*proto.RowsResponse) error) error {
 	switch m := resp.(type) {
 	case *proto.RowsResponse:
 		return yield(m)
@@ -220,14 +219,17 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// --- Legacy (v1) framing ---
+// --- Handshake framing ---
+//
+// The hello and its ack are the only frames without a request id: they
+// travel as [len u32][crc u32][body].
 
-// frameLen returns the on-wire size of a legacy message body: 8-byte
-// header (length + crc) plus the payload.
-func frameLen(body []byte) uint64 { return uint64(len(body)) + 8 }
+// handshakeLen returns the on-wire size of a handshake frame: 8-byte header
+// (length + crc) plus the payload.
+func handshakeLen(body []byte) uint64 { return uint64(len(body)) + 8 }
 
-// writeFrame writes one length+crc framed message body.
-func writeFrame(w io.Writer, body []byte) error {
+// writeHandshake writes one length+crc framed handshake body.
+func writeHandshake(w io.Writer, body []byte) error {
 	var hdr [8]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)))
 	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(body, crcTable))
@@ -238,12 +240,18 @@ func writeFrame(w io.Writer, body []byte) error {
 	return err
 }
 
-// readFrame reads one framed message body.
-func readFrame(r io.Reader) ([]byte, error) {
+// readHandshake reads one handshake frame body.
+func readHandshake(r io.Reader) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
+	return readBody(r, hdr[:])
+}
+
+// readBody reads and checks the body a frame header announces; every frame
+// header starts with [len u32][crc u32].
+func readBody(r io.Reader, hdr []byte) ([]byte, error) {
 	length := binary.BigEndian.Uint32(hdr[0:4])
 	want := binary.BigEndian.Uint32(hdr[4:8])
 	if length > maxFrameSize {
@@ -259,21 +267,26 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return body, nil
 }
 
-// --- v2 framing ---
+// --- Request/response framing ---
 
-// v2HeaderLen is the v2 frame header: length, crc, request id, flags.
-const v2HeaderLen = 4 + 4 + 8 + 1
+// frameHeaderLen is the frame header: length, crc, request id, flags.
+const frameHeaderLen = 4 + 4 + 8 + 1
 
-// frameLenV2 returns the on-wire size of a v2 frame for body.
-func frameLenV2(body []byte) uint64 { return uint64(len(body)) + v2HeaderLen }
+// frameLen returns the on-wire size of a frame for body.
+func frameLen(body []byte) uint64 { return uint64(len(body)) + frameHeaderLen }
 
-// writeFrameV2 writes one multiplexed frame.
-func writeFrameV2(w io.Writer, id uint64, flags uint8, body []byte) error {
-	var hdr [v2HeaderLen]byte
+// frameHeader builds the header of one frame.
+func frameHeader(id uint64, flags uint8, body []byte) (hdr [frameHeaderLen]byte) {
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)))
 	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(body, crcTable))
 	binary.BigEndian.PutUint64(hdr[8:16], id)
 	hdr[16] = flags
+	return hdr
+}
+
+// writeFrame writes one frame.
+func writeFrame(w io.Writer, id uint64, flags uint8, body []byte) error {
+	hdr := frameHeader(id, flags, body)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -281,48 +294,28 @@ func writeFrameV2(w io.Writer, id uint64, flags uint8, body []byte) error {
 	return err
 }
 
-// appendFrameV2 appends one multiplexed frame to dst, for callers that
-// batch several frames into a single socket write.
-func appendFrameV2(dst []byte, id uint64, flags uint8, body []byte) []byte {
-	var hdr [v2HeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(body, crcTable))
-	binary.BigEndian.PutUint64(hdr[8:16], id)
-	hdr[16] = flags
+// appendFrame appends one frame to dst, for callers that batch several
+// frames into a single socket write.
+func appendFrame(dst []byte, id uint64, flags uint8, body []byte) []byte {
+	hdr := frameHeader(id, flags, body)
 	dst = append(dst, hdr[:]...)
 	return append(dst, body...)
 }
 
-// readFrameV2 reads one multiplexed frame.
-func readFrameV2(r io.Reader) (id uint64, flags uint8, body []byte, err error) {
-	var hdr [v2HeaderLen]byte
+// readFrame reads one frame.
+func readFrame(r io.Reader) (id uint64, flags uint8, body []byte, err error) {
+	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	length := binary.BigEndian.Uint32(hdr[0:4])
-	want := binary.BigEndian.Uint32(hdr[4:8])
-	id = binary.BigEndian.Uint64(hdr[8:16])
-	flags = hdr[16]
-	if length > maxFrameSize {
-		return 0, 0, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", length)
-	}
-	body = make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, err
-	}
-	if crc32.Checksum(body, crcTable) != want {
-		return 0, 0, nil, ErrFrameCorrupt
-	}
-	return id, flags, body, nil
+	body, err = readBody(r, hdr[:])
+	return binary.BigEndian.Uint64(hdr[8:16]), hdr[16], body, err
 }
 
 // --- Version negotiation ---
 //
-// The hello and its ack travel as legacy frames whose body starts with the
-// reserved kind byte 0 — no real protocol message begins with it, so a
-// legacy server answers the hello with a decode ErrorResponse (telling the
-// client to stay on v1) and a v2 server can distinguish a hello from a
-// legacy client's first request.
+// Hello and ack bodies start with the reserved kind byte 0 — no protocol
+// message begins with it, so a hello can never be mistaken for a request.
 
 var (
 	helloPrefix = []byte{0, 'S', 'S', 'X', 'P'}
@@ -331,10 +324,7 @@ var (
 
 // helloBody builds the client hello advertising its maximum version,
 // followed by the session's tenant id (arbitrary trailing bytes, possibly
-// empty). Servers predating tenant ids required an exact-length hello, so
-// a tenant-bearing hello falls back to v1 against them — a harmless
-// degradation (v1 still serves every request) that disappears once both
-// ends upgrade.
+// empty).
 func helloBody(maxVersion uint8, tenant string) []byte {
 	b := append(append([]byte(nil), helloPrefix...), maxVersion)
 	return append(b, tenant...)
@@ -347,7 +337,7 @@ func ackBody(version uint8) []byte {
 
 // parseNegotiation matches body against the given prefix and returns the
 // version byte plus any trailing payload (the tenant id on hellos; empty
-// on acks and old-client hellos).
+// on acks).
 func parseNegotiation(body, prefix []byte) (version uint8, rest []byte, ok bool) {
 	if len(body) < len(prefix)+1 {
 		return 0, nil, false
@@ -376,7 +366,10 @@ func NewLocal(h Handler) Conn {
 	return &localConn{handler: h}
 }
 
-func (c *localConn) Call(req proto.Message) (proto.Message, error) {
+// deliver is the request half of a loopback call: the request is counted
+// as one frame and round-tripped through the codec, so the handler sees
+// exactly what a remote server would.
+func (c *localConn) deliver(req proto.Message) (proto.Message, error) {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
@@ -386,40 +379,37 @@ func (c *localConn) Call(req proto.Message) (proto.Message, error) {
 	reqBody := proto.Encode(req)
 	c.sent.Add(frameLen(reqBody))
 	c.calls.Add(1)
-	// Decode on the "server side" to guarantee the handler sees exactly
-	// what a remote server would.
-	serverReq, err := proto.Decode(reqBody)
-	if err != nil {
-		return nil, err
-	}
-	resp := c.handler.Handle(serverReq)
-	respBody := proto.Encode(resp)
+	return proto.Decode(reqBody)
+}
+
+// answer is the response half for a whole (unstreamed) response.
+func (c *localConn) answer(serverReq proto.Message) (proto.Message, error) {
+	respBody := proto.Encode(c.handler.Handle(serverReq))
 	c.recv.Add(frameLen(respBody))
 	return proto.Decode(respBody)
 }
 
+func (c *localConn) Call(req proto.Message) (proto.Message, error) {
+	serverReq, err := c.deliver(req)
+	if err != nil {
+		return nil, err
+	}
+	return c.answer(serverReq)
+}
+
 // CallStream implements StreamCaller: when the handler streams, each batch
-// is round-tripped through the codec (and counted as one v2 chunk frame)
+// is round-tripped through the codec (and counted as one chunk frame)
 // before reaching yield, so loopback byte accounting and aliasing behavior
 // match the TCP transport.
 func (c *localConn) CallStream(req proto.Message, yield func(*proto.RowsResponse) error) error {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	reqBody := proto.Encode(req)
-	c.sent.Add(frameLenV2(reqBody))
-	c.calls.Add(1)
-	serverReq, err := proto.Decode(reqBody)
+	serverReq, err := c.deliver(req)
 	if err != nil {
 		return err
 	}
 	if sh, ok := c.handler.(StreamHandler); ok {
 		handled, err := sh.HandleStream(serverReq, func(chunk *proto.RowsResponse) error {
 			body := proto.Encode(chunk)
-			c.recv.Add(frameLenV2(body))
+			c.recv.Add(frameLen(body))
 			msg, err := proto.Decode(body)
 			if err != nil {
 				return err
@@ -438,22 +428,12 @@ func (c *localConn) CallStream(req proto.Message, yield func(*proto.RowsResponse
 			return err
 		}
 	}
-	// No streaming form: one buffered round trip.
-	resp := c.handler.Handle(serverReq)
-	respBody := proto.Encode(resp)
-	c.recv.Add(frameLen(respBody))
-	msg, err := proto.Decode(respBody)
+	// No streaming form: one whole response.
+	msg, err := c.answer(serverReq)
 	if err != nil {
 		return err
 	}
-	switch m := msg.(type) {
-	case *proto.RowsResponse:
-		return yield(m)
-	case *proto.ErrorResponse:
-		return m.Err()
-	default:
-		return fmt.Errorf("transport: unexpected %T in row stream", msg)
-	}
+	return yieldWhole(msg, yield)
 }
 
 // CallDeadline implements DeadlineCaller for the loopback: the handler

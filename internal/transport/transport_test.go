@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -66,12 +67,13 @@ func TestLocalConnStats(t *testing.T) {
 	if st.Calls != 1 {
 		t.Fatalf("calls = %d", st.Calls)
 	}
-	// Ping is 1 body byte + 8 frame header.
-	if st.BytesSent != 9 {
-		t.Fatalf("sent = %d, want 9", st.BytesSent)
+	// Ping is 1 body byte + the 17-byte frame header every TCP request
+	// carries: loopback bytes equal network bytes.
+	if st.BytesSent != 18 {
+		t.Fatalf("sent = %d, want 18", st.BytesSent)
 	}
-	if st.BytesReceived == 0 {
-		t.Fatal("received = 0")
+	if want := frameLen(proto.Encode(&proto.OKResponse{Affected: 7})); st.BytesReceived != want {
+		t.Fatalf("received = %d, want %d", st.BytesReceived, want)
 	}
 }
 
@@ -155,33 +157,50 @@ func TestTCPConcurrentClients(t *testing.T) {
 	}
 }
 
-func TestTCPServerRejectsGarbage(t *testing.T) {
+// TestTCPServerRejectsNonHello opens connections with something other than
+// a version-2 hello — garbage, a well-formed request with no handshake (what
+// a pre-handshake client would send), a hello for an older version — and
+// expects each to be told why and then disconnected.
+func TestTCPServerRejectsNonHello(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(ln, &echoHandler{})
+	h := &echoHandler{}
+	srv := NewServer(ln, h)
 	defer srv.Close()
 
-	// A valid frame holding an undecodable body gets an ErrorResponse.
-	nc, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	for name, first := range map[string][]byte{
+		"garbage":     {0xff, 0x01, 0x02},
+		"bare ping":   proto.Encode(&proto.PingRequest{}),
+		"hello for 1": helloBody(protoVersion-1, ""),
+	} {
+		nc, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeHandshake(nc, first); err != nil {
+			t.Fatal(err)
+		}
+		body, err := readHandshake(nc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		resp, err := proto.Decode(body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if e, ok := resp.(*proto.ErrorResponse); !ok || e.Code != proto.CodeBadRequest {
+			t.Fatalf("%s: got %#v", name, resp)
+		}
+		nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := readHandshake(nc); err != io.EOF {
+			t.Fatalf("%s: connection still open after the rejection: %v", name, err)
+		}
+		nc.Close()
 	}
-	defer nc.Close()
-	if err := writeFrame(nc, []byte{0xff, 0x01, 0x02}); err != nil {
-		t.Fatal(err)
-	}
-	body, err := readFrame(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := proto.Decode(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := resp.(*proto.ErrorResponse); !ok || e.Code != proto.CodeBadRequest {
-		t.Fatalf("got %#v", resp)
+	if h.calls != 0 {
+		t.Fatalf("handler ran %d requests from connections that never said hello", h.calls)
 	}
 }
 

@@ -119,11 +119,6 @@ type DialConfig struct {
 	// the remaining providers (reads need only K of N). Zero disables
 	// deadlines.
 	Timeout time.Duration
-	// SerialTransport disables the multiplexed wire protocol and forces
-	// the one-request-per-roundtrip legacy framing, even against servers
-	// that support multiplexing. Useful for benchmarking and for debugging
-	// protocol issues.
-	SerialTransport bool
 	// MaxRedials caps automatic reconnect attempts after a connection
 	// dies, per call, for requests that never reached the wire. Zero
 	// means the default (2); negative disables redialing.
@@ -160,11 +155,10 @@ func OpenTimeout(addrs []string, opts Options, timeout time.Duration) (*Client, 
 // and the returned client is a shard router.
 func OpenWith(addrs []string, opts Options, dc DialConfig) (*Client, error) {
 	tc := transport.DialConfig{
-		Timeout:          dc.Timeout,
-		DisableMultiplex: dc.SerialTransport,
-		MaxRedials:       dc.MaxRedials,
-		Tenant:           dc.Tenant,
-		BusyRetries:      dc.BusyRetries,
+		Timeout:     dc.Timeout,
+		MaxRedials:  dc.MaxRedials,
+		Tenant:      dc.Tenant,
+		BusyRetries: dc.BusyRetries,
 	}
 	conns := make([]transport.Conn, 0, len(addrs))
 	for _, addr := range addrs {

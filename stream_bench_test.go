@@ -1,11 +1,10 @@
 package sssdb
 
-// End-to-end streaming-scan benchmarks over loopback TCP: the same 50k-row
-// full scan once on the buffered path (providers answer whole, the client
-// materializes every provider response before reconstructing) and once on
-// the streaming path (provider cursors ship bounded chunks, the client
-// reconstructs incrementally). Streaming should show a fraction of the
-// peak client heap and a much earlier first row:
+// End-to-end streaming-scan benchmarks over loopback TCP: a 50k-row full
+// scan through the streaming pipeline (provider cursors ship bounded
+// chunks, the client reconstructs incrementally), reporting peak client
+// heap and time to first row. EXPERIMENTS.md keeps the numbers measured
+// against the buffered scan this pipeline replaced:
 //
 //	go test -bench StreamingScan -cpu 4 -benchtime 2x .
 
@@ -23,8 +22,8 @@ import (
 const streamBenchRows = 50_000
 
 // newStreamBenchClient starts three durable providers on loopback TCP and
-// seeds a 50k-row table, returning a client on the requested scan path.
-func newStreamBenchClient(b *testing.B, buffered bool) *Client {
+// seeds a 50k-row table.
+func newStreamBenchClient(b *testing.B) *Client {
 	b.Helper()
 	addrs := make([]string, 0, 3)
 	for i := 0; i < 3; i++ {
@@ -41,7 +40,7 @@ func newStreamBenchClient(b *testing.B, buffered bool) *Client {
 		b.Cleanup(func() { srv.Close() })
 		addrs = append(addrs, srv.Addr().String())
 	}
-	db, err := Open(addrs, Options{K: 2, MasterKey: []byte("bench"), BufferedScans: buffered})
+	db, err := Open(addrs, Options{K: 2, MasterKey: []byte("bench")})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,60 +107,53 @@ func (s *heapSampler) Stop() uint64 {
 	return <-s.done
 }
 
-// BenchmarkStreamingScan measures a full 50k-row scan over TCP on both
-// scan paths, reporting peak client heap over baseline (peak-heap-B) and
-// time to the first row reaching the caller (first-row-ms) alongside the
-// usual ns/op full-scan latency.
+// BenchmarkStreamingScan measures a full 50k-row scan over TCP, reporting
+// peak client heap over baseline (peak-heap-B) and time to the first row
+// reaching the caller (first-row-ms) alongside the usual ns/op full-scan
+// latency.
 func BenchmarkStreamingScan(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		buffered bool
-	}{{"buffered", true}, {"streaming", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			db := newStreamBenchClient(b, mode.buffered)
-			q := `SELECT name, v, w FROM wide`
-			var peakMax uint64
-			var firstSum time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				runtime.GC()
-				var base runtime.MemStats
-				runtime.ReadMemStats(&base)
-				sampler := startHeapSampler()
-				b.StartTimer()
+	db := newStreamBenchClient(b)
+	q := `SELECT name, v, w FROM wide`
+	var peakMax uint64
+	var firstSum time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		var base runtime.MemStats
+		runtime.ReadMemStats(&base)
+		sampler := startHeapSampler()
+		b.StartTimer()
 
-				start := time.Now()
-				r, err := db.QueryRows(q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n := 0
-				for r.Next() {
-					if n == 0 {
-						firstSum += time.Since(start)
-					}
-					n++
-				}
-				r.Close()
-
-				b.StopTimer()
-				peak := sampler.Stop()
-				if peak > base.HeapAlloc && peak-base.HeapAlloc > peakMax {
-					peakMax = peak - base.HeapAlloc
-				}
-				b.StartTimer()
-				if err := r.Err(); err != nil {
-					b.Fatal(err)
-				}
-				if n != streamBenchRows {
-					b.Fatalf("scanned %d rows, want %d", n, streamBenchRows)
-				}
+		start := time.Now()
+		r, err := db.QueryRows(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for r.Next() {
+			if n == 0 {
+				firstSum += time.Since(start)
 			}
-			b.ReportMetric(float64(peakMax), "peak-heap-B")
-			b.ReportMetric(float64(firstSum.Milliseconds())/float64(b.N), "first-row-ms")
-		})
+			n++
+		}
+		r.Close()
+
+		b.StopTimer()
+		peak := sampler.Stop()
+		if peak > base.HeapAlloc && peak-base.HeapAlloc > peakMax {
+			peakMax = peak - base.HeapAlloc
+		}
+		b.StartTimer()
+		if err := r.Err(); err != nil {
+			b.Fatal(err)
+		}
+		if n != streamBenchRows {
+			b.Fatalf("scanned %d rows, want %d", n, streamBenchRows)
+		}
 	}
+	b.ReportMetric(float64(peakMax), "peak-heap-B")
+	b.ReportMetric(float64(firstSum.Milliseconds())/float64(b.N), "first-row-ms")
 }
 
 // BenchmarkStreamingScanLimit runs LIMIT 10 over the 50k-row table and
@@ -169,7 +161,7 @@ func BenchmarkStreamingScan(b *testing.B) {
 // pushed into the provider cursors, so the scan must move a few KiB, not
 // the multi-MB full result.
 func BenchmarkStreamingScanLimit(b *testing.B) {
-	db := newStreamBenchClient(b, false)
+	db := newStreamBenchClient(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		before := db.Stats().BytesReceived

@@ -1,13 +1,13 @@
 package sssdb
 
 // Loopback-TCP transport benchmarks: the same mixed workload over real
-// sockets against durable (WAL + fsync) providers, once with the serial
-// one-request-per-roundtrip protocol and once with the multiplexed
-// transport. Serial transports head-of-line block: an INSERT holds the
-// connection through its WAL fsync and every SELECT queued on that
-// connection stalls behind it, while the multiplexed transport lets reads
+// sockets against durable (WAL + fsync) providers, once with each provider
+// executing one request at a time (ServerConfig.MaxInflight: 1) and once
+// with the default-sized execution budget. One at a time head-of-line
+// blocks: an INSERT holds the provider through its WAL fsync and every
+// SELECT queued behind it stalls, while concurrent execution lets reads
 // overtake writes and lets concurrent INSERTs share one group-committed
-// fsync server-side:
+// fsync:
 //
 //	go test -bench TCPScanParallel -cpu 1,4 -benchtime 2x .
 
@@ -25,8 +25,9 @@ import (
 const tcpBenchRows = 512
 
 // newTCPBenchClient starts three durable in-process providers on loopback
-// TCP and connects a client with the requested transport mode.
-func newTCPBenchClient(b *testing.B, serial bool) *Client {
+// TCP, each executing at most maxInflight requests at once, and connects a
+// client.
+func newTCPBenchClient(b *testing.B, maxInflight int) *Client {
 	b.Helper()
 	addrs := make([]string, 0, 3)
 	for i := 0; i < 3; i++ {
@@ -39,12 +40,11 @@ func newTCPBenchClient(b *testing.B, serial bool) *Client {
 		if err != nil {
 			b.Fatal(err)
 		}
-		srv := transport.NewServerWith(ln, server.New(st), transport.ServerConfig{MaxInflight: 256})
+		srv := transport.NewServerWith(ln, server.New(st), transport.ServerConfig{MaxInflight: maxInflight})
 		b.Cleanup(func() { srv.Close() })
 		addrs = append(addrs, srv.Addr().String())
 	}
-	db, err := OpenWith(addrs, Options{K: 2, MasterKey: []byte("bench")},
-		DialConfig{SerialTransport: serial})
+	db, err := Open(addrs, Options{K: 2, MasterKey: []byte("bench")})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,18 +61,17 @@ func newTCPBenchClient(b *testing.B, serial bool) *Client {
 // BenchmarkTCPScanParallel drives a mixed workload (every other statement
 // is an INSERT, the rest are narrow range SELECTs) over loopback TCP with
 // 16x oversubscribed goroutines, so every provider connection has many
-// statements in flight. The serial transport admits one request per
-// connection roundtrip — reads stall behind each INSERT's WAL fsync and
-// concurrent INSERTs each pay a solo fsync; the multiplexed transport
-// pipelines requests, batches flushes, lets reads overtake writes, and
-// lets the providers group-commit concurrent INSERTs into shared fsyncs.
+// statements in flight. With one request executing per provider, reads
+// stall behind each INSERT's WAL fsync and concurrent INSERTs each pay a
+// solo fsync; with concurrent execution reads overtake writes and the
+// providers group-commit concurrent INSERTs into shared fsyncs.
 func BenchmarkTCPScanParallel(b *testing.B) {
 	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"serial", true}, {"mux", false}} {
+		name        string
+		maxInflight int
+	}{{"inflight-1", 1}, {"mux", 256}} {
 		b.Run(mode.name, func(b *testing.B) {
-			db := newTCPBenchClient(b, mode.serial)
+			db := newTCPBenchClient(b, mode.maxInflight)
 			var inserted atomic.Int64
 			b.ReportAllocs()
 			b.SetParallelism(16)
