@@ -35,7 +35,7 @@ func (c *Client) Audit(table string) (*AuditReport, error) {
 	if err := c.flushTableLocked(table); err != nil {
 		return nil, err
 	}
-	scan, err := c.scanTable(meta, nil, c.readOpts(0, true))
+	scan, err := c.scanTable(meta, nil, c.readOpts(meta.allCols(), 0, true))
 	if err != nil {
 		return nil, err
 	}

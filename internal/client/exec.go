@@ -438,7 +438,8 @@ func (c *Client) execDelete(s *sql.Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scan, err := c.scanTable(meta, preds, c.readOpts(0, false))
+	// Only the row ids are read.
+	scan, err := c.scanTable(meta, preds, c.readOpts(nil, 0, false))
 	if err != nil {
 		return nil, err
 	}
@@ -475,21 +476,16 @@ func (c *Client) execUpdate(s *sql.Update) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ci := -1
-		for i := range meta.Cols {
-			if meta.Cols[i].Name == a.Col {
-				ci = i
-			}
-		}
-		assigns = append(assigns, assign{ci: ci, val: v})
+		assigns = append(assigns, assign{ci: meta.colIndex(a.Col), val: v})
 	}
 	preds, err := c.compilePredicates(meta, s.Where, "")
 	if err != nil {
 		return nil, err
 	}
 	// The paper's update flow: retrieve the affected tuples, reconstruct at
-	// the client, apply the change, re-share, redistribute (Sec. V-C).
-	scan, err := c.scanTable(meta, preds, c.readOpts(0, false))
+	// the client, apply the change, re-share, redistribute (Sec. V-C). Whole
+	// rows are re-shared, so every column is read.
+	scan, err := c.scanTable(meta, preds, c.readOpts(meta.allCols(), 0, false))
 	if err != nil {
 		return nil, err
 	}

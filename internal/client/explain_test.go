@@ -121,3 +121,40 @@ func TestExplainErrors(t *testing.T) {
 		t.Error("EXPLAIN INSERT accepted")
 	}
 }
+
+// TestExplainFetchedCells pins the line that says which provider cells a
+// read ships: value cells of the columns the statement reads, never the
+// order-preserving twin, and one cheapest cell when only row ids are wanted.
+func TestExplainFetchedCells(t *testing.T) {
+	f := newFleet(t, 3, 2, Options{})
+	setupEmployees(t, f)
+	for q, want := range map[string]string{
+		`EXPLAIN SELECT * FROM employees WHERE salary > 10`:                       "  fetch name#f, salary#f, dept#f — 3 of 6 cells\n",
+		`EXPLAIN SELECT salary, name FROM employees WHERE salary > 10`:            "  fetch name#f, salary#f — 2 of 6 cells\n",
+		`EXPLAIN SELECT name FROM employees WHERE salary > 10 AND dept = 1`:       "  fetch name#f, dept#f — 2 of 6 cells\n",
+		`EXPLAIN SELECT name FROM employees ORDER BY salary`:                      "  fetch name#f, salary#f — 2 of 6 cells\n",
+		`EXPLAIN DELETE FROM employees WHERE salary > 10`:                         "  fetch name#f — 1 of 6 cells\n",
+		`EXPLAIN UPDATE employees SET dept = 2 WHERE salary > 10`:                 "  fetch name#f, salary#f, dept#f — 3 of 6 cells\n",
+		`EXPLAIN SELECT name FROM employees WHERE salary > 10 VERIFIED`:           "  fetch name#o, name#f, salary#o, salary#f, dept#o, dept#f — 6 of 6 cells\n",
+		`EXPLAIN SELECT MAX(salary) FROM employees WHERE salary > 1 AND dept = 1`: "  fetch salary#f, dept#f — 2 of 6 cells\n",
+	} {
+		if plan := planText(t, f, q); !strings.Contains(plan, want) {
+			t.Errorf("%s: plan lacks %q:\n%s", q, want, plan)
+		}
+	}
+	if plan := planText(t, f, `EXPLAIN DELETE FROM employees WHERE salary > 10`); !strings.HasPrefix(plan, "DELETE employees: ") {
+		t.Errorf("DELETE plan:\n%s", plan)
+	}
+	if res := f.mustExec(t, `SELECT COUNT(*) FROM employees WHERE dept = 2`); res.Rows[0][0].I != 2 {
+		t.Fatalf("EXPLAIN DELETE/UPDATE executed: %d rows in dept 2, want 2", res.Rows[0][0].I)
+	}
+
+	f.mustExec(t, `CREATE TABLE a (k INT, x INT)`)
+	f.mustExec(t, `CREATE TABLE b (k INT, y INT)`)
+	plan := planText(t, f, `EXPLAIN SELECT a.x FROM a JOIN b ON a.k = b.k`)
+	for _, want := range []string{"  a: fetch x#f — 1 of 4 cells\n", "  b: fetch k#f — 1 of 4 cells\n"} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("join plan lacks %q:\n%s", want, plan)
+		}
+	}
+}

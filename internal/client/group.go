@@ -108,12 +108,7 @@ func planGroupBy(meta *tableMeta, s *sql.Select) (gcm *colMeta, gci int, compute
 	if !gcm.queryable() {
 		return nil, 0, nil, false, fmt.Errorf("%w: GROUP BY on BLOB column %q", ErrUnsupported, gcm.Name)
 	}
-	gci = -1
-	for i := range meta.Cols {
-		if meta.Cols[i].Name == gcm.Name {
-			gci = i
-		}
-	}
+	gci = meta.colIndex(gcm.Name)
 	// The aggregates to compute cover both the select list and HAVING.
 	computeItems = append([]sql.SelectItem(nil), s.Items...)
 	for _, hp := range s.Having {
@@ -300,7 +295,11 @@ func compareInt64(a, b int64) int {
 // groupedLocal scans, groups client-side, and computes every aggregate via
 // aggregateLocal.
 func (c *Client) groupedLocal(meta *tableMeta, gcm *colMeta, gci int, preds []compiledPred, items []sql.SelectItem, verified bool) ([]*group, error) {
-	scan, err := c.scanTable(meta, preds, c.readOpts(0, verified))
+	cols, err := aggCols(meta, items)
+	if err != nil {
+		return nil, err
+	}
+	scan, err := c.scanTable(meta, preds, c.readOpts(append(cols, gci), 0, verified))
 	if err != nil {
 		return nil, err
 	}

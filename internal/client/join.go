@@ -16,6 +16,17 @@ type joinItem struct {
 	name string
 }
 
+// joinSideCols lists the columns the select list reads from one side.
+func joinSideCols(items []joinItem, left bool) []int {
+	var cols []int
+	for _, it := range items {
+		if it.left == left {
+			cols = append(cols, it.ci)
+		}
+	}
+	return cols
+}
+
 func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 	left, err := c.table(s.Table)
 	if err != nil {
@@ -94,7 +105,7 @@ func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 	if remoteOK {
 		return c.joinRemote(left, right, lc, rc, items, leftPreds)
 	}
-	return c.joinLocal(left, right, lcName, rcName, items, leftPreds, rightPreds)
+	return c.joinLocal(left, right, left.colIndex(lcName), right.colIndex(rcName), items, leftPreds, rightPreds)
 }
 
 // resolveOn orients the ON clause onto (leftCol, rightCol).
@@ -129,14 +140,7 @@ func resolveJoinItems(left, right *tableMeta, items []sql.SelectItem) ([]joinIte
 			continue
 		}
 		ref := item.Col
-		find := func(meta *tableMeta) int {
-			for ci := range meta.Cols {
-				if meta.Cols[ci].Name == ref.Name {
-					return ci
-				}
-			}
-			return -1
-		}
+		find := func(meta *tableMeta) int { return meta.colIndex(ref.Name) }
 		switch {
 		case ref.Table == left.Name:
 			ci := find(left)
@@ -171,14 +175,7 @@ func resolveJoinItems(left, right *tableMeta, items []sql.SelectItem) ([]joinIte
 
 // predicateSide classifies a WHERE conjunct: 0 = left table, 1 = right.
 func predicateSide(left, right *tableMeta, p sql.Predicate) (int, error) {
-	has := func(meta *tableMeta) bool {
-		for ci := range meta.Cols {
-			if meta.Cols[ci].Name == p.Col.Name {
-				return true
-			}
-		}
-		return false
-	}
+	has := func(meta *tableMeta) bool { return meta.colIndex(p.Col.Name) >= 0 }
 	switch {
 	case p.Col.Table == left.Name:
 		return 0, nil
@@ -216,12 +213,19 @@ func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joi
 	if err != nil {
 		return nil, err
 	}
+	// The providers match pairs on the keys' order-preserving shares and
+	// ship back only the value cells of the selected columns.
+	lPlan := left.fetchPlan(joinSideCols(items, true))
+	rPlan := right.fetchPlan(joinSideCols(items, false))
+	header := append(append([]string(nil), lPlan.names...), rPlan.names...)
 	responses, err := c.callQuorum(c.opts.K, func(i int) proto.Message {
 		return &proto.JoinRequest{
 			LeftTable:  left.Name,
 			LeftCol:    lc.Name + suffixOPP,
 			RightTable: right.Name,
 			RightCol:   rc.Name + suffixOPP,
+			LeftProj:   lPlan.names,
+			RightProj:  rPlan.names,
 			Filter:     filters[i],
 		}
 	}, c.readDeadline())
@@ -234,6 +238,9 @@ func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joi
 		jr, ok := r.msg.(*proto.JoinResult)
 		if !ok {
 			return nil, fmt.Errorf("%w: provider %d returned %T", ErrInconsistent, r.provider, r.msg)
+		}
+		if err := checkHeader(r.provider, jr.Columns, header); err != nil {
+			return nil, err
 		}
 		results[i] = jr
 		providers[i] = r.provider
@@ -250,24 +257,36 @@ func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joi
 			}
 		}
 	}
-	// Cell layout: left full row then right full row, both in spec order.
-	leftSpec := left.providerSpec()
-	rightSpec := right.providerSpec()
+	// Cell layout: the left projection then the right one.
+	itemCell := make([]int, len(items))
+	for i, item := range items {
+		if item.left {
+			itemCell[i] = lPlan.cell[item.ci]
+		} else {
+			itemCell[i] = len(lPlan.names) + rPlan.cell[item.ci]
+		}
+	}
 	weights, err := c.fieldSch.WeightsFor(providers[:c.opts.K])
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Columns: joinColumns(items)}
 	for r := range base.Rows {
+		for i := range results[:c.opts.K] {
+			if n := len(results[i].Rows[r].Cells); n != len(header) {
+				return nil, fmt.Errorf("%w: provider %d sent a joined row with %d cells under a %d-column header",
+					ErrInconsistent, providers[i], n, len(header))
+			}
+		}
 		row := make([]Value, len(items))
 		for i, item := range items {
-			meta, spec, offset := left, leftSpec, 0
+			meta := left
 			if !item.left {
-				meta, spec, offset = right, rightSpec, len(leftSpec.Columns)
+				meta = right
 			}
 			cm := &meta.Cols[item.ci]
+			cellIdx := itemCell[i]
 			if !cm.queryable() {
-				cellIdx := offset + spec.ColumnIndex(cm.Name+suffixPlain)
 				blob, err := c.openBlob(meta, base.Rows[r].Cells[cellIdx])
 				if err != nil {
 					return nil, err
@@ -275,7 +294,6 @@ func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joi
 				row[i] = BytesValue(blob)
 				continue
 			}
-			cellIdx := offset + spec.ColumnIndex(cm.Name+suffixField)
 			v, err := c.combineCells(weights, providers, results, r, cellIdx, cm)
 			if err != nil {
 				return nil, err
@@ -316,7 +334,7 @@ func joinColumns(items []joinItem) []string {
 // joinLocal reconstructs both sides at the client and joins on typed
 // values — the fallback for cross-domain keys, which the paper's
 // provider-side scheme cannot execute.
-func (c *Client) joinLocal(left, right *tableMeta, lcName, rcName string, items []joinItem, leftPreds, rightPreds []sql.Predicate) (*Result, error) {
+func (c *Client) joinLocal(left, right *tableMeta, lci, rci int, items []joinItem, leftPreds, rightPreds []sql.Predicate) (*Result, error) {
 	lPreds, err := c.compilePredicates(left, leftPreds, left.Name)
 	if err != nil {
 		return nil, err
@@ -325,32 +343,22 @@ func (c *Client) joinLocal(left, right *tableMeta, lcName, rcName string, items 
 	if err != nil {
 		return nil, err
 	}
-	lScan, err := c.scanTable(left, lPreds, c.readOpts(0, false))
+	lScan, err := c.scanTable(left, lPreds, c.readOpts(append(joinSideCols(items, true), lci), 0, false))
 	if err != nil {
 		return nil, err
 	}
-	rScan, err := c.scanTable(right, rPreds, c.readOpts(0, false))
+	rScan, err := c.scanTable(right, rPreds, c.readOpts(append(joinSideCols(items, false), rci), 0, false))
 	if err != nil {
 		return nil, err
 	}
-	return joinFromScans(left, right, lcName, rcName, items, lScan, rScan)
+	return joinFromScans(lci, rci, items, lScan, rScan), nil
 }
 
-// joinFromScans hash-joins two reconstructed scans on typed key values —
-// the tail of joinLocal, shared with the shard router (which feeds merged
-// cross-group scans of each side).
-func joinFromScans(left, right *tableMeta, lcName, rcName string, items []joinItem, lScan, rScan *scanResult) (*Result, error) {
-	lci, rci := -1, -1
-	for ci := range left.Cols {
-		if left.Cols[ci].Name == lcName {
-			lci = ci
-		}
-	}
-	for ci := range right.Cols {
-		if right.Cols[ci].Name == rcName {
-			rci = ci
-		}
-	}
+// joinFromScans hash-joins two reconstructed scans on the typed values of
+// key columns lci and rci — the tail of joinLocal, shared with the shard
+// router (which feeds merged cross-group scans of each side). Each scan must
+// have fetched its key column and its side of the select list.
+func joinFromScans(lci, rci int, items []joinItem, lScan, rScan *scanResult) *Result {
 	// Hash join on the display form of the key value (typed equality).
 	build := make(map[string][]int)
 	for r := range rScan.values {
@@ -372,7 +380,7 @@ func joinFromScans(left, right *tableMeta, lcName, rcName string, items []joinIt
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // joinKey canonicalizes a value for hash-join equality. Cross-domain joins

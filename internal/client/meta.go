@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"sssdb/internal/numenc"
@@ -46,13 +47,112 @@ type tableMeta struct {
 	NextID uint64
 }
 
-func (t *tableMeta) col(name string) (*colMeta, error) {
+// colIndex returns the position of a client column in t.Cols, or -1.
+func (t *tableMeta) colIndex(name string) int {
 	for i := range t.Cols {
 		if t.Cols[i].Name == name {
-			return &t.Cols[i], nil
+			return i
 		}
 	}
+	return -1
+}
+
+func (t *tableMeta) col(name string) (*colMeta, error) {
+	if i := t.colIndex(name); i >= 0 {
+		return &t.Cols[i], nil
+	}
 	return nil, fmt.Errorf("%w: column %q of table %q", ErrNoSuchColumn, name, t.Name)
+}
+
+// valueCell names the provider column a client column's value is rebuilt
+// from: the field share, or the opaque payload of a blob.
+func (c *colMeta) valueCell() string {
+	if c.queryable() {
+		return c.Name + suffixField
+	}
+	return c.Name + suffixPlain
+}
+
+// allCols lists every client column index: what a statement that rewrites
+// whole rows (UPDATE, repair reseed) reads.
+func (t *tableMeta) allCols() []int {
+	cols := make([]int, len(t.Cols))
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// fetchPlan is what a read asks each provider for, and where the client
+// columns it will reconstruct land in every returned row.
+type fetchPlan struct {
+	// names are the provider columns in response cell order: the request's
+	// projection, and exactly the header a provider must answer with.
+	names []string
+	// cell[ci] is the position of client column ci's value cell in a
+	// response row, or -1 when the column is not fetched.
+	cell []int
+}
+
+// fetchPlan projects a read onto the value cells of the given client
+// columns (indices into t.Cols, duplicates allowed), so no order-preserving
+// share — three quarters of a stored row — crosses the wire. A read that
+// wants only row ids still has to name a column, because an empty projection
+// means "every column" on the wire: it gets the cheapest single cell.
+func (t *tableMeta) fetchPlan(cols ...[]int) fetchPlan {
+	fp := fetchPlan{cell: make([]int, len(t.Cols))}
+	for _, set := range cols {
+		for _, ci := range set {
+			fp.cell[ci] = 1
+		}
+	}
+	for ci, wanted := range fp.cell {
+		fp.cell[ci] = -1
+		if wanted == 1 {
+			fp.cell[ci] = len(fp.names)
+			fp.names = append(fp.names, t.Cols[ci].valueCell())
+		}
+	}
+	if len(fp.names) == 0 {
+		cheapest := 0
+		for ci := range t.Cols {
+			if t.Cols[ci].queryable() {
+				cheapest = ci
+				break
+			}
+		}
+		fp.names = []string{t.Cols[cheapest].valueCell()}
+	}
+	return fp
+}
+
+// scanPlan is the fetch plan of a table scan whose caller reads cols: their
+// value cells plus those of the columns the residual predicates test — or
+// every stored cell when the scan is verified, whose Merkle proof hashes
+// whole rows.
+func (t *tableMeta) scanPlan(preds []compiledPred, cols []int, verified bool) fetchPlan {
+	if !verified {
+		return t.fetchPlan(cols, predCols(residualPreds(preds)))
+	}
+	fp := fetchPlan{cell: make([]int, len(t.Cols))}
+	for _, col := range t.providerSpec().Columns {
+		fp.names = append(fp.names, col.Name)
+	}
+	for ci := range t.Cols {
+		fp.cell[ci] = slices.Index(fp.names, t.Cols[ci].valueCell())
+	}
+	return fp
+}
+
+// checkHeader rejects a provider response whose column header is not exactly
+// the projection it was asked for: cell positions are resolved from the
+// request alone.
+func checkHeader(provider int, header, asked []string) error {
+	if !slices.Equal(header, asked) {
+		return fmt.Errorf("%w: provider %d answered with columns %v, asked for %v",
+			ErrInconsistent, provider, header, asked)
+	}
+	return nil
 }
 
 // providerSpec derives the share-space table spec shipped to providers.

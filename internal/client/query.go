@@ -57,12 +57,7 @@ func (c *Client) compilePredicate(meta *tableMeta, p sql.Predicate) (compiledPre
 	if !cm.queryable() {
 		return compiledPred{}, fmt.Errorf("%w: BLOB column %q cannot be filtered", ErrUnsupported, cm.Name)
 	}
-	ci := 0
-	for i := range meta.Cols {
-		if meta.Cols[i].Name == cm.Name {
-			ci = i
-		}
-	}
+	ci := meta.colIndex(cm.Name)
 	domMin, domMax := cm.domainBounds()
 	cp := compiledPred{ci: ci}
 	if p.Op == sql.OpLikePrefix {
@@ -201,7 +196,9 @@ func (c *Client) providerFilters(meta *tableMeta, preds []compiledPred) ([]*prot
 // scanResult is the reconstructed output of a table scan.
 type scanResult struct {
 	ids []uint64
-	// values holds the full typed row for each id (all client columns).
+	// values holds one typed row per id, indexed like meta.Cols. Only the
+	// columns the scan fetched (scanOpts.cols plus the residual predicates')
+	// are set; a verified scan and pending lazy updates set all of them.
 	values [][]Value
 	// faulty lists providers whose shares were identified as corrupt
 	// during robust reconstruction (verified mode).
@@ -212,6 +209,11 @@ type scanResult struct {
 
 // scanOpts are the per-statement knobs of a table scan.
 type scanOpts struct {
+	// cols are the client columns (indices into meta.Cols) the caller will
+	// read from the result; no other column's cell is fetched, except those
+	// the scan's own residual predicates test. Empty means row ids only. A
+	// verified scan ignores it and reconstructs whole rows.
+	cols []int
 	// limit caps the rows returned (0 = all).
 	limit uint64
 	// verified selects the proof-carrying whole-response path.
@@ -228,8 +230,8 @@ type scanOpts struct {
 // readOpts is the scanOpts of a foreground read outside a transaction. The
 // statement's deadline is fixed here, once: a scan that re-opens after a
 // provider failure shares it, so failover cannot extend the budget.
-func (c *Client) readOpts(limit uint64, verified bool) scanOpts {
-	return scanOpts{limit: limit, verified: verified, epoch: noEpoch, deadline: c.readDeadline()}
+func (c *Client) readOpts(cols []int, limit uint64, verified bool) scanOpts {
+	return scanOpts{cols: cols, limit: limit, verified: verified, epoch: noEpoch, deadline: c.readDeadline()}
 }
 
 // scanTable runs the paper's core read path: rewrite the (first) predicate
@@ -283,7 +285,10 @@ func (c *Client) scanTable(meta *tableMeta, preds []compiledPred, o scanOpts) (*
 // cells to identify corrupt providers. The caller holds the exclusive
 // statement lock, so no insert is in flight and no row needs masking. A
 // completeness proof covers a whole range, so no LIMIT is pushed down:
-// scanTable truncates the result.
+// scanTable truncates the result. Whole rows are fetched whatever the caller
+// reads: the proof's leaf digest hashes every cell, the range check reads the
+// order-preserving one, and robust reconstruction of every column is what
+// identifies a corrupt provider.
 func (c *Client) scanVerified(meta *tableMeta, preds []compiledPred, deadline time.Time) (*scanResult, error) {
 	if len(preds) == 0 {
 		// Synthesize a full-domain range on the first queryable column so
@@ -342,7 +347,8 @@ func (c *Client) scanVerified(meta *tableMeta, preds []compiledPred, deadline ti
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.reconstructRows(meta, providers, rowsByProvider, true)
+	plan := meta.scanPlan(preds, nil, true)
+	res, err := c.reconstructRows(meta, &plan, providers, rowsByProvider, true)
 	if err != nil {
 		return nil, err
 	}
@@ -358,35 +364,21 @@ func (c *Client) hasPending(table string) bool {
 	return len(c.pending[table]) > 0
 }
 
-// reconstructRows rebuilds typed values from aligned provider responses.
-// The per-cell work — Lagrange combination (or robust reconstruction) plus
-// domain decoding — is independent across rows, so the row range is chunked
-// across the worker pool. Each worker owns a contiguous span with its own
-// share scratch buffer and its own faulty set; spans share the precomputed
-// quorum Lagrange weights, and the faulty sets merge after the join, so the
-// result is identical to the serial pass in both modes.
-func (c *Client) reconstructRows(meta *tableMeta, providers []int, rowsByProvider map[int]*proto.RowsResponse, robust bool) (*scanResult, error) {
-	base := rowsByProvider[providers[0]]
-	// Locate each client column's provider cells.
-	colCell := make([]int, len(meta.Cols))
-	for ci := range meta.Cols {
-		cm := &meta.Cols[ci]
-		name := cm.Name + suffixField
-		if !cm.queryable() {
-			name = cm.Name + suffixPlain
+// reconstructRows rebuilds typed values from aligned provider responses,
+// for the columns of plan — a projected stream batch and a verified whole-row
+// response alike. The per-cell work — Lagrange combination (or robust
+// reconstruction) plus domain decoding — is independent across rows, so the
+// row range is chunked across the worker pool. Each worker owns a contiguous
+// span with its own share scratch buffer and its own faulty set; spans share
+// the precomputed quorum Lagrange weights, and the faulty sets merge after
+// the join, so the result is identical to the serial pass in both modes.
+func (c *Client) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []int, rowsByProvider map[int]*proto.RowsResponse, robust bool) (*scanResult, error) {
+	for _, p := range providers {
+		if err := checkHeader(p, rowsByProvider[p].Columns, plan.names); err != nil {
+			return nil, err
 		}
-		pos := -1
-		for i, col := range base.Columns {
-			if col == name {
-				pos = i
-			}
-		}
-		if pos < 0 {
-			return nil, fmt.Errorf("%w: provider response missing column %q (have %v)",
-				ErrInconsistent, name, base.Columns)
-		}
-		colCell[ci] = pos
 	}
+	base := rowsByProvider[providers[0]]
 	weights, err := c.fieldSch.WeightsFor(providers[:c.opts.K])
 	if err != nil {
 		return nil, err
@@ -400,12 +392,23 @@ func (c *Client) reconstructRows(meta *tableMeta, providers []int, rowsByProvide
 	err = parallelChunks(c.opts.ParallelWorkers, len(base.Rows), func(start, end int) error {
 		ys := make([]field.Element, c.opts.K)
 		chunkFaulty := map[int]bool{}
+		// One slab holds the span's rows; each row is capped to its own slots.
+		width := len(meta.Cols)
+		slab := make([]Value, (end-start)*width)
 		for r := start; r < end; r++ {
 			id := base.Rows[r].ID
-			vals := make([]Value, len(meta.Cols))
-			for ci := range meta.Cols {
+			for _, p := range providers {
+				if n := len(rowsByProvider[p].Rows[r].Cells); n != len(plan.names) {
+					return fmt.Errorf("%w: provider %d sent row %d with %d cells under a %d-column header",
+						ErrInconsistent, p, id, n, len(plan.names))
+				}
+			}
+			vals := slab[(r-start)*width : (r-start+1)*width : (r-start+1)*width]
+			for ci, cell := range plan.cell {
+				if cell < 0 {
+					continue
+				}
 				cm := &meta.Cols[ci]
-				cell := colCell[ci]
 				if !cm.queryable() {
 					blob, err := c.openBlob(meta, base.Rows[r].Cells[cell])
 					if err != nil {
@@ -678,6 +681,15 @@ func residualPreds(preds []compiledPred) []compiledPred {
 		return preds[1:]
 	}
 	return preds
+}
+
+// predCols lists the columns a set of predicates tests.
+func predCols(preds []compiledPred) []int {
+	cols := make([]int, len(preds))
+	for i, cp := range preds {
+		cols[i] = cp.ci
+	}
+	return cols
 }
 
 // filterResidual applies remaining predicates client-side.

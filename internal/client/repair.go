@@ -369,7 +369,7 @@ func (c *Client) reseedTable(p int, meta *tableMeta) error {
 	// No deadline deliberately: repair scans rebuild provider state and
 	// must run to completion even when the client bounds its foreground
 	// reads with Options.ReadDeadline.
-	scan, err := c.scanTable(meta, nil, scanOpts{epoch: noEpoch, deadline: noDeadline})
+	scan, err := c.scanTable(meta, nil, scanOpts{cols: meta.allCols(), epoch: noEpoch, deadline: noDeadline})
 	if err != nil {
 		return err
 	}

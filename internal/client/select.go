@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sssdb/internal/field"
@@ -43,48 +44,53 @@ func (c *Client) execSelect(s *sql.Select) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	verified := s.Verified || c.opts.Verified
-	limit := s.Limit
-	if s.OrderBy != nil {
-		// LIMIT applies after the sort, so the scan cannot pre-truncate.
-		limit = 0
-	}
-	scan, err := c.scanTable(meta, preds, c.readOpts(limit, verified))
+	cols, idx, err := selectColumns(meta, s.Items)
 	if err != nil {
 		return nil, err
 	}
-	if s.OrderBy != nil {
-		if err := c.orderScan(meta, scan, s.OrderBy); err != nil {
+	verified := s.Verified || c.opts.Verified
+	if s.OrderBy == nil {
+		scan, err := c.scanTable(meta, preds, c.readOpts(idx, s.Limit, verified))
+		if err != nil {
 			return nil, err
 		}
-		if s.Limit > 0 && uint64(len(scan.ids)) > s.Limit {
-			scan.ids = scan.ids[:s.Limit]
-			scan.values = scan.values[:s.Limit]
-		}
+		return projectScan(cols, idx, scan), nil
 	}
-	return c.projectScan(meta, scan, s.Items)
+	oci, err := orderColumn(meta, s.OrderBy)
+	if err != nil {
+		return nil, err
+	}
+	// LIMIT applies after the sort, so the scan cannot pre-truncate.
+	scan, err := c.scanTable(meta, preds, c.readOpts(append(slices.Clip(idx), oci), 0, verified))
+	if err != nil {
+		return nil, err
+	}
+	if err := orderScan(meta, scan, oci, s.OrderBy.Desc, s.Limit); err != nil {
+		return nil, err
+	}
+	return projectScan(cols, idx, scan), nil
 }
 
-// orderScan sorts reconstructed rows by a column's encoded value (which is
-// exactly value order), ascending or descending. Ties keep row-id order so
-// results are deterministic.
-func (c *Client) orderScan(meta *tableMeta, scan *scanResult, oc *sql.OrderClause) error {
+// orderColumn resolves an ORDER BY clause onto its column's index.
+func orderColumn(meta *tableMeta, oc *sql.OrderClause) (int, error) {
 	if oc.Col.Table != "" && oc.Col.Table != meta.Name {
-		return fmt.Errorf("%w: %q", ErrNoSuchColumn, oc.Col)
+		return 0, fmt.Errorf("%w: %q", ErrNoSuchColumn, oc.Col)
 	}
 	cm, err := meta.col(oc.Col.Name)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if !cm.queryable() {
-		return fmt.Errorf("%w: ORDER BY on BLOB column %q", ErrUnsupported, cm.Name)
+		return 0, fmt.Errorf("%w: ORDER BY on BLOB column %q", ErrUnsupported, cm.Name)
 	}
-	ci := -1
-	for i := range meta.Cols {
-		if meta.Cols[i].Name == cm.Name {
-			ci = i
-		}
-	}
+	return meta.colIndex(cm.Name), nil
+}
+
+// orderScan sorts reconstructed rows by column ci's encoded value (which is
+// exactly value order), ascending or descending, then keeps the first limit
+// rows (0 = all). Ties keep row-id order so results are deterministic.
+func orderScan(meta *tableMeta, scan *scanResult, ci int, desc bool, limit uint64) error {
+	cm := &meta.Cols[ci]
 	type keyed struct {
 		enc uint64
 		id  uint64
@@ -100,13 +106,16 @@ func (c *Client) orderScan(meta *tableMeta, scan *scanResult, oc *sql.OrderClaus
 	}
 	sort.Slice(keys, func(a, b int) bool {
 		if keys[a].enc != keys[b].enc {
-			if oc.Desc {
+			if desc {
 				return keys[a].enc > keys[b].enc
 			}
 			return keys[a].enc < keys[b].enc
 		}
 		return keys[a].id < keys[b].id
 	})
+	if limit > 0 && uint64(len(keys)) > limit {
+		keys = keys[:limit]
+	}
 	ids := make([]uint64, len(keys))
 	values := make([][]Value, len(keys))
 	for i, k := range keys {
@@ -119,7 +128,8 @@ func (c *Client) orderScan(meta *tableMeta, scan *scanResult, oc *sql.OrderClaus
 }
 
 // selectColumns resolves a select list onto output column names and their
-// indices in the full reconstructed row (meta.Cols order).
+// indices in meta.Cols — which is both how a reconstructed row is indexed
+// and the set of columns the scan has to fetch.
 func selectColumns(meta *tableMeta, items []sql.SelectItem) (cols []string, idx []int, err error) {
 	for _, item := range items {
 		if item.Star {
@@ -133,12 +143,7 @@ func selectColumns(meta *tableMeta, items []sql.SelectItem) (cols []string, idx 
 			return nil, nil, fmt.Errorf("%w: column %q does not belong to table %q",
 				ErrNoSuchColumn, item.Col, meta.Name)
 		}
-		found := -1
-		for ci := range meta.Cols {
-			if meta.Cols[ci].Name == item.Col.Name {
-				found = ci
-			}
-		}
+		found := meta.colIndex(item.Col.Name)
 		if found < 0 {
 			return nil, nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, item.Col)
 		}
@@ -148,21 +153,18 @@ func selectColumns(meta *tableMeta, items []sql.SelectItem) (cols []string, idx 
 	return cols, idx, nil
 }
 
-// projectScan maps full reconstructed rows onto the select list.
-func (c *Client) projectScan(meta *tableMeta, scan *scanResult, items []sql.SelectItem) (*Result, error) {
-	cols, idx, err := selectColumns(meta, items)
-	if err != nil {
-		return nil, err
-	}
+// projectScan lowers reconstructed rows onto the select list resolved by
+// selectColumns.
+func projectScan(cols []string, idx []int, scan *scanResult) *Result {
 	res := &Result{Columns: cols, Verified: scan.verified}
-	for r := range scan.values {
+	for _, vals := range scan.values {
 		row := make([]Value, len(idx))
 		for i, ci := range idx {
-			row[i] = scan.values[r][ci]
+			row[i] = vals[ci]
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	return res
 }
 
 // --- Aggregates ---
@@ -184,7 +186,11 @@ func (c *Client) execAggregates(meta *tableMeta, s *sql.Select) (*Result, error)
 		(len(preds) == 1 && preds[0].set != nil)
 	var scan *scanResult
 	if clientSide {
-		scan, err = c.scanTable(meta, preds, c.readOpts(0, verified))
+		cols, err := aggCols(meta, s.Items)
+		if err != nil {
+			return nil, err
+		}
+		scan, err = c.scanTable(meta, preds, c.readOpts(cols, 0, verified))
 		if err != nil {
 			return nil, err
 		}
@@ -220,16 +226,34 @@ func (meta *tableMeta) aggItemCol(item sql.SelectItem) (*colMeta, int, error) {
 	if item.Col.Table != "" && item.Col.Table != meta.Name {
 		return nil, -1, fmt.Errorf("%w: %q", ErrNoSuchColumn, item.Col)
 	}
-	for ci := range meta.Cols {
-		if meta.Cols[ci].Name == item.Col.Name {
-			cm := &meta.Cols[ci]
-			if !cm.queryable() {
-				return nil, -1, fmt.Errorf("%w: aggregate over BLOB column %q", ErrUnsupported, cm.Name)
-			}
-			return cm, ci, nil
+	ci := meta.colIndex(item.Col.Name)
+	if ci < 0 {
+		return nil, -1, fmt.Errorf("%w: %q", ErrNoSuchColumn, item.Col)
+	}
+	cm := &meta.Cols[ci]
+	if !cm.queryable() {
+		return nil, -1, fmt.Errorf("%w: aggregate over BLOB column %q", ErrUnsupported, cm.Name)
+	}
+	return cm, ci, nil
+}
+
+// aggCols lists the columns a client-side evaluation of the aggregates
+// among items reads from a scan (COUNT(*) reads none).
+func aggCols(meta *tableMeta, items []sql.SelectItem) ([]int, error) {
+	var cols []int
+	for _, item := range items {
+		if item.Agg == sql.AggNone {
+			continue
+		}
+		_, ci, err := meta.aggItemCol(item)
+		if err != nil {
+			return nil, err
+		}
+		if ci >= 0 {
+			cols = append(cols, ci)
 		}
 	}
-	return nil, -1, fmt.Errorf("%w: %q", ErrNoSuchColumn, item.Col)
+	return cols, nil
 }
 
 // sumBias is the encoding offset folded into SUM: every signed/decimal
@@ -360,11 +384,14 @@ func (c *Client) aggregateRemote(meta *tableMeta, preds []compiledPred, item sql
 				return Value{}, fmt.Errorf("%w: providers picked different %s rows", ErrInconsistent, item.Agg)
 			}
 		}
-		spec := meta.providerSpec()
-		cellIdx := spec.ColumnIndex(cm.Name + suffixField)
+		// The partial carries the winning row's value share alone.
 		shares := make([]secretshare.Share, len(responses))
 		for i, r := range responses {
-			cell := results[i].Row.Cells[cellIdx]
+			if len(results[i].Row.Cells) != 1 {
+				return Value{}, fmt.Errorf("%w: provider %d returned %d cells for %s", ErrInconsistent,
+					r.provider, len(results[i].Row.Cells), item.Agg)
+			}
+			cell := results[i].Row.Cells[0]
 			if len(cell) != 8 {
 				return Value{}, fmt.Errorf("%w: provider %d returned a malformed share", ErrInconsistent, r.provider)
 			}

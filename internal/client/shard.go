@@ -462,9 +462,11 @@ func (c *Client) shardWhereDML(meta *tableMeta, info *shardInfo, where []sql.Pre
 
 // gatherScan runs one read-locked scan of a single group on behalf of the
 // router: the same locking, predicate compilation, and pending-update
-// overlay a plain per-group SELECT would get. epoch is the group's snapshot
-// cap for reads inside a transaction, noEpoch otherwise.
-func (sub *Client) gatherScan(table string, where []sql.Predicate, verified bool, epoch uint64) (*scanResult, error) {
+// overlay a plain per-group SELECT would get. cols are the columns the router
+// will read (scanOpts.cols; schemas, hence indices, are identical in every
+// group). epoch is the group's snapshot cap for reads inside a transaction,
+// noEpoch otherwise.
+func (sub *Client) gatherScan(table string, where []sql.Predicate, cols []int, verified bool, epoch uint64) (*scanResult, error) {
 	if verified {
 		sub.mu.Lock()
 		defer sub.mu.Unlock()
@@ -480,7 +482,7 @@ func (sub *Client) gatherScan(table string, where []sql.Predicate, verified bool
 	if err != nil {
 		return nil, err
 	}
-	o := sub.readOpts(0, verified)
+	o := sub.readOpts(cols, 0, verified)
 	o.epoch = epoch
 	return sub.scanTable(meta, preds, o)
 }
@@ -488,7 +490,7 @@ func (sub *Client) gatherScan(table string, where []sql.Predicate, verified bool
 // gatherScanExclusive is gatherScan under the exclusive statement lock with
 // lazy updates flushed first — the per-group footing of statements that are
 // exclusive on a single-group client (aggregates, GROUP BY, joins).
-func (sub *Client) gatherScanExclusive(table string, where []sql.Predicate, verified bool) (*scanResult, error) {
+func (sub *Client) gatherScanExclusive(table string, where []sql.Predicate, cols []int, verified bool) (*scanResult, error) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if err := sub.flushTableLocked(table); err != nil {
@@ -502,11 +504,11 @@ func (sub *Client) gatherScanExclusive(table string, where []sql.Predicate, veri
 	if err != nil {
 		return nil, err
 	}
-	return sub.scanTable(meta, preds, sub.readOpts(0, verified))
+	return sub.scanTable(meta, preds, sub.readOpts(cols, 0, verified))
 }
 
 // fanScan gathers one scan per target group concurrently.
-func (c *Client) fanScan(table string, where []sql.Predicate, targets []int, verified, exclusive bool) ([]*scanResult, error) {
+func (c *Client) fanScan(table string, where []sql.Predicate, cols []int, targets []int, verified, exclusive bool) ([]*scanResult, error) {
 	scans := make([]*scanResult, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
@@ -517,9 +519,9 @@ func (c *Client) fanScan(table string, where []sql.Predicate, targets []int, ver
 			var scan *scanResult
 			var err error
 			if exclusive {
-				scan, err = c.shards[g].gatherScanExclusive(table, where, verified)
+				scan, err = c.shards[g].gatherScanExclusive(table, where, cols, verified)
 			} else {
-				scan, err = c.shards[g].gatherScan(table, where, verified, noEpoch)
+				scan, err = c.shards[g].gatherScan(table, where, cols, verified, noEpoch)
 			}
 			if err != nil {
 				errs[i] = fmt.Errorf("shard group %d: %w", g, err)

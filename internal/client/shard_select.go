@@ -13,6 +13,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -69,21 +70,24 @@ func (c *Client) shardSelect(s *sql.Select, query string) (*Result, error) {
 	// ORDER BY: gather full per-group scans, sort the merged result. Ties
 	// between equal sort keys from different groups are broken by each
 	// group's private row ids, so cross-group tie order is unspecified.
+	cols, idx, err := selectColumns(meta, s.Items)
+	if err != nil {
+		return nil, err
+	}
+	oci, err := orderColumn(meta, s.OrderBy)
+	if err != nil {
+		return nil, err
+	}
 	verified := s.Verified || c.opts.Verified
-	scans, err := c.fanScan(s.Table, s.Where, targets, verified, verified)
+	scans, err := c.fanScan(s.Table, s.Where, append(slices.Clip(idx), oci), targets, verified, verified)
 	if err != nil {
 		return nil, err
 	}
 	merged := c.mergeScans(scans, targets)
-	sub0 := c.shards[0]
-	if err := sub0.orderScan(meta, merged, s.OrderBy); err != nil {
+	if err := orderScan(meta, merged, oci, s.OrderBy.Desc, s.Limit); err != nil {
 		return nil, err
 	}
-	if s.Limit > 0 && uint64(len(merged.ids)) > s.Limit {
-		merged.ids = merged.ids[:s.Limit]
-		merged.values = merged.values[:s.Limit]
-	}
-	return sub0.projectScan(meta, merged, s.Items)
+	return projectScan(cols, idx, merged), nil
 }
 
 // --- Aggregates ---
@@ -193,7 +197,11 @@ func (c *Client) shardAggregates(meta *tableMeta, s *sql.Select, targets []int) 
 	row := make([]Value, 0, len(s.Items))
 
 	if needScan {
-		scans, err := c.fanScan(s.Table, s.Where, targets, verified, true)
+		cols, err := aggCols(meta, s.Items)
+		if err != nil {
+			return nil, err
+		}
+		scans, err := c.fanScan(s.Table, s.Where, cols, targets, verified, true)
 		if err != nil {
 			return nil, err
 		}
@@ -385,7 +393,11 @@ func (c *Client) shardGroupBy(meta *tableMeta, s *sql.Select, targets []int) (*R
 			groups = append(groups, byKey[enc])
 		}
 	} else {
-		scans, err := c.fanScan(s.Table, s.Where, targets, verified, true)
+		cols, err := aggCols(meta, computeItems)
+		if err != nil {
+			return nil, err
+		}
+		scans, err := c.fanScan(s.Table, s.Where, append(cols, gci), targets, verified, true)
 		if err != nil {
 			return nil, err
 		}
@@ -459,23 +471,25 @@ func (c *Client) shardJoin(s *sql.Select) (*Result, error) {
 	// each side from its routed groups and hash-join at the client.
 	targetsL := c.routeGroups(left, infoL, leftPreds)
 	targetsR := c.routeGroups(right, infoR, rightPreds)
-	lScans, err := c.fanJoinScans(left.Name, leftPreds, left.Name, targetsL)
+	lci, rci := left.colIndex(lcName), right.colIndex(rcName)
+	lScans, err := c.fanJoinScans(left.Name, leftPreds, append(joinSideCols(items, true), lci), targetsL)
 	if err != nil {
 		return nil, err
 	}
-	rScans, err := c.fanJoinScans(right.Name, rightPreds, right.Name, targetsR)
+	rScans, err := c.fanJoinScans(right.Name, rightPreds, append(joinSideCols(items, false), rci), targetsR)
 	if err != nil {
 		return nil, err
 	}
 	lScan := c.mergeScans(lScans, targetsL)
 	rScan := c.mergeScans(rScans, targetsR)
-	return joinFromScans(left, right, lcName, rcName, items, lScan, rScan)
+	return joinFromScans(lci, rci, items, lScan, rScan), nil
 }
 
 // fanJoinScans gathers one side of a join from its target groups, under
 // each group's exclusive lock with that table's lazy updates flushed
-// (matching the single-group join's footing).
-func (c *Client) fanJoinScans(table string, preds []sql.Predicate, qualifier string, targets []int) ([]*scanResult, error) {
+// (matching the single-group join's footing). Predicates may be qualified
+// with the table's own name.
+func (c *Client) fanJoinScans(table string, preds []sql.Predicate, cols []int, targets []int) ([]*scanResult, error) {
 	scans := make([]*scanResult, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
@@ -494,11 +508,11 @@ func (c *Client) fanJoinScans(table string, preds []sql.Predicate, qualifier str
 				if err != nil {
 					return nil, err
 				}
-				cp, err := sub.compilePredicates(meta, preds, qualifier)
+				cp, err := sub.compilePredicates(meta, preds, table)
 				if err != nil {
 					return nil, err
 				}
-				return sub.scanTable(meta, cp, sub.readOpts(0, false))
+				return sub.scanTable(meta, cp, sub.readOpts(cols, 0, false))
 			}()
 			if err != nil {
 				errs[i] = fmt.Errorf("shard group %d: %w", g, err)
@@ -517,27 +531,36 @@ func (c *Client) fanJoinScans(table string, preds []sql.Predicate, qualifier str
 // --- EXPLAIN ---
 
 func (c *Client) shardExplain(e *sql.Explain, query string) (*Result, error) {
-	s := e.Stmt
 	res := &Result{Columns: []string{"plan"}}
 	line := func(format string, args ...any) {
 		res.Rows = append(res.Rows, []Value{StringValue(fmt.Sprintf(format, args...))})
 	}
-	if s.Join != nil {
-		if _, _, err := c.shardTable(s.Table); err != nil {
-			return nil, err
+	var table string
+	var where []sql.Predicate
+	switch s := e.Stmt.(type) {
+	case *sql.Select:
+		if s.Join != nil {
+			if _, _, err := c.shardTable(s.Table); err != nil {
+				return nil, err
+			}
+			if _, _, err := c.shardTable(s.Join.Table); err != nil {
+				return nil, err
+			}
+			line("SHARD JOIN %s ⋈ %s: gather both sides from their routed groups; hash-join at the client",
+				s.Table, s.Join.Table)
+			return res, nil
 		}
-		if _, _, err := c.shardTable(s.Join.Table); err != nil {
-			return nil, err
-		}
-		line("SHARD JOIN %s ⋈ %s: gather both sides from their routed groups; hash-join at the client",
-			s.Table, s.Join.Table)
-		return res, nil
+		table, where = s.Table, s.Where
+	case *sql.Update:
+		table, where = s.Table, s.Where
+	case *sql.Delete:
+		table, where = s.Table, s.Where
 	}
-	meta, info, err := c.shardTable(s.Table)
+	meta, info, err := c.shardTable(table)
 	if err != nil {
 		return nil, err
 	}
-	targets := c.routeGroups(meta, info, s.Where)
+	targets := c.routeGroups(meta, info, where)
 	switch {
 	case info.column == "":
 		line("SHARD %s: rows hash-partitioned on insert sequence across %d groups — scatter-gather",

@@ -40,8 +40,8 @@ const streamBatchRows = 1024
 var errStreamDone = errors.New("client: stream consumer done")
 
 // alignedBatch is one reconstructed span of the result: ids[i] is the row
-// id of values[i], which holds every client column (projection applies
-// later, at the consumer).
+// id of values[i], which is indexed like meta.Cols and holds the columns the
+// scan fetched (see scanResult.values).
 type alignedBatch struct {
 	ids    []uint64
 	values [][]Value
@@ -70,8 +70,10 @@ type rowStream struct {
 	avoid []int
 
 	// The rest is the aligner goroutine's: how to start a replacement
-	// provider stream mid-scan, and which hedge spares remain.
+	// provider stream mid-scan, and which hedge spares remain. Every stream
+	// of the scan — initial, hedge rival, continuation — asks for plan.names.
 	filters   []*proto.Filter
+	plan      fetchPlan
 	pushLimit uint64
 	watermark uint64
 	// threshold is the straggler threshold for this scan (0 = no hedging);
@@ -231,6 +233,7 @@ func (rs *rowStream) start(p int, skip int, limit uint64) *provStream {
 	req := &proto.ScanRequest{
 		Table:         rs.meta.Name,
 		Filter:        rs.filters[p],
+		Projection:    rs.plan.names,
 		Limit:         limit,
 		TimeoutMillis: timeoutMillis(rs.o.deadline),
 	}
@@ -331,7 +334,8 @@ func (rs *rowStream) race(old, rival *provStream) *provStream {
 // not in avoid (at least K must remain). Any error after this point
 // surfaces through rs.err when rs.out closes. o.epoch caps the insert
 // watermark (transactional reads) and o.deadline bounds every provider
-// stream.
+// stream. Providers ship only the value cells of o.cols and of the residual
+// predicates' columns.
 func (c *Client) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts, avoid []int) (*rowStream, error) {
 	pushLimit := o.limit
 	if len(residualPreds(preds)) > 0 {
@@ -374,6 +378,7 @@ func (c *Client) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 		o:         o,
 		avoid:     avoid,
 		filters:   filters,
+		plan:      meta.scanPlan(preds, o.cols, false),
 		pushLimit: pushLimit,
 		watermark: watermark,
 		threshold: c.hedgeThreshold(),
@@ -455,14 +460,10 @@ func (rs *rowStream) align(streams []*provStream) {
 		providers := make([]int, len(streams))
 		rowsByProvider := make(map[int]*proto.RowsResponse, len(streams))
 		for i, ps := range streams {
-			if ps.cols == nil {
-				rs.err = fmt.Errorf("%w: provider %d sent rows without a column header", ErrInconsistent, ps.p)
-				return true
-			}
 			providers[i] = ps.p
 			rowsByProvider[ps.p] = &proto.RowsResponse{Columns: ps.cols, Rows: batch[i]}
 		}
-		res, err := c.reconstructRows(meta, providers, rowsByProvider, false)
+		res, err := c.reconstructRows(meta, &rs.plan, providers, rowsByProvider, false)
 		if err != nil {
 			rs.err = err
 			return true
@@ -711,7 +712,7 @@ func (c *Client) QueryRows(query string) (*Rows, error) {
 			return &Rows{cols: cols, finished: true}, nil
 		}
 	}
-	rs, err := c.openRowStream(meta, preds, c.readOpts(s.Limit, false), nil)
+	rs, err := c.openRowStream(meta, preds, c.readOpts(idx, s.Limit, false), nil)
 	if err != nil {
 		unlock()
 		return nil, err

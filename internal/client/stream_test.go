@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -194,7 +195,8 @@ func TestQueryRowsCloseReleasesLock(t *testing.T) {
 // TestStreamingLimitWireBytes asserts the O(limit) transfer property: a
 // LIMIT-10 scan over a large table must move a small fraction of the bytes
 // of the full scan, because the limit is pushed into the provider cursors
-// (and the residual-predicate variant is cut short by cancel frames).
+// (and the residual-predicate variant is cut short by cancel frames) — and
+// the O(selected columns) one: only the cells the statement reads move.
 func TestStreamingLimitWireBytes(t *testing.T) {
 	f := newFleet(t, 3, 2, Options{})
 	f.mustExec(t, `CREATE TABLE nums (v INT, w INT)`)
@@ -219,8 +221,17 @@ func TestStreamingLimitWireBytes(t *testing.T) {
 
 	full := measure(`SELECT v FROM nums WHERE v >= 0`, n)
 	limited := measure(`SELECT v FROM nums WHERE v >= 0 LIMIT 10`, 10)
-	if limited*20 > full {
-		t.Errorf("LIMIT 10 received %d bytes vs %d for the full scan; want <1/20 (limit pushdown broken)", limited, full)
+	if limited*100 > full {
+		t.Errorf("LIMIT 10 received %d bytes vs %d for the full scan; want <1/100 (limit pushdown broken)", limited, full)
+	}
+	// The scan reads one of two columns, so each of the K=2 providers ships
+	// one 8-byte field share per row plus at most 5 bytes of framing — not
+	// the 64 bytes a stored row's four cells take.
+	if perRow := full / (2 * n); perRow > 13 {
+		t.Errorf("SELECT v received %d bytes per row per provider, want ≤13 (projection not pushed)", perRow)
+	}
+	if limited > 400 {
+		t.Errorf("LIMIT 10 of one column received %d bytes, want ≤400", limited)
 	}
 }
 
@@ -236,6 +247,46 @@ func (h scanCounter) Handle(req proto.Message) proto.Message {
 		h.buffered.Add(1)
 	}
 	return h.Provider.Handle(req)
+}
+
+// scanLog records the streamed scan requests a fleet's providers receive.
+type scanLog struct {
+	mu   sync.Mutex
+	reqs []loggedScan
+}
+
+type loggedScan struct {
+	provider int
+	req      *proto.ScanRequest
+}
+
+// recorder wraps provider i's handler so its streamed scans land in the log.
+func (l *scanLog) recorder(i int, p *server.Provider) transport.Handler {
+	return scanRecorder{Provider: p, provider: i, log: l}
+}
+
+// take returns the scans logged since the last take.
+func (l *scanLog) take() []loggedScan {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.reqs
+	l.reqs = nil
+	return out
+}
+
+type scanRecorder struct {
+	*server.Provider
+	provider int
+	log      *scanLog
+}
+
+func (h scanRecorder) HandleStream(req proto.Message, emit func(*proto.RowsResponse) error) (bool, error) {
+	if m, ok := req.(*proto.ScanRequest); ok {
+		h.log.mu.Lock()
+		h.log.reqs = append(h.log.reqs, loggedScan{provider: h.provider, req: m})
+		h.log.mu.Unlock()
+	}
+	return h.Provider.HandleStream(req, emit)
 }
 
 // TestStreamFailoverDeadAtOpen checks the stream owns failover: with a
@@ -321,18 +372,21 @@ func TestStreamFailoverMidStream(t *testing.T) {
 // client drops rows at or above the insert watermark, so a half-landed row
 // that matches the range used to cost the result a slot: LIMIT 20 returned
 // 19 when the row had reached every provider read, and an inconsistency
-// error when it had reached only one of them.
+// error when it had reached only one of them. The continuation stream that
+// fills the slot must ask for the cells the limited stream asked for: the
+// aligner reconstructs both through one fetch plan.
 func TestLimitNotSpentOnMaskedRows(t *testing.T) {
 	for name, landed := range map[string][]int{
 		"landed on one of the two providers read": {0},
 		"landed everywhere":                       {0, 1, 2},
 	} {
-		f := newFleet(t, 3, 2, Options{})
-		f.mustExec(t, `CREATE TABLE t (v INT)`)
+		var log scanLog
+		f := newFleetWrapped(t, 3, 2, Options{}, log.recorder)
+		f.mustExec(t, `CREATE TABLE t (v INT, w INT)`)
 		const stable = 30
 		rows := make([][]Value, stable)
 		for i := range rows {
-			rows[i] = []Value{IntValue(int64(100 + i))}
+			rows[i] = []Value{IntValue(int64(100 + i)), IntValue(int64(i))}
 		}
 		if _, err := f.client.InsertValues("t", rows); err != nil {
 			t.Fatal(err)
@@ -344,7 +398,7 @@ func TestLimitNotSpentOnMaskedRows(t *testing.T) {
 		c := f.client
 		meta := c.tables["t"]
 		base := c.reserveIDs(meta, 1)
-		perProvider, err := c.encodeRowsAt(meta, []uint64{base}, [][]Value{{IntValue(5)}})
+		perProvider, err := c.encodeRowsAt(meta, []uint64{base}, [][]Value{{IntValue(5), IntValue(0)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,9 +409,21 @@ func TestLimitNotSpentOnMaskedRows(t *testing.T) {
 		}
 		for _, limit := range []int{1, 20, stable} {
 			q := fmt.Sprintf(`SELECT v FROM t WHERE v BETWEEN 0 AND 1000 LIMIT %d`, limit)
+			log.take()
 			res, err := c.Exec(q)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, q, err)
+			}
+			continued := false
+			for _, s := range log.take() {
+				continued = continued || s.req.Limit == 0
+				if fmt.Sprint(s.req.Projection) != "[v#f]" {
+					t.Fatalf("%s: %s: provider %d asked with LIMIT %d for %v, want [v#f]",
+						name, q, s.provider, s.req.Limit, s.req.Projection)
+				}
+			}
+			if !continued {
+				t.Fatalf("%s: %s: no unlimited continuation stream was opened", name, q)
 			}
 			if len(res.Rows) != limit {
 				t.Fatalf("%s: %s returned %d rows with %d stable rows in range", name, q, len(res.Rows), stable)

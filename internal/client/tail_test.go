@@ -113,15 +113,30 @@ func TestStallObservationDemotesWithoutCompletion(t *testing.T) {
 // Same under the streaming zipper: a stalled provider stream is raced
 // against a spare mid-scan, and the result stays correct.
 func TestHedgeCoversStragglerStreaming(t *testing.T) {
-	f := newFleet(t, 4, 2, Options{HedgeDelay: 10 * time.Millisecond})
+	var log scanLog
+	f := newFleetWrapped(t, 4, 2, Options{HedgeDelay: 10 * time.Millisecond}, log.recorder)
 	setupEmployees(t, f)
 	want := rowsAsStrings(f.mustExec(t, `SELECT name, salary FROM employees`))
 
-	slow := f.client.providerOrder()[0]
+	readSet := f.client.providerOrder()[:2]
+	slow := readSet[0]
 	f.faults[slow].SetDelay(2 * time.Second)
+	log.take()
 	start := time.Now()
 	res := f.mustExec(t, `SELECT name, salary FROM employees`)
 	elapsed := time.Since(start)
+	// The rival stream ran on a spare provider and asked for exactly the
+	// cells the stalled stream was asked for.
+	rival := false
+	for _, s := range log.take() {
+		rival = rival || (s.provider != readSet[0] && s.provider != readSet[1])
+		if fmt.Sprint(s.req.Projection) != "[name#f salary#f]" {
+			t.Errorf("provider %d was asked for %v, want [name#f salary#f]", s.provider, s.req.Projection)
+		}
+	}
+	if !rival {
+		t.Error("no spare provider received the rival stream")
+	}
 	got := rowsAsStrings(res)
 	if len(got) != len(want) {
 		t.Fatalf("hedged scan returned %d rows, want %d", len(got), len(want))

@@ -255,13 +255,13 @@ func (tx *Tx) execSelect(s *sql.Select) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := c.readOpts(s.Limit, false)
+	o := c.readOpts(idx, s.Limit, false)
 	o.epoch = tx.epochAt(s.Table, 0)
 	res, err := c.scanTable(meta, preds, o)
 	if err != nil {
 		return nil, err
 	}
-	return projectResult(cols, idx, res), nil
+	return projectScan(cols, idx, res), nil
 }
 
 // shardSelect is the router's snapshot read: fan the scan over the routed
@@ -284,7 +284,7 @@ func (tx *Tx) shardSelect(s *sql.Select) (*Result, error) {
 		wg.Add(1)
 		go func(i, g int) {
 			defer wg.Done()
-			scan, err := c.shards[g].gatherScan(s.Table, s.Where, false, tx.epochAt(s.Table, g))
+			scan, err := c.shards[g].gatherScan(s.Table, s.Where, idx, false, tx.epochAt(s.Table, g))
 			if err != nil {
 				errs[i] = fmt.Errorf("shard group %d: %w", g, err)
 				return
@@ -305,20 +305,7 @@ func (tx *Tx) shardSelect(s *sql.Select) (*Result, error) {
 		merged.ids = merged.ids[:s.Limit]
 		merged.values = merged.values[:s.Limit]
 	}
-	return projectResult(cols, idx, merged), nil
-}
-
-// projectResult lowers a scanResult onto the selected columns.
-func projectResult(cols []string, idx []int, res *scanResult) *Result {
-	rows := make([][]Value, len(res.values))
-	for r, vals := range res.values {
-		row := make([]Value, len(idx))
-		for i, ci := range idx {
-			row[i] = vals[ci]
-		}
-		rows[r] = row
-	}
-	return &Result{Columns: cols, Rows: rows}
+	return projectScan(cols, idx, merged), nil
 }
 
 // Rollback discards the buffered statements. Nothing has reached a provider
@@ -487,19 +474,13 @@ func (c *Client) evalTxUpdate(s *sql.Update) (*tableMeta, [][]proto.Row, bool, e
 		if err != nil {
 			return nil, nil, false, err
 		}
-		ci := -1
-		for i := range meta.Cols {
-			if meta.Cols[i].Name == a.Col {
-				ci = i
-			}
-		}
-		assigns = append(assigns, assign{ci: ci, val: v})
+		assigns = append(assigns, assign{ci: meta.colIndex(a.Col), val: v})
 	}
 	preds, err := c.compilePredicates(meta, s.Where, "")
 	if err != nil {
 		return nil, nil, false, err
 	}
-	scan, err := c.scanTable(meta, preds, c.readOpts(0, false))
+	scan, err := c.scanTable(meta, preds, c.readOpts(meta.allCols(), 0, false))
 	if err != nil {
 		return nil, nil, false, err
 	}
@@ -531,7 +512,7 @@ func (c *Client) evalTxDelete(s *sql.Delete) (*tableMeta, []uint64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	scan, err := c.scanTable(meta, preds, c.readOpts(0, false))
+	scan, err := c.scanTable(meta, preds, c.readOpts(nil, 0, false))
 	if err != nil {
 		return nil, nil, err
 	}

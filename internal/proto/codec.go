@@ -130,19 +130,28 @@ func (r *reader) length(max uint64) int {
 	return int(n)
 }
 
+// bytes returns a copy of one length-prefixed byte string (nil when empty).
 func (r *reader) bytes() []byte {
-	n := r.length(maxCellLen)
-	if r.err != nil || n == 0 {
+	n := r.skipBytes()
+	if n == 0 {
 		return nil
+	}
+	return append([]byte(nil), r.buf[r.off-n:r.off]...)
+}
+
+// skipBytes steps over one length-prefixed byte string, returning its
+// payload length (0 on error); the payload is r.buf[r.off-n : r.off].
+func (r *reader) skipBytes() int {
+	n := r.length(maxCellLen)
+	if r.err != nil {
+		return 0
 	}
 	if r.off+n > len(r.buf) {
 		r.fail(ErrTruncated)
-		return nil
+		return 0
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
 	r.off += n
-	return out
+	return n
 }
 
 func (r *reader) str() string {
@@ -207,10 +216,13 @@ func writeRow(w *writer, row Row) {
 	}
 }
 
+// maxRowCells bounds the cells of one decoded row.
+const maxRowCells = 4096
+
 func readRow(r *reader) Row {
 	var row Row
 	row.ID = r.uvarint()
-	n := r.length(4096)
+	n := r.length(maxRowCells)
 	if r.err != nil || n == 0 {
 		return row
 	}
@@ -228,16 +240,48 @@ func writeRows(w *writer, rows []Row) {
 	}
 }
 
+// readRows decodes a row list into three allocations, however many rows it
+// holds: the Row headers, one [][]byte backing every row's Cells, and one
+// arena the cell payloads are copied into (so nothing aliases the frame
+// buffer). A first pass validates the encoding and sizes them; the second
+// fills them. Each cell is capped to its own bytes, so appending to one can
+// never overwrite its neighbour.
 func readRows(r *reader) []Row {
 	n := r.length(maxListLen)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = readRow(r)
+	start := r.off
+	cells, payload := 0, 0
+	for i := 0; i < n; i++ {
+		r.uvarint() // row id
+		nc := r.length(maxRowCells)
+		for j := 0; j < nc; j++ {
+			payload += r.skipBytes()
+		}
 		if r.err != nil {
 			return nil
+		}
+		cells += nc
+	}
+	rows := make([]Row, n)
+	index := make([][]byte, cells)
+	arena := make([]byte, payload)
+	r.off = start
+	for i := range rows {
+		rows[i].ID = r.uvarint()
+		nc := r.length(maxRowCells)
+		if nc == 0 {
+			continue
+		}
+		rows[i].Cells = index[:nc:nc]
+		index = index[nc:]
+		for j := range rows[i].Cells {
+			if cn := r.skipBytes(); cn > 0 {
+				copy(arena, r.buf[r.off-cn:r.off])
+				rows[i].Cells[j] = arena[:cn:cn]
+				arena = arena[cn:]
+			}
 		}
 	}
 	return rows

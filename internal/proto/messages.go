@@ -425,7 +425,8 @@ func (m *RowsResponse) unmarshal(r *reader) {
 }
 
 // AggResult carries a partial aggregate. Count is always set; Sum holds the
-// field-share sum for AggSum; Row holds the selected row for min/max/median.
+// field-share sum for AggSum; Row holds, for min/max/median, the selected
+// row's id and its ValueCol cell alone.
 type AggResult struct {
 	Count  uint64
 	Sum    uint64

@@ -9,6 +9,15 @@
 // never client values. Column naming conventions (the "#o"/"#f" twin
 // columns for each client column) live in the client; the protocol only
 // knows column kinds.
+//
+// Reads name the provider columns they want back (ScanRequest.Projection,
+// JoinRequest.LeftProj/RightProj; empty means all) and the response header
+// repeats them in cell order, so what a statement costs on the wire is the
+// cells it reads, not the row as stored: the client projects every
+// unverified read onto field-share cells, and only a proof-carrying scan
+// ships whole rows. Row lists decode into one header array, one cell index
+// and one payload arena per message (readRows) — three allocations however
+// many rows a chunk holds.
 package proto
 
 import (

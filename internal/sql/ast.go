@@ -251,11 +251,12 @@ type Delete struct {
 
 func (*Delete) stmt() {}
 
-// Explain is EXPLAIN <select>: it asks the client to describe how the
-// statement would execute (share rewriting, push-down decisions, quorum)
-// without running it.
+// Explain is EXPLAIN <select | update | delete>: it asks the client to
+// describe how the statement would execute (share rewriting, push-down
+// decisions, fetched cells, quorum) without running it. Stmt is a *Select,
+// *Update or *Delete.
 type Explain struct {
-	Stmt *Select
+	Stmt Statement
 }
 
 func (*Explain) stmt() {}

@@ -76,14 +76,14 @@ func (p *parser) parseStatement() (Statement, error) {
 	switch {
 	case p.at(TokKeyword, "EXPLAIN"):
 		p.advance()
-		if !p.at(TokKeyword, "SELECT") {
-			return nil, errorf(p.cur().Pos, "EXPLAIN supports SELECT statements")
+		if !p.at(TokKeyword, "SELECT") && !p.at(TokKeyword, "UPDATE") && !p.at(TokKeyword, "DELETE") {
+			return nil, errorf(p.cur().Pos, "EXPLAIN supports SELECT, UPDATE and DELETE statements")
 		}
-		inner, err := p.parseSelect()
+		inner, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}
-		return &Explain{Stmt: inner.(*Select)}, nil
+		return &Explain{Stmt: inner}, nil
 	case p.at(TokKeyword, "CREATE"):
 		return p.parseCreate()
 	case p.at(TokKeyword, "DROP"):

@@ -1109,6 +1109,10 @@ func (s *Store) Aggregate(name string, op proto.AggOp, orderCol, valueCol string
 		if t.spec.Columns[oi].Kind == proto.KindField {
 			return nil, fmt.Errorf("%w: cannot order by field-share column %q", ErrBadRequest, orderCol)
 		}
+		vi := t.spec.ColumnIndex(valueCol)
+		if vi < 0 {
+			return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, valueCol)
+		}
 		if len(ids) == 0 {
 			return res, nil
 		}
@@ -1160,8 +1164,10 @@ func (s *Store) Aggregate(name string, op proto.AggOp, orderCol, valueCol string
 		if err != nil {
 			return nil, err
 		}
+		// The winner's id lets the client check that every provider picked
+		// the same row; of its cells only the value share is of any use.
 		res.HasRow = true
-		res.Row = row
+		res.Row = proto.Row{ID: pickID, Cells: [][]byte{row.Cells[vi]}}
 		return res, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown aggregate op %d", ErrBadRequest, op)

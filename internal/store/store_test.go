@@ -327,6 +327,18 @@ func TestAggregates(t *testing.T) {
 	if !med.HasRow || med.Row.ID != 3 {
 		t.Fatalf("median row = %+v", med)
 	}
+	// The partial names the winning row and carries its value share alone.
+	for _, c := range []struct {
+		res    *proto.AggResult
+		salary uint64
+	}{{min, 20}, {max, 60}, {med, 40}} {
+		if len(c.res.Row.Cells) != 1 || !bytes.Equal(c.res.Row.Cells[0], fieldCell(c.salary*3)) {
+			t.Fatalf("row %d partial carries cells %x, want only the field share of %d", c.res.Row.ID, c.res.Row.Cells, c.salary)
+		}
+	}
+	if _, err := s.Aggregate("employees", proto.AggMax, "salary#o", "zz", filter); !errors.Is(err, ErrNoSuchColumn) {
+		t.Fatalf("max with a missing value column: %v", err)
+	}
 	// Empty match.
 	none := &proto.Filter{Col: "salary#o", Op: proto.FilterEq, Lo: oppCell(7777)}
 	res, err := s.Aggregate("employees", proto.AggMedian, "salary#o", "salary#f", none)
