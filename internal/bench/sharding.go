@@ -15,8 +15,8 @@ import (
 )
 
 // newShardedFleet starts `groups` provider groups of n in-process providers
-// each behind a shard router (groups=1 degrades to a plain client — the
-// baseline the scaling rows compare against).
+// each behind one client (groups=1 is the baseline the scaling rows
+// compare against).
 func newShardedFleet(groups, n, k int, opts client.Options) (*fleet, error) {
 	f := &fleet{}
 	connGroups := make([][]transport.Conn, groups)

@@ -1,16 +1,12 @@
 package client
 
-import (
-	"sort"
-)
-
 // AuditReport summarizes a full verified sweep of one table.
 type AuditReport struct {
 	Table string
 	// Rows is the number of reconstructed rows.
 	Rows int
-	// Faulty lists providers whose shares failed robust reconstruction or
-	// whose blob replicas diverged.
+	// Faulty lists providers (flat index group*N + provider) whose shares
+	// failed robust reconstruction or whose blob replicas diverged.
 	Faulty []int
 }
 
@@ -21,42 +17,25 @@ type AuditReport struct {
 // verification cannot complete (too many corruptions to decode, digest
 // mismatch, dropped rows).
 func (c *Client) Audit(table string) (*AuditReport, error) {
-	if c.shards != nil {
-		return c.shardAudit(table)
+	meta, err := c.cat.table(table)
+	if err != nil {
+		return nil, err
 	}
-	// Audits are reads: they share the statement lock unless buffered lazy
+	p := &selectPlan{meta: meta, targets: c.allGroups(), verified: true, fetch: meta.allCols(), flush: true, oci: -1}
+	// Audits are reads: they share the statement locks unless buffered lazy
 	// updates force a flush first.
-	unlock := c.lockForRead()
-	defer unlock()
-	meta, err := c.table(table)
+	scan, err := c.gather(p, 0, false)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.flushTableLocked(table); err != nil {
-		return nil, err
-	}
-	scan, err := c.scanTable(meta, nil, c.readOpts(meta.allCols(), 0, true))
-	if err != nil {
-		return nil, err
-	}
-	report := &AuditReport{Table: table, Rows: len(scan.ids)}
-	report.Faulty = append(report.Faulty, scan.faulty...)
-	sort.Ints(report.Faulty)
-	return report, nil
+	return &AuditReport{Table: table, Rows: len(scan.ids), Faulty: append([]int(nil), scan.faulty...)}, nil
 }
 
 // Tables lists the client-side catalog.
 func (c *Client) Tables() []string {
-	if c.shards != nil {
-		// Every group holds the same table set; group 0 speaks for all.
-		return c.shards[0].Tables()
+	var names []string
+	for _, meta := range c.cat.list() {
+		names = append(names, meta.Name)
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.tables))
-	for name := range c.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	return names
 }

@@ -14,11 +14,33 @@ import (
 type catalogFile struct {
 	Version int            `json:"version"`
 	Tables  []catalogTable `json:"tables"`
-	// Sharding is present when the catalog was exported by a shard router:
-	// it records the group count and the per-table shard map, and importing
-	// it requires a client with the identical group count (see
-	// shard_catalog.go).
+	// Sharding is present when the exporting client had more than one
+	// provider group. The group count is part of the format: importing into
+	// a client opened with a different number of groups fails, which is how
+	// a client detects a split (or merge) of the row space it does not
+	// understand rather than silently routing to the wrong groups.
 	Sharding *catalogSharding `json:"sharding,omitempty"`
+}
+
+// catalogSharding is the sharding section of an exported catalog.
+type catalogSharding struct {
+	// Groups is the provider group count the row space is partitioned over.
+	Groups int `json:"groups"`
+	// Tables holds one shard-map entry per table.
+	Tables []catalogShard `json:"tables"`
+}
+
+// catalogShard is one table's shard-map entry.
+type catalogShard struct {
+	Table string `json:"table"`
+	// Column is the shard-key column; "" means insert-sequence hashing.
+	Column string `json:"column,omitempty"`
+	// Version counts shard-map generations for the table.
+	Version int `json:"version"`
+	// NextSeq is the insert-sequence frontier (sequence hashing only).
+	NextSeq uint64 `json:"next_seq,omitempty"`
+	// NextIDs[g] is group g's private next row id for the table.
+	NextIDs []uint64 `json:"next_ids"`
 }
 
 type catalogTable struct {
@@ -54,23 +76,29 @@ func typeFromName(s string) (sql.TypeName, bool) {
 }
 
 // ExportCatalog serializes the client's schema catalog so a future session
-// (same master key, same provider order) can resume querying outsourced
-// tables without re-creating them. Pair it with ImportCatalog.
+// (same master key, same provider order, same group count) can resume
+// querying outsourced tables without re-creating them. Pair it with
+// ImportCatalog.
 func (c *Client) ExportCatalog() ([]byte, error) {
-	if c.shards != nil {
-		return c.shardExportCatalog()
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	out := catalogFile{Version: catalogVersion}
-	for _, name := range sortedTableNames(c.tables) {
-		meta := c.tables[name]
-		// NextID moves under insMu (INSERT holds the statement lock shared,
-		// like this export), so read it under the same lock.
-		c.insMu.Lock()
-		nextID := meta.NextID
-		c.insMu.Unlock()
-		ct := catalogTable{Name: meta.Name, Public: meta.Public, NextID: nextID}
+	sh := &catalogSharding{Groups: len(c.groups)}
+	for _, meta := range c.cat.list() {
+		cs := catalogShard{Table: meta.Name, Version: meta.version, NextSeq: meta.nextSeq.Load(),
+			NextIDs: make([]uint64, len(c.groups))}
+		if meta.shardCol >= 0 {
+			cs.Column = meta.Cols[meta.shardCol].Name
+		}
+		for g, e := range c.groups {
+			// nextID[g] moves under group g's insMu (INSERT holds its
+			// statement lock only shared).
+			e.insMu.Lock()
+			cs.NextIDs[g] = meta.nextID[g]
+			e.insMu.Unlock()
+		}
+		sh.Tables = append(sh.Tables, cs)
+		// Group 0's counter is the flat NextID: all there is with one group,
+		// there for readability with several.
+		ct := catalogTable{Name: meta.Name, Public: meta.Public, NextID: cs.NextIDs[0]}
 		for _, cm := range meta.Cols {
 			ct.Cols = append(ct.Cols, catalogColumn{
 				Name: cm.Name,
@@ -80,12 +108,17 @@ func (c *Client) ExportCatalog() ([]byte, error) {
 		}
 		out.Tables = append(out.Tables, ct)
 	}
+	if len(c.groups) > 1 {
+		out.Sharding = sh
+	}
 	return json.MarshalIndent(out, "", "  ")
 }
 
 // ImportCatalog restores a catalog exported by ExportCatalog, rebuilding
 // codecs and per-domain schemes from the client's master key. Existing
-// in-memory tables with the same names are rejected.
+// in-memory tables with the same names are rejected, and so is a catalog
+// exported under a different group count; nothing is applied unless all of
+// it can be.
 func (c *Client) ImportCatalog(data []byte) error {
 	var in catalogFile
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -94,33 +127,32 @@ func (c *Client) ImportCatalog(data []byte) error {
 	if in.Version != catalogVersion {
 		return fmt.Errorf("%w: catalog version %d (want %d)", ErrBadSchema, in.Version, catalogVersion)
 	}
-	if c.shards != nil {
-		return c.shardImportCatalog(&in)
-	}
-	if in.Sharding != nil && in.Sharding.Groups > 1 {
-		return fmt.Errorf("%w: catalog is sharded across %d provider groups; open a sharded client to import it",
-			ErrBadSchema, in.Sharding.Groups)
-	}
-	return c.applyCatalog(&in)
-}
-
-// applyCatalog installs a (per-group) catalog into a single-group client.
-func (c *Client) applyCatalog(in *catalogFile) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ct := range in.Tables {
-		if _, exists := c.tables[ct.Name]; exists {
-			return fmt.Errorf("%w: %q", ErrTableExists, ct.Name)
+	exported := 1
+	shards := make(map[string]catalogShard)
+	if in.Sharding != nil {
+		exported = in.Sharding.Groups
+		for _, cs := range in.Sharding.Tables {
+			shards[cs.Table] = cs
 		}
 	}
+	if exported != len(c.groups) {
+		return fmt.Errorf("%w: catalog partitions rows across %d provider groups but this client has %d (re-shard the data instead of importing)",
+			ErrBadSchema, exported, len(c.groups))
+	}
+	unlock, err := c.lock(c.allGroups(), true)
+	if err != nil {
+		return err
+	}
+	defer unlock()
+	metas := make([]*tableMeta, 0, len(in.Tables))
 	for _, ct := range in.Tables {
-		meta := &tableMeta{Name: ct.Name, Public: ct.Public, NextID: ct.NextID}
-		if meta.NextID == 0 {
-			meta.NextID = 1
+		if _, err := c.cat.table(ct.Name); err == nil {
+			return fmt.Errorf("%w: %q", ErrTableExists, ct.Name)
 		}
 		if len(ct.Cols) == 0 {
 			return fmt.Errorf("%w: table %q has no columns", ErrBadSchema, ct.Name)
 		}
+		meta := newTableMeta(ct.Name, ct.Public, len(c.groups))
 		for _, cc := range ct.Cols {
 			typ, ok := typeFromName(cc.Type)
 			if !ok {
@@ -132,20 +164,37 @@ func (c *Client) applyCatalog(in *catalogFile) error {
 			}
 			meta.Cols = append(meta.Cols, cm)
 		}
-		c.tables[ct.Name] = meta
-	}
-	return nil
-}
-
-func sortedTableNames(tables map[string]*tableMeta) []string {
-	names := make([]string, 0, len(tables))
-	for name := range tables {
-		names = append(names, name)
-	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
+		nextIDs := []uint64{ct.NextID}
+		if in.Sharding != nil {
+			cs, ok := shards[ct.Name]
+			if !ok {
+				return fmt.Errorf("%w: table %q has no shard map entry", ErrBadSchema, ct.Name)
+			}
+			if len(cs.NextIDs) != len(c.groups) {
+				return fmt.Errorf("%w: table %q has %d row-id counters for %d groups",
+					ErrBadSchema, ct.Name, len(cs.NextIDs), len(c.groups))
+			}
+			nextIDs = cs.NextIDs
+			meta.version = cs.Version
+			meta.nextSeq.Store(cs.NextSeq)
+			if cs.Column != "" {
+				if meta.shardCol = meta.colIndex(cs.Column); meta.shardCol < 0 {
+					return fmt.Errorf("%w: shard key %q is not a column of table %q",
+						ErrBadSchema, cs.Column, ct.Name)
+				}
+			}
 		}
+		for g, id := range nextIDs {
+			if id != 0 {
+				meta.nextID[g] = id
+			}
+		}
+		metas = append(metas, meta)
 	}
-	return names
+	c.cat.mu.Lock()
+	for _, meta := range metas {
+		c.cat.tables[meta.Name] = meta
+	}
+	c.cat.mu.Unlock()
+	return nil
 }

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	mrand "math/rand"
 	"sort"
@@ -34,11 +35,30 @@ type oracleRow struct {
 }
 
 // TestDifferentialRandomWorkload drives the whole stack — SQL, rewriting,
-// sharing, provider filtering, reconstruction — with a random statement mix
-// and checks every SELECT against a plaintext oracle. Any divergence in
-// filtering, ordering semantics, updates, or deletes shows up here.
+// routing, sharing, provider filtering, reconstruction, merging — with a
+// random statement mix and checks every SELECT against a plaintext oracle,
+// at one, two and three provider groups, with rows partitioned on the insert
+// sequence and on a shard key. The oracle, not the one-group client, is the
+// reference at every group count. Reads go through Exec, QueryRows and
+// snapshot reads of a fresh Tx in turn; a share of the writes commit through
+// a Tx. Any divergence in filtering, ordering semantics, updates, deletes or
+// partial merging shows up here.
 func TestDifferentialRandomWorkload(t *testing.T) {
-	f := newFleet(t, 3, 2, Options{})
+	for _, tc := range []struct {
+		groups int
+		keyed  bool
+	}{{1, false}, {2, false}, {2, true}, {3, false}, {3, true}} {
+		t.Run(fmt.Sprintf("G=%d,keyed=%v", tc.groups, tc.keyed), func(t *testing.T) {
+			opts := Options{}
+			if tc.keyed {
+				opts.ShardKeys = map[string]string{"t": "name"}
+			}
+			differentialWorkload(t, newShardFleet(t, tc.groups, 3, 2, opts))
+		})
+	}
+}
+
+func differentialWorkload(t *testing.T, f *shardFleet) {
 	f.mustExec(t, `CREATE TABLE t (name VARCHAR(6), v INT, g INT)`)
 
 	rng := mrand.New(mrand.NewSource(20240705))
@@ -49,9 +69,65 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 	randName := func() string { return names[rng.Intn(len(names))] }
 	randV := func() int64 { return int64(rng.Intn(1000)) }
 
+	// query runs one SELECT by the route the step number picks: Exec,
+	// QueryRows drained to the end, or — for the plain scans a transaction
+	// supports — the snapshot read of a Tx begun just now.
+	query := func(step int, q string, plain bool) *Result {
+		t.Helper()
+		var res *Result
+		var err error
+		switch route := step % 3; {
+		case route == 1:
+			var rows *Rows
+			if rows, err = f.router.QueryRows(q); err == nil {
+				res = &Result{Columns: rows.Columns()}
+				for rows.Next() {
+					res.Rows = append(res.Rows, rows.Row())
+				}
+				err = rows.Err()
+				rows.Close()
+			}
+		case route == 2 && plain:
+			var tx *Tx
+			if tx, err = f.router.Begin(); err == nil {
+				res, err = tx.Exec(q)
+				if rerr := tx.Rollback(); err == nil {
+					err = rerr
+				}
+			}
+		default:
+			res, err = f.router.Exec(q)
+		}
+		if err != nil {
+			t.Fatalf("step %d: %s: %v", step, q, err)
+		}
+		return res
+	}
+	// write runs one DML statement, every third one through a Tx (whose
+	// buffered statements report no affected count until they commit).
+	write := func(step int, q string, affected uint64) {
+		t.Helper()
+		if step%3 != 0 {
+			if res := f.mustExec(t, q); res.Affected != affected {
+				t.Fatalf("step %d: %s affected %d, oracle %d", step, q, res.Affected, affected)
+			}
+			return
+		}
+		tx, err := f.router.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Exec(q); err != nil {
+			t.Fatalf("step %d: tx %s: %v", step, q, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("step %d: commit of %s: %v", step, q, err)
+		}
+	}
+
 	selectAndCompare := func(step int) {
 		t.Helper()
-		kind := rng.Intn(7)
+		kind := rng.Intn(8)
 		var q string
 		var want []int64 // expected v values, sorted
 		switch kind {
@@ -92,10 +168,7 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 					sum += r.v
 				}
 			}
-			res, err := f.client.Exec(q)
-			if err != nil {
-				t.Fatalf("step %d: %s: %v", step, q, err)
-			}
+			res := query(step, q, false)
 			if res.Rows[0][0].I != count || res.Rows[0][1].I != sum {
 				t.Fatalf("step %d: %s: got (%d,%d), want (%d,%d)",
 					step, q, res.Rows[0][0].I, res.Rows[0][1].I, count, sum)
@@ -120,10 +193,7 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 			if len(all) > n {
 				all = all[:n]
 			}
-			res, err := f.client.Exec(q)
-			if err != nil {
-				t.Fatalf("step %d: %s: %v", step, q, err)
-			}
+			res := query(step, q, false)
 			got := make([]int64, 0, len(res.Rows))
 			for _, row := range res.Rows {
 				got = append(got, row[0].I)
@@ -146,10 +216,7 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 				a.count++
 				a.sum += r.v
 			}
-			res, err := f.client.Exec(q)
-			if err != nil {
-				t.Fatalf("step %d: %s: %v", step, q, err)
-			}
+			res := query(step, q, false)
 			wantGroups := 0
 			for _, a := range byG {
 				if a.count >= int64(minCount) {
@@ -173,11 +240,36 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 				}
 			}
 			return
+		case 7: // MIN, MAX and AVG over a name: partials that compare, not add
+			n := randName()
+			q = fmt.Sprintf(`SELECT MIN(v), MAX(v), AVG(v), COUNT(v) FROM t WHERE name = '%s'`, n)
+			var lo, hi, sum, count int64
+			for _, r := range oracle {
+				if r.name != n {
+					continue
+				}
+				if count == 0 || r.v < lo {
+					lo = r.v
+				}
+				if count == 0 || r.v > hi {
+					hi = r.v
+				}
+				sum += r.v
+				count++
+			}
+			if count == 0 {
+				if _, err := f.router.Exec(q); !errors.Is(err, ErrEmptyAggregate) {
+					t.Fatalf("step %d: %s over no rows: %v", step, q, err)
+				}
+				return
+			}
+			res := query(step, q, false)
+			if got, want := rowsAsStrings(res)[0], fmt.Sprintf("%d,%d,%d,%d", lo, hi, sum/count, count); got != want {
+				t.Fatalf("step %d: %s: got %s, want %s", step, q, got, want)
+			}
+			return
 		}
-		res, err := f.client.Exec(q)
-		if err != nil {
-			t.Fatalf("step %d: %s: %v", step, q, err)
-		}
+		res := query(step, q, true)
 		got := make([]int64, 0, len(res.Rows))
 		for _, row := range res.Rows {
 			got = append(got, row[0].I)
@@ -196,13 +288,12 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 			n := randName()
 			v := randV()
 			g := int64(rng.Intn(4))
-			f.mustExec(t, fmt.Sprintf(`INSERT INTO t VALUES ('%s', %d, %d)`, n, v, g))
+			write(step, fmt.Sprintf(`INSERT INTO t VALUES ('%s', %d, %d)`, n, v, g), 1)
 			oracle = append(oracle, oracleRow{id: nextID, name: n, v: v, g: g})
 			nextID++
 		case op < 6: // update by name
 			n := randName()
 			newV := randV()
-			res := f.mustExec(t, fmt.Sprintf(`UPDATE t SET v = %d WHERE name = '%s'`, newV, n))
 			var affected uint64
 			for i := range oracle {
 				if oracle[i].name == n {
@@ -210,13 +301,10 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 					affected++
 				}
 			}
-			if res.Affected != affected {
-				t.Fatalf("step %d: update affected %d, oracle %d", step, res.Affected, affected)
-			}
+			write(step, fmt.Sprintf(`UPDATE t SET v = %d WHERE name = '%s'`, newV, n), affected)
 		case op < 7: // delete a narrow range
 			lo := randV()
 			hi := lo + 50
-			res := f.mustExec(t, fmt.Sprintf(`DELETE FROM t WHERE v BETWEEN %d AND %d`, lo, hi))
 			var kept []oracleRow
 			var removed uint64
 			for _, r := range oracle {
@@ -227,9 +315,7 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 				kept = append(kept, r)
 			}
 			oracle = kept
-			if res.Affected != removed {
-				t.Fatalf("step %d: delete affected %d, oracle %d", step, res.Affected, removed)
-			}
+			write(step, fmt.Sprintf(`DELETE FROM t WHERE v BETWEEN %d AND %d`, lo, hi), removed)
 		default: // select + compare
 			selectAndCompare(step)
 		}

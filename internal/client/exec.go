@@ -12,46 +12,27 @@ import (
 )
 
 // Exec parses and executes one SQL statement against the provider fleet.
-// Plain scans (SELECT without aggregates, joins, or verification) and
-// EXPLAIN hold the statement lock shared and run concurrently with each
-// other and with INSERTs; INSERT also runs shared — it only appends rows
-// under freshly reserved ids, and scans hide ids above the stable
-// watermark (see scanTable) so a half-landed insert is never observed.
-// UPDATE, DELETE, DDL, and SELECTs that combine per-provider computations
-// without row ids to filter on (aggregates, joins, verified reads) hold
-// the lock exclusively, so they observe — and present — either the pre- or
-// post-statement share sets, never a mix.
+// Plain scans (SELECT without aggregates, joins, or verification) hold a
+// routed group's statement lock shared and run concurrently with each other
+// and with INSERTs; INSERT also runs shared — it only appends rows under
+// freshly reserved ids, and scans hide ids above the stable watermark (see
+// scanTable) so a half-landed insert is never observed. UPDATE, DELETE, DDL,
+// and SELECTs that combine per-provider computations without row ids to
+// filter on (aggregates, joins, verified reads) hold it exclusively, so
+// they observe — and present — either the pre- or post-statement share sets,
+// never a mix.
 func (c *Client) Exec(query string) (*Result, error) {
-	if c.shards != nil {
-		return c.shardExec(query)
-	}
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
 	switch s := stmt.(type) {
 	case *sql.Select:
-		if !c.selectNeedsExclusive(s) {
-			return c.execRead(func() (*Result, error) { return c.execSelect(s) })
-		}
+		return c.execSelect(s, nil)
 	case *sql.Explain:
-		return c.execRead(func() (*Result, error) { return c.execExplain(s) })
+		return c.execExplain(s)
 	case *sql.Insert:
-		c.mu.RLock()
-		defer c.mu.RUnlock()
 		return c.execInsert(s)
-	case *sql.BeginTx, *sql.CommitTx, *sql.RollbackTx:
-		// Transactions need a handle to buffer statements on: BEGIN maps to
-		// Client.Begin, COMMIT/ROLLBACK to methods of the returned Tx (the
-		// dasql REPL does this mapping for interactive sessions).
-		return nil, fmt.Errorf("%w: %T outside a transaction handle (use Client.Begin and Tx.Exec)",
-			ErrUnsupported, stmt)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch s := stmt.(type) {
-	case *sql.Select:
-		return c.execSelect(s)
 	case *sql.CreateTable:
 		return c.execCreateTable(s)
 	case *sql.DropTable:
@@ -60,54 +41,35 @@ func (c *Client) Exec(query string) (*Result, error) {
 		return c.execUpdate(s)
 	case *sql.Delete:
 		return c.execDelete(s)
+	case *sql.BeginTx, *sql.CommitTx, *sql.RollbackTx:
+		// Transactions need a handle to buffer statements on: BEGIN maps to
+		// Client.Begin, COMMIT/ROLLBACK to methods of the returned Tx (the
+		// dasql REPL does this mapping for interactive sessions).
+		return nil, fmt.Errorf("%w: %T outside a transaction handle (use Client.Begin and Tx.Exec)",
+			ErrUnsupported, stmt)
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnsupported, stmt)
 	}
 }
 
-// selectNeedsExclusive reports whether a SELECT must serialize against
-// writers. A plain scan tolerates concurrent INSERTs — the watermark hides
-// partially landed rows by id — but provider-side aggregation, joins, and
-// verified reads compare or linearly combine per-provider results that
-// carry no ids to filter on, so they take the exclusive lock instead.
-func (c *Client) selectNeedsExclusive(s *sql.Select) bool {
-	if s.Verified || c.opts.Verified || s.GroupBy != nil || s.Join != nil {
-		return true
+// lockForRead acquires the group's statement lock in shared mode and returns
+// the matching unlock. A read that encounters buffered lazy updates may have
+// to flush them — a mutation of both client and provider state — so when
+// updates are pending it escalates to the exclusive lock. Pending updates
+// can only be created under the exclusive lock, so the shared-mode check is
+// stable for the duration of the statement.
+func (e *engine) lockForRead() (unlock func()) {
+	e.mu.RLock()
+	if !e.anyPending() {
+		return e.mu.RUnlock
 	}
-	for _, item := range s.Items {
-		if item.Agg != sql.AggNone {
-			return true
-		}
-	}
-	return false
+	e.mu.RUnlock()
+	e.mu.Lock()
+	return e.mu.Unlock
 }
 
-// execRead runs a read statement under the shared statement lock. A read
-// that encounters buffered lazy updates may have to flush them — a mutation
-// of both client and provider state — so when updates are pending the
-// statement escalates to the exclusive lock. Pending updates can only be
-// created under the exclusive lock, so the shared-mode check is stable for
-// the duration of the statement.
-func (c *Client) execRead(fn func() (*Result, error)) (*Result, error) {
-	unlock := c.lockForRead()
-	defer unlock()
-	return fn()
-}
-
-// lockForRead acquires the statement lock in shared mode, escalating to
-// exclusive when lazy updates are pending, and returns the matching unlock.
-func (c *Client) lockForRead() (unlock func()) {
-	c.mu.RLock()
-	if !c.anyPending() {
-		return c.mu.RUnlock
-	}
-	c.mu.RUnlock()
-	c.mu.Lock()
-	return c.mu.Unlock
-}
-
-func (c *Client) anyPending() bool {
-	for _, m := range c.pending {
+func (e *engine) anyPending() bool {
+	for _, m := range e.pending {
 		if len(m) > 0 {
 			return true
 		}
@@ -117,11 +79,20 @@ func (c *Client) anyPending() bool {
 
 // --- DDL ---
 
+// execCreateTable builds the catalog entry, creates the share-space table in
+// every group, and only then publishes the entry. DDL holds every group's
+// statement lock exclusively, which also serializes it against other DDL.
 func (c *Client) execCreateTable(s *sql.CreateTable) (*Result, error) {
-	if _, exists := c.tables[s.Name]; exists {
+	all := c.allGroups()
+	unlock, err := c.lock(all, true)
+	if err != nil {
+		return nil, err
+	}
+	defer unlock()
+	if _, err := c.cat.table(s.Name); err == nil {
 		return nil, fmt.Errorf("%w: %q", ErrTableExists, s.Name)
 	}
-	meta := &tableMeta{Name: s.Name, Public: s.Public, NextID: 1}
+	meta := newTableMeta(s.Name, s.Public, len(c.groups))
 	seen := make(map[string]bool)
 	for _, def := range s.Columns {
 		if seen[def.Name] {
@@ -134,42 +105,86 @@ func (c *Client) execCreateTable(s *sql.CreateTable) (*Result, error) {
 		}
 		meta.Cols = append(meta.Cols, cm)
 	}
+	// Rows are only partitioned — and a shard key only means anything —
+	// across more than one group.
+	if col, ok := c.opts.ShardKeys[s.Name]; ok && len(c.groups) > 1 {
+		if meta.shardCol = meta.colIndex(col); meta.shardCol < 0 {
+			return nil, fmt.Errorf("%w: shard key %q is not a column of table %q", ErrBadSchema, col, s.Name)
+		}
+		if !meta.Cols[meta.shardCol].queryable() {
+			return nil, fmt.Errorf("%w: shard key %q of table %q is a BLOB", ErrBadSchema, col, s.Name)
+		}
+	}
 	spec := meta.providerSpec()
-	if _, err := c.callWrite(func(int) proto.Message {
-		return &proto.CreateTableRequest{Spec: spec}
-	}); err != nil {
+	created := make([]bool, len(all))
+	err = c.fan(all, func(i, g int) error {
+		_, err := c.groups[g].callWrite(func(int) proto.Message {
+			return &proto.CreateTableRequest{Spec: spec}
+		})
+		created[i] = err == nil
+		return err
+	})
+	if err != nil {
+		// Compensate: drop from the groups that did create it, or a retry
+		// would find the table half there.
+		for g, ok := range created {
+			if ok {
+				_ = c.groups[g].dropTable(meta)
+			}
+		}
 		return nil, err
 	}
-	c.tables[s.Name] = meta
+	c.cat.mu.Lock()
+	c.cat.tables[s.Name] = meta
+	c.cat.mu.Unlock()
 	return &Result{}, nil
 }
 
+// execDropTable drops the table in every group and then retires the catalog
+// entry. If some group fails, the entry stays and the DROP can be retried:
+// providers that already dropped the table acknowledge again (see callWrite).
 func (c *Client) execDropTable(s *sql.DropTable) (*Result, error) {
-	if _, err := c.table(s.Name); err != nil {
+	all := c.allGroups()
+	unlock, err := c.lock(all, true)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := c.callWrite(func(int) proto.Message {
-		return &proto.DropTableRequest{Table: s.Name}
-	}); err != nil {
+	defer unlock()
+	meta, err := c.cat.table(s.Name)
+	if err != nil {
 		return nil, err
 	}
-	delete(c.tables, s.Name)
-	delete(c.pending, s.Name)
-	c.insMu.Lock()
-	delete(c.inflight, s.Name)
-	c.insMu.Unlock()
+	if err := c.fan(all, func(_, g int) error { return c.groups[g].dropTable(meta) }); err != nil {
+		return nil, err
+	}
+	meta.dropped = true
+	c.cat.mu.Lock()
+	delete(c.cat.tables, s.Name)
+	c.cat.mu.Unlock()
 	return &Result{}, nil
+}
+
+// dropTable drops the table at this group's providers and forgets the
+// group's per-table state.
+func (e *engine) dropTable(meta *tableMeta) error {
+	if _, err := e.callWrite(func(int) proto.Message {
+		return &proto.DropTableRequest{Table: meta.Name}
+	}); err != nil {
+		return err
+	}
+	delete(e.pending, meta.Name)
+	e.insMu.Lock()
+	delete(e.inflight, meta.Name)
+	e.insMu.Unlock()
+	return nil
 }
 
 // --- INSERT ---
 
-func (c *Client) execInsert(s *sql.Insert) (*Result, error) {
-	meta, err := c.table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]Value, 0, len(s.Rows))
-	for _, litRow := range s.Rows {
+// parseRows types the literal rows of an INSERT against the schema.
+func parseRows(meta *tableMeta, lits [][]sql.Literal) ([][]Value, error) {
+	rows := make([][]Value, 0, len(lits))
+	for _, litRow := range lits {
 		if len(litRow) != len(meta.Cols) {
 			return nil, fmt.Errorf("%w: %d values for %d columns",
 				ErrTypeMismatch, len(litRow), len(meta.Cols))
@@ -184,28 +199,51 @@ func (c *Client) execInsert(s *sql.Insert) (*Result, error) {
 		}
 		rows = append(rows, vals)
 	}
-	return c.insertValues(meta, rows)
+	return rows, nil
+}
+
+func (c *Client) execInsert(s *sql.Insert) (*Result, error) {
+	meta, err := c.cat.table(s.Table)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := parseRows(meta, s.Rows)
+	if err != nil {
+		return nil, err
+	}
+	return c.insertRows(meta, rows)
 }
 
 // InsertValues outsources pre-typed rows, bypassing SQL parsing; bulk
 // loaders and the workload generators use it.
 func (c *Client) InsertValues(table string, rows [][]Value) (*Result, error) {
-	if c.shards != nil {
-		return c.shardInsertRows(table, rows)
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	meta, err := c.table(table)
+	meta, err := c.cat.table(table)
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		if len(row) != len(meta.Cols) {
-			return nil, fmt.Errorf("%w: %d values for %d columns",
-				ErrTypeMismatch, len(row), len(meta.Cols))
-		}
+	return c.insertRows(meta, rows)
+}
+
+// insertRows partitions typed rows onto their owning groups and runs the
+// per-group inserts concurrently. Atomicity is per group: if one group fails
+// its batch (which that group rolls back), batches committed by other groups
+// stay committed, and the joined error reports which groups failed. (A Tx
+// makes a multi-group write atomic.)
+func (c *Client) insertRows(meta *tableMeta, rows [][]Value) (*Result, error) {
+	targets, batches, err := c.partitionRows(meta, rows)
+	if err != nil {
+		return nil, err
 	}
-	return c.insertValues(meta, rows)
+	if len(targets) == 0 {
+		return &Result{}, nil
+	}
+	err = c.scatter(targets, false, []*tableMeta{meta}, func(_ int, e *engine) error {
+		return e.insertValues(meta, batches[e.g])
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Affected: uint64(len(rows))}, nil
 }
 
 // insertValues runs under the shared statement lock: it reserves a fresh
@@ -213,22 +251,18 @@ func (c *Client) InsertValues(table string, rows [][]Value) (*Result, error) {
 // flowing. Until the reservation is released, scans treat the range as
 // unstable and hide it (see stableWatermark), so no reader can catch the
 // batch present on one provider and absent on another.
-func (c *Client) insertValues(meta *tableMeta, rows [][]Value) (*Result, error) {
-	n := uint64(len(rows))
-	if n == 0 {
-		return &Result{}, nil
-	}
-	base := c.reserveIDs(meta, n)
-	defer c.releaseIDs(meta, base)
+func (e *engine) insertValues(meta *tableMeta, rows [][]Value) error {
+	base := e.reserveIDs(meta, uint64(len(rows)))
+	defer e.releaseIDs(meta, base)
 	ids := make([]uint64, len(rows))
 	for r := range ids {
 		ids[r] = base + uint64(r)
 	}
-	perProvider, err := c.encodeRowsAt(meta, ids, rows)
+	perProvider, err := e.encodeRowsAt(meta, ids, rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	succeeded, err := c.callWrite(func(i int) proto.Message {
+	succeeded, err := e.callWrite(func(i int) proto.Message {
 		return &proto.InsertRequest{Table: meta.Name, Rows: perProvider[i]}
 	})
 	if err != nil {
@@ -244,7 +278,7 @@ func (c *Client) insertValues(meta *tableMeta, rows [][]Value) (*Result, error) 
 		rollback := &proto.DeleteRequest{Table: meta.Name, RowIDs: ids}
 		var rollbackErrs []error
 		for _, p := range succeeded {
-			_, derr := c.call(p, rollback, noDeadline)
+			_, derr := e.call(p, rollback, noDeadline)
 			if derr == nil {
 				continue
 			}
@@ -252,52 +286,52 @@ func (c *Client) insertValues(meta *tableMeta, rows [][]Value) (*Result, error) 
 				fmt.Errorf("rollback on provider %d also failed: %w", p, derr))
 			var remote *proto.RemoteError
 			if !errors.As(derr, &remote) {
-				_ = c.hintMutation(p, rollback)
-				c.markProvider(p, true)
-				c.ensureRepairLoop()
+				_ = e.hintMutation(p, rollback)
+				e.markProvider(p, true)
+				e.ensureRepairLoop()
 			}
 		}
 		if len(rollbackErrs) > 0 {
-			return nil, errors.Join(append([]error{err}, rollbackErrs...)...)
+			return errors.Join(append([]error{err}, rollbackErrs...)...)
 		}
-		return nil, err
+		return err
 	}
-	return &Result{Affected: n}, nil
+	return nil
 }
 
 // reserveIDs allocates n consecutive row ids in meta's table and registers
 // the range as in flight. Ids are never reused: a failed insert burns its
 // reservation.
-func (c *Client) reserveIDs(meta *tableMeta, n uint64) uint64 {
-	c.insMu.Lock()
-	defer c.insMu.Unlock()
-	base := meta.NextID
-	meta.NextID += n
-	inf := c.inflight[meta.Name]
+func (e *engine) reserveIDs(meta *tableMeta, n uint64) uint64 {
+	e.insMu.Lock()
+	defer e.insMu.Unlock()
+	base := meta.nextID[e.g]
+	meta.nextID[e.g] += n
+	inf := e.inflight[meta.Name]
 	if inf == nil {
 		inf = make(map[uint64]uint64)
-		c.inflight[meta.Name] = inf
+		e.inflight[meta.Name] = inf
 	}
 	inf[base] = n
 	return base
 }
 
 // releaseIDs retires a reservation made by reserveIDs, acknowledged or not.
-func (c *Client) releaseIDs(meta *tableMeta, base uint64) {
-	c.insMu.Lock()
-	delete(c.inflight[meta.Name], base)
-	c.insMu.Unlock()
+func (e *engine) releaseIDs(meta *tableMeta, base uint64) {
+	e.insMu.Lock()
+	delete(e.inflight[meta.Name], base)
+	e.insMu.Unlock()
 }
 
 // stableWatermark returns the row-id bound below which every id belongs to
 // a fully acknowledged insert: the smallest in-flight reservation, or the
 // allocation frontier when no insert is in flight. Scans drop rows at or
 // above it before comparing providers.
-func (c *Client) stableWatermark(meta *tableMeta) uint64 {
-	c.insMu.Lock()
-	defer c.insMu.Unlock()
-	w := meta.NextID
-	for base := range c.inflight[meta.Name] {
+func (e *engine) stableWatermark(meta *tableMeta) uint64 {
+	e.insMu.Lock()
+	defer e.insMu.Unlock()
+	w := meta.nextID[e.g]
+	for base := range e.inflight[meta.Name] {
 		if base < w {
 			w = base
 		}
@@ -314,12 +348,12 @@ const shareBytesPerCell = 16
 // OPP split (keyed-hash polynomial, microseconds) plus a field-share split,
 // which dominates bulk-load wall time, so the row range is chunked across
 // the worker pool; perProvider[i][r] is provider i's share of rows[r].
-func (c *Client) encodeRowsAt(meta *tableMeta, ids []uint64, rows [][]Value) ([][]proto.Row, error) {
-	perProvider := make([][]proto.Row, c.opts.N)
+func (e *engine) encodeRowsAt(meta *tableMeta, ids []uint64, rows [][]Value) ([][]proto.Row, error) {
+	perProvider := make([][]proto.Row, e.opts.N)
 	for i := range perProvider {
 		perProvider[i] = make([]proto.Row, len(rows))
 	}
-	err := parallelChunks(c.opts.ParallelWorkers, len(rows), func(start, end int) error {
+	err := parallelChunks(e.opts.ParallelWorkers, len(rows), func(start, end int) error {
 		// One buffered randomness reader per worker: drawing polynomial
 		// coefficients 8 bytes at a time costs a getrandom syscall per
 		// cell otherwise, which serializes workers in the kernel. Size the
@@ -329,13 +363,13 @@ func (c *Client) encodeRowsAt(meta *tableMeta, ids []uint64, rows [][]Value) ([]
 		if need > 4096 {
 			need = 4096
 		}
-		rnd := bufio.NewReaderSize(c.opts.Rand, need)
+		rnd := bufio.NewReaderSize(e.opts.Rand, need)
 		for r := start; r < end; r++ {
-			encoded, err := c.encodeRow(meta, ids[r], rows[r], rnd)
+			encoded, err := e.encodeRow(meta, ids[r], rows[r], rnd)
 			if err != nil {
 				return err
 			}
-			for i := 0; i < c.opts.N; i++ {
+			for i := 0; i < e.opts.N; i++ {
 				perProvider[i][r] = encoded[i]
 			}
 		}
@@ -349,8 +383,8 @@ func (c *Client) encodeRowsAt(meta *tableMeta, ids []uint64, rows [][]Value) ([]
 
 // encodeRow encodes one row for all providers under a specific id, drawing
 // share randomness from rnd (a per-worker buffered view of Options.Rand).
-func (c *Client) encodeRow(meta *tableMeta, id uint64, vals []Value, rnd io.Reader) ([]proto.Row, error) {
-	out := make([]proto.Row, c.opts.N)
+func (e *engine) encodeRow(meta *tableMeta, id uint64, vals []Value, rnd io.Reader) ([]proto.Row, error) {
+	out := make([]proto.Row, e.opts.N)
 	for i := range out {
 		out[i] = proto.Row{ID: id}
 	}
@@ -358,7 +392,7 @@ func (c *Client) encodeRow(meta *tableMeta, id uint64, vals []Value, rnd io.Read
 		cm := &meta.Cols[ci]
 		v := vals[ci]
 		if !cm.queryable() {
-			cell, err := c.sealBlob(meta, v, rnd)
+			cell, err := e.sealBlob(meta, v, rnd)
 			if err != nil {
 				return nil, err
 			}
@@ -371,11 +405,11 @@ func (c *Client) encodeRow(meta *tableMeta, id uint64, vals []Value, rnd io.Read
 		if err != nil {
 			return nil, err
 		}
-		oppShares, err := cm.oppSch.Split(u)
+		oppShares, err := cm.oppSch[e.g].Split(u)
 		if err != nil {
 			return nil, err
 		}
-		fieldShares, err := c.fieldSch.Split(field.New(u), rnd)
+		fieldShares, err := e.fieldSch.Split(field.New(u), rnd)
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +424,7 @@ func (c *Client) encodeRow(meta *tableMeta, id uint64, vals []Value, rnd io.Read
 // sealBlob encrypts a payload for private tables (AES-256-GCM with a random
 // nonce) and passes it through for public ones. The identical ciphertext is
 // replicated to every provider.
-func (c *Client) sealBlob(meta *tableMeta, v Value, rnd io.Reader) ([]byte, error) {
+func (e *engine) sealBlob(meta *tableMeta, v Value, rnd io.Reader) ([]byte, error) {
 	if v.Kind != KindBytes && v.Kind != KindString {
 		return nil, fmt.Errorf("%w: blob column wants bytes, got %v", ErrTypeMismatch, v.Kind)
 	}
@@ -401,169 +435,207 @@ func (c *Client) sealBlob(meta *tableMeta, v Value, rnd io.Reader) ([]byte, erro
 	if meta.Public {
 		return payload, nil
 	}
-	nonce := make([]byte, c.aead.NonceSize())
+	nonce := make([]byte, e.aead.NonceSize())
 	if _, err := io.ReadFull(rnd, nonce); err != nil {
 		return nil, err
 	}
-	return append(nonce, c.aead.Seal(nil, nonce, payload, nil)...), nil
+	return append(nonce, e.aead.Seal(nil, nonce, payload, nil)...), nil
 }
 
 // openBlob inverts sealBlob.
-func (c *Client) openBlob(meta *tableMeta, cell []byte) ([]byte, error) {
+func (e *engine) openBlob(meta *tableMeta, cell []byte) ([]byte, error) {
 	if meta.Public {
 		return cell, nil
 	}
-	ns := c.aead.NonceSize()
+	ns := e.aead.NonceSize()
 	if len(cell) < ns {
 		return nil, fmt.Errorf("%w: blob cell too short", ErrVerification)
 	}
-	plain, err := c.aead.Open(nil, cell[:ns], cell[ns:], nil)
+	plain, err := e.aead.Open(nil, cell[:ns], cell[ns:], nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: blob authentication failed: %v", ErrVerification, err)
 	}
 	return plain, nil
 }
 
-// --- DELETE ---
+// --- DELETE / UPDATE ---
 
-func (c *Client) execDelete(s *sql.Delete) (*Result, error) {
-	meta, err := c.table(s.Table)
+// whereDML runs an UPDATE or DELETE in the groups its WHERE routes to,
+// exclusively, and sums the rows each touched.
+func (c *Client) whereDML(meta *tableMeta, where []sql.Predicate, fn func(e *engine) (uint64, error)) (*Result, error) {
+	targets := c.routeGroups(meta, where)
+	affected := make([]uint64, len(targets))
+	err := c.scatter(targets, true, []*tableMeta{meta}, func(i int, e *engine) (err error) {
+		affected[i], err = fn(e)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := c.flushTableLocked(meta.Name); err != nil {
-		return nil, err
+	res := &Result{}
+	for _, n := range affected {
+		res.Affected += n
 	}
-	preds, err := c.compilePredicates(meta, s.Where, "")
-	if err != nil {
-		return nil, err
-	}
-	// Only the row ids are read.
-	scan, err := c.scanTable(meta, preds, c.readOpts(nil, 0, false))
-	if err != nil {
-		return nil, err
-	}
-	if len(scan.ids) == 0 {
-		return &Result{}, nil
-	}
-	if _, err := c.callWrite(func(int) proto.Message {
-		return &proto.DeleteRequest{Table: meta.Name, RowIDs: scan.ids}
-	}); err != nil {
-		return nil, err
-	}
-	return &Result{Affected: uint64(len(scan.ids))}, nil
+	return res, nil
 }
 
-// --- UPDATE ---
-
-func (c *Client) execUpdate(s *sql.Update) (*Result, error) {
-	meta, err := c.table(s.Table)
+func (c *Client) execDelete(s *sql.Delete) (*Result, error) {
+	meta, err := c.cat.table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	// Resolve assignments up front.
-	type assign struct {
-		ci  int
-		val Value
+	preds, err := compilePredicates(meta, s.Where, "")
+	if err != nil {
+		return nil, err
 	}
-	var assigns []assign
-	for _, a := range s.Set {
+	return c.whereDML(meta, s.Where, func(e *engine) (uint64, error) {
+		ids, err := e.idsToDelete(meta, preds)
+		if err != nil || len(ids) == 0 {
+			return 0, err
+		}
+		_, err = e.callWrite(func(int) proto.Message {
+			return &proto.DeleteRequest{Table: meta.Name, RowIDs: ids}
+		})
+		return uint64(len(ids)), err
+	})
+}
+
+// idsToDelete finds the rows a DELETE removes; only the row ids are read.
+func (e *engine) idsToDelete(meta *tableMeta, preds []compiledPred) ([]uint64, error) {
+	if err := e.flushTableLocked(meta.Name); err != nil {
+		return nil, err
+	}
+	scan, err := e.scanTable(meta, preds, e.readOpts(nil, 0, false))
+	if err != nil {
+		return nil, err
+	}
+	return scan.ids, nil
+}
+
+// assign is one resolved SET clause of an UPDATE.
+type assign struct {
+	ci  int
+	val Value
+}
+
+// resolveAssigns types an UPDATE's SET clauses against the schema.
+func resolveAssigns(meta *tableMeta, set []sql.Assignment) ([]assign, error) {
+	assigns := make([]assign, 0, len(set))
+	for _, a := range set {
 		cm, err := meta.col(a.Col)
 		if err != nil {
 			return nil, err
+		}
+		ci := meta.colIndex(a.Col)
+		if ci == meta.shardCol {
+			// Re-assigning the shard key would strand the row in a group its
+			// key no longer routes to.
+			return nil, fmt.Errorf("%w: UPDATE of shard key %q (delete and re-insert instead)",
+				ErrUnsupported, a.Col)
 		}
 		v, err := cm.parseValue(a.Value)
 		if err != nil {
 			return nil, err
 		}
-		assigns = append(assigns, assign{ci: meta.colIndex(a.Col), val: v})
+		assigns = append(assigns, assign{ci: ci, val: v})
 	}
-	preds, err := c.compilePredicates(meta, s.Where, "")
+	return assigns, nil
+}
+
+func (c *Client) execUpdate(s *sql.Update) (*Result, error) {
+	meta, err := c.cat.table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	// The paper's update flow: retrieve the affected tuples, reconstruct at
-	// the client, apply the change, re-share, redistribute (Sec. V-C). Whole
-	// rows are re-shared, so every column is read.
-	scan, err := c.scanTable(meta, preds, c.readOpts(meta.allCols(), 0, false))
+	assigns, err := resolveAssigns(meta, s.Set)
 	if err != nil {
 		return nil, err
 	}
-	if len(scan.ids) == 0 {
-		return &Result{}, nil
+	preds, err := compilePredicates(meta, s.Where, "")
+	if err != nil {
+		return nil, err
+	}
+	return c.whereDML(meta, s.Where, func(e *engine) (uint64, error) {
+		scan, err := e.rowsToUpdate(meta, preds, assigns)
+		if err != nil || len(scan.ids) == 0 {
+			return 0, err
+		}
+		if e.opts.LazyUpdates {
+			pend := e.pending[meta.Name]
+			if pend == nil {
+				pend = make(map[uint64][]Value)
+				e.pending[meta.Name] = pend
+			}
+			for r, id := range scan.ids {
+				pend[id] = scan.values[r]
+			}
+			return uint64(len(scan.ids)), nil
+		}
+		return uint64(len(scan.ids)), e.pushUpdates(meta, scan.ids, scan.values)
+	})
+}
+
+// rowsToUpdate is the read half of the paper's update flow: retrieve the
+// affected tuples, reconstruct at the client, apply the change (Sec. V-C).
+// Whole rows are re-shared afterwards, so every column is read.
+func (e *engine) rowsToUpdate(meta *tableMeta, preds []compiledPred, assigns []assign) (*scanResult, error) {
+	scan, err := e.scanTable(meta, preds, e.readOpts(meta.allCols(), 0, false))
+	if err != nil {
+		return nil, err
 	}
 	for r := range scan.values {
 		for _, a := range assigns {
 			scan.values[r][a.ci] = a.val
 		}
 	}
-	if c.opts.LazyUpdates {
-		pend := c.pending[meta.Name]
-		if pend == nil {
-			pend = make(map[uint64][]Value)
-			c.pending[meta.Name] = pend
-		}
-		for r, id := range scan.ids {
-			pend[id] = scan.values[r]
-		}
-		return &Result{Affected: uint64(len(scan.ids))}, nil
-	}
-	return c.pushUpdates(meta, scan.ids, scan.values)
+	return scan, nil
 }
 
 // pushUpdates re-shares full rows and distributes them to every provider.
-func (c *Client) pushUpdates(meta *tableMeta, ids []uint64, values [][]Value) (*Result, error) {
-	perProvider, err := c.encodeRowsAt(meta, ids, values)
+func (e *engine) pushUpdates(meta *tableMeta, ids []uint64, values [][]Value) error {
+	perProvider, err := e.encodeRowsAt(meta, ids, values)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if _, err := c.callWrite(func(i int) proto.Message {
+	_, err = e.callWrite(func(i int) proto.Message {
 		return &proto.UpdateRequest{Table: meta.Name, Rows: perProvider[i]}
-	}); err != nil {
-		return nil, err
-	}
-	return &Result{Affected: uint64(len(ids))}, nil
+	})
+	return err
 }
 
 // Flush pushes all buffered lazy updates to the providers.
 func (c *Client) Flush() error {
-	if c.shards != nil {
-		return c.shardFlush()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for name := range c.pending {
-		if err := c.flushTableLocked(name); err != nil {
-			return err
+	return c.scatter(c.allGroups(), true, nil, func(_ int, e *engine) error {
+		for name := range e.pending {
+			if err := e.flushTableLocked(name); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // PendingUpdates reports how many lazy updates are buffered.
 func (c *Client) PendingUpdates() int {
-	if c.shards != nil {
-		total := 0
-		for _, sub := range c.shards {
-			total += sub.PendingUpdates()
-		}
-		return total
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	total := 0
-	for _, m := range c.pending {
-		total += len(m)
+	for _, e := range c.groups {
+		e.mu.RLock()
+		for _, m := range e.pending {
+			total += len(m)
+		}
+		e.mu.RUnlock()
 	}
 	return total
 }
 
-func (c *Client) flushTableLocked(name string) error {
-	pend := c.pending[name]
+// flushTableLocked pushes one table's buffered lazy updates; the caller holds
+// the exclusive statement lock.
+func (e *engine) flushTableLocked(name string) error {
+	pend := e.pending[name]
 	if len(pend) == 0 {
 		return nil
 	}
-	meta, err := c.table(name)
+	meta, err := e.cat.table(name)
 	if err != nil {
 		return err
 	}
@@ -573,9 +645,9 @@ func (c *Client) flushTableLocked(name string) error {
 		ids = append(ids, id)
 		values = append(values, vals)
 	}
-	if _, err := c.pushUpdates(meta, ids, values); err != nil {
+	if err := e.pushUpdates(meta, ids, values); err != nil {
 		return err
 	}
-	delete(c.pending, name)
+	delete(e.pending, name)
 	return nil
 }

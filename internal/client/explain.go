@@ -14,85 +14,70 @@ func fetchLine(meta *tableMeta, plan fetchPlan) string {
 		strings.Join(plan.names, ", "), len(plan.names), len(meta.providerSpec().Columns))
 }
 
-// execExplain describes how a statement would execute without running it:
-// which predicate is rewritten into a per-provider share filter, what stays
+// execExplain describes how a statement would execute without running it,
+// from the same plan execution runs: which groups it routes to, which
+// predicate is rewritten into a per-provider share filter, what stays
 // client-side, which cells each provider ships, where aggregates and joins
-// run, and how many providers are consulted. For UPDATE and DELETE it
-// describes the read round that finds the affected rows. The output is one
+// run, and how many providers of a group are consulted. For UPDATE and DELETE
+// it describes the read round that finds the affected rows. The output is one
 // plan line per row (column "plan").
 func (c *Client) execExplain(e *sql.Explain) (*Result, error) {
 	res := &Result{Columns: []string{"plan"}}
 	line := func(format string, args ...any) {
 		res.Rows = append(res.Rows, []Value{StringValue(fmt.Sprintf(format, args...))})
 	}
+	// routing says where a table's rows are read; with one group there is
+	// nothing to say.
+	routing := func(meta *tableMeta, targets []int) {
+		switch g := len(c.groups); {
+		case g == 1:
+		case meta.shardCol < 0:
+			line("SHARD %s: rows hash-partitioned on insert sequence across %d groups — scatter-gather", meta.Name, g)
+		case len(targets) == 1:
+			line("SHARD %s: point predicate on shard key %q routes to group %d of %d",
+				meta.Name, meta.Cols[meta.shardCol].Name, targets[0], g)
+		case len(targets) < g:
+			line("SHARD %s: IN predicate on shard key %q routes to %d of %d groups",
+				meta.Name, meta.Cols[meta.shardCol].Name, len(targets), g)
+		default:
+			line("SHARD %s: hash-partitioned on %q; no point predicate — scatter-gather across %d groups",
+				meta.Name, meta.Cols[meta.shardCol].Name, g)
+		}
+	}
 	var s *sql.Select
+	var dml string
 	switch st := e.Stmt.(type) {
 	case *sql.Select:
 		s = st
 	case *sql.Update:
 		// Whole rows are re-shared, so the read round fetches every column.
-		line("UPDATE %s: reconstruct the matching rows, re-share them, send to all %d providers", st.Table, c.opts.N)
+		dml = fmt.Sprintf("UPDATE %s: reconstruct the matching rows, re-share them, send to all %d providers", st.Table, c.opts.N)
 		s = &sql.Select{Table: st.Table, Where: st.Where, Items: []sql.SelectItem{{Star: true}}}
 	case *sql.Delete:
-		line("DELETE %s: find the matching row ids, send them to all %d providers", st.Table, c.opts.N)
+		dml = fmt.Sprintf("DELETE %s: find the matching row ids, send them to all %d providers", st.Table, c.opts.N)
 		s = &sql.Select{Table: st.Table, Where: st.Where}
 	default:
 		return nil, fmt.Errorf("%w: EXPLAIN %T", ErrUnsupported, e.Stmt)
 	}
-	verified := s.Verified || c.opts.Verified
-	quorum := c.opts.K
-	if verified {
-		quorum = c.opts.N
-	}
 
 	if s.Join != nil {
-		left, err := c.table(s.Table)
+		j, err := c.planJoin(s)
 		if err != nil {
 			return nil, err
 		}
-		right, err := c.table(s.Join.Table)
-		if err != nil {
-			return nil, err
-		}
-		lcName, rcName, err := resolveOn(left.Name, right.Name, s.Join)
-		if err != nil {
-			return nil, err
-		}
-		lc, err := left.col(lcName)
-		if err != nil {
-			return nil, err
-		}
-		rc, err := right.col(rcName)
-		if err != nil {
-			return nil, err
-		}
-		var rightPreds int
-		for _, p := range s.Where {
-			side, err := predicateSide(left, right, p)
-			if err != nil {
-				return nil, err
-			}
-			if side == 1 {
-				rightPreds++
-			}
-		}
-		items, err := resolveJoinItems(left, right, s.Items)
-		if err != nil {
-			return nil, err
-		}
-		lCols, rCols := joinSideCols(items, true), joinSideCols(items, false)
-		if lc.domain == rc.domain && rightPreds == 0 {
+		left, right := j.left.meta, j.right.meta
+		routing(left, j.left.targets)
+		routing(right, j.right.targets)
+		lCols, rCols := j.left.fetch, j.right.fetch
+		if j.why == "" {
 			line("JOIN %s ⋈ %s ON %s = %s: provider-side share-equality hash join (same domain %q)",
-				left.Name, right.Name, lcName, rcName, lc.domain)
+				left.Name, right.Name, j.lc.Name, j.rc.Name, j.lc.domain)
 			line("  send JoinRequest to %d of %d providers; reconstruct pairs from aligned responses", c.opts.K, c.opts.N)
+			// The providers match the keys themselves; only the select list
+			// is shipped.
+			lCols, rCols = joinSideCols(j.items, true), joinSideCols(j.items, false)
 		} else {
-			lCols = append(lCols, left.colIndex(lcName))
-			rCols = append(rCols, right.colIndex(rcName))
-			reason := fmt.Sprintf("domains differ (%q vs %q)", lc.domain, rc.domain)
-			if rightPreds > 0 {
-				reason = fmt.Sprintf("%d predicate(s) on the right side", rightPreds)
-			}
-			line("JOIN %s ⋈ %s: CLIENT-SIDE fallback — %s", left.Name, right.Name, reason)
+			line("JOIN %s ⋈ %s: CLIENT-SIDE fallback — %s", left.Name, right.Name, j.why)
 			line("  scan both tables, reconstruct, hash-join locally on typed values")
 		}
 		line("  %s: %s", left.Name, fetchLine(left, left.fetchPlan(lCols)))
@@ -103,16 +88,21 @@ func (c *Client) execExplain(e *sql.Explain) (*Result, error) {
 		return res, nil
 	}
 
-	meta, err := c.table(s.Table)
+	p, err := c.planSelect(s, nil)
 	if err != nil {
 		return nil, err
 	}
-	preds, err := c.compilePredicates(meta, s.Where, "")
-	if err != nil {
-		return nil, err
+	meta, preds := p.meta, p.preds
+	routing(meta, p.targets)
+	if dml != "" {
+		line("%s", dml)
 	}
-	// describeScan explains a scan whose caller reads cols.
-	describeScan := func(cols []int) {
+	quorum := c.opts.K
+	if p.verified {
+		quorum = c.opts.N
+	}
+	// describeScan explains the scan a routed group runs for the plan.
+	describeScan := func() {
 		switch {
 		case len(preds) == 0:
 			line("SCAN %s: full table from %d of %d providers", meta.Name, quorum, c.opts.N)
@@ -132,76 +122,48 @@ func (c *Client) execExplain(e *sql.Explain) (*Result, error) {
 			}
 			line("SCAN %s: push %s filter on %q#o (indexed) to %d of %d providers",
 				meta.Name, kind, cm.Name, quorum, c.opts.N)
-			residual := len(preds) - 1
-			if cp.set != nil {
-				residual++ // IN membership re-checked client-side
-			}
-			if residual > 0 {
+			if residual := len(residualPreds(preds)); residual > 0 {
 				line("  %d residual predicate(s) evaluated client-side after reconstruction", residual)
 			}
 		}
-		line("  %s", fetchLine(meta, meta.scanPlan(preds, cols, verified)))
-		if verified {
+		line("  %s", fetchLine(meta, meta.scanPlan(preds, p.fetch, p.verified)))
+		if p.verified {
 			line("  VERIFIED: Merkle completeness proof per provider + robust reconstruction over all %d", c.opts.N)
 		}
 	}
 
-	hasAgg := false
-	for _, item := range s.Items {
-		if item.Agg != sql.AggNone {
-			hasAgg = true
-		}
-	}
 	switch {
-	case s.GroupBy != nil:
-		gcm, gci, computeItems, simpleOnly, err := planGroupBy(meta, s)
-		if err != nil {
-			return nil, err
-		}
-		if simpleOnly && len(preds) <= 1 && !verified && !c.forceClientAgg {
-			line("GROUP BY %s: provider-side grouped partials (COUNT/SUM per share-group)", gcm.Name)
+	case p.gcm != nil:
+		if p.onProviders {
+			line("GROUP BY %s: provider-side grouped partials (COUNT/SUM per share-group)", p.gcm.Name)
 			line("  groups align positionally across providers (share order = value order)")
 			line("  group keys inverted from a single share; sums reconstructed from %d partials", c.opts.K)
-		} else {
-			line("GROUP BY %s: CLIENT-SIDE — scan, reconstruct, group locally", gcm.Name)
-			cols, err := aggCols(meta, computeItems)
-			if err != nil {
-				return nil, err
+			if len(p.targets) > 1 {
+				line("  buckets of the %d groups re-reduced by key: counts and sums add", len(p.targets))
 			}
-			describeScan(append(cols, gci))
+		} else {
+			line("GROUP BY %s: CLIENT-SIDE — scan, reconstruct, group locally", p.gcm.Name)
+			describeScan()
 		}
 		if len(s.Having) > 0 {
 			line("HAVING: %d conjunct(s) applied to reconstructed group aggregates", len(s.Having))
 		}
-	case hasAgg:
-		if len(preds) > 1 || verified || c.forceClientAgg {
-			line("AGGREGATE: CLIENT-SIDE — scan, reconstruct, aggregate locally")
-			cols, err := aggCols(meta, s.Items)
-			if err != nil {
-				return nil, err
-			}
-			describeScan(cols)
-		} else {
+	case p.agg:
+		if p.onProviders {
 			line("AGGREGATE: provider-side partials from %d of %d providers", c.opts.K, c.opts.N)
 			line("  SUM/AVG via share additivity; MIN/MAX/MEDIAN via order preservation; COUNT exact")
 			if len(preds) == 1 {
-				cm := &meta.Cols[preds[0].ci]
-				line("  filter on %q pushed in share space", cm.Name)
+				line("  filter on %q pushed in share space", meta.Cols[preds[0].ci].Name)
 			}
+			if len(p.targets) > 1 {
+				line("  partials of the %d groups merged: counts and sums add, MIN/MAX compare", len(p.targets))
+			}
+		} else {
+			line("AGGREGATE: CLIENT-SIDE — scan, reconstruct, aggregate locally")
+			describeScan()
 		}
 	default:
-		_, cols, err := selectColumns(meta, s.Items)
-		if err != nil {
-			return nil, err
-		}
-		if s.OrderBy != nil {
-			oci, err := orderColumn(meta, s.OrderBy)
-			if err != nil {
-				return nil, err
-			}
-			cols = append(cols, oci)
-		}
-		describeScan(cols)
+		describeScan()
 		if s.OrderBy != nil {
 			dir := "ASC"
 			if s.OrderBy.Desc {
@@ -210,8 +172,19 @@ func (c *Client) execExplain(e *sql.Explain) (*Result, error) {
 			line("ORDER BY %s %s: client-side sort on encoded values", s.OrderBy.Col.Name, dir)
 		}
 		if s.Limit > 0 {
+			// Buffered lazy updates are the one thing the plan depends on
+			// beyond the catalog; look under the read's own locks.
+			unlock, err := c.lock(p.targets, false, meta)
+			if err != nil {
+				return nil, err
+			}
+			pending := false
+			for _, g := range p.targets {
+				pending = pending || c.groups[g].hasPending(meta.Name)
+			}
+			unlock()
 			where := "pushed to providers"
-			if len(preds) > 1 || s.OrderBy != nil || c.hasPending(meta.Name) {
+			if len(residualPreds(preds)) > 0 || s.OrderBy != nil || pending {
 				where = "applied client-side (residuals/order/pending overlay)"
 			}
 			line("LIMIT %d: %s", s.Limit, where)

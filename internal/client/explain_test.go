@@ -5,7 +5,9 @@ import (
 	"testing"
 )
 
-func planText(t *testing.T, f *fleet, q string) string {
+func planText(t *testing.T, f interface {
+	mustExec(testing.TB, string) *Result
+}, q string) string {
 	t.Helper()
 	res := f.mustExec(t, q)
 	if len(res.Columns) != 1 || res.Columns[0] != "plan" {
@@ -155,6 +157,68 @@ func TestExplainFetchedCells(t *testing.T) {
 	for _, want := range []string{"  a: fetch x#f — 1 of 4 cells\n", "  b: fetch k#f — 1 of 4 cells\n"} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("join plan lacks %q:\n%s", want, plan)
+		}
+	}
+}
+
+// TestExplainGroups: with more than one provider group EXPLAIN prepends where
+// the statement routes to the very plan text one group prints — the fetched
+// cells included, per side for joins — and says how partials merge.
+func TestExplainGroups(t *testing.T) {
+	one := newFleet(t, 3, 2, Options{})
+	two := newShardFleet(t, 2, 3, 2, Options{ShardKeys: map[string]string{"employees": "dept"}})
+	for _, q := range []string{
+		`CREATE TABLE employees (name VARCHAR(8), salary INT, dept INT)`,
+		`CREATE TABLE a (k INT, x INT)`,
+		`CREATE TABLE b (k INT, y INT)`,
+	} {
+		one.mustExec(t, q)
+		two.mustExec(t, q)
+	}
+	for q, routing := range map[string]string{
+		`EXPLAIN SELECT name FROM employees WHERE salary > 10 AND dept = 1 LIMIT 3`: `SHARD employees: point predicate on shard key "dept" routes to group `,
+		`EXPLAIN SELECT name FROM employees WHERE dept IN (1, 2, 3, 4, 5, 6, 7, 8)`: `SHARD employees: hash-partitioned on "dept"; no point predicate — scatter-gather across 2 groups`,
+		`EXPLAIN SELECT salary FROM employees ORDER BY salary`:                      `scatter-gather across 2 groups`,
+		`EXPLAIN UPDATE employees SET salary = 2 WHERE salary > 10`:                 `scatter-gather across 2 groups`,
+		`EXPLAIN DELETE FROM a WHERE k = 4`:                                         `SHARD a: rows hash-partitioned on insert sequence across 2 groups — scatter-gather`,
+		`EXPLAIN SELECT MAX(x) FROM a WHERE k > 1 AND x < 5`:                        `SHARD a: rows hash-partitioned on insert sequence`,
+	} {
+		want := planText(t, one, q)
+		got := planText(t, two, q)
+		first, rest, _ := strings.Cut(got, "\n")
+		if !strings.Contains(first, routing) {
+			t.Errorf("%s: routing line %q lacks %q", q, first, routing)
+		}
+		if rest != want {
+			t.Errorf("%s: after the routing line two groups print\n%swant one group's\n%s", q, rest, want)
+		}
+	}
+	// Partials that merge say so.
+	plan := planText(t, two, `EXPLAIN SELECT SUM(salary), MAX(salary) FROM employees`)
+	if !strings.Contains(plan, "provider-side partials") || !strings.Contains(plan, "partials of the 2 groups merged") {
+		t.Errorf("aggregate plan:\n%s", plan)
+	}
+	plan = planText(t, two, `EXPLAIN SELECT dept, COUNT(*) FROM employees GROUP BY dept`)
+	if !strings.Contains(plan, "grouped partials") || !strings.Contains(plan, "buckets of the 2 groups re-reduced by key") {
+		t.Errorf("GROUP BY plan:\n%s", plan)
+	}
+	// A MEDIAN does not merge: gathered at two groups, provider-side at one.
+	if plan = planText(t, two, `EXPLAIN SELECT MEDIAN(x) FROM a`); !strings.Contains(plan, "CLIENT-SIDE") {
+		t.Errorf("two-group MEDIAN plan:\n%s", plan)
+	}
+	if plan = planText(t, one, `EXPLAIN SELECT MEDIAN(x) FROM a`); !strings.Contains(plan, "provider-side partials") {
+		t.Errorf("one-group MEDIAN plan:\n%s", plan)
+	}
+	// A same-domain join runs at the providers only when both sides sit in
+	// one group; across groups each side is gathered, key column included.
+	plan = planText(t, two, `EXPLAIN SELECT a.x FROM a JOIN b ON a.k = b.k`)
+	for _, want := range []string{
+		"SHARD a: rows hash-partitioned", "SHARD b: rows hash-partitioned",
+		"CLIENT-SIDE fallback — the sides span 2 provider groups",
+		"  a: fetch k#f, x#f — 2 of 4 cells\n", "  b: fetch k#f — 1 of 4 cells\n",
+	} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("two-group join plan lacks %q:\n%s", want, plan)
 		}
 	}
 }

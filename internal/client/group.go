@@ -55,45 +55,10 @@ func aggKey(item sql.SelectItem) string {
 	return item.Agg.String() + "(" + item.Col.Name + ")"
 }
 
-// execGroupedAggregates evaluates SELECT ... GROUP BY g. COUNT/SUM/AVG run
-// provider-side: each provider partitions matching rows by the group
-// column's deterministic share and returns per-group partials in share
-// (= value) order, so the client aligns groups positionally and
-// reconstructs each group's sum from k partials. Other aggregates,
-// residual predicates, and verified mode fall back to a scan plus local
-// grouping.
-func (c *Client) execGroupedAggregates(meta *tableMeta, s *sql.Select) (*Result, error) {
-	if err := c.flushTableLocked(meta.Name); err != nil {
-		return nil, err
-	}
-	gcm, gci, computeItems, simpleOnly, err := planGroupBy(meta, s)
-	if err != nil {
-		return nil, err
-	}
-	preds, err := c.compilePredicates(meta, s.Where, "")
-	if err != nil {
-		return nil, err
-	}
-	verified := s.Verified || c.opts.Verified
-	useProvider := simpleOnly && len(preds) <= 1 && !verified && !c.forceClientAgg &&
-		!(len(preds) == 1 && preds[0].set != nil)
-
-	var groups []*group
-	if useProvider {
-		groups, err = c.groupedRemote(meta, gcm, preds, computeItems)
-	} else {
-		groups, err = c.groupedLocal(meta, gcm, gci, preds, computeItems, verified)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return c.renderGroups(meta, s, groups, verified && !useProvider)
-}
-
 // planGroupBy validates a GROUP BY statement against the table's schema and
 // resolves the grouping column, the aggregates to compute (select list plus
 // HAVING), and whether every aggregate is provider-combinable (COUNT, SUM,
-// AVG). Shared by the single-group engine and the shard router.
+// AVG).
 func planGroupBy(meta *tableMeta, s *sql.Select) (gcm *colMeta, gci int, computeItems []sql.SelectItem, simpleOnly bool, err error) {
 	if s.OrderBy != nil {
 		return nil, 0, nil, false, fmt.Errorf("%w: ORDER BY with GROUP BY (groups already come back in key order)", ErrUnsupported)
@@ -141,13 +106,12 @@ func planGroupBy(meta *tableMeta, s *sql.Select) (gcm *colMeta, gci int, compute
 	return gcm, gci, computeItems, simpleOnly, nil
 }
 
-// renderGroups applies HAVING and renders the group list into a Result in
-// select-list order. Shared by the single-group engine and the shard
-// router's re-reduce.
-func (c *Client) renderGroups(meta *tableMeta, s *sql.Select, groups []*group, verified bool) (*Result, error) {
+// renderGroups applies HAVING and renders the merged group list into a Result
+// in select-list order.
+func renderGroups(meta *tableMeta, s *sql.Select, groups []*group, verified bool) (*Result, error) {
 	var err error
 	if len(s.Having) > 0 {
-		groups, err = c.filterHaving(meta, groups, s.Having)
+		groups, err = filterHaving(meta, groups, s.Having)
 		if err != nil {
 			return nil, err
 		}
@@ -180,7 +144,7 @@ func (c *Client) renderGroups(meta *tableMeta, s *sql.Select, groups []*group, v
 
 // filterHaving drops groups whose aggregate values fail the HAVING
 // conjuncts.
-func (c *Client) filterHaving(meta *tableMeta, groups []*group, having []sql.HavingPredicate) ([]*group, error) {
+func filterHaving(meta *tableMeta, groups []*group, having []sql.HavingPredicate) ([]*group, error) {
 	out := groups[:0]
 	for _, g := range groups {
 		keep := true
@@ -189,7 +153,7 @@ func (c *Client) filterHaving(meta *tableMeta, groups []*group, having []sql.Hav
 			if err != nil {
 				return nil, err
 			}
-			ok, err := c.havingMatches(meta, hp, v)
+			ok, err := havingMatches(meta, hp, v)
 			if err != nil {
 				return nil, err
 			}
@@ -206,7 +170,7 @@ func (c *Client) filterHaving(meta *tableMeta, groups []*group, having []sql.Hav
 }
 
 // havingMatches compares one group's aggregate value against the literal(s).
-func (c *Client) havingMatches(meta *tableMeta, hp sql.HavingPredicate, v Value) (bool, error) {
+func havingMatches(meta *tableMeta, hp sql.HavingPredicate, v Value) (bool, error) {
 	// cmpLit returns sign(v - lit).
 	cmpLit := func(lit sql.Literal) (int, error) {
 		if hp.Item.Agg == sql.AggCount {
@@ -292,24 +256,11 @@ func compareInt64(a, b int64) int {
 	}
 }
 
-// groupedLocal scans, groups client-side, and computes every aggregate via
-// aggregateLocal.
-func (c *Client) groupedLocal(meta *tableMeta, gcm *colMeta, gci int, preds []compiledPred, items []sql.SelectItem, verified bool) ([]*group, error) {
-	cols, err := aggCols(meta, items)
-	if err != nil {
-		return nil, err
-	}
-	scan, err := c.scanTable(meta, preds, c.readOpts(append(cols, gci), 0, verified))
-	if err != nil {
-		return nil, err
-	}
-	return c.groupedFromScan(meta, gcm, gci, scan, items)
-}
-
-// groupedFromScan buckets an already-reconstructed scan by the group column
-// and computes every aggregate per bucket, in encoded-key order. The shard
-// router feeds it the merged cross-group scan.
-func (c *Client) groupedFromScan(meta *tableMeta, gcm *colMeta, gci int, scan *scanResult, items []sql.SelectItem) ([]*group, error) {
+// groupedFromScan buckets the gathered matching rows by the group column and
+// computes every aggregate per bucket, in encoded-key order — the client-side
+// path, for aggregates that do not merge, residual predicates, and verified
+// mode.
+func groupedFromScan(meta *tableMeta, gcm *colMeta, gci int, scan *scanResult, items []sql.SelectItem) ([]*group, error) {
 	byKey := make(map[uint64]*group)
 	rowsByKey := make(map[uint64][]int)
 	var order []uint64
@@ -339,7 +290,7 @@ func (c *Client) groupedFromScan(meta *tableMeta, gcm *colMeta, gci int, scan *s
 			if item.Agg == sql.AggNone {
 				continue
 			}
-			v, err := c.aggregateLocal(meta, sub, item)
+			v, err := aggregateLocal(meta, sub, item)
 			if err != nil {
 				return nil, err
 			}
@@ -350,15 +301,18 @@ func (c *Client) groupedFromScan(meta *tableMeta, gcm *colMeta, gci int, scan *s
 	return groups, nil
 }
 
-// groupedRemote runs provider-side grouped aggregation and reconstructs
-// group keys (single-share OPP inversion) and sums (k-partial Lagrange).
-func (c *Client) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPred, items []sql.SelectItem) ([]*group, error) {
+// groupedRemote runs provider-side grouped aggregation for COUNT/SUM/AVG:
+// each provider partitions matching rows by the group column's deterministic
+// share and returns per-group partials in share (= value) order, so the
+// client aligns groups positionally, inverts each key from a single share,
+// and reconstructs each group's sum from k partials (Lagrange).
+func (e *engine) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPred, items []sql.SelectItem) ([]*group, error) {
 	for _, cp := range preds {
 		if cp.empty {
 			return nil, nil
 		}
 	}
-	filters, err := c.providerFilters(meta, preds)
+	filters, err := e.providerFilters(meta, preds)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +336,7 @@ func (c *Client) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 		results   []*proto.GroupResult
 	}
 	fetch := func(op proto.AggOp, valueCol string) (*remotePartials, error) {
-		responses, err := c.callQuorum(c.opts.K, func(i int) proto.Message {
+		responses, err := e.callQuorum(e.opts.K, func(i int) proto.Message {
 			return &proto.AggregateRequest{
 				Table:    meta.Name,
 				Op:       op,
@@ -390,7 +344,7 @@ func (c *Client) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 				GroupCol: gcm.Name + suffixOPP,
 				Filter:   filters[i],
 			}
-		}, c.readDeadline())
+		}, e.readDeadline())
 		if err != nil {
 			return nil, err
 		}
@@ -444,7 +398,7 @@ func (c *Client) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 			for i, p := range rp.providers {
 				shares[i] = secretshare.Share{Index: p, Y: field.New(rp.results[i].Groups[gidx].Sum)}
 			}
-			sumEnc, err := c.fieldSch.Reconstruct(shares)
+			sumEnc, err := e.fieldSch.Reconstruct(shares)
 			if err != nil {
 				return nil, err
 			}
@@ -467,7 +421,7 @@ func (c *Client) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 		if err != nil {
 			return nil, fmt.Errorf("%w: malformed group key: %v", ErrInconsistent, err)
 		}
-		enc, err := gcm.oppSch.ReconstructSearch(providerIdx, share)
+		enc, err := gcm.oppSch[e.g].ReconstructSearch(providerIdx, share)
 		if err != nil {
 			return nil, fmt.Errorf("%w: group key has no preimage: %v", ErrVerification, err)
 		}
@@ -480,6 +434,42 @@ func (c *Client) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 			g.sums[name] = perGroup[gidx]
 		}
 		groups = append(groups, g)
+	}
+	return groups, nil
+}
+
+// mergeGroups re-reduces bucket partials by group key: buckets with the same
+// key add their counts and sums, and the merged list sorts by encoded key,
+// which is every partial's own order (share order = value order). One
+// partial is already the answer.
+func mergeGroups(gcm *colMeta, parts [][]*group) ([]*group, error) {
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	byKey := make(map[uint64]*group)
+	var order []uint64
+	for _, part := range parts {
+		for _, g := range part {
+			enc, err := gcm.encode(g.key)
+			if err != nil {
+				return nil, err
+			}
+			m, ok := byKey[enc]
+			if !ok {
+				byKey[enc] = g
+				order = append(order, enc)
+				continue
+			}
+			m.count += g.count
+			for name, v := range g.sums {
+				m.sums[name] += v
+			}
+		}
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	groups := make([]*group, 0, len(order))
+	for _, enc := range order {
+		groups = append(groups, byKey[enc])
 	}
 	return groups, nil
 }

@@ -233,41 +233,27 @@ type HedgeStats struct {
 	Suppressed uint64
 }
 
-// HedgeStats returns hedged-request counters (aggregated across groups on
-// a sharded client). All zeros on a healthy fleet: hedges are issued only
-// when a read-set member exceeds the straggler threshold.
+// HedgeStats returns hedged-request counters, summed over the provider
+// groups. All zeros on a healthy fleet: hedges are issued only when a
+// read-set member exceeds the straggler threshold.
 func (c *Client) HedgeStats() HedgeStats {
-	if c.shards != nil {
-		var total HedgeStats
-		for _, sub := range c.shards {
-			s := sub.HedgeStats()
-			total.Issued += s.Issued
-			total.Won += s.Won
-			total.Suppressed += s.Suppressed
-		}
-		return total
+	var total HedgeStats
+	for _, e := range c.groups {
+		total.Issued += e.health.hedgesIssued.Load()
+		total.Won += e.health.hedgesWon.Load()
+		total.Suppressed += e.health.hedgesSuppressed.Load()
 	}
-	return HedgeStats{
-		Issued:     c.health.hedgesIssued.Load(),
-		Won:        c.health.hedgesWon.Load(),
-		Suppressed: c.health.hedgesSuppressed.Load(),
-	}
+	return total
 }
 
 // ProviderLatencies returns each provider's EWMA observed call latency
-// (zero when unobserved); on a sharded client, flat g*N+p indexing like
-// LaggingProviders.
+// (zero when unobserved), flat g*N+p indexed like LaggingProviders.
 func (c *Client) ProviderLatencies() []time.Duration {
-	if c.shards != nil {
-		var out []time.Duration
-		for _, sub := range c.shards {
-			out = append(out, sub.ProviderLatencies()...)
+	out := make([]time.Duration, 0, len(c.groups)*c.opts.N)
+	for _, e := range c.groups {
+		for p := 0; p < e.opts.N; p++ {
+			out = append(out, e.health.latency(p))
 		}
-		return out
-	}
-	out := make([]time.Duration, c.opts.N)
-	for i := range out {
-		out[i] = c.health.latency(i)
 	}
 	return out
 }
@@ -275,23 +261,23 @@ func (c *Client) ProviderLatencies() []time.Duration {
 // hedgeThreshold resolves the straggler threshold for one read round:
 // Options.HedgeDelay when set, the dynamic p99-based threshold otherwise,
 // 0 when hedging is (currently or explicitly) off.
-func (c *Client) hedgeThreshold() time.Duration {
-	if c.opts.HedgeDelay < 0 {
+func (e *engine) hedgeThreshold() time.Duration {
+	if e.opts.HedgeDelay < 0 {
 		return 0
 	}
-	if c.opts.HedgeDelay > 0 {
-		return c.opts.HedgeDelay
+	if e.opts.HedgeDelay > 0 {
+		return e.opts.HedgeDelay
 	}
-	return c.health.dynamicThreshold()
+	return e.health.dynamicThreshold()
 }
 
 // readDeadline converts Options.ReadDeadline into this statement's
 // absolute deadline (zero when unbounded).
-func (c *Client) readDeadline() time.Time {
-	if c.opts.ReadDeadline <= 0 {
+func (e *engine) readDeadline() time.Time {
+	if e.opts.ReadDeadline <= 0 {
 		return time.Time{}
 	}
-	return time.Now().Add(c.opts.ReadDeadline)
+	return time.Now().Add(e.opts.ReadDeadline)
 }
 
 // timeoutMillis converts an absolute deadline into the relative

@@ -23,7 +23,7 @@ import (
 // the repair obligation instead of silently forgetting it.
 type hintJournal struct {
 	// The client's downMu guards all fields below; hint state is failover
-	// state and shares its leaf lock (never acquire c.mu under it).
+	// state and shares its leaf lock (never acquire e.mu under it).
 	lagging bool
 	// records holds encoded per-provider request messages, FIFO. The head
 	// is only removed after the provider acknowledged it.
@@ -162,39 +162,39 @@ func (h *hintJournal) reset() error {
 // hintMutation queues msg for provider p and marks it lagging. Returns the
 // journal persistence error, if any (the share payload is still queued in
 // memory, so repair proceeds even if the disk copy failed).
-func (c *Client) hintMutation(p int, msg proto.Message) error {
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
-	return c.hints[p].append(msg)
+func (e *engine) hintMutation(p int, msg proto.Message) error {
+	e.downMu.Lock()
+	defer e.downMu.Unlock()
+	return e.hints[p].append(msg)
 }
 
 // laggingSet snapshots which providers have queued hints.
-func (c *Client) laggingSet() []bool {
-	lag := make([]bool, c.opts.N)
-	c.downMu.Lock()
-	for i, h := range c.hints {
+func (e *engine) laggingSet() []bool {
+	lag := make([]bool, e.opts.N)
+	e.downMu.Lock()
+	for i, h := range e.hints {
 		lag[i] = h.lagging
 	}
-	c.downMu.Unlock()
+	e.downMu.Unlock()
 	return lag
 }
 
 // isLagging reports whether provider p has queued hints.
-func (c *Client) isLagging(p int) bool {
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
-	return c.hints[p].lagging
+func (e *engine) isLagging(p int) bool {
+	e.downMu.Lock()
+	defer e.downMu.Unlock()
+	return e.hints[p].lagging
 }
 
 // lagFloor returns the row-id bound below which the given providers all
 // saw every mutation of table: the minimum lag floor among those that are
 // lagging, or MaxUint64 when none is. Scans cap their watermark with it.
-func (c *Client) lagFloor(table string, providers []int) uint64 {
+func (e *engine) lagFloor(table string, providers []int) uint64 {
 	floor := uint64(math.MaxUint64)
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
+	e.downMu.Lock()
+	defer e.downMu.Unlock()
 	for _, p := range providers {
-		h := c.hints[p]
+		h := e.hints[p]
 		if !h.lagging {
 			continue
 		}
@@ -210,77 +210,47 @@ func (c *Client) lagFloor(table string, providers []int) uint64 {
 }
 
 // PendingHints reports how many hinted mutations are queued across all
-// providers, awaiting replay by the repair loop. On a shard router it sums
-// the per-group journals.
+// providers of all groups, awaiting replay by the repair loops.
 func (c *Client) PendingHints() int {
-	if c.shards != nil {
-		total := 0
-		for _, sub := range c.shards {
-			total += sub.PendingHints()
-		}
-		return total
-	}
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
 	total := 0
-	for _, h := range c.hints {
-		total += len(h.records)
+	for _, e := range c.groups {
+		e.downMu.Lock()
+		for _, h := range e.hints {
+			total += len(h.records)
+		}
+		e.downMu.Unlock()
 	}
 	return total
 }
 
 // LaggingProviders lists providers with queued hints or an unfinished
-// repair, in index order. On a shard router, provider indices are global:
-// group g's provider i reports as g*N+i.
+// repair, in index order. Provider indices are global: group g's provider i
+// reports as g*N+i.
 func (c *Client) LaggingProviders() []int {
-	if c.shards != nil {
-		var out []int
-		for g, sub := range c.shards {
-			for _, p := range sub.LaggingProviders() {
-				out = append(out, g*c.opts.N+p)
-			}
-		}
-		return out
-	}
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
 	var out []int
-	for i, h := range c.hints {
-		if h.lagging {
-			out = append(out, i)
+	for g, e := range c.groups {
+		for i, lagging := range e.laggingSet() {
+			if lagging {
+				out = append(out, g*c.opts.N+i)
+			}
 		}
 	}
 	return out
 }
 
 // Converged reports that no provider is lagging: every provider holds every
-// acknowledged write, so all K-subsets reconstruct identical results. A
-// shard router is converged only when every group is.
+// acknowledged write of its group, so all K-subsets reconstruct identical
+// results.
 func (c *Client) Converged() bool {
-	if c.shards != nil {
-		for _, sub := range c.shards {
-			if !sub.Converged() {
-				return false
-			}
-		}
-		return true
-	}
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
-	for _, h := range c.hints {
-		if h.lagging {
-			return false
-		}
-	}
-	return true
+	return len(c.LaggingProviders()) == 0
 }
 
 // closeHints releases journal files.
-func (c *Client) closeHints() error {
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
+func (e *engine) closeHints() error {
+	e.downMu.Lock()
+	defer e.downMu.Unlock()
 	var firstErr error
-	for _, h := range c.hints {
+	for _, h := range e.hints {
 		if h.log != nil {
 			if err := h.log.Close(); err != nil && firstErr == nil {
 				firstErr = err

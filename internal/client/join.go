@@ -2,6 +2,7 @@ package client
 
 import (
 	"fmt"
+	"slices"
 
 	"sssdb/internal/field"
 	"sssdb/internal/proto"
@@ -27,12 +28,30 @@ func joinSideCols(items []joinItem, left bool) []int {
 	return cols
 }
 
-func (c *Client) execJoin(s *sql.Select) (*Result, error) {
-	left, err := c.table(s.Table)
+// joinPlan is an equijoin resolved against the catalog: each side planned
+// like a single-table scan (where it routes, its compiled predicates, the
+// columns a gathered scan of it reads), how the sides pair up, and where the
+// join runs.
+type joinPlan struct {
+	left, right *selectPlan
+	// lc and rc are the ON columns, lci and rci their indices.
+	lc, rc   *colMeta
+	lci, rci int
+	items    []joinItem
+	// targets is the union of both sides' routed groups, ascending.
+	targets []int
+	// why says what keeps the join from running at the providers; empty
+	// means nothing does.
+	why string
+}
+
+// planJoin resolves SELECT ... FROM a JOIN b ON a.x = b.y.
+func (c *Client) planJoin(s *sql.Select) (*joinPlan, error) {
+	left, err := c.cat.table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	right, err := c.table(s.Join.Table)
+	right, err := c.cat.table(s.Join.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -50,31 +69,23 @@ func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 			return nil, fmt.Errorf("%w: aggregates over joins", ErrUnsupported)
 		}
 	}
-	if err := c.flushTableLocked(left.Name); err != nil {
-		return nil, err
-	}
-	if err := c.flushTableLocked(right.Name); err != nil {
-		return nil, err
-	}
 	// Resolve the ON columns: either side of the equality may name either
 	// table.
 	lcName, rcName, err := resolveOn(left.Name, right.Name, s.Join)
 	if err != nil {
 		return nil, err
 	}
-	lc, err := left.col(lcName)
-	if err != nil {
+	j := &joinPlan{lci: left.colIndex(lcName), rci: right.colIndex(rcName)}
+	if j.lc, err = left.col(lcName); err != nil {
 		return nil, err
 	}
-	rc, err := right.col(rcName)
-	if err != nil {
+	if j.rc, err = right.col(rcName); err != nil {
 		return nil, err
 	}
-	if !lc.queryable() || !rc.queryable() {
+	if !j.lc.queryable() || !j.rc.queryable() {
 		return nil, fmt.Errorf("%w: join on BLOB columns", ErrUnsupported)
 	}
-	items, err := resolveJoinItems(left, right, s.Items)
-	if err != nil {
+	if j.items, err = resolveJoinItems(left, right, s.Items); err != nil {
 		return nil, err
 	}
 	// Split predicates by side.
@@ -90,6 +101,29 @@ func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 			rightPreds = append(rightPreds, p)
 		}
 	}
+	side := func(meta *tableMeta, where []sql.Predicate, isLeft bool, key int) (*selectPlan, error) {
+		preds, err := compilePredicates(meta, where, meta.Name)
+		if err != nil {
+			return nil, err
+		}
+		return &selectPlan{meta: meta, targets: c.routeGroups(meta, where), preds: preds,
+			fetch: append(joinSideCols(j.items, isLeft), key), flush: true, oci: -1}, nil
+	}
+	if j.left, err = side(left, leftPreds, true, j.lci); err != nil {
+		return nil, err
+	}
+	if j.right, err = side(right, rightPreds, false, j.rci); err != nil {
+		return nil, err
+	}
+	routed := make([]bool, len(c.groups))
+	for _, g := range append(slices.Clip(j.left.targets), j.right.targets...) {
+		routed[g] = true
+	}
+	for g, ok := range routed {
+		if ok {
+			j.targets = append(j.targets, g)
+		}
+	}
 	// The paper's criterion: a join executes at the provider only when both
 	// key attributes come from the same domain ("our polynomials are
 	// constructed for each domain not for each attribute"); otherwise the
@@ -97,15 +131,68 @@ func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 	// locally after reconstruction. The provider can additionally apply at
 	// most one exact left-side interval filter, so anything richer —
 	// residual predicates, IN sets, right-side predicates — also falls
-	// back to the local join.
-	remoteOK := lc.domain == rc.domain && len(rightPreds) == 0 && len(leftPreds) <= 1
-	if remoteOK && len(leftPreds) == 1 && leftPreds[0].Op == sql.OpIn {
-		remoteOK = false
+	// back to the local join. And a provider only holds its own group's
+	// rows: unless both sides route to one and the same group, each side is
+	// gathered from its routed groups and hash-joined at the client.
+	switch {
+	case j.lc.domain != j.rc.domain:
+		j.why = fmt.Sprintf("domains differ (%q vs %q)", j.lc.domain, j.rc.domain)
+	case len(rightPreds) > 0:
+		j.why = fmt.Sprintf("%d predicate(s) on the right side", len(rightPreds))
+	case len(leftPreds) > 1 || (len(leftPreds) == 1 && leftPreds[0].Op == sql.OpIn):
+		j.why = "left-side predicates beyond one exact interval"
+	case len(j.targets) > 1:
+		j.why = fmt.Sprintf("the sides span %d provider groups", len(j.targets))
 	}
-	if remoteOK {
-		return c.joinRemote(left, right, lc, rc, items, leftPreds)
+	return j, nil
+}
+
+// execJoin runs one task per group of the lock set, exclusively: the task
+// reads whichever sides route to its group under one hold of the group's
+// lock, so a group never shows the join two different states of itself.
+func (c *Client) execJoin(s *sql.Select) (*Result, error) {
+	j, err := c.planJoin(s)
+	if err != nil {
+		return nil, err
 	}
-	return c.joinLocal(left, right, left.colIndex(lcName), right.colIndex(rcName), items, leftPreds, rightPreds)
+	var remote *Result
+	lScans := make([]*scanResult, len(j.targets))
+	rScans := make([]*scanResult, len(j.targets))
+	err = c.scatter(j.targets, true, []*tableMeta{j.left.meta, j.right.meta}, func(i int, e *engine) (err error) {
+		if j.why == "" {
+			for _, side := range []*selectPlan{j.left, j.right} {
+				if err := e.flushTableLocked(side.meta.Name); err != nil {
+					return err
+				}
+			}
+			remote, err = e.joinRemote(j)
+			return err
+		}
+		if slices.Contains(j.left.targets, e.g) {
+			if lScans[i], err = e.scanPlan(j.left, 0); err != nil {
+				return err
+			}
+		}
+		if slices.Contains(j.right.targets, e.g) {
+			rScans[i], err = e.scanPlan(j.right, 0)
+		}
+		return err
+	})
+	if err != nil || remote != nil {
+		return remote, err
+	}
+	// side merges the row partials of the groups one side was read in.
+	side := func(slots []*scanResult) *scanResult {
+		var scans []*scanResult
+		var groups []int
+		for i, scan := range slots {
+			if scan != nil {
+				scans, groups = append(scans, scan), append(groups, j.targets[i])
+			}
+		}
+		return c.mergeScans(scans, groups)
+	}
+	return joinFromScans(j.lci, j.rci, j.items, side(lScans), side(rScans)), nil
 }
 
 // resolveOn orients the ON clause onto (leftCol, rightCol).
@@ -198,18 +285,16 @@ func predicateSide(left, right *tableMeta, p sql.Predicate) (int, error) {
 	}
 }
 
-// joinRemote executes the equijoin at the providers (same-domain keys).
-func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joinItem, leftPreds []sql.Predicate) (*Result, error) {
-	preds, err := c.compilePredicates(left, leftPreds, left.Name)
-	if err != nil {
-		return nil, err
-	}
-	for _, cp := range preds {
+// joinRemote executes the equijoin at this group's providers (same-domain
+// keys, both sides wholly in this group).
+func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
+	left, right, lc, rc, items := j.left.meta, j.right.meta, j.lc, j.rc, j.items
+	for _, cp := range j.left.preds {
 		if cp.empty {
 			return &Result{Columns: joinColumns(items)}, nil
 		}
 	}
-	filters, err := c.providerFilters(left, preds)
+	filters, err := e.providerFilters(left, j.left.preds)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +303,7 @@ func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joi
 	lPlan := left.fetchPlan(joinSideCols(items, true))
 	rPlan := right.fetchPlan(joinSideCols(items, false))
 	header := append(append([]string(nil), lPlan.names...), rPlan.names...)
-	responses, err := c.callQuorum(c.opts.K, func(i int) proto.Message {
+	responses, err := e.callQuorum(e.opts.K, func(i int) proto.Message {
 		return &proto.JoinRequest{
 			LeftTable:  left.Name,
 			LeftCol:    lc.Name + suffixOPP,
@@ -228,7 +313,7 @@ func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joi
 			RightProj:  rPlan.names,
 			Filter:     filters[i],
 		}
-	}, c.readDeadline())
+	}, e.readDeadline())
 	if err != nil {
 		return nil, err
 	}
@@ -266,13 +351,13 @@ func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joi
 			itemCell[i] = len(lPlan.names) + rPlan.cell[item.ci]
 		}
 	}
-	weights, err := c.fieldSch.WeightsFor(providers[:c.opts.K])
+	weights, err := e.fieldSch.WeightsFor(providers[:e.opts.K])
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Columns: joinColumns(items)}
 	for r := range base.Rows {
-		for i := range results[:c.opts.K] {
+		for i := range results[:e.opts.K] {
 			if n := len(results[i].Rows[r].Cells); n != len(header) {
 				return nil, fmt.Errorf("%w: provider %d sent a joined row with %d cells under a %d-column header",
 					ErrInconsistent, providers[i], n, len(header))
@@ -287,14 +372,14 @@ func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joi
 			cm := &meta.Cols[item.ci]
 			cellIdx := itemCell[i]
 			if !cm.queryable() {
-				blob, err := c.openBlob(meta, base.Rows[r].Cells[cellIdx])
+				blob, err := e.openBlob(meta, base.Rows[r].Cells[cellIdx])
 				if err != nil {
 					return nil, err
 				}
 				row[i] = BytesValue(blob)
 				continue
 			}
-			v, err := c.combineCells(weights, providers, results, r, cellIdx, cm)
+			v, err := e.combineCells(weights, providers, results, r, cellIdx, cm)
 			if err != nil {
 				return nil, err
 			}
@@ -307,20 +392,20 @@ func (c *Client) joinRemote(left, right *tableMeta, lc, rc *colMeta, items []joi
 
 // combineCells reconstructs one joined cell from the first K providers'
 // aligned responses using precomputed Lagrange weights.
-func (c *Client) combineCells(weights []field.Element, providers []int, results []*proto.JoinResult, r, cellIdx int, cm *colMeta) (Value, error) {
-	ys := make([]field.Element, c.opts.K)
-	for i := 0; i < c.opts.K; i++ {
+func (e *engine) combineCells(weights []field.Element, providers []int, results []*proto.JoinResult, r, cellIdx int, cm *colMeta) (Value, error) {
+	ys := make([]field.Element, e.opts.K)
+	for i := 0; i < e.opts.K; i++ {
 		cell := results[i].Rows[r].Cells[cellIdx]
 		if len(cell) != 8 {
 			return Value{}, fmt.Errorf("%w: provider %d returned a malformed share", ErrInconsistent, providers[i])
 		}
 		ys[i] = field.New(beUint64(cell))
 	}
-	e, err := secretshare.CombineShares(weights, ys)
+	u, err := secretshare.CombineShares(weights, ys)
 	if err != nil {
 		return Value{}, err
 	}
-	return cm.decode(e.Uint64())
+	return cm.decode(u.Uint64())
 }
 
 func joinColumns(items []joinItem) []string {
@@ -331,33 +416,11 @@ func joinColumns(items []joinItem) []string {
 	return cols
 }
 
-// joinLocal reconstructs both sides at the client and joins on typed
-// values — the fallback for cross-domain keys, which the paper's
-// provider-side scheme cannot execute.
-func (c *Client) joinLocal(left, right *tableMeta, lci, rci int, items []joinItem, leftPreds, rightPreds []sql.Predicate) (*Result, error) {
-	lPreds, err := c.compilePredicates(left, leftPreds, left.Name)
-	if err != nil {
-		return nil, err
-	}
-	rPreds, err := c.compilePredicates(right, rightPreds, right.Name)
-	if err != nil {
-		return nil, err
-	}
-	lScan, err := c.scanTable(left, lPreds, c.readOpts(append(joinSideCols(items, true), lci), 0, false))
-	if err != nil {
-		return nil, err
-	}
-	rScan, err := c.scanTable(right, rPreds, c.readOpts(append(joinSideCols(items, false), rci), 0, false))
-	if err != nil {
-		return nil, err
-	}
-	return joinFromScans(lci, rci, items, lScan, rScan), nil
-}
-
-// joinFromScans hash-joins two reconstructed scans on the typed values of
-// key columns lci and rci — the tail of joinLocal, shared with the shard
-// router (which feeds merged cross-group scans of each side). Each scan must
-// have fetched its key column and its side of the select list.
+// joinFromScans hash-joins the two gathered sides at the client, on the
+// typed values of key columns lci and rci — the fallback for cross-domain
+// keys, which the paper's provider-side scheme cannot execute, and for sides
+// that span provider groups. Each scan must have fetched its key column and
+// its side of the select list.
 func joinFromScans(lci, rci int, items []joinItem, lScan, rScan *scanResult) *Result {
 	// Hash join on the display form of the key value (typed equality).
 	build := make(map[string][]int)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"sssdb/internal/numenc"
 	"sssdb/internal/opp"
@@ -27,11 +28,13 @@ type colMeta struct {
 	Type sql.TypeName
 	Arg  int // VARCHAR width / DECIMAL scale
 
-	// Queryable columns carry codecs and the per-domain OPP scheme.
+	// Queryable columns carry codecs and the per-domain OPP scheme, one
+	// instance per provider group (see domainScheme); engine g uses
+	// oppSch[g].
 	intCodec *numenc.SignedCodec
 	decCodec *numenc.DecimalCodec
 	strCodec *numenc.StringCodec
-	oppSch   *opp.Scheme
+	oppSch   []*opp.Scheme
 	domain   string
 	bits     uint
 }
@@ -39,12 +42,39 @@ type colMeta struct {
 // queryable reports whether the column participates in shares/predicates.
 func (c *colMeta) queryable() bool { return c.Type != sql.TypeBlob }
 
-// tableMeta is the client-side catalog entry for one outsourced table.
+// tableMeta is the catalog entry for one outsourced table: its schema, how
+// its rows are partitioned across the provider groups, and each group's
+// row-id frontier. Name, Public, Cols, shardCol and version never change
+// after the entry is built.
 type tableMeta struct {
 	Name   string
 	Public bool
 	Cols   []colMeta
-	NextID uint64
+	// shardCol is the index of the shard-key column, whose encoded value
+	// picks a row's group; -1 means rows hash on the insert sequence.
+	shardCol int
+	// version counts shard-map generations for this table; a catalog import
+	// into a client with a different group count is rejected, which is how a
+	// client detects a split it does not understand.
+	version int
+	// nextSeq is the insert-sequence frontier (sequence hashing only).
+	nextSeq atomic.Uint64
+	// nextID[g] is group g's private row-id frontier; engine g moves it
+	// under its insMu.
+	nextID []uint64
+	// dropped is set by DROP TABLE, which holds every group's statement lock
+	// exclusively; Client.lock reads it under any of them.
+	dropped bool
+}
+
+// newTableMeta builds an empty table's entry for a client with the given
+// number of groups.
+func newTableMeta(name string, public bool, groups int) *tableMeta {
+	meta := &tableMeta{Name: name, Public: public, shardCol: -1, version: 1, nextID: make([]uint64, groups)}
+	for g := range meta.nextID {
+		meta.nextID[g] = 1
+	}
+	return meta
 }
 
 // colIndex returns the position of a client column in t.Cols, or -1.
@@ -241,25 +271,32 @@ func (c *Client) buildColMeta(def sql.ColumnDef) (colMeta, error) {
 
 // domainScheme returns (building and caching on first use) the OPP scheme
 // of a domain. The scheme key is derived from the master key and the domain
-// signature, so all columns of one domain share polynomials across tables.
-func (c *Client) domainScheme(domain string, bits uint) (*opp.Scheme, error) {
-	if sch, ok := c.domains[domain]; ok {
-		return sch, nil
+// signature, so all columns of one domain share polynomials across tables —
+// and across groups: every group gets the same scheme, but its own instance
+// of it, because an instance memoizes shares behind one lock and the groups'
+// concurrent bulk encodes would otherwise queue on it.
+func (c *Client) domainScheme(domain string, bits uint) ([]*opp.Scheme, error) {
+	if schs, ok := c.domains[domain]; ok {
+		return schs, nil
 	}
 	mac := hmac.New(sha256.New, c.opts.MasterKey)
 	mac.Write([]byte("sssdb/domain/"))
 	mac.Write([]byte(domain))
 	key := mac.Sum(nil)
-	sch, err := opp.NewScheme(opp.Params{
-		Degree:     c.opts.OPPDegree,
-		DomainBits: bits,
-		N:          c.opts.N,
-	}, key)
-	if err != nil {
-		return nil, err
+	schs := make([]*opp.Scheme, len(c.groups))
+	for g := range schs {
+		sch, err := opp.NewScheme(opp.Params{
+			Degree:     c.opts.OPPDegree,
+			DomainBits: bits,
+			N:          c.opts.N,
+		}, key)
+		if err != nil {
+			return nil, err
+		}
+		schs[g] = sch
 	}
-	c.domains[domain] = sch
-	return sch, nil
+	c.domains[domain] = schs
+	return schs, nil
 }
 
 // parseValue converts a SQL literal into a typed Value for a column.

@@ -21,6 +21,7 @@ type capConn struct {
 	transport.Conn
 
 	mu       sync.Mutex
+	reqs     []proto.Message
 	scans    []*proto.ScanRequest
 	joins    []*proto.JoinRequest
 	oppCells int
@@ -29,6 +30,7 @@ type capConn struct {
 func (c *capConn) note(req proto.Message) (inspect bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.reqs = append(c.reqs, req)
 	switch m := req.(type) {
 	case *proto.ScanRequest:
 		c.scans = append(c.scans, m)
@@ -84,22 +86,44 @@ func (c *capConn) CallStream(req proto.Message, yield func(*proto.RowsResponse) 
 // is a capConn.
 func newCapturedFleet(t *testing.T) (*Client, []*capConn) {
 	t.Helper()
-	caps := make([]*capConn, 3)
-	conns := make([]transport.Conn, len(caps))
-	for i := range caps {
-		st, err := store.Open("")
-		if err != nil {
-			t.Fatal(err)
+	return newCapturedGroups(t, 1)
+}
+
+// newCapturedGroups is newCapturedFleet over the given number of groups;
+// group g's provider i is caps[g*3+i].
+func newCapturedGroups(t *testing.T, groups int) (*Client, []*capConn) {
+	t.Helper()
+	var caps []*capConn
+	conns := make([][]transport.Conn, groups)
+	for g := range conns {
+		for i := 0; i < 3; i++ {
+			st, err := store.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cc := &capConn{Conn: transport.NewLocal(server.New(st))}
+			caps = append(caps, cc)
+			conns[g] = append(conns[g], cc)
 		}
-		caps[i] = &capConn{Conn: transport.NewLocal(server.New(st))}
-		conns[i] = caps[i]
 	}
-	c, err := New(conns, Options{K: 2, MasterKey: []byte("test master key")})
+	c, err := NewSharded(conns, Options{K: 2, MasterKey: []byte("test master key")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return c, caps
+}
+
+// takeRequests returns and clears every request the connections have seen.
+func takeRequests(caps []*capConn) []proto.Message {
+	var out []proto.Message
+	for _, cc := range caps {
+		cc.mu.Lock()
+		out = append(out, cc.reqs...)
+		cc.reqs = nil
+		cc.mu.Unlock()
+	}
+	return out
 }
 
 // TestProjectionOnTheWire drives every unverified read path through

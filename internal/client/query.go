@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -30,17 +31,18 @@ type compiledPred struct {
 	empty bool
 }
 
-// compilePredicates lowers WHERE conjuncts onto domain intervals. qualifier
-// is the table name predicates may be qualified with ("" accepts only
-// unqualified columns).
-func (c *Client) compilePredicates(meta *tableMeta, preds []sql.Predicate, qualifier string) ([]compiledPred, error) {
+// compilePredicates lowers WHERE conjuncts onto domain intervals — once per
+// statement: the result depends on the schema alone, so every routed group
+// is handed the same compiled predicates. qualifier is the table name
+// predicates may be qualified with ("" accepts only unqualified columns).
+func compilePredicates(meta *tableMeta, preds []sql.Predicate, qualifier string) ([]compiledPred, error) {
 	out := make([]compiledPred, 0, len(preds))
 	for _, p := range preds {
 		if p.Col.Table != "" && p.Col.Table != meta.Name && p.Col.Table != qualifier {
 			return nil, fmt.Errorf("%w: predicate on %q does not reference table %q",
 				ErrUnsupported, p.Col, meta.Name)
 		}
-		cp, err := c.compilePredicate(meta, p)
+		cp, err := compilePredicate(meta, p)
 		if err != nil {
 			return nil, err
 		}
@@ -49,7 +51,7 @@ func (c *Client) compilePredicates(meta *tableMeta, preds []sql.Predicate, quali
 	return out, nil
 }
 
-func (c *Client) compilePredicate(meta *tableMeta, p sql.Predicate) (compiledPred, error) {
+func compilePredicate(meta *tableMeta, p sql.Predicate) (compiledPred, error) {
 	cm, err := meta.col(p.Col.Name)
 	if err != nil {
 		return compiledPred{}, err
@@ -167,19 +169,19 @@ func (cp compiledPred) matchesEnc(u uint64) bool {
 // compiled predicate into one share-space filter per provider (all nil
 // when there are no predicates). Bounds are within the domain by
 // construction, so errors here are programming errors.
-func (c *Client) providerFilters(meta *tableMeta, preds []compiledPred) ([]*proto.Filter, error) {
-	filters := make([]*proto.Filter, c.opts.N)
+func (e *engine) providerFilters(meta *tableMeta, preds []compiledPred) ([]*proto.Filter, error) {
+	filters := make([]*proto.Filter, e.opts.N)
 	if len(preds) == 0 {
 		return filters, nil
 	}
 	cp := preds[0]
 	cm := &meta.Cols[cp.ci]
 	for p := range filters {
-		loShare, err := cm.oppSch.ShareAt(cp.lo, p)
+		loShare, err := cm.oppSch[e.g].ShareAt(cp.lo, p)
 		if err != nil {
 			return nil, err
 		}
-		hiShare, err := cm.oppSch.ShareAt(cp.hi, p)
+		hiShare, err := cm.oppSch[e.g].ShareAt(cp.hi, p)
 		if err != nil {
 			return nil, err
 		}
@@ -230,8 +232,8 @@ type scanOpts struct {
 // readOpts is the scanOpts of a foreground read outside a transaction. The
 // statement's deadline is fixed here, once: a scan that re-opens after a
 // provider failure shares it, so failover cannot extend the budget.
-func (c *Client) readOpts(cols []int, limit uint64, verified bool) scanOpts {
-	return scanOpts{cols: cols, limit: limit, verified: verified, epoch: noEpoch, deadline: c.readDeadline()}
+func (e *engine) readOpts(cols []int, limit uint64, verified bool) scanOpts {
+	return scanOpts{cols: cols, limit: limit, verified: verified, epoch: noEpoch, deadline: e.readDeadline()}
 }
 
 // scanTable runs the paper's core read path: rewrite the (first) predicate
@@ -245,14 +247,14 @@ func (c *Client) readOpts(cols []int, limit uint64, verified bool) scanOpts {
 // consulted so corrupt ones can be outvoted — and take scanVerified. Both
 // are post-processed the same way: pending lazy updates overlay the result,
 // then LIMIT truncates it.
-func (c *Client) scanTable(meta *tableMeta, preds []compiledPred, o scanOpts) (*scanResult, error) {
+func (e *engine) scanTable(meta *tableMeta, preds []compiledPred, o scanOpts) (*scanResult, error) {
 	for _, cp := range preds {
 		if cp.empty {
 			return &scanResult{verified: o.verified}, nil
 		}
 	}
 	limit := o.limit
-	if c.hasPending(meta.Name) {
+	if e.hasPending(meta.Name) {
 		// The overlay may drop or add rows after the fact; fetch unlimited
 		// and truncate at the end.
 		o.limit = 0
@@ -260,16 +262,16 @@ func (c *Client) scanTable(meta *tableMeta, preds []compiledPred, o scanOpts) (*
 	var res *scanResult
 	var err error
 	if o.verified {
-		res, err = c.scanVerified(meta, preds, o.deadline)
+		res, err = e.scanVerified(meta, preds, o.deadline)
 	} else {
-		res, err = c.collectStream(meta, preds, o)
+		res, err = e.collectStream(meta, preds, o)
 	}
 	if err != nil {
 		return nil, err
 	}
 	// Lazy-update overlay: replace pending rows' values and re-evaluate the
 	// whole predicate set; add pending rows that now match.
-	if err := c.overlayPending(meta, res, preds); err != nil {
+	if err := e.overlayPending(meta, res, preds); err != nil {
 		return nil, err
 	}
 	if limit > 0 && uint64(len(res.ids)) > limit {
@@ -289,7 +291,7 @@ func (c *Client) scanTable(meta *tableMeta, preds []compiledPred, o scanOpts) (*
 // reads: the proof's leaf digest hashes every cell, the range check reads the
 // order-preserving one, and robust reconstruction of every column is what
 // identifies a corrupt provider.
-func (c *Client) scanVerified(meta *tableMeta, preds []compiledPred, deadline time.Time) (*scanResult, error) {
+func (e *engine) scanVerified(meta *tableMeta, preds []compiledPred, deadline time.Time) (*scanResult, error) {
 	if len(preds) == 0 {
 		// Synthesize a full-domain range on the first queryable column so
 		// the provider can attach a completeness proof.
@@ -304,14 +306,14 @@ func (c *Client) scanVerified(meta *tableMeta, preds []compiledPred, deadline ti
 			return nil, fmt.Errorf("%w: cannot verify a table with no queryable columns", ErrUnsupported)
 		}
 	}
-	filters, err := c.providerFilters(meta, preds)
+	filters, err := e.providerFilters(meta, preds)
 	if err != nil {
 		return nil, err
 	}
 	// Every reachable provider is asked: redundancy is what lets
 	// proof-failing or outvoted providers be dropped while a quorum of K
 	// survives.
-	responses, err := c.callAvailable(c.opts.K, func(i int) proto.Message {
+	responses, err := e.callAvailable(e.opts.K, func(i int) proto.Message {
 		return &proto.ScanRequest{
 			Table:         meta.Name,
 			Filter:        filters[i],
@@ -336,32 +338,32 @@ func (c *Client) scanVerified(meta *tableMeta, preds []compiledPred, deadline ti
 		rowsByProvider[r.provider] = rr
 		providers = append(providers, r.provider)
 	}
-	if len(providers) < c.opts.K {
+	if len(providers) < e.opts.K {
 		return nil, fmt.Errorf("%w: only %d well-formed responses (faulty: %v)",
 			ErrVerification, len(providers), proofFaulty)
 	}
 	// Detection AND recovery: drop providers whose completeness proofs fail
 	// or that disagree with the majority row set, as long as a quorum of K
 	// honest-looking providers remains.
-	providers, verifyFaulty, err := c.applyVerification(meta, preds, providers, rowsByProvider)
+	providers, verifyFaulty, err := e.applyVerification(meta, preds, providers, rowsByProvider)
 	if err != nil {
 		return nil, err
 	}
 	plan := meta.scanPlan(preds, nil, true)
-	res, err := c.reconstructRows(meta, &plan, providers, rowsByProvider, true)
+	res, err := e.reconstructRows(meta, &plan, providers, rowsByProvider, true)
 	if err != nil {
 		return nil, err
 	}
 	res.faulty = mergeFaulty(res.faulty, mergeFaulty(proofFaulty, verifyFaulty))
 	res.verified = true
-	if err := c.filterResidual(meta, res, residualPreds(preds)); err != nil {
+	if err := e.filterResidual(meta, res, residualPreds(preds)); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-func (c *Client) hasPending(table string) bool {
-	return len(c.pending[table]) > 0
+func (e *engine) hasPending(table string) bool {
+	return len(e.pending[table]) > 0
 }
 
 // reconstructRows rebuilds typed values from aligned provider responses,
@@ -372,14 +374,14 @@ func (c *Client) hasPending(table string) bool {
 // span with its own share scratch buffer and its own faulty set; spans share
 // the precomputed quorum Lagrange weights, and the faulty sets merge after
 // the join, so the result is identical to the serial pass in both modes.
-func (c *Client) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []int, rowsByProvider map[int]*proto.RowsResponse, robust bool) (*scanResult, error) {
+func (e *engine) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []int, rowsByProvider map[int]*proto.RowsResponse, robust bool) (*scanResult, error) {
 	for _, p := range providers {
 		if err := checkHeader(p, rowsByProvider[p].Columns, plan.names); err != nil {
 			return nil, err
 		}
 	}
 	base := rowsByProvider[providers[0]]
-	weights, err := c.fieldSch.WeightsFor(providers[:c.opts.K])
+	weights, err := e.fieldSch.WeightsFor(providers[:e.opts.K])
 	if err != nil {
 		return nil, err
 	}
@@ -389,8 +391,8 @@ func (c *Client) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []i
 	}
 	var faultyMu sync.Mutex
 	faulty := map[int]bool{}
-	err = parallelChunks(c.opts.ParallelWorkers, len(base.Rows), func(start, end int) error {
-		ys := make([]field.Element, c.opts.K)
+	err = parallelChunks(e.opts.ParallelWorkers, len(base.Rows), func(start, end int) error {
+		ys := make([]field.Element, e.opts.K)
 		chunkFaulty := map[int]bool{}
 		// One slab holds the span's rows; each row is capped to its own slots.
 		width := len(meta.Cols)
@@ -410,7 +412,7 @@ func (c *Client) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []i
 				}
 				cm := &meta.Cols[ci]
 				if !cm.queryable() {
-					blob, err := c.openBlob(meta, base.Rows[r].Cells[cell])
+					blob, err := e.openBlob(meta, base.Rows[r].Cells[cell])
 					if err != nil {
 						return err
 					}
@@ -438,7 +440,7 @@ func (c *Client) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []i
 							Y:     field.New(beUint64(cellBytes)),
 						})
 					}
-					rr, err := c.fieldSch.ReconstructRobust(shares)
+					rr, err := e.fieldSch.ReconstructRobust(shares)
 					if err != nil {
 						return fmt.Errorf("%w: row %d column %q: %v", ErrVerification, id, cm.Name, err)
 					}
@@ -447,18 +449,18 @@ func (c *Client) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []i
 					}
 					u = rr.Secret.Uint64()
 				} else {
-					for i, p := range providers[:c.opts.K] {
+					for i, p := range providers[:e.opts.K] {
 						cellBytes := rowsByProvider[p].Rows[r].Cells[cell]
 						if len(cellBytes) != 8 {
 							return fmt.Errorf("%w: provider %d returned a malformed share", ErrInconsistent, p)
 						}
 						ys[i] = field.New(beUint64(cellBytes))
 					}
-					e, err := secretshare.CombineShares(weights, ys)
+					el, err := secretshare.CombineShares(weights, ys)
 					if err != nil {
 						return err
 					}
-					u = e.Uint64()
+					u = el.Uint64()
 				}
 				v, err := cm.decode(u)
 				if err != nil {
@@ -513,9 +515,9 @@ func mergeFaulty(a, b []int) []int {
 // applyVerification verifies each provider's proof individually, drops the
 // failures, then keeps the majority row-id sequence among survivors. It
 // errors only when fewer than K trustworthy providers remain.
-func (c *Client) applyVerification(meta *tableMeta, preds []compiledPred, providers []int, rowsByProvider map[int]*proto.RowsResponse) (kept, faulty []int, err error) {
+func (e *engine) applyVerification(meta *tableMeta, preds []compiledPred, providers []int, rowsByProvider map[int]*proto.RowsResponse) (kept, faulty []int, err error) {
 	for _, p := range providers {
-		if verr := c.verifyProviderScan(meta, preds, p, rowsByProvider[p]); verr != nil {
+		if verr := e.verifyProviderScan(meta, preds, p, rowsByProvider[p]); verr != nil {
 			faulty = append(faulty, p)
 			continue
 		}
@@ -546,9 +548,9 @@ func (c *Client) applyVerification(meta *tableMeta, preds []compiledPred, provid
 	}
 	sort.Ints(best)
 	sort.Ints(faulty)
-	if len(best) < c.opts.K {
+	if len(best) < e.opts.K {
 		return nil, nil, fmt.Errorf("%w: only %d of %d required providers verified (faulty: %v)",
-			ErrVerification, len(best), c.opts.K, faulty)
+			ErrVerification, len(best), e.opts.K, faulty)
 	}
 	if len(groups) > 1 && 2*len(best) <= len(kept) {
 		return nil, nil, fmt.Errorf("%w: no majority row set among providers", ErrVerification)
@@ -566,15 +568,15 @@ func rowSignature(rows []proto.Row) string {
 
 // verifyProviderScan checks one provider's Merkle completeness proof
 // against its own digest.
-func (c *Client) verifyProviderScan(meta *tableMeta, preds []compiledPred, provider int, resp *proto.RowsResponse) error {
+func (e *engine) verifyProviderScan(meta *tableMeta, preds []compiledPred, provider int, resp *proto.RowsResponse) error {
 	providers := []int{provider}
 	rowsByProvider := map[int]*proto.RowsResponse{provider: resp}
-	return c.verifyScan(meta, preds, providers, rowsByProvider)
+	return e.verifyScan(meta, preds, providers, rowsByProvider)
 }
 
 // verifyScan checks each provider's Merkle completeness proof against its
 // own digest and cross-checks digests' row counts across providers.
-func (c *Client) verifyScan(meta *tableMeta, preds []compiledPred, providers []int, rowsByProvider map[int]*proto.RowsResponse) error {
+func (e *engine) verifyScan(meta *tableMeta, preds []compiledPred, providers []int, rowsByProvider map[int]*proto.RowsResponse) error {
 	cp := preds[0]
 	cm := &meta.Cols[cp.ci]
 	oppCol := cm.Name + suffixOPP
@@ -590,7 +592,7 @@ func (c *Client) verifyScan(meta *tableMeta, preds []compiledPred, providers []i
 		if err != nil {
 			return fmt.Errorf("%w: provider %d: %v", ErrVerification, p, err)
 		}
-		digResp, err := c.call(p, &proto.DigestRequest{Table: meta.Name, Col: oppCol}, noDeadline)
+		digResp, err := e.call(p, &proto.DigestRequest{Table: meta.Name, Col: oppCol}, noDeadline)
 		if err != nil {
 			return fmt.Errorf("%w: provider %d digest: %v", ErrVerification, p, err)
 		}
@@ -608,11 +610,11 @@ func (c *Client) verifyScan(meta *tableMeta, preds []compiledPred, providers []i
 		if proof.LeftFence != nil {
 			run = append(run, merkle.LeafHash(proof.LeftFence.Key, proof.LeftFence.RowDigest))
 		}
-		loShare, err := cm.oppSch.ShareAt(cp.lo, p)
+		loShare, err := cm.oppSch[e.g].ShareAt(cp.lo, p)
 		if err != nil {
 			return err
 		}
-		hiShare, err := cm.oppSch.ShareAt(cp.hi, p)
+		hiShare, err := cm.oppSch[e.g].ShareAt(cp.hi, p)
 		if err != nil {
 			return err
 		}
@@ -693,7 +695,7 @@ func predCols(preds []compiledPred) []int {
 }
 
 // filterResidual applies remaining predicates client-side.
-func (c *Client) filterResidual(meta *tableMeta, res *scanResult, preds []compiledPred) error {
+func (e *engine) filterResidual(meta *tableMeta, res *scanResult, preds []compiledPred) error {
 	if len(preds) == 0 {
 		return nil
 	}
@@ -701,7 +703,7 @@ func (c *Client) filterResidual(meta *tableMeta, res *scanResult, preds []compil
 	outVals := res.values[:0]
 	enc := make([]uint64, len(meta.Cols))
 	for r := range res.ids {
-		ok, err := c.rowMatches(meta, res.values[r], preds, enc)
+		ok, err := e.rowMatches(meta, res.values[r], preds, enc)
 		if err != nil {
 			return err
 		}
@@ -716,7 +718,7 @@ func (c *Client) filterResidual(meta *tableMeta, res *scanResult, preds []compil
 }
 
 // rowMatches evaluates compiled predicates on typed values by re-encoding.
-func (c *Client) rowMatches(meta *tableMeta, vals []Value, preds []compiledPred, scratch []uint64) (bool, error) {
+func (e *engine) rowMatches(meta *tableMeta, vals []Value, preds []compiledPred, scratch []uint64) (bool, error) {
 	for _, cp := range preds {
 		cm := &meta.Cols[cp.ci]
 		u, err := cm.encode(vals[cp.ci])
@@ -731,9 +733,11 @@ func (c *Client) rowMatches(meta *tableMeta, vals []Value, preds []compiledPred,
 	return true, nil
 }
 
-// overlayPending merges buffered lazy updates into a scan result.
-func (c *Client) overlayPending(meta *tableMeta, res *scanResult, preds []compiledPred) error {
-	pend := c.pending[meta.Name]
+// overlayPending merges buffered lazy updates into a scan result. Pending
+// rows are copied in: the result outlives the statement lock that guards the
+// buffer, and a later UPDATE rewrites buffered rows in place.
+func (e *engine) overlayPending(meta *tableMeta, res *scanResult, preds []compiledPred) error {
+	pend := e.pending[meta.Name]
 	if len(pend) == 0 {
 		return nil
 	}
@@ -744,13 +748,13 @@ func (c *Client) overlayPending(meta *tableMeta, res *scanResult, preds []compil
 	for r, id := range res.ids {
 		covered[id] = true
 		if newVals, ok := pend[id]; ok {
-			match, err := c.rowMatches(meta, newVals, preds, enc)
+			match, err := e.rowMatches(meta, newVals, preds, enc)
 			if err != nil {
 				return err
 			}
 			if match {
 				outIDs = append(outIDs, id)
-				outVals = append(outVals, newVals)
+				outVals = append(outVals, slices.Clone(newVals))
 			}
 			continue
 		}
@@ -766,13 +770,13 @@ func (c *Client) overlayPending(meta *tableMeta, res *scanResult, preds []compil
 	}
 	sort.Slice(extra, func(i, j int) bool { return extra[i] < extra[j] })
 	for _, id := range extra {
-		match, err := c.rowMatches(meta, pend[id], preds, enc)
+		match, err := e.rowMatches(meta, pend[id], preds, enc)
 		if err != nil {
 			return err
 		}
 		if match {
 			outIDs = append(outIDs, id)
-			outVals = append(outVals, pend[id])
+			outVals = append(outVals, slices.Clone(pend[id]))
 		}
 	}
 	res.ids = outIDs

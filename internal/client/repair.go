@@ -17,24 +17,24 @@ import (
 
 // ensureRepairLoop starts the background repair goroutine if it is not
 // already running. Called whenever a hint is queued.
-func (c *Client) ensureRepairLoop() {
-	c.repairMu.Lock()
-	defer c.repairMu.Unlock()
-	if c.repairRunning || c.closed {
+func (e *engine) ensureRepairLoop() {
+	e.repairMu.Lock()
+	defer e.repairMu.Unlock()
+	if e.repairRunning || e.closed {
 		return
 	}
-	c.repairRunning = true
-	c.repairKick = make(chan struct{}, 1)
-	c.repairStop = make(chan struct{})
-	c.repairDone = make(chan struct{})
-	go c.repairLoop(c.repairKick, c.repairStop, c.repairDone)
+	e.repairRunning = true
+	e.repairKick = make(chan struct{}, 1)
+	e.repairStop = make(chan struct{})
+	e.repairDone = make(chan struct{})
+	go e.repairLoop(e.repairKick, e.repairStop, e.repairDone)
 }
 
 // kickRepair nudges the loop to run a pass now instead of at the next tick.
-func (c *Client) kickRepair() {
-	c.repairMu.Lock()
-	kick := c.repairKick
-	c.repairMu.Unlock()
+func (e *engine) kickRepair() {
+	e.repairMu.Lock()
+	kick := e.repairKick
+	e.repairMu.Unlock()
 	if kick == nil {
 		return
 	}
@@ -45,12 +45,12 @@ func (c *Client) kickRepair() {
 }
 
 // stopRepairLoop shuts the loop down and waits for it to exit (Close path).
-func (c *Client) stopRepairLoop() {
-	c.repairMu.Lock()
-	c.closed = true
-	stop, done := c.repairStop, c.repairDone
-	running := c.repairRunning
-	c.repairMu.Unlock()
+func (e *engine) stopRepairLoop() {
+	e.repairMu.Lock()
+	e.closed = true
+	stop, done := e.repairStop, e.repairDone
+	running := e.repairRunning
+	e.repairMu.Unlock()
 	if !running {
 		return
 	}
@@ -62,14 +62,10 @@ func (c *Client) stopRepairLoop() {
 // and experiments use it to bound time-to-convergence measurements from
 // below instead of waiting out a probe interval.
 func (c *Client) RepairNow() {
-	if c.shards != nil {
-		for _, sub := range c.shards {
-			sub.RepairNow()
-		}
-		return
+	for _, e := range c.groups {
+		e.ensureRepairLoop()
+		e.kickRepair()
 	}
-	c.ensureRepairLoop()
-	c.kickRepair()
 }
 
 // probeState is the per-provider exponential backoff for health probes.
@@ -80,10 +76,10 @@ type probeState struct {
 
 // repairLoop wakes on a base ticker (Options.RepairInterval) or an explicit
 // kick and runs one repair pass over every lagging provider.
-func (c *Client) repairLoop(kick, stop, done chan struct{}) {
+func (e *engine) repairLoop(kick, stop, done chan struct{}) {
 	defer close(done)
-	probes := make([]probeState, c.opts.N)
-	t := time.NewTicker(c.opts.RepairInterval)
+	probes := make([]probeState, e.opts.N)
+	t := time.NewTicker(e.opts.RepairInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -92,13 +88,13 @@ func (c *Client) repairLoop(kick, stop, done chan struct{}) {
 		case <-kick:
 		case <-t.C:
 		}
-		for p := 0; p < c.opts.N; p++ {
+		for p := 0; p < e.opts.N; p++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if !c.isLagging(p) {
+			if !e.isLagging(p) {
 				probes[p] = probeState{}
 				continue
 			}
@@ -110,52 +106,55 @@ func (c *Client) repairLoop(kick, stop, done chan struct{}) {
 			// provider that cannot even answer a ping backs the probe off
 			// exponentially (capped at 64x the base interval) so a long
 			// outage does not burn a connection attempt every tick.
-			resp, err := c.call(p, &proto.PingRequest{}, noDeadline)
+			resp, err := e.call(p, &proto.PingRequest{}, noDeadline)
 			if err != nil {
 				st.failures++
 				shift := st.failures
 				if shift > 6 {
 					shift = 6
 				}
-				st.next = time.Now().Add(c.opts.RepairInterval << shift)
+				st.next = time.Now().Add(e.opts.RepairInterval << shift)
 				continue
 			}
-			c.recordStats(p, resp)
+			e.recordStats(p, resp)
 			st.failures = 0
 			st.next = time.Time{}
-			c.repairProvider(p, stop)
+			e.repairProvider(p, stop)
 		}
 	}
 }
 
 // recordStats stores the storage stats a provider attached to a ping
 // reply. Old servers answer pings with a bare OK; those are ignored.
-func (c *Client) recordStats(p int, resp proto.Message) {
+func (e *engine) recordStats(p int, resp proto.Message) {
 	st, ok := resp.(*proto.StatsResponse)
 	if !ok {
 		return
 	}
-	c.statMu.Lock()
-	c.provStat[p] = st
-	c.statMu.Unlock()
+	e.statMu.Lock()
+	e.provStat[p] = st
+	e.statMu.Unlock()
 }
 
 // ProviderStats returns the last storage stats each provider reported to a
-// repair-loop probe. Entries are nil for providers never probed (healthy
-// providers are not pinged, so a fully in-sync cluster reports all nil).
+// repair-loop probe, flat g*N+p indexed. Entries are nil for providers never
+// probed (healthy providers are not pinged, so a fully in-sync cluster
+// reports all nil).
 func (c *Client) ProviderStats() []*proto.StatsResponse {
-	c.statMu.Lock()
-	defer c.statMu.Unlock()
-	out := make([]*proto.StatsResponse, len(c.provStat))
-	copy(out, c.provStat)
+	out := make([]*proto.StatsResponse, 0, len(c.groups)*c.opts.N)
+	for _, e := range c.groups {
+		e.statMu.Lock()
+		out = append(out, e.provStat...)
+		e.statMu.Unlock()
+	}
 	return out
 }
 
 // peekHint returns (without removing) the head of provider p's journal.
-func (c *Client) peekHint(p int) ([]byte, bool) {
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
-	h := c.hints[p]
+func (e *engine) peekHint(p int) ([]byte, bool) {
+	e.downMu.Lock()
+	defer e.downMu.Unlock()
+	h := e.hints[p]
 	if len(h.records) == 0 {
 		return nil, false
 	}
@@ -166,10 +165,10 @@ func (c *Client) peekHint(p int) ([]byte, bool) {
 // acknowledged it. The WAL copy is only truncated at readmission (reset):
 // replay progress within a journal is cheap to redo after a restart, and
 // truncating mid-queue would require rewriting the file.
-func (c *Client) popHint(p int) {
-	c.downMu.Lock()
-	defer c.downMu.Unlock()
-	h := c.hints[p]
+func (e *engine) popHint(p int) {
+	e.downMu.Lock()
+	defer e.downMu.Unlock()
+	h := e.hints[p]
 	if len(h.records) > 0 {
 		h.records = h.records[1:]
 		h.replayed++
@@ -178,10 +177,10 @@ func (c *Client) popHint(p int) {
 
 // setNeedsReseed flags provider p's state as untrusted: readmission must
 // re-seed its tables from the healthy quorum instead of verifying them.
-func (c *Client) setNeedsReseed(p int) {
-	c.downMu.Lock()
-	c.hints[p].needsReseed = true
-	c.downMu.Unlock()
+func (e *engine) setNeedsReseed(p int) {
+	e.downMu.Lock()
+	e.hints[p].needsReseed = true
+	e.downMu.Unlock()
 }
 
 // replayHints replays provider p's queued mutations in order, popping each
@@ -192,7 +191,7 @@ func (c *Client) setNeedsReseed(p int) {
 // already applied and its ack was lost; any other remote rejection marks
 // the provider for re-seeding and skips the record, since wedging the
 // journal would strand every later mutation behind an unexplainable one.
-func (c *Client) replayHints(p int, stop chan struct{}) error {
+func (e *engine) replayHints(p int, stop chan struct{}) error {
 	for {
 		if stop != nil {
 			select {
@@ -201,7 +200,7 @@ func (c *Client) replayHints(p int, stop chan struct{}) error {
 			default:
 			}
 		}
-		rec, ok := c.peekHint(p)
+		rec, ok := e.peekHint(p)
 		if !ok {
 			return nil
 		}
@@ -209,21 +208,21 @@ func (c *Client) replayHints(p int, stop chan struct{}) error {
 		if err != nil {
 			// An undecodable record can only come from a corrupt journal
 			// reload; nothing can be replayed from it.
-			c.setNeedsReseed(p)
-			c.popHint(p)
+			e.setNeedsReseed(p)
+			e.popHint(p)
 			continue
 		}
-		if _, err := c.call(p, msg, noDeadline); err != nil {
+		if _, err := e.call(p, msg, noDeadline); err != nil {
 			var remote *proto.RemoteError
 			if !errors.As(err, &remote) {
-				c.markProvider(p, true)
+				e.markProvider(p, true)
 				return err
 			}
 			if !hintErrorBenign(msg, remote.Code) {
-				c.setNeedsReseed(p)
+				e.setNeedsReseed(p)
 			}
 		}
-		c.popHint(p)
+		e.popHint(p)
 	}
 }
 
@@ -250,35 +249,35 @@ func hintErrorBenign(msg proto.Message, code proto.ErrorCode) bool {
 // double-applied around the cutover: appends happen only inside statements
 // (which hold the lock at least shared), and the exclusive lock holds them
 // off until the provider is readmitted and stops being hinted at all.
-func (c *Client) repairProvider(p int, stop chan struct{}) {
-	if err := c.replayHints(p, stop); err != nil {
+func (e *engine) repairProvider(p int, stop chan struct{}) {
+	if err := e.replayHints(p, stop); err != nil {
 		return // Provider dropped mid-replay; next pass resumes at the head.
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 
 	// Lazy updates would be pushed to a readmitted provider as hints of
 	// their own; flush them first so the inline drain below is final.
-	for name := range c.pending {
-		if err := c.flushTableLocked(name); err != nil {
+	for name := range e.pending {
+		if err := e.flushTableLocked(name); err != nil {
 			return
 		}
 	}
-	if err := c.replayHints(p, stop); err != nil {
+	if err := e.replayHints(p, stop); err != nil {
 		return
 	}
 
-	c.downMu.Lock()
-	needsReseed := c.hints[p].needsReseed
+	e.downMu.Lock()
+	needsReseed := e.hints[p].needsReseed
 	var healthy []int
-	for i := 0; i < c.opts.N; i++ {
-		if i != p && !c.down[i] && !c.hints[i].lagging {
+	for i := 0; i < e.opts.N; i++ {
+		if i != p && !e.down[i] && !e.hints[i].lagging {
 			healthy = append(healthy, i)
 		}
 	}
-	c.downMu.Unlock()
-	if len(healthy) == 0 && c.opts.N > 1 {
+	e.downMu.Unlock()
+	if len(healthy) == 0 && e.opts.N > 1 {
 		return // No peer to trust as a baseline; retry when one returns.
 	}
 
@@ -288,7 +287,7 @@ func (c *Client) repairProvider(p int, stop chan struct{}) {
 	// them here would be destructive on a restarted client whose catalog
 	// has not been imported yet.
 
-	for _, meta := range c.tables {
+	for _, meta := range e.cat.list() {
 		if len(healthy) == 0 {
 			// Single-provider fleet (no peer can exist): the drained journal
 			// is the whole truth.
@@ -296,17 +295,17 @@ func (c *Client) repairProvider(p int, stop chan struct{}) {
 		}
 		converged := false
 		if !needsReseed {
-			match, err := c.tableStateMatches(p, healthy[0], meta.Name)
+			match, err := e.tableStateMatches(p, healthy[0], meta.Name)
 			if err != nil {
 				return // Peer or provider unreachable; retry next pass.
 			}
 			converged = match
 		}
 		if !converged {
-			if err := c.reseedTable(p, meta); err != nil {
+			if err := e.reseedTable(p, meta); err != nil {
 				return
 			}
-			match, err := c.tableStateMatches(p, healthy[0], meta.Name)
+			match, err := e.tableStateMatches(p, healthy[0], meta.Name)
 			if err != nil || !match {
 				return // Still diverging after a reseed: keep it quarantined.
 			}
@@ -314,21 +313,21 @@ func (c *Client) repairProvider(p int, stop chan struct{}) {
 	}
 
 	// Converged: clear the journal and readmit the provider.
-	c.downMu.Lock()
-	err := c.hints[p].reset()
-	c.down[p] = false
-	c.downMu.Unlock()
+	e.downMu.Lock()
+	err := e.hints[p].reset()
+	e.down[p] = false
+	e.downMu.Unlock()
 	_ = err // Journal file reset failure is non-fatal: records were applied.
 }
 
 // tableStateMatches compares the provider-neutral resync digests of one
 // table on two providers.
-func (c *Client) tableStateMatches(p, peer int, table string) (bool, error) {
-	dp, err := c.resyncDigest(p, table)
+func (e *engine) tableStateMatches(p, peer int, table string) (bool, error) {
+	dp, err := e.resyncDigest(p, table)
 	if err != nil {
 		return false, err
 	}
-	dq, err := c.resyncDigest(peer, table)
+	dq, err := e.resyncDigest(peer, table)
 	if err != nil {
 		return false, err
 	}
@@ -340,8 +339,8 @@ func (c *Client) tableStateMatches(p, peer int, table string) (bool, error) {
 
 // resyncDigest fetches a provider's whole-table digest; a missing table
 // reports as nil rather than an error (the peer decides what that means).
-func (c *Client) resyncDigest(provider int, table string) (*proto.DigestResult, error) {
-	resp, err := c.call(provider, &proto.TableStateRequest{Table: table}, noDeadline)
+func (e *engine) resyncDigest(provider int, table string) (*proto.DigestResult, error) {
+	resp, err := e.call(provider, &proto.TableStateRequest{Table: table}, noDeadline)
 	if err != nil {
 		var remote *proto.RemoteError
 		if errors.As(err, &remote) && remote.Code == proto.CodeNoSuchTable {
@@ -365,53 +364,53 @@ func (c *Client) resyncDigest(provider int, table string) (*proto.DigestResult, 
 // lagging provider gets the update queued behind its own hints. The caller
 // holds the exclusive statement lock, so no statement observes the
 // polynomial swap in progress.
-func (c *Client) reseedTable(p int, meta *tableMeta) error {
+func (e *engine) reseedTable(p int, meta *tableMeta) error {
 	// No deadline deliberately: repair scans rebuild provider state and
 	// must run to completion even when the client bounds its foreground
 	// reads with Options.ReadDeadline.
-	scan, err := c.scanTable(meta, nil, scanOpts{cols: meta.allCols(), epoch: noEpoch, deadline: noDeadline})
+	scan, err := e.scanTable(meta, nil, scanOpts{cols: meta.allCols(), epoch: noEpoch, deadline: noDeadline})
 	if err != nil {
 		return err
 	}
-	perProvider, err := c.encodeRowsAt(meta, scan.ids, scan.values)
+	perProvider, err := e.encodeRowsAt(meta, scan.ids, scan.values)
 	if err != nil {
 		return err
 	}
-	if _, err := c.call(p, &proto.DropTableRequest{Table: meta.Name}, noDeadline); err != nil {
+	if _, err := e.call(p, &proto.DropTableRequest{Table: meta.Name}, noDeadline); err != nil {
 		var remote *proto.RemoteError
 		if !errors.As(err, &remote) || remote.Code != proto.CodeNoSuchTable {
 			return err
 		}
 	}
-	if _, err := c.call(p, &proto.CreateTableRequest{Spec: meta.providerSpec()}, noDeadline); err != nil {
+	if _, err := e.call(p, &proto.CreateTableRequest{Spec: meta.providerSpec()}, noDeadline); err != nil {
 		return err
 	}
 	if len(scan.ids) > 0 {
-		if _, err := c.call(p, &proto.InsertRequest{Table: meta.Name, Rows: perProvider[p]}, noDeadline); err != nil {
+		if _, err := e.call(p, &proto.InsertRequest{Table: meta.Name, Rows: perProvider[p]}, noDeadline); err != nil {
 			return err
 		}
 	}
 	if len(scan.ids) == 0 {
 		return nil
 	}
-	for i := 0; i < c.opts.N; i++ {
+	for i := 0; i < e.opts.N; i++ {
 		if i == p {
 			continue
 		}
 		update := &proto.UpdateRequest{Table: meta.Name, Rows: perProvider[i]}
-		if c.isLagging(i) {
-			_ = c.hintMutation(i, update)
+		if e.isLagging(i) {
+			_ = e.hintMutation(i, update)
 			continue
 		}
-		if _, err := c.call(i, update, noDeadline); err != nil {
+		if _, err := e.call(i, update, noDeadline); err != nil {
 			var remote *proto.RemoteError
 			if errors.As(err, &remote) {
 				return err
 			}
 			// Peer dropped mid-reseed: its stale shares are now off the new
 			// polynomials, so it must queue the update and go lagging.
-			_ = c.hintMutation(i, update)
-			c.markProvider(i, true)
+			_ = e.hintMutation(i, update)
+			e.markProvider(i, true)
 		}
 	}
 	return nil

@@ -15,60 +15,292 @@ import (
 // ErrEmptyAggregate reports MIN/MAX/MEDIAN/AVG over zero rows.
 var ErrEmptyAggregate = errors.New("client: aggregate over an empty row set")
 
-func (c *Client) execSelect(s *sql.Select) (*Result, error) {
-	if s.Join != nil {
-		return c.execJoin(s)
-	}
-	meta, err := c.table(s.Table)
+// selectPlan is a single-table SELECT resolved against the catalog, once
+// per statement: where it routes, what every routed group is asked for, and
+// what the merged answer is finished with. A group answers with one of three
+// mergeable partials — a scanResult (rows), one aggPartial per aggregate
+// item, or a []*group of GROUP BY buckets; a join is planned as two of these
+// (joinPlan), one per side.
+type selectPlan struct {
+	s    *sql.Select
+	meta *tableMeta
+	// targets are the routed groups, ascending.
+	targets  []int
+	preds    []compiledPred
+	verified bool
+	// epochs, when non-nil, is a transaction's snapshot: group g's scan is
+	// capped at epochs[g].
+	epochs []uint64
+	// fetch lists the columns a scan of this plan reads: the select list
+	// (plus the ORDER BY column), or what client-side aggregation needs.
+	fetch []int
+	// flush pushes the table's buffered lazy updates before a scan, for
+	// what is computed from the scan (aggregates, joins, audits); a plain
+	// scan overlays them instead.
+	flush bool
+
+	// cols and idx are a plain select list as output names and meta.Cols
+	// indices; oci is the ORDER BY column (-1 without one).
+	cols []string
+	idx  []int
+	oci  int
+
+	// agg marks plain aggregates; gcm, gci and computeItems are GROUP BY's
+	// grouping column and the aggregates to compute (select list + HAVING).
+	agg          bool
+	gcm          *colMeta
+	gci          int
+	computeItems []sql.SelectItem
+	// onProviders is the aggregate decision: the groups' providers compute
+	// mergeable partials in share space, rather than the client aggregating
+	// the gathered matching rows.
+	onProviders bool
+}
+
+// exclusive reports that the statement must serialize against writers. A
+// plain scan tolerates concurrent INSERTs — the watermark hides partially
+// landed rows by id — but aggregation and verified reads compare or linearly
+// combine per-provider results that carry no ids to filter on.
+func (p *selectPlan) exclusive() bool {
+	return p.verified || p.agg || p.gcm != nil
+}
+
+// planSelect resolves a single-table SELECT. epochs is a transaction's
+// snapshot of the table (nil outside one).
+func (c *Client) planSelect(s *sql.Select, epochs []uint64) (*selectPlan, error) {
+	meta, err := c.cat.table(s.Table)
 	if err != nil {
 		return nil, err
 	}
-	if s.GroupBy != nil {
-		return c.execGroupedAggregates(meta, s)
-	}
-	hasAgg := false
+	// A snapshot read is never verified, whatever Options.Verified says: a
+	// completeness proof covers the table as it is now, not as of an epoch.
+	p := &selectPlan{s: s, meta: meta, verified: (s.Verified || c.opts.Verified) && epochs == nil, epochs: epochs, oci: -1}
 	for _, item := range s.Items {
-		if item.Agg != sql.AggNone {
-			hasAgg = true
+		p.agg = p.agg || item.Agg != sql.AggNone
+	}
+	simpleOnly := false
+	if s.GroupBy != nil {
+		p.agg = false
+		if p.gcm, p.gci, p.computeItems, simpleOnly, err = planGroupBy(meta, s); err != nil {
+			return nil, err
 		}
 	}
-	if hasAgg {
+	p.flush = p.agg || p.gcm != nil
+	if p.preds, err = compilePredicates(meta, s.Where, ""); err != nil {
+		return nil, err
+	}
+	p.targets = c.routeGroups(meta, s.Where)
+	// Provider-side partial aggregation handles a single pushed-down
+	// interval predicate; residual predicates (including IN, whose pushed
+	// range is a superset) or verified mode fall back to a scan plus
+	// client-side aggregation (also the E8 baseline).
+	pushable := len(p.preds) <= 1 && !(len(p.preds) == 1 && p.preds[0].set != nil) &&
+		!p.verified && !c.forceClientAgg.Load()
+	switch {
+	case p.gcm != nil:
+		p.onProviders = pushable && simpleOnly
+		if p.fetch, err = aggCols(meta, p.computeItems); err != nil {
+			return nil, err
+		}
+		p.fetch = append(p.fetch, p.gci)
+	case p.agg:
+		p.onProviders = pushable
 		for _, item := range s.Items {
 			if item.Agg == sql.AggNone {
 				return nil, fmt.Errorf("%w: mixing aggregates and plain columns", ErrUnsupported)
 			}
+			cm, _, err := meta.aggItemCol(item)
+			if err != nil {
+				return nil, err
+			}
+			if (item.Agg == sql.AggSum || item.Agg == sql.AggAvg) && cm.Type == sql.TypeVarchar {
+				return nil, fmt.Errorf("%w: %s over VARCHAR column %q", ErrUnsupported, item.Agg, cm.Name)
+			}
+			if item.Agg == sql.AggMedian && len(p.targets) > 1 {
+				// A median cannot be combined from per-group medians; gather
+				// the matching rows instead.
+				p.onProviders = false
+			}
 		}
-		return c.execAggregates(meta, s)
+		if p.fetch, err = aggCols(meta, s.Items); err != nil {
+			return nil, err
+		}
+	default:
+		if p.cols, p.idx, err = selectColumns(meta, s.Items); err != nil {
+			return nil, err
+		}
+		p.fetch = p.idx
+		if s.OrderBy != nil {
+			if p.oci, err = orderColumn(meta, s.OrderBy); err != nil {
+				return nil, err
+			}
+			p.fetch = append(slices.Clip(p.idx), p.oci)
+		}
 	}
-	preds, err := c.compilePredicates(meta, s.Where, "")
+	return p, nil
+}
+
+// execSelect runs one SELECT through the pipeline: plan, scatter to the
+// routed groups, merge, finish.
+func (c *Client) execSelect(s *sql.Select, epochs []uint64) (*Result, error) {
+	if s.Join != nil {
+		return c.execJoin(s)
+	}
+	p, err := c.planSelect(s, epochs)
 	if err != nil {
 		return nil, err
 	}
-	cols, idx, err := selectColumns(meta, s.Items)
-	if err != nil {
-		return nil, err
-	}
-	verified := s.Verified || c.opts.Verified
-	if s.OrderBy == nil {
-		scan, err := c.scanTable(meta, preds, c.readOpts(idx, s.Limit, verified))
+	return c.runSelect(p)
+}
+
+// runSelect executes a planned SELECT.
+func (c *Client) runSelect(p *selectPlan) (*Result, error) {
+	s, meta := p.s, p.meta
+	switch {
+	case p.gcm != nil:
+		var groups []*group
+		if p.onProviders {
+			parts := make([][]*group, len(p.targets))
+			err := c.scatter(p.targets, true, []*tableMeta{meta}, func(i int, e *engine) (err error) {
+				if err := e.flushTableLocked(meta.Name); err != nil {
+					return err
+				}
+				parts[i], err = e.groupedRemote(meta, p.gcm, p.preds, p.computeItems)
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
+			if groups, err = mergeGroups(p.gcm, parts); err != nil {
+				return nil, err
+			}
+		} else {
+			scan, err := c.gather(p, 0, true)
+			if err != nil {
+				return nil, err
+			}
+			if groups, err = groupedFromScan(meta, p.gcm, p.gci, scan, p.computeItems); err != nil {
+				return nil, err
+			}
+		}
+		return renderGroups(meta, s, groups, p.verified && !p.onProviders)
+
+	case p.agg:
+		res := &Result{}
+		row := make([]Value, len(s.Items))
+		for _, item := range s.Items {
+			res.Columns = append(res.Columns, aggKey(item))
+		}
+		if p.onProviders {
+			parts := make([][]aggPartial, len(p.targets))
+			err := c.scatter(p.targets, true, []*tableMeta{meta}, func(i int, e *engine) error {
+				if err := e.flushTableLocked(meta.Name); err != nil {
+					return err
+				}
+				parts[i] = make([]aggPartial, len(s.Items))
+				for j, item := range s.Items {
+					var err error
+					if parts[i][j], err = e.aggPartial(meta, p.preds, item); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			for j, item := range s.Items {
+				if row[j], err = mergeAgg(meta, item, parts, j); err != nil {
+					return nil, err
+				}
+			}
+		} else {
+			scan, err := c.gather(p, 0, true)
+			if err != nil {
+				return nil, err
+			}
+			res.Verified = p.verified && scan.verified
+			for j, item := range s.Items {
+				if row[j], err = aggregateLocal(meta, scan, item); err != nil {
+					return nil, err
+				}
+			}
+		}
+		res.Rows = [][]Value{row}
+		return res, nil
+
+	default:
+		// Every group receives LIMIT as a superset bound — unless a sort
+		// follows, which must see every matching row first.
+		limit := s.Limit
+		if p.oci >= 0 {
+			limit = 0
+		}
+		scan, err := c.gather(p, limit, p.exclusive())
 		if err != nil {
 			return nil, err
 		}
-		return projectScan(cols, idx, scan), nil
+		if p.oci >= 0 {
+			// Ties between equal sort keys from different groups are broken
+			// by each group's private row ids, so cross-group tie order is
+			// unspecified.
+			if err := orderScan(meta, scan, p.oci, s.OrderBy.Desc, s.Limit); err != nil {
+				return nil, err
+			}
+		} else if limit > 0 && uint64(len(scan.ids)) > limit {
+			scan.ids, scan.values = scan.ids[:limit], scan.values[:limit]
+		}
+		return projectScan(p.cols, p.idx, scan), nil
 	}
-	oci, err := orderColumn(meta, s.OrderBy)
+}
+
+// gather runs the plan's scan in every routed group — limit pushed to each
+// as a superset bound — and merges the row partials.
+func (c *Client) gather(p *selectPlan, limit uint64, exclusive bool) (*scanResult, error) {
+	scans := make([]*scanResult, len(p.targets))
+	err := c.scatter(p.targets, exclusive, []*tableMeta{p.meta}, func(i int, e *engine) (err error) {
+		scans[i], err = e.scanPlan(p, limit)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	// LIMIT applies after the sort, so the scan cannot pre-truncate.
-	scan, err := c.scanTable(meta, preds, c.readOpts(append(slices.Clip(idx), oci), 0, verified))
-	if err != nil {
-		return nil, err
+	return c.mergeScans(scans, p.targets), nil
+}
+
+// scanPlan runs the plan's scan in this group; the caller holds the group's
+// statement lock.
+func (e *engine) scanPlan(p *selectPlan, limit uint64) (*scanResult, error) {
+	if p.flush {
+		if err := e.flushTableLocked(p.meta.Name); err != nil {
+			return nil, err
+		}
 	}
-	if err := orderScan(meta, scan, oci, s.OrderBy.Desc, s.Limit); err != nil {
-		return nil, err
+	o := e.readOpts(p.fetch, limit, p.verified)
+	if p.epochs != nil {
+		o.epoch = p.epochs[e.g]
 	}
-	return projectScan(cols, idx, scan), nil
+	return e.scanTable(p.meta, p.preds, o)
+}
+
+// mergeScans merges row partials: concatenation in target order (cross-group
+// row order is unspecified, like scan order), the identity on one. Faulty
+// provider indices are remapped onto the flat global numbering (group*N +
+// provider).
+func (c *Client) mergeScans(scans []*scanResult, targets []int) *scanResult {
+	out := scans[0]
+	for i, s := range scans {
+		for j := range s.faulty {
+			s.faulty[j] += targets[i] * c.opts.N
+		}
+		if i > 0 {
+			out.ids = append(out.ids, s.ids...)
+			out.values = append(out.values, s.values...)
+			out.faulty = append(out.faulty, s.faulty...)
+			out.verified = out.verified && s.verified
+		}
+	}
+	return out
 }
 
 // orderColumn resolves an ORDER BY clause onto its column's index.
@@ -169,55 +401,6 @@ func projectScan(cols []string, idx []int, scan *scanResult) *Result {
 
 // --- Aggregates ---
 
-func (c *Client) execAggregates(meta *tableMeta, s *sql.Select) (*Result, error) {
-	if err := c.flushTableLocked(meta.Name); err != nil {
-		return nil, err
-	}
-	preds, err := c.compilePredicates(meta, s.Where, "")
-	if err != nil {
-		return nil, err
-	}
-	verified := s.Verified || c.opts.Verified
-	// Provider-side partial aggregation handles a single pushed-down
-	// interval predicate; residual predicates (including IN, whose pushed
-	// range is a superset) or verified mode fall back to a scan plus
-	// client-side aggregation (also the E8 baseline).
-	clientSide := len(preds) > 1 || verified || c.forceClientAgg ||
-		(len(preds) == 1 && preds[0].set != nil)
-	var scan *scanResult
-	if clientSide {
-		cols, err := aggCols(meta, s.Items)
-		if err != nil {
-			return nil, err
-		}
-		scan, err = c.scanTable(meta, preds, c.readOpts(cols, 0, verified))
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{Verified: verified && scan != nil && scan.verified}
-	row := make([]Value, 0, len(s.Items))
-	for _, item := range s.Items {
-		name := item.Agg.String() + "(" + item.Col.Name + ")"
-		if item.Star {
-			name = item.Agg.String() + "(*)"
-		}
-		res.Columns = append(res.Columns, name)
-		var v Value
-		if clientSide {
-			v, err = c.aggregateLocal(meta, scan, item)
-		} else {
-			v, err = c.aggregateRemote(meta, preds, item)
-		}
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
-	}
-	res.Rows = [][]Value{row}
-	return res, nil
-}
-
 // aggItemCol resolves the aggregated column (nil for COUNT(*)).
 func (meta *tableMeta) aggItemCol(item sql.SelectItem) (*colMeta, int, error) {
 	if item.Star {
@@ -280,132 +463,159 @@ func decodeSum(cm *colMeta, sumEnc uint64, count uint64) (int64, error) {
 	return total, nil
 }
 
-func (c *Client) aggregateRemote(meta *tableMeta, preds []compiledPred, item sql.SelectItem) (Value, error) {
+// aggPartial is one group's mergeable contribution to one aggregate item.
+type aggPartial struct {
+	// count is the number of matching rows, as the item's own response
+	// reports it.
+	count uint64
+	// sum is the group's (scaled) total, for SUM and AVG: AVG divides only
+	// after the merge, by the merged count.
+	sum int64
+	// extreme is the group's own MIN, MAX or MEDIAN value (count > 0).
+	extreme Value
+}
+
+// mergeAgg merges item j's partials across groups and renders the value:
+// counts and sums add, MIN/MAX compare on encoded (= value) order, and a
+// MEDIAN — which planSelect computes provider-side only when one group is
+// routed — is that group's own.
+func mergeAgg(meta *tableMeta, item sql.SelectItem, parts [][]aggPartial, j int) (Value, error) {
 	cm, _, err := meta.aggItemCol(item)
 	if err != nil {
 		return Value{}, err
 	}
+	var total aggPartial
+	var bestEnc uint64
+	for _, part := range parts {
+		p := part[j]
+		if p.count == 0 {
+			continue
+		}
+		if item.Agg == sql.AggMin || item.Agg == sql.AggMax || item.Agg == sql.AggMedian {
+			enc, err := cm.encode(p.extreme)
+			if err != nil {
+				return Value{}, err
+			}
+			if total.count == 0 || (item.Agg == sql.AggMin && enc < bestEnc) || (item.Agg == sql.AggMax && enc > bestEnc) {
+				total.extreme, bestEnc = p.extreme, enc
+			}
+		}
+		total.count += p.count
+		total.sum += p.sum
+	}
+	switch {
+	case item.Agg == sql.AggCount:
+		return IntValue(int64(total.count)), nil
+	case total.count == 0:
+		return emptyAggValue(item, cm)
+	case item.Agg == sql.AggSum || item.Agg == sql.AggAvg:
+		if item.Agg == sql.AggAvg {
+			total.sum /= int64(total.count)
+		}
+		if cm.Type == sql.TypeDecimal {
+			return DecimalValue(total.sum, cm.Arg), nil
+		}
+		return IntValue(total.sum), nil
+	default:
+		return total.extreme, nil
+	}
+}
+
+// aggOps maps an aggregate onto the provider operation that computes its
+// partial; AVG is a SUM divided after the merge.
+var aggOps = map[sql.AggFunc]proto.AggOp{
+	sql.AggCount: proto.AggCount, sql.AggSum: proto.AggSum, sql.AggAvg: proto.AggSum,
+	sql.AggMin: proto.AggMin, sql.AggMax: proto.AggMax, sql.AggMedian: proto.AggMedian,
+}
+
+// aggPartial computes one aggregate item provider-side, in share space:
+// COUNT exact, SUM via share additivity, MIN/MAX/MEDIAN via order
+// preservation. Every response carries the matching-row count, so no item
+// needs a COUNT round of its own.
+func (e *engine) aggPartial(meta *tableMeta, preds []compiledPred, item sql.SelectItem) (aggPartial, error) {
+	cm, _, err := meta.aggItemCol(item)
+	if err != nil {
+		return aggPartial{}, err
+	}
 	for _, cp := range preds {
 		if cp.empty {
-			return emptyAggValue(item, cm)
+			return aggPartial{}, nil
 		}
 	}
-	filters, err := c.providerFilters(meta, preds)
+	filters, err := e.providerFilters(meta, preds)
 	if err != nil {
-		return Value{}, err
+		return aggPartial{}, err
 	}
-	req := func(op proto.AggOp) func(int) proto.Message {
-		return func(i int) proto.Message {
-			r := &proto.AggregateRequest{Table: meta.Name, Op: op, Filter: filters[i]}
-			if cm != nil {
-				r.OrderCol = cm.Name + suffixOPP
-				r.ValueCol = cm.Name + suffixField
-			}
-			return r
+	op, ok := aggOps[item.Agg]
+	if !ok {
+		return aggPartial{}, fmt.Errorf("%w: aggregate %v", ErrUnsupported, item.Agg)
+	}
+	responses, err := e.callQuorum(e.opts.K, func(i int) proto.Message {
+		r := &proto.AggregateRequest{Table: meta.Name, Op: op, Filter: filters[i]}
+		if cm != nil {
+			r.OrderCol = cm.Name + suffixOPP
+			r.ValueCol = cm.Name + suffixField
+		}
+		return r
+	}, e.readDeadline())
+	if err != nil {
+		return aggPartial{}, err
+	}
+	results := make([]*proto.AggResult, len(responses))
+	for i, r := range responses {
+		ar, ok := r.msg.(*proto.AggResult)
+		if !ok {
+			return aggPartial{}, fmt.Errorf("%w: provider %d returned %T", ErrInconsistent, r.provider, r.msg)
+		}
+		results[i] = ar
+	}
+	for i := 1; i < len(results); i++ {
+		if results[i].Count != results[0].Count {
+			return aggPartial{}, fmt.Errorf("%w: providers disagree on aggregate count (%d vs %d)",
+				ErrInconsistent, results[0].Count, results[i].Count)
 		}
 	}
-	gather := func(op proto.AggOp) ([]indexedResponse, []*proto.AggResult, error) {
-		responses, err := c.callQuorum(c.opts.K, req(op), c.readDeadline())
-		if err != nil {
-			return nil, nil, err
-		}
-		results := make([]*proto.AggResult, len(responses))
-		for i, r := range responses {
-			ar, ok := r.msg.(*proto.AggResult)
-			if !ok {
-				return nil, nil, fmt.Errorf("%w: provider %d returned %T", ErrInconsistent, r.provider, r.msg)
-			}
-			results[i] = ar
-		}
-		for i := 1; i < len(results); i++ {
-			if results[i].Count != results[0].Count {
-				return nil, nil, fmt.Errorf("%w: providers disagree on aggregate count (%d vs %d)",
-					ErrInconsistent, results[0].Count, results[i].Count)
-			}
-		}
-		return responses, results, nil
+	part := aggPartial{count: results[0].Count}
+	if part.count == 0 || op == proto.AggCount {
+		return part, nil
 	}
-
-	switch item.Agg {
-	case sql.AggCount:
-		_, results, err := gather(proto.AggCount)
-		if err != nil {
-			return Value{}, err
-		}
-		return IntValue(int64(results[0].Count)), nil
-
-	case sql.AggSum, sql.AggAvg:
-		if cm.Type == sql.TypeVarchar {
-			return Value{}, fmt.Errorf("%w: %s over VARCHAR column %q", ErrUnsupported, item.Agg, cm.Name)
-		}
-		responses, results, err := gather(proto.AggSum)
-		if err != nil {
-			return Value{}, err
-		}
-		count := results[0].Count
-		if count == 0 {
-			return emptyAggValue(item, cm)
-		}
+	shares := make([]secretshare.Share, len(responses))
+	if op == proto.AggSum {
 		// Partial sums are shares of the true sum by linearity.
-		shares := make([]secretshare.Share, len(responses))
 		for i, r := range responses {
 			shares[i] = secretshare.Share{Index: r.provider, Y: field.New(results[i].Sum)}
 		}
-		sumEnc, err := c.fieldSch.Reconstruct(shares)
+		sumEnc, err := e.fieldSch.Reconstruct(shares)
 		if err != nil {
-			return Value{}, err
+			return aggPartial{}, err
 		}
-		total, err := decodeSum(cm, sumEnc.Uint64(), count)
-		if err != nil {
-			return Value{}, err
-		}
-		if item.Agg == sql.AggAvg {
-			total /= int64(count)
-		}
-		if cm.Type == sql.TypeDecimal {
-			return DecimalValue(total, cm.Arg), nil
-		}
-		return IntValue(total), nil
-
-	case sql.AggMin, sql.AggMax, sql.AggMedian:
-		op := map[sql.AggFunc]proto.AggOp{
-			sql.AggMin: proto.AggMin, sql.AggMax: proto.AggMax, sql.AggMedian: proto.AggMedian,
-		}[item.Agg]
-		responses, results, err := gather(op)
-		if err != nil {
-			return Value{}, err
-		}
-		if results[0].Count == 0 {
-			return emptyAggValue(item, cm)
-		}
-		// Order preservation guarantees every provider picked the same row.
-		for i := 1; i < len(results); i++ {
-			if !results[i].HasRow || results[i].Row.ID != results[0].Row.ID {
-				return Value{}, fmt.Errorf("%w: providers picked different %s rows", ErrInconsistent, item.Agg)
-			}
-		}
-		// The partial carries the winning row's value share alone.
-		shares := make([]secretshare.Share, len(responses))
-		for i, r := range responses {
-			if len(results[i].Row.Cells) != 1 {
-				return Value{}, fmt.Errorf("%w: provider %d returned %d cells for %s", ErrInconsistent,
-					r.provider, len(results[i].Row.Cells), item.Agg)
-			}
-			cell := results[i].Row.Cells[0]
-			if len(cell) != 8 {
-				return Value{}, fmt.Errorf("%w: provider %d returned a malformed share", ErrInconsistent, r.provider)
-			}
-			shares[i] = secretshare.Share{Index: r.provider, Y: field.New(beUint64(cell))}
-		}
-		u, err := c.fieldSch.Reconstruct(shares)
-		if err != nil {
-			return Value{}, err
-		}
-		return cm.decode(u.Uint64())
-
-	default:
-		return Value{}, fmt.Errorf("%w: aggregate %v", ErrUnsupported, item.Agg)
+		part.sum, err = decodeSum(cm, sumEnc.Uint64(), part.count)
+		return part, err
 	}
+	// Order preservation guarantees every provider picked the same row.
+	for i := 1; i < len(results); i++ {
+		if !results[i].HasRow || results[i].Row.ID != results[0].Row.ID {
+			return aggPartial{}, fmt.Errorf("%w: providers picked different %s rows", ErrInconsistent, item.Agg)
+		}
+	}
+	// The partial carries the winning row's value share alone.
+	for i, r := range responses {
+		if len(results[i].Row.Cells) != 1 {
+			return aggPartial{}, fmt.Errorf("%w: provider %d returned %d cells for %s", ErrInconsistent,
+				r.provider, len(results[i].Row.Cells), item.Agg)
+		}
+		cell := results[i].Row.Cells[0]
+		if len(cell) != 8 {
+			return aggPartial{}, fmt.Errorf("%w: provider %d returned a malformed share", ErrInconsistent, r.provider)
+		}
+		shares[i] = secretshare.Share{Index: r.provider, Y: field.New(beUint64(cell))}
+	}
+	u, err := e.fieldSch.Reconstruct(shares)
+	if err != nil {
+		return aggPartial{}, err
+	}
+	part.extreme, err = cm.decode(u.Uint64())
+	return part, err
 }
 
 // emptyAggValue renders an aggregate over zero rows: COUNT and SUM are 0,
@@ -427,7 +637,7 @@ func emptyAggValue(item sql.SelectItem, cm *colMeta) (Value, error) {
 // aggregateLocal computes an aggregate client-side from a reconstructed
 // scan (fallback for residual predicates, verified mode, and the E8
 // client-side baseline).
-func (c *Client) aggregateLocal(meta *tableMeta, scan *scanResult, item sql.SelectItem) (Value, error) {
+func aggregateLocal(meta *tableMeta, scan *scanResult, item sql.SelectItem) (Value, error) {
 	cm, ci, err := meta.aggItemCol(item)
 	if err != nil {
 		return Value{}, err

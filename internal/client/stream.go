@@ -63,7 +63,7 @@ type rowStream struct {
 
 	// What was asked, so a failed scan can re-open (see failover); avoid
 	// lists the providers whose streams failed earlier opens of this scan.
-	c     *Client
+	e     *engine
 	meta  *tableMeta
 	preds []compiledPred
 	o     scanOpts
@@ -240,9 +240,9 @@ func (rs *rowStream) start(p int, skip int, limit uint64) *provStream {
 	go func() {
 		started := time.Now()
 		first := true
-		err := transport.CallStreamWithDeadline(rs.c.conns[p], req, rs.o.deadline, func(chunk *proto.RowsResponse) error {
+		err := transport.CallStreamWithDeadline(rs.e.conns[p], req, rs.o.deadline, func(chunk *proto.RowsResponse) error {
 			if first {
-				rs.c.health.observe(p, time.Since(started), nil)
+				rs.e.health.observe(p, time.Since(started), nil)
 				first = false
 			}
 			select {
@@ -255,11 +255,11 @@ func (rs *rowStream) start(p int, skip int, limit uint64) *provStream {
 			}
 		})
 		if err == nil {
-			rs.c.markProvider(p, false)
+			rs.e.markProvider(p, false)
 		} else if !errors.Is(err, errStreamDone) {
-			rs.c.markProvider(p, true)
+			rs.e.markProvider(p, true)
 			if first {
-				rs.c.health.observe(p, time.Since(started), err)
+				rs.e.health.observe(p, time.Since(started), err)
 			}
 		}
 		ps.errc <- err
@@ -275,11 +275,11 @@ func (rs *rowStream) tryHedge(old *provStream) *provStream {
 	// threshold: feed that as a right-censored latency sample so ranking
 	// demotes a gray-failing provider without waiting for the stream to
 	// finish or die (see healthState.observeStall).
-	rs.c.health.observeStall(old.p, rs.threshold)
+	rs.e.health.observeStall(old.p, rs.threshold)
 	if len(rs.spares) == 0 {
 		return nil
 	}
-	if !rs.c.health.allowHedge() {
+	if !rs.e.health.allowHedge() {
 		rs.threshold = 0
 		return nil
 	}
@@ -318,7 +318,7 @@ func (rs *rowStream) race(old, rival *provStream) *provStream {
 			if old != nil {
 				old.cancel()
 			}
-			rs.c.health.hedgesWon.Add(1)
+			rs.e.health.hedgesWon.Add(1)
 			return rival
 		}
 		select {
@@ -336,7 +336,7 @@ func (rs *rowStream) race(old, rival *provStream) *provStream {
 // watermark (transactional reads) and o.deadline bounds every provider
 // stream. Providers ship only the value cells of o.cols and of the residual
 // predicates' columns.
-func (c *Client) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts, avoid []int) (*rowStream, error) {
+func (e *engine) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts, avoid []int) (*rowStream, error) {
 	pushLimit := o.limit
 	if len(residualPreds(preds)) > 0 {
 		// Residual predicates drop rows client-side, so the provider cannot
@@ -344,7 +344,7 @@ func (c *Client) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 		// cancel from here.
 		pushLimit = 0
 	}
-	filters, err := c.providerFilters(meta, preds)
+	filters, err := e.providerFilters(meta, preds)
 	if err != nil {
 		return nil, err
 	}
@@ -353,26 +353,26 @@ func (c *Client) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 	// watermark before sending: any id at or above it could be half-landed
 	// and is dropped from every stream, so the K row sets always agree on
 	// what all of them have fully durable.
-	watermark := c.stableWatermark(meta)
+	watermark := e.stableWatermark(meta)
 	if o.epoch < watermark {
 		watermark = o.epoch
 	}
-	order := c.providerOrder()
+	order := e.providerOrder()
 	order = slices.DeleteFunc(order, func(p int) bool { return slices.Contains(avoid, p) })
-	providers := append([]int(nil), order[:c.opts.K]...)
+	providers := append([]int(nil), order[:e.opts.K]...)
 	sort.Ints(providers)
 	// If failover put a lagging provider (one with queued hints) in the
 	// chosen K, cap the watermark by its lag floor: its rows below the floor
 	// are exactly its peers', and ids at or above it may have missed
 	// mutations there, so they are hidden from every stream.
-	if floor := c.lagFloor(meta.Name, providers); floor < watermark {
+	if floor := e.lagFloor(meta.Name, providers); floor < watermark {
 		watermark = floor
 	}
 
 	rs := &rowStream{
 		out:       make(chan alignedBatch, 1),
 		done:      make(chan struct{}),
-		c:         c,
+		e:         e,
 		meta:      meta,
 		preds:     preds,
 		o:         o,
@@ -381,17 +381,17 @@ func (c *Client) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 		plan:      meta.scanPlan(preds, o.cols, false),
 		pushLimit: pushLimit,
 		watermark: watermark,
-		threshold: c.hedgeThreshold(),
+		threshold: e.hedgeThreshold(),
 	}
 	// Hedge spares: the ranked also-rans that are both reachable and fully
 	// caught up (see rowStream.spares for why lagging ones cannot serve).
-	c.downMu.Lock()
-	for _, p := range order[c.opts.K:] {
-		if !c.down[p] && !c.hints[p].lagging {
+	e.downMu.Lock()
+	for _, p := range order[e.opts.K:] {
+		if !e.down[p] && !e.hints[p].lagging {
 			rs.spares = append(rs.spares, p)
 		}
 	}
-	c.downMu.Unlock()
+	e.downMu.Unlock()
 	streams := make([]*provStream, len(providers))
 	for i, p := range providers {
 		streams[i] = rs.start(p, 0, pushLimit)
@@ -415,10 +415,10 @@ func (rs *rowStream) failover() (*rowStream, error) {
 		return nil, err
 	}
 	avoid := append(rs.avoid[:len(rs.avoid):len(rs.avoid)], rs.failed.p)
-	if n, k := rs.c.opts.N, rs.c.opts.K; n-len(avoid) < k {
+	if n, k := rs.e.opts.N, rs.e.opts.K; n-len(avoid) < k {
 		return nil, fmt.Errorf("%w: %d of %d failed this scan, %d needed, last: %w", ErrNotEnough, len(avoid), n, k, err)
 	}
-	return rs.c.openRowStream(rs.meta, rs.preds, rs.o, avoid)
+	return rs.e.openRowStream(rs.meta, rs.preds, rs.o, avoid)
 }
 
 // align is the zipper: it pops rows off the K provider streams in
@@ -433,7 +433,7 @@ func (rs *rowStream) failover() (*rowStream, error) {
 // provider, fast-forwarded to the slot position, and whichever of the two
 // becomes usable first owns the slot from then on.
 func (rs *rowStream) align(streams []*provStream) {
-	c, meta, preds, limit, watermark := rs.c, rs.meta, rs.preds, rs.o.limit, rs.watermark
+	e, meta, preds, limit, watermark := rs.e, rs.meta, rs.preds, rs.o.limit, rs.watermark
 	defer close(rs.out)
 	// Whatever ends this aligner — completion, a satisfied LIMIT, a failed
 	// or inconsistent provider — the surviving provider goroutines must be
@@ -463,12 +463,12 @@ func (rs *rowStream) align(streams []*provStream) {
 			providers[i] = ps.p
 			rowsByProvider[ps.p] = &proto.RowsResponse{Columns: ps.cols, Rows: batch[i]}
 		}
-		res, err := c.reconstructRows(meta, &rs.plan, providers, rowsByProvider, false)
+		res, err := e.reconstructRows(meta, &rs.plan, providers, rowsByProvider, false)
 		if err != nil {
 			rs.err = err
 			return true
 		}
-		if err := c.filterResidual(meta, res, residual); err != nil {
+		if err := e.filterResidual(meta, res, residual); err != nil {
 			rs.err = err
 			return true
 		}
@@ -586,8 +586,8 @@ func (rs *rowStream) align(streams []*provStream) {
 // the statement's caller until the drain completes, so a provider stream
 // failing at any point — not only before the first batch — restarts the
 // drain on a re-opened scan.
-func (c *Client) collectStream(meta *tableMeta, preds []compiledPred, o scanOpts) (*scanResult, error) {
-	rs, err := c.openRowStream(meta, preds, o, nil)
+func (e *engine) collectStream(meta *tableMeta, preds []compiledPred, o scanOpts) (*scanResult, error) {
+	rs, err := e.openRowStream(meta, preds, o, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -623,38 +623,40 @@ func mapDeadlineErr(err error) error {
 
 // Rows is an incremental SELECT result. Next advances to the next row;
 // Row returns it; Err reports why iteration stopped early; Close releases
-// the statement lock and cancels any outstanding provider streams. A Rows
+// the statement locks and cancels any outstanding provider streams. A Rows
 // must always be Closed (iterating to completion does not release it).
 //
 // Streaming-eligible queries (plain unverified SELECT, no ORDER BY, no
 // buffered lazy updates) deliver rows as provider chunks arrive and hold
-// the shared statement lock until Close. Everything else — aggregates,
-// joins, GROUP BY, ORDER BY, verified reads — executes eagerly exactly as
-// Exec would and iterates the materialized result.
+// the routed groups' shared statement locks until Close. Everything else —
+// aggregates, joins, GROUP BY, ORDER BY, verified reads — executes eagerly
+// exactly as Exec would and iterates the materialized result.
 type Rows struct {
 	cols []string
 	idx  []int
 
-	rs     *rowStream
-	unlock func()
+	// streams holds one running scan per routed group, all opened up front;
+	// rows drain from them in group order (cross-group order is unspecified,
+	// like scan order), streams[0] being the one draining now. groups[i] is
+	// the group of streams[i]. A materialized result has none and iterates
+	// batch alone.
+	streams []*rowStream
+	groups  []int
+	client  *Client
+	unlock  func()
 
-	batch     alignedBatch
-	pos       int
-	cur       []Value
-	err       error
-	finished  bool
+	batch alignedBatch
+	pos   int
+	cur   []Value
+	err   error
+	// delivered reports that a row of the draining stream reached the
+	// caller, which rules out restarting that group's scan.
 	delivered bool
-
-	// subRows, when non-nil, makes this iterator a shard merger: rows drain
-	// from each per-group iterator in group order (cross-group order is
-	// unspecified, like per-group scan order), a global LIMIT is enforced
-	// here, and satisfying it — or Close — cancels the undrained group
-	// streams.
-	subRows   []*Rows
-	subGroups []int
-	subIdx    int
-	remaining uint64
-	hasLimit  bool
+	finished  bool
+	// limit counts the rows still to deliver under a LIMIT (0 = unlimited):
+	// every group received the LIMIT as a superset bound, the global one is
+	// enforced here, and satisfying it cancels the undrained group streams.
+	limit uint64
 }
 
 // QueryRows parses and executes one SELECT, returning an iterator over its
@@ -662,9 +664,6 @@ type Rows struct {
 // form — equivalent rows in equivalent order, without materializing the
 // result (see type Rows for which query shapes stream).
 func (c *Client) QueryRows(query string) (*Rows, error) {
-	if c.shards != nil {
-		return c.shardQueryRows(query)
-	}
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
@@ -673,51 +672,58 @@ func (c *Client) QueryRows(query string) (*Rows, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: QueryRows wants a SELECT, got %T", ErrUnsupported, stmt)
 	}
-	if c.selectNeedsExclusive(s) {
-		c.mu.Lock()
-		res, err := c.execSelect(s)
-		c.mu.Unlock()
+	if s.Join != nil {
+		res, err := c.execJoin(s)
 		if err != nil {
 			return nil, err
 		}
 		return materializedRows(res), nil
 	}
-	unlock := c.lockForRead()
-	meta, err := c.table(s.Table)
+	p, err := c.planSelect(s, nil)
 	if err != nil {
-		unlock()
 		return nil, err
 	}
-	if s.OrderBy != nil || c.hasPending(meta.Name) {
-		res, err := c.execSelect(s)
-		unlock()
-		if err != nil {
+	// Only a plain unverified scan in scan order streams, and only while no
+	// lazy update is buffered for the table (the overlay needs the whole
+	// result); everything else runs as Exec would.
+	materialize := p.exclusive() || p.oci >= 0
+	var unlock func()
+	if !materialize {
+		if unlock, err = c.lock(p.targets, false, p.meta); err != nil {
 			return nil, err
 		}
-		return materializedRows(res), nil
-	}
-	preds, err := c.compilePredicates(meta, s.Where, "")
-	if err != nil {
-		unlock()
-		return nil, err
-	}
-	cols, idx, err := selectColumns(meta, s.Items)
-	if err != nil {
-		unlock()
-		return nil, err
-	}
-	for _, cp := range preds {
-		if cp.empty {
+		for _, g := range p.targets {
+			materialize = materialize || c.groups[g].hasPending(p.meta.Name)
+		}
+		if materialize {
 			unlock()
-			return &Rows{cols: cols, finished: true}, nil
 		}
 	}
-	rs, err := c.openRowStream(meta, preds, c.readOpts(idx, s.Limit, false), nil)
-	if err != nil {
-		unlock()
-		return nil, err
+	if materialize {
+		res, err := c.runSelect(p)
+		if err != nil {
+			return nil, err
+		}
+		return materializedRows(res), nil
 	}
-	return &Rows{cols: cols, idx: idx, rs: rs, unlock: unlock}, nil
+	r := &Rows{cols: p.cols, idx: p.idx, client: c, unlock: unlock, limit: s.Limit}
+	for _, cp := range p.preds {
+		if cp.empty {
+			r.finish()
+			return r, nil
+		}
+	}
+	for _, g := range p.targets {
+		e := c.groups[g]
+		rs, err := e.openRowStream(p.meta, p.preds, e.readOpts(p.fetch, s.Limit, false), nil)
+		if err != nil {
+			r.finish()
+			return nil, c.tagGroup(g, err)
+		}
+		r.streams = append(r.streams, rs)
+		r.groups = append(r.groups, g)
+	}
+	return r, nil
 }
 
 // materializedRows wraps an eagerly-computed Result in the iterator shape.
@@ -742,25 +748,29 @@ func (r *Rows) Next() bool {
 	if r.finished {
 		return false
 	}
-	if r.subRows != nil {
-		return r.nextSharded()
-	}
 	for r.pos >= len(r.batch.values) {
-		if r.rs == nil {
+		if len(r.streams) == 0 {
 			r.finish()
 			return false
 		}
-		b, ok := <-r.rs.out
+		rs := r.streams[0]
+		b, ok := <-rs.out
 		if !ok {
-			if r.rs.err != nil && !r.delivered {
-				// Nothing reached the caller yet, so the scan may start
-				// over on other providers.
-				if r.rs, r.err = r.rs.failover(); r.err == nil {
+			switch {
+			case rs.err == nil:
+				// This group is drained; move on to the next one's stream.
+				r.streams, r.groups, r.delivered = r.streams[1:], r.groups[1:], false
+				continue
+			case !r.delivered:
+				// None of this group's rows reached the caller yet, so its
+				// scan may start over on other providers.
+				if r.streams[0], r.err = rs.failover(); r.err == nil {
 					continue
 				}
-			} else {
-				r.err = mapDeadlineErr(r.rs.err)
+			default:
+				r.err = mapDeadlineErr(rs.err)
 			}
+			r.err = r.client.tagGroup(r.groups[0], r.err)
 			r.finish()
 			return false
 		}
@@ -775,34 +785,12 @@ func (r *Rows) Next() bool {
 	}
 	r.cur = row
 	r.delivered = true
-	return true
-}
-
-// nextSharded drains the per-group iterators in group order, enforcing the
-// router-level LIMIT and canceling the undrained group streams once it is
-// satisfied.
-func (r *Rows) nextSharded() bool {
-	for r.subIdx < len(r.subRows) {
-		sr := r.subRows[r.subIdx]
-		if sr.Next() {
-			r.cur = sr.Row()
-			if r.hasLimit {
-				if r.remaining--; r.remaining == 0 {
-					r.finish() // cancels the remaining group streams
-					return true
-				}
-			}
-			return true
+	if r.limit > 0 {
+		if r.limit--; r.limit == 0 {
+			r.finish() // cancels the remaining group streams
 		}
-		if err := sr.Err(); err != nil {
-			r.err = fmt.Errorf("shard group %d: %w", r.subGroups[r.subIdx], err)
-			r.finish()
-			return false
-		}
-		r.subIdx++
 	}
-	r.finish()
-	return false
+	return true
 }
 
 // Row returns the row Next advanced to. The slice is owned by the caller.
@@ -811,26 +799,24 @@ func (r *Rows) Row() []Value { return r.cur }
 // Err returns the error that terminated iteration early, if any.
 func (r *Rows) Err() error { return r.err }
 
-// finish releases the statement lock and cancels provider streams without
-// marking the iterator closed for Err.
+// finish cancels the provider streams and releases the statement locks
+// without marking the iterator closed for Err.
 func (r *Rows) finish() {
 	r.finished = true
-	if r.rs != nil {
-		r.rs.Close()
-		r.rs = nil
+	for _, rs := range r.streams {
+		if rs != nil {
+			rs.Close()
+		}
 	}
+	r.streams = nil
 	if r.unlock != nil {
 		r.unlock()
 		r.unlock = nil
 	}
-	for _, sr := range r.subRows {
-		sr.Close()
-	}
-	r.subRows = nil
 }
 
 // Close ends iteration, cancels outstanding provider streams, and releases
-// the statement lock. Idempotent; always returns nil.
+// the statement locks. Idempotent; always returns nil.
 func (r *Rows) Close() error {
 	r.finish()
 	return nil

@@ -395,8 +395,8 @@ func TestLimitNotSpentOnMaskedRows(t *testing.T) {
 		// (so scans mask them), rows stored at some providers, nothing
 		// acknowledged. v = 5 sorts ahead of every stable row in the
 		// providers' index order, so it takes the first LIMIT slot.
-		c := f.client
-		meta := c.tables["t"]
+		c := f.client.groups[0]
+		meta := f.client.cat.tables["t"]
 		base := c.reserveIDs(meta, 1)
 		perProvider, err := c.encodeRowsAt(meta, []uint64{base}, [][]Value{{IntValue(5), IntValue(0)}})
 		if err != nil {
@@ -410,7 +410,7 @@ func TestLimitNotSpentOnMaskedRows(t *testing.T) {
 		for _, limit := range []int{1, 20, stable} {
 			q := fmt.Sprintf(`SELECT v FROM t WHERE v BETWEEN 0 AND 1000 LIMIT %d`, limit)
 			log.take()
-			res, err := c.Exec(q)
+			res, err := f.client.Exec(q)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, q, err)
 			}

@@ -50,7 +50,7 @@ func TestHedgeCoversStragglerAggregate(t *testing.T) {
 	setupEmployees(t, f)
 	// Find a provider the next read set will include (health ties keep
 	// index order, but don't depend on that).
-	slow := f.client.cleanOrder()[0]
+	slow := f.client.groups[0].cleanOrder()[0]
 	f.faults[slow].SetDelay(2 * time.Second)
 	start := time.Now()
 	res := f.mustExec(t, `SELECT SUM(salary) FROM employees WHERE dept = 1`)
@@ -81,7 +81,7 @@ func TestHedgeCoversStragglerAggregate(t *testing.T) {
 func TestStallObservationDemotesWithoutCompletion(t *testing.T) {
 	f := newFleet(t, 3, 2, Options{HedgeDelay: 10 * time.Millisecond})
 	setupEmployees(t, f)
-	slow := f.client.cleanOrder()[0]
+	slow := f.client.groups[0].cleanOrder()[0]
 	// Far beyond the test's total runtime: no call to this provider ever
 	// completes, so the ledger's only possible signal is the stall itself.
 	f.faults[slow].SetDelay(time.Hour)
@@ -118,7 +118,7 @@ func TestHedgeCoversStragglerStreaming(t *testing.T) {
 	setupEmployees(t, f)
 	want := rowsAsStrings(f.mustExec(t, `SELECT name, salary FROM employees`))
 
-	readSet := f.client.providerOrder()[:2]
+	readSet := f.client.groups[0].providerOrder()[:2]
 	slow := readSet[0]
 	f.faults[slow].SetDelay(2 * time.Second)
 	log.take()
@@ -159,7 +159,7 @@ func TestHedgeCoversStragglerStreaming(t *testing.T) {
 func TestHealthRankingDemotesStraggler(t *testing.T) {
 	f := newFleet(t, 4, 2, Options{HedgeDelay: 10 * time.Millisecond})
 	setupEmployees(t, f)
-	slow := f.client.providerOrder()[0]
+	slow := f.client.groups[0].providerOrder()[0]
 	f.faults[slow].SetDelay(300 * time.Millisecond)
 	// First query pays the hedge; the slow call's latency lands in the
 	// ledger when it finally completes. One 300ms observation folded into
@@ -176,7 +176,7 @@ func TestHealthRankingDemotesStraggler(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	order := f.client.providerOrder()
+	order := f.client.groups[0].providerOrder()
 	if order[len(order)-1] != slow {
 		t.Fatalf("provider order %v does not rank straggler %d last", order, slow)
 	}
@@ -201,23 +201,23 @@ func TestCircuitBreakerDemotesAndRecovers(t *testing.T) {
 	f := newFleet(t, 3, 2, Options{})
 	boom := errors.New("connection reset")
 	for i := 0; i < breakerTripFails; i++ {
-		f.client.health.observe(1, time.Millisecond, boom)
+		f.client.groups[0].health.observe(1, time.Millisecond, boom)
 	}
 	now := time.Now()
-	if r := f.client.health.rank(1, now); r < 1<<16 {
+	if r := f.client.groups[0].health.rank(1, now); r < 1<<16 {
 		t.Fatalf("tripped breaker ranks %d, want open-breaker bias", r)
 	}
-	if r := f.client.health.rank(0, now); r >= 1<<16 {
+	if r := f.client.groups[0].health.rank(0, now); r >= 1<<16 {
 		t.Fatalf("untouched provider ranks %d", r)
 	}
 	// One success closes it.
-	f.client.health.observe(1, time.Millisecond, nil)
-	if r := f.client.health.rank(1, now); r >= 1<<16 {
+	f.client.groups[0].health.observe(1, time.Millisecond, nil)
+	if r := f.client.groups[0].health.rank(1, now); r >= 1<<16 {
 		t.Fatalf("breaker still open after success: rank %d", r)
 	}
 	// Fewer than breakerTripFails failures never trip it.
-	f.client.health.observe(2, time.Millisecond, boom)
-	if r := f.client.health.rank(2, now); r >= 1<<16 {
+	f.client.groups[0].health.observe(2, time.Millisecond, boom)
+	if r := f.client.groups[0].health.rank(2, now); r >= 1<<16 {
 		t.Fatalf("single failure tripped the breaker: rank %d", r)
 	}
 }

@@ -6,8 +6,8 @@ package client
 //
 // A Tx buffers DML locally: INSERT captures typed rows, UPDATE and DELETE
 // capture the parsed statement and are evaluated at commit time against the
-// pre-transaction state. Commit, under the exclusive statement lock,
-// lowers the buffered statements into per-provider op batches, appends them
+// pre-transaction state. Commit, under every group's exclusive statement
+// lock, lowers the buffered statements into per-provider op batches, appends them
 // plus a commit-intent record to the client's WAL-backed transaction log
 // (the same CRC framing as the hint journals), PREPAREs the batches at
 // every provider (in-memory staging, validated), and — once a write quorum
@@ -72,8 +72,8 @@ type txStmt struct {
 type Tx struct {
 	c  *Client
 	id uint64
-	// epochs maps table -> per-group snapshot watermark captured at Begin
-	// (one entry per provider group; a plain client has exactly one).
+	// epochs maps table -> snapshot watermark captured at Begin, one entry
+	// per provider group.
 	epochs map[string][]uint64
 	stmts  []txStmt
 	done   bool
@@ -91,24 +91,15 @@ func newTxID() uint64 {
 }
 
 // Begin starts a transaction, capturing the snapshot epoch of every table
-// in the catalog.
+// in the catalog, in every group.
 func (c *Client) Begin() (*Tx, error) {
 	tx := &Tx{c: c, id: newTxID(), epochs: make(map[string][]uint64)}
-	subs := c.shards
-	if subs == nil {
-		subs = []*Client{c}
-	}
-	for g, sub := range subs {
-		sub.mu.RLock()
-		for name, meta := range sub.tables {
-			es := tx.epochs[name]
-			if es == nil {
-				es = make([]uint64, len(subs))
-				tx.epochs[name] = es
-			}
-			es[g] = sub.stableWatermark(meta)
+	for _, meta := range c.cat.list() {
+		es := make([]uint64, len(c.groups))
+		for g, e := range c.groups {
+			es[g] = e.stableWatermark(meta)
 		}
-		sub.mu.RUnlock()
+		tx.epochs[meta.Name] = es
 	}
 	return tx, nil
 }
@@ -119,16 +110,6 @@ func (tx *Tx) ID() uint64 { return tx.id }
 // Done reports whether the transaction has finished (committed, rolled
 // back, or aborted) and can no longer accept statements.
 func (tx *Tx) Done() bool { return tx.done }
-
-// epochAt returns the snapshot epoch of table in group g; tables unknown at
-// Begin read as empty (epoch 0 hides every row).
-func (tx *Tx) epochAt(table string, g int) uint64 {
-	es := tx.epochs[table]
-	if es == nil {
-		return 0
-	}
-	return es[g]
-}
 
 // Exec runs one SQL statement inside the transaction: SELECTs read the
 // Begin-time snapshot immediately; INSERT/UPDATE/DELETE buffer until
@@ -147,7 +128,16 @@ func (tx *Tx) Exec(query string) (*Result, error) {
 	case *sql.Select:
 		return tx.execSelect(s)
 	case *sql.Insert:
-		return tx.bufferInsert(s)
+		meta, err := tx.c.cat.table(s.Table)
+		if err != nil {
+			return nil, err
+		}
+		rows, err := parseRows(meta, s.Rows)
+		if err != nil {
+			return nil, err
+		}
+		tx.stmts = append(tx.stmts, txStmt{insTable: s.Table, insRows: rows})
+		return &Result{}, nil
 	case *sql.Update:
 		tx.stmts = append(tx.stmts, txStmt{update: s})
 		return &Result{}, nil
@@ -170,7 +160,7 @@ func (tx *Tx) InsertValues(table string, rows [][]Value) (*Result, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
-	meta, err := tx.tableMeta(table)
+	meta, err := tx.c.cat.table(table)
 	if err != nil {
 		return nil, err
 	}
@@ -188,46 +178,9 @@ func (tx *Tx) InsertValues(table string, rows [][]Value) (*Result, error) {
 	return &Result{}, nil
 }
 
-// tableMeta resolves a table on the coordinator (group 0's schema on a
-// router; schemas are identical across groups by construction).
-func (tx *Tx) tableMeta(table string) (*tableMeta, error) {
-	c := tx.c
-	if c.shards != nil {
-		meta, _, err := c.shardTable(table)
-		return meta, err
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.table(table)
-}
-
-func (tx *Tx) bufferInsert(s *sql.Insert) (*Result, error) {
-	meta, err := tx.tableMeta(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]Value, 0, len(s.Rows))
-	for _, litRow := range s.Rows {
-		if len(litRow) != len(meta.Cols) {
-			return nil, fmt.Errorf("%w: %d values for %d columns",
-				ErrTypeMismatch, len(litRow), len(meta.Cols))
-		}
-		vals := make([]Value, len(litRow))
-		for i, lit := range litRow {
-			v, err := meta.Cols[i].parseValue(lit)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		rows = append(rows, vals)
-	}
-	tx.stmts = append(tx.stmts, txStmt{insTable: s.Table, insRows: rows})
-	return &Result{}, nil
-}
-
-// execSelect runs a snapshot read. Only plain scans (projection, WHERE,
-// LIMIT) are supported inside a transaction.
+// execSelect runs a snapshot read through the client's one SELECT pipeline,
+// every routed group's scan capped at its Begin-time epoch. Only plain scans
+// (projection, WHERE, LIMIT) are supported inside a transaction.
 func (tx *Tx) execSelect(s *sql.Select) (*Result, error) {
 	if s.Verified || s.Join != nil || s.GroupBy != nil || s.OrderBy != nil {
 		return nil, fmt.Errorf("%w: only plain scans are available inside a transaction", ErrUnsupported)
@@ -237,75 +190,12 @@ func (tx *Tx) execSelect(s *sql.Select) (*Result, error) {
 			return nil, fmt.Errorf("%w: aggregates inside a transaction", ErrUnsupported)
 		}
 	}
-	c := tx.c
-	if c.shards != nil {
-		return tx.shardSelect(s)
+	epochs := tx.epochs[s.Table]
+	if epochs == nil {
+		// Tables unknown at Begin read as empty: epoch 0 hides every row.
+		epochs = make([]uint64, len(tx.c.groups))
 	}
-	unlock := c.lockForRead()
-	defer unlock()
-	meta, err := c.table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	preds, err := c.compilePredicates(meta, s.Where, "")
-	if err != nil {
-		return nil, err
-	}
-	cols, idx, err := selectColumns(meta, s.Items)
-	if err != nil {
-		return nil, err
-	}
-	o := c.readOpts(idx, s.Limit, false)
-	o.epoch = tx.epochAt(s.Table, 0)
-	res, err := c.scanTable(meta, preds, o)
-	if err != nil {
-		return nil, err
-	}
-	return projectScan(cols, idx, res), nil
-}
-
-// shardSelect is the router's snapshot read: fan the scan over the routed
-// groups, each capped at its own Begin-time epoch, and concatenate.
-func (tx *Tx) shardSelect(s *sql.Select) (*Result, error) {
-	c := tx.c
-	meta, info, err := c.shardTable(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	cols, idx, err := selectColumns(meta, s.Items)
-	if err != nil {
-		return nil, err
-	}
-	targets := c.routeGroups(meta, info, s.Where)
-	scans := make([]*scanResult, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, g := range targets {
-		wg.Add(1)
-		go func(i, g int) {
-			defer wg.Done()
-			scan, err := c.shards[g].gatherScan(s.Table, s.Where, idx, false, tx.epochAt(s.Table, g))
-			if err != nil {
-				errs[i] = fmt.Errorf("shard group %d: %w", g, err)
-				return
-			}
-			scans[i] = scan
-		}(i, g)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	merged := &scanResult{}
-	for _, scan := range scans {
-		merged.ids = append(merged.ids, scan.ids...)
-		merged.values = append(merged.values, scan.values...)
-	}
-	if s.Limit > 0 && uint64(len(merged.ids)) > s.Limit {
-		merged.ids = merged.ids[:s.Limit]
-		merged.values = merged.values[:s.Limit]
-	}
-	return projectScan(cols, idx, merged), nil
+	return tx.c.execSelect(s, epochs)
 }
 
 // Rollback discards the buffered statements. Nothing has reached a provider
@@ -331,192 +221,143 @@ func (tx *Tx) Commit() error {
 		return nil
 	}
 	c := tx.c
-	if c.shards != nil {
-		return c.shardCommitTx(tx)
+	unlock, err := c.lock(c.allGroups(), true)
+	if err != nil {
+		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	targets, release, err := c.buildTxOps(tx.stmts)
-	if release != nil {
-		defer release()
-	}
+	defer unlock()
+	targets, release, err := c.lowerTx(tx.stmts)
+	// The insert id reservations stay registered until the 2PC finishes, so
+	// scans mask the new ids until every provider's fate is settled (applied,
+	// aborted, or hinted). They are burned whether or not the commit
+	// succeeds, like a failed single-statement insert.
+	defer release()
 	if err != nil {
 		return err
 	}
 	return c.txRun2PC(tx.id, targets)
 }
 
-// txTarget is one provider's share of a transaction: the sub-client that
-// owns the connection, the provider index within it, the global index
-// recorded in the transaction log (group*N + provider on a router), and the
-// op batch in statement order.
+// txTarget is one provider's share of a transaction: the engine that owns
+// the connection, the provider index within it, the global index recorded in
+// the transaction log (group*N + provider), and the op batch in statement
+// order.
 type txTarget struct {
-	sub    *Client
+	eng    *engine
 	prov   int
 	global uint32
 	ops    []proto.Message
 }
 
-// buildTxOps lowers buffered statements onto per-provider op batches for a
-// single-group client. Caller holds the exclusive statement lock. The
-// returned release retires the insert id reservations (ids are burned
-// whether or not the commit succeeds, like a failed single-statement
-// insert); callers must run it after the 2PC finishes so scans mask the new
-// ids until every provider's fate is settled (applied, aborted, or hinted).
-func (c *Client) buildTxOps(stmts []txStmt) ([]txTarget, func(), error) {
-	targets := make([]txTarget, c.opts.N)
-	for i := range targets {
-		targets[i] = txTarget{sub: c, prov: i, global: uint32(i)}
+// lowerTx lowers buffered statements onto per-provider op batches: each
+// statement goes to the groups that own its rows (INSERT) or that its WHERE
+// routes to (UPDATE, DELETE), evaluated there against the current state. One
+// 2PC over every involved provider of every involved group then makes a
+// multi-group write atomic. Caller holds every group's exclusive statement
+// lock; release retires the insert id reservations.
+func (c *Client) lowerTx(stmts []txStmt) (targets []txTarget, release func(), err error) {
+	n := c.opts.N
+	targets = make([]txTarget, len(c.groups)*n)
+	for g, e := range c.groups {
+		for i := 0; i < n; i++ {
+			targets[g*n+i] = txTarget{eng: e, prov: i, global: uint32(g*n + i)}
+		}
 	}
 	var releases []func()
-	release := func() {
+	release = func() {
 		for _, f := range releases {
 			f()
 		}
 	}
-	addOp := func(build func(i int) proto.Message) {
-		for i := range targets {
-			targets[i].ops = append(targets[i].ops, build(i))
+	addOp := func(g int, build func(i int) proto.Message) {
+		for i := 0; i < n; i++ {
+			targets[g*n+i].ops = append(targets[g*n+i].ops, build(i))
 		}
 	}
 	for _, st := range stmts {
 		switch {
 		case st.insRows != nil:
-			meta, err := c.table(st.insTable)
+			meta, err := c.cat.table(st.insTable)
 			if err != nil {
 				return nil, release, err
 			}
-			perProvider, _, rel, err := c.encodeInsert(meta, st.insRows)
-			if rel != nil {
-				releases = append(releases, rel)
-			}
+			groups, batches, err := c.partitionRows(meta, st.insRows)
 			if err != nil {
 				return nil, release, err
 			}
-			addOp(func(i int) proto.Message {
-				return &proto.InsertRequest{Table: meta.Name, Rows: perProvider[i]}
-			})
+			for _, g := range groups {
+				e := c.groups[g]
+				base := e.reserveIDs(meta, uint64(len(batches[g])))
+				releases = append(releases, func() { e.releaseIDs(meta, base) })
+				ids := make([]uint64, len(batches[g]))
+				for r := range ids {
+					ids[r] = base + uint64(r)
+				}
+				perProvider, err := e.encodeRowsAt(meta, ids, batches[g])
+				if err != nil {
+					return nil, release, err
+				}
+				addOp(g, func(i int) proto.Message {
+					return &proto.InsertRequest{Table: meta.Name, Rows: perProvider[i]}
+				})
+			}
 		case st.update != nil:
-			meta, perProvider, empty, err := c.evalTxUpdate(st.update)
+			meta, err := c.cat.table(st.update.Table)
 			if err != nil {
 				return nil, release, err
 			}
-			if empty {
-				continue
+			assigns, err := resolveAssigns(meta, st.update.Set)
+			if err != nil {
+				return nil, release, err
 			}
-			addOp(func(i int) proto.Message {
-				return &proto.UpdateRequest{Table: meta.Name, Rows: perProvider[i]}
-			})
+			preds, err := compilePredicates(meta, st.update.Where, "")
+			if err != nil {
+				return nil, release, err
+			}
+			for _, g := range c.routeGroups(meta, st.update.Where) {
+				e := c.groups[g]
+				if err := e.flushTableLocked(meta.Name); err != nil {
+					return nil, release, err
+				}
+				scan, err := e.rowsToUpdate(meta, preds, assigns)
+				if err != nil {
+					return nil, release, err
+				}
+				if len(scan.ids) == 0 {
+					continue
+				}
+				perProvider, err := e.encodeRowsAt(meta, scan.ids, scan.values)
+				if err != nil {
+					return nil, release, err
+				}
+				addOp(g, func(i int) proto.Message {
+					return &proto.UpdateRequest{Table: meta.Name, Rows: perProvider[i]}
+				})
+			}
 		case st.delete != nil:
-			meta, ids, err := c.evalTxDelete(st.delete)
+			meta, err := c.cat.table(st.delete.Table)
 			if err != nil {
 				return nil, release, err
 			}
-			if len(ids) == 0 {
-				continue
+			preds, err := compilePredicates(meta, st.delete.Where, "")
+			if err != nil {
+				return nil, release, err
 			}
-			addOp(func(int) proto.Message {
-				return &proto.DeleteRequest{Table: meta.Name, RowIDs: ids}
-			})
+			for _, g := range c.routeGroups(meta, st.delete.Where) {
+				ids, err := c.groups[g].idsToDelete(meta, preds)
+				if err != nil {
+					return nil, release, err
+				}
+				if len(ids) == 0 {
+					continue
+				}
+				addOp(g, func(int) proto.Message {
+					return &proto.DeleteRequest{Table: meta.Name, RowIDs: ids}
+				})
+			}
 		}
-	}
-	if len(targets[0].ops) == 0 {
-		return nil, release, nil
 	}
 	return targets, release, nil
-}
-
-// encodeInsert reserves ids and encodes rows (the share-encoding half of
-// insertValues, without the distribution).
-func (c *Client) encodeInsert(meta *tableMeta, rows [][]Value) ([][]proto.Row, []uint64, func(), error) {
-	for _, row := range rows {
-		if len(row) != len(meta.Cols) {
-			return nil, nil, nil, fmt.Errorf("%w: %d values for %d columns",
-				ErrTypeMismatch, len(row), len(meta.Cols))
-		}
-	}
-	n := uint64(len(rows))
-	base := c.reserveIDs(meta, n)
-	rel := func() { c.releaseIDs(meta, base) }
-	ids := make([]uint64, len(rows))
-	for r := range ids {
-		ids[r] = base + uint64(r)
-	}
-	perProvider, err := c.encodeRowsAt(meta, ids, rows)
-	if err != nil {
-		return nil, nil, rel, err
-	}
-	return perProvider, ids, rel, nil
-}
-
-// evalTxUpdate evaluates a buffered UPDATE against the current (pre-tx)
-// state under the exclusive lock: scan, assign, re-encode. Mirrors
-// execUpdate minus the distribution.
-func (c *Client) evalTxUpdate(s *sql.Update) (*tableMeta, [][]proto.Row, bool, error) {
-	meta, err := c.table(s.Table)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if err := c.flushTableLocked(meta.Name); err != nil {
-		return nil, nil, false, err
-	}
-	type assign struct {
-		ci  int
-		val Value
-	}
-	var assigns []assign
-	for _, a := range s.Set {
-		cm, err := meta.col(a.Col)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		v, err := cm.parseValue(a.Value)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		assigns = append(assigns, assign{ci: meta.colIndex(a.Col), val: v})
-	}
-	preds, err := c.compilePredicates(meta, s.Where, "")
-	if err != nil {
-		return nil, nil, false, err
-	}
-	scan, err := c.scanTable(meta, preds, c.readOpts(meta.allCols(), 0, false))
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if len(scan.ids) == 0 {
-		return meta, nil, true, nil
-	}
-	for r := range scan.values {
-		for _, a := range assigns {
-			scan.values[r][a.ci] = a.val
-		}
-	}
-	perProvider, err := c.encodeRowsAt(meta, scan.ids, scan.values)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return meta, perProvider, false, nil
-}
-
-// evalTxDelete evaluates a buffered DELETE against the current state.
-func (c *Client) evalTxDelete(s *sql.Delete) (*tableMeta, []uint64, error) {
-	meta, err := c.table(s.Table)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := c.flushTableLocked(meta.Name); err != nil {
-		return nil, nil, err
-	}
-	preds, err := c.compilePredicates(meta, s.Where, "")
-	if err != nil {
-		return nil, nil, err
-	}
-	scan, err := c.scanTable(meta, preds, c.readOpts(nil, 0, false))
-	if err != nil {
-		return nil, nil, err
-	}
-	return meta, scan.ids, nil
 }
 
 // txStage is the crash-injection failpoint: tests install txHook to
@@ -547,9 +388,8 @@ func (c *Client) syncTxLog() error {
 }
 
 // txRun2PC drives the two-phase commit over the given targets. The caller
-// holds whatever statement locks make the op batches stable; c is the
-// coordinator (it owns the transaction log and the failpoint hook). Targets
-// with empty op batches are skipped. Quorum is per provider group: every
+// holds the statement locks that make the op batches stable. Targets with
+// empty op batches are skipped. Quorum is per provider group: every
 // involved group must collect Options.WriteQuorum prepare acks.
 func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 	live := targets[:0:0]
@@ -590,7 +430,7 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 	// raw ops hinted after the commit decision.
 	var prepTargets, lagTargets []txTarget
 	for _, t := range live {
-		if t.sub.isLagging(t.prov) {
+		if t.eng.isLagging(t.prov) {
 			lagTargets = append(lagTargets, t)
 		} else {
 			prepTargets = append(prepTargets, t)
@@ -607,7 +447,7 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 			for i, op := range t.ops {
 				raw[i] = proto.Encode(op)
 			}
-			_, err := t.sub.call(t.prov, &proto.TxPrepareRequest{TxID: txid, Ops: raw}, noDeadline)
+			_, err := t.eng.call(t.prov, &proto.TxPrepareRequest{TxID: txid, Ops: raw}, noDeadline)
 			ch <- prepRes{t: t, err: err}
 		}(t)
 	}
@@ -616,7 +456,7 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 	for range prepTargets {
 		r := <-ch
 		if r.err == nil {
-			r.t.sub.markProvider(r.t.prov, false)
+			r.t.eng.markProvider(r.t.prov, false)
 			acked = append(acked, r.t)
 			continue
 		}
@@ -625,7 +465,7 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 			hard = append(hard, fmt.Errorf("provider %d: %w", r.t.global, r.err))
 			continue
 		}
-		r.t.sub.markProvider(r.t.prov, true)
+		r.t.eng.markProvider(r.t.prov, true)
 		unreached = append(unreached, r.t)
 		soft = append(soft, fmt.Errorf("provider %d: %w", r.t.global, r.err))
 	}
@@ -635,7 +475,7 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 			wg.Add(1)
 			go func(t txTarget) {
 				defer wg.Done()
-				_, _ = t.sub.call(t.prov, &proto.TxAbortRequest{TxID: txid}, noDeadline)
+				_, _ = t.eng.call(t.prov, &proto.TxAbortRequest{TxID: txid}, noDeadline)
 			}(t)
 		}
 		wg.Wait()
@@ -648,18 +488,14 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 		return abort(fmt.Errorf("prepare rejected: %w", errors.Join(hard...)))
 	}
 	// Per-group quorum: each involved group needs WriteQuorum acks.
-	ackedBySub := make(map[*Client]int)
-	involved := make(map[*Client]bool)
-	for _, t := range live {
-		involved[t.sub] = true
-	}
+	acks := make(map[*engine]int)
 	for _, t := range acked {
-		ackedBySub[t.sub]++
+		acks[t.eng]++
 	}
-	for sub := range involved {
-		if ackedBySub[sub] < sub.opts.WriteQuorum {
+	for _, t := range live {
+		if acks[t.eng] < c.opts.WriteQuorum {
 			return abort(fmt.Errorf("%w: %d prepare acks of quorum %d (%v)",
-				ErrNotEnough, ackedBySub[sub], sub.opts.WriteQuorum, errors.Join(soft...)))
+				ErrNotEnough, acks[t.eng], c.opts.WriteQuorum, errors.Join(soft...)))
 		}
 	}
 	if err := c.txStage("prepared"); err != nil {
@@ -683,10 +519,10 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 	// heals the provider, exactly like a missed single-statement write.
 	hintOps := func(t txTarget) {
 		for _, op := range t.ops {
-			_ = t.sub.hintMutation(t.prov, op)
+			_ = t.eng.hintMutation(t.prov, op)
 		}
-		t.sub.ensureRepairLoop()
-		t.sub.kickRepair()
+		t.eng.ensureRepairLoop()
+		t.eng.kickRepair()
 	}
 	var wg sync.WaitGroup
 	var cm sync.Mutex
@@ -695,13 +531,13 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 		wg.Add(1)
 		go func(t txTarget) {
 			defer wg.Done()
-			_, err := t.sub.call(t.prov, &proto.TxCommitRequest{TxID: txid}, noDeadline)
+			_, err := t.eng.call(t.prov, &proto.TxCommitRequest{TxID: txid}, noDeadline)
 			if err == nil {
 				return
 			}
 			var remote *proto.RemoteError
 			if !errors.As(err, &remote) {
-				t.sub.markProvider(t.prov, true)
+				t.eng.markProvider(t.prov, true)
 			}
 			cm.Lock()
 			commitFailed = append(commitFailed, t)
@@ -723,176 +559,12 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 	return nil
 }
 
-// shardCommitTx is the router's commit: lock every group (in group order,
-// so concurrent commits cannot deadlock), lower each statement onto the
-// owning groups, and run one 2PC across every involved provider of every
-// involved group — which is what finally makes a routed multi-group write
-// atomic instead of per-group.
-func (c *Client) shardCommitTx(tx *Tx) error {
-	for _, sub := range c.shards {
-		sub.mu.Lock()
-	}
-	defer func() {
-		for _, sub := range c.shards {
-			sub.mu.Unlock()
-		}
-	}()
-	n := c.opts.N
-	targets := make([]txTarget, len(c.shards)*n)
-	for g, sub := range c.shards {
-		for i := 0; i < n; i++ {
-			targets[g*n+i] = txTarget{sub: sub, prov: i, global: uint32(g*n + i)}
-		}
-	}
-	var releases []func()
-	release := func() {
-		for _, f := range releases {
-			f()
-		}
-	}
-	defer release()
-	addOp := func(g int, build func(i int) proto.Message) {
-		for i := 0; i < n; i++ {
-			targets[g*n+i].ops = append(targets[g*n+i].ops, build(i))
-		}
-	}
-	for _, st := range tx.stmts {
-		switch {
-		case st.insRows != nil:
-			meta, info, err := c.shardTableLocked(st.insTable)
-			if err != nil {
-				return err
-			}
-			batches, err := c.partitionRows(meta, info, st.insRows)
-			if err != nil {
-				return err
-			}
-			for g, batch := range batches {
-				if len(batch) == 0 {
-					continue
-				}
-				sub := c.shards[g]
-				subMeta, err := sub.table(st.insTable)
-				if err != nil {
-					return err
-				}
-				perProvider, _, rel, err := sub.encodeInsert(subMeta, batch)
-				if rel != nil {
-					releases = append(releases, rel)
-				}
-				if err != nil {
-					return err
-				}
-				addOp(g, func(i int) proto.Message {
-					return &proto.InsertRequest{Table: subMeta.Name, Rows: perProvider[i]}
-				})
-			}
-		case st.update != nil:
-			meta, info, err := c.shardTableLocked(st.update.Table)
-			if err != nil {
-				return err
-			}
-			if info.column != "" {
-				for _, a := range st.update.Set {
-					if a.Col == info.column {
-						return fmt.Errorf("%w: UPDATE of shard key %q (delete and re-insert instead)",
-							ErrUnsupported, a.Col)
-					}
-				}
-			}
-			for _, g := range c.routeGroups(meta, info, st.update.Where) {
-				sub := c.shards[g]
-				subMeta, perProvider, empty, err := sub.evalTxUpdate(st.update)
-				if err != nil {
-					return err
-				}
-				if empty {
-					continue
-				}
-				addOp(g, func(i int) proto.Message {
-					return &proto.UpdateRequest{Table: subMeta.Name, Rows: perProvider[i]}
-				})
-			}
-		case st.delete != nil:
-			meta, info, err := c.shardTableLocked(st.delete.Table)
-			if err != nil {
-				return err
-			}
-			for _, g := range c.routeGroups(meta, info, st.delete.Where) {
-				sub := c.shards[g]
-				subMeta, ids, err := sub.evalTxDelete(st.delete)
-				if err != nil {
-					return err
-				}
-				if len(ids) == 0 {
-					continue
-				}
-				addOp(g, func(int) proto.Message {
-					return &proto.DeleteRequest{Table: subMeta.Name, RowIDs: ids}
-				})
-			}
-		}
-	}
-	return c.txRun2PC(tx.id, targets)
-}
-
-// shardTableLocked is shardTable for callers already holding every group's
-// statement lock exclusively (shardCommitTx): group 0's table map is stable
-// under that lock, so taking its RLock again — which would self-deadlock on
-// the held write lock — is neither needed nor allowed.
-func (c *Client) shardTableLocked(name string) (*tableMeta, *shardInfo, error) {
-	c.shardMu.Lock()
-	info := c.shardMap[name]
-	c.shardMu.Unlock()
-	if info == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
-	}
-	meta := c.shards[0].tables[name]
-	if meta == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
-	}
-	return meta, info, nil
-}
-
-// partitionRows splits typed rows onto their owning groups (shard-key hash
-// or fresh insert sequence numbers). Caller must hold no shardMu.
-func (c *Client) partitionRows(meta *tableMeta, info *shardInfo, rows [][]Value) ([][][]Value, error) {
-	for _, row := range rows {
-		if len(row) != len(meta.Cols) {
-			return nil, fmt.Errorf("%w: %d values for %d columns",
-				ErrTypeMismatch, len(row), len(meta.Cols))
-		}
-	}
-	batches := make([][][]Value, len(c.shards))
-	if info.column != "" {
-		cm := &meta.Cols[info.ci]
-		for _, row := range rows {
-			enc, err := cm.encode(row[info.ci])
-			if err != nil {
-				return nil, err
-			}
-			g := c.groupForHash(enc)
-			batches[g] = append(batches[g], row)
-		}
-		return batches, nil
-	}
-	c.shardMu.Lock()
-	base := info.nextSeq
-	info.nextSeq += uint64(len(rows))
-	c.shardMu.Unlock()
-	for i, row := range rows {
-		g := c.groupForHash(base + uint64(i))
-		batches[g] = append(batches[g], row)
-	}
-	return batches, nil
-}
-
 // --- Transaction log recovery ---
 
 // openTxLog replays and reopens the transaction log, re-driving committed
-// transactions and presumed-aborting in-doubt ones. Called from New (and
-// from NewSharded on the router) after the hint journals are open, so
-// recovery hints land in durable journals.
+// transactions and presumed-aborting in-doubt ones. Called from NewSharded
+// after every group's hint journals are open, so recovery hints land in
+// durable journals.
 func (c *Client) openTxLog() error {
 	if c.opts.HintDir == "" {
 		return nil
@@ -979,19 +651,14 @@ func (c *Client) openTxLog() error {
 	return nil
 }
 
-// txEndpoint maps a logged global provider index back onto (sub, provider).
-func (c *Client) txEndpoint(global uint32) (*Client, int, bool) {
-	if c.shards != nil {
-		g := int(global) / c.opts.N
-		if g >= len(c.shards) {
-			return nil, 0, false
-		}
-		return c.shards[g], int(global) % c.opts.N, true
-	}
-	if int(global) >= c.opts.N {
+// txEndpoint maps a logged global provider index (group*N + provider) back
+// onto its engine and provider.
+func (c *Client) txEndpoint(global uint32) (*engine, int, bool) {
+	g := int(global) / c.opts.N
+	if g >= len(c.groups) {
 		return nil, 0, false
 	}
-	return c, int(global), true
+	return c.groups[g], int(global) % c.opts.N, true
 }
 
 // redriveCommit re-sends commit for a transaction whose commit record is
@@ -1000,24 +667,24 @@ func (c *Client) txEndpoint(global uint32) (*Client, int, bool) {
 // raw ops — replay tolerates already-applied mutations.
 func (c *Client) redriveCommit(txid uint64, order []uint32, ops map[uint32][][]byte) {
 	for _, global := range order {
-		sub, prov, ok := c.txEndpoint(global)
+		e, prov, ok := c.txEndpoint(global)
 		if !ok {
 			continue
 		}
-		if _, err := sub.call(prov, &proto.TxCommitRequest{TxID: txid}, noDeadline); err != nil {
+		if _, err := e.call(prov, &proto.TxCommitRequest{TxID: txid}, noDeadline); err != nil {
 			var remote *proto.RemoteError
 			if !errors.As(err, &remote) {
-				sub.markProvider(prov, true)
+				e.markProvider(prov, true)
 			}
 			for _, raw := range ops[global] {
 				msg, derr := proto.Decode(raw)
 				if derr != nil {
 					continue
 				}
-				_ = sub.hintMutation(prov, msg)
+				_ = e.hintMutation(prov, msg)
 			}
-			sub.ensureRepairLoop()
-			sub.kickRepair()
+			e.ensureRepairLoop()
+			e.kickRepair()
 		}
 	}
 }
@@ -1028,11 +695,11 @@ func (c *Client) redriveCommit(txid uint64, order []uint32, ops map[uint32][][]b
 // over-sent abort for an unknown id succeeds by design.
 func (c *Client) redriveAbort(txid uint64, order []uint32) {
 	for _, global := range order {
-		sub, prov, ok := c.txEndpoint(global)
+		e, prov, ok := c.txEndpoint(global)
 		if !ok {
 			continue
 		}
-		_, _ = sub.call(prov, &proto.TxAbortRequest{TxID: txid}, noDeadline)
+		_, _ = e.call(prov, &proto.TxAbortRequest{TxID: txid}, noDeadline)
 	}
 }
 

@@ -500,20 +500,19 @@ func TestWatermarkRecoversAfterFailedInsert(t *testing.T) {
 		t.Fatal("insert with crashed provider and full write quorum succeeded")
 	}
 	f.faults[2].Recover()
-	f.client.mu.RLock()
-	meta, err := f.client.table("w")
-	f.client.mu.RUnlock()
+	meta, err := f.client.cat.table("w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.client.insMu.Lock()
-	inflight := len(f.client.inflight["w"])
-	f.client.insMu.Unlock()
+	e := f.client.groups[0]
+	e.insMu.Lock()
+	inflight := len(e.inflight["w"])
+	e.insMu.Unlock()
 	if inflight != 0 {
 		t.Fatalf("failed insert leaked %d inflight reservations", inflight)
 	}
-	if w := f.client.stableWatermark(meta); w != meta.NextID {
-		t.Fatalf("watermark pinned at %d below frontier %d after failed insert", w, meta.NextID)
+	if w := e.stableWatermark(meta); w != meta.nextID[0] {
+		t.Fatalf("watermark pinned at %d below frontier %d after failed insert", w, meta.nextID[0])
 	}
 	f.mustExec(t, `INSERT INTO w VALUES (4), (5)`)
 	got := rowsAsStrings(f.mustExec(t, `SELECT x FROM w`))
@@ -538,21 +537,19 @@ func TestWatermarkRecoversAfterFailedShardedInsert(t *testing.T) {
 	// Groups that committed their batch keep it (per-group atomicity is the
 	// documented non-tx contract); what must NOT happen is any group keeping
 	// an inflight reservation that pins its watermark.
-	for g, sub := range f.router.shards {
-		sub.mu.RLock()
-		meta, err := sub.table("w")
-		sub.mu.RUnlock()
-		if err != nil {
-			t.Fatal(err)
-		}
+	meta, err := f.router.cat.table("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, sub := range f.router.groups {
 		sub.insMu.Lock()
 		inflight := len(sub.inflight["w"])
 		sub.insMu.Unlock()
 		if inflight != 0 {
 			t.Errorf("group %d leaked %d inflight reservations", g, inflight)
 		}
-		if w := sub.stableWatermark(meta); w != meta.NextID {
-			t.Errorf("group %d watermark pinned at %d below frontier %d", g, w, meta.NextID)
+		if w := sub.stableWatermark(meta); w != meta.nextID[g] {
+			t.Errorf("group %d watermark pinned at %d below frontier %d", g, w, meta.nextID[g])
 		}
 	}
 	waitShardRepair(t, f)
@@ -567,9 +564,7 @@ func TestWatermarkRecoversAfterFailedShardedInsert(t *testing.T) {
 // waitShardRepair waits for every group of a shard fleet to converge.
 func waitShardRepair(t testing.TB, f *shardFleet) {
 	t.Helper()
-	for _, sub := range f.router.shards {
-		waitConverged(t, sub)
-	}
+	waitConverged(t, f.router)
 }
 
 // TestTxCommitHealsLaggingProvider: a provider that misses the commit round

@@ -149,10 +149,9 @@ func OpenTimeout(addrs []string, opts Options, timeout time.Duration) (*Client, 
 	return OpenWith(addrs, opts, DialConfig{Timeout: timeout})
 }
 
-// OpenWith is Open with full transport configuration. When Options.Shards
-// is greater than 1, addrs must hold Shards equal-sized provider groups
-// laid out consecutively (group 0's providers first, then group 1's, ...)
-// and the returned client is a shard router.
+// OpenWith is Open with full transport configuration. addrs holds
+// Options.Shards equal-sized provider groups laid out consecutively (group
+// 0's providers first, then group 1's, ...); the default is one group.
 func OpenWith(addrs []string, opts Options, dc DialConfig) (*Client, error) {
 	tc := transport.DialConfig{
 		Timeout:     dc.Timeout,
@@ -171,22 +170,20 @@ func OpenWith(addrs []string, opts Options, dc DialConfig) (*Client, error) {
 		}
 		conns = append(conns, conn)
 	}
-	if opts.Shards > 1 {
-		groups, err := splitGroups(conns, opts.Shards)
-		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			return nil, err
+	groups, err := splitGroups(conns, opts.Shards)
+	if err != nil {
+		for _, c := range conns {
+			c.Close()
 		}
-		return client.NewSharded(groups, opts)
+		return nil, err
 	}
-	return client.New(conns, opts)
+	return client.NewSharded(groups, opts)
 }
 
 // splitGroups partitions a flat consecutive connection list into shards
-// equal provider groups.
+// equal provider groups (0 means one).
 func splitGroups(conns []transport.Conn, shards int) ([][]transport.Conn, error) {
+	shards = max(shards, 1)
 	if len(conns)%shards != 0 {
 		return nil, fmt.Errorf("sssdb: %d providers do not divide into %d equal shard groups",
 			len(conns), shards)
@@ -209,8 +206,7 @@ type Cluster struct {
 	Client *Client
 	stores []*store.Store
 	faults []*transport.FaultyConn
-	// groupSize is the providers-per-group count of a sharded cluster (equal
-	// to the total provider count when unsharded). Provider (g, i) sits at
+	// groupSize is the providers-per-group count. Provider (g, i) sits at
 	// flat index g*groupSize+i in stores and faults.
 	groupSize int
 }
@@ -261,20 +257,15 @@ func (c *Cluster) NumProviders() int { return len(c.stores) }
 // NumGroups returns the shard group count (1 when unsharded).
 func (c *Cluster) NumGroups() int { return len(c.stores) / c.groupSize }
 
-// OpenLocal starts n in-memory providers and connects a client. When
-// opts.Shards is greater than 1, n is the per-group provider count and
-// Shards groups of n providers each are started behind a shard router.
+// OpenLocal starts opts.Shards provider groups (default one) of n in-memory
+// providers each and connects a client.
 func OpenLocal(n int, opts Options) (*Cluster, error) {
-	total := n
-	if opts.Shards > 1 {
-		total = n * opts.Shards
-	}
-	return openLocal(make([]string, total), opts)
+	return openLocal(make([]string, n*max(opts.Shards, 1)), opts)
 }
 
 // OpenLocalSharded starts `groups` provider groups of perGroup in-memory
-// providers each and connects a shard router that hash-partitions every
-// table's rows across the groups. opts.Shards is overridden with groups.
+// providers each and connects a client that hash-partitions every table's
+// rows across the groups. opts.Shards is overridden with groups.
 func OpenLocalSharded(groups, perGroup int, opts Options) (*Cluster, error) {
 	opts.Shards = groups
 	return openLocal(make([]string, groups*perGroup), opts)
@@ -282,8 +273,8 @@ func OpenLocalSharded(groups, perGroup int, opts Options) (*Cluster, error) {
 
 // OpenLocalDirs starts one durable provider per directory (state persists
 // across restarts via each provider's snapshot + write-ahead log) and
-// connects a client. With opts.Shards > 1 the directories are split into
-// Shards consecutive equal groups.
+// connects a client. The directories are split into opts.Shards consecutive
+// equal groups.
 func OpenLocalDirs(dirs []string, opts Options) (*Cluster, error) {
 	return openLocalWith(dirs, opts, StoreOptions{})
 }
@@ -305,7 +296,7 @@ func openLocal(dirs []string, opts Options) (*Cluster, error) {
 }
 
 func openLocalWith(dirs []string, opts Options, storeOpts StoreOptions) (*Cluster, error) {
-	cl := &Cluster{groupSize: len(dirs)}
+	cl := &Cluster{}
 	conns := make([]transport.Conn, 0, len(dirs))
 	for _, dir := range dirs {
 		st, err := store.OpenOptions(dir, storeOpts)
@@ -318,22 +309,13 @@ func openLocalWith(dirs []string, opts Options, storeOpts StoreOptions) (*Cluste
 		cl.faults = append(cl.faults, fc)
 		conns = append(conns, fc)
 	}
-	if opts.Shards > 1 {
-		groups, err := splitGroups(conns, opts.Shards)
-		if err != nil {
-			cl.closeStores()
-			return nil, err
-		}
-		cl.groupSize = len(dirs) / opts.Shards
-		c, err := client.NewSharded(groups, opts)
-		if err != nil {
-			cl.closeStores()
-			return nil, err
-		}
-		cl.Client = c
-		return cl, nil
+	groups, err := splitGroups(conns, opts.Shards)
+	if err != nil {
+		cl.closeStores()
+		return nil, err
 	}
-	c, err := client.New(conns, opts)
+	cl.groupSize = len(groups[0])
+	c, err := client.NewSharded(groups, opts)
 	if err != nil {
 		cl.closeStores()
 		return nil, err
