@@ -376,8 +376,8 @@ func (c *Client) Shards() int { return len(c.groups) }
 func (c *Client) Stats() transport.Stats {
 	var total transport.Stats
 	for _, e := range c.groups {
-		for _, conn := range e.conns {
-			st := conn.Stats()
+		for _, p := range e.provs {
+			st := p.conn.Stats()
 			total.BytesSent += st.BytesSent
 			total.BytesReceived += st.BytesReceived
 			total.Calls += st.Calls

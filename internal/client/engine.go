@@ -14,34 +14,35 @@ import (
 )
 
 // engine is one provider group: an independent k-of-n share quorum, holding
-// only what is per quorum — the connections, the share schemes, failover and
-// health state, the hint journals and their repair loop, buffered lazy
-// updates and in-flight insert reservations. It never parses SQL, consults
-// no routing, and keeps no schema of its own: the Client hands every call a
-// *tableMeta from the one catalog.
+// only what is per quorum — one provider record per connection (provider.go),
+// the share schemes, the fleet-level hedge state, the repair loop, buffered
+// lazy updates and in-flight insert reservations. It never parses SQL,
+// consults no routing, and keeps no schema of its own: the Client hands every
+// call a *tableMeta from the one catalog.
 //
 // Locking hierarchy: mu is the group's statement lock. The Client takes it
 // (Client.lock) before calling into the engine — shared for plain scans and
 // INSERT, exclusively for UPDATE/DELETE/DDL, commits and reads that combine
 // per-provider results without row ids to mask — and the repair loop takes
-// it exclusively for a provider's readmission cutover.
-// downMu is a leaf lock guarding only the failover state; response-collection
-// goroutines take it while read statements run in parallel. Never acquire mu
-// while holding downMu.
+// it exclusively for a provider's readmission cutover. Below it there is only
+// each provider record's leaf mutex, which response-collection goroutines
+// take while read statements run in parallel; never acquire mu while holding
+// one. (repairMu and insMu are leaves of their own, around the repair loop's
+// lifecycle and the row-id counter; no provider mutex is taken under them.)
 //
 // Each provider connection is shared by every concurrent statement. Over
 // the multiplexed TCP transport the requests of concurrent statements are
 // truly in flight together on one connection; when that shared connection
-// dies, every in-flight call fails at once, each failing statement marks
-// the provider down independently (last observation wins, benignly), and
-// reads fail over to the surviving providers while the transport redials
-// in the background of subsequent calls.
+// dies, every in-flight call fails at once, each is judged failing
+// independently (provider.observe: last outcome wins, benignly), and reads
+// fail over to the surviving providers while the transport redials in the
+// background of subsequent calls.
 type engine struct {
 	// g is this group's index in Client.groups, and in every
 	// tableMeta.nextID.
 	g     int
 	opts  Options
-	conns []transport.Conn
+	provs []*provider
 	// cat is the Client's catalog: lazy-update flushes resolve table names
 	// in it and the repair loop proves every table of it converged.
 	cat *catalog
@@ -51,35 +52,18 @@ type engine struct {
 
 	mu sync.RWMutex
 
-	// downMu guards down and the hint journals — the state mutated on the
-	// read path (by provider streams and callQuorum/callAvailable response
-	// collection) and by write-quorum hinting.
-	downMu sync.Mutex
-	// down tracks providers considered crashed (failover state).
-	down []bool
-	// health is the tail-tolerance ledger (health.go): per-provider EWMA
-	// latency and circuit breakers feeding read-set ranking, plus the
-	// hedged-request budget. It has its own internal locking and is
-	// touched on every provider call.
-	health *healthState
-	// hints holds one hinted-handoff journal per provider (see hints.go).
-	// A provider with queued hints is "lagging": it answers calls but has
-	// missed acknowledged mutations, so reads mask rows above its lag floor
-	// and the repair loop owns bringing it back in sync.
-	hints []*hintJournal
+	// health is what tail tolerance keeps per fleet rather than per
+	// provider: the latency histogram behind the dynamic straggler threshold
+	// and the hedged-request budget and counters (health.go).
+	health healthState
 
-	// statMu guards provStat: the last storage StatsResponse each provider
-	// returned to a repair-loop ping probe (nil until first probed).
-	statMu   sync.Mutex
-	provStat []*proto.StatsResponse
-
-	// repairMu guards the repair loop's lifecycle state below.
-	repairMu      sync.Mutex
-	repairRunning bool
-	repairKick    chan struct{}
-	repairStop    chan struct{}
-	repairDone    chan struct{}
-	closed        bool
+	// The repair loop (repair.go): a kick runs a pass now, closing
+	// repairStop ends it. repairMu guards its lifecycle: repairDone is
+	// non-nil while the loop runs, closed forbids starting it.
+	repairKick, repairStop chan struct{}
+	repairMu               sync.Mutex
+	repairDone             chan struct{}
+	closed                 bool
 	// pending holds lazy updates: table -> rowID -> full row values. It is
 	// only mutated under the exclusive statement lock; read statements
 	// escalate to exclusive mode when it is non-empty (see lockForRead).
@@ -96,34 +80,34 @@ type engine struct {
 	inflight map[string]map[uint64]uint64
 }
 
-// newEngine opens group g over conns: its hint journals (under
-// opts.HintDir, already this group's own directory) and, when a journal
-// reloaded repair obligations, its repair loop.
+// newEngine opens group g over conns: a provider record each, its hint
+// journal reloaded from opts.HintDir (already this group's own directory),
+// and, when a journal carries repair obligations from a previous process,
+// the repair loop — such a provider counts as failing until the loop proves
+// otherwise and drains it.
 func newEngine(g int, conns []transport.Conn, opts Options, cat *catalog, fieldSch *secretshare.Scheme, aead cipher.AEAD) (*engine, error) {
-	hints, err := openHintJournals(opts.N, opts.HintDir)
-	if err != nil {
-		return nil, err
-	}
 	e := &engine{
 		g:        g,
 		opts:     opts,
-		conns:    conns,
 		cat:      cat,
 		fieldSch: fieldSch,
 		aead:     aead,
-		health:   newHealthState(opts.N),
-		down:     make([]bool, opts.N),
-		hints:    hints,
-		provStat: make([]*proto.StatsResponse, opts.N),
 		pending:  make(map[string]map[uint64][]Value),
 		inflight: make(map[string]map[uint64]uint64),
+
+		repairKick: make(chan struct{}, 1),
+		repairStop: make(chan struct{}),
 	}
-	// A journal reloaded from HintDir carries repair obligations from a
-	// previous process: treat those providers as down until the repair loop
-	// proves otherwise and drains them.
-	for i, h := range hints {
-		if h.lagging {
-			e.down[i] = true
+	for i, conn := range conns {
+		p := &provider{conn: conn, fleet: &e.health}
+		if err := p.hints.open(opts.HintDir, i); err != nil {
+			return nil, err
+		}
+		p.failing = p.hints.lagging
+		e.provs = append(e.provs, p)
+	}
+	for _, p := range e.provs {
+		if p.hints.lagging {
 			e.ensureRepairLoop()
 		}
 	}
@@ -134,13 +118,17 @@ func newEngine(g int, conns []transport.Conn, opts Options, cat *catalog, fieldS
 // group's provider connections.
 func (e *engine) close() error {
 	e.stopRepairLoop()
-	firstErr := e.closeHints()
-	for _, conn := range e.conns {
-		if err := conn.Close(); err != nil && firstErr == nil {
-			firstErr = err
+	var errs []error
+	for _, p := range e.provs {
+		p.mu.Lock()
+		if p.hints.log != nil {
+			errs = append(errs, p.hints.log.Close())
+			p.hints.log = nil
 		}
+		p.mu.Unlock()
+		errs = append(errs, p.conn.Close())
 	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // indexedResponse pairs a provider index with its response.
@@ -155,198 +143,75 @@ var noDeadline time.Time
 
 // call sends one request to one provider under an absolute deadline
 // (noDeadline = unbounded), surfacing remote errors. Every call through
-// here feeds the health ledger — including repair-loop pings, so an idle
-// client still tracks provider latency.
+// here is judged by the provider record — including repair-loop pings, so an
+// idle client still tracks provider latency, and a hedge loser nobody waits
+// for any more.
 func (e *engine) call(provider int, req proto.Message, deadline time.Time) (proto.Message, error) {
+	p := e.provs[provider]
 	start := time.Now()
-	resp, err := transport.CallWithDeadline(e.conns[provider], req, deadline)
-	if err != nil {
-		e.health.observe(provider, time.Since(start), err)
-		return nil, err
+	resp, err := transport.CallWithDeadline(p.conn, req, deadline)
+	if re, ok := resp.(*proto.ErrorResponse); ok && err == nil {
+		resp, err = nil, re.Err()
 	}
-	if re, ok := resp.(*proto.ErrorResponse); ok {
-		err := re.Err()
-		e.health.observe(provider, time.Since(start), err)
-		return nil, err
-	}
-	e.health.observe(provider, time.Since(start), nil)
-	return resp, nil
+	p.observe(time.Since(start), err)
+	return resp, err
 }
 
 // callWrite distributes one mutation under the write quorum. Providers
 // already lagging are skipped up front — the new mutation must queue behind
-// their earlier hints, not overtake them — and the rest are called
-// concurrently. The statement commits once Options.WriteQuorum providers
-// acknowledge AND no provider rejected it outright (a remote error signals
-// a logical problem — duplicate row, missing table — not an outage, so it
-// fails the statement regardless of quorum). On commit, the per-provider
-// messages for every provider that missed the round are appended to their
-// hint journals and the repair loop is kicked. On failure it returns the
-// providers that did apply the mutation so the caller can compensate.
+// their earlier hints, not overtake them — and the rest get one round. The
+// statement commits once Options.WriteQuorum providers acknowledge AND no
+// provider rejected it outright (a rejection fails the statement regardless
+// of quorum). On commit, every provider that missed the round is hinted its
+// own message. On failure callWrite returns the providers that did apply
+// the mutation so the caller can compensate.
 func (e *engine) callWrite(build func(provider int) proto.Message) ([]int, error) {
-	lag := e.laggingSet()
-	msgs := make([]proto.Message, e.opts.N)
-	targets := make([]int, 0, e.opts.N)
-	for i := 0; i < e.opts.N; i++ {
+	msgs := make([]proto.Message, len(e.provs))
+	var targets, owed []int
+	for i, p := range e.provs {
 		msgs[i] = build(i)
-		if !lag[i] {
+		if p.lagging() {
+			owed = append(owed, i)
+		} else {
 			targets = append(targets, i)
 		}
 	}
-	type res struct {
-		provider int
-		err      error
-	}
-	ch := make(chan res, len(targets))
-	for _, i := range targets {
-		go func(i int) {
-			_, err := e.call(i, msgs[i], noDeadline)
-			ch <- res{provider: i, err: err}
-		}(i)
-	}
-	var acked, unreached []int
-	var hard, soft []error
-	for range targets {
-		r := <-ch
-		if r.err == nil {
-			e.markProvider(r.provider, false)
-			acked = append(acked, r.provider)
-			continue
-		}
-		var remote *proto.RemoteError
-		if errors.As(r.err, &remote) {
-			// A rejection that means "already applied" — a DROP of a table an
-			// earlier, partially failed DROP already removed here — is an ack,
-			// so retrying a failed DROP completes it instead of wedging.
-			if _, drop := msgs[r.provider].(*proto.DropTableRequest); drop && remote.Code == proto.CodeNoSuchTable {
-				acked = append(acked, r.provider)
-				continue
+	t := round(targets, func(p int) error {
+		_, err := e.call(p, msgs[p], noDeadline)
+		// A rejection that means "already applied" — a DROP of a table an
+		// earlier, partially failed DROP already removed here — is an ack,
+		// so retrying a failed DROP completes it instead of wedging.
+		if _, drop := msgs[p].(*proto.DropTableRequest); drop {
+			if code, ok := remoteCode(err); ok && code == proto.CodeNoSuchTable {
+				return nil
 			}
-			hard = append(hard, fmt.Errorf("provider %d: %w", r.provider, r.err))
-			continue
 		}
-		e.markProvider(r.provider, true)
-		unreached = append(unreached, r.provider)
-		soft = append(soft, fmt.Errorf("provider %d: %w", r.provider, r.err))
-	}
-	sort.Ints(acked)
-	if len(hard) > 0 {
-		return acked, fmt.Errorf("client: mutation rejected: %w", errors.Join(hard...))
-	}
-	if len(acked) < e.opts.WriteQuorum {
-		return acked, fmt.Errorf("%w: %d write acks of quorum %d (%v)",
-			ErrNotEnough, len(acked), e.opts.WriteQuorum, errors.Join(soft...))
-	}
-	// Committed. Queue the exact share payloads for the providers that
-	// missed the round; journal persistence failures are non-fatal (the
-	// in-memory queue keeps this process sound).
-	hinted := false
-	for i := 0; i < e.opts.N; i++ {
-		if lag[i] {
-			_ = e.hintMutation(i, msgs[i])
-			hinted = true
-		}
-	}
-	for _, p := range unreached {
-		_ = e.hintMutation(p, msgs[p])
-		hinted = true
-	}
-	if hinted {
-		e.ensureRepairLoop()
-		e.kickRepair()
-	}
-	return acked, nil
-}
-
-// providerOrder snapshots the failover candidate order, best first:
-// reachable and fully caught up, then reachable but lagging (usable for
-// streaming scans below their lag floor), then previously-down ones (they
-// may have recovered), with down-and-lagging last. Lagging providers appear
-// at all only because masking makes them safe for id-carrying scans; paths
-// that cannot mask use cleanOrder instead. Within each availability tier,
-// providers are ranked by observed health (EWMA latency, circuit breaker —
-// see health.go), so read sets prefer the currently-fastest K; the sort is
-// stable, so providers without fresh observations keep index order.
-func (e *engine) providerOrder() []int {
-	e.downMu.Lock()
-	order := make([]int, 0, e.opts.N)
-	tier := make([]int, 0, e.opts.N)
-	for i := 0; i < e.opts.N; i++ {
-		t := 0
-		if e.hints[i].lagging {
-			t += 1
-		}
-		if e.down[i] {
-			t += 2
-		}
-		order = append(order, i)
-		tier = append(tier, t)
-	}
-	e.downMu.Unlock()
-	e.rankOrder(order, tier)
-	return order
-}
-
-// cleanOrder is providerOrder restricted to providers that are not lagging:
-// the candidate set for statements whose per-provider results carry no row
-// ids to mask (aggregates, joins, verified reads) and for DML. A lagging
-// provider would silently compute over a stale share set, so it is not a
-// candidate at any priority.
-func (e *engine) cleanOrder() []int {
-	e.downMu.Lock()
-	order := make([]int, 0, e.opts.N)
-	tier := make([]int, 0, e.opts.N)
-	for i := 0; i < e.opts.N; i++ {
-		if e.hints[i].lagging {
-			continue
-		}
-		t := 0
-		if e.down[i] {
-			t = 1
-		}
-		order = append(order, i)
-		tier = append(tier, t)
-	}
-	e.downMu.Unlock()
-	e.rankOrder(order, tier)
-	return order
-}
-
-// rankOrder stable-sorts a candidate list by (availability tier, health
-// rank): tier dominates — a fast-but-lagging provider never overtakes a
-// caught-up one — and health breaks ties within it. tier is indexed
-// parallel to order's initial (ascending provider index) layout, so it is
-// captured by position before sorting.
-func (e *engine) rankOrder(order, tier []int) {
-	now := time.Now()
-	type key struct{ tier, rank int }
-	keys := make(map[int]key, len(order))
-	for j, p := range order {
-		keys[p] = key{tier: tier[j], rank: e.health.rank(p, now)}
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ka, kb := keys[order[a]], keys[order[b]]
-		if ka.tier != kb.tier {
-			return ka.tier < kb.tier
-		}
-		return ka.rank < kb.rank
+		return err
 	})
+	if t.rejection != nil {
+		return t.acked, fmt.Errorf("client: mutation rejected: %w", t.rejection)
+	}
+	if len(t.acked) < e.opts.WriteQuorum {
+		return t.acked, fmt.Errorf("%w: %d write acks of quorum %d (%v)",
+			ErrNotEnough, len(t.acked), e.opts.WriteQuorum, t.outage)
+	}
+	for _, p := range append(owed, t.unreached...) {
+		e.hint(p, msgs[p])
+	}
+	return t.acked, nil
 }
 
-// markProvider records a provider's health after a call. Concurrent read
-// statements race benignly here: the last observation wins.
-func (e *engine) markProvider(provider int, down bool) {
-	e.downMu.Lock()
-	e.down[provider] = down
-	e.downMu.Unlock()
-}
-
-// callQuorum gathers `need` responses under an absolute deadline, hedging
-// stragglers. Candidates are the non-lagging providers, best-ranked first:
-// callQuorum serves statements that combine per-provider computations
-// without row ids to mask, and a provider that missed writes would silently
-// contribute stale state to them. Responses come back ordered by provider
-// index. The first `need` candidates are launched concurrently; then the
+// callQuorum is the one collector of whole-response reads: it launches the
+// `want` best-ranked candidates concurrently, collects up to `want`
+// responses and needs at least `need` of them, returned ordered by provider
+// index. Aggregates and joins combine per-provider computations and want
+// exactly the K they need; a verified read wants all N — maximal redundancy,
+// so that detectably-faulty providers can be dropped while a quorum
+// survives — and with every candidate launched up front it has nothing left
+// to hedge onto, while the deadline still makes it fail fast. Candidates are
+// the non-lagging providers only: these statements carry no row ids to mask,
+// and a provider that missed writes would silently contribute stale state —
+// or fail a verified read's cross-checks indistinguishably from malice. The
 // collector waits on three clocks at once:
 //
 //   - a response arriving — failures launch the next candidate immediately
@@ -356,14 +221,14 @@ func (e *engine) markProvider(provider int, down bool) {
 //     one hedge is issued per elapse, budget permitting, and whichever of
 //     the duplicated calls answers first is used (the loser's response is
 //     discarded on arrival; an abandoned slow call dies with its own
-//     timeout);
-//   - the deadline elapsing — the statement fails with ErrDeadline rather
-//     than waiting out a slow provider.
-func (e *engine) callQuorum(need int, build func(provider int) proto.Message, deadline time.Time) ([]indexedResponse, error) {
+//     timeout, and engine.call still judges it);
+//   - the deadline elapsing — a round still short of `need` fails with
+//     ErrDeadline rather than waiting out a slow provider.
+func (e *engine) callQuorum(need, want int, build func(provider int) proto.Message, deadline time.Time) ([]indexedResponse, error) {
 	if need > e.opts.N {
 		return nil, fmt.Errorf("%w: need %d of %d", ErrNotEnough, need, e.opts.N)
 	}
-	order := e.cleanOrder()
+	order := e.providerOrder(false)
 	type res struct {
 		provider int
 		msg      proto.Message
@@ -384,7 +249,7 @@ func (e *engine) callQuorum(need int, build func(provider int) proto.Message, de
 		}()
 	}
 	next := 0
-	for ; next < min(need, len(order)); next++ {
+	for ; next < min(want, len(order)); next++ {
 		launch(order[next])
 	}
 	var got []indexedResponse
@@ -398,7 +263,7 @@ func (e *engine) callQuorum(need int, build func(provider int) proto.Message, de
 		defer dt.Stop()
 		deadlineCh = dt.C
 	}
-	for len(got) < need && inflight > 0 {
+	for len(got) < want && inflight > 0 {
 		// The hedge timer is re-armed per wait: each stall of threshold
 		// duration with spare candidates available may add one hedge. With
 		// hedging off or no spare left the channel stays nil and never fires.
@@ -414,27 +279,23 @@ func (e *engine) callQuorum(need int, build func(provider int) proto.Message, de
 			delete(launchedAt, r.provider)
 			if r.err != nil {
 				errs = append(errs, fmt.Errorf("provider %d: %w", r.provider, r.err))
-				e.markProvider(r.provider, true)
 				// Plain failover: replace the failed candidate if the
 				// quorum still needs it.
-				if len(got)+inflight < need && next < len(order) {
+				if len(got)+inflight < want && next < len(order) {
 					launch(order[next])
 					next++
 					inflight++
 				}
 				break
 			}
-			e.markProvider(r.provider, false)
-			if len(got) < need {
-				if hedgedProvs[r.provider] {
-					e.health.hedgesWon.Add(1)
-				}
-				got = append(got, indexedResponse{provider: r.provider, msg: r.msg})
+			if hedgedProvs[r.provider] {
+				e.health.hedgesWon.Add(1)
 			}
+			got = append(got, indexedResponse{provider: r.provider, msg: r.msg})
 		case <-hedgeCh:
 			for p, at := range launchedAt {
 				if stalled := time.Since(at); stalled >= threshold {
-					e.health.observeStall(p, stalled)
+					e.provs[p].observeStall(stalled)
 					delete(launchedAt, p) // one stall sample per statement
 				}
 			}
@@ -452,11 +313,9 @@ func (e *engine) callQuorum(need int, build func(provider int) proto.Message, de
 				threshold = 0
 			}
 		case <-deadlineCh:
-			if ht != nil {
-				ht.Stop()
-			}
-			return nil, fmt.Errorf("%w: %d of %d needed answered before deadline (%v)",
-				ErrDeadline, len(got), need, errors.Join(errs...))
+			// Whatever answered in time is the round; settleQuorum says
+			// ErrDeadline when that is short of need.
+			inflight = 0
 		}
 		if ht != nil {
 			ht.Stop()
@@ -480,41 +339,4 @@ func settleQuorum(got []indexedResponse, need int, errs []error, deadline time.T
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i].provider < got[j].provider })
 	return got, nil
-}
-
-// callAvailable contacts every non-lagging provider concurrently and
-// returns all successful responses (ordered by provider index), requiring
-// at least minNeed. Verified reads use it: they want maximal redundancy so
-// that detectably-faulty providers can be dropped while a quorum survives.
-// Lagging providers are skipped — their stale share sets would fail
-// cross-checks indistinguishably from malice. Hedging does not apply (all
-// candidates are already called), but the deadline does: verified reads
-// keep strict semantics while still failing fast when bounded.
-func (e *engine) callAvailable(minNeed int, build func(provider int) proto.Message, deadline time.Time) ([]indexedResponse, error) {
-	type res struct {
-		provider int
-		msg      proto.Message
-		err      error
-	}
-	candidates := e.cleanOrder()
-	ch := make(chan res, len(candidates))
-	for _, i := range candidates {
-		go func(i int) {
-			msg, err := e.call(i, build(i), deadline)
-			ch <- res{provider: i, msg: msg, err: err}
-		}(i)
-	}
-	var got []indexedResponse
-	var errs []error
-	for range candidates {
-		r := <-ch
-		if r.err != nil {
-			e.markProvider(r.provider, true)
-			errs = append(errs, fmt.Errorf("provider %d: %w", r.provider, r.err))
-			continue
-		}
-		e.markProvider(r.provider, false)
-		got = append(got, indexedResponse{provider: r.provider, msg: r.msg})
-	}
-	return settleQuorum(got, minNeed, errs, deadline)
 }

@@ -268,31 +268,18 @@ func (e *engine) insertValues(meta *tableMeta, rows [][]Value) error {
 	if err != nil {
 		// Best-effort compensation: providers that accepted the batch would
 		// otherwise hold rows their peers lack, permanently forking the
-		// share sets. Delete the batch from every provider it landed on —
-		// all of them, not stopping at the first failed rollback, which
-		// would leave the remaining providers forked. A rollback that fails
-		// on transport is additionally queued as a hint so the repair loop
-		// heals the fork once the provider returns. The reservation is
-		// burned either way (ids are never reused), so a retry starts from
-		// fresh ids.
+		// share sets. Delete the batch from every provider it landed on, in
+		// one round. A rollback that fails on transport is additionally
+		// queued as a hint so the repair loop heals the fork once the
+		// provider returns. The reservation is burned either way (ids are
+		// never reused), so a retry starts from fresh ids.
 		rollback := &proto.DeleteRequest{Table: meta.Name, RowIDs: ids}
-		var rollbackErrs []error
-		for _, p := range succeeded {
-			_, derr := e.call(p, rollback, noDeadline)
-			if derr == nil {
-				continue
-			}
-			rollbackErrs = append(rollbackErrs,
-				fmt.Errorf("rollback on provider %d also failed: %w", p, derr))
-			var remote *proto.RemoteError
-			if !errors.As(derr, &remote) {
-				_ = e.hintMutation(p, rollback)
-				e.markProvider(p, true)
-				e.ensureRepairLoop()
-			}
+		t := round(succeeded, e.deliver(func(int) proto.Message { return rollback }))
+		for _, p := range t.unreached {
+			e.hint(p, rollback)
 		}
-		if len(rollbackErrs) > 0 {
-			return errors.Join(append([]error{err}, rollbackErrs...)...)
+		if failed := errors.Join(t.rejection, t.outage); failed != nil {
+			return errors.Join(err, fmt.Errorf("rollback on %w", failed))
 		}
 		return err
 	}

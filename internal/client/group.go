@@ -336,7 +336,7 @@ func (e *engine) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 		results   []*proto.GroupResult
 	}
 	fetch := func(op proto.AggOp, valueCol string) (*remotePartials, error) {
-		responses, err := e.callQuorum(e.opts.K, func(i int) proto.Message {
+		responses, err := e.callQuorum(e.opts.K, e.opts.K, func(i int) proto.Message {
 			return &proto.AggregateRequest{
 				Table:    meta.Name,
 				Op:       op,
@@ -350,9 +350,9 @@ func (e *engine) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 		}
 		rp := &remotePartials{}
 		for _, r := range responses {
-			gr, ok := r.msg.(*proto.GroupResult)
-			if !ok {
-				return nil, fmt.Errorf("%w: provider %d returned %T", ErrInconsistent, r.provider, r.msg)
+			gr, err := as[*proto.GroupResult](r.provider, r.msg)
+			if err != nil {
+				return nil, err
 			}
 			rp.providers = append(rp.providers, r.provider)
 			rp.results = append(rp.results, gr)

@@ -22,8 +22,7 @@ import (
 // CRC framing providers use for durability), so a client restart resumes
 // the repair obligation instead of silently forgetting it.
 type hintJournal struct {
-	// The client's downMu guards all fields below; hint state is failover
-	// state and shares its leaf lock (never acquire e.mu under it).
+	// The provider record's mutex guards every field.
 	lagging bool
 	// records holds encoded per-provider request messages, FIFO. The head
 	// is only removed after the provider acknowledged it.
@@ -31,9 +30,6 @@ type hintJournal struct {
 	// floors maps table name -> smallest row id any queued record touches.
 	// Scans that include this provider mask ids at or above the floor.
 	floors map[string]uint64
-	// replayed counts records already acknowledged during the current
-	// replay pass; the WAL is truncated only when the journal fully drains.
-	replayed int
 	// needsReseed is set when replay hit an error that leaves the provider's
 	// table state unknown; readmission then re-seeds instead of trusting it.
 	needsReseed bool
@@ -41,48 +37,34 @@ type hintJournal struct {
 	log *wal.Log
 }
 
-// hintPath names provider i's journal file under dir.
-func hintPath(dir string, provider int) string {
-	return filepath.Join(dir, fmt.Sprintf("hints-%d.wal", provider))
-}
-
-// openHintJournals builds one journal per provider, reloading queued
-// records from HintDir when configured. A reloaded non-empty journal marks
-// its provider lagging immediately: the obligation to repair it survived
-// the restart even though the down/health state did not.
-func openHintJournals(n int, dir string) ([]*hintJournal, error) {
-	hints := make([]*hintJournal, n)
-	for i := range hints {
-		h := &hintJournal{floors: make(map[string]uint64)}
-		hints[i] = h
-		if dir == "" {
-			continue
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("client: hint dir: %w", err)
-		}
-		path := hintPath(dir, i)
-		if err := wal.Replay(path, func(rec []byte) error {
-			msg, err := proto.Decode(rec)
-			if err != nil {
-				return fmt.Errorf("client: decoding hint record: %w", err)
-			}
-			h.records = append(h.records, append([]byte(nil), rec...))
-			h.noteFloor(msg)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		log, err := wal.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		h.log = log
-		if len(h.records) > 0 {
-			h.lagging = true
-		}
+// open readies the journal of provider i, reloading queued records from dir
+// when HintDir is configured. A reloaded non-empty journal is lagging at
+// once: the obligation to repair its provider survived the restart even
+// though the ledger did not.
+func (h *hintJournal) open(dir string, provider int) error {
+	h.floors = make(map[string]uint64)
+	if dir == "" {
+		return nil
 	}
-	return hints, nil
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("client: hint dir: %w", err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("hints-%d.wal", provider))
+	if err := wal.Replay(path, func(rec []byte) error {
+		msg, err := proto.Decode(rec)
+		if err != nil {
+			return fmt.Errorf("client: decoding hint record: %w", err)
+		}
+		h.records = append(h.records, append([]byte(nil), rec...))
+		h.noteFloor(msg)
+		return nil
+	}); err != nil {
+		return err
+	}
+	var err error
+	h.log, err = wal.Open(path)
+	h.lagging = len(h.records) > 0
+	return err
 }
 
 // noteFloor lowers the lag floor for the table a queued message touches.
@@ -127,9 +109,9 @@ func (h *hintJournal) noteFloor(msg proto.Message) {
 	}
 }
 
-// append queues one encoded message (caller holds downMu via the client
-// helpers). Persistence is best-effort durable: the record is fsynced
-// before the statement that created it returns.
+// append queues one encoded message and marks the provider lagging.
+// Persistence is best-effort durable: the record is fsynced before the
+// statement that created it returns.
 func (h *hintJournal) append(msg proto.Message) error {
 	rec := proto.Encode(msg)
 	h.records = append(h.records, rec)
@@ -147,7 +129,6 @@ func (h *hintJournal) append(msg proto.Message) error {
 // reset clears the journal after a successful readmission.
 func (h *hintJournal) reset() error {
 	h.records = nil
-	h.replayed = 0
 	h.floors = make(map[string]uint64)
 	h.needsReseed = false
 	h.lagging = false
@@ -157,69 +138,11 @@ func (h *hintJournal) reset() error {
 	return nil
 }
 
-// --- client-side accessors (lock the journal via downMu) ---
-
-// hintMutation queues msg for provider p and marks it lagging. Returns the
-// journal persistence error, if any (the share payload is still queued in
-// memory, so repair proceeds even if the disk copy failed).
-func (e *engine) hintMutation(p int, msg proto.Message) error {
-	e.downMu.Lock()
-	defer e.downMu.Unlock()
-	return e.hints[p].append(msg)
-}
-
-// laggingSet snapshots which providers have queued hints.
-func (e *engine) laggingSet() []bool {
-	lag := make([]bool, e.opts.N)
-	e.downMu.Lock()
-	for i, h := range e.hints {
-		lag[i] = h.lagging
-	}
-	e.downMu.Unlock()
-	return lag
-}
-
-// isLagging reports whether provider p has queued hints.
-func (e *engine) isLagging(p int) bool {
-	e.downMu.Lock()
-	defer e.downMu.Unlock()
-	return e.hints[p].lagging
-}
-
-// lagFloor returns the row-id bound below which the given providers all
-// saw every mutation of table: the minimum lag floor among those that are
-// lagging, or MaxUint64 when none is. Scans cap their watermark with it.
-func (e *engine) lagFloor(table string, providers []int) uint64 {
-	floor := uint64(math.MaxUint64)
-	e.downMu.Lock()
-	defer e.downMu.Unlock()
-	for _, p := range providers {
-		h := e.hints[p]
-		if !h.lagging {
-			continue
-		}
-		f, ok := h.floors[table]
-		if !ok {
-			continue
-		}
-		if f < floor {
-			floor = f
-		}
-	}
-	return floor
-}
-
 // PendingHints reports how many hinted mutations are queued across all
 // providers of all groups, awaiting replay by the repair loops.
 func (c *Client) PendingHints() int {
 	total := 0
-	for _, e := range c.groups {
-		e.downMu.Lock()
-		for _, h := range e.hints {
-			total += len(h.records)
-		}
-		e.downMu.Unlock()
-	}
+	c.eachProvider(func(_ int, p *provider) { total += len(p.hints.records) })
 	return total
 }
 
@@ -228,13 +151,11 @@ func (c *Client) PendingHints() int {
 // reports as g*N+i.
 func (c *Client) LaggingProviders() []int {
 	var out []int
-	for g, e := range c.groups {
-		for i, lagging := range e.laggingSet() {
-			if lagging {
-				out = append(out, g*c.opts.N+i)
-			}
+	c.eachProvider(func(i int, p *provider) {
+		if p.hints.lagging {
+			out = append(out, i)
 		}
-	}
+	})
 	return out
 }
 
@@ -243,20 +164,4 @@ func (c *Client) LaggingProviders() []int {
 // results.
 func (c *Client) Converged() bool {
 	return len(c.LaggingProviders()) == 0
-}
-
-// closeHints releases journal files.
-func (e *engine) closeHints() error {
-	e.downMu.Lock()
-	defer e.downMu.Unlock()
-	var firstErr error
-	for _, h := range e.hints {
-		if h.log != nil {
-			if err := h.log.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			h.log = nil
-		}
-	}
-	return firstErr
 }

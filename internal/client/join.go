@@ -303,7 +303,7 @@ func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 	lPlan := left.fetchPlan(joinSideCols(items, true))
 	rPlan := right.fetchPlan(joinSideCols(items, false))
 	header := append(append([]string(nil), lPlan.names...), rPlan.names...)
-	responses, err := e.callQuorum(e.opts.K, func(i int) proto.Message {
+	responses, err := e.callQuorum(e.opts.K, e.opts.K, func(i int) proto.Message {
 		return &proto.JoinRequest{
 			LeftTable:  left.Name,
 			LeftCol:    lc.Name + suffixOPP,
@@ -320,9 +320,9 @@ func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 	results := make([]*proto.JoinResult, len(responses))
 	providers := make([]int, len(responses))
 	for i, r := range responses {
-		jr, ok := r.msg.(*proto.JoinResult)
-		if !ok {
-			return nil, fmt.Errorf("%w: provider %d returned %T", ErrInconsistent, r.provider, r.msg)
+		jr, err := as[*proto.JoinResult](r.provider, r.msg)
+		if err != nil {
+			return nil, err
 		}
 		if err := checkHeader(r.provider, jr.Columns, header); err != nil {
 			return nil, err

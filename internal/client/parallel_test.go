@@ -126,10 +126,10 @@ func TestParallelWorkersValidation(t *testing.T) {
 
 // --- failover marking race (regression) -----------------------------------
 
-// Concurrent reads race on the provider-down bookkeeping: every quorum call
-// reads the down set to order providers and writes it on failure/success.
-// Before downMu this was a data race under -race once SELECTs ran in
-// parallel. Providers 0 and 1 stay up throughout, so every read must succeed
+// Concurrent reads race on the provider records: every quorum call reads
+// them to order providers and every finished call is judged into one.
+// Without the record's mutex this is a data race under -race once SELECTs
+// run in parallel. Providers 0 and 1 stay up throughout, so every read must succeed
 // even while provider 2 flaps.
 func TestFailoverMarkingUnderConcurrentReads(t *testing.T) {
 	f := newFleet(t, 3, 2, Options{})

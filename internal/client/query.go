@@ -313,7 +313,7 @@ func (e *engine) scanVerified(meta *tableMeta, preds []compiledPred, deadline ti
 	// Every reachable provider is asked: redundancy is what lets
 	// proof-failing or outvoted providers be dropped while a quorum of K
 	// survives.
-	responses, err := e.callAvailable(e.opts.K, func(i int) proto.Message {
+	responses, err := e.callQuorum(e.opts.K, e.opts.N, func(i int) proto.Message {
 		return &proto.ScanRequest{
 			Table:         meta.Name,
 			Filter:        filters[i],
@@ -328,8 +328,8 @@ func (e *engine) scanVerified(meta *tableMeta, preds []compiledPred, deadline ti
 	providers := make([]int, 0, len(responses))
 	var proofFaulty []int
 	for _, r := range responses {
-		rr, ok := r.msg.(*proto.RowsResponse)
-		if !ok {
+		rr, err := as[*proto.RowsResponse](r.provider, r.msg)
+		if err != nil {
 			// A mis-typed response is just another malicious behavior:
 			// drop the provider and continue if a quorum remains.
 			proofFaulty = append(proofFaulty, r.provider)

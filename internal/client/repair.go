@@ -9,7 +9,6 @@ package client
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"sssdb/internal/proto"
@@ -20,26 +19,17 @@ import (
 func (e *engine) ensureRepairLoop() {
 	e.repairMu.Lock()
 	defer e.repairMu.Unlock()
-	if e.repairRunning || e.closed {
+	if e.repairDone != nil || e.closed {
 		return
 	}
-	e.repairRunning = true
-	e.repairKick = make(chan struct{}, 1)
-	e.repairStop = make(chan struct{})
 	e.repairDone = make(chan struct{})
-	go e.repairLoop(e.repairKick, e.repairStop, e.repairDone)
+	go e.repairLoop(e.repairDone)
 }
 
 // kickRepair nudges the loop to run a pass now instead of at the next tick.
 func (e *engine) kickRepair() {
-	e.repairMu.Lock()
-	kick := e.repairKick
-	e.repairMu.Unlock()
-	if kick == nil {
-		return
-	}
 	select {
-	case kick <- struct{}{}:
+	case e.repairKick <- struct{}{}:
 	default:
 	}
 }
@@ -47,15 +37,13 @@ func (e *engine) kickRepair() {
 // stopRepairLoop shuts the loop down and waits for it to exit (Close path).
 func (e *engine) stopRepairLoop() {
 	e.repairMu.Lock()
-	e.closed = true
-	stop, done := e.repairStop, e.repairDone
-	running := e.repairRunning
+	done := e.repairDone
+	e.repairDone, e.closed = nil, true
 	e.repairMu.Unlock()
-	if !running {
-		return
+	if done != nil {
+		close(e.repairStop)
+		<-done
 	}
-	close(stop)
-	<-done
 }
 
 // RepairNow kicks the repair loop synchronously into its next pass; tests
@@ -68,17 +56,11 @@ func (c *Client) RepairNow() {
 	}
 }
 
-// probeState is the per-provider exponential backoff for health probes.
-type probeState struct {
-	failures int
-	next     time.Time
-}
-
 // repairLoop wakes on a base ticker (Options.RepairInterval) or an explicit
 // kick and runs one repair pass over every lagging provider.
-func (e *engine) repairLoop(kick, stop, done chan struct{}) {
+func (e *engine) repairLoop(done chan struct{}) {
 	defer close(done)
-	probes := make([]probeState, e.opts.N)
+	kick, stop := e.repairKick, e.repairStop
 	t := time.NewTicker(e.opts.RepairInterval)
 	defer t.Stop()
 	for {
@@ -88,52 +70,51 @@ func (e *engine) repairLoop(kick, stop, done chan struct{}) {
 		case <-kick:
 		case <-t.C:
 		}
-		for p := 0; p < e.opts.N; p++ {
+		for p, pr := range e.provs {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if !e.isLagging(p) {
-				probes[p] = probeState{}
+			if !pr.probeDue() {
 				continue
 			}
-			st := &probes[p]
-			if time.Now().Before(st.next) {
-				continue
-			}
-			// Lightweight liveness probe before committing to a replay: a
-			// provider that cannot even answer a ping backs the probe off
-			// exponentially (capped at 64x the base interval) so a long
-			// outage does not burn a connection attempt every tick.
+			// Lightweight liveness probe before committing to a replay.
 			resp, err := e.call(p, &proto.PingRequest{}, noDeadline)
-			if err != nil {
-				st.failures++
-				shift := st.failures
-				if shift > 6 {
-					shift = 6
-				}
-				st.next = time.Now().Add(e.opts.RepairInterval << shift)
-				continue
+			if pr.probed(resp, err, e.opts.RepairInterval) {
+				e.repairProvider(p, stop)
 			}
-			e.recordStats(p, resp)
-			st.failures = 0
-			st.next = time.Time{}
-			e.repairProvider(p, stop)
 		}
 	}
 }
 
-// recordStats stores the storage stats a provider attached to a ping
-// reply. Old servers answer pings with a bare OK; those are ignored.
-func (e *engine) recordStats(p int, resp proto.Message) {
-	st, ok := resp.(*proto.StatsResponse)
-	if !ok {
-		return
+// probeDue reports whether the repair loop should ping the provider now: it
+// is lagging and not backing off. (Only an answered ping leads to
+// readmission, and it clears the backoff.)
+func (p *provider) probeDue() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hints.lagging && !time.Now().Before(p.probeNext)
+}
+
+// probed records a ping's outcome and reports whether the provider answered.
+// The storage stats attached to the reply are kept for ProviderStats; a
+// provider that cannot even answer a ping backs the probe off exponentially
+// (capped at 64x the base interval) so a long outage does not burn a
+// connection attempt every tick.
+func (p *provider) probed(resp proto.Message, err error, interval time.Duration) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err != nil {
+		p.probeFails++
+		p.probeNext = time.Now().Add(interval << min(p.probeFails, 6))
+		return false
 	}
-	e.statMu.Lock()
-	e.provStat[p] = st
-	e.statMu.Unlock()
+	if st, ok := resp.(*proto.StatsResponse); ok {
+		p.stats = st
+	}
+	p.probeFails, p.probeNext = 0, time.Time{}
+	return true
 }
 
 // ProviderStats returns the last storage stats each provider reported to a
@@ -142,87 +123,65 @@ func (e *engine) recordStats(p int, resp proto.Message) {
 // reports all nil).
 func (c *Client) ProviderStats() []*proto.StatsResponse {
 	out := make([]*proto.StatsResponse, 0, len(c.groups)*c.opts.N)
-	for _, e := range c.groups {
-		e.statMu.Lock()
-		out = append(out, e.provStat...)
-		e.statMu.Unlock()
-	}
+	c.eachProvider(func(_ int, p *provider) { out = append(out, p.stats) })
 	return out
 }
 
-// peekHint returns (without removing) the head of provider p's journal.
-func (e *engine) peekHint(p int) ([]byte, bool) {
-	e.downMu.Lock()
-	defer e.downMu.Unlock()
-	h := e.hints[p]
-	if len(h.records) == 0 {
+// headHint returns (without removing) the head of the provider's journal.
+func (p *provider) headHint() ([]byte, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.hints.records) == 0 {
 		return nil, false
 	}
-	return h.records[0], true
+	return p.hints.records[0], true
 }
 
-// popHint removes the head of provider p's journal after the provider
-// acknowledged it. The WAL copy is only truncated at readmission (reset):
-// replay progress within a journal is cheap to redo after a restart, and
-// truncating mid-queue would require rewriting the file.
-func (e *engine) popHint(p int) {
-	e.downMu.Lock()
-	defer e.downMu.Unlock()
-	h := e.hints[p]
-	if len(h.records) > 0 {
-		h.records = h.records[1:]
-		h.replayed++
-	}
-}
-
-// setNeedsReseed flags provider p's state as untrusted: readmission must
-// re-seed its tables from the healthy quorum instead of verifying them.
-func (e *engine) setNeedsReseed(p int) {
-	e.downMu.Lock()
-	e.hints[p].needsReseed = true
-	e.downMu.Unlock()
+// popHint removes the head of the journal once the provider has answered
+// it. reseed flags the provider's state as untrusted: readmission must then
+// re-seed its tables from the healthy quorum instead of verifying them. The
+// WAL copy is only truncated at readmission (reset): replay progress within a
+// journal is cheap to redo after a restart, and truncating mid-queue would
+// require rewriting the file.
+func (p *provider) popHint(reseed bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.hints.records = p.hints.records[1:]
+	p.hints.needsReseed = p.hints.needsReseed || reseed
 }
 
 // replayHints replays provider p's queued mutations in order, popping each
-// record once p acknowledges it. Returns nil when the journal is drained
-// (at the moment of the last pop) and the transport error that interrupted
-// replay otherwise. Tolerated remote errors — duplicate row on an insert,
-// table-exists on a create, no-such-table on a drop — mean the mutation
-// already applied and its ack was lost; any other remote rejection marks
-// the provider for re-seeding and skips the record, since wedging the
-// journal would strand every later mutation behind an unexplainable one.
+// record once p answers it. Returns nil when the journal is drained (at the
+// moment of the last pop) and the transport error that interrupted replay
+// otherwise. Tolerated rejections — duplicate row on an insert, table-exists
+// on a create, no-such-table on a drop — mean the mutation already applied
+// and its ack was lost; any other rejection, like a record that does not
+// decode (a corrupt journal reload), marks the provider for re-seeding and
+// skips the record, since wedging the journal would strand every later
+// mutation behind an unexplainable one.
 func (e *engine) replayHints(p int, stop chan struct{}) error {
+	pr := e.provs[p]
 	for {
-		if stop != nil {
-			select {
-			case <-stop:
-				return errors.New("client: repair stopped")
-			default:
-			}
+		select {
+		case <-stop:
+			return errors.New("client: repair stopped")
+		default:
 		}
-		rec, ok := e.peekHint(p)
+		rec, ok := pr.headHint()
 		if !ok {
 			return nil
 		}
 		msg, err := proto.Decode(rec)
 		if err != nil {
-			// An undecodable record can only come from a corrupt journal
-			// reload; nothing can be replayed from it.
-			e.setNeedsReseed(p)
-			e.popHint(p)
+			pr.popHint(true)
 			continue
 		}
-		if _, err := e.call(p, msg, noDeadline); err != nil {
-			var remote *proto.RemoteError
-			if !errors.As(err, &remote) {
-				e.markProvider(p, true)
-				return err
-			}
-			if !hintErrorBenign(msg, remote.Code) {
-				e.setNeedsReseed(p)
-			}
+		_, err = e.call(p, msg, noDeadline)
+		code, answered := remoteCode(err)
+		if err != nil && !answered {
+			return err
 		}
-		e.popHint(p)
+		pr.popHint(answered && !hintErrorBenign(msg, code))
 	}
 }
 
@@ -268,15 +227,16 @@ func (e *engine) repairProvider(p int, stop chan struct{}) {
 		return
 	}
 
-	e.downMu.Lock()
-	needsReseed := e.hints[p].needsReseed
+	pr := e.provs[p]
+	pr.mu.Lock()
+	needsReseed := pr.hints.needsReseed
+	pr.mu.Unlock()
 	var healthy []int
-	for i := 0; i < e.opts.N; i++ {
-		if i != p && !e.down[i] && !e.hints[i].lagging {
+	for i, peer := range e.provs {
+		if tier, _ := peer.standing(time.Now()); i != p && tier == 0 {
 			healthy = append(healthy, i)
 		}
 	}
-	e.downMu.Unlock()
 	if len(healthy) == 0 && e.opts.N > 1 {
 		return // No peer to trust as a baseline; retry when one returns.
 	}
@@ -312,12 +272,11 @@ func (e *engine) repairProvider(p int, stop chan struct{}) {
 		}
 	}
 
-	// Converged: clear the journal and readmit the provider.
-	e.downMu.Lock()
-	err := e.hints[p].reset()
-	e.down[p] = false
-	e.downMu.Unlock()
-	_ = err // Journal file reset failure is non-fatal: records were applied.
+	// Converged: clearing the journal readmits the provider. A journal file
+	// reset failure is non-fatal: the records were applied.
+	pr.mu.Lock()
+	_ = pr.hints.reset()
+	pr.mu.Unlock()
 }
 
 // tableStateMatches compares the provider-neutral resync digests of one
@@ -341,18 +300,13 @@ func (e *engine) tableStateMatches(p, peer int, table string) (bool, error) {
 // reports as nil rather than an error (the peer decides what that means).
 func (e *engine) resyncDigest(provider int, table string) (*proto.DigestResult, error) {
 	resp, err := e.call(provider, &proto.TableStateRequest{Table: table}, noDeadline)
+	if code, ok := remoteCode(err); ok && code == proto.CodeNoSuchTable {
+		return nil, nil
+	}
 	if err != nil {
-		var remote *proto.RemoteError
-		if errors.As(err, &remote) && remote.Code == proto.CodeNoSuchTable {
-			return nil, nil
-		}
 		return nil, err
 	}
-	d, ok := resp.(*proto.DigestResult)
-	if !ok {
-		return nil, fmt.Errorf("%w: provider %d returned %T", ErrInconsistent, provider, resp)
-	}
-	return d, nil
+	return as[*proto.DigestResult](provider, resp)
 }
 
 // reseedTable rebuilds one table on provider p from the healthy quorum.
@@ -376,42 +330,37 @@ func (e *engine) reseedTable(p int, meta *tableMeta) error {
 	if err != nil {
 		return err
 	}
-	if _, err := e.call(p, &proto.DropTableRequest{Table: meta.Name}, noDeadline); err != nil {
-		var remote *proto.RemoteError
-		if !errors.As(err, &remote) || remote.Code != proto.CodeNoSuchTable {
-			return err
-		}
+	_, err = e.call(p, &proto.DropTableRequest{Table: meta.Name}, noDeadline)
+	if code, ok := remoteCode(err); err != nil && !(ok && code == proto.CodeNoSuchTable) {
+		return err
 	}
 	if _, err := e.call(p, &proto.CreateTableRequest{Spec: meta.providerSpec()}, noDeadline); err != nil {
 		return err
 	}
-	if len(scan.ids) > 0 {
-		if _, err := e.call(p, &proto.InsertRequest{Table: meta.Name, Rows: perProvider[p]}, noDeadline); err != nil {
-			return err
-		}
-	}
 	if len(scan.ids) == 0 {
 		return nil
 	}
-	for i := 0; i < e.opts.N; i++ {
-		if i == p {
-			continue
-		}
-		update := &proto.UpdateRequest{Table: meta.Name, Rows: perProvider[i]}
-		if e.isLagging(i) {
-			_ = e.hintMutation(i, update)
-			continue
-		}
-		if _, err := e.call(i, update, noDeadline); err != nil {
-			var remote *proto.RemoteError
-			if errors.As(err, &remote) {
-				return err
-			}
-			// Peer dropped mid-reseed: its stale shares are now off the new
-			// polynomials, so it must queue the update and go lagging.
-			_ = e.hintMutation(i, update)
-			e.markProvider(i, true)
+	if _, err := e.call(p, &proto.InsertRequest{Table: meta.Name, Rows: perProvider[p]}, noDeadline); err != nil {
+		return err
+	}
+	update := func(i int) proto.Message {
+		return &proto.UpdateRequest{Table: meta.Name, Rows: perProvider[i]}
+	}
+	var peers []int
+	for i, peer := range e.provs {
+		switch {
+		case i == p:
+		case peer.lagging():
+			e.hint(i, update(i))
+		default:
+			peers = append(peers, i)
 		}
 	}
-	return nil
+	t := round(peers, e.deliver(update))
+	// A peer that dropped mid-reseed holds stale shares, off the new
+	// polynomials: it queues the update and goes lagging.
+	for _, i := range t.unreached {
+		e.hint(i, update(i))
+	}
+	return t.rejection
 }

@@ -550,7 +550,7 @@ func (e *engine) aggPartial(meta *tableMeta, preds []compiledPred, item sql.Sele
 	if !ok {
 		return aggPartial{}, fmt.Errorf("%w: aggregate %v", ErrUnsupported, item.Agg)
 	}
-	responses, err := e.callQuorum(e.opts.K, func(i int) proto.Message {
+	responses, err := e.callQuorum(e.opts.K, e.opts.K, func(i int) proto.Message {
 		r := &proto.AggregateRequest{Table: meta.Name, Op: op, Filter: filters[i]}
 		if cm != nil {
 			r.OrderCol = cm.Name + suffixOPP
@@ -563,11 +563,9 @@ func (e *engine) aggPartial(meta *tableMeta, preds []compiledPred, item sql.Sele
 	}
 	results := make([]*proto.AggResult, len(responses))
 	for i, r := range responses {
-		ar, ok := r.msg.(*proto.AggResult)
-		if !ok {
-			return aggPartial{}, fmt.Errorf("%w: provider %d returned %T", ErrInconsistent, r.provider, r.msg)
+		if results[i], err = as[*proto.AggResult](r.provider, r.msg); err != nil {
+			return aggPartial{}, err
 		}
-		results[i] = ar
 	}
 	for i := 1; i < len(results); i++ {
 		if results[i].Count != results[0].Count {

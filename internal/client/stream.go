@@ -218,8 +218,6 @@ func (ps *provStream) fill(watermark uint64, d time.Duration) bool {
 // start launches one provider chunk stream with `limit` pushed down,
 // skipping the first `skip` post-watermark rows (0 for the initial read
 // set; the slot position for a hedge rival or a continuation).
-// Time-to-first-chunk feeds the health ledger — whole-stream duration would
-// scale with result size, not provider health.
 func (rs *rowStream) start(p int, skip int, limit uint64) *provStream {
 	ps := &provStream{
 		p:        p,
@@ -237,13 +235,18 @@ func (rs *rowStream) start(p int, skip int, limit uint64) *provStream {
 		Limit:         limit,
 		TimeoutMillis: timeoutMillis(rs.o.deadline),
 	}
+	pr := rs.e.provs[p]
 	go func() {
+		// The latency the provider is judged on is the time to its first
+		// chunk (or to the end of a stream that sent none): whole-stream
+		// duration would scale with result size, not provider health.
 		started := time.Now()
-		first := true
-		err := transport.CallStreamWithDeadline(rs.e.conns[p], req, rs.o.deadline, func(chunk *proto.RowsResponse) error {
-			if first {
-				rs.e.health.observe(p, time.Since(started), nil)
-				first = false
+		var first time.Duration
+		judged := false
+		err := transport.CallStreamWithDeadline(pr.conn, req, rs.o.deadline, func(chunk *proto.RowsResponse) error {
+			if !judged {
+				first, judged = time.Since(started), true
+				pr.observe(first, nil)
 			}
 			select {
 			case ps.ch <- chunk:
@@ -254,13 +257,14 @@ func (rs *rowStream) start(p int, skip int, limit uint64) *provStream {
 				return errStreamDone
 			}
 		})
-		if err == nil {
-			rs.e.markProvider(p, false)
-		} else if !errors.Is(err, errStreamDone) {
-			rs.e.markProvider(p, true)
-			if first {
-				rs.e.health.observe(p, time.Since(started), err)
+		// A stream this client canceled has no outcome, and a clean end after
+		// chunks was judged at the first one. Every other ending is judged
+		// here — a death after the first chunk like one before it.
+		if !errors.Is(err, errStreamDone) && (err != nil || !judged) {
+			if !judged {
+				first = time.Since(started)
 			}
+			pr.observe(first, err)
 		}
 		ps.errc <- err
 		close(ps.ch)
@@ -274,8 +278,8 @@ func (rs *rowStream) tryHedge(old *provStream) *provStream {
 	// The stalled stream has provably produced nothing for a full
 	// threshold: feed that as a right-censored latency sample so ranking
 	// demotes a gray-failing provider without waiting for the stream to
-	// finish or die (see healthState.observeStall).
-	rs.e.health.observeStall(old.p, rs.threshold)
+	// finish or die (see provider.observeStall).
+	rs.e.provs[old.p].observeStall(rs.threshold)
 	if len(rs.spares) == 0 {
 		return nil
 	}
@@ -357,7 +361,7 @@ func (e *engine) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 	if o.epoch < watermark {
 		watermark = o.epoch
 	}
-	order := e.providerOrder()
+	order := e.providerOrder(true)
 	order = slices.DeleteFunc(order, func(p int) bool { return slices.Contains(avoid, p) })
 	providers := append([]int(nil), order[:e.opts.K]...)
 	sort.Ints(providers)
@@ -365,8 +369,8 @@ func (e *engine) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 	// chosen K, cap the watermark by its lag floor: its rows below the floor
 	// are exactly its peers', and ids at or above it may have missed
 	// mutations there, so they are hidden from every stream.
-	if floor := e.lagFloor(meta.Name, providers); floor < watermark {
-		watermark = floor
+	for _, p := range providers {
+		watermark = min(watermark, e.provs[p].lagFloor(meta.Name))
 	}
 
 	rs := &rowStream{
@@ -385,13 +389,11 @@ func (e *engine) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 	}
 	// Hedge spares: the ranked also-rans that are both reachable and fully
 	// caught up (see rowStream.spares for why lagging ones cannot serve).
-	e.downMu.Lock()
 	for _, p := range order[e.opts.K:] {
-		if !e.down[p] && !e.hints[p].lagging {
+		if tier, _ := e.provs[p].standing(time.Now()); tier == 0 {
 			rs.spares = append(rs.spares, p)
 		}
 	}
-	e.downMu.Unlock()
 	streams := make([]*provStream, len(providers))
 	for i, p := range providers {
 		streams[i] = rs.start(p, 0, pushLimit)
@@ -611,9 +613,8 @@ func (e *engine) collectStream(meta *tableMeta, preds []compiledPred, o scanOpts
 // — into ErrDeadline, so callers can tell "out of time" apart from "needs
 // failover".
 func mapDeadlineErr(err error) error {
-	var remote *proto.RemoteError
-	if errors.Is(err, os.ErrDeadlineExceeded) ||
-		(errors.As(err, &remote) && remote.Code == proto.CodeDeadlineExceeded) {
+	code, answered := remoteCode(err)
+	if errors.Is(err, os.ErrDeadlineExceeded) || (answered && code == proto.CodeDeadlineExceeded) {
 		return fmt.Errorf("%w: %v", ErrDeadline, err)
 	}
 	return err

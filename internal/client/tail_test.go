@@ -50,7 +50,7 @@ func TestHedgeCoversStragglerAggregate(t *testing.T) {
 	setupEmployees(t, f)
 	// Find a provider the next read set will include (health ties keep
 	// index order, but don't depend on that).
-	slow := f.client.groups[0].cleanOrder()[0]
+	slow := f.client.groups[0].providerOrder(false)[0]
 	f.faults[slow].SetDelay(2 * time.Second)
 	start := time.Now()
 	res := f.mustExec(t, `SELECT SUM(salary) FROM employees WHERE dept = 1`)
@@ -81,7 +81,7 @@ func TestHedgeCoversStragglerAggregate(t *testing.T) {
 func TestStallObservationDemotesWithoutCompletion(t *testing.T) {
 	f := newFleet(t, 3, 2, Options{HedgeDelay: 10 * time.Millisecond})
 	setupEmployees(t, f)
-	slow := f.client.groups[0].cleanOrder()[0]
+	slow := f.client.groups[0].providerOrder(false)[0]
 	// Far beyond the test's total runtime: no call to this provider ever
 	// completes, so the ledger's only possible signal is the stall itself.
 	f.faults[slow].SetDelay(time.Hour)
@@ -118,7 +118,7 @@ func TestHedgeCoversStragglerStreaming(t *testing.T) {
 	setupEmployees(t, f)
 	want := rowsAsStrings(f.mustExec(t, `SELECT name, salary FROM employees`))
 
-	readSet := f.client.groups[0].providerOrder()[:2]
+	readSet := f.client.groups[0].providerOrder(true)[:2]
 	slow := readSet[0]
 	f.faults[slow].SetDelay(2 * time.Second)
 	log.take()
@@ -159,7 +159,7 @@ func TestHedgeCoversStragglerStreaming(t *testing.T) {
 func TestHealthRankingDemotesStraggler(t *testing.T) {
 	f := newFleet(t, 4, 2, Options{HedgeDelay: 10 * time.Millisecond})
 	setupEmployees(t, f)
-	slow := f.client.groups[0].providerOrder()[0]
+	slow := f.client.groups[0].providerOrder(true)[0]
 	f.faults[slow].SetDelay(300 * time.Millisecond)
 	// First query pays the hedge; the slow call's latency lands in the
 	// ledger when it finally completes. One 300ms observation folded into
@@ -176,7 +176,7 @@ func TestHealthRankingDemotesStraggler(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	order := f.client.groups[0].providerOrder()
+	order := f.client.groups[0].providerOrder(true)
 	if order[len(order)-1] != slow {
 		t.Fatalf("provider order %v does not rank straggler %d last", order, slow)
 	}
@@ -200,24 +200,29 @@ func TestHealthRankingDemotesStraggler(t *testing.T) {
 func TestCircuitBreakerDemotesAndRecovers(t *testing.T) {
 	f := newFleet(t, 3, 2, Options{})
 	boom := errors.New("connection reset")
+	provs := f.client.groups[0].provs
+	rank := func(p int, now time.Time) int {
+		_, r := provs[p].standing(now)
+		return r
+	}
 	for i := 0; i < breakerTripFails; i++ {
-		f.client.groups[0].health.observe(1, time.Millisecond, boom)
+		provs[1].observe(time.Millisecond, boom)
 	}
 	now := time.Now()
-	if r := f.client.groups[0].health.rank(1, now); r < 1<<16 {
+	if r := rank(1, now); r < 1<<16 {
 		t.Fatalf("tripped breaker ranks %d, want open-breaker bias", r)
 	}
-	if r := f.client.groups[0].health.rank(0, now); r >= 1<<16 {
+	if r := rank(0, now); r >= 1<<16 {
 		t.Fatalf("untouched provider ranks %d", r)
 	}
 	// One success closes it.
-	f.client.groups[0].health.observe(1, time.Millisecond, nil)
-	if r := f.client.groups[0].health.rank(1, now); r >= 1<<16 {
+	provs[1].observe(time.Millisecond, nil)
+	if r := rank(1, now); r >= 1<<16 {
 		t.Fatalf("breaker still open after success: rank %d", r)
 	}
 	// Fewer than breakerTripFails failures never trip it.
-	f.client.groups[0].health.observe(2, time.Millisecond, boom)
-	if r := f.client.groups[0].health.rank(2, now); r >= 1<<16 {
+	provs[2].observe(time.Millisecond, boom)
+	if r := rank(2, now); r >= 1<<16 {
 		t.Fatalf("single failure tripped the breaker: rank %d", r)
 	}
 }
@@ -225,7 +230,8 @@ func TestCircuitBreakerDemotesAndRecovers(t *testing.T) {
 // The hedge budget bounds issued hedges to a small fraction of total
 // calls: with no call history only the burst allowance is available.
 func TestHedgeBudget(t *testing.T) {
-	h := newHealthState(2)
+	h := &healthState{}
+	p := &provider{fleet: h}
 	for i := 0; i < hedgeBurst; i++ {
 		if !h.allowHedge() {
 			t.Fatalf("burst hedge %d denied", i)
@@ -239,7 +245,7 @@ func TestHedgeBudget(t *testing.T) {
 	}
 	// 20 observed calls buy one more hedge.
 	for i := 0; i < hedgeBudgetDiv; i++ {
-		h.observe(0, time.Millisecond, nil)
+		p.observe(time.Millisecond, nil)
 	}
 	if !h.allowHedge() {
 		t.Fatal("earned hedge denied")
@@ -252,18 +258,19 @@ func TestHedgeBudget(t *testing.T) {
 // The dynamic straggler threshold needs a minimum sample count, then
 // clamps a p99 multiple into [hedgeFloor, hedgeCeil].
 func TestDynamicThreshold(t *testing.T) {
-	h := newHealthState(1)
+	h := &healthState{}
+	p := &provider{fleet: h}
 	if thr := h.dynamicThreshold(); thr != 0 {
 		t.Fatalf("threshold %v with no samples", thr)
 	}
 	for i := 0; i < 100; i++ {
-		h.observe(0, 50*time.Microsecond, nil)
+		p.observe(50*time.Microsecond, nil)
 	}
 	if thr := h.dynamicThreshold(); thr != hedgeFloor {
 		t.Fatalf("fast-fleet threshold %v, want floor %v", thr, hedgeFloor)
 	}
 	for i := 0; i < 100; i++ {
-		h.observe(0, 10*time.Second, nil)
+		p.observe(10*time.Second, nil)
 	}
 	if thr := h.dynamicThreshold(); thr != hedgeCeil {
 		t.Fatalf("slow-fleet threshold %v, want ceiling %v", thr, hedgeCeil)

@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 
 	"sssdb/internal/proto"
 	"sssdb/internal/sql"
@@ -226,7 +225,7 @@ func (tx *Tx) Commit() error {
 		return err
 	}
 	defer unlock()
-	targets, release, err := c.lowerTx(tx.stmts)
+	ops, release, err := c.lowerTx(tx.stmts)
 	// The insert id reservations stay registered until the 2PC finishes, so
 	// scans mask the new ids until every provider's fate is settled (applied,
 	// aborted, or hinted). They are burned whether or not the commit
@@ -235,34 +234,20 @@ func (tx *Tx) Commit() error {
 	if err != nil {
 		return err
 	}
-	return c.txRun2PC(tx.id, targets)
+	return c.txRun2PC(tx.id, ops)
 }
 
-// txTarget is one provider's share of a transaction: the engine that owns
-// the connection, the provider index within it, the global index recorded in
-// the transaction log (group*N + provider), and the op batch in statement
-// order.
-type txTarget struct {
-	eng    *engine
-	prov   int
-	global uint32
-	ops    []proto.Message
-}
-
-// lowerTx lowers buffered statements onto per-provider op batches: each
-// statement goes to the groups that own its rows (INSERT) or that its WHERE
-// routes to (UPDATE, DELETE), evaluated there against the current state. One
-// 2PC over every involved provider of every involved group then makes a
-// multi-group write atomic. Caller holds every group's exclusive statement
-// lock; release retires the insert id reservations.
-func (c *Client) lowerTx(stmts []txStmt) (targets []txTarget, release func(), err error) {
+// lowerTx lowers buffered statements onto per-provider op batches, in
+// statement order, indexed by the global provider index the transaction log
+// records (group*N + provider): each statement goes to the groups that own
+// its rows (INSERT) or that its WHERE routes to (UPDATE, DELETE), evaluated
+// there against the current state. One 2PC over every involved provider of
+// every involved group then makes a multi-group write atomic. Caller holds
+// every group's exclusive statement lock; release retires the insert id
+// reservations.
+func (c *Client) lowerTx(stmts []txStmt) (ops [][]proto.Message, release func(), err error) {
 	n := c.opts.N
-	targets = make([]txTarget, len(c.groups)*n)
-	for g, e := range c.groups {
-		for i := 0; i < n; i++ {
-			targets[g*n+i] = txTarget{eng: e, prov: i, global: uint32(g*n + i)}
-		}
-	}
+	ops = make([][]proto.Message, len(c.groups)*n)
 	var releases []func()
 	release = func() {
 		for _, f := range releases {
@@ -271,7 +256,7 @@ func (c *Client) lowerTx(stmts []txStmt) (targets []txTarget, release func(), er
 	}
 	addOp := func(g int, build func(i int) proto.Message) {
 		for i := 0; i < n; i++ {
-			targets[g*n+i].ops = append(targets[g*n+i].ops, build(i))
+			ops[g*n+i] = append(ops[g*n+i], build(i))
 		}
 	}
 	for _, st := range stmts {
@@ -357,7 +342,7 @@ func (c *Client) lowerTx(stmts []txStmt) (targets []txTarget, release func(), er
 			}
 		}
 	}
-	return targets, release, nil
+	return ops, release, nil
 }
 
 // txStage is the crash-injection failpoint: tests install txHook to
@@ -387,33 +372,53 @@ func (c *Client) syncTxLog() error {
 	return c.txLog.Sync()
 }
 
-// txRun2PC drives the two-phase commit over the given targets. The caller
-// holds the statement locks that make the op batches stable. Targets with
-// empty op batches are skipped. Quorum is per provider group: every
-// involved group must collect Options.WriteQuorum prepare acks.
-func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
-	live := targets[:0:0]
-	for _, t := range targets {
-		if len(t.ops) > 0 {
-			live = append(live, t)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
+// txProvider maps a global provider index (group*N + provider), as the
+// transaction log records it, onto its engine and provider.
+func (c *Client) txProvider(global int) (*engine, int) {
+	return c.groups[global/c.opts.N], global % c.opts.N
+}
 
+// txSend is a round's send function over global provider indices: each gets
+// build(global), with no deadline.
+func (c *Client) txSend(build func(global int) proto.Message) func(global int) error {
+	return func(global int) error {
+		e, p := c.txProvider(global)
+		_, err := e.call(p, build(global), noDeadline)
+		return err
+	}
+}
+
+// txRun2PC drives the two-phase commit of ops, one batch per global provider
+// index. The caller holds the statement locks that make the batches stable.
+// Providers with empty batches are skipped. Quorum is per provider group:
+// every involved group must collect Options.WriteQuorum prepare acks.
+func (c *Client) txRun2PC(txid uint64, ops [][]proto.Message) error {
 	// Phase 0: make the transaction's ops and the intent durable in the
 	// client's log before anything leaves for a provider. Recovery treats
 	// intent-without-commit as presumed-abort, so a crash at any point up to
-	// the commit record undoes the transaction.
-	for _, t := range live {
-		raw := make([][]byte, len(t.ops))
-		for i, op := range t.ops {
-			raw[i] = proto.Encode(op)
+	// the commit record undoes the transaction. Providers already lagging
+	// are not prepared — the transaction's ops must queue behind their
+	// earlier hints — and get the raw ops hinted after the commit decision.
+	raw := make([][][]byte, len(ops))
+	var prepare, owed []int
+	for gl, batch := range ops {
+		if len(batch) == 0 {
+			continue
 		}
-		if err := c.logTxRecord(&proto.TxOpsRecord{TxID: txid, Provider: t.global, Ops: raw}); err != nil {
+		for _, op := range batch {
+			raw[gl] = append(raw[gl], proto.Encode(op))
+		}
+		if err := c.logTxRecord(&proto.TxOpsRecord{TxID: txid, Provider: uint32(gl), Ops: raw[gl]}); err != nil {
 			return fmt.Errorf("client: tx log: %w", err)
 		}
+		if e, p := c.txProvider(gl); e.provs[p].lagging() {
+			owed = append(owed, gl)
+		} else {
+			prepare = append(prepare, gl)
+		}
+	}
+	if len(prepare)+len(owed) == 0 {
+		return nil
 	}
 	if err := c.logTxRecord(&proto.TxMarkRecord{TxID: txid, State: proto.TxStateIntent}); err != nil {
 		return fmt.Errorf("client: tx log: %w", err)
@@ -425,77 +430,29 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 		return err
 	}
 
-	// Phase 1: prepare. Providers already lagging are skipped — the
-	// transaction's ops must queue behind their earlier hints — and get the
-	// raw ops hinted after the commit decision.
-	var prepTargets, lagTargets []txTarget
-	for _, t := range live {
-		if t.eng.isLagging(t.prov) {
-			lagTargets = append(lagTargets, t)
-		} else {
-			prepTargets = append(prepTargets, t)
-		}
-	}
-	type prepRes struct {
-		t   txTarget
-		err error
-	}
-	ch := make(chan prepRes, len(prepTargets))
-	for _, t := range prepTargets {
-		go func(t txTarget) {
-			raw := make([][]byte, len(t.ops))
-			for i, op := range t.ops {
-				raw[i] = proto.Encode(op)
-			}
-			_, err := t.eng.call(t.prov, &proto.TxPrepareRequest{TxID: txid, Ops: raw}, noDeadline)
-			ch <- prepRes{t: t, err: err}
-		}(t)
-	}
-	var acked, unreached []txTarget
-	var hard, soft []error
-	for range prepTargets {
-		r := <-ch
-		if r.err == nil {
-			r.t.eng.markProvider(r.t.prov, false)
-			acked = append(acked, r.t)
-			continue
-		}
-		var remote *proto.RemoteError
-		if errors.As(r.err, &remote) {
-			hard = append(hard, fmt.Errorf("provider %d: %w", r.t.global, r.err))
-			continue
-		}
-		r.t.eng.markProvider(r.t.prov, true)
-		unreached = append(unreached, r.t)
-		soft = append(soft, fmt.Errorf("provider %d: %w", r.t.global, r.err))
-	}
+	// Phase 1: prepare.
+	prepared := round(prepare, c.txSend(func(gl int) proto.Message {
+		return &proto.TxPrepareRequest{TxID: txid, Ops: raw[gl]}
+	}))
 	abort := func(cause error) error {
-		var wg sync.WaitGroup
-		for _, t := range acked {
-			wg.Add(1)
-			go func(t txTarget) {
-				defer wg.Done()
-				_, _ = t.eng.call(t.prov, &proto.TxAbortRequest{TxID: txid}, noDeadline)
-			}(t)
-		}
-		wg.Wait()
+		round(prepared.acked, c.txSend(func(int) proto.Message { return &proto.TxAbortRequest{TxID: txid} }))
 		_ = c.logTxRecord(&proto.TxMarkRecord{TxID: txid, State: proto.TxStateAborted})
 		_ = c.logTxRecord(&proto.TxMarkRecord{TxID: txid, State: proto.TxStateResolved})
 		_ = c.syncTxLog()
 		return fmt.Errorf("%w: %v", ErrTxAborted, cause)
 	}
-	if len(hard) > 0 {
-		return abort(fmt.Errorf("prepare rejected: %w", errors.Join(hard...)))
+	if prepared.rejection != nil {
+		return abort(fmt.Errorf("prepare rejected: %w", prepared.rejection))
 	}
 	// Per-group quorum: each involved group needs WriteQuorum acks.
-	acks := make(map[*engine]int)
-	for _, t := range acked {
-		acks[t.eng]++
+	acks := make([]int, len(c.groups))
+	for _, gl := range prepared.acked {
+		acks[gl/c.opts.N]++
 	}
-	for _, t := range live {
-		if acks[t.eng] < c.opts.WriteQuorum {
+	for _, gl := range append(prepare, owed...) {
+		if n := acks[gl/c.opts.N]; n < c.opts.WriteQuorum {
 			return abort(fmt.Errorf("%w: %d prepare acks of quorum %d (%v)",
-				ErrNotEnough, acks[t.eng], c.opts.WriteQuorum, errors.Join(soft...)))
+				ErrNotEnough, n, c.opts.WriteQuorum, prepared.outage))
 		}
 	}
 	if err := c.txStage("prepared"); err != nil {
@@ -516,43 +473,14 @@ func (c *Client) txRun2PC(txid uint64, targets []txTarget) error {
 
 	// Phase 2: apply. Failures here no longer fail the transaction — the
 	// decision is made — they queue the raw ops as hints so the repair loop
-	// heals the provider, exactly like a missed single-statement write.
-	hintOps := func(t txTarget) {
-		for _, op := range t.ops {
-			_ = t.eng.hintMutation(t.prov, op)
+	// heals the provider, exactly like a missed single-statement write; so
+	// do the providers that were never prepared.
+	applied := round(prepared.acked, c.txSend(func(int) proto.Message { return &proto.TxCommitRequest{TxID: txid} }))
+	for _, missed := range [][]int{applied.rejected, applied.unreached, prepared.unreached, owed} {
+		for _, gl := range missed {
+			e, p := c.txProvider(gl)
+			e.hint(p, ops[gl]...)
 		}
-		t.eng.ensureRepairLoop()
-		t.eng.kickRepair()
-	}
-	var wg sync.WaitGroup
-	var cm sync.Mutex
-	var commitFailed []txTarget
-	for _, t := range acked {
-		wg.Add(1)
-		go func(t txTarget) {
-			defer wg.Done()
-			_, err := t.eng.call(t.prov, &proto.TxCommitRequest{TxID: txid}, noDeadline)
-			if err == nil {
-				return
-			}
-			var remote *proto.RemoteError
-			if !errors.As(err, &remote) {
-				t.eng.markProvider(t.prov, true)
-			}
-			cm.Lock()
-			commitFailed = append(commitFailed, t)
-			cm.Unlock()
-		}(t)
-	}
-	wg.Wait()
-	for _, t := range commitFailed {
-		hintOps(t)
-	}
-	for _, t := range unreached {
-		hintOps(t)
-	}
-	for _, t := range lagTargets {
-		hintOps(t)
 	}
 	_ = c.logTxRecord(&proto.TxMarkRecord{TxID: txid, State: proto.TxStateResolved})
 	_ = c.syncTxLog()
@@ -638,8 +566,11 @@ func (c *Client) openTxLog() error {
 		} else {
 			// Presumed abort: the commit record never made it to the log, so
 			// the transaction must not apply anywhere. Providers holding a
-			// staged prepare discard it; ops are never hinted.
-			c.redriveAbort(id, st.order)
+			// staged prepare discard it; ops are never hinted. Failures are
+			// fine: staging is in memory, so an unreachable provider has
+			// already forgotten it (or will on its next restart), and an
+			// over-sent abort for an unknown id succeeds by design.
+			c.redrive(st.order, &proto.TxAbortRequest{TxID: id})
 		}
 	}
 	if unresolved || len(txs) > 0 {
@@ -651,55 +582,35 @@ func (c *Client) openTxLog() error {
 	return nil
 }
 
-// txEndpoint maps a logged global provider index (group*N + provider) back
-// onto its engine and provider.
-func (c *Client) txEndpoint(global uint32) (*engine, int, bool) {
-	g := int(global) / c.opts.N
-	if g >= len(c.groups) {
-		return nil, 0, false
+// redrive re-sends a logged transaction's outcome to the providers its log
+// records name (those this client is configured with, at least) and returns
+// how the round went.
+func (c *Client) redrive(order []uint32, outcome proto.Message) tally {
+	var to []int
+	for _, global := range order {
+		if int(global) < len(c.groups)*c.opts.N {
+			to = append(to, int(global))
+		}
 	}
-	return c.groups[g], int(global) % c.opts.N, true
+	return round(to, c.txSend(func(int) proto.Message { return outcome }))
 }
 
 // redriveCommit re-sends commit for a transaction whose commit record is
-// durable. A provider that answers (including "no such tx" after staging
-// was lost, or any other failure) falls back to hint-journal replay of the
-// raw ops — replay tolerates already-applied mutations.
+// durable. A provider that does not ack it — unreachable, "no such tx"
+// after staging was lost, or any other rejection — falls back to
+// hint-journal replay of the raw ops, which tolerates already-applied
+// mutations.
 func (c *Client) redriveCommit(txid uint64, order []uint32, ops map[uint32][][]byte) {
-	for _, global := range order {
-		e, prov, ok := c.txEndpoint(global)
-		if !ok {
-			continue
-		}
-		if _, err := e.call(prov, &proto.TxCommitRequest{TxID: txid}, noDeadline); err != nil {
-			var remote *proto.RemoteError
-			if !errors.As(err, &remote) {
-				e.markProvider(prov, true)
+	t := c.redrive(order, &proto.TxCommitRequest{TxID: txid})
+	for _, global := range append(t.rejected, t.unreached...) {
+		var msgs []proto.Message
+		for _, raw := range ops[uint32(global)] {
+			if msg, err := proto.Decode(raw); err == nil {
+				msgs = append(msgs, msg)
 			}
-			for _, raw := range ops[global] {
-				msg, derr := proto.Decode(raw)
-				if derr != nil {
-					continue
-				}
-				_ = e.hintMutation(prov, msg)
-			}
-			e.ensureRepairLoop()
-			e.kickRepair()
 		}
-	}
-}
-
-// redriveAbort best-effort discards staged state for a presumed-aborted
-// transaction. Failures are fine: staging is in memory, so an unreachable
-// provider has already forgotten it (or will on its next restart), and an
-// over-sent abort for an unknown id succeeds by design.
-func (c *Client) redriveAbort(txid uint64, order []uint32) {
-	for _, global := range order {
-		e, prov, ok := c.txEndpoint(global)
-		if !ok {
-			continue
-		}
-		_, _ = e.call(prov, &proto.TxAbortRequest{TxID: txid}, noDeadline)
+		e, p := c.txProvider(global)
+		e.hint(p, msgs...)
 	}
 }
 
