@@ -10,8 +10,11 @@ import (
 // fetchLine renders the provider cells a read ships per row, out of those
 // the table stores per row.
 func fetchLine(meta *tableMeta, plan fetchPlan) string {
-	return fmt.Sprintf("fetch %s — %d of %d cells",
-		strings.Join(plan.names, ", "), len(plan.names), len(meta.providerSpec().Columns))
+	names := strings.Join(plan.names, ", ")
+	if plan.idsOnly() {
+		names = "row ids only"
+	}
+	return fmt.Sprintf("fetch %s — %d of %d cells", names, len(plan.names), len(meta.providerSpec().Columns))
 }
 
 // execExplain describes how a statement would execute without running it,

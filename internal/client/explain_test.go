@@ -126,7 +126,7 @@ func TestExplainErrors(t *testing.T) {
 
 // TestExplainFetchedCells pins the line that says which provider cells a
 // read ships: value cells of the columns the statement reads, never the
-// order-preserving twin, and one cheapest cell when only row ids are wanted.
+// order-preserving twin, and no cell at all when only row ids are wanted.
 func TestExplainFetchedCells(t *testing.T) {
 	f := newFleet(t, 3, 2, Options{})
 	setupEmployees(t, f)
@@ -135,7 +135,7 @@ func TestExplainFetchedCells(t *testing.T) {
 		`EXPLAIN SELECT salary, name FROM employees WHERE salary > 10`:            "  fetch name#f, salary#f — 2 of 6 cells\n",
 		`EXPLAIN SELECT name FROM employees WHERE salary > 10 AND dept = 1`:       "  fetch name#f, dept#f — 2 of 6 cells\n",
 		`EXPLAIN SELECT name FROM employees ORDER BY salary`:                      "  fetch name#f, salary#f — 2 of 6 cells\n",
-		`EXPLAIN DELETE FROM employees WHERE salary > 10`:                         "  fetch name#f — 1 of 6 cells\n",
+		`EXPLAIN DELETE FROM employees WHERE salary > 10`:                         "  fetch row ids only — 0 of 6 cells\n",
 		`EXPLAIN UPDATE employees SET dept = 2 WHERE salary > 10`:                 "  fetch name#f, salary#f, dept#f — 3 of 6 cells\n",
 		`EXPLAIN SELECT name FROM employees WHERE salary > 10 VERIFIED`:           "  fetch name#o, name#f, salary#o, salary#f, dept#o, dept#f — 6 of 6 cells\n",
 		`EXPLAIN SELECT MAX(salary) FROM employees WHERE salary > 1 AND dept = 1`: "  fetch salary#f, dept#f — 2 of 6 cells\n",
@@ -154,7 +154,7 @@ func TestExplainFetchedCells(t *testing.T) {
 	f.mustExec(t, `CREATE TABLE a (k INT, x INT)`)
 	f.mustExec(t, `CREATE TABLE b (k INT, y INT)`)
 	plan := planText(t, f, `EXPLAIN SELECT a.x FROM a JOIN b ON a.k = b.k`)
-	for _, want := range []string{"  a: fetch x#f — 1 of 4 cells\n", "  b: fetch k#f — 1 of 4 cells\n"} {
+	for _, want := range []string{"  a: fetch x#f — 1 of 4 cells\n", "  b: fetch row ids only — 0 of 4 cells\n"} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("join plan lacks %q:\n%s", want, plan)
 		}

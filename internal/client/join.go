@@ -305,13 +305,15 @@ func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 	header := append(append([]string(nil), lPlan.names...), rPlan.names...)
 	responses, err := e.callQuorum(e.opts.K, e.opts.K, func(i int) proto.Message {
 		return &proto.JoinRequest{
-			LeftTable:  left.Name,
-			LeftCol:    lc.Name + suffixOPP,
-			RightTable: right.Name,
-			RightCol:   rc.Name + suffixOPP,
-			LeftProj:   lPlan.names,
-			RightProj:  rPlan.names,
-			Filter:     filters[i],
+			LeftTable:    left.Name,
+			LeftCol:      lc.Name + suffixOPP,
+			RightTable:   right.Name,
+			RightCol:     rc.Name + suffixOPP,
+			LeftProj:     lPlan.names,
+			RightProj:    rPlan.names,
+			Filter:       filters[i],
+			LeftIDsOnly:  lPlan.idsOnly(),
+			RightIDsOnly: rPlan.idsOnly(),
 		}
 	}, e.readDeadline())
 	if err != nil {
@@ -336,8 +338,7 @@ func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 			return nil, fmt.Errorf("%w: join row counts diverge", ErrInconsistent)
 		}
 		for r := range base.Rows {
-			if results[i].Rows[r].LeftID != base.Rows[r].LeftID ||
-				results[i].Rows[r].RightID != base.Rows[r].RightID {
+			if results[i].Rows[r].ID != base.Rows[r].ID || results[i].RightIDs[r] != base.RightIDs[r] {
 				return nil, fmt.Errorf("%w: join pair order diverges", ErrInconsistent)
 			}
 		}

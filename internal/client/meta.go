@@ -117,7 +117,8 @@ func (t *tableMeta) allCols() []int {
 // columns it will reconstruct land in every returned row.
 type fetchPlan struct {
 	// names are the provider columns in response cell order: the request's
-	// projection, and exactly the header a provider must answer with.
+	// projection, and exactly the header a provider must answer with. None
+	// means the read wants row ids alone (see idsOnly).
 	names []string
 	// cell[ci] is the position of client column ci's value cell in a
 	// response row, or -1 when the column is not fetched.
@@ -126,9 +127,7 @@ type fetchPlan struct {
 
 // fetchPlan projects a read onto the value cells of the given client
 // columns (indices into t.Cols, duplicates allowed), so no order-preserving
-// share — three quarters of a stored row — crosses the wire. A read that
-// wants only row ids still has to name a column, because an empty projection
-// means "every column" on the wire: it gets the cheapest single cell.
+// share — three quarters of a stored row — crosses the wire.
 func (t *tableMeta) fetchPlan(cols ...[]int) fetchPlan {
 	fp := fetchPlan{cell: make([]int, len(t.Cols))}
 	for _, set := range cols {
@@ -143,18 +142,13 @@ func (t *tableMeta) fetchPlan(cols ...[]int) fetchPlan {
 			fp.names = append(fp.names, t.Cols[ci].valueCell())
 		}
 	}
-	if len(fp.names) == 0 {
-		cheapest := 0
-		for ci := range t.Cols {
-			if t.Cols[ci].queryable() {
-				cheapest = ci
-				break
-			}
-		}
-		fp.names = []string{t.Cols[cheapest].valueCell()}
-	}
 	return fp
 }
+
+// idsOnly reports a read of no cell at all. An empty projection means
+// "every column" on the wire, so such a request must say so with its
+// IDsOnly flag; the answer is then zero-cell blocks, just ids.
+func (fp *fetchPlan) idsOnly() bool { return len(fp.names) == 0 }
 
 // scanPlan is the fetch plan of a table scan whose caller reads cols: their
 // value cells plus those of the columns the residual predicates test — or

@@ -14,17 +14,33 @@ import (
 	"sssdb/internal/transport"
 )
 
-// capConn records what crosses one provider connection: every request, and
-// how many 24-byte cells — the size of an order-preserving share — came
-// back in the responses to unverified scans and joins.
+// capConn records what crosses one provider connection: every request, how
+// many 24-byte cells — the size of an order-preserving share — came back in
+// the responses to unverified scans and joins, and how many rows and cells
+// came back to scans that asked for ids only.
 type capConn struct {
 	transport.Conn
 
-	mu       sync.Mutex
-	reqs     []proto.Message
-	scans    []*proto.ScanRequest
-	joins    []*proto.JoinRequest
-	oppCells int
+	mu                       sync.Mutex
+	reqs                     []proto.Message
+	scans                    []*proto.ScanRequest
+	joins                    []*proto.JoinRequest
+	oppCells                 int
+	idsOnlyRows, idsOnlyCell int
+}
+
+// inspectRows is inspect over a scan's response rows.
+func (c *capConn) inspectRows(req proto.Message, rows []proto.Row) {
+	m, _ := req.(*proto.ScanRequest)
+	for _, row := range rows {
+		c.inspect(row.Cells)
+		if m != nil && m.IDsOnly {
+			c.mu.Lock()
+			c.idsOnlyRows++
+			c.idsOnlyCell += len(row.Cells)
+			c.mu.Unlock()
+		}
+	}
 }
 
 func (c *capConn) note(req proto.Message) (inspect bool) {
@@ -58,9 +74,7 @@ func (c *capConn) Call(req proto.Message) (proto.Message, error) {
 	if inspect {
 		switch m := resp.(type) {
 		case *proto.RowsResponse:
-			for _, row := range m.Rows {
-				c.inspect(row.Cells)
-			}
+			c.inspectRows(req, m.Rows)
 		case *proto.JoinResult:
 			for _, row := range m.Rows {
 				c.inspect(row.Cells)
@@ -74,9 +88,7 @@ func (c *capConn) CallStream(req proto.Message, yield func(*proto.RowsResponse) 
 	inspect := c.note(req)
 	return transport.CallStream(c.Conn, req, func(chunk *proto.RowsResponse) error {
 		if inspect {
-			for _, row := range chunk.Rows {
-				c.inspect(row.Cells)
-			}
+			c.inspectRows(req, chunk.Rows)
 		}
 		return yield(chunk)
 	})
@@ -128,8 +140,9 @@ func takeRequests(caps []*capConn) []proto.Message {
 
 // TestProjectionOnTheWire drives every unverified read path through
 // capturing connections: no order-preserving share may reach the client,
-// every scan must name the columns it wants, and a narrower select list must
-// cost fewer bytes.
+// every scan must name the columns it wants — or say that it wants none, and
+// then get back ids and not one cell — and a narrower select list must cost
+// fewer bytes.
 func TestProjectionOnTheWire(t *testing.T) {
 	c, caps := newCapturedFleet(t)
 	exec := func(q string) *Result {
@@ -215,8 +228,8 @@ func TestProjectionOnTheWire(t *testing.T) {
 		}
 		for _, m := range cc.scans {
 			scans++
-			if len(m.Projection) == 0 {
-				t.Errorf("provider %d: scan of %q names no projection", p, m.Table)
+			if (len(m.Projection) == 0) != m.IDsOnly {
+				t.Errorf("provider %d: scan of %q projects %v with IDsOnly %v", p, m.Table, m.Projection, m.IDsOnly)
 			}
 			for _, name := range m.Projection {
 				if strings.HasSuffix(name, suffixOPP) {
@@ -226,15 +239,17 @@ func TestProjectionOnTheWire(t *testing.T) {
 		}
 		for _, m := range cc.joins {
 			joins++
-			if len(m.LeftProj) == 0 || len(m.RightProj) == 0 {
-				t.Errorf("provider %d: join projects %v / %v", p, m.LeftProj, m.RightProj)
+			if (len(m.LeftProj) == 0) != m.LeftIDsOnly || (len(m.RightProj) == 0) != m.RightIDsOnly {
+				t.Errorf("provider %d: join projects %v / %v with IDsOnly %v / %v",
+					p, m.LeftProj, m.RightProj, m.LeftIDsOnly, m.RightIDsOnly)
 			}
 		}
 	}
 	if scans == 0 || joins == 0 {
 		t.Fatalf("captured %d scans and %d joins; the statements above must produce both", scans, joins)
 	}
-	// A DELETE reads row ids alone: it asks for the one cheapest cell.
+	// A DELETE reads row ids alone: it asks for no cell and gets none, in or
+	// out of a transaction.
 	last := func(table string) *proto.ScanRequest {
 		for _, cc := range caps {
 			for i := len(cc.scans) - 1; i >= 0; i-- {
@@ -246,8 +261,15 @@ func TestProjectionOnTheWire(t *testing.T) {
 		return nil
 	}
 	exec(`DELETE FROM depts WHERE floor = 14`)
-	if m := last("depts"); m == nil || fmt.Sprint(m.Projection) != "[dept#f]" {
-		t.Errorf("DELETE's read round: %+v, want projection [dept#f]", m)
+	if m := last("depts"); m == nil || len(m.Projection) != 0 || !m.IDsOnly {
+		t.Errorf("DELETE's read round: %+v, want an ids-only scan", m)
+	}
+	var idRows, idCells int
+	for _, cc := range caps {
+		idRows, idCells = idRows+cc.idsOnlyRows, idCells+cc.idsOnlyCell
+	}
+	if idRows == 0 || idCells != 0 {
+		t.Errorf("ids-only scans were answered with %d rows carrying %d cells; want rows and no cell", idRows, idCells)
 	}
 
 	// The detector works: a verified read does carry the 24-byte shares.

@@ -232,6 +232,7 @@ func (rs *rowStream) start(p int, skip int, limit uint64) *provStream {
 		Table:         rs.meta.Name,
 		Filter:        rs.filters[p],
 		Projection:    rs.plan.names,
+		IDsOnly:       rs.plan.idsOnly(),
 		Limit:         limit,
 		TimeoutMillis: timeoutMillis(rs.o.deadline),
 	}

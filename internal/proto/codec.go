@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Encoding limits protect both sides from hostile or corrupt frames.
@@ -17,9 +16,12 @@ const (
 // ErrTruncated reports a frame shorter than its declared contents.
 var ErrTruncated = errors.New("proto: truncated message")
 
-// writer accumulates a message body.
+// writer accumulates a message body. buf starts out in small, so a message
+// that fits there costs no allocation beyond the writer itself; row lists
+// grow buf once, to their exact size (see block).
 type writer struct {
-	buf []byte
+	buf   []byte
+	small [64]byte
 }
 
 func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
@@ -40,14 +42,6 @@ func (w *writer) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-func (w *writer) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
 // reader consumes a message body, latching the first error.
 type reader struct {
 	buf []byte
@@ -61,44 +55,21 @@ func (r *reader) fail(err error) {
 	}
 }
 
-func (r *reader) u8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+1 > len(r.buf) {
+// take returns the next n bytes (n <= 8), or zeros once the reader has failed.
+func (r *reader) take(n int) []byte {
+	if r.err == nil && r.off+n > len(r.buf) {
 		r.fail(ErrTruncated)
-		return 0
 	}
-	v := r.buf[r.off]
-	r.off++
-	return v
+	if r.err != nil {
+		return make([]byte, 8)
+	}
+	r.off += n
+	return r.buf[r.off-n : r.off]
 }
 
-func (r *reader) u16() uint16 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+2 > len(r.buf) {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.buf) {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
+func (r *reader) u8() uint8   { return r.take(1)[0] }
+func (r *reader) u16() uint16 { return binary.BigEndian.Uint16(r.take(2)) }
+func (r *reader) u64() uint64 { return binary.BigEndian.Uint64(r.take(8)) }
 
 func (r *reader) uvarint() uint64 {
 	if r.err != nil {
@@ -123,8 +94,10 @@ func (r *reader) length(max uint64) int {
 		r.fail(fmt.Errorf("proto: length %d exceeds limit %d", n, max))
 		return 0
 	}
-	if n > math.MaxInt32 {
-		r.fail(fmt.Errorf("proto: absurd length %d", n))
+	// Whatever the length counts — bytes, or elements of at least a byte —
+	// the message cannot hold more of them than it has bytes left.
+	if n > uint64(len(r.buf)-r.off) {
+		r.fail(ErrTruncated)
 		return 0
 	}
 	return int(n)
@@ -143,32 +116,15 @@ func (r *reader) bytes() []byte {
 // payload length (0 on error); the payload is r.buf[r.off-n : r.off].
 func (r *reader) skipBytes() int {
 	n := r.length(maxCellLen)
-	if r.err != nil {
-		return 0
-	}
-	if r.off+n > len(r.buf) {
-		r.fail(ErrTruncated)
-		return 0
-	}
 	r.off += n
 	return n
 }
 
 func (r *reader) str() string {
 	n := r.length(maxStringLen)
-	if r.err != nil {
-		return ""
-	}
-	if r.off+n > len(r.buf) {
-		r.fail(ErrTruncated)
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+n])
 	r.off += n
-	return s
+	return string(r.buf[r.off-n : r.off])
 }
-
-func (r *reader) bool() bool { return r.u8() != 0 }
 
 func (r *reader) done() error {
 	if r.err != nil {
@@ -180,174 +136,136 @@ func (r *reader) done() error {
 	return nil
 }
 
-// Shared sub-structure codecs.
+// codec describes a message body once for both directions: every call
+// names a field, which is written from when the codec is encoding and read
+// into when it is decoding. Encoding never stores to a field — one message
+// is encoded for several providers at once. Encode and Decode each allocate
+// one codec.
+type codec struct {
+	reading bool
+	w       writer
+	r       reader
+}
 
-func writeSpec(w *writer, t *TableSpec) {
-	w.str(t.Name)
-	w.uvarint(uint64(len(t.Columns)))
-	for _, c := range t.Columns {
-		w.str(c.Name)
-		w.u8(uint8(c.Kind))
-		w.bool(c.Indexed)
+func (c *codec) u8(p *uint8) {
+	if c.reading {
+		*p = c.r.u8()
+	} else {
+		c.w.u8(*p)
 	}
 }
 
-func readSpec(r *reader) TableSpec {
-	var t TableSpec
-	t.Name = r.str()
-	n := r.length(4096)
-	if r.err != nil {
-		return t
-	}
-	t.Columns = make([]ColumnSpec, n)
-	for i := range t.Columns {
-		t.Columns[i].Name = r.str()
-		t.Columns[i].Kind = ColKind(r.u8())
-		t.Columns[i].Indexed = r.bool()
-	}
-	return t
-}
-
-func writeRow(w *writer, row Row) {
-	w.uvarint(row.ID)
-	w.uvarint(uint64(len(row.Cells)))
-	for _, c := range row.Cells {
-		w.bytes(c)
+func (c *codec) u16(p *uint16) {
+	if c.reading {
+		*p = c.r.u16()
+	} else {
+		c.w.u16(*p)
 	}
 }
 
-// maxRowCells bounds the cells of one decoded row.
-const maxRowCells = 4096
-
-func readRow(r *reader) Row {
-	var row Row
-	row.ID = r.uvarint()
-	n := r.length(maxRowCells)
-	if r.err != nil || n == 0 {
-		return row
-	}
-	row.Cells = make([][]byte, n)
-	for i := range row.Cells {
-		row.Cells[i] = r.bytes()
-	}
-	return row
-}
-
-func writeRows(w *writer, rows []Row) {
-	w.uvarint(uint64(len(rows)))
-	for _, row := range rows {
-		writeRow(w, row)
+func (c *codec) u64(p *uint64) {
+	if c.reading {
+		*p = c.r.u64()
+	} else {
+		c.w.u64(*p)
 	}
 }
 
-// readRows decodes a row list into three allocations, however many rows it
-// holds: the Row headers, one [][]byte backing every row's Cells, and one
-// arena the cell payloads are copied into (so nothing aliases the frame
-// buffer). A first pass validates the encoding and sizes them; the second
-// fills them. Each cell is capped to its own bytes, so appending to one can
-// never overwrite its neighbour.
-func readRows(r *reader) []Row {
-	n := r.length(maxListLen)
-	if r.err != nil || n == 0 {
-		return nil
+func (c *codec) uvarint(p *uint64) {
+	if c.reading {
+		*p = c.r.uvarint()
+	} else {
+		c.w.uvarint(*p)
 	}
-	start := r.off
-	cells, payload := 0, 0
-	for i := 0; i < n; i++ {
-		r.uvarint() // row id
-		nc := r.length(maxRowCells)
-		for j := 0; j < nc; j++ {
-			payload += r.skipBytes()
+}
+
+// flags packs up to two booleans into one byte.
+func (c *codec) flags(a, b *bool) {
+	var f uint8
+	if *a {
+		f |= 1
+	}
+	if *b {
+		f |= 2
+	}
+	if c.u8(&f); c.reading {
+		*a, *b = f&1 != 0, f&2 != 0
+	}
+}
+
+func (c *codec) bool(p *bool) {
+	var none bool
+	c.flags(p, &none)
+}
+
+func (c *codec) str(p *string) {
+	if c.reading {
+		*p = c.r.str()
+	} else {
+		c.w.str(*p)
+	}
+}
+
+// bytes codes one length-prefixed byte string; an empty one reads as nil.
+func (c *codec) bytes(p *[]byte) {
+	if c.reading {
+		*p = c.r.bytes()
+	} else {
+		c.w.bytes(*p)
+	}
+}
+
+// rows codes a row list as share-row blocks (rowblock.go).
+func (c *codec) rows(p *[]Row) {
+	if c.reading {
+		*p = c.r.rows()
+	} else {
+		c.w.rows(*p)
+	}
+}
+
+// list codes a list of at most max elements as its length and then each
+// element through elem; an empty list reads as nil.
+func list[T any](c *codec, p *[]T, max uint64, elem func(*T)) {
+	if !c.reading {
+		c.w.uvarint(uint64(len(*p)))
+	} else if n := c.r.length(max); n > 0 {
+		*p = make([]T, n)
+	} else {
+		*p = nil
+	}
+	for i := range *p {
+		elem(&(*p)[i])
+	}
+}
+
+func (c *codec) strings(p *[]string)    { list(c, p, 4096, c.str) }
+func (c *codec) u64s(p *[]uint64)       { list(c, p, maxListLen, c.u64) }
+func (c *codec) byteSlices(p *[][]byte) { list(c, p, 1<<20, c.bytes) }
+
+func (c *codec) spec(t *TableSpec) {
+	c.str(&t.Name)
+	list(c, &t.Columns, 4096, func(col *ColumnSpec) {
+		c.str(&col.Name)
+		c.u8((*uint8)(&col.Kind))
+		c.bool(&col.Indexed)
+	})
+}
+
+// filter codes an optional filter: a presence byte, then its fields.
+func (c *codec) filter(p **Filter) {
+	present := *p != nil
+	if c.bool(&present); c.reading {
+		if *p = nil; present && c.r.err == nil {
+			*p = &Filter{}
 		}
-		if r.err != nil {
-			return nil
-		}
-		cells += nc
 	}
-	rows := make([]Row, n)
-	index := make([][]byte, cells)
-	arena := make([]byte, payload)
-	r.off = start
-	for i := range rows {
-		rows[i].ID = r.uvarint()
-		nc := r.length(maxRowCells)
-		if nc == 0 {
-			continue
-		}
-		rows[i].Cells = index[:nc:nc]
-		index = index[nc:]
-		for j := range rows[i].Cells {
-			if cn := r.skipBytes(); cn > 0 {
-				copy(arena, r.buf[r.off-cn:r.off])
-				rows[i].Cells[j] = arena[:cn:cn]
-				arena = arena[cn:]
-			}
-		}
-	}
-	return rows
-}
-
-func writeFilter(w *writer, f *Filter) {
+	f := *p
 	if f == nil {
-		w.bool(false)
 		return
 	}
-	w.bool(true)
-	w.str(f.Col)
-	w.u8(uint8(f.Op))
-	w.bytes(f.Lo)
-	w.bytes(f.Hi)
-}
-
-func readFilter(r *reader) *Filter {
-	if !r.bool() || r.err != nil {
-		return nil
-	}
-	f := &Filter{}
-	f.Col = r.str()
-	f.Op = FilterOp(r.u8())
-	f.Lo = r.bytes()
-	f.Hi = r.bytes()
-	return f
-}
-
-func writeStrings(w *writer, ss []string) {
-	w.uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		w.str(s)
-	}
-}
-
-func readStrings(r *reader) []string {
-	n := r.length(4096)
-	if r.err != nil {
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	ss := make([]string, n)
-	for i := range ss {
-		ss[i] = r.str()
-	}
-	return ss
-}
-
-func writeU64s(w *writer, vs []uint64) {
-	w.uvarint(uint64(len(vs)))
-	for _, v := range vs {
-		w.u64(v)
-	}
-}
-
-func readU64s(r *reader) []uint64 {
-	n := r.length(maxListLen)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = r.u64()
-	}
-	return vs
+	c.str(&f.Col)
+	c.u8((*uint8)(&f.Op))
+	c.bytes(&f.Lo)
+	c.bytes(&f.Hi)
 }

@@ -1,16 +1,26 @@
 package proto
 
 import (
+	"errors"
 	"fmt"
 )
 
 // Kind tags every message on the wire.
 type Kind uint8
 
+// kindBase is the first kind of this format. The per-row format it replaced
+// numbered its kinds from 1, so no frame, WAL record, hint or tx-log record
+// written in it decodes as anything here: Decode answers ErrOldFormat.
+const kindBase = 32
+
+// ErrOldFormat rejects a message of the per-row format (format 1) that
+// preceded share-row blocks (format 2, see rowblock.go).
+var ErrOldFormat = errors.New("proto: record or peer uses per-row format 1; this build reads row-block format 2 only")
+
 // Message kinds. Requests and responses share one space so a frame is
 // self-describing.
 const (
-	KPing Kind = iota + 1
+	KPing Kind = iota + kindBase
 	KCreateTable
 	KDropTable
 	KListTables
@@ -41,8 +51,9 @@ const (
 // Message is anything that can travel in a frame.
 type Message interface {
 	Kind() Kind
-	marshal(w *writer)
-	unmarshal(r *reader)
+	// fields names the body's fields, in wire order, to a codec that is
+	// either encoding or decoding them.
+	fields(c *codec)
 }
 
 // --- Requests ---
@@ -50,38 +61,30 @@ type Message interface {
 // PingRequest checks liveness.
 type PingRequest struct{}
 
-func (*PingRequest) Kind() Kind          { return KPing }
-func (*PingRequest) marshal(w *writer)   {}
-func (*PingRequest) unmarshal(r *reader) {}
+func (*PingRequest) Kind() Kind    { return KPing }
+func (*PingRequest) fields(*codec) {}
 
 // CreateTableRequest creates a share-space table.
 type CreateTableRequest struct {
 	Spec TableSpec
 }
 
-func (*CreateTableRequest) Kind() Kind { return KCreateTable }
-func (m *CreateTableRequest) marshal(w *writer) {
-	writeSpec(w, &m.Spec)
-}
-func (m *CreateTableRequest) unmarshal(r *reader) {
-	m.Spec = readSpec(r)
-}
+func (*CreateTableRequest) Kind() Kind        { return KCreateTable }
+func (m *CreateTableRequest) fields(c *codec) { c.spec(&m.Spec) }
 
 // DropTableRequest removes a table and its indexes.
 type DropTableRequest struct {
 	Table string
 }
 
-func (*DropTableRequest) Kind() Kind            { return KDropTable }
-func (m *DropTableRequest) marshal(w *writer)   { w.str(m.Table) }
-func (m *DropTableRequest) unmarshal(r *reader) { m.Table = r.str() }
+func (*DropTableRequest) Kind() Kind        { return KDropTable }
+func (m *DropTableRequest) fields(c *codec) { c.str(&m.Table) }
 
 // ListTablesRequest asks for all table specs.
 type ListTablesRequest struct{}
 
-func (*ListTablesRequest) Kind() Kind          { return KListTables }
-func (*ListTablesRequest) marshal(w *writer)   {}
-func (*ListTablesRequest) unmarshal(r *reader) {}
+func (*ListTablesRequest) Kind() Kind    { return KListTables }
+func (*ListTablesRequest) fields(*codec) {}
 
 // InsertRequest appends rows. Row IDs are client-assigned and must be new.
 type InsertRequest struct {
@@ -90,13 +93,9 @@ type InsertRequest struct {
 }
 
 func (*InsertRequest) Kind() Kind { return KInsert }
-func (m *InsertRequest) marshal(w *writer) {
-	w.str(m.Table)
-	writeRows(w, m.Rows)
-}
-func (m *InsertRequest) unmarshal(r *reader) {
-	m.Table = r.str()
-	m.Rows = readRows(r)
+func (m *InsertRequest) fields(c *codec) {
+	c.str(&m.Table)
+	c.rows(&m.Rows)
 }
 
 // DeleteRequest removes rows by id.
@@ -106,13 +105,9 @@ type DeleteRequest struct {
 }
 
 func (*DeleteRequest) Kind() Kind { return KDelete }
-func (m *DeleteRequest) marshal(w *writer) {
-	w.str(m.Table)
-	writeU64s(w, m.RowIDs)
-}
-func (m *DeleteRequest) unmarshal(r *reader) {
-	m.Table = r.str()
-	m.RowIDs = readU64s(r)
+func (m *DeleteRequest) fields(c *codec) {
+	c.str(&m.Table)
+	c.u64s(&m.RowIDs)
 }
 
 // UpdateRequest replaces whole rows by id (the paper's eager update:
@@ -123,17 +118,14 @@ type UpdateRequest struct {
 }
 
 func (*UpdateRequest) Kind() Kind { return KUpdate }
-func (m *UpdateRequest) marshal(w *writer) {
-	w.str(m.Table)
-	writeRows(w, m.Rows)
-}
-func (m *UpdateRequest) unmarshal(r *reader) {
-	m.Table = r.str()
-	m.Rows = readRows(r)
+func (m *UpdateRequest) fields(c *codec) {
+	c.str(&m.Table)
+	c.rows(&m.Rows)
 }
 
 // ScanRequest returns rows matching Filter (all rows when nil), projected
-// to the named columns (all when empty), capped at Limit when non-zero.
+// to the named columns (all when empty; none — a zero-cell block, just ids —
+// when IDsOnly), capped at Limit when non-zero.
 // WithProof asks for a Merkle completeness proof over the filtered column.
 // TimeoutMillis, when non-zero, is the client's remaining read deadline at
 // send time: a provider streaming the response checks it between batches
@@ -145,25 +137,18 @@ type ScanRequest struct {
 	Projection    []string
 	Limit         uint64
 	WithProof     bool
+	IDsOnly       bool
 	TimeoutMillis uint64
 }
 
 func (*ScanRequest) Kind() Kind { return KScan }
-func (m *ScanRequest) marshal(w *writer) {
-	w.str(m.Table)
-	writeFilter(w, m.Filter)
-	writeStrings(w, m.Projection)
-	w.uvarint(m.Limit)
-	w.bool(m.WithProof)
-	w.uvarint(m.TimeoutMillis)
-}
-func (m *ScanRequest) unmarshal(r *reader) {
-	m.Table = r.str()
-	m.Filter = readFilter(r)
-	m.Projection = readStrings(r)
-	m.Limit = r.uvarint()
-	m.WithProof = r.bool()
-	m.TimeoutMillis = r.uvarint()
+func (m *ScanRequest) fields(c *codec) {
+	c.str(&m.Table)
+	c.filter(&m.Filter)
+	c.strings(&m.Projection)
+	c.uvarint(&m.Limit)
+	c.flags(&m.WithProof, &m.IDsOnly)
+	c.uvarint(&m.TimeoutMillis)
 }
 
 // AggregateRequest computes a provider-side partial aggregate.
@@ -182,26 +167,19 @@ type AggregateRequest struct {
 }
 
 func (*AggregateRequest) Kind() Kind { return KAggregate }
-func (m *AggregateRequest) marshal(w *writer) {
-	w.str(m.Table)
-	w.u8(uint8(m.Op))
-	w.str(m.OrderCol)
-	w.str(m.ValueCol)
-	w.str(m.GroupCol)
-	writeFilter(w, m.Filter)
-}
-func (m *AggregateRequest) unmarshal(r *reader) {
-	m.Table = r.str()
-	m.Op = AggOp(r.u8())
-	m.OrderCol = r.str()
-	m.ValueCol = r.str()
-	m.GroupCol = r.str()
-	m.Filter = readFilter(r)
+func (m *AggregateRequest) fields(c *codec) {
+	c.str(&m.Table)
+	c.u8((*uint8)(&m.Op))
+	c.str(&m.OrderCol)
+	c.str(&m.ValueCol)
+	c.str(&m.GroupCol)
+	c.filter(&m.Filter)
 }
 
 // JoinRequest equijoins two tables on share-equality of the named columns
 // (same-domain referential joins, paper Sec. V-A). The provider returns the
-// projected cells of both sides for each matching pair.
+// projected cells of both sides for each matching pair; a side whose
+// IDsOnly flag is set contributes its row id and no cells.
 type JoinRequest struct {
 	LeftTable  string
 	LeftCol    string
@@ -210,27 +188,20 @@ type JoinRequest struct {
 	LeftProj   []string
 	RightProj  []string
 	// Filter optionally restricts the left side before joining.
-	Filter *Filter
+	Filter                    *Filter
+	LeftIDsOnly, RightIDsOnly bool
 }
 
 func (*JoinRequest) Kind() Kind { return KJoin }
-func (m *JoinRequest) marshal(w *writer) {
-	w.str(m.LeftTable)
-	w.str(m.LeftCol)
-	w.str(m.RightTable)
-	w.str(m.RightCol)
-	writeStrings(w, m.LeftProj)
-	writeStrings(w, m.RightProj)
-	writeFilter(w, m.Filter)
-}
-func (m *JoinRequest) unmarshal(r *reader) {
-	m.LeftTable = r.str()
-	m.LeftCol = r.str()
-	m.RightTable = r.str()
-	m.RightCol = r.str()
-	m.LeftProj = readStrings(r)
-	m.RightProj = readStrings(r)
-	m.Filter = readFilter(r)
+func (m *JoinRequest) fields(c *codec) {
+	c.str(&m.LeftTable)
+	c.str(&m.LeftCol)
+	c.str(&m.RightTable)
+	c.str(&m.RightCol)
+	c.strings(&m.LeftProj)
+	c.strings(&m.RightProj)
+	c.filter(&m.Filter)
+	c.flags(&m.LeftIDsOnly, &m.RightIDsOnly)
 }
 
 // DigestRequest asks for the Merkle root of a table's indexed column.
@@ -240,13 +211,9 @@ type DigestRequest struct {
 }
 
 func (*DigestRequest) Kind() Kind { return KDigest }
-func (m *DigestRequest) marshal(w *writer) {
-	w.str(m.Table)
-	w.str(m.Col)
-}
-func (m *DigestRequest) unmarshal(r *reader) {
-	m.Table = r.str()
-	m.Col = r.str()
+func (m *DigestRequest) fields(c *codec) {
+	c.str(&m.Table)
+	c.str(&m.Col)
 }
 
 // TableStateRequest asks for a provider-neutral resync digest of a whole
@@ -260,9 +227,8 @@ type TableStateRequest struct {
 	Table string
 }
 
-func (*TableStateRequest) Kind() Kind            { return KTableState }
-func (m *TableStateRequest) marshal(w *writer)   { w.str(m.Table) }
-func (m *TableStateRequest) unmarshal(r *reader) { m.Table = r.str() }
+func (*TableStateRequest) Kind() Kind        { return KTableState }
+func (m *TableStateRequest) fields(c *codec) { c.str(&m.Table) }
 
 // --- Responses ---
 
@@ -272,9 +238,8 @@ type OKResponse struct {
 	Affected uint64
 }
 
-func (*OKResponse) Kind() Kind            { return KOK }
-func (m *OKResponse) marshal(w *writer)   { w.uvarint(m.Affected) }
-func (m *OKResponse) unmarshal(r *reader) { m.Affected = r.uvarint() }
+func (*OKResponse) Kind() Kind        { return KOK }
+func (m *OKResponse) fields(c *codec) { c.uvarint(&m.Affected) }
 
 // StatsResponse answers a ping with the provider's storage and serving
 // state: how much of the page cache is in use, how effective it is, how far
@@ -322,61 +287,17 @@ type StatsResponse struct {
 }
 
 func (*StatsResponse) Kind() Kind { return KStats }
-func (m *StatsResponse) marshal(w *writer) {
-	w.uvarint(m.Tables)
-	w.uvarint(m.Rows)
-	w.uvarint(m.Pages)
-	w.uvarint(m.ResidentPages)
-	w.uvarint(m.ResidentBytes)
-	w.uvarint(m.CacheBudget)
-	w.uvarint(m.CacheHits)
-	w.uvarint(m.CacheMisses)
-	w.uvarint(m.Evictions)
-	w.uvarint(m.Writebacks)
-	w.uvarint(m.WALRecords)
-	w.uvarint(m.CheckpointLSN)
-	w.uvarint(m.CheckpointLag)
-	w.uvarint(m.Checkpoints)
-	w.uvarint(m.WALFsyncs)
-	w.uvarint(m.WALFsyncNanos)
-	w.uvarint(m.WALFsyncMaxNano)
-	w.uvarint(m.QueueDepth)
-	w.uvarint(m.QueueTenants)
-	w.uvarint(m.Admitted)
-	w.uvarint(m.Shed)
-	w.uvarint(m.AdmitWaitP50)
-	w.uvarint(m.AdmitWaitP99)
-	w.uvarint(m.HandleP50)
-	w.uvarint(m.HandleP99)
-	w.uvarint(m.HandleP999)
-}
-func (m *StatsResponse) unmarshal(r *reader) {
-	m.Tables = r.uvarint()
-	m.Rows = r.uvarint()
-	m.Pages = r.uvarint()
-	m.ResidentPages = r.uvarint()
-	m.ResidentBytes = r.uvarint()
-	m.CacheBudget = r.uvarint()
-	m.CacheHits = r.uvarint()
-	m.CacheMisses = r.uvarint()
-	m.Evictions = r.uvarint()
-	m.Writebacks = r.uvarint()
-	m.WALRecords = r.uvarint()
-	m.CheckpointLSN = r.uvarint()
-	m.CheckpointLag = r.uvarint()
-	m.Checkpoints = r.uvarint()
-	m.WALFsyncs = r.uvarint()
-	m.WALFsyncNanos = r.uvarint()
-	m.WALFsyncMaxNano = r.uvarint()
-	m.QueueDepth = r.uvarint()
-	m.QueueTenants = r.uvarint()
-	m.Admitted = r.uvarint()
-	m.Shed = r.uvarint()
-	m.AdmitWaitP50 = r.uvarint()
-	m.AdmitWaitP99 = r.uvarint()
-	m.HandleP50 = r.uvarint()
-	m.HandleP99 = r.uvarint()
-	m.HandleP999 = r.uvarint()
+func (m *StatsResponse) fields(c *codec) {
+	for _, p := range []*uint64{
+		&m.Tables, &m.Rows, &m.Pages, &m.ResidentPages, &m.ResidentBytes, &m.CacheBudget,
+		&m.CacheHits, &m.CacheMisses, &m.Evictions, &m.Writebacks,
+		&m.WALRecords, &m.CheckpointLSN, &m.CheckpointLag, &m.Checkpoints,
+		&m.WALFsyncs, &m.WALFsyncNanos, &m.WALFsyncMaxNano,
+		&m.QueueDepth, &m.QueueTenants, &m.Admitted, &m.Shed,
+		&m.AdmitWaitP50, &m.AdmitWaitP99, &m.HandleP50, &m.HandleP99, &m.HandleP999,
+	} {
+		c.uvarint(p)
+	}
 }
 
 // ErrorResponse reports a provider-side failure.
@@ -386,13 +307,9 @@ type ErrorResponse struct {
 }
 
 func (*ErrorResponse) Kind() Kind { return KError }
-func (m *ErrorResponse) marshal(w *writer) {
-	w.u16(uint16(m.Code))
-	w.str(m.Msg)
-}
-func (m *ErrorResponse) unmarshal(r *reader) {
-	m.Code = ErrorCode(r.u16())
-	m.Msg = r.str()
+func (m *ErrorResponse) fields(c *codec) {
+	c.u16((*uint16)(&m.Code))
+	c.str(&m.Msg)
 }
 
 // Err converts the response into an error value.
@@ -410,18 +327,10 @@ type RowsResponse struct {
 }
 
 func (*RowsResponse) Kind() Kind { return KRows }
-func (m *RowsResponse) marshal(w *writer) {
-	writeStrings(w, m.Columns)
-	writeRows(w, m.Rows)
-	w.bytes(m.Proof)
-}
-func (m *RowsResponse) unmarshal(r *reader) {
-	m.Columns = readStrings(r)
-	m.Rows = readRows(r)
-	m.Proof = r.bytes()
-	if len(m.Proof) == 0 {
-		m.Proof = nil
-	}
+func (m *RowsResponse) fields(c *codec) {
+	c.strings(&m.Columns)
+	c.rows(&m.Rows)
+	c.bytes(&m.Proof)
 }
 
 // AggResult carries a partial aggregate. Count is always set; Sum holds the
@@ -435,20 +344,17 @@ type AggResult struct {
 }
 
 func (*AggResult) Kind() Kind { return KAggResult }
-func (m *AggResult) marshal(w *writer) {
-	w.uvarint(m.Count)
-	w.u64(m.Sum)
-	w.bool(m.HasRow)
-	if m.HasRow {
-		writeRow(w, m.Row)
+func (m *AggResult) fields(c *codec) {
+	c.uvarint(&m.Count)
+	c.u64(&m.Sum)
+	if c.bool(&m.HasRow); !m.HasRow {
+		return
 	}
-}
-func (m *AggResult) unmarshal(r *reader) {
-	m.Count = r.uvarint()
-	m.Sum = r.u64()
-	m.HasRow = r.bool()
-	if m.HasRow {
-		m.Row = readRow(r)
+	rows := []Row{m.Row}
+	if c.rows(&rows); len(rows) != 1 {
+		c.r.fail(fmt.Errorf("proto: aggregate result carries %d rows, want 1", len(rows)))
+	} else if c.reading {
+		m.Row = rows[0]
 	}
 }
 
@@ -468,76 +374,29 @@ type GroupResult struct {
 }
 
 func (*GroupResult) Kind() Kind { return KGroupResult }
-func (m *GroupResult) marshal(w *writer) {
-	w.uvarint(uint64(len(m.Groups)))
-	for _, g := range m.Groups {
-		w.bytes(g.Key)
-		w.uvarint(g.Count)
-		w.u64(g.Sum)
-	}
-}
-func (m *GroupResult) unmarshal(r *reader) {
-	n := r.length(maxListLen)
-	if r.err != nil || n == 0 {
-		return
-	}
-	m.Groups = make([]GroupPartial, n)
-	for i := range m.Groups {
-		m.Groups[i].Key = r.bytes()
-		m.Groups[i].Count = r.uvarint()
-		m.Groups[i].Sum = r.u64()
-	}
+func (m *GroupResult) fields(c *codec) {
+	list(c, &m.Groups, maxListLen, func(g *GroupPartial) {
+		c.bytes(&g.Key)
+		c.uvarint(&g.Count)
+		c.u64(&g.Sum)
+	})
 }
 
-// JoinedRow is one matched pair from a provider-side equijoin.
-type JoinedRow struct {
-	LeftID  uint64
-	RightID uint64
-	// Cells holds the left projection cells followed by the right ones.
-	Cells [][]byte
-}
-
-// JoinResult carries equijoin output. Columns lists left projection names
-// followed by right projection names.
+// JoinResult carries equijoin output, one matched pair per row: Rows[i]
+// holds the left row's id and the pair's cells — the left projection then
+// the right one, as Columns names them — and RightIDs[i] the right row's id.
 type JoinResult struct {
-	Columns []string
-	Rows    []JoinedRow
+	Columns  []string
+	Rows     []Row
+	RightIDs []uint64
 }
 
 func (*JoinResult) Kind() Kind { return KJoinResult }
-func (m *JoinResult) marshal(w *writer) {
-	writeStrings(w, m.Columns)
-	w.uvarint(uint64(len(m.Rows)))
-	for _, jr := range m.Rows {
-		w.u64(jr.LeftID)
-		w.u64(jr.RightID)
-		w.uvarint(uint64(len(jr.Cells)))
-		for _, c := range jr.Cells {
-			w.bytes(c)
-		}
-	}
-}
-func (m *JoinResult) unmarshal(r *reader) {
-	m.Columns = readStrings(r)
-	n := r.length(maxListLen)
-	if r.err != nil {
-		return
-	}
-	m.Rows = make([]JoinedRow, n)
-	for i := range m.Rows {
-		m.Rows[i].LeftID = r.u64()
-		m.Rows[i].RightID = r.u64()
-		cn := r.length(4096)
-		if r.err != nil {
-			return
-		}
-		if cn == 0 {
-			continue
-		}
-		m.Rows[i].Cells = make([][]byte, cn)
-		for j := range m.Rows[i].Cells {
-			m.Rows[i].Cells[j] = r.bytes()
-		}
+func (m *JoinResult) fields(c *codec) {
+	c.strings(&m.Columns)
+	c.rows(&m.Rows)
+	if c.u64s(&m.RightIDs); len(m.RightIDs) != len(m.Rows) {
+		c.r.fail(fmt.Errorf("proto: join result of %d rows with %d right ids", len(m.Rows), len(m.RightIDs)))
 	}
 }
 
@@ -548,13 +407,9 @@ type DigestResult struct {
 }
 
 func (*DigestResult) Kind() Kind { return KDigestResult }
-func (m *DigestResult) marshal(w *writer) {
-	w.bytes(m.Root)
-	w.uvarint(m.Count)
-}
-func (m *DigestResult) unmarshal(r *reader) {
-	m.Root = r.bytes()
-	m.Count = r.uvarint()
+func (m *DigestResult) fields(c *codec) {
+	c.bytes(&m.Root)
+	c.uvarint(&m.Count)
 }
 
 // TablesResponse lists all table specs at a provider.
@@ -562,90 +417,47 @@ type TablesResponse struct {
 	Specs []TableSpec
 }
 
-func (*TablesResponse) Kind() Kind { return KTables }
-func (m *TablesResponse) marshal(w *writer) {
-	w.uvarint(uint64(len(m.Specs)))
-	for i := range m.Specs {
-		writeSpec(w, &m.Specs[i])
-	}
+func (*TablesResponse) Kind() Kind        { return KTables }
+func (m *TablesResponse) fields(c *codec) { list(c, &m.Specs, 65536, c.spec) }
+
+// mk allocates an empty T as a Message.
+func mk[T any, P interface {
+	*T
+	Message
+}]() Message {
+	return P(new(T))
 }
-func (m *TablesResponse) unmarshal(r *reader) {
-	n := r.length(65536)
-	if r.err != nil || n == 0 {
-		return
-	}
-	m.Specs = make([]TableSpec, n)
-	for i := range m.Specs {
-		m.Specs[i] = readSpec(r)
-	}
+
+// emptyMessage allocates the empty message of each kind.
+var emptyMessage = [...]func() Message{
+	KPing: mk[PingRequest], KCreateTable: mk[CreateTableRequest], KDropTable: mk[DropTableRequest],
+	KListTables: mk[ListTablesRequest], KInsert: mk[InsertRequest], KDelete: mk[DeleteRequest],
+	KUpdate: mk[UpdateRequest], KScan: mk[ScanRequest], KAggregate: mk[AggregateRequest],
+	KJoin: mk[JoinRequest], KDigest: mk[DigestRequest], KOK: mk[OKResponse], KError: mk[ErrorResponse],
+	KRows: mk[RowsResponse], KAggResult: mk[AggResult], KJoinResult: mk[JoinResult],
+	KDigestResult: mk[DigestResult], KTables: mk[TablesResponse], KGroupResult: mk[GroupResult],
+	KTableState: mk[TableStateRequest], KStats: mk[StatsResponse], KTxPrepare: mk[TxPrepareRequest],
+	KTxCommit: mk[TxCommitRequest], KTxAbort: mk[TxAbortRequest], KTxOps: mk[TxOpsRecord], KTxMark: mk[TxMarkRecord],
 }
 
 // newMessage allocates the empty message for a kind.
 func newMessage(k Kind) (Message, error) {
-	switch k {
-	case KPing:
-		return &PingRequest{}, nil
-	case KCreateTable:
-		return &CreateTableRequest{}, nil
-	case KDropTable:
-		return &DropTableRequest{}, nil
-	case KListTables:
-		return &ListTablesRequest{}, nil
-	case KInsert:
-		return &InsertRequest{}, nil
-	case KDelete:
-		return &DeleteRequest{}, nil
-	case KUpdate:
-		return &UpdateRequest{}, nil
-	case KScan:
-		return &ScanRequest{}, nil
-	case KAggregate:
-		return &AggregateRequest{}, nil
-	case KJoin:
-		return &JoinRequest{}, nil
-	case KDigest:
-		return &DigestRequest{}, nil
-	case KOK:
-		return &OKResponse{}, nil
-	case KError:
-		return &ErrorResponse{}, nil
-	case KRows:
-		return &RowsResponse{}, nil
-	case KAggResult:
-		return &AggResult{}, nil
-	case KJoinResult:
-		return &JoinResult{}, nil
-	case KDigestResult:
-		return &DigestResult{}, nil
-	case KTables:
-		return &TablesResponse{}, nil
-	case KGroupResult:
-		return &GroupResult{}, nil
-	case KTableState:
-		return &TableStateRequest{}, nil
-	case KStats:
-		return &StatsResponse{}, nil
-	case KTxPrepare:
-		return &TxPrepareRequest{}, nil
-	case KTxCommit:
-		return &TxCommitRequest{}, nil
-	case KTxAbort:
-		return &TxAbortRequest{}, nil
-	case KTxOps:
-		return &TxOpsRecord{}, nil
-	case KTxMark:
-		return &TxMarkRecord{}, nil
-	default:
+	switch {
+	case k < kindBase:
+		return nil, fmt.Errorf("%w (message kind %d)", ErrOldFormat, k)
+	case int(k) >= len(emptyMessage) || emptyMessage[k] == nil:
 		return nil, fmt.Errorf("proto: unknown message kind %d", k)
 	}
+	return emptyMessage[k](), nil
 }
 
 // Encode serializes a message body (kind byte + payload), without framing.
 func Encode(m Message) []byte {
-	w := &writer{buf: make([]byte, 0, 64)}
-	w.u8(uint8(m.Kind()))
-	m.marshal(w)
-	return w.buf
+	c := &codec{}
+	c.w.buf = c.w.small[:0]
+	c.w.u8(uint8(m.Kind()))
+	m.fields(c)
+	return c.w.buf
 }
 
 // Decode parses a message body produced by Encode, verifying that the
@@ -658,9 +470,9 @@ func Decode(buf []byte) (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &reader{buf: buf, off: 1}
-	m.unmarshal(r)
-	if err := r.done(); err != nil {
+	c := &codec{reading: true, r: reader{buf: buf, off: 1}}
+	m.fields(c)
+	if err := c.r.done(); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -5,6 +5,7 @@ import (
 	mrand "math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -55,10 +56,11 @@ func allMessages() []Message {
 		&AggResult{Count: 0},
 		&JoinResult{
 			Columns: []string{"salary#f", "mid#f"},
-			Rows: []JoinedRow{
-				{LeftID: 1, RightID: 2, Cells: [][]byte{{1}, {2}}},
-				{LeftID: 3, RightID: 4},
+			Rows: []Row{
+				{ID: 1, Cells: [][]byte{{1}, {2}}},
+				{ID: 3},
 			},
+			RightIDs: []uint64{2, 4},
 		},
 		&DigestResult{Root: []byte{1, 2, 3, 4}, Count: 1000},
 		&TablesResponse{Specs: []TableSpec{spec}},
@@ -84,6 +86,24 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Errorf("%T round trip mismatch:\n  sent %#v\n  got  %#v", m, m, got)
 		}
 	}
+}
+
+// The client hands one message to every provider's connection at once, so
+// encoding must not store to it: the codec names each field to one routine
+// for both directions, and only decoding may assign. Run under -race.
+func TestEncodeIsReadOnly(t *testing.T) {
+	msgs := allMessages()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, m := range msgs {
+				Encode(m)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestDecodeRejectsEmptyAndUnknown(t *testing.T) {

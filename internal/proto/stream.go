@@ -1,28 +1,5 @@
 package proto
 
-// Wire-size helpers used by the transport layer to split large row
-// responses into bounded stream chunks without encoding twice.
-
-// uvarintSize returns the encoded length of v as a uvarint.
-func uvarintSize(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// RowWireSize returns the exact number of bytes one Row occupies inside an
-// encoded message (id + cell count + length-prefixed cells).
-func RowWireSize(r Row) int {
-	n := uvarintSize(r.ID) + uvarintSize(uint64(len(r.Cells)))
-	for _, c := range r.Cells {
-		n += uvarintSize(uint64(len(c))) + len(c)
-	}
-	return n
-}
-
 // MergeRowsChunk folds one streamed RowsResponse chunk into an accumulated
 // response: rows append in arrival order, Columns come from the first
 // chunk that carries any, and the completeness Proof rides whichever chunk

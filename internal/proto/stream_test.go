@@ -1,34 +1,9 @@
 package proto
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
-
-// TestRowWireSizeExact checks RowWireSize against the real codec: an
-// encoded RowsResponse must grow by exactly RowWireSize per appended row.
-func TestRowWireSizeExact(t *testing.T) {
-	rows := []Row{
-		{ID: 0, Cells: nil},
-		{ID: 1, Cells: [][]byte{[]byte("x")}},
-		{ID: 127, Cells: [][]byte{[]byte("abc"), nil}},
-		{ID: 128, Cells: [][]byte{bytes.Repeat([]byte{0xaa}, 300)}},
-		{ID: 1 << 40, Cells: [][]byte{[]byte("a"), []byte("bb"), []byte("ccc")}},
-	}
-	base := len(Encode(&RowsResponse{}))
-	acc := &RowsResponse{}
-	total := 0
-	for i, r := range rows {
-		acc.Rows = append(acc.Rows, r)
-		total += RowWireSize(r)
-		// The row-count uvarint stays one byte for these small counts, so
-		// the delta over the empty response is exactly the row payloads.
-		if got := len(Encode(acc)) - base; got != total {
-			t.Fatalf("after %d rows: encoded delta %d, RowWireSize sum %d", i+1, got, total)
-		}
-	}
-}
 
 // TestMergeRowsChunk verifies stream reassembly semantics: rows append in
 // order, columns come from the first chunk, the proof from the last.

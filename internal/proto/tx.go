@@ -20,13 +20,9 @@ type TxPrepareRequest struct {
 }
 
 func (*TxPrepareRequest) Kind() Kind { return KTxPrepare }
-func (m *TxPrepareRequest) marshal(w *writer) {
-	w.u64(m.TxID)
-	writeByteSlices(w, m.Ops)
-}
-func (m *TxPrepareRequest) unmarshal(r *reader) {
-	m.TxID = r.u64()
-	m.Ops = readByteSlices(r)
+func (m *TxPrepareRequest) fields(c *codec) {
+	c.u64(&m.TxID)
+	c.byteSlices(&m.Ops)
 }
 
 // TxCommitRequest applies a staged transaction. Unknown ids answer
@@ -36,9 +32,8 @@ type TxCommitRequest struct {
 	TxID uint64
 }
 
-func (*TxCommitRequest) Kind() Kind            { return KTxCommit }
-func (m *TxCommitRequest) marshal(w *writer)   { w.u64(m.TxID) }
-func (m *TxCommitRequest) unmarshal(r *reader) { m.TxID = r.u64() }
+func (*TxCommitRequest) Kind() Kind        { return KTxCommit }
+func (m *TxCommitRequest) fields(c *codec) { c.u64(&m.TxID) }
 
 // TxAbortRequest discards a staged transaction; unknown ids succeed
 // (presumed abort makes aborts safe to over-send).
@@ -46,9 +41,8 @@ type TxAbortRequest struct {
 	TxID uint64
 }
 
-func (*TxAbortRequest) Kind() Kind            { return KTxAbort }
-func (m *TxAbortRequest) marshal(w *writer)   { w.u64(m.TxID) }
-func (m *TxAbortRequest) unmarshal(r *reader) { m.TxID = r.u64() }
+func (*TxAbortRequest) Kind() Kind        { return KTxAbort }
+func (m *TxAbortRequest) fields(c *codec) { c.u64(&m.TxID) }
 
 // --- Client transaction-log records ---
 //
@@ -75,15 +69,13 @@ type TxOpsRecord struct {
 }
 
 func (*TxOpsRecord) Kind() Kind { return KTxOps }
-func (m *TxOpsRecord) marshal(w *writer) {
-	w.u64(m.TxID)
-	w.uvarint(uint64(m.Provider))
-	writeByteSlices(w, m.Ops)
-}
-func (m *TxOpsRecord) unmarshal(r *reader) {
-	m.TxID = r.u64()
-	m.Provider = uint32(r.uvarint())
-	m.Ops = readByteSlices(r)
+func (m *TxOpsRecord) fields(c *codec) {
+	c.u64(&m.TxID)
+	provider := uint64(m.Provider)
+	if c.uvarint(&provider); c.reading {
+		m.Provider = uint32(provider)
+	}
+	c.byteSlices(&m.Ops)
 }
 
 // TxMarkRecord is a transaction state transition in the client's tx log.
@@ -93,30 +85,7 @@ type TxMarkRecord struct {
 }
 
 func (*TxMarkRecord) Kind() Kind { return KTxMark }
-func (m *TxMarkRecord) marshal(w *writer) {
-	w.u64(m.TxID)
-	w.u8(m.State)
-}
-func (m *TxMarkRecord) unmarshal(r *reader) {
-	m.TxID = r.u64()
-	m.State = r.u8()
-}
-
-func writeByteSlices(w *writer, bs [][]byte) {
-	w.uvarint(uint64(len(bs)))
-	for _, b := range bs {
-		w.bytes(b)
-	}
-}
-
-func readByteSlices(r *reader) [][]byte {
-	n := r.length(1 << 20)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = r.bytes()
-	}
-	return out
+func (m *TxMarkRecord) fields(c *codec) {
+	c.u64(&m.TxID)
+	c.u8(&m.State)
 }

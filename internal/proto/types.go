@@ -11,13 +11,40 @@
 // knows column kinds.
 //
 // Reads name the provider columns they want back (ScanRequest.Projection,
-// JoinRequest.LeftProj/RightProj; empty means all) and the response header
-// repeats them in cell order, so what a statement costs on the wire is the
-// cells it reads, not the row as stored: the client projects every
-// unverified read onto field-share cells, and only a proof-carrying scan
-// ships whole rows. Row lists decode into one header array, one cell index
-// and one payload arena per message (readRows) — three allocations however
-// many rows a chunk holds.
+// JoinRequest.LeftProj/RightProj; empty means all, the IDsOnly flags mean
+// none) and the response header repeats them in cell order, so what a
+// statement costs on the wire is the cells it reads, not the row as stored:
+// the client projects every unverified read onto field-share cells, and only
+// a proof-carrying scan ships whole rows.
+//
+// Rows have one encoding, the share-row block (rowblock.go). It is the row
+// list inside every Insert/Update/Rows/Agg/Join message — and therefore
+// inside every WAL, hint-journal and tx-log record — it is the payload of a
+// store page, and, decoded in place (RowBlock), it is the resident page:
+//
+//	block := head [shape] ids rows
+//	head  := uvarint(n<<1 | more)   n rows; more = 1: another block follows
+//	shape := uvarint(cells), then per cell uvarint(width+1), 0 = variable;
+//	         absent when n = 0
+//	ids   := n × uvarint
+//	rows  := n × row; a row is its cells in order, a fixed cell as its bare
+//	         bytes, a variable cell as uvarint(len) then its bytes
+//
+// A block states its shape once, so a row of fixed cells costs its id and
+// its share bytes and nothing else — a stored emp row is 128 bytes of shares
+// plus a 1–3 byte id, a projected one 8 bytes per column — and a zero-cell
+// block is just ids. The encoder of a row list makes a cell fixed when every
+// row gives it the same length (so a one-row list costs what its cells and
+// one length each cost); a page fixes share cells at 24 and 8 bytes and
+// keeps plaintext cells variable. A ragged list — rows of differing cell
+// counts — travels as consecutive blocks, one per run. Row lists decode into
+// one header array, one cell index and one arena per message, three
+// allocations however many rows; a page decodes into an id vector and an
+// alias of its payload. Both check every count and length against the bytes
+// that remain before allocating anything.
+//
+// Message kinds are numbered from kindBase: nothing written in the per-row
+// format that preceded blocks decodes, it fails with ErrOldFormat.
 package proto
 
 import (

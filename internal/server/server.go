@@ -45,7 +45,7 @@ func (p *Provider) HandleStream(req proto.Message, emit func(*proto.RowsResponse
 	if !ok || m.WithProof {
 		return false, nil
 	}
-	cur, err := p.store.OpenCursor(m.Table, m.Filter, m.Projection, m.Limit, 0)
+	cur, err := p.store.OpenCursor(m.Table, m.Filter, store.Projection(m.Projection, m.IDsOnly), m.Limit, 0)
 	if err != nil {
 		return true, errResponse(err).Err()
 	}
@@ -135,7 +135,7 @@ func (p *Provider) Handle(req proto.Message) proto.Message {
 		}
 		return &proto.OKResponse{Affected: uint64(len(m.Rows))}
 	case *proto.ScanRequest:
-		resp, err := p.store.Scan(m.Table, m.Filter, m.Projection, m.Limit, m.WithProof)
+		resp, err := p.store.Scan(m.Table, m.Filter, store.Projection(m.Projection, m.IDsOnly), m.Limit, m.WithProof)
 		if err != nil {
 			return errResponse(err)
 		}

@@ -47,8 +47,11 @@ func newPageCache(s *Store, budget int64) *pageCache {
 	return &pageCache{s: s, budget: budget}
 }
 
-func (c *pageCache) push(pm *pageMeta) {
-	e := &lruElem{pm: pm, next: c.head}
+func (c *pageCache) push(pm *pageMeta) { c.link(&lruElem{pm: pm}) }
+
+// link makes e the hottest element.
+func (c *pageCache) link(e *lruElem) {
+	e.next = c.head
 	if c.head != nil {
 		c.head.prev = e
 	}
@@ -56,7 +59,7 @@ func (c *pageCache) push(pm *pageMeta) {
 	if c.tail == nil {
 		c.tail = e
 	}
-	pm.elem = e
+	e.pm.elem = e
 }
 
 func (c *pageCache) unlink(e *lruElem) {
@@ -78,9 +81,8 @@ func (c *pageCache) touch(e *lruElem) {
 	if c.head == e {
 		return
 	}
-	pm := e.pm
 	c.unlink(e)
-	c.push(pm)
+	c.link(e)
 }
 
 // acquire returns the resident form of pm, faulting it in from its newest
@@ -106,11 +108,14 @@ func (c *pageCache) acquire(pm *pageMeta) (*page, error) {
 	if payload == nil {
 		return nil, fmt.Errorf("store: page file for page %d of table %d is missing", pm.id, pm.heap.tableID)
 	}
-	rows, err := decodePage(payload)
+	p, err := decodePage(payload, pm.heap.shape)
+	if err == nil && (p.Len() != pm.count || len(payload) != pm.bytes) {
+		err = fmt.Errorf("%w: %d rows in %d bytes, directory says %d in %d", ErrBadRequest, p.Len(), len(payload), pm.count, pm.bytes)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: decoding page %d of table %d: %w", pm.id, pm.heap.tableID, err)
 	}
-	pm.res = &page{rows: rows}
+	pm.res = p
 	c.used += int64(pm.bytes)
 	c.push(pm)
 	if err := c.evictOverBudget(pm); err != nil {
@@ -119,29 +124,32 @@ func (c *pageCache) acquire(pm *pageMeta) (*page, error) {
 	return pm.res, nil
 }
 
-// admit registers a freshly created resident page (insert or split) as
-// dirty and enforces the budget.
+// admit registers a freshly created resident page (first insert or split)
+// and accounts for it as mutated does.
 func (c *pageCache) admit(pm *pageMeta) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	pm.version++
-	pm.dirty = true
-	pm.dirtyCkpt = true
-	c.used += int64(pm.bytes)
 	c.push(pm)
-	return c.evictOverBudget(pm)
+	c.mu.Unlock()
+	return c.mutated(pm)
 }
 
-// mutated records an in-place page mutation: bytes delta, dirty marking,
-// recency bump, and budget enforcement.
-func (c *pageCache) mutated(pm *pageMeta, delta int) error {
+// mutated records an in-place mutation of a resident page: the directory
+// entry's span, row count and exact encoded size are re-read from the page
+// — the one place they are derived — then dirty marking, recency bump and
+// budget enforcement.
+func (c *pageCache) mutated(pm *pageMeta) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pm.version++
 	pm.dirty = true
 	pm.dirtyCkpt = true
-	pm.bytes += delta
-	c.used += int64(delta)
+	p := pm.res
+	if pm.count = p.Len(); pm.count > 0 {
+		pm.firstID, pm.lastID = p.IDs[0], p.IDs[pm.count-1]
+	}
+	c.used -= int64(pm.bytes)
+	pm.bytes = p.EncodedSize()
+	c.used += int64(pm.bytes)
 	if pm.elem != nil {
 		c.touch(pm.elem)
 	}
@@ -217,7 +225,7 @@ func (c *pageCache) evictOne(pm *pageMeta) error {
 	if pm.dirty {
 		epoch := c.s.nextEpoch()
 		path := c.s.pageFilePath(pm.heap.tableID, pm.id, epoch)
-		if err := wal.SaveSnapshot(path, encodePage(pm.res.rows)); err != nil {
+		if err := wal.SaveSnapshot(path, encodePage(pm.res)); err != nil {
 			return fmt.Errorf("store: writing back page %d of table %d: %w", pm.id, pm.heap.tableID, err)
 		}
 		// The previous runtime file may be mid-promotion by a checkpoint,

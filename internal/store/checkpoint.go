@@ -75,7 +75,7 @@ func (s *Store) Checkpoint() error {
 				it := flushItem{pm: pm, oldEpoch: pm.epoch, version: pm.version}
 				if pm.res != nil && pm.dirty {
 					it.epoch = s.nextEpoch()
-					it.payload = encodePage(pm.res.rows)
+					it.payload = encodePage(pm.res)
 				} else {
 					// Not resident (or resident but clean): the newest epoch
 					// file holds the complete content — eviction writes dirty

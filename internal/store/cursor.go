@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"sssdb/internal/proto"
 )
@@ -26,9 +27,10 @@ const DefaultCursorBatchBytes = 256 << 10
 // row id, faulting each page in on demand, so a full scan of a
 // bigger-than-cache table never holds more than the cache budget resident.
 //
-// Returned batches alias page cell storage; see the immutability invariant
-// on copyRow — cells stay valid after the lock is released and even after
-// the page is evicted.
+// Returned batches own their bytes: a page's slab is overwritten in place by
+// UPDATE and shifted by INSERT and DELETE, so each batch copies the cells it
+// projects into one arena of its own while the read lock is still held (see
+// rowBatch), and nothing a caller holds ever aliases page storage.
 type ScanCursor struct {
 	s    *Store
 	name string
@@ -53,6 +55,90 @@ type ScanCursor struct {
 	remaining  uint64
 	batchBytes int
 	done       bool
+	// batch is the builder every batch is assembled in; its scratch space is
+	// reused from one batch to the next.
+	batch rowBatch
+}
+
+// rowBatch assembles the rows of one response out of page slabs: ids and
+// projected cell bytes are appended to scratch buffers while the store lock
+// is held, and rows() then cuts them into proto.Rows backed by exactly three
+// allocations — the Row headers, one cell index and one arena — however many
+// rows there are. The scratch buffers start out inside the struct, so a
+// one-row read never grows them.
+type rowBatch struct {
+	widths []int    // per output cell: its fixed width, or proto.Variable
+	ids    []uint64 // one per row
+	buf    []byte   // every row's cells back to back
+	lens   []int    // lengths of the Variable cells, in order
+
+	idsArr [4]uint64
+	bufArr [128]byte
+	wArr   [8]int
+}
+
+// reset empties the batch and sets its output cells to cols of shape.
+func (rb *rowBatch) reset(shape *proto.Shape, cols []int) {
+	rb.widths, rb.ids, rb.buf, rb.lens = rb.wArr[:0], rb.idsArr[:0], rb.bufArr[:0], rb.lens[:0]
+	rb.extend(shape, cols)
+}
+
+// extend adds cols of shape to the output cells (a join's second side).
+func (rb *rowBatch) extend(shape *proto.Shape, cols []int) {
+	for _, ci := range cols {
+		rb.widths = append(rb.widths, shape.Widths[ci])
+	}
+}
+
+// clear empties the batch for the next one of the same output cells.
+func (rb *rowBatch) clear() {
+	rb.ids, rb.buf, rb.lens = rb.ids[:0], rb.buf[:0], rb.lens[:0]
+}
+
+// add starts a row with the id of row i of p and copies cols of it.
+func (rb *rowBatch) add(p *page, i int, cols []int) {
+	rb.ids = append(rb.ids, p.IDs[i])
+	rb.addCells(p, i, cols)
+}
+
+// addCells copies cols of row i of p onto the row last started.
+func (rb *rowBatch) addCells(p *page, i int, cols []int) {
+	for _, ci := range cols {
+		cell := p.Cell(i, ci)
+		if rb.buf = append(rb.buf, cell...); p.Widths[ci] < 0 {
+			rb.lens = append(rb.lens, len(cell))
+		}
+	}
+}
+
+// size bounds what the batch will weigh in a block from above: its cell
+// bytes, and its ids at their widest.
+func (rb *rowBatch) size() int { return 8*len(rb.ids) + len(rb.buf) }
+
+// rows cuts the batch into rows that own their bytes (nil when empty).
+func (rb *rowBatch) rows() []proto.Row {
+	if len(rb.ids) == 0 {
+		return nil
+	}
+	rows := make([]proto.Row, len(rb.ids))
+	nc := len(rb.widths)
+	index := make([][]byte, len(rows)*nc)
+	arena := slices.Clone(rb.buf)
+	lens := rb.lens
+	for i := range rows {
+		rows[i].ID = rb.ids[i]
+		if nc == 0 {
+			continue
+		}
+		rows[i].Cells, index = index[:nc:nc], index[nc:]
+		for k, w := range rb.widths {
+			if w < 0 {
+				w, lens = lens[0], lens[1:]
+			}
+			rows[i].Cells[k], arena = arena[:w:w], arena[w:]
+		}
+	}
+	return rows
 }
 
 const unlimitedRows = ^uint64(0)
@@ -75,41 +161,43 @@ func (s *Store) OpenCursor(name string, f *proto.Filter, projection []string, li
 	if err != nil {
 		return nil, err
 	}
+	cur, err := t.openCursor(f, projection, limit)
+	if err != nil {
+		return nil, err
+	}
+	cur.s, cur.batchBytes = s, batchBytes
+	return cur, nil
+}
+
+// openCursor validates a read of t — projection, filter, limit (0 = none) —
+// and positions a cursor at its start. Every read of the store is a walk of
+// such a cursor: Next's batches, Scan, the aggregates and the join's left
+// side. The caller holds the store lock.
+func (t *table) openCursor(f *proto.Filter, projection []string, limit uint64) (*ScanCursor, error) {
 	cols, colIdx, err := t.resolveProjection(projection)
 	if err != nil {
 		return nil, err
 	}
-	cur := &ScanCursor{
-		s:          s,
-		name:       name,
-		cols:       cols,
-		colIdx:     colIdx,
-		filterCol:  -1,
-		remaining:  unlimitedRows,
-		batchBytes: batchBytes,
-	}
+	cur := &ScanCursor{name: t.spec.Name, cols: cols, colIdx: colIdx, filterCol: -1, remaining: unlimitedRows}
+	cur.batch.reset(t.heap.shape, colIdx)
 	if limit > 0 {
 		cur.remaining = limit
 	}
-	if f != nil {
-		ci, lo, hi, err := t.filterBounds(f)
-		if err != nil {
-			return nil, err
-		}
-		if t.spec.Columns[ci].Indexed {
-			if _, err := t.ensureIndexes(); err != nil {
-				return nil, err
-			}
-			cur.indexed = true
-			cur.idxCol = f.Col
-			cur.nextKey = indexKey(lo, 0)
-			cur.endKey = append(indexKey(hi, ^uint64(0)), 0)
-			return cur, nil
-		}
-		cur.filterCol = ci
-		cur.lo = append([]byte(nil), lo...)
-		cur.hi = append([]byte(nil), hi...)
+	if f == nil {
+		return cur, nil
 	}
+	ci, lo, hi, err := t.filterBounds(f)
+	if err != nil {
+		return nil, err
+	}
+	if !t.spec.Columns[ci].Indexed {
+		cur.filterCol, cur.lo, cur.hi = ci, slices.Clone(lo), slices.Clone(hi)
+		return cur, nil
+	}
+	// Composite keys are cell||rowID: walk [lo||0^8, hi||0xff^8].
+	cur.indexed, cur.idxCol = true, f.Col
+	cur.nextKey = indexKey(lo, 0)
+	cur.endKey = append(indexKey(hi, ^uint64(0)), 0)
 	return cur, nil
 }
 
@@ -125,112 +213,77 @@ func (cur *ScanCursor) Next() (*proto.RowsResponse, error) {
 	}
 	cur.s.mu.RLock()
 	defer cur.s.mu.RUnlock()
+	cur.batch.clear()
 	t, err := cur.s.table(cur.name)
-	if err != nil {
-		cur.done = true
-		return nil, err
-	}
-	var resp *proto.RowsResponse
-	if cur.indexed {
-		resp, err = cur.nextIndexed(t)
-	} else {
-		resp, err = cur.nextByPage(t)
+	if err == nil {
+		err = cur.walk(t, func(p *page, i int) bool {
+			cur.batch.add(p, i, cur.colIdx)
+			return cur.batch.size() < cur.batchBytes
+		})
 	}
 	if err != nil {
 		cur.done = true
 		return nil, err
 	}
-	if cur.remaining == 0 {
-		cur.done = true
-	}
-	if resp == nil || len(resp.Rows) == 0 {
-		cur.done = true
+	rows := cur.batch.rows()
+	if cur.done = rows == nil || cur.remaining == 0; rows == nil {
 		return nil, nil
 	}
-	return resp, nil
+	return &proto.RowsResponse{Columns: cur.cols, Rows: rows}, nil
 }
 
-// nextIndexed walks the B+-tree from the cursor's seek position, stopping
-// at the batch-size target, and remembers the successor of the last emitted
-// key so the next batch re-seeks past it.
-func (cur *ScanCursor) nextIndexed(t *table) (*proto.RowsResponse, error) {
+// walk visits the matching rows from the cursor's position on, until visit
+// returns false or the limit is spent, and leaves the cursor after the last
+// row visited. An indexed filter walks the B+-tree from the seek position,
+// remembering the successor of the last key so that a later walk re-seeks
+// past it; anything else walks the page directory from the row id after the
+// last one seen, faulting pages in through the cache and applying the
+// filter inline, so eviction between walks just means a page faults back.
+// A visited row aliases page storage: it is valid while the caller holds
+// the store lock, and what outlives the lock must be copied out.
+func (cur *ScanCursor) walk(t *table, visit func(p *page, i int) bool) error {
+	// took counts a visited row against the limit.
+	took := func(more bool) bool {
+		if cur.remaining != unlimitedRows {
+			cur.remaining--
+		}
+		return more && cur.remaining > 0
+	}
+	if !cur.indexed {
+		return t.heap.ascendPages(cur.afterID, cur.started, func(p *page, from int) (bool, error) {
+			for i := from; i < p.Len(); i++ {
+				cur.afterID, cur.started = p.IDs[i], true
+				if cur.filterCol >= 0 {
+					cell := p.Cell(i, cur.filterCol)
+					if bytes.Compare(cell, cur.lo) < 0 || bytes.Compare(cell, cur.hi) > 0 {
+						continue
+					}
+				}
+				if !took(visit(p, i)) {
+					return false, nil
+				}
+			}
+			return true, nil
+		})
+	}
 	idxs, err := t.ensureIndexes()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	idx, ok := idxs[cur.idxCol]
 	if !ok {
-		return nil, fmt.Errorf("%w: column %q lost its index mid-scan", ErrBadRequest, cur.idxCol)
+		return fmt.Errorf("%w: column %q lost its index mid-scan", ErrBadRequest, cur.idxCol)
 	}
-	resp := &proto.RowsResponse{Columns: cur.cols}
-	size := 0
-	var walkErr error
 	idx.AscendRange(cur.nextKey, cur.endKey, func(k, _ []byte) bool {
-		rowID := binary.BigEndian.Uint64(k[len(k)-8:])
-		row, ok, err := t.heap.get(rowID)
-		if err != nil {
-			walkErr = err
+		var p *page
+		var i int
+		if p, i, ok, err = t.heap.get(binary.BigEndian.Uint64(k[len(k)-8:])); err != nil {
 			return false
 		}
 		// The immediate successor of k in bytewise order is k||0x00.
 		cur.nextKey = append(append(cur.nextKey[:0], k...), 0)
-		if !ok {
-			return true // index/row raced a concurrent delete; skip
-		}
-		resp.Rows = append(resp.Rows, cur.project(rowID, row))
-		size += proto.RowWireSize(resp.Rows[len(resp.Rows)-1])
-		if cur.remaining != unlimitedRows {
-			if cur.remaining--; cur.remaining == 0 {
-				return false
-			}
-		}
-		return size < cur.batchBytes
+		// An index entry without its row raced a concurrent delete: skip it.
+		return !ok || took(visit(p, i))
 	})
-	if walkErr != nil {
-		return nil, walkErr
-	}
-	return resp, nil
-}
-
-// nextByPage walks the page directory from the row id after the last
-// scanned one, faulting pages in through the cache and applying any
-// unindexed filter inline. Each page is only touched while the store lock
-// is held; eviction between batches just means the resume faults it back.
-func (cur *ScanCursor) nextByPage(t *table) (*proto.RowsResponse, error) {
-	resp := &proto.RowsResponse{Columns: cur.cols}
-	size := 0
-	err := t.heap.ascendPages(cur.afterID, cur.started, func(rows []proto.Row) (bool, error) {
-		for _, row := range rows {
-			cur.afterID, cur.started = row.ID, true
-			if cur.filterCol >= 0 {
-				cell := row.Cells[cur.filterCol]
-				if bytes.Compare(cell, cur.lo) < 0 || bytes.Compare(cell, cur.hi) > 0 {
-					continue
-				}
-			}
-			resp.Rows = append(resp.Rows, cur.project(row.ID, row))
-			size += proto.RowWireSize(resp.Rows[len(resp.Rows)-1])
-			if cur.remaining != unlimitedRows {
-				if cur.remaining--; cur.remaining == 0 {
-					return false, nil
-				}
-			}
-			if size >= cur.batchBytes {
-				return false, nil
-			}
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-func (cur *ScanCursor) project(id uint64, row proto.Row) proto.Row {
-	out := proto.Row{ID: id, Cells: make([][]byte, len(cur.colIdx))}
-	for i, ci := range cur.colIdx {
-		out.Cells[i] = row.Cells[ci]
-	}
-	return out
+	return err
 }

@@ -2,8 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"sync"
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"sssdb/internal/proto"
@@ -186,9 +191,10 @@ func TestCursorSkipsConcurrentDeletes(t *testing.T) {
 	}
 }
 
-// TestMatchingIDsLimitPushdown verifies limit stops the index walk early
-// rather than collecting all matches and slicing.
-func TestMatchingIDsLimitPushdown(t *testing.T) {
+// TestWalkLimitPushdown verifies that a limit stops the walk — of the index
+// and of the heap, filtered or not — after that many rows, instead of
+// visiting every match and slicing afterwards.
+func TestWalkLimitPushdown(t *testing.T) {
 	s := memStore(t)
 	mustCreate(t, s)
 	var rows []proto.Row
@@ -206,98 +212,157 @@ func TestMatchingIDsLimitPushdown(t *testing.T) {
 		{Col: "salary#o", Op: proto.FilterRange, Lo: oppCell(0), Hi: oppCell(500)},
 		{Col: "note", Op: proto.FilterRange, Lo: []byte("n"), Hi: []byte("nz")},
 	} {
-		ids, err := tb.matchingIDs(f, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ids) != 10 {
-			t.Fatalf("filter %v: got %d ids, want 10", f, len(ids))
-		}
-		all, err := tb.matchingIDs(f, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(all) != 200 {
-			t.Fatalf("filter %v: unlimited got %d ids, want 200", f, len(all))
+		for limit, want := range map[uint64]int{10: 10, 0: 200} {
+			cur, err := tb.openCursor(f, NoColumns, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visited := 0
+			if err := cur.walk(tb, func(*page, int) bool { visited++; return true }); err != nil {
+				t.Fatal(err)
+			}
+			if visited != want {
+				t.Fatalf("filter %v limit %d: walk visited %d rows, want %d", f, limit, visited, want)
+			}
 		}
 	}
 }
 
-// TestScanAliasesAreImmutable documents the cell-immutability invariant
-// (see copyRow): responses alias table storage, so a concurrent Update must
-// never write into cells a released Scan still holds. Run under -race.
-func TestScanAliasesAreImmutable(t *testing.T) {
-	s := memStore(t)
-	mustCreate(t, s)
-	var rows []proto.Row
-	for i := uint64(1); i <= 64; i++ {
-		rows = append(rows, row(i, i))
+// TestBatchesOwnTheirBytes pins the ownership rule that replaced cell
+// immutability (see page and ScanCursor): a page's slab is overwritten in
+// place by UPDATE and shifted by INSERT and DELETE, so every Scan response
+// and cursor batch must own its bytes. A reader takes a batch, lets the
+// store lock go, waits until a concurrent writer has rewritten the very rows
+// it was just handed (with notes of changing length, so slabs shift, plus a
+// row inserted and deleted mid-page) and only then reads the batch: it must
+// be unchanged, and each row must be one version of itself. A batch aliasing
+// page storage fails the comparison — and is a data race under -race, where
+// CI runs this, on a memory store and on one whose cache keeps evicting.
+func TestBatchesOwnTheirBytes(t *testing.T) {
+	const nRows = 64
+	version := func(id, v uint64) proto.Row {
+		r := row(id, v)
+		r.Cells[2] = bytes.Repeat([]byte{byte(v)}, int(v%23))
+		return r
 	}
-	if err := s.Insert("employees", rows); err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // mutator: rewrites every row repeatedly
-		defer wg.Done()
-		for v := uint64(100); ; v++ {
-			select {
-			case <-stop:
-				return
-			default:
+	check := func(rows []proto.Row, snapshot []proto.Row) error {
+		for i, r := range rows {
+			v := binary.BigEndian.Uint64(r.Cells[0][16:])
+			if want := version(r.ID, v); !reflect.DeepEqual(r.Cells[1], want.Cells[1]) || !bytes.Equal(r.Cells[2], want.Cells[2]) {
+				return fmt.Errorf("row %d mixes versions: %v", r.ID, r.Cells)
 			}
-			var upd []proto.Row
-			for i := uint64(1); i <= 64; i++ {
-				upd = append(upd, row(i, v))
-			}
-			if err := s.Update("employees", upd); err != nil {
-				t.Error(err)
-				return
+			if !reflect.DeepEqual(r, snapshot[i]) {
+				return fmt.Errorf("row %d changed after its batch was returned:\n got %v\nwant %v", r.ID, r, snapshot[i])
 			}
 		}
-	}()
-	go func() { // reader: scans, releases the lock, then reads every cell
-		defer wg.Done()
-		for n := 0; n < 200; n++ {
-			resp, err := s.Scan("employees", nil, nil, 0, false)
-			if err != nil {
-				t.Error(err)
-				return
+		return nil
+	}
+	clone := func(rows []proto.Row) []proto.Row {
+		out := make([]proto.Row, len(rows))
+		for i, r := range rows {
+			out[i].ID = r.ID
+			for _, c := range r.Cells {
+				out[i].Cells = append(out[i].Cells, slices.Clone(c))
 			}
-			sum := byte(0)
-			for _, r := range resp.Rows {
-				for _, c := range r.Cells {
-					for _, b := range c {
-						sum ^= b
+		}
+		return out
+	}
+	for name, open := range map[string]func() *Store{
+		"memory": func() *Store { return memStore(t) },
+		"tiny cache": func() *Store {
+			s, err := OpenOptions(t.TempDir(), tinyOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := open()
+			defer s.Close()
+			mustCreate(t, s)
+			var rows []proto.Row
+			for i := uint64(1); i <= nRows; i++ {
+				rows = append(rows, version(2*i, 1))
+			}
+			if err := s.Insert("employees", rows); err != nil {
+				t.Fatal(err)
+			}
+			var passes atomic.Uint64
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() { // writer: rewrites every row, and shifts every page
+				defer close(done)
+				for v := uint64(2); ; v++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					upd := make([]proto.Row, 0, nRows)
+					for i := uint64(1); i <= nRows; i++ {
+						upd = append(upd, version(2*i, v))
+					}
+					err := s.Update("employees", upd)
+					if err == nil {
+						err = s.Insert("employees", []proto.Row{version(2*(v%nRows)+1, v)})
+					}
+					if err == nil {
+						_, err = s.Delete("employees", []uint64{2*(v%nRows) + 1})
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					passes.Add(1)
+				}
+			}()
+			// afterRewrite waits until the writer has completed a whole pass
+			// that started after the call.
+			afterRewrite := func() {
+				for target := passes.Load() + 2; passes.Load() < target; {
+					select {
+					case <-done:
+						return
+					default:
+						runtime.Gosched()
 					}
 				}
 			}
-			_ = sum
-			cur, err := s.OpenCursor("employees", nil, nil, 0, 512)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for {
-				b, err := cur.Next()
+			for n := 0; n < 20 && !t.Failed(); n++ {
+				resp, err := s.Scan("employees", nil, nil, 0, false)
 				if err != nil {
-					t.Error(err)
-					return
+					t.Fatal(err)
 				}
-				if b == nil {
-					break
+				snapshot := clone(resp.Rows)
+				afterRewrite()
+				if err := check(resp.Rows, snapshot); err != nil {
+					t.Fatalf("Scan: %v", err)
 				}
-				for _, r := range b.Rows {
-					for _, c := range r.Cells {
-						for _, by := range c {
-							sum ^= by
-						}
+				cur, err := s.OpenCursor("employees", nil, nil, 0, 512)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Each batch is read again after the writer's next pass and
+				// after the cursor has built the batch that follows it.
+				var held, heldSnapshot []proto.Row
+				for {
+					b, err := cur.Next()
+					if err != nil {
+						t.Fatal(err)
 					}
+					afterRewrite()
+					if err := check(held, heldSnapshot); err != nil {
+						t.Fatalf("cursor batch: %v", err)
+					}
+					if b == nil {
+						break
+					}
+					held, heldSnapshot = b.Rows, clone(b.Rows)
 				}
 			}
-		}
-		close(stop)
-	}()
-	wg.Wait()
+			close(stop)
+			<-done
+		})
+	}
 }

@@ -20,7 +20,11 @@ import (
 // wal.SaveSnapshot) so a crash anywhere during a checkpoint leaves either
 // the old manifest with the full WAL, or the new manifest with the WAL
 // suffix — both consistent.
-const manifestVersion = 1
+//
+// Version 2 directories hold share-row-block pages (proto/rowblock.go) and a
+// WAL of row-block records; a version 1 directory (per-row pages and
+// records) is refused by name rather than mis-decoded.
+const manifestVersion = 2
 
 type manifestImage struct {
 	checkpointLSN uint64
@@ -71,60 +75,40 @@ func encodeManifest(img *manifestImage) []byte {
 	return buf
 }
 
+// manifestReader consumes a manifest, latching the first error; reads past
+// it return zeros.
 type manifestReader struct {
 	data []byte
+	err  error
 }
 
-func (r *manifestReader) u32() (uint32, error) {
-	if len(r.data) < 4 {
-		return 0, fmt.Errorf("%w: truncated manifest", ErrBadRequest)
+func (r *manifestReader) take(n int) []byte {
+	if r.err == nil && len(r.data) < n {
+		r.err = fmt.Errorf("%w: truncated manifest", ErrBadRequest)
 	}
-	v := binary.BigEndian.Uint32(r.data)
-	r.data = r.data[4:]
-	return v, nil
+	if r.err != nil {
+		return make([]byte, n)
+	}
+	b := r.data[:n]
+	r.data = r.data[n:]
+	return b
 }
 
-func (r *manifestReader) u64() (uint64, error) {
-	if len(r.data) < 8 {
-		return 0, fmt.Errorf("%w: truncated manifest", ErrBadRequest)
-	}
-	v := binary.BigEndian.Uint64(r.data)
-	r.data = r.data[8:]
-	return v, nil
-}
+func (r *manifestReader) u32() uint32 { return binary.BigEndian.Uint32(r.take(4)) }
+func (r *manifestReader) u64() uint64 { return binary.BigEndian.Uint64(r.take(8)) }
 
 func decodeManifest(data []byte) (*manifestImage, error) {
 	r := &manifestReader{data: data}
-	ver, err := r.u32()
-	if err != nil {
-		return nil, err
+	if ver := r.u32(); r.err == nil && ver != manifestVersion {
+		return nil, fmt.Errorf("%w: manifest is format version %d, this build reads version %d only", ErrBadRequest, ver, manifestVersion)
 	}
-	if ver != manifestVersion {
-		return nil, fmt.Errorf("%w: manifest version %d", ErrBadRequest, ver)
-	}
-	img := &manifestImage{}
-	if img.checkpointLSN, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if img.nextTableID, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if img.epochSeq, err = r.u64(); err != nil {
-		return nil, err
-	}
-	nTables, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nTables; i++ {
-		specLen, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
+	img := &manifestImage{checkpointLSN: r.u64(), nextTableID: r.u64(), epochSeq: r.u64()}
+	for n := r.u32(); n > 0 && r.err == nil; n-- {
+		specLen := r.u32()
 		if uint64(len(r.data)) < uint64(specLen) {
 			return nil, fmt.Errorf("%w: truncated manifest spec", ErrBadRequest)
 		}
-		msg, err := proto.Decode(r.data[:specLen])
+		msg, err := proto.Decode(r.take(int(specLen)))
 		if err != nil {
 			return nil, fmt.Errorf("store: manifest spec: %w", err)
 		}
@@ -132,44 +116,19 @@ func decodeManifest(data []byte) (*manifestImage, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: manifest spec holds %T", ErrBadRequest, msg)
 		}
-		r.data = r.data[specLen:]
-		mt := manifestTable{spec: ct.Spec}
-		if mt.id, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if mt.nextPageID, err = r.u64(); err != nil {
-			return nil, err
-		}
-		nPages, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint32(0); j < nPages; j++ {
-			var p manifestPage
-			if p.id, err = r.u64(); err != nil {
-				return nil, err
-			}
-			if p.epoch, err = r.u64(); err != nil {
-				return nil, err
-			}
-			if p.firstID, err = r.u64(); err != nil {
-				return nil, err
-			}
-			if p.lastID, err = r.u64(); err != nil {
-				return nil, err
-			}
-			if p.count, err = r.u32(); err != nil {
-				return nil, err
-			}
-			if p.bytes, err = r.u32(); err != nil {
-				return nil, err
-			}
-			mt.pages = append(mt.pages, p)
+		mt := manifestTable{spec: ct.Spec, id: r.u64(), nextPageID: r.u64()}
+		for n := r.u32(); n > 0 && r.err == nil; n-- {
+			mt.pages = append(mt.pages, manifestPage{
+				id: r.u64(), epoch: r.u64(), firstID: r.u64(), lastID: r.u64(), count: r.u32(), bytes: r.u32(),
+			})
 		}
 		img.tables = append(img.tables, mt)
 	}
-	if len(r.data) != 0 {
-		return nil, fmt.Errorf("%w: trailing manifest bytes", ErrBadRequest)
+	if r.err == nil && len(r.data) != 0 {
+		r.err = fmt.Errorf("%w: trailing manifest bytes", ErrBadRequest)
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return img, nil
 }
@@ -224,7 +183,7 @@ func (s *Store) restoreManifest(img *manifestImage) error {
 		t := &table{
 			spec:    mt.spec,
 			merkles: make(map[string]*merkleState),
-			heap:    &rowHeap{s: s, tableID: mt.id, nextPageID: mt.nextPageID},
+			heap:    &rowHeap{s: s, tableID: mt.id, nextPageID: mt.nextPageID, shape: shapeOf(&mt.spec)},
 		}
 		for _, mp := range mt.pages {
 			pm := &pageMeta{

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -18,86 +17,61 @@ const (
 	DefaultCacheBytes = 64 << 20
 )
 
-// pageHeaderBytes is the fixed per-page encoding overhead (row count).
-const pageHeaderBytes = 4
-
-// encodedRowSize is the on-page footprint of one row: id, cell count, and
-// per-cell length prefix plus payload. It is exact — the sum over a page's
-// rows plus pageHeaderBytes equals len(encodePage(rows)) — so the same
-// number drives split decisions and cache accounting.
-func encodedRowSize(r proto.Row) int {
-	n := 8 + 4
-	for _, c := range r.Cells {
-		n += 4 + len(c)
-	}
-	return n
-}
-
-// encodePage serializes rows (ascending by id) into a page payload. The
-// payload is wrapped in the CRC + atomic-rename envelope of wal.SaveSnapshot
-// when it goes to disk.
-func encodePage(rows []proto.Row) []byte {
-	size := pageHeaderBytes
-	for _, r := range rows {
-		size += encodedRowSize(r)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(rows)))
-	for _, r := range rows {
-		buf = binary.BigEndian.AppendUint64(buf, r.ID)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Cells)))
-		for _, c := range r.Cells {
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(c)))
-			buf = append(buf, c...)
+// shapeOf derives a table's page shape from its spec: share cells are
+// fixed-width, plaintext cells carry their length. Every page of the table
+// is a block of exactly this shape, whatever lengths its plain cells happen
+// to have, so a page never needs re-laying-out.
+func shapeOf(spec *proto.TableSpec) *proto.Shape {
+	widths := make([]int, len(spec.Columns))
+	for i, c := range spec.Columns {
+		switch c.Kind {
+		case proto.KindOPP:
+			widths[i] = oppCellSize
+		case proto.KindField:
+			widths[i] = fieldCellSize
+		default:
+			widths[i] = proto.Variable
 		}
 	}
-	return buf
+	return proto.NewShape(widths)
 }
 
-// decodePage parses a page payload. Cells alias the input buffer — one
-// allocation backs the whole page — which the cell-immutability invariant
-// makes safe: nothing ever writes into a stored cell, mutations replace
-// whole rows.
-func decodePage(data []byte) ([]proto.Row, error) {
-	if len(data) < pageHeaderBytes {
-		return nil, fmt.Errorf("%w: page payload too short", ErrBadRequest)
+// page is the resident form of one heap page — the decoded share-row block
+// itself (proto/rowblock.go): an id vector ascending by id plus one slab of
+// the rows' bytes. It is mutated in place, and only under the store's
+// exclusive lock; a reader holding the lock shared may alias its cells but
+// must copy what it keeps before letting the lock go.
+type page = proto.RowBlock
+
+// rowAt returns row i of p as a proto.Row whose cells alias the page — for
+// digests computed under the store lock — reusing cells' backing array.
+func rowAt(p *page, i int, cells [][]byte) proto.Row {
+	cells = cells[:0]
+	for j := range p.Widths {
+		cells = append(cells, p.Cell(i, j))
 	}
-	n := binary.BigEndian.Uint32(data)
-	data = data[pageHeaderBytes:]
-	rows := make([]proto.Row, 0, n)
-	for i := uint32(0); i < n; i++ {
-		if len(data) < 12 {
-			return nil, fmt.Errorf("%w: truncated page row", ErrBadRequest)
-		}
-		id := binary.BigEndian.Uint64(data)
-		cells := binary.BigEndian.Uint32(data[8:])
-		data = data[12:]
-		row := proto.Row{ID: id, Cells: make([][]byte, cells)}
-		for c := uint32(0); c < cells; c++ {
-			if len(data) < 4 {
-				return nil, fmt.Errorf("%w: truncated page cell", ErrBadRequest)
-			}
-			l := binary.BigEndian.Uint32(data)
-			data = data[4:]
-			if uint64(len(data)) < uint64(l) {
-				return nil, fmt.Errorf("%w: truncated page cell payload", ErrBadRequest)
-			}
-			row.Cells[c] = data[:l:l]
-			data = data[l:]
-		}
-		rows = append(rows, row)
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes after page rows", ErrBadRequest)
-	}
-	return rows, nil
+	return proto.Row{ID: p.IDs[i], Cells: cells}
 }
 
-// page is the resident (decoded) form of one heap page: rows ascending by
-// id. Rows slices are mutated only under the store's exclusive lock; cell
-// byte arrays are never mutated at all.
-type page struct {
-	rows []proto.Row
+// encodePage serializes a page into its payload: the block's header plus a
+// copy of ids and slab, len(payload) == p.EncodedSize(). The payload is
+// wrapped in the CRC + atomic-rename envelope of wal.SaveSnapshot when it
+// goes to disk.
+func encodePage(p *page) []byte {
+	return p.AppendTo(make([]byte, 0, p.EncodedSize()))
+}
+
+// decodePage validates a page payload against the table's shape (any shape
+// when nil) and returns the page aliasing it: one allocation for the page,
+// one for its ids (one more for row offsets when a cell is variable),
+// however many rows it holds — and none before the payload's row count and
+// lengths have been checked against its size.
+func decodePage(data []byte, shape *proto.Shape) (*page, error) {
+	p := new(page)
+	if err := p.Decode(data, shape); err != nil {
+		return nil, fmt.Errorf("%w: page payload: %v", ErrBadRequest, err)
+	}
+	return p, nil
 }
 
 // pageMeta is the directory entry for one page, resident or not. Residency
@@ -109,7 +83,9 @@ type pageMeta struct {
 	id   uint64
 
 	// firstID/lastID are the exact bounds of the rows the page holds,
-	// count the row count, bytes the exact encoded payload size.
+	// count the row count, bytes the exact encoded payload size — which,
+	// the payload being ids plus slab, is also what a resident page holds
+	// on the heap.
 	firstID, lastID uint64
 	count           int
 	bytes           int
@@ -139,6 +115,7 @@ type pageMeta struct {
 type rowHeap struct {
 	s          *Store
 	tableID    uint64
+	shape      *proto.Shape
 	nextPageID uint64
 	pages      []*pageMeta
 	count      int
@@ -146,204 +123,123 @@ type rowHeap struct {
 
 // findPage returns the index of the last page whose firstID <= id, or -1.
 func (h *rowHeap) findPage(id uint64) int {
-	lo, hi := 0, len(h.pages)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.pages[mid].firstID <= id {
-			lo = mid + 1
-		} else {
-			hi = mid
+	return sort.Search(len(h.pages), func(i int) bool { return h.pages[i].firstID > id }) - 1
+}
+
+// locate faults in the page whose span covers id and returns it with the
+// row's position there (the insertion point when the row is absent). idx is
+// -1, and p nil, when id lies beyond every page.
+func (h *rowHeap) locate(id uint64) (idx int, p *page, i int, ok bool, err error) {
+	if idx = h.findPage(id); idx < 0 || id > h.pages[idx].lastID {
+		return -1, nil, 0, false, nil
+	}
+	if p, err = h.s.cache.acquire(h.pages[idx]); err != nil {
+		return idx, nil, 0, false, err
+	}
+	i, ok = p.Find(id)
+	return idx, p, i, ok, nil
+}
+
+// get returns the page holding the row and the row's position in it. The
+// page's cells alias resident storage; see the ownership rule on page.
+func (h *rowHeap) get(id uint64) (*page, int, bool, error) {
+	_, p, i, ok, err := h.locate(id)
+	return p, i, ok, err
+}
+
+// insert copies a row into the page covering its id span, extending an edge
+// page when the id falls outside every span, and splits the page if it
+// outgrew the target size. Returns ErrDuplicateRow if the id is present.
+func (h *rowHeap) insert(row proto.Row) error {
+	if len(h.pages) == 0 {
+		pm := &pageMeta{heap: h, id: h.nextPageID, res: proto.NewRowBlock(h.shape)}
+		h.nextPageID++
+		h.pages = append(h.pages, pm)
+		if err := h.s.cache.admit(pm); err != nil {
+			return err
 		}
 	}
-	return lo - 1
-}
-
-// findRow returns the position of id in rows and whether it is present;
-// when absent, the position is the insertion point.
-func findRow(rows []proto.Row, id uint64) (int, bool) {
-	i := sort.Search(len(rows), func(i int) bool { return rows[i].ID >= id })
-	return i, i < len(rows) && rows[i].ID == id
-}
-
-// get returns the row with the given id. The row's cells alias the resident
-// page; see the immutability invariant on copyRow.
-func (h *rowHeap) get(id uint64) (proto.Row, bool, error) {
-	idx := h.findPage(id)
-	if idx < 0 {
-		return proto.Row{}, false, nil
-	}
-	pm := h.pages[idx]
-	if id > pm.lastID {
-		return proto.Row{}, false, nil
-	}
-	p, err := h.s.cache.acquire(pm)
-	if err != nil {
-		return proto.Row{}, false, err
-	}
-	i, ok := findRow(p.rows, id)
-	if !ok {
-		return proto.Row{}, false, nil
-	}
-	return p.rows[i], true, nil
-}
-
-// insert places a row (already validated and deep-copied by the caller)
-// into the page covering its id span, extending an edge page when the id
-// falls outside every span, and splits the page if it outgrew the target
-// size. Returns ErrDuplicateRow if the id is already present.
-func (h *rowHeap) insert(row proto.Row) error {
-	sz := encodedRowSize(row)
-	if len(h.pages) == 0 {
-		pm := h.newPage()
-		pm.firstID, pm.lastID = row.ID, row.ID
-		pm.count = 1
-		pm.bytes = pageHeaderBytes + sz
-		pm.res = &page{rows: []proto.Row{row}}
-		h.pages = append(h.pages, pm)
-		h.count++
-		return h.s.cache.admit(pm)
-	}
-	idx := h.findPage(row.ID)
-	if idx < 0 {
-		idx = 0
-	}
+	idx := max(h.findPage(row.ID), 0)
 	pm := h.pages[idx]
 	p, err := h.s.cache.acquire(pm)
 	if err != nil {
 		return err
 	}
-	i, ok := findRow(p.rows, row.ID)
+	i, ok := p.Find(row.ID)
 	if ok {
 		return fmt.Errorf("%w: %d", ErrDuplicateRow, row.ID)
 	}
-	p.rows = append(p.rows, proto.Row{})
-	copy(p.rows[i+1:], p.rows[i:])
-	p.rows[i] = row
-	pm.count++
+	if err := p.Insert(i, row.ID, row.Cells); err != nil {
+		if p.Len() == 0 { // the page was made for this row
+			h.dropPageAt(idx)
+		}
+		return fmt.Errorf("%w: row %d: %v", ErrBadRequest, row.ID, err)
+	}
 	h.count++
-	if row.ID < pm.firstID {
-		pm.firstID = row.ID
-	}
-	if row.ID > pm.lastID {
-		pm.lastID = row.ID
-	}
-	if err := h.s.cache.mutated(pm, sz); err != nil {
+	if err := h.s.cache.mutated(pm); err != nil {
 		return err
 	}
 	return h.maybeSplit(idx)
 }
 
-// replace swaps an existing row's content (the caller verified existence).
-func (h *rowHeap) replace(row proto.Row) error {
-	idx := h.findPage(row.ID)
-	if idx < 0 {
-		return fmt.Errorf("%w: %d", ErrNoSuchRow, row.ID)
-	}
-	pm := h.pages[idx]
-	p, err := h.s.cache.acquire(pm)
+// replace overwrites an existing row's cells in place, after showing the
+// row as it was to old (the index entries to drop are built from it).
+func (h *rowHeap) replace(row proto.Row, old func(p *page, i int)) error {
+	idx, p, i, ok, err := h.locate(row.ID)
 	if err != nil {
 		return err
 	}
-	i, ok := findRow(p.rows, row.ID)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSuchRow, row.ID)
 	}
-	delta := encodedRowSize(row) - encodedRowSize(p.rows[i])
-	p.rows[i] = row
-	if err := h.s.cache.mutated(pm, delta); err != nil {
+	old(p, i)
+	if err := p.Replace(i, row.Cells); err != nil {
+		return fmt.Errorf("%w: row %d: %v", ErrBadRequest, row.ID, err)
+	}
+	if err := h.s.cache.mutated(h.pages[idx]); err != nil {
 		return err
 	}
 	return h.maybeSplit(idx)
 }
 
-// delete removes a row if present, dropping the page when it empties.
-func (h *rowHeap) delete(id uint64) (bool, error) {
-	idx := h.findPage(id)
-	if idx < 0 {
-		return false, nil
-	}
-	pm := h.pages[idx]
-	if id > pm.lastID {
-		return false, nil
-	}
-	p, err := h.s.cache.acquire(pm)
-	if err != nil {
+// delete removes a row if present, after showing it to old, and drops the
+// page when it empties.
+func (h *rowHeap) delete(id uint64, old func(p *page, i int)) (bool, error) {
+	idx, p, i, ok, err := h.locate(id)
+	if err != nil || !ok {
 		return false, err
 	}
-	i, ok := findRow(p.rows, id)
-	if !ok {
-		return false, nil
-	}
-	sz := encodedRowSize(p.rows[i])
-	p.rows = append(p.rows[:i], p.rows[i+1:]...)
-	pm.count--
+	old(p, i)
+	p.Delete(i)
 	h.count--
-	if pm.count == 0 {
+	if p.Len() == 0 {
 		h.dropPageAt(idx)
 		return true, nil
 	}
-	pm.firstID = p.rows[0].ID
-	pm.lastID = p.rows[len(p.rows)-1].ID
-	return true, h.s.cache.mutated(pm, -sz)
+	return true, h.s.cache.mutated(h.pages[idx])
 }
 
 // maybeSplit splits the page at idx when its encoded size exceeds the
-// store's page target. The left half keeps the page id (and its on-disk
-// history); the right half is a fresh page, dirty from birth. Splitting is
-// a runtime-only reshaping: recovery rebuilds the directory from the
-// manifest and replays the WAL, so it never observes the split itself.
+// store's page target, at the row boundary nearest half its slab. The left
+// half keeps the page id (and its on-disk history); the right half is a
+// fresh page, dirty from birth. Splitting is a runtime-only reshaping:
+// recovery rebuilds the directory from the manifest and replays the WAL, so
+// it never observes the split itself.
 func (h *rowHeap) maybeSplit(idx int) error {
 	pm := h.pages[idx]
-	if pm.bytes <= h.s.opts.PageBytes || pm.count < 2 {
+	p := pm.res
+	if pm.bytes <= h.s.opts.PageBytes || p.Len() < 2 {
 		return nil
 	}
-	rows := pm.res.rows
-	half := (pm.bytes - pageHeaderBytes) / 2
-	acc, cut := 0, 0
-	for i := 0; i < len(rows)-1; i++ {
-		acc += encodedRowSize(rows[i])
-		if acc >= half {
-			cut = i + 1
-			break
-		}
-	}
-	if cut == 0 {
-		cut = len(rows) / 2
-	}
-	if cut <= 0 || cut >= len(rows) {
-		return nil
-	}
-	right := append([]proto.Row(nil), rows[cut:]...)
-	left := rows[:cut:cut]
-	rightBytes := pageHeaderBytes
-	for _, r := range right {
-		rightBytes += encodedRowSize(r)
-	}
-	leftDelta := pageHeaderBytes - rightBytes // mutated applies it to pm.bytes
-	pm.res.rows = left
-	pm.count = len(left)
-	pm.firstID = left[0].ID
-	pm.lastID = left[len(left)-1].ID
-
-	p2 := h.newPage()
-	p2.res = &page{rows: right}
-	p2.count = len(right)
-	p2.firstID = right[0].ID
-	p2.lastID = right[len(right)-1].ID
-	p2.bytes = rightBytes
+	p2 := &pageMeta{heap: h, id: h.nextPageID, res: p.Split(p.Mid())}
+	h.nextPageID++
 	h.pages = append(h.pages, nil)
 	copy(h.pages[idx+2:], h.pages[idx+1:])
 	h.pages[idx+1] = p2
-	if err := h.s.cache.mutated(pm, leftDelta); err != nil {
+	if err := h.s.cache.mutated(pm); err != nil {
 		return err
 	}
 	return h.s.cache.admit(p2)
-}
-
-func (h *rowHeap) newPage() *pageMeta {
-	pm := &pageMeta{heap: h, id: h.nextPageID}
-	h.nextPageID++
-	return pm
 }
 
 // dropPageAt removes the page from the directory and schedules its files
@@ -367,9 +263,9 @@ func (h *rowHeap) drop() {
 
 // ascendPages iterates resident pages in id order, loading each on demand.
 // With hasAfter, iteration starts at the first row with id > afterID. The
-// callback's rows slice aliases page storage and is only valid until the
-// store lock is released; return false to stop.
-func (h *rowHeap) ascendPages(afterID uint64, hasAfter bool, fn func(rows []proto.Row) (bool, error)) error {
+// callback gets a page and the position of the first row to look at; the
+// page is only valid until the store lock is released. Return false to stop.
+func (h *rowHeap) ascendPages(afterID uint64, hasAfter bool, fn func(p *page, from int) (bool, error)) error {
 	idx := 0
 	if hasAfter {
 		idx = h.findPage(afterID)
@@ -380,46 +276,20 @@ func (h *rowHeap) ascendPages(afterID uint64, hasAfter bool, fn func(rows []prot
 		}
 	}
 	for ; idx < len(h.pages); idx++ {
-		pm := h.pages[idx]
-		p, err := h.s.cache.acquire(pm)
+		p, err := h.s.cache.acquire(h.pages[idx])
 		if err != nil {
 			return err
 		}
-		rows := p.rows
-		if hasAfter && len(rows) > 0 && rows[0].ID <= afterID {
-			i := sort.Search(len(rows), func(i int) bool { return rows[i].ID > afterID })
-			rows = rows[i:]
+		from := 0
+		if hasAfter && p.Len() > 0 && p.IDs[0] <= afterID { // only the page afterID falls in
+			from = sort.Search(p.Len(), func(i int) bool { return p.IDs[i] > afterID })
 		}
-		if len(rows) == 0 {
+		if from == p.Len() {
 			continue
 		}
-		cont, err := fn(rows)
-		if err != nil {
+		if cont, err := fn(p, from); err != nil || !cont {
 			return err
-		}
-		if !cont {
-			return nil
 		}
 	}
 	return nil
-}
-
-// allIDs returns every row id in ascending order, capped at limit (0 =
-// unlimited). Ids are 8 bytes per row, so even a bigger-than-RAM table's id
-// vector fits; cells are not materialized.
-func (h *rowHeap) allIDs(limit uint64) ([]uint64, error) {
-	ids := make([]uint64, 0, h.count)
-	err := h.ascendPages(0, false, func(rows []proto.Row) (bool, error) {
-		for _, r := range rows {
-			ids = append(ids, r.ID)
-			if limit > 0 && uint64(len(ids)) == limit {
-				return false, nil
-			}
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ids, nil
 }

@@ -347,7 +347,7 @@ func benchPagedStore(b *testing.B, cacheBytes int64, ratio int) (*Store, int) {
 	if err := s.CreateTable(testSpec()); err != nil {
 		b.Fatal(err)
 	}
-	rowBytes := int(encodedRowSize(row(1, 1)))
+	rowBytes := proto.RowBytes(row(1, 1))
 	n := int(cacheBytes) * ratio / rowBytes
 	batch := make([]proto.Row, 0, 256)
 	for i := 1; i <= n; i++ {

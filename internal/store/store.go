@@ -17,11 +17,13 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -383,7 +385,7 @@ func (s *Store) applyCreateTable(spec *proto.TableSpec) error {
 		spec:    *spec,
 		indexes: make(map[string]*btree.Tree),
 		merkles: make(map[string]*merkleState),
-		heap:    &rowHeap{s: s, tableID: s.nextTableID},
+		heap:    &rowHeap{s: s, tableID: s.nextTableID, shape: shapeOf(spec)},
 	}
 	s.nextTableID++
 	for _, c := range spec.Columns {
@@ -440,26 +442,11 @@ func (s *Store) table(name string) (*table, error) {
 	return t, nil
 }
 
-// validateRow checks arity and per-kind cell widths.
+// validateRow checks arity and per-kind cell widths: that the row fits the
+// table's page shape.
 func (t *table) validateRow(row proto.Row) error {
-	if len(row.Cells) != len(t.spec.Columns) {
-		return fmt.Errorf("%w: row %d has %d cells, table %q has %d columns",
-			ErrBadRequest, row.ID, len(row.Cells), t.spec.Name, len(t.spec.Columns))
-	}
-	for i, c := range t.spec.Columns {
-		cell := row.Cells[i]
-		switch c.Kind {
-		case proto.KindOPP:
-			if len(cell) != oppCellSize {
-				return fmt.Errorf("%w: row %d column %q: OPP cell must be %d bytes, got %d",
-					ErrBadRequest, row.ID, c.Name, oppCellSize, len(cell))
-			}
-		case proto.KindField:
-			if len(cell) != fieldCellSize {
-				return fmt.Errorf("%w: row %d column %q: field cell must be %d bytes, got %d",
-					ErrBadRequest, row.ID, c.Name, fieldCellSize, len(cell))
-			}
-		}
+	if _, err := t.heap.shape.RowSize(row.Cells); err != nil {
+		return fmt.Errorf("%w: row %d of table %q: %v", ErrBadRequest, row.ID, t.spec.Name, err)
 	}
 	return nil
 }
@@ -472,37 +459,14 @@ func indexKey(cell []byte, rowID uint64) []byte {
 	return k
 }
 
-// copyRow deep-copies a row's cells into fresh backing arrays. Every row
-// entering the heap passes through copyRow (Insert and Update both install
-// copies), and nothing in the store ever writes into a stored cell
-// afterwards — Update replaces the whole row value, never patches cells in
-// place, and pages loaded from disk alias their read buffer without ever
-// writing into it. That is the store's cell-immutability invariant: once a
-// []byte cell is reachable from a heap page it is frozen for the lifetime
-// of that page epoch. Scan, ScanCursor and the aggregate paths rely on it
-// to return responses whose cells alias page storage without copying, even
-// after the read lock is released and even if the page itself is evicted —
-// the garbage collector keeps the cell bytes alive for as long as any
-// response references them (TestScanAliasesAreImmutable exercises this
-// under -race).
-func copyRow(row proto.Row) proto.Row {
-	out := proto.Row{ID: row.ID, Cells: make([][]byte, len(row.Cells))}
-	for i, c := range row.Cells {
-		out.Cells[i] = append([]byte(nil), c...)
+// row locates one row by id, faulting its page in if needed: the page and
+// the row's position in it.
+func (t *table) row(id uint64) (*page, int, error) {
+	p, i, ok, err := t.heap.get(id)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: %d", ErrNoSuchRow, id)
 	}
-	return out
-}
-
-// row fetches one row by id, faulting its page in if needed.
-func (t *table) row(id uint64) (proto.Row, error) {
-	r, ok, err := t.heap.get(id)
-	if err != nil {
-		return proto.Row{}, err
-	}
-	if !ok {
-		return proto.Row{}, fmt.Errorf("%w: %d", ErrNoSuchRow, id)
-	}
-	return r, nil
+	return p, i, err
 }
 
 // ensureIndexes returns the table's B+-trees, building them with one heap
@@ -523,10 +487,10 @@ func (t *table) ensureIndexes() (map[string]*btree.Tree, error) {
 		}
 	}
 	if len(idxs) > 0 {
-		err := t.heap.ascendPages(0, false, func(rows []proto.Row) (bool, error) {
-			for _, r := range rows {
+		err := t.heap.ascendPages(0, false, func(p *page, _ int) (bool, error) {
+			for i, id := range p.IDs {
 				for name, tree := range idxs {
-					tree.Set(indexKey(r.Cells[cols[name]], r.ID), nil)
+					tree.Set(indexKey(p.Cell(i, cols[name]), id), nil)
 				}
 			}
 			return true, nil
@@ -557,10 +521,9 @@ func (t *table) indexInsert(row proto.Row) {
 	}
 }
 
-func (t *table) indexDelete(row proto.Row) {
+func (t *table) indexDelete(p *page, i int) {
 	for name, idx := range t.indexes {
-		ci := t.spec.ColumnIndex(name)
-		idx.Delete(indexKey(row.Cells[ci], row.ID))
+		idx.Delete(indexKey(p.Cell(i, t.spec.ColumnIndex(name)), p.IDs[i]))
 	}
 }
 
@@ -597,7 +560,7 @@ func (s *Store) insertLocked(name string, rows []proto.Row) (*wal.Segmented, err
 			return nil, fmt.Errorf("%w: %d (within batch)", ErrDuplicateRow, row.ID)
 		}
 		seen[row.ID] = true
-		if _, exists, err := t.heap.get(row.ID); err != nil {
+		if _, _, exists, err := t.heap.get(row.ID); err != nil {
 			return nil, err
 		} else if exists {
 			return nil, fmt.Errorf("%w: %d", ErrDuplicateRow, row.ID)
@@ -615,15 +578,13 @@ func (s *Store) applyInsert(name string, rows []proto.Row) error {
 	if err != nil {
 		return err
 	}
+	// The heap copies each row's cells into its page's slab; a row that
+	// does not fit the table's shape is rejected there.
 	for _, row := range rows {
-		if err := t.validateRow(row); err != nil {
+		if err := t.heap.insert(row); err != nil {
 			return err
 		}
-		r := copyRow(row)
-		if err := t.heap.insert(r); err != nil {
-			return err
-		}
-		t.indexInsert(r)
+		t.indexInsert(row)
 	}
 	t.invalidateMerkles()
 	return nil
@@ -665,16 +626,7 @@ func (s *Store) applyDelete(name string, ids []uint64) (uint64, error) {
 	}
 	var affected uint64
 	for _, id := range ids {
-		if t.indexes != nil {
-			row, ok, err := t.heap.get(id)
-			if err != nil {
-				return affected, err
-			}
-			if ok {
-				t.indexDelete(row)
-			}
-		}
-		ok, err := t.heap.delete(id)
+		ok, err := t.heap.delete(id, t.indexDelete)
 		if err != nil {
 			return affected, err
 		}
@@ -712,7 +664,7 @@ func (s *Store) updateLocked(name string, rows []proto.Row) (*wal.Segmented, err
 		if err := t.validateRow(row); err != nil {
 			return nil, err
 		}
-		if _, ok, err := t.heap.get(row.ID); err != nil {
+		if _, _, ok, err := t.heap.get(row.ID); err != nil {
 			return nil, err
 		} else if !ok {
 			return nil, fmt.Errorf("%w: %d", ErrNoSuchRow, row.ID)
@@ -731,21 +683,10 @@ func (s *Store) applyUpdate(name string, rows []proto.Row) error {
 		return err
 	}
 	for _, row := range rows {
-		if err := t.validateRow(row); err != nil {
+		if err := t.heap.replace(row, t.indexDelete); err != nil {
 			return err
 		}
-		if t.indexes != nil {
-			old, err := t.row(row.ID)
-			if err != nil {
-				return err
-			}
-			t.indexDelete(old)
-		}
-		r := copyRow(row)
-		if err := t.heap.replace(r); err != nil {
-			return err
-		}
-		t.indexInsert(r)
+		t.indexInsert(row)
 	}
 	if len(rows) > 0 {
 		t.invalidateMerkles()
@@ -755,10 +696,14 @@ func (s *Store) applyUpdate(name string, rows []proto.Row) error {
 
 // --- Reads ---
 
-// resolveProjection maps projection names to column indices (all columns
-// when empty).
+// NoColumns is the projection of a read that wants row ids and no cells.
+// It is empty but not nil: a nil projection means every column.
+var NoColumns = []string{}
+
+// resolveProjection maps projection names to column indices: every column
+// when projection is nil, none when it is empty (NoColumns).
 func (t *table) resolveProjection(projection []string) ([]string, []int, error) {
-	if len(projection) == 0 {
+	if projection == nil {
 		names := make([]string, len(t.spec.Columns))
 		idx := make([]int, len(t.spec.Columns))
 		for i, c := range t.spec.Columns {
@@ -781,73 +726,22 @@ func (t *table) resolveProjection(projection []string) ([]string, []int, error) 
 // filterBounds resolves a filter to its column index and inclusive
 // [lo, hi] cell range, rejecting field-share columns.
 func (t *table) filterBounds(f *proto.Filter) (int, []byte, []byte, error) {
-	ci := t.spec.ColumnIndex(f.Col)
-	if ci < 0 {
-		return 0, nil, nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, f.Col)
-	}
-	if t.spec.Columns[ci].Kind == proto.KindField {
-		return 0, nil, nil, fmt.Errorf("%w: cannot filter on field-share column %q", ErrBadRequest, f.Col)
-	}
-	switch f.Op {
-	case proto.FilterEq:
+	ci, err := t.usableCol(f.Col, "filter on", false)
+	switch {
+	case err != nil:
+		return 0, nil, nil, err
+	case f.Op == proto.FilterEq:
 		return ci, f.Lo, f.Lo, nil
-	case proto.FilterRange:
+	case f.Op == proto.FilterRange:
 		return ci, f.Lo, f.Hi, nil
-	default:
-		return 0, nil, nil, fmt.Errorf("%w: unknown filter op %d", ErrBadRequest, f.Op)
 	}
+	return 0, nil, nil, fmt.Errorf("%w: unknown filter op %d", ErrBadRequest, f.Op)
 }
 
-// matchingIDs returns the row ids satisfying the filter in index order when
-// an index is available, id order otherwise. A nil filter matches every
-// row. A non-zero limit stops the index walk (or the page scan) after limit
-// matches instead of collecting everything and slicing afterwards.
-func (t *table) matchingIDs(f *proto.Filter, limit uint64) ([]uint64, error) {
-	if f == nil {
-		return t.heap.allIDs(limit)
-	}
-	ci, lo, hi, err := t.filterBounds(f)
-	if err != nil {
-		return nil, err
-	}
-	if t.spec.Columns[ci].Indexed {
-		idxs, err := t.ensureIndexes()
-		if err != nil {
-			return nil, err
-		}
-		// Composite keys are cell||rowID: scan [lo||0^8, hi||0xff^8].
-		start := indexKey(lo, 0)
-		end := indexKey(hi, ^uint64(0))
-		var ids []uint64
-		idxs[f.Col].AscendRange(start, append(end, 0), func(k, _ []byte) bool {
-			ids = append(ids, binary.BigEndian.Uint64(k[len(k)-8:]))
-			return limit == 0 || uint64(len(ids)) < limit
-		})
-		return ids, nil
-	}
-	// Unindexed: page scan comparing cell bytes.
-	var ids []uint64
-	err = t.heap.ascendPages(0, false, func(rows []proto.Row) (bool, error) {
-		for _, r := range rows {
-			cell := r.Cells[ci]
-			if bytes.Compare(cell, lo) >= 0 && bytes.Compare(cell, hi) <= 0 {
-				ids = append(ids, r.ID)
-				if limit > 0 && uint64(len(ids)) == limit {
-					return false, nil
-				}
-			}
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ids, nil
-}
-
-// Scan returns rows matching the filter, projected and capped at limit
-// (0 = unlimited). With withProof it also returns a Merkle completeness
-// proof; the filter column must then be indexed and limit must be zero.
+// Scan returns rows matching the filter, projected (nil = every column,
+// NoColumns = ids only) and capped at limit (0 = unlimited). With withProof
+// it also returns a Merkle completeness proof; the filter column must then
+// be indexed and limit must be zero. The response owns its bytes.
 func (s *Store) Scan(name string, f *proto.Filter, projection []string, limit uint64, withProof bool) (*proto.RowsResponse, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -855,7 +749,7 @@ func (s *Store) Scan(name string, f *proto.Filter, projection []string, limit ui
 	if err != nil {
 		return nil, err
 	}
-	cols, colIdx, err := t.resolveProjection(projection)
+	cur, err := t.openCursor(f, projection, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -867,28 +761,18 @@ func (s *Store) Scan(name string, f *proto.Filter, projection []string, limit ui
 			return nil, fmt.Errorf("%w: proof incompatible with limit", ErrBadRequest)
 		}
 	}
-	ids, err := t.matchingIDs(f, limit)
+	err = cur.walk(t, func(p *page, i int) bool {
+		cur.batch.add(p, i, cur.colIdx)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	resp := &proto.RowsResponse{Columns: cols}
-	for _, id := range ids {
-		row, err := t.row(id)
-		if err != nil {
-			return nil, err
-		}
-		out := proto.Row{ID: id, Cells: make([][]byte, len(colIdx))}
-		for i, ci := range colIdx {
-			out.Cells[i] = row.Cells[ci]
-		}
-		resp.Rows = append(resp.Rows, out)
-	}
+	resp := &proto.RowsResponse{Columns: cur.cols, Rows: cur.batch.rows()}
 	if withProof {
-		proof, err := t.proveScan(f)
-		if err != nil {
+		if resp.Proof, err = t.proveScan(f); err != nil {
 			return nil, err
 		}
-		resp.Proof = proof
 	}
 	return resp, nil
 }
@@ -929,14 +813,16 @@ func (t *table) merkleFor(col string) (*merkleState, error) {
 	}
 	m := &merkleState{}
 	var walkErr error
+	var row proto.Row
 	idx.Ascend(func(k, _ []byte) bool {
 		key := append([]byte(nil), k...)
 		rowID := binary.BigEndian.Uint64(key[len(key)-8:])
-		row, err := t.row(rowID)
+		p, i, err := t.row(rowID)
 		if err != nil {
 			walkErr = err
 			return false
 		}
+		row = rowAt(p, i, row.Cells)
 		digest := RowDigest(row)
 		m.keys = append(m.keys, key)
 		m.rowIDs = append(m.rowIDs, rowID)
@@ -960,14 +846,9 @@ func (t *table) proveScan(f *proto.Filter) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var lo, hi []byte
-	switch f.Op {
-	case proto.FilterEq:
-		lo, hi = f.Lo, f.Lo
-	case proto.FilterRange:
-		lo, hi = f.Lo, f.Hi
-	default:
-		return nil, fmt.Errorf("%w: unknown filter op", ErrBadRequest)
+	_, lo, hi, err := t.filterBounds(f)
+	if err != nil {
+		return nil, err
 	}
 	start := sort.Search(len(m.keys), func(i int) bool {
 		return bytes.Compare(m.keys[i], indexKey(lo, 0)) >= 0
@@ -1033,10 +914,12 @@ func (s *Store) ResyncDigest(name string) (*proto.DigestResult, error) {
 	}
 	leaves := make([]merkle.Hash, 0, t.heap.count)
 	var key [8]byte
-	err = t.heap.ascendPages(0, false, func(rows []proto.Row) (bool, error) {
-		for _, r := range rows {
-			binary.BigEndian.PutUint64(key[:], r.ID)
-			leaves = append(leaves, merkle.LeafHash(key[:], resyncRowDigest(&t.spec, r)))
+	var row proto.Row
+	err = t.heap.ascendPages(0, false, func(p *page, _ int) (bool, error) {
+		for i, id := range p.IDs {
+			binary.BigEndian.PutUint64(key[:], id)
+			row = rowAt(p, i, row.Cells)
+			leaves = append(leaves, merkle.LeafHash(key[:], resyncRowDigest(&t.spec, row)))
 		}
 		return true, nil
 	})
@@ -1064,6 +947,25 @@ func resyncRowDigest(spec *proto.TableSpec, row proto.Row) []byte {
 	return h.Sum(nil)
 }
 
+// usableCol resolves a column an operator is about to use. Field shares are
+// random per row: they sum (share linearity) and nothing else, so a use
+// that needs them refuses the other kinds and every other use refuses them.
+func (t *table) usableCol(name, use string, needField bool) (int, error) {
+	ci := t.spec.ColumnIndex(name)
+	if ci < 0 {
+		return 0, fmt.Errorf("%w: %q", ErrNoSuchColumn, name)
+	}
+	if kind := t.spec.Columns[ci].Kind; (kind == proto.KindField) != needField {
+		return 0, fmt.Errorf("%w: cannot %s %s column %q", ErrBadRequest, use, kind, name)
+	}
+	return ci, nil
+}
+
+// fieldSum adds the field share in cell to sum, modulo the field prime.
+func fieldSum(sum uint64, cell []byte) uint64 {
+	return field.New(sum).Add(field.New(binary.BigEndian.Uint64(cell))).Uint64()
+}
+
 // Aggregate computes a provider-side partial aggregate (Sec. V-A: providers
 // "perform an intermediate computation"; the data source combines k of
 // them).
@@ -1074,104 +976,75 @@ func (s *Store) Aggregate(name string, op proto.AggOp, orderCol, valueCol string
 	if err != nil {
 		return nil, err
 	}
-	ids, err := t.matchingIDs(f, 0)
+	cur, err := t.openCursor(f, NoColumns, 0)
 	if err != nil {
 		return nil, err
 	}
-	res := &proto.AggResult{Count: uint64(len(ids))}
+	oi, vi := -1, -1
 	switch op {
 	case proto.AggCount:
-		return res, nil
 	case proto.AggSum:
-		vi := t.spec.ColumnIndex(valueCol)
-		if vi < 0 {
-			return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, valueCol)
-		}
-		if t.spec.Columns[vi].Kind != proto.KindField {
-			return nil, fmt.Errorf("%w: SUM needs a field-share column, %q is %s",
-				ErrBadRequest, valueCol, t.spec.Columns[vi].Kind)
-		}
-		var sum field.Element
-		for _, id := range ids {
-			row, err := t.row(id)
-			if err != nil {
-				return nil, err
-			}
-			sum = sum.Add(field.New(binary.BigEndian.Uint64(row.Cells[vi])))
-		}
-		res.Sum = sum.Uint64()
-		return res, nil
+		vi, err = t.usableCol(valueCol, "sum", true)
 	case proto.AggMin, proto.AggMax, proto.AggMedian:
-		oi := t.spec.ColumnIndex(orderCol)
-		if oi < 0 {
-			return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, orderCol)
-		}
-		if t.spec.Columns[oi].Kind == proto.KindField {
-			return nil, fmt.Errorf("%w: cannot order by field-share column %q", ErrBadRequest, orderCol)
-		}
-		vi := t.spec.ColumnIndex(valueCol)
-		if vi < 0 {
-			return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, valueCol)
-		}
-		if len(ids) == 0 {
-			return res, nil
-		}
-		var pickID uint64
-		switch op {
-		case proto.AggMin, proto.AggMax:
-			first, err := t.row(ids[0])
-			if err != nil {
-				return nil, err
+		if oi, err = t.usableCol(orderCol, "order by", false); err == nil {
+			if vi = t.spec.ColumnIndex(valueCol); vi < 0 {
+				err = fmt.Errorf("%w: %q", ErrNoSuchColumn, valueCol)
 			}
-			pickID = ids[0]
-			best := first.Cells[oi]
-			for _, id := range ids[1:] {
-				row, err := t.row(id)
-				if err != nil {
-					return nil, err
-				}
-				cell := row.Cells[oi]
-				cmp := bytes.Compare(cell, best)
-				if (op == proto.AggMin && cmp < 0) || (op == proto.AggMax && cmp > 0) {
-					best, pickID = cell, id
-				}
-			}
-		case proto.AggMedian:
-			// Sort matched rows by order cell; order preservation makes the
-			// lower-median row identical at every provider. Cells stay valid
-			// even if their page is evicted mid-sort (GC pins the buffers).
-			type idCell struct {
-				id   uint64
-				cell []byte
-			}
-			sorted := make([]idCell, 0, len(ids))
-			for _, id := range ids {
-				row, err := t.row(id)
-				if err != nil {
-					return nil, err
-				}
-				sorted = append(sorted, idCell{id: id, cell: row.Cells[oi]})
-			}
-			sort.Slice(sorted, func(a, b int) bool {
-				if c := bytes.Compare(sorted[a].cell, sorted[b].cell); c != 0 {
-					return c < 0
-				}
-				return sorted[a].id < sorted[b].id
-			})
-			pickID = sorted[(len(sorted)-1)/2].id
 		}
-		row, err := t.row(pickID)
-		if err != nil {
-			return nil, err
-		}
-		// The winner's id lets the client check that every provider picked
-		// the same row; of its cells only the value share is of any use.
-		res.HasRow = true
-		res.Row = proto.Row{ID: pickID, Cells: [][]byte{row.Cells[vi]}}
-		return res, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown aggregate op %d", ErrBadRequest, op)
+		err = fmt.Errorf("%w: unknown aggregate op %d", ErrBadRequest, op)
 	}
+	if err != nil {
+		return nil, err
+	}
+	// Order cells alias their pages: the shared store lock keeps every slab
+	// unmutated, and an evicted page's bytes live on while referenced here.
+	type idCell struct {
+		id   uint64
+		cell []byte
+	}
+	var ordered []idCell
+	res := &proto.AggResult{}
+	err = cur.walk(t, func(p *page, i int) bool {
+		res.Count++
+		if oi >= 0 {
+			ordered = append(ordered, idCell{id: p.IDs[i], cell: p.Cell(i, oi)})
+		} else if vi >= 0 {
+			res.Sum = fieldSum(res.Sum, p.Cell(i, vi))
+		}
+		return true
+	})
+	if err != nil || len(ordered) == 0 {
+		return res, err
+	}
+	order := func(a, b idCell) int {
+		if c := bytes.Compare(a.cell, b.cell); c != 0 || op != proto.AggMedian {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	}
+	var pick idCell
+	switch op {
+	case proto.AggMin:
+		pick = slices.MinFunc(ordered, order)
+	case proto.AggMax:
+		pick = slices.MaxFunc(ordered, order)
+	default:
+		// Order preservation makes the lower-median row the same row at
+		// every provider.
+		slices.SortFunc(ordered, order)
+		pick = ordered[(len(ordered)-1)/2]
+	}
+	p, i, err := t.row(pick.id)
+	if err != nil {
+		return nil, err
+	}
+	// The winner's id lets the client check that every provider picked the
+	// same row; of its cells only the value share is of any use, and the
+	// result owns its copy.
+	res.HasRow = true
+	res.Row = proto.Row{ID: pick.id, Cells: [][]byte{slices.Clone(p.Cell(i, vi))}}
+	return res, nil
 }
 
 // AggregateGrouped partitions the matching rows by the group column's cell
@@ -1190,53 +1063,42 @@ func (s *Store) AggregateGrouped(name string, op proto.AggOp, valueCol, groupCol
 	if op != proto.AggCount && op != proto.AggSum {
 		return nil, fmt.Errorf("%w: grouped aggregation supports COUNT and SUM, not %s", ErrBadRequest, op)
 	}
-	gi := t.spec.ColumnIndex(groupCol)
-	if gi < 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, groupCol)
-	}
-	if t.spec.Columns[gi].Kind == proto.KindField {
-		return nil, fmt.Errorf("%w: cannot group by field-share column %q", ErrBadRequest, groupCol)
+	gi, err := t.usableCol(groupCol, "group by", false)
+	if err != nil {
+		return nil, err
 	}
 	vi := -1
 	if op == proto.AggSum {
-		vi = t.spec.ColumnIndex(valueCol)
-		if vi < 0 {
-			return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, valueCol)
-		}
-		if t.spec.Columns[vi].Kind != proto.KindField {
-			return nil, fmt.Errorf("%w: grouped SUM needs a field-share column, %q is %s",
-				ErrBadRequest, valueCol, t.spec.Columns[vi].Kind)
+		if vi, err = t.usableCol(valueCol, "sum", true); err != nil {
+			return nil, err
 		}
 	}
-	ids, err := t.matchingIDs(f, 0)
+	cur, err := t.openCursor(f, NoColumns, 0)
 	if err != nil {
 		return nil, err
 	}
 	partials := make(map[string]*proto.GroupPartial)
-	for _, id := range ids {
-		row, err := t.row(id)
-		if err != nil {
-			return nil, err
-		}
-		key := string(row.Cells[gi])
-		g, ok := partials[key]
+	err = cur.walk(t, func(p *page, i int) bool {
+		cell := p.Cell(i, gi)
+		g, ok := partials[string(cell)]
 		if !ok {
-			g = &proto.GroupPartial{Key: append([]byte(nil), row.Cells[gi]...)}
-			partials[key] = g
+			g = &proto.GroupPartial{Key: slices.Clone(cell)}
+			partials[string(cell)] = g
 		}
 		g.Count++
 		if vi >= 0 {
-			sum := field.New(g.Sum).Add(field.New(binary.BigEndian.Uint64(row.Cells[vi])))
-			g.Sum = sum.Uint64()
+			g.Sum = fieldSum(g.Sum, p.Cell(i, vi))
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	res := &proto.GroupResult{Groups: make([]proto.GroupPartial, 0, len(partials))}
 	for _, g := range partials {
 		res.Groups = append(res.Groups, *g)
 	}
-	sort.Slice(res.Groups, func(i, j int) bool {
-		return bytes.Compare(res.Groups[i].Key, res.Groups[j].Key) < 0
-	})
+	slices.SortFunc(res.Groups, func(a, b proto.GroupPartial) int { return bytes.Compare(a.Key, b.Key) })
 	return res, nil
 }
 
@@ -1254,63 +1116,69 @@ func (s *Store) Join(req *proto.JoinRequest) (*proto.JoinResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	lci := lt.spec.ColumnIndex(req.LeftCol)
-	if lci < 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, req.LeftCol)
-	}
-	rci := rt.spec.ColumnIndex(req.RightCol)
-	if rci < 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, req.RightCol)
-	}
-	if lt.spec.Columns[lci].Kind == proto.KindField || rt.spec.Columns[rci].Kind == proto.KindField {
-		return nil, fmt.Errorf("%w: cannot join on field-share columns", ErrBadRequest)
-	}
-	lNames, lIdx, err := lt.resolveProjection(req.LeftProj)
+	lci, err := lt.usableCol(req.LeftCol, "join on", false)
 	if err != nil {
 		return nil, err
 	}
-	rNames, rIdx, err := rt.resolveProjection(req.RightProj)
+	rci, err := rt.usableCol(req.RightCol, "join on", false)
 	if err != nil {
 		return nil, err
 	}
-	leftIDs, err := lt.matchingIDs(req.Filter, 0)
+	left, err := lt.openCursor(req.Filter, Projection(req.LeftProj, req.LeftIDsOnly), 0)
+	if err != nil {
+		return nil, err
+	}
+	rNames, rIdx, err := rt.resolveProjection(Projection(req.RightProj, req.RightIDsOnly))
 	if err != nil {
 		return nil, err
 	}
 	// Hash join: build on the right side, one page pass.
 	build := make(map[string][]uint64, rt.heap.count)
-	err = rt.heap.ascendPages(0, false, func(rows []proto.Row) (bool, error) {
-		for _, r := range rows {
-			cell := r.Cells[rci]
-			build[string(cell)] = append(build[string(cell)], r.ID)
+	err = rt.heap.ascendPages(0, false, func(p *page, _ int) (bool, error) {
+		for i, id := range p.IDs {
+			cell := p.Cell(i, rci)
+			build[string(cell)] = append(build[string(cell)], id)
 		}
 		return true, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &proto.JoinResult{Columns: append(append([]string(nil), lNames...), rNames...)}
-	for _, lid := range leftIDs {
-		lrow, err := lt.row(lid)
-		if err != nil {
-			return nil, err
-		}
-		for _, rid := range build[string(lrow.Cells[lci])] {
-			rrow, err := rt.row(rid)
+	out := &proto.JoinResult{Columns: append(slices.Clone(left.cols), rNames...)}
+	rb := &left.batch
+	rb.extend(rt.heap.shape, rIdx)
+	var probeErr error
+	err = left.walk(lt, func(lp *page, li int) bool {
+		for _, rid := range build[string(lp.Cell(li, lci))] {
+			rp, ri, err := rt.row(rid)
 			if err != nil {
-				return nil, err
+				probeErr = err
+				return false
 			}
-			cells := make([][]byte, 0, len(lIdx)+len(rIdx))
-			for _, ci := range lIdx {
-				cells = append(cells, lrow.Cells[ci])
-			}
-			for _, ci := range rIdx {
-				cells = append(cells, rrow.Cells[ci])
-			}
-			out.Rows = append(out.Rows, proto.JoinedRow{LeftID: lid, RightID: rid, Cells: cells})
+			rb.add(lp, li, left.colIdx)
+			rb.addCells(rp, ri, rIdx)
+			out.RightIDs = append(out.RightIDs, rid)
 		}
+		return true
+	})
+	if err = errors.Join(err, probeErr); err != nil {
+		return nil, err
 	}
+	out.Rows = rb.rows()
 	return out, nil
+}
+
+// Projection turns a request's projection — its column names and its
+// ids-only flag — into the one Scan, OpenCursor and Join take: no name means
+// every column (nil) unless the request asked for ids only (NoColumns).
+func Projection(names []string, idsOnly bool) []string {
+	switch {
+	case idsOnly:
+		return NoColumns
+	case len(names) == 0:
+		return nil
+	}
+	return names
 }
 
 // RowCount returns the number of rows in a table.

@@ -431,8 +431,8 @@ func TestJoin(t *testing.T) {
 		t.Fatalf("join columns: %v", res.Columns)
 	}
 	matched := map[[2]uint64]bool{}
-	for _, jr := range res.Rows {
-		matched[[2]uint64{jr.LeftID, jr.RightID}] = true
+	for i, jr := range res.Rows {
+		matched[[2]uint64{jr.ID, res.RightIDs[i]}] = true
 		if len(jr.Cells) != 2 {
 			t.Fatalf("joined cells: %d", len(jr.Cells))
 		}
@@ -451,7 +451,7 @@ func TestJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0].LeftID != 4 {
+	if len(res.Rows) != 1 || res.Rows[0].ID != 4 {
 		t.Fatalf("filtered join: %+v", res.Rows)
 	}
 	// Error cases.

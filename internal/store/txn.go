@@ -70,7 +70,7 @@ func (s *Store) PrepareTx(id uint64, rawOps [][]byte) error {
 					return fmt.Errorf("%w: %d (within transaction)", ErrDuplicateRow, row.ID)
 				}
 				if !sm.gone[row.ID] {
-					if _, live, err := t.heap.get(row.ID); err != nil {
+					if _, _, live, err := t.heap.get(row.ID); err != nil {
 						return err
 					} else if live {
 						return fmt.Errorf("%w: %d", ErrDuplicateRow, row.ID)

@@ -315,8 +315,8 @@ func TestWrongVersionAckRejected(t *testing.T) {
 	}
 	defer c.Close()
 	_, err = c.Call(&proto.PingRequest{})
-	if err == nil || !strings.Contains(err.Error(), "protocol version 3") {
-		t.Fatalf("call against a version-3 peer: %v, want a version error", err)
+	if want := fmt.Sprintf("protocol version %d", protoVersion+1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("call against a version-%d peer: %v, want a version error", protoVersion+1, err)
 	}
 	select {
 	case <-closed:

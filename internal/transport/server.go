@@ -408,11 +408,11 @@ func (s *Server) responseFrames(id uint64, resp proto.Message) []outFrame {
 	if !isRows || s.cfg.ChunkBytes <= 0 || len(rr.Rows) < 2 {
 		return []outFrame{{id: id, flags: flagFinal, body: proto.Encode(resp)}}
 	}
-	// Greedily group rows by exact wire size.
+	// Greedily group rows by what each adds to a block.
 	var cuts []int
 	size := 0
 	for i, row := range rr.Rows {
-		rs := proto.RowWireSize(row)
+		rs := proto.RowBytes(row)
 		if size > 0 && size+rs > s.cfg.ChunkBytes {
 			cuts = append(cuts, i)
 			size = 0

@@ -5,7 +5,7 @@
 // sizes — so unit tests and benchmarks measure exactly the bytes a network
 // deployment would move, without socket noise.
 //
-// There is one wire protocol (version 2). A connection opens with a
+// There is one wire protocol (version 3). A connection opens with a
 // hello/ack handshake naming the version and the session's tenant; a peer
 // that opens with anything else, or acks any other version, is answered
 // with an error and disconnected. After the handshake every frame is
@@ -39,8 +39,9 @@ const maxFrameSize = 256 << 20
 
 // protoVersion is the one protocol version spoken; the handshake names it
 // so a peer from a different generation fails loudly instead of misparsing
-// frames.
-const protoVersion = 2
+// frames. Version 3 frames carry rows as share-row blocks (proto/rowblock.go)
+// and number their message kinds from proto's kindBase.
+const protoVersion = 3
 
 // Frame flags.
 const (

@@ -158,7 +158,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 }
 
 // TestTCPServerRejectsNonHello opens connections with something other than
-// a version-2 hello — garbage, a well-formed request with no handshake (what
+// a current-version hello — garbage, a well-formed request with no handshake (what
 // a pre-handshake client would send), a hello for an older version — and
 // expects each to be told why and then disconnected.
 func TestTCPServerRejectsNonHello(t *testing.T) {
@@ -173,7 +173,7 @@ func TestTCPServerRejectsNonHello(t *testing.T) {
 	for name, first := range map[string][]byte{
 		"garbage":     {0xff, 0x01, 0x02},
 		"bare ping":   proto.Encode(&proto.PingRequest{}),
-		"hello for 1": helloBody(protoVersion-1, ""),
+		"older hello": helloBody(protoVersion-1, ""),
 	} {
 		nc, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {

@@ -15,8 +15,9 @@ import (
 // loopback TCP) to a byte budget. Providers store 2 cells per column — a
 // 24-byte order-preserving share and an 8-byte field share — and an
 // unverified read must ship the field shares of the columns it reads and
-// nothing else: 4 × (1 + 8) bytes of cells plus id and cell count per row,
-// not the 140 bytes of a whole stored row.
+// nothing else: a share-row block states its shape once, so a row is its
+// id plus 4 × 8 bytes of cells, not the 128 bytes of shares of a whole
+// stored row (let alone the 172 bytes a stored row used to take).
 func TestScanWireBudget(t *testing.T) {
 	addrs := make([]string, 3)
 	for i := range addrs {
@@ -66,8 +67,8 @@ func TestScanWireBudget(t *testing.T) {
 
 	// salary is a permutation of 0..n-1, so the range holds exactly 2000 rows.
 	_, received := wire(`SELECT * FROM emp WHERE salary BETWEEN 1000 AND 2999`, 2000)
-	if perRow := float64(received) / 2000 / 2; perRow > 45 {
-		t.Errorf("4-column range scan: %.1f bytes per row per provider, budget 45", perRow)
+	if perRow := float64(received) / 2000 / 2; perRow > 37 {
+		t.Errorf("4-column range scan: %.1f bytes per row per provider, budget 37", perRow)
 	}
 	// A hedged request would add a third provider's bytes; the cheapest of a
 	// few runs is the unhedged cost.
