@@ -42,9 +42,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime=10s ./internal/store
 
 # The figures ROADMAP.md and CHANGES.md quote for aim 2: non-test lines of
-# the client and the transport (item 6), the store and the codec (item 1).
+# the client and the transport (item 6), the store, the codec and the
+# order-preserving scheme (item 1).
 loc:
-	@for d in internal/client internal/transport internal/store internal/proto; do \
+	@for d in internal/client internal/transport internal/store internal/proto internal/opp; do \
 		printf '%s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -42,4 +45,46 @@ func itoa(i int) string {
 		return string(rune('0' + i))
 	}
 	return string(rune('0'+i/10)) + string(rune('0'+i%10))
+}
+
+// The serialized width of an order-preserving share is derived from its
+// scheme (opp.Scheme.Width) and reaches everything else as data
+// (proto.ColumnSpec.Width): outside internal/opp no shipped code may name a
+// share size constant or write the old 24-byte cell width as a literal.
+func TestShareWidthIsDerivedNotWritten(t *testing.T) {
+	literal := regexp.MustCompile(`\b24\b`)
+	shift := regexp.MustCompile(`<<\s*24\b`) // a shift count is not a width
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		// benchmark/ is a frozen module of its own; its synthetic btree probe
+		// still builds 24+8-byte keys.
+		if d.IsDir() && (d.Name() == "opp" || d.Name() == "benchmark" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		files++
+		for i, line := range strings.Split(string(src), "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			if strings.Contains(code, "ShareSize") || strings.Contains(code, "oppCellSize") || literal.MatchString(shift.ReplaceAllString(code, "")) {
+				t.Errorf("%s:%d writes a share width: %s", path, i+1, strings.TrimSpace(line))
+			}
+		}
+		return nil
+	})
+	if err != nil || files < 50 {
+		t.Fatalf("walked %d source files: %v", files, err)
+	}
 }

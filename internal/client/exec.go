@@ -2,12 +2,15 @@ package client
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
 	"sssdb/internal/field"
+	"sssdb/internal/opp"
 	"sssdb/internal/proto"
+	"sssdb/internal/secretshare"
 	"sssdb/internal/sql"
 )
 
@@ -350,9 +353,9 @@ func (e *engine) encodeRowsAt(meta *tableMeta, ids []uint64, rows [][]Value) ([]
 		if need > 4096 {
 			need = 4096
 		}
-		rnd := bufio.NewReaderSize(e.opts.Rand, need)
+		enc := e.newRowEncoder(bufio.NewReaderSize(e.opts.Rand, need))
 		for r := start; r < end; r++ {
-			encoded, err := e.encodeRow(meta, ids[r], rows[r], rnd)
+			encoded, err := e.encodeRow(meta, ids[r], rows[r], enc)
 			if err != nil {
 				return err
 			}
@@ -368,18 +371,42 @@ func (e *engine) encodeRowsAt(meta *tableMeta, ids []uint64, rows [][]Value) ([]
 	return perProvider, nil
 }
 
-// encodeRow encodes one row for all providers under a specific id, drawing
-// share randomness from rnd (a per-worker buffered view of Options.Rand).
-func (e *engine) encodeRow(meta *tableMeta, id uint64, vals []Value, rnd io.Reader) ([]proto.Row, error) {
+// rowEncoder is one worker's scratch for encodeRow: its buffered view of
+// Options.Rand, the field-share splitter drawing from it, the
+// order-preserving shares of the value in hand and each provider's slab.
+type rowEncoder struct {
+	rnd   io.Reader
+	field *secretshare.Splitter
+	opp   []opp.Share
+	slabs [][]byte
+}
+
+func (e *engine) newRowEncoder(rnd io.Reader) *rowEncoder {
+	return &rowEncoder{rnd: rnd, field: e.fieldSch.NewSplitter(rnd),
+		opp: make([]opp.Share, e.opts.N), slabs: make([][]byte, e.opts.N)}
+}
+
+// encodeRow encodes one row for all providers under a specific id: each
+// provider's share cells cut from one slab, all providers' cell headers from
+// one index — N + 2 allocations a row (plus a sealed blob's).
+func (e *engine) encodeRow(meta *tableMeta, id uint64, vals []Value, enc *rowEncoder) ([]proto.Row, error) {
+	cells, size := len(meta.Cols), 0
+	for ci := range meta.Cols {
+		if cm := &meta.Cols[ci]; cm.queryable() {
+			cells, size = cells+1, size+cm.oppSch[e.g].Width()+fieldCellSize
+		}
+	}
 	out := make([]proto.Row, e.opts.N)
+	index := make([][]byte, len(out)*cells)
 	for i := range out {
-		out[i] = proto.Row{ID: id}
+		out[i] = proto.Row{ID: id, Cells: index[i*cells : i*cells : (i+1)*cells]}
+		enc.slabs[i] = make([]byte, 0, size)
 	}
 	for ci := range meta.Cols {
 		cm := &meta.Cols[ci]
 		v := vals[ci]
 		if !cm.queryable() {
-			cell, err := e.sealBlob(meta, v, rnd)
+			cell, err := e.sealBlob(meta, v, enc.rnd)
 			if err != nil {
 				return nil, err
 			}
@@ -392,17 +419,20 @@ func (e *engine) encodeRow(meta *tableMeta, id uint64, vals []Value, rnd io.Read
 		if err != nil {
 			return nil, err
 		}
-		oppShares, err := cm.oppSch[e.g].Split(u)
-		if err != nil {
+		sch := cm.oppSch[e.g]
+		if err := sch.SplitInto(enc.opp, u); err != nil {
 			return nil, err
 		}
-		fieldShares, err := e.fieldSch.Split(field.New(u), rnd)
+		ys, err := enc.field.Split(field.New(u))
 		if err != nil {
 			return nil, err
 		}
 		for i := range out {
-			out[i].Cells = append(out[i].Cells,
-				oppShares[i].Bytes(), fieldCell(fieldShares[i].Y.Uint64()))
+			from := len(enc.slabs[i])
+			slab := binary.BigEndian.AppendUint64(sch.AppendShare(enc.slabs[i], enc.opp[i]), ys[i].Uint64())
+			mid := len(slab) - fieldCellSize
+			out[i].Cells = append(out[i].Cells, slab[from:mid:mid], slab[mid:])
+			enc.slabs[i] = slab
 		}
 	}
 	return out, nil

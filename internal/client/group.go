@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"sssdb/internal/field"
-	"sssdb/internal/opp"
 	"sssdb/internal/proto"
 	"sssdb/internal/secretshare"
 	"sssdb/internal/sql"
@@ -417,7 +416,7 @@ func (e *engine) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 	providerIdx := first.providers[0]
 	groups := make([]*group, 0, len(first.results[0].Groups))
 	for gidx, gp := range first.results[0].Groups {
-		share, err := opp.ShareFromBytes(gp.Key)
+		share, err := gcm.oppSch[e.g].ParseShare(gp.Key)
 		if err != nil {
 			return nil, fmt.Errorf("%w: malformed group key: %v", ErrInconsistent, err)
 		}

@@ -248,35 +248,38 @@ func TestGoldenCatalogs(t *testing.T) {
 	}
 }
 
-// TestHintDirOfFormat1Refused attaches clients to HintDirs written by the
-// commit before share-row blocks (testdata/format-v1): a hint journal and a
-// transaction log whose records are per-row encodings. Neither may be
-// replayed, skipped or half-decoded: New fails naming the format.
-func TestHintDirOfFormat1Refused(t *testing.T) {
-	for name, file := range map[string]string{"hints": "hints-0.wal", "txlog": txLogName} {
-		dir := t.TempDir()
-		data, err := os.ReadFile(filepath.Join("testdata", "format-v1", name, file))
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dir, file), data, 0o644)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		var conns []transport.Conn
-		for i := 0; i < 3; i++ {
-			st, err := store.Open("")
+// TestHintDirOfOldFormatRefused attaches clients to HintDirs written by the
+// commits before each format change (testdata/format-v1: per-row encodings;
+// testdata/format-v2: row blocks of 24-byte shares, specs without widths): a
+// hint journal and a transaction log. Neither may be replayed, skipped or
+// half-decoded: New fails naming the format.
+func TestHintDirOfOldFormatRefused(t *testing.T) {
+	for _, format := range []string{"format-v1", "format-v2"} {
+		for name, file := range map[string]string{"hints": "hints-0.wal", "txlog": txLogName} {
+			dir := t.TempDir()
+			data, err := os.ReadFile(filepath.Join("testdata", format, name, file))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dir, file), data, 0o644)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			conns = append(conns, transport.NewLocal(server.New(st)))
-		}
-		c, err := New(conns, Options{K: 2, MasterKey: []byte("k"), HintDir: dir})
-		if err == nil {
-			c.Close()
-			t.Fatalf("%s: a client attached to a format 1 HintDir", name)
-		}
-		if !errors.Is(err, proto.ErrOldFormat) {
-			t.Errorf("%s: refused with %v, which does not name the format", name, err)
+			var conns []transport.Conn
+			for i := 0; i < 3; i++ {
+				st, err := store.Open("")
+				if err != nil {
+					t.Fatal(err)
+				}
+				conns = append(conns, transport.NewLocal(server.New(st)))
+			}
+			c, err := New(conns, Options{K: 2, MasterKey: []byte("k"), HintDir: dir})
+			if err == nil {
+				c.Close()
+				t.Fatalf("%s/%s: a client attached to an old-format HintDir", format, name)
+			}
+			if !errors.Is(err, proto.ErrOldFormat) {
+				t.Errorf("%s/%s: refused with %v, which does not name the format", format, name, err)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package client
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -179,13 +178,14 @@ func checkHeader(provider int, header, asked []string) error {
 	return nil
 }
 
-// providerSpec derives the share-space table spec shipped to providers.
+// providerSpec derives the share-space table spec shipped to providers; an
+// order-preserving column is as wide as its domain's scheme (any group's).
 func (t *tableMeta) providerSpec() proto.TableSpec {
 	spec := proto.TableSpec{Name: t.Name}
 	for _, c := range t.Cols {
 		if c.queryable() {
 			spec.Columns = append(spec.Columns,
-				proto.ColumnSpec{Name: c.Name + suffixOPP, Kind: proto.KindOPP, Indexed: true},
+				proto.ColumnSpec{Name: c.Name + suffixOPP, Kind: proto.KindOPP, Indexed: true, Width: uint8(c.oppSch[0].Width())},
 				proto.ColumnSpec{Name: c.Name + suffixField, Kind: proto.KindField},
 			)
 		} else {
@@ -408,9 +408,20 @@ func (cm *colMeta) domainBounds() (uint64, uint64) {
 	}
 }
 
-// fieldCell encodes a GF(p) share as an 8-byte provider cell.
-func fieldCell(y uint64) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint64(b, y)
-	return b
+// shareBounds returns provider p's serialized order-preserving shares of the
+// encoded values lo and hi under group g's scheme: the bounds of a filter,
+// and what a cell of the column that provider stores compares against.
+func (cm *colMeta) shareBounds(g, p int, lo, hi uint64) (loCell, hiCell []byte, err error) {
+	sch := cm.oppSch[g]
+	loShare, err := sch.ShareAt(lo, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	hiShare, err := sch.ShareAt(hi, p)
+	w := sch.Width()
+	both := sch.AppendShare(sch.AppendShare(make([]byte, 0, 2*w), loShare), hiShare)
+	return both[:w:w], both[w:], err
 }
+
+// fieldCellSize is the width of a GF(p) share as a provider cell.
+const fieldCellSize = 8

@@ -177,18 +177,14 @@ func (e *engine) providerFilters(meta *tableMeta, preds []compiledPred) ([]*prot
 	cp := preds[0]
 	cm := &meta.Cols[cp.ci]
 	for p := range filters {
-		loShare, err := cm.oppSch[e.g].ShareAt(cp.lo, p)
+		lo, hi, err := cm.shareBounds(e.g, p, cp.lo, cp.hi)
 		if err != nil {
 			return nil, err
 		}
-		hiShare, err := cm.oppSch[e.g].ShareAt(cp.hi, p)
-		if err != nil {
-			return nil, err
-		}
-		f := &proto.Filter{Col: cm.Name + suffixOPP, Op: proto.FilterEq, Lo: loShare.Bytes()}
+		f := &proto.Filter{Col: cm.Name + suffixOPP, Op: proto.FilterEq, Lo: lo}
 		if cp.lo != cp.hi {
 			f.Op = proto.FilterRange
-			f.Hi = hiShare.Bytes()
+			f.Hi = hi
 		}
 		filters[p] = f
 	}
@@ -610,11 +606,7 @@ func (e *engine) verifyScan(meta *tableMeta, preds []compiledPred, providers []i
 		if proof.LeftFence != nil {
 			run = append(run, merkle.LeafHash(proof.LeftFence.Key, proof.LeftFence.RowDigest))
 		}
-		loShare, err := cm.oppSch[e.g].ShareAt(cp.lo, p)
-		if err != nil {
-			return err
-		}
-		hiShare, err := cm.oppSch[e.g].ShareAt(cp.hi, p)
+		lo, hi, err := cm.shareBounds(e.g, p, cp.lo, cp.hi)
 		if err != nil {
 			return err
 		}
@@ -622,7 +614,7 @@ func (e *engine) verifyScan(meta *tableMeta, preds []compiledPred, providers []i
 			cell := row.Cells[oppIdx]
 			// The returned rows must actually lie inside the queried range;
 			// otherwise a provider could substitute other committed rows.
-			if bytes.Compare(cell, loShare.Bytes()) < 0 || bytes.Compare(cell, hiShare.Bytes()) > 0 {
+			if len(cell) != len(lo) || bytes.Compare(cell, lo) < 0 || bytes.Compare(cell, hi) > 0 {
 				return fmt.Errorf("%w: provider %d returned a row outside the range", ErrVerification, p)
 			}
 			key := make([]byte, len(cell)+8)
@@ -640,7 +632,7 @@ func (e *engine) verifyScan(meta *tableMeta, preds []compiledPred, providers []i
 				return fmt.Errorf("%w: provider %d sent a malformed left fence", ErrVerification, p)
 			}
 			fenceCell := proof.LeftFence.Key[:len(proof.LeftFence.Key)-8]
-			if bytes.Compare(fenceCell, loShare.Bytes()) >= 0 {
+			if len(fenceCell) != len(lo) || bytes.Compare(fenceCell, lo) >= 0 {
 				return fmt.Errorf("%w: provider %d left fence inside range", ErrVerification, p)
 			}
 		} else if proof.Start != 0 {
@@ -651,7 +643,7 @@ func (e *engine) verifyScan(meta *tableMeta, preds []compiledPred, providers []i
 				return fmt.Errorf("%w: provider %d sent a malformed right fence", ErrVerification, p)
 			}
 			fenceCell := proof.RightFence.Key[:len(proof.RightFence.Key)-8]
-			if bytes.Compare(fenceCell, hiShare.Bytes()) <= 0 {
+			if len(fenceCell) != len(hi) || bytes.Compare(fenceCell, hi) <= 0 {
 				return fmt.Errorf("%w: provider %d right fence inside range", ErrVerification, p)
 			}
 		} else if proof.Start+uint64(len(run)) != proof.N {

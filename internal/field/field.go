@@ -141,8 +141,15 @@ func (e Element) Div(o Element) Element { return e.Mul(o.Inv()) }
 // supply cryptographically secure bytes when the element protects a secret.
 func Random(r io.Reader) (Element, error) {
 	var buf [8]byte
+	return randomVia(r, buf[:])
+}
+
+// randomVia is Random reading through buf, 8 bytes of caller scratch: a
+// buffer local to Random escapes through the Reader and is allocated per
+// element, one the caller keeps is not.
+func randomVia(r io.Reader, buf []byte) (Element, error) {
 	for {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
+		if _, err := io.ReadFull(r, buf); err != nil {
 			return 0, fmt.Errorf("field: reading randomness: %w", err)
 		}
 		// Take 61 bits; reject the two non-canonical values (p and p+1
@@ -153,19 +160,6 @@ func Random(r io.Reader) (Element, error) {
 		v &= Modulus // 61-bit mask; p itself is the single biased value
 		if v != Modulus {
 			return Element(v), nil
-		}
-	}
-}
-
-// RandomNonZero returns a uniformly random non-zero element.
-func RandomNonZero(r io.Reader) (Element, error) {
-	for {
-		e, err := Random(r)
-		if err != nil {
-			return 0, err
-		}
-		if e != 0 {
-			return e, nil
 		}
 	}
 }

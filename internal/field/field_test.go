@@ -181,18 +181,6 @@ func TestRandomInRangeAndVaried(t *testing.T) {
 	}
 }
 
-func TestRandomNonZero(t *testing.T) {
-	for i := 0; i < 64; i++ {
-		e, err := RandomNonZero(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e == 0 {
-			t.Fatal("RandomNonZero returned zero")
-		}
-	}
-}
-
 // zeroReader feeds zero bytes, forcing Random's candidate value to 0.
 type zeroReader struct{}
 

@@ -27,19 +27,30 @@ func NewRandomPoly(secret Element, degree int, rnd io.Reader) (Poly, error) {
 		return nil, fmt.Errorf("field: negative polynomial degree %d", degree)
 	}
 	p := make(Poly, degree+1)
-	p[0] = secret
-	for i := 1; i <= degree; i++ {
-		var err error
-		if i == degree {
-			p[i], err = RandomNonZero(rnd)
-		} else {
-			p[i], err = Random(rnd)
-		}
-		if err != nil {
-			return nil, err
-		}
+	var buf [8]byte
+	if err := p.Randomize(secret, rnd, buf[:]); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// Randomize overwrites p (non-empty) with what NewRandomPoly(secret,
+// len(p)-1, rnd) returns, reading randomness through buf, 8 bytes of
+// scratch: a caller that keeps p and buf shares a secret without allocating.
+func (p Poly) Randomize(secret Element, rnd io.Reader, buf []byte) error {
+	p[0] = secret
+	for i := 1; i < len(p); i++ {
+		for {
+			c, err := randomVia(rnd, buf)
+			if err != nil {
+				return err
+			}
+			if p[i] = c; c != 0 || i < len(p)-1 {
+				break
+			}
+		}
+	}
+	return nil
 }
 
 // Eval evaluates the polynomial at x using Horner's rule.

@@ -22,9 +22,15 @@
 // paper shows to be breakable and which this package implements together
 // with a working attack.
 //
-// Shares are fixed-width 192-bit unsigned integers serialized big-endian,
-// so share order is exactly lexicographic byte order and provider indexes
-// (B+-trees over []byte keys) stay oblivious to the construction.
+// In memory a share is a 192-bit unsigned integer; serialized (AppendShare,
+// ParseShare — the only way a share becomes bytes or comes back) it is as
+// wide as its domain. Every share of a scheme is below MaxShare, a bound
+// fixed by (Degree, DomainBits, SlotBits) alone, so the big-endian bytes
+// above Width() = ⌈bitlen(MaxShare)/8⌉ (13 for a 40-bit domain at degree 3)
+// are zero for every value under every key: dropping them tells a provider
+// nothing it could not count for itself. All shares of a scheme have one
+// width, so share order is exactly lexicographic byte order and provider
+// indexes (B+-trees over []byte keys) stay oblivious to the construction.
 package opp
 
 import (
@@ -40,39 +46,22 @@ import (
 	"sync"
 )
 
-// ShareSize is the width of an order-preserving share in bytes (192 bits).
-const ShareSize = 24
+// shareSize is the width in bytes of the in-memory share (192 bits).
+const shareSize = 24
 
 // Share is an order-preserving share: a 192-bit unsigned integer in
 // big-endian byte order. Compare and bytes.Compare agree by construction.
-type Share [ShareSize]byte
+type Share [shareSize]byte
 
 // Compare returns -1, 0, or +1 ordering s relative to o.
 func (s Share) Compare(o Share) int { return bytes.Compare(s[:], o[:]) }
-
-// Bytes returns the share as a byte slice (a copy).
-func (s Share) Bytes() []byte {
-	b := make([]byte, ShareSize)
-	copy(b, s[:])
-	return b
-}
-
-// ShareFromBytes parses a share from exactly ShareSize bytes.
-func ShareFromBytes(b []byte) (Share, error) {
-	var s Share
-	if len(b) != ShareSize {
-		return s, fmt.Errorf("opp: share must be %d bytes, got %d", ShareSize, len(b))
-	}
-	copy(s[:], b)
-	return s, nil
-}
 
 // Int returns the share value as a big integer.
 func (s Share) Int() *big.Int { return new(big.Int).SetBytes(s[:]) }
 
 func shareFromInt(v *big.Int) (Share, error) {
 	var s Share
-	if v.Sign() < 0 || v.BitLen() > ShareSize*8 {
+	if v.Sign() < 0 || v.BitLen() > shareSize*8 {
 		return s, fmt.Errorf("opp: share value out of range (bitlen %d)", v.BitLen())
 	}
 	v.FillBytes(s[:])
@@ -112,8 +101,9 @@ type Scheme struct {
 	// shares fit in 192 bits; one per provider.
 	xs []uint64
 	// maxShare is the exclusive upper bound of any share value, used as a
-	// range-scan sentinel.
+	// range-scan sentinel; width is the bytes it occupies.
 	maxShare Share
+	width    int
 
 	// cache memoizes p_v(x) per (value, evaluation point): share derivation
 	// is deterministic, and both query rewriting (the same filter bounds
@@ -177,15 +167,16 @@ func NewScheme(p Params, key []byte) (*Scheme, error) {
 		xp.Mul(xp, x)
 		acc.Add(acc, new(big.Int).Mul(maxCoef, xp))
 	}
-	if acc.BitLen() > ShareSize*8 {
+	if acc.BitLen() > shareSize*8 {
 		return nil, fmt.Errorf("%w: shares would need %d bits (max %d); reduce degree, domain or slot bits",
-			ErrBadParams, acc.BitLen(), ShareSize*8)
+			ErrBadParams, acc.BitLen(), shareSize*8)
 	}
 	max, err := shareFromInt(acc)
 	if err != nil {
 		return nil, err
 	}
 	s.maxShare = max
+	s.width = (acc.BitLen() + 7) / 8
 	return s, nil
 }
 
@@ -229,6 +220,27 @@ func (s *Scheme) DomainMax() uint64 {
 // MaxShare returns an exclusive upper bound for all shares of this scheme,
 // usable as a +∞ sentinel in range scans.
 func (s *Scheme) MaxShare() Share { return s.maxShare }
+
+// Width is the serialized width in bytes of every share of this scheme:
+// the bytes MaxShare needs, a function of the scheme's parameters only.
+func (s *Scheme) Width() int { return s.width }
+
+// AppendShare appends the serialized form of sh, its low Width() bytes, to
+// dst. sh must be a share of this scheme (or MaxShare).
+func (s *Scheme) AppendShare(dst []byte, sh Share) []byte {
+	return append(dst, sh[shareSize-s.width:]...)
+}
+
+// ParseShare is the inverse of AppendShare: exactly Width() bytes,
+// left-padded with the zero bytes serialization dropped.
+func (s *Scheme) ParseShare(b []byte) (Share, error) {
+	var sh Share
+	if len(b) != s.width {
+		return sh, fmt.Errorf("opp: share must be %d bytes, got %d", s.width, len(b))
+	}
+	copy(sh[shareSize-s.width:], b)
+	return sh, nil
+}
 
 // EvalPoint exposes provider i's secret evaluation point; it is needed by
 // the client for Lagrange reconstruction and must not be shipped to
@@ -370,61 +382,60 @@ func (s *Scheme) ShareAt(v uint64, provider int) (Share, error) {
 	return s.shareAtPoint(v, s.xs[provider])
 }
 
-// Split computes all n providers' shares of v. Cached points are reused;
-// on any miss the polynomial's coefficients are derived once (the HMACs
-// dominate share generation) and evaluated at every missing point, instead
-// of re-deriving them per point as the single-share path would.
+// Split computes all n providers' shares of v.
 func (s *Scheme) Split(v uint64) ([]Share, error) {
-	if v > s.DomainMax() {
-		return nil, fmt.Errorf("%w: %d > %d", ErrOutOfDomain, v, s.DomainMax())
-	}
 	out := make([]Share, len(s.xs))
-	hit := make([]bool, len(s.xs))
+	return out, s.SplitInto(out, v)
+}
+
+// SplitInto is Split into caller storage: out[i] receives provider i's
+// share, len(out) must be N, and nothing is allocated. Cached points are
+// reused; on any miss the polynomial's coefficients are derived once (the
+// HMACs dominate share generation) and evaluated at every point, instead of
+// re-deriving them per point as the single-share path would.
+func (s *Scheme) SplitInto(out []Share, v uint64) error {
+	if v > s.DomainMax() {
+		return fmt.Errorf("%w: %d > %d", ErrOutOfDomain, v, s.DomainMax())
+	}
+	if len(out) != len(s.xs) {
+		return fmt.Errorf("%w: %d shares for %d providers", ErrBadProvider, len(out), len(s.xs))
+	}
 	misses := 0
 	s.cacheMu.RLock()
 	for i, x := range s.xs {
-		if sh, ok := s.cache[shareKey{v, x}]; ok {
-			out[i] = sh
-			hit[i] = true
-		} else {
+		sh, ok := s.cache[shareKey{v, x}]
+		if out[i] = sh; !ok {
 			misses++
 		}
 	}
 	s.cacheMu.RUnlock()
 	if misses == 0 {
-		return out, nil
+		return nil
 	}
-	coeffs := make([]word192, s.params.Degree)
+	var coeffs [8]word192 // Degree <= 8
 	for j := 1; j <= s.params.Degree; j++ {
 		coeffs[j-1] = s.coeff192(j, v)
 	}
 	for i, x := range s.xs {
-		if hit[i] {
-			continue
-		}
 		// Horner: acc = (...(c_d·x + c_{d-1})·x + ...)·x + v.
 		acc := coeffs[s.params.Degree-1]
 		for j := s.params.Degree - 1; j >= 1; j-- {
 			acc = mulAdd192(acc, x, coeffs[j-1])
 		}
 		acc = mulAdd192(acc, x, word192{v, 0, 0})
-		var sh Share
-		binary.BigEndian.PutUint64(sh[0:8], acc[2])
-		binary.BigEndian.PutUint64(sh[8:16], acc[1])
-		binary.BigEndian.PutUint64(sh[16:24], acc[0])
-		out[i] = sh
+		binary.BigEndian.PutUint64(out[i][0:8], acc[2])
+		binary.BigEndian.PutUint64(out[i][8:16], acc[1])
+		binary.BigEndian.PutUint64(out[i][16:24], acc[0])
 	}
 	s.cacheMu.Lock()
 	if len(s.cache)+misses > shareCacheLimit {
 		s.cache = make(map[shareKey]Share, shareCacheLimit/4)
 	}
 	for i, x := range s.xs {
-		if !hit[i] {
-			s.cache[shareKey{v, x}] = out[i]
-		}
+		s.cache[shareKey{v, x}] = out[i]
 	}
 	s.cacheMu.Unlock()
-	return out, nil
+	return nil
 }
 
 // ReconstructSearch inverts a single provider's share by binary search over

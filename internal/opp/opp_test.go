@@ -1,11 +1,9 @@
 package opp
 
 import (
-	"bytes"
 	"errors"
 	"math/big"
 	mrand "math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -110,47 +108,6 @@ func TestOrderPreservation(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Share byte order must equal numeric order, so provider B+-trees can index
-// raw bytes.
-func TestShareBytesOrderMatchesCompare(t *testing.T) {
-	s := testScheme(t, 1)
-	rng := mrand.New(mrand.NewSource(4))
-	vals := make([]uint64, 200)
-	for i := range vals {
-		vals[i] = uint64(rng.Uint32())
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	var prev Share
-	for i, v := range vals {
-		sh, err := s.ShareAt(v, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 && vals[i] != vals[i-1] && bytes.Compare(prev.Bytes(), sh.Bytes()) >= 0 {
-			t.Fatalf("byte order violated between %d and %d", vals[i-1], v)
-		}
-		prev = sh
-	}
-}
-
-func TestShareFromBytesRoundTrip(t *testing.T) {
-	s := testScheme(t, 1)
-	sh, err := s.ShareAt(424242, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ShareFromBytes(sh.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != sh {
-		t.Fatal("round trip mismatch")
-	}
-	if _, err := ShareFromBytes([]byte{1, 2, 3}); err == nil {
-		t.Error("short input accepted")
 	}
 }
 

@@ -249,6 +249,7 @@ func (c *codec) spec(t *TableSpec) {
 		c.str(&col.Name)
 		c.u8((*uint8)(&col.Kind))
 		c.bool(&col.Indexed)
+		c.u8(&col.Width)
 	})
 }
 

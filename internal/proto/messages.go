@@ -8,14 +8,22 @@ import (
 // Kind tags every message on the wire.
 type Kind uint8
 
-// kindBase is the first kind of this format. The per-row format it replaced
-// numbered its kinds from 1, so no frame, WAL record, hint or tx-log record
-// written in it decodes as anything here: Decode answers ErrOldFormat.
+// kindBase is the first kind; all kinds are below 64.
 const kindBase = 32
 
-// ErrOldFormat rejects a message of the per-row format (format 1) that
-// preceded share-row blocks (format 2, see rowblock.go).
-var ErrOldFormat = errors.New("proto: record or peer uses per-row format 1; this build reads row-block format 2 only")
+// formatTag, above the kind in an encoded message's first byte, is this
+// format's generation. Format 1 (per-row encodings) and format 2 (blocks of
+// 24-byte shares, column specs without a width) wrote the bare kind — 1–26
+// and 32–57 — so no frame, WAL record, hint or tx-log record of theirs
+// decodes as anything here: Decode answers ErrOldFormat.
+const (
+	formatTag  = 0x40
+	formatMask = 0xc0
+	_          = uint8(formatTag - 1 - KTxMark) // the last kind fits below the tag
+)
+
+// ErrOldFormat rejects a message written before domain-width shares.
+var ErrOldFormat = errors.New("proto: record or peer uses format 1 or 2; this build reads domain-width share format 3 only")
 
 // Message kinds. Requests and responses share one space so a frame is
 // self-describing.
@@ -442,10 +450,7 @@ var emptyMessage = [...]func() Message{
 
 // newMessage allocates the empty message for a kind.
 func newMessage(k Kind) (Message, error) {
-	switch {
-	case k < kindBase:
-		return nil, fmt.Errorf("%w (message kind %d)", ErrOldFormat, k)
-	case int(k) >= len(emptyMessage) || emptyMessage[k] == nil:
+	if int(k) >= len(emptyMessage) || emptyMessage[k] == nil {
 		return nil, fmt.Errorf("proto: unknown message kind %d", k)
 	}
 	return emptyMessage[k](), nil
@@ -455,7 +460,7 @@ func newMessage(k Kind) (Message, error) {
 func Encode(m Message) []byte {
 	c := &codec{}
 	c.w.buf = c.w.small[:0]
-	c.w.u8(uint8(m.Kind()))
+	c.w.u8(formatTag | uint8(m.Kind()))
 	m.fields(c)
 	return c.w.buf
 }
@@ -466,7 +471,10 @@ func Decode(buf []byte) (Message, error) {
 	if len(buf) == 0 {
 		return nil, ErrTruncated
 	}
-	m, err := newMessage(Kind(buf[0]))
+	if buf[0]&formatMask != formatTag {
+		return nil, fmt.Errorf("%w (first byte %#x)", ErrOldFormat, buf[0])
+	}
+	m, err := newMessage(Kind(buf[0] &^ formatMask))
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ func allMessages() []Message {
 	spec := TableSpec{
 		Name: "employees",
 		Columns: []ColumnSpec{
-			{Name: "salary#o", Kind: KindOPP, Indexed: true},
+			{Name: "salary#o", Kind: KindOPP, Indexed: true, Width: 13},
 			{Name: "salary#f", Kind: KindField},
 			{Name: "note", Kind: KindPlain, Indexed: false},
 		},
@@ -158,21 +158,30 @@ func TestDecodeRandomCorruptionNeverPanics(t *testing.T) {
 }
 
 func TestTableSpecValidate(t *testing.T) {
-	good := TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: KindOPP, Indexed: true}}}
-	if err := good.Validate(); err != nil {
-		t.Errorf("good spec rejected: %v", err)
+	opp := func(width uint8) ColumnSpec { return ColumnSpec{Name: "a", Kind: KindOPP, Indexed: true, Width: width} }
+	cases := []struct {
+		name string
+		spec TableSpec
+		ok   bool
+	}{
+		{"opp of the INT width", TableSpec{Name: "t", Columns: []ColumnSpec{opp(13)}}, true},
+		{"narrowest opp", TableSpec{Name: "t", Columns: []ColumnSpec{opp(1)}}, true},
+		{"widest opp", TableSpec{Name: "t", Columns: []ColumnSpec{opp(24)}}, true},
+		{"every kind", TableSpec{Name: "t", Columns: []ColumnSpec{opp(14), {Name: "f", Kind: KindField}, {Name: "p", Kind: KindPlain, Indexed: true}}}, true},
+		{"empty table name", TableSpec{Name: "", Columns: []ColumnSpec{opp(13)}}, false},
+		{"no columns", TableSpec{Name: "t"}, false},
+		{"unnamed column", TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "", Kind: KindOPP, Width: 13}}}, false},
+		{"duplicate column", TableSpec{Name: "t", Columns: []ColumnSpec{opp(13), {Name: "a", Kind: KindPlain}}}, false},
+		{"unknown kind", TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: 0}}}, false},
+		{"indexed field share", TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: KindField, Indexed: true}}}, false},
+		{"opp without a width", TableSpec{Name: "t", Columns: []ColumnSpec{opp(0)}}, false},
+		{"opp wider than a share", TableSpec{Name: "t", Columns: []ColumnSpec{opp(25)}}, false},
+		{"field share with a width", TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: KindField, Width: 8}}}, false},
+		{"plain cell with a width", TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: KindPlain, Width: 13}}}, false},
 	}
-	cases := []TableSpec{
-		{Name: "", Columns: []ColumnSpec{{Name: "a", Kind: KindOPP}}},
-		{Name: "t"},
-		{Name: "t", Columns: []ColumnSpec{{Name: "", Kind: KindOPP}}},
-		{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: KindOPP}, {Name: "a", Kind: KindPlain}}},
-		{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: 0}}},
-		{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: KindField, Indexed: true}}},
-	}
-	for i, spec := range cases {
-		if err := spec.Validate(); err == nil {
-			t.Errorf("case %d: invalid spec accepted", i)
+	for _, tc := range cases {
+		if err := tc.spec.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok = %v", tc.name, err, tc.ok)
 		}
 	}
 }
@@ -231,15 +240,15 @@ func TestRemoteError(t *testing.T) {
 }
 
 func TestEncodeSizeAccounting(t *testing.T) {
-	// An insert of 1000 rows with one 24-byte OPP cell and one 8-byte field
+	// An insert of 1000 rows with one 13-byte OPP cell and one 8-byte field
 	// cell should be close to the raw payload size — the protocol must not
 	// bloat communication-cost measurements.
 	rows := make([]Row, 1000)
 	for i := range rows {
-		rows[i] = Row{ID: uint64(i), Cells: [][]byte{make([]byte, 24), make([]byte, 8)}}
+		rows[i] = Row{ID: uint64(i), Cells: [][]byte{make([]byte, 13), make([]byte, 8)}}
 	}
 	buf := Encode(&InsertRequest{Table: "t", Rows: rows})
-	payload := 1000 * (24 + 8)
+	payload := 1000 * (13 + 8)
 	if len(buf) > payload+payload/4+64 {
 		t.Errorf("encoded %d bytes for %d payload bytes (overhead too high)", len(buf), payload)
 	}
@@ -248,7 +257,7 @@ func TestEncodeSizeAccounting(t *testing.T) {
 func BenchmarkEncodeInsert1000(b *testing.B) {
 	rows := make([]Row, 1000)
 	for i := range rows {
-		rows[i] = Row{ID: uint64(i), Cells: [][]byte{make([]byte, 24), make([]byte, 8)}}
+		rows[i] = Row{ID: uint64(i), Cells: [][]byte{make([]byte, 13), make([]byte, 8)}}
 	}
 	msg := &InsertRequest{Table: "t", Rows: rows}
 	b.ReportAllocs()
@@ -260,13 +269,31 @@ func BenchmarkEncodeInsert1000(b *testing.B) {
 func BenchmarkDecodeInsert1000(b *testing.B) {
 	rows := make([]Row, 1000)
 	for i := range rows {
-		rows[i] = Row{ID: uint64(i), Cells: [][]byte{make([]byte, 24), make([]byte, 8)}}
+		rows[i] = Row{ID: uint64(i), Cells: [][]byte{make([]byte, 13), make([]byte, 8)}}
 	}
 	buf := Encode(&InsertRequest{Table: "t", Rows: rows})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// Every encoded message starts with its kind under this format's tag, and a
+// first byte without the tag — the bare kinds formats 1 and 2 wrote, 1–26
+// and 32–57 — is refused by name, whatever follows it.
+func TestFormatTag(t *testing.T) {
+	for _, m := range allMessages() {
+		if buf := Encode(m); buf[0] != formatTag|uint8(m.Kind()) || m.Kind() >= formatTag {
+			t.Errorf("%T encodes with first byte %#x, kind %d", m, buf[0], m.Kind())
+		}
+	}
+	body := Encode(&CreateTableRequest{Spec: TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: KindPlain}}}})[1:]
+	for b := 0; b < 256; b++ {
+		_, err := Decode(append([]byte{byte(b)}, body...))
+		if tagged := byte(b)&formatMask == formatTag; errors.Is(err, ErrOldFormat) == tagged {
+			t.Errorf("first byte %#x: %v", b, err)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func decodeRowsReference(buf []byte) (rows []Row, rest []byte, err error) {
 }
 
 // randomChunk builds a row list of the shapes scans and loads produce:
-// projected 8-byte cells, whole rows with 24-byte shares, blobs, empty
+// projected 8-byte cells, whole rows with 13/14-byte shares, blobs, empty
 // cells, rows without cells — uniform (one block) or ragged (several).
 func randomChunk(rng *mrand.Rand) []Row {
 	rows := make([]Row, rng.Intn(40))
@@ -77,7 +77,7 @@ func randomChunk(rng *mrand.Rand) []Row {
 	nc := rng.Intn(6)
 	sizes := make([]int, nc)
 	for j := range sizes {
-		sizes[j] = []int{0, 8, 8, 24, -1}[rng.Intn(5)]
+		sizes[j] = []int{0, 8, 13, 14, -1}[rng.Intn(5)]
 	}
 	for i := range rows {
 		rows[i].ID = rng.Uint64() >> uint(rng.Intn(64))
@@ -233,14 +233,15 @@ func TestRowsCellsDoNotAlias(t *testing.T) {
 	}
 }
 
-// loadBatch is the benchmark's load unit: 2 000 rows of four queryable
-// columns, 24 + 8 bytes each.
+// loadBatch is the benchmark's load unit: 2 000 emp rows — id INT, name
+// VARCHAR(8), salary INT, dept INT — each column an order-preserving share
+// of its domain's width beside an 8-byte field share, 85 bytes a row.
 func loadBatch() []Row {
 	rows := make([]Row, 2000)
 	for i := range rows {
 		rows[i].ID = uint64(i + 1)
-		for c := 0; c < 4; c++ {
-			rows[i].Cells = append(rows[i].Cells, make([]byte, 24), make([]byte, 8))
+		for _, w := range []int{13, 14, 13, 13} {
+			rows[i].Cells = append(rows[i].Cells, make([]byte, w), make([]byte, 8))
 		}
 	}
 	return rows
@@ -254,7 +255,7 @@ func TestRowCodecAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { body = Encode(msg) }); allocs > 2 && !raceEnabled {
 		t.Errorf("encoding a %d-row InsertRequest cost %v allocations, want at most 2 (writer, exact buffer)", len(msg.Rows), allocs)
 	}
-	if want := 1 + 1 + len("emp") + 2 + 1 + 8 + 2000*8*16; len(body) > want+2000*2 {
+	if want := 1 + 1 + len("emp") + 2 + 1 + 8 + 2000*85; len(body) > want+2000*2 {
 		t.Errorf("a %d-row InsertRequest is %d bytes, more than its shares, ids and one header (%d)", len(msg.Rows), len(body), want+2000*2)
 	}
 	r := &reader{buf: body[1+1+len("emp"):]}
@@ -272,11 +273,11 @@ func TestRowCodecAllocations(t *testing.T) {
 // RowBytes is exact for what it is used for: among rows of one shape, an
 // encoded list grows by exactly RowBytes per appended row.
 func TestRowBytesExact(t *testing.T) {
-	base := len(Encode(&RowsResponse{Rows: []Row{{ID: 5, Cells: [][]byte{make([]byte, 8), nil, make([]byte, 24)}}}}))
-	acc := &RowsResponse{Rows: []Row{{ID: 5, Cells: [][]byte{make([]byte, 8), nil, make([]byte, 24)}}}}
+	base := len(Encode(&RowsResponse{Rows: []Row{{ID: 5, Cells: [][]byte{make([]byte, 8), nil, make([]byte, 13)}}}}))
+	acc := &RowsResponse{Rows: []Row{{ID: 5, Cells: [][]byte{make([]byte, 8), nil, make([]byte, 13)}}}}
 	total := 0
 	for _, id := range []uint64{0, 127, 128, 1 << 40} {
-		r := Row{ID: id, Cells: [][]byte{make([]byte, 8), nil, make([]byte, 24)}}
+		r := Row{ID: id, Cells: [][]byte{make([]byte, 8), nil, make([]byte, 13)}}
 		acc.Rows = append(acc.Rows, r)
 		total += RowBytes(r)
 		if got := len(Encode(acc)) - base; got != total {
@@ -383,7 +384,7 @@ func TestRowBlockMutations(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		widths := make([]int, rng.Intn(13))
 		for j := range widths {
-			widths[j] = []int{24, 8, Variable}[rng.Intn(3)]
+			widths[j] = []int{13, 14, 8, Variable}[rng.Intn(4)]
 		}
 		shape := NewShape(widths)
 		cells := func() [][]byte {
@@ -462,7 +463,7 @@ func FuzzRowBlock(f *testing.F) {
 	rng := mrand.New(mrand.NewSource(7))
 	seeds := [][]Row{
 		loadBatch()[:3], // all fixed
-		{{ID: 1, Cells: [][]byte{make([]byte, 24), []byte("blob")}}, {ID: 2, Cells: [][]byte{make([]byte, 24), []byte("longer blob")}}}, // mixed
+		{{ID: 1, Cells: [][]byte{make([]byte, 13), []byte("blob")}}, {ID: 2, Cells: [][]byte{make([]byte, 13), []byte("longer blob")}}}, // mixed
 		{{ID: 1, Cells: [][]byte{nil, nil}}, {ID: 300, Cells: [][]byte{nil, {1}}}},                                                      // empty cells
 		{{ID: 7}, {ID: 1 << 50}}, // zero cells
 		nil,                      // zero rows

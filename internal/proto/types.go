@@ -4,8 +4,9 @@
 // axis on which the paper compares secret sharing against encryption and
 // PIR against trivial download.
 //
-// Providers operate purely in share space: they see 24-byte order-preserving
-// shares, 8-byte field shares, and opaque plaintext cells (public data),
+// Providers operate purely in share space: they see order-preserving shares
+// as wide as their column's domain (ColumnSpec.Width: 13 bytes for a 40-bit
+// integer), 8-byte field shares, and opaque plaintext cells (public data),
 // never client values. Column naming conventions (the "#o"/"#f" twin
 // columns for each client column) live in the client; the protocol only
 // knows column kinds.
@@ -31,32 +32,36 @@
 //	         bytes, a variable cell as uvarint(len) then its bytes
 //
 // A block states its shape once, so a row of fixed cells costs its id and
-// its share bytes and nothing else — a stored emp row is 128 bytes of shares
+// its share bytes and nothing else — a stored emp row is 85 bytes of shares
 // plus a 1–3 byte id, a projected one 8 bytes per column — and a zero-cell
 // block is just ids. The encoder of a row list makes a cell fixed when every
 // row gives it the same length (so a one-row list costs what its cells and
-// one length each cost); a page fixes share cells at 24 and 8 bytes and
-// keeps plaintext cells variable. A ragged list — rows of differing cell
-// counts — travels as consecutive blocks, one per run. Row lists decode into
-// one header array, one cell index and one arena per message, three
-// allocations however many rows; a page decodes into an id vector and an
-// alias of its payload. Both check every count and length against the bytes
-// that remain before allocating anything.
+// one length each cost); a page fixes share cells at the spec's widths (8
+// bytes for a field share) and keeps plaintext cells variable. A ragged
+// list — rows of differing cell counts — travels as consecutive blocks, one
+// per run. Row lists decode into one header array, one cell index and one
+// arena per message, three allocations however many rows; a page decodes
+// into an id vector and an alias of its payload. Both check every count and
+// length against the bytes that remain before allocating anything.
 //
-// Message kinds are numbered from kindBase: nothing written in the per-row
-// format that preceded blocks decodes, it fails with ErrOldFormat.
+// An encoded message starts with its kind under a format tag: nothing written
+// in an earlier format, which wrote the bare kind, decodes — it fails with
+// ErrOldFormat (see formatTag).
 package proto
 
 import (
 	"errors"
 	"fmt"
+
+	"sssdb/internal/opp"
 )
 
 // ColKind describes what a provider-side column holds.
 type ColKind uint8
 
 const (
-	// KindOPP is a 24-byte order-preserving share (filterable, orderable).
+	// KindOPP is an order-preserving share (filterable, orderable),
+	// ColumnSpec.Width bytes in every cell of the column.
 	KindOPP ColKind = 1
 	// KindField is an 8-byte GF(2^61-1) Shamir share (summable).
 	KindField ColKind = 2
@@ -87,7 +92,13 @@ type ColumnSpec struct {
 	// Indexed requests a B+-tree index over the column's cell bytes.
 	// Only OPP and Plain columns can be indexed.
 	Indexed bool
+	// Width is the byte width of every cell of a KindOPP column (what the
+	// client's scheme for its domain serializes a share to), else zero.
+	Width uint8
 }
+
+// maxOPPWidth is the widest such cell: the whole in-memory share.
+const maxOPPWidth = len(opp.Share{})
 
 // TableSpec declares a provider-side table.
 type TableSpec struct {
@@ -127,6 +138,10 @@ func (t *TableSpec) Validate() error {
 		}
 		if c.Indexed && c.Kind == KindField {
 			return fmt.Errorf("proto: table %q column %q: field shares cannot be indexed", t.Name, c.Name)
+		}
+		if isOPP := c.Kind == KindOPP; isOPP != (c.Width != 0) || int(c.Width) > maxOPPWidth {
+			return fmt.Errorf("proto: table %q column %q: %s column of width %d (opp wants 1..%d, others 0)",
+				t.Name, c.Name, c.Kind, c.Width, maxOPPWidth)
 		}
 	}
 	return nil

@@ -204,7 +204,7 @@ func ShareIntersect(a, b [][]byte, cfg SSConfig) ([]int, Stats, error) {
 		for i, sh := range shares {
 			views[i].a[sh] = append(views[i].a[sh], idx)
 		}
-		stats.BytesExchanged += cfg.Providers * opp.ShareSize
+		stats.BytesExchanged += cfg.Providers * scheme.Width()
 	}
 	for _, y := range b {
 		shares, err := scheme.Split(digest(y))
@@ -214,7 +214,7 @@ func ShareIntersect(a, b [][]byte, cfg SSConfig) ([]int, Stats, error) {
 		for i, sh := range shares {
 			views[i].b = append(views[i].b, sh)
 		}
-		stats.BytesExchanged += cfg.Providers * opp.ShareSize
+		stats.BytesExchanged += cfg.Providers * scheme.Width()
 	}
 	// Providers report matches; accept indices every provider reported.
 	counts := make(map[int]int)

@@ -144,6 +144,35 @@ func (s *Scheme) Split(secret field.Element, rnd io.Reader) ([]Share, error) {
 	return shares, nil
 }
 
+// Splitter shares secrets from one source of randomness without allocating
+// per secret: it owns the polynomial, the share vector and the read buffer
+// that Split allocates on every call. Not safe for concurrent use; a worker
+// makes its own.
+type Splitter struct {
+	s    *Scheme
+	rnd  io.Reader
+	poly field.Poly
+	ys   []field.Element
+	buf  [8]byte
+}
+
+// NewSplitter returns a Splitter drawing fresh randomness from rnd.
+func (s *Scheme) NewSplitter(rnd io.Reader) *Splitter {
+	return &Splitter{s: s, rnd: rnd, poly: make(field.Poly, s.k), ys: make([]field.Element, len(s.xs))}
+}
+
+// Split shares a secret: element i of the result is provider i's share.
+// The result is overwritten by the next call.
+func (sp *Splitter) Split(secret field.Element) ([]field.Element, error) {
+	if err := sp.poly.Randomize(secret, sp.rnd, sp.buf[:]); err != nil {
+		return nil, err
+	}
+	for i, x := range sp.s.xs {
+		sp.ys[i] = sp.poly.Eval(x)
+	}
+	return sp.ys, nil
+}
+
 // SplitValues shares a batch of secrets, returning shares grouped by
 // provider: out[i][j] is provider i's share of secrets[j]. Batch layout
 // matches how a table column is shipped to each provider.

@@ -427,3 +427,33 @@ func BenchmarkReconstructRobustN5K3(b *testing.B) {
 		}
 	}
 }
+
+// A Splitter draws the same bytes and computes the same shares as Split —
+// any K of them reconstruct the secret — and allocates nothing per secret.
+func TestSplitterMatchesSplit(t *testing.T) {
+	s := mustScheme(t, 3, 2, 5, 9, 11)
+	seed := func() *mrand.Rand { return mrand.New(mrand.NewSource(7)) }
+	sp, ref := s.NewSplitter(seed()), seed()
+	for secret := uint64(0); secret < 50; secret++ {
+		want, err := s.Split(field.New(secret), ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ys, err := sp.Split(field.New(secret))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, y := range ys {
+			if y != want[i].Y {
+				t.Fatalf("secret %d provider %d: Splitter %v, Split %v", secret, i, y, want[i].Y)
+			}
+		}
+		got, err := s.Reconstruct([]Share{{3, ys[3]}, {0, ys[0]}, {2, ys[2]}})
+		if err != nil || got.Uint64() != secret {
+			t.Fatalf("reconstructed %v, %v from shares of %d", got, err, secret)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = sp.Split(field.New(42)) }); n != 0 {
+		t.Errorf("Splitter.Split allocates %v times a secret", n)
+	}
+}

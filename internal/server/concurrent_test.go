@@ -28,7 +28,7 @@ func TestHandleConcurrentMixed(t *testing.T) {
 			for i := 0; i < per; i++ {
 				id := uint64(1 + w*per + i)
 				resp := p.Handle(&proto.InsertRequest{Table: "t", Rows: []proto.Row{
-					{ID: id, Cells: [][]byte{cell24(id), cell8(id)}},
+					{ID: id, Cells: [][]byte{oppCell(id), cell8(id)}},
 				}})
 				if resp.Kind() != proto.KOK {
 					errs <- fmt.Errorf("insert %d: %#v", id, resp)
@@ -91,7 +91,7 @@ func TestProviderOverMuxTransport(t *testing.T) {
 			for i := 0; i < per; i++ {
 				id := uint64(1 + g*per + i)
 				resp, err := conn.Call(&proto.InsertRequest{Table: "t", Rows: []proto.Row{
-					{ID: id, Cells: [][]byte{cell24(id), cell8(id)}},
+					{ID: id, Cells: [][]byte{oppCell(id), cell8(id)}},
 				}})
 				if err != nil {
 					errs <- err

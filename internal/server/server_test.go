@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 
 	"sssdb/internal/proto"
@@ -22,15 +24,16 @@ func spec() proto.TableSpec {
 	return proto.TableSpec{
 		Name: "t",
 		Columns: []proto.ColumnSpec{
-			{Name: "a#o", Kind: proto.KindOPP, Indexed: true},
+			{Name: "a#o", Kind: proto.KindOPP, Indexed: true, Width: 13},
 			{Name: "a#f", Kind: proto.KindField},
 		},
 	}
 }
 
-func cell24(v uint64) []byte {
-	c := make([]byte, 24)
-	binary.BigEndian.PutUint64(c[16:], v)
+// oppCell is an order-preserving cell of spec's width, ordered by v.
+func oppCell(v uint64) []byte {
+	c := make([]byte, 13)
+	binary.BigEndian.PutUint64(c[5:], v)
 	return c
 }
 
@@ -65,9 +68,9 @@ func TestHandleFullLifecycle(t *testing.T) {
 		t.Fatal("create failed")
 	}
 	rows := []proto.Row{
-		{ID: 1, Cells: [][]byte{cell24(10), cell8(30)}},
-		{ID: 2, Cells: [][]byte{cell24(20), cell8(60)}},
-		{ID: 3, Cells: [][]byte{cell24(30), cell8(90)}},
+		{ID: 1, Cells: [][]byte{oppCell(10), cell8(30)}},
+		{ID: 2, Cells: [][]byte{oppCell(20), cell8(60)}},
+		{ID: 3, Cells: [][]byte{oppCell(30), cell8(90)}},
 	}
 	okResp, ok := call(&proto.InsertRequest{Table: "t", Rows: rows}).(*proto.OKResponse)
 	if !ok || okResp.Affected != 3 {
@@ -79,7 +82,7 @@ func TestHandleFullLifecycle(t *testing.T) {
 	}
 	scan, ok := call(&proto.ScanRequest{
 		Table:  "t",
-		Filter: &proto.Filter{Col: "a#o", Op: proto.FilterRange, Lo: cell24(10), Hi: cell24(20)},
+		Filter: &proto.Filter{Col: "a#o", Op: proto.FilterRange, Lo: oppCell(10), Hi: oppCell(20)},
 	}).(*proto.RowsResponse)
 	if !ok || len(scan.Rows) != 2 {
 		t.Fatalf("scan: %#v", scan)
@@ -101,7 +104,7 @@ func TestHandleFullLifecycle(t *testing.T) {
 		t.Fatalf("digest: %#v", dig)
 	}
 	upd, ok := call(&proto.UpdateRequest{Table: "t", Rows: []proto.Row{
-		{ID: 1, Cells: [][]byte{cell24(99), cell8(297)}},
+		{ID: 1, Cells: [][]byte{oppCell(99), cell8(297)}},
 	}}).(*proto.OKResponse)
 	if !ok || upd.Affected != 1 {
 		t.Fatalf("update: %#v", upd)
@@ -138,16 +141,16 @@ func TestErrorCodeMapping(t *testing.T) {
 	check(&proto.ScanRequest{Table: "t", Projection: []string{"zz"}}, proto.CodeNoSuchColumn)
 	check(&proto.ScanRequest{Table: "t", WithProof: true}, proto.CodeBadRequest)
 	check(&proto.UpdateRequest{Table: "t", Rows: []proto.Row{
-		{ID: 9, Cells: [][]byte{cell24(1), cell8(1)}},
+		{ID: 9, Cells: [][]byte{oppCell(1), cell8(1)}},
 	}}, proto.CodeNoSuchRow)
 
 	if resp := p.Handle(&proto.InsertRequest{Table: "t", Rows: []proto.Row{
-		{ID: 1, Cells: [][]byte{cell24(1), cell8(1)}},
+		{ID: 1, Cells: [][]byte{oppCell(1), cell8(1)}},
 	}}); resp.Kind() != proto.KOK {
 		t.Fatalf("insert: %#v", resp)
 	}
 	check(&proto.InsertRequest{Table: "t", Rows: []proto.Row{
-		{ID: 1, Cells: [][]byte{cell24(1), cell8(1)}},
+		{ID: 1, Cells: [][]byte{oppCell(1), cell8(1)}},
 	}}, proto.CodeDuplicateRow)
 
 	// A response message arriving as a request is rejected.
@@ -160,9 +163,9 @@ func TestGroupedAggregateDispatch(t *testing.T) {
 		t.Fatalf("create: %#v", resp)
 	}
 	rows := []proto.Row{
-		{ID: 1, Cells: [][]byte{cell24(10), cell8(5)}},
-		{ID: 2, Cells: [][]byte{cell24(10), cell8(7)}},
-		{ID: 3, Cells: [][]byte{cell24(20), cell8(1)}},
+		{ID: 1, Cells: [][]byte{oppCell(10), cell8(5)}},
+		{ID: 2, Cells: [][]byte{oppCell(10), cell8(7)}},
+		{ID: 3, Cells: [][]byte{oppCell(20), cell8(1)}},
 	}
 	if resp := p.Handle(&proto.InsertRequest{Table: "t", Rows: rows}); resp.Kind() != proto.KOK {
 		t.Fatalf("insert: %#v", resp)
@@ -190,5 +193,48 @@ func TestStoreAccessor(t *testing.T) {
 	p := newProvider(t)
 	if p.Store() == nil {
 		t.Fatal("Store() returned nil")
+	}
+}
+
+// A bound built with the wrong scheme — another domain's, or a 24-byte share
+// from before shares were as wide as their domain — must come back to the
+// client as a bad request on every read path, never as rows.
+func TestMisSizedBoundIsBadRequest(t *testing.T) {
+	p := newProvider(t)
+	conn := transport.NewLocal(p)
+	defer conn.Close()
+	other := spec()
+	other.Name, other.Columns[0].Width = "u", 14
+	for _, s := range []proto.TableSpec{spec(), other} {
+		if _, err := conn.Call(&proto.CreateTableRequest{Spec: s}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Call(&proto.InsertRequest{Table: "t", Rows: []proto.Row{{ID: 1, Cells: [][]byte{oppCell(1), cell8(1)}}}}); err != nil {
+		t.Fatal(err)
+	}
+	wide := &proto.Filter{Col: "a#o", Op: proto.FilterRange, Lo: make([]byte, 24), Hi: oppCell(9)}
+	for name, req := range map[string]proto.Message{
+		"scan":      &proto.ScanRequest{Table: "t", Filter: wide},
+		"proof":     &proto.ScanRequest{Table: "t", Filter: wide, WithProof: true},
+		"aggregate": &proto.AggregateRequest{Table: "t", Op: proto.AggSum, ValueCol: "a#f", Filter: wide},
+		"grouped":   &proto.AggregateRequest{Table: "t", Op: proto.AggCount, GroupCol: "a#o", Filter: wide},
+		"join":      &proto.JoinRequest{LeftTable: "t", LeftCol: "a#o", RightTable: "u", RightCol: "a#o"},
+	} {
+		resp, err := conn.Call(req)
+		if e, ok := resp.(*proto.ErrorResponse); err != nil || !ok || e.Code != proto.CodeBadRequest {
+			t.Errorf("%s: answered %#v, %v; want CodeBadRequest", name, resp, err)
+		} else if !strings.Contains(e.Msg, "a#o") {
+			t.Errorf("%s: %q does not name the column", name, e.Msg)
+		}
+	}
+	// The streamed scan, the path unverified SELECTs take.
+	err := transport.CallStream(conn, &proto.ScanRequest{Table: "t", Filter: wide}, func(*proto.RowsResponse) error {
+		t.Error("a mis-sized bound streamed rows")
+		return nil
+	})
+	var re *proto.RemoteError
+	if !errors.As(err, &re) || re.Code != proto.CodeBadRequest {
+		t.Errorf("streamed scan: %v, want CodeBadRequest", err)
 	}
 }

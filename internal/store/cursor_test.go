@@ -247,7 +247,7 @@ func TestBatchesOwnTheirBytes(t *testing.T) {
 	}
 	check := func(rows []proto.Row, snapshot []proto.Row) error {
 		for i, r := range rows {
-			v := binary.BigEndian.Uint64(r.Cells[0][16:])
+			v := binary.BigEndian.Uint64(r.Cells[0][oppCellSize-8:])
 			if want := version(r.ID, v); !reflect.DeepEqual(r.Cells[1], want.Cells[1]) || !bytes.Equal(r.Cells[2], want.Cells[2]) {
 				return fmt.Errorf("row %d mixes versions: %v", r.ID, r.Cells)
 			}

@@ -14,8 +14,8 @@ func groupedSpec() proto.TableSpec {
 	return proto.TableSpec{
 		Name: "emp",
 		Columns: []proto.ColumnSpec{
-			{Name: "dept#o", Kind: proto.KindOPP, Indexed: true},
-			{Name: "salary#o", Kind: proto.KindOPP, Indexed: true},
+			{Name: "dept#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize},
+			{Name: "salary#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize},
 			{Name: "salary#f", Kind: proto.KindField},
 		},
 	}

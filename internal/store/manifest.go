@@ -21,10 +21,11 @@ import (
 // the old manifest with the full WAL, or the new manifest with the WAL
 // suffix — both consistent.
 //
-// Version 2 directories hold share-row-block pages (proto/rowblock.go) and a
-// WAL of row-block records; a version 1 directory (per-row pages and
-// records) is refused by name rather than mis-decoded.
-const manifestVersion = 2
+// Version 3 directories hold share-row-block pages (proto/rowblock.go) with
+// order-preserving cells as wide as their spec says, and a WAL of such
+// records; a version 1 (per-row pages and records) or version 2 (24-byte
+// shares, specs without widths) directory is refused by name, not mis-decoded.
+const manifestVersion = 3
 
 type manifestImage struct {
 	checkpointLSN uint64

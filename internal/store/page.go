@@ -18,15 +18,16 @@ const (
 )
 
 // shapeOf derives a table's page shape from its spec: share cells are
-// fixed-width, plaintext cells carry their length. Every page of the table
-// is a block of exactly this shape, whatever lengths its plain cells happen
-// to have, so a page never needs re-laying-out.
+// fixed-width (an order-preserving one as wide as the spec declares), plain
+// cells carry their length. Every page of the table is a block of exactly
+// this shape, whatever lengths its plain cells happen to have, so a page
+// never needs re-laying-out.
 func shapeOf(spec *proto.TableSpec) *proto.Shape {
 	widths := make([]int, len(spec.Columns))
 	for i, c := range spec.Columns {
 		switch c.Kind {
 		case proto.KindOPP:
-			widths[i] = oppCellSize
+			widths[i] = int(c.Width)
 		case proto.KindField:
 			widths[i] = fieldCellSize
 		default:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	mrand "math/rand"
 	"path/filepath"
 	"reflect"
@@ -15,12 +16,16 @@ import (
 )
 
 // randomSpec draws a table of 0–12 further columns after one indexed OPP
-// column: order-preserving shares, field shares and plaintext blobs.
+// column: order-preserving shares of every width a scheme can have, field
+// shares and plaintext blobs.
 func randomSpec(rng *mrand.Rand) proto.TableSpec {
-	spec := proto.TableSpec{Name: "t", Columns: []proto.ColumnSpec{{Name: "k", Kind: proto.KindOPP, Indexed: true}}}
+	spec := proto.TableSpec{Name: "t", Columns: []proto.ColumnSpec{{Name: "k", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize}}}
 	for c := rng.Intn(13); c > 0; c-- {
-		kind := []proto.ColKind{proto.KindOPP, proto.KindField, proto.KindPlain}[rng.Intn(3)]
-		spec.Columns = append(spec.Columns, proto.ColumnSpec{Name: fmt.Sprintf("c%d", c), Kind: kind})
+		col := proto.ColumnSpec{Name: fmt.Sprintf("c%d", c), Kind: []proto.ColKind{proto.KindOPP, proto.KindField, proto.KindPlain}[rng.Intn(3)]}
+		if col.Kind == proto.KindOPP {
+			col.Width = uint8(1 + rng.Intn(24))
+		}
+		spec.Columns = append(spec.Columns, col)
 	}
 	return spec
 }
@@ -125,6 +130,23 @@ func TestPageAccountingExact(t *testing.T) {
 	}
 }
 
+// empSpec is the provider-side shape of the benchmark's emp table at the
+// client's defaults: id INT, name VARCHAR(8), salary INT, dept INT, each an
+// indexed order-preserving share (13 bytes for the 40-bit INT domain, 14 for
+// VARCHAR(8)) beside its 8-byte field share.
+func empSpec() proto.TableSpec {
+	spec := proto.TableSpec{Name: "emp"}
+	for _, c := range []proto.ColumnSpec{{Name: "id", Width: 13}, {Name: "name", Width: 14}, {Name: "salary", Width: 13}, {Name: "dept", Width: 13}} {
+		spec.Columns = append(spec.Columns,
+			proto.ColumnSpec{Name: c.Name + "#o", Kind: proto.KindOPP, Indexed: true, Width: c.Width},
+			proto.ColumnSpec{Name: c.Name + "#f", Kind: proto.KindField})
+	}
+	return spec
+}
+
+// empShareBytes is the share bytes of one empSpec row: 13+14+13+13 + 4×8.
+const empShareBytes = 85
+
 // TestResidentBytesAreHeapBytes holds the cache's accounting against the
 // heap: faulting N pages in must retain no more than 1.25× what
 // Stats().ResidentBytes charges for them (and the ids, decoded to 8 bytes
@@ -136,11 +158,7 @@ func TestResidentBytesAreHeapBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := proto.TableSpec{Name: "emp"}
-	for _, c := range []string{"id", "name", "salary", "dept"} {
-		spec.Columns = append(spec.Columns,
-			proto.ColumnSpec{Name: c + "#o", Kind: proto.KindOPP}, proto.ColumnSpec{Name: c + "#f", Kind: proto.KindField})
-	}
+	spec := empSpec()
 	if err := s.CreateTable(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +196,7 @@ func TestResidentBytesAreHeapBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	st := s.Stats()
 	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if st.ResidentPages != st.Pages || st.ResidentBytes < n*(8*16+2) {
+	if st.ResidentPages != st.Pages || st.ResidentBytes < n*(empShareBytes+2) {
 		t.Fatalf("%d of %d pages resident, %d bytes charged", st.ResidentPages, st.Pages, st.ResidentBytes)
 	}
 	if float64(held) > 1.25*float64(st.ResidentBytes) {
@@ -189,14 +207,65 @@ func TestResidentBytesAreHeapBytes(t *testing.T) {
 		float64(held)/float64(st.ResidentBytes), float64(st.ResidentBytes)/n)
 }
 
+// TestStoredRowBytes guards the stored-footprint figure the repository
+// benchmark reports (stored_bytes_per_user_byte): 10 000 rows of the emp
+// shape, loaded and checkpointed, must cost at most 90 bytes each on disk —
+// everything in the directory: page files, manifest and WAL. A row is its 85
+// share bytes plus a 1–2 byte id; the rest is per-page and per-file framing.
+func TestStoredRowBytes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenOptions(dir, Options{CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := empSpec()
+	if err := s.CreateTable(spec); err != nil {
+		t.Fatal(err)
+	}
+	rng := mrand.New(mrand.NewSource(47))
+	const n = 10000
+	for id := uint64(1); id <= n; id += 2000 {
+		batch := make([]proto.Row, 2000)
+		for i := range batch {
+			batch[i] = randomRow(rng, &spec, id+uint64(i))
+		}
+		if err := s.Insert("emp", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	err = filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		total += info.Size()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perRow := float64(total) / n; perRow > 90 || perRow < empShareBytes {
+		t.Errorf("a stored emp row costs %.1f bytes, want %d (its shares) to 90", perRow, empShareBytes)
+	} else {
+		t.Logf("%d rows in %d bytes: %.1f B/row", n, total, perRow)
+	}
+}
+
 // TestPageAllocations pins what the slab form is for: decoding a full page
 // and assembling a full cursor batch cost a fixed handful of allocations,
 // not some per row and per cell.
 func TestPageAllocations(t *testing.T) {
 	s := memStore(t)
 	spec := proto.TableSpec{Name: "emp", Columns: []proto.ColumnSpec{
-		{Name: "salary#o", Kind: proto.KindOPP, Indexed: true}, {Name: "salary#f", Kind: proto.KindField},
-		{Name: "dept#o", Kind: proto.KindOPP}, {Name: "dept#f", Kind: proto.KindField},
+		{Name: "salary#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize}, {Name: "salary#f", Kind: proto.KindField},
+		{Name: "dept#o", Kind: proto.KindOPP, Width: oppCellSize}, {Name: "dept#f", Kind: proto.KindField},
 	}}
 	if err := s.CreateTable(spec); err != nil {
 		t.Fatal(err)
@@ -338,27 +407,30 @@ func FuzzDecodePage(f *testing.F) {
 	})
 }
 
-// TestOpenRefusesFormat1Directory opens directories written by the commit
-// before share-row blocks (testdata/format-v1: per-row pages, per-row WAL
-// records, manifest version 1). Both must be refused with an error naming
-// the format — the WAL-only one at its first record, the checkpointed one at
-// its manifest — never half-decoded.
-func TestOpenRefusesFormat1Directory(t *testing.T) {
-	for name, check := range map[string]func(error) bool{
-		"store-wal": func(err error) bool { return errors.Is(err, proto.ErrOldFormat) },
-		"store-checkpointed": func(err error) bool {
-			return errors.Is(err, ErrBadRequest) && strings.Contains(err.Error(), "manifest is format version 1")
-		},
-	} {
-		dir := t.TempDir()
-		copyDir(t, filepath.Join("testdata", "format-v1", name), dir)
-		s, err := OpenOptions(dir, Options{CheckpointInterval: -1})
-		if err == nil {
-			s.Close()
-			t.Fatalf("%s: a format 1 directory opened", name)
-		}
-		if !check(err) {
-			t.Errorf("%s: refused with %v, which does not name the format", name, err)
+// TestOpenRefusesOldFormatDirectory opens directories written by the commits
+// before each format change: testdata/format-v1 (per-row pages and WAL
+// records, manifest version 1) and testdata/format-v2 (share-row blocks of
+// 24-byte shares under specs without widths, manifest version 2). All must be
+// refused with an error naming the format — a WAL-only one at its first
+// record, a checkpointed one at its manifest — never half-decoded.
+func TestOpenRefusesOldFormatDirectory(t *testing.T) {
+	for version := 1; version <= 2; version++ {
+		for name, check := range map[string]func(error) bool{
+			"store-wal": func(err error) bool { return errors.Is(err, proto.ErrOldFormat) },
+			"store-checkpointed": func(err error) bool {
+				return errors.Is(err, ErrBadRequest) && strings.Contains(err.Error(), fmt.Sprintf("manifest is format version %d", version))
+			},
+		} {
+			dir := t.TempDir()
+			copyDir(t, filepath.Join("testdata", fmt.Sprintf("format-v%d", version), name), dir)
+			s, err := OpenOptions(dir, Options{CheckpointInterval: -1})
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s: a format %d directory opened", name, version)
+			}
+			if !check(err) {
+				t.Errorf("%s: format %d refused with %v, which does not name the format", name, version, err)
+			}
 		}
 	}
 }

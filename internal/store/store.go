@@ -36,11 +36,9 @@ import (
 	"sssdb/internal/wal"
 )
 
-// Cell width invariants per column kind.
-const (
-	oppCellSize   = 24 // matches opp.ShareSize
-	fieldCellSize = 8
-)
+// fieldCellSize is the width of a field-share cell (an order-preserving
+// cell's is its column spec's).
+const fieldCellSize = 8
 
 // Typed errors; the server maps them onto protocol error codes.
 var (
@@ -724,18 +722,25 @@ func (t *table) resolveProjection(projection []string) ([]string, []int, error) 
 }
 
 // filterBounds resolves a filter to its column index and inclusive
-// [lo, hi] cell range, rejecting field-share columns.
+// [lo, hi] cell range, rejecting field-share columns and, on a fixed-width
+// column, a bound of any other width: against cell||rowID keys it would
+// silently select the wrong rows.
 func (t *table) filterBounds(f *proto.Filter) (int, []byte, []byte, error) {
 	ci, err := t.usableCol(f.Col, "filter on", false)
-	switch {
-	case err != nil:
+	if err != nil {
 		return 0, nil, nil, err
-	case f.Op == proto.FilterEq:
-		return ci, f.Lo, f.Lo, nil
-	case f.Op == proto.FilterRange:
-		return ci, f.Lo, f.Hi, nil
 	}
-	return 0, nil, nil, fmt.Errorf("%w: unknown filter op %d", ErrBadRequest, f.Op)
+	lo, hi := f.Lo, f.Hi
+	if f.Op == proto.FilterEq {
+		hi = lo
+	} else if f.Op != proto.FilterRange {
+		return 0, nil, nil, fmt.Errorf("%w: unknown filter op %d", ErrBadRequest, f.Op)
+	}
+	if want := t.heap.shape.Widths[ci]; want != proto.Variable && (len(lo) != want || len(hi) != want) {
+		return 0, nil, nil, fmt.Errorf("%w: filter bounds on column %q are %d and %d bytes, its cells are %d",
+			ErrBadRequest, f.Col, len(lo), len(hi), want)
+	}
+	return ci, lo, hi, nil
 }
 
 // Scan returns rows matching the filter, projected (nil = every column,
@@ -1123,6 +1128,10 @@ func (s *Store) Join(req *proto.JoinRequest) (*proto.JoinResult, error) {
 	rci, err := rt.usableCol(req.RightCol, "join on", false)
 	if err != nil {
 		return nil, err
+	}
+	if lw, rw := lt.heap.shape.Widths[lci], rt.heap.shape.Widths[rci]; lw != rw {
+		return nil, fmt.Errorf("%w: join of %q with %q: cell widths %d and %d (%d = variable) are not one domain's",
+			ErrBadRequest, req.LeftCol, req.RightCol, lw, rw, proto.Variable)
 	}
 	left, err := lt.openCursor(req.Filter, Projection(req.LeftProj, req.LeftIDsOnly), 0)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"sssdb/internal/field"
@@ -21,18 +22,23 @@ func testSpec() proto.TableSpec {
 	return proto.TableSpec{
 		Name: "employees",
 		Columns: []proto.ColumnSpec{
-			{Name: "salary#o", Kind: proto.KindOPP, Indexed: true},
+			{Name: "salary#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize},
 			{Name: "salary#f", Kind: proto.KindField},
 			{Name: "note", Kind: proto.KindPlain},
 		},
 	}
 }
 
-// oppCell fabricates a deterministic 24-byte order-preserving cell whose
-// byte order follows v.
+// oppCellSize is the width the test tables declare for their
+// order-preserving columns: what the client's default INT domain (40 bits,
+// degree 3) serializes a share to.
+const oppCellSize = 13
+
+// oppCell fabricates a deterministic order-preserving cell of that width
+// whose byte order follows v.
 func oppCell(v uint64) []byte {
 	c := make([]byte, oppCellSize)
-	binary.BigEndian.PutUint64(c[16:], v)
+	binary.BigEndian.PutUint64(c[oppCellSize-8:], v)
 	return c
 }
 
@@ -396,7 +402,7 @@ func TestJoin(t *testing.T) {
 	managers := proto.TableSpec{
 		Name: "managers",
 		Columns: []proto.ColumnSpec{
-			{Name: "eid#o", Kind: proto.KindOPP, Indexed: true},
+			{Name: "eid#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize},
 			{Name: "level#f", Kind: proto.KindField},
 		},
 	}
@@ -878,6 +884,104 @@ func BenchmarkIndexedRangeScan(b *testing.B) {
 		}
 		if len(resp.Rows) != 501 {
 			b.Fatalf("matched %d", len(resp.Rows))
+		}
+	}
+}
+
+// TestBoundWidths: a filter bound, an aggregate or group filter bound, a
+// proof range or a join key of the wrong width must be an error naming the
+// column and both widths — against fixed-width cell||rowID keys it would
+// otherwise select the wrong rows in silence. Plain (variable) columns take
+// bounds of any length.
+func TestBoundWidths(t *testing.T) {
+	s := memStore(t)
+	mustCreate(t, s)
+	wide := proto.TableSpec{Name: "names", Columns: []proto.ColumnSpec{
+		{Name: "name#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize + 1},
+		{Name: "tag", Kind: proto.KindPlain, Indexed: true},
+	}}
+	if err := s.CreateTable(wide); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 4; i++ {
+		if err := s.Insert("employees", []proto.Row{row(i, i*10)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Insert("names", []proto.Row{{ID: i, Cells: [][]byte{make([]byte, oppCellSize+1), []byte("n")}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pad := func(n int) []byte { return make([]byte, n) }
+	eq := func(lo []byte) *proto.Filter { return &proto.Filter{Col: "salary#o", Op: proto.FilterEq, Lo: lo} }
+	rng := func(lo, hi []byte) *proto.Filter {
+		return &proto.Filter{Col: "salary#o", Op: proto.FilterRange, Lo: lo, Hi: hi}
+	}
+	for _, tc := range []struct {
+		name string
+		f    *proto.Filter
+		ok   bool
+	}{
+		{"eq at the column's width", eq(oppCell(20)), true},
+		{"range at the column's width", rng(oppCell(0), oppCell(99)), true},
+		{"eq with an old 24-byte bound", eq(pad(24)), false},
+		{"eq with another domain's bound", eq(pad(oppCellSize + 1)), false},
+		{"eq with a short bound", eq(pad(oppCellSize - 1)), false},
+		{"eq with no bound", eq(nil), false},
+		{"range with a wide lo", rng(pad(24), oppCell(99)), false},
+		{"range with a wide hi", rng(oppCell(0), pad(24)), false},
+		{"range with no hi", rng(oppCell(0), nil), false},
+		{"plain column, any length", &proto.Filter{Col: "note", Op: proto.FilterRange, Lo: []byte("a"), Hi: []byte("zzzz")}, true},
+	} {
+		reads := map[string]func() error{
+			"scan":   func() error { _, err := s.Scan("employees", tc.f, nil, 0, false); return err },
+			"cursor": func() error { _, err := s.OpenCursor("employees", tc.f, nil, 0, 0); return err },
+			"aggregate": func() error {
+				_, err := s.Aggregate("employees", proto.AggSum, "", "salary#f", tc.f)
+				return err
+			},
+			"grouped": func() error {
+				_, err := s.AggregateGrouped("employees", proto.AggCount, "", "salary#o", tc.f)
+				return err
+			},
+			"join": func() error {
+				_, err := s.Join(&proto.JoinRequest{LeftTable: "employees", LeftCol: "salary#o",
+					RightTable: "employees", RightCol: "salary#o", Filter: tc.f})
+				return err
+			},
+		}
+		if tc.f.Col == "salary#o" {
+			reads["proof"] = func() error { _, err := s.Scan("employees", tc.f, nil, 0, true); return err }
+		}
+		for read, run := range reads {
+			err := run()
+			switch {
+			case tc.ok && err != nil:
+				t.Errorf("%s, %s: %v", tc.name, read, err)
+			case !tc.ok && !errors.Is(err, ErrBadRequest):
+				t.Errorf("%s, %s: %v, want ErrBadRequest", tc.name, read, err)
+			case !tc.ok && !(strings.Contains(err.Error(), `"salary#o"`) && strings.Contains(err.Error(), fmt.Sprint(oppCellSize))):
+				t.Errorf("%s, %s: %q names neither the column nor its width", tc.name, read, err)
+			}
+		}
+	}
+	// Join keys of different fixed widths are not one domain.
+	for _, tc := range []struct {
+		name           string
+		lt, lc, rt, rc string
+		ok             bool
+	}{
+		{"same width", "employees", "salary#o", "employees", "salary#o", true},
+		{"both variable", "employees", "note", "names", "tag", true},
+		{"13 against 14", "employees", "salary#o", "names", "name#o", false},
+		{"14 against 13", "names", "name#o", "employees", "salary#o", false},
+		{"share against plain", "employees", "salary#o", "names", "tag", false},
+	} {
+		_, err := s.Join(&proto.JoinRequest{LeftTable: tc.lt, LeftCol: tc.lc, RightTable: tc.rt, RightCol: tc.rc})
+		if tc.ok && err != nil || !tc.ok && !errors.Is(err, ErrBadRequest) {
+			t.Errorf("join %s: %v, want ok = %v", tc.name, err, tc.ok)
+		}
+		if !tc.ok && err != nil && !(strings.Contains(err.Error(), tc.lc) && strings.Contains(err.Error(), tc.rc)) {
+			t.Errorf("join %s: %q does not name both columns", tc.name, err)
 		}
 	}
 }

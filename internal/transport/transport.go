@@ -39,9 +39,10 @@ const maxFrameSize = 256 << 20
 
 // protoVersion is the one protocol version spoken; the handshake names it
 // so a peer from a different generation fails loudly instead of misparsing
-// frames. Version 3 frames carry rows as share-row blocks (proto/rowblock.go)
-// and number their message kinds from proto's kindBase.
-const protoVersion = 3
+// frames. Version 4 frames carry rows as share-row blocks (proto/rowblock.go)
+// whose order-preserving cells are as wide as the table spec declares, and
+// number their message kinds from proto's kindBase.
+const protoVersion = 4
 
 // Frame flags.
 const (

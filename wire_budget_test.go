@@ -12,12 +12,15 @@ import (
 
 // TestScanWireBudget holds the communication cost of the two read shapes
 // the repository benchmark measures (benchmark/: table emp, N=3, K=2,
-// loopback TCP) to a byte budget. Providers store 2 cells per column — a
-// 24-byte order-preserving share and an 8-byte field share — and an
-// unverified read must ship the field shares of the columns it reads and
-// nothing else: a share-row block states its shape once, so a row is its
-// id plus 4 × 8 bytes of cells, not the 128 bytes of shares of a whole
-// stored row (let alone the 172 bytes a stored row used to take).
+// loopback TCP) to a byte budget. Providers store 2 cells per column — an
+// order-preserving share as wide as the column's domain (13 bytes for INT,
+// 14 for VARCHAR(8)) and an 8-byte field share — and an unverified read must
+// ship the field shares of the columns it reads and nothing else: a
+// share-row block states its shape once, so a row is its id plus 4 × 8 bytes
+// of cells, not the 85 bytes of shares of a whole stored row. The range
+// scan's budget therefore does not move with the share width — its
+// responses carry #f cells only — while the point read's does: its cost is
+// mostly the request, whose two equality bounds are 13-byte shares.
 func TestScanWireBudget(t *testing.T) {
 	addrs := make([]string, 3)
 	for i := range addrs {
@@ -77,8 +80,8 @@ func TestScanWireBudget(t *testing.T) {
 		sent, received := wire(`SELECT name, salary FROM emp WHERE id = 1234`, 1)
 		best = min(best, sent+received)
 	}
-	if best > 300 {
-		t.Errorf("2-column point read: %d bytes end to end, budget 300", best)
+	if best > 255 {
+		t.Errorf("2-column point read: %d bytes end to end, budget 255", best)
 	}
 	t.Logf("range scan %.1f B/row/provider, point read %d B", float64(received)/2000/2, best)
 }
