@@ -21,10 +21,12 @@ race:
 
 # Focused race pass over the transaction paths: the client-side 2PC and
 # snapshot machinery plus the randomized concurrent-transaction differential
-# (interleaved workers vs a serial oracle, plain and sharded).
+# (interleaved workers vs a serial oracle, plain and sharded), then the
+# provider side: the store's one mutation path and the server arm onto it.
 race-txn:
 	$(GO) test -race -count=1 -run 'TestTx|TestWatermark|TestSharded' ./internal/client
 	$(GO) test -race -count=1 -run 'TestTx' .
+	$(GO) test -race -count=2 -run 'TestPrepareTx|TestCommitTx|TestMutation' ./internal/store ./internal/server
 
 # Focused race pass over the tail-tolerance paths: hedged quorum rounds
 # and streaming scans, the provider record's judge and ordering, end-to-end
@@ -35,17 +37,19 @@ race-hedge:
 	$(GO) test -race -count=1 -run 'TestFaulty|TestWaitBackoff|TestCallDeadline|TestLocalConn|TestDelaySchedule' ./internal/transport
 
 # Ten seconds on each fuzz target, from the corpora checked in under
-# testdata/fuzz: the share-row block codec and the page decoder. -fuzz takes
-# one target and one package per run.
+# testdata/fuzz: the share-row block codec, the page decoder, and a WAL record
+# through the store's mutation path. -fuzz takes one target and one package
+# per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBlock$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime=10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyRecord$$' -fuzztime=10s ./internal/store
 
 # The figures ROADMAP.md and CHANGES.md quote for aim 2: non-test lines of
-# the client and the transport (item 6), the store, the codec and the
-# order-preserving scheme (item 1).
+# the client and the transport (item 6), the store and the server over it, the
+# codec and the order-preserving scheme (item 1).
 loc:
-	@for d in internal/client internal/transport internal/store internal/proto internal/opp; do \
+	@for d in internal/client internal/transport internal/store internal/server internal/proto internal/opp; do \
 		printf '%s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 

@@ -9,6 +9,7 @@ import (
 	"sssdb/internal/numenc"
 	"sssdb/internal/proto"
 	"sssdb/internal/server"
+	"sssdb/internal/sql"
 	"sssdb/internal/store"
 	"sssdb/internal/transport"
 )
@@ -507,6 +508,45 @@ func TestVerifiedDetectsDroppedRow(t *testing.T) {
 	res := f.mustExec(t, `SELECT name FROM employees WHERE salary BETWEEN 10 AND 80 VERIFIED`)
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d (withheld row not recovered)", len(res.Rows))
+	}
+}
+
+// TestVerifiedDetectsRowMissingOutsideRange: a provider that has silently
+// lost a row the query does not reach still proves its range complete against
+// its own (smaller) tree, so only the digest row counts, voted across
+// providers, give it away.
+func TestVerifiedDetectsRowMissingOutsideRange(t *testing.T) {
+	f := newFleet(t, 4, 2, Options{})
+	setupEmployees(t, f)
+	scan := func(q string) *scanResult {
+		t.Helper()
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := f.client.planSelect(stmt.(*sql.Select), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.client.gather(p, 0, true)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res
+	}
+	dave := scan(`SELECT name FROM employees WHERE salary = 80`)
+	if len(dave.ids) != 1 {
+		t.Fatalf("salary = 80 matched %d rows", len(dave.ids))
+	}
+	if n, err := f.stores[2].Delete("employees", dave.ids); err != nil || n != 1 {
+		t.Fatalf("removing the row at provider 2: %d, %v", n, err)
+	}
+	res := scan(`SELECT name, salary FROM employees WHERE salary BETWEEN 10 AND 40 VERIFIED`)
+	if !res.verified || len(res.ids) != 4 {
+		t.Fatalf("verified = %v, %d rows, want 4", res.verified, len(res.ids))
+	}
+	if fmt.Sprint(res.faulty) != "[2]" {
+		t.Fatalf("faulty = %v, want [2]", res.faulty)
 	}
 }
 

@@ -509,20 +509,19 @@ func mergeFaulty(a, b []int) []int {
 }
 
 // applyVerification verifies each provider's proof individually, drops the
-// failures, then keeps the majority row-id sequence among survivors. It
-// errors only when fewer than K trustworthy providers remain.
+// failures, then keeps the majority table size and row-id sequence among
+// survivors. It errors only when fewer than K trustworthy providers remain.
 func (e *engine) applyVerification(meta *tableMeta, preds []compiledPred, providers []int, rowsByProvider map[int]*proto.RowsResponse) (kept, faulty []int, err error) {
+	// Majority vote on the table size and the row-id sequence.
+	groups := make(map[string][]int)
 	for _, p := range providers {
-		if verr := e.verifyProviderScan(meta, preds, p, rowsByProvider[p]); verr != nil {
+		count, verr := e.verifyProviderScan(meta, preds, p, rowsByProvider[p])
+		if verr != nil {
 			faulty = append(faulty, p)
 			continue
 		}
 		kept = append(kept, p)
-	}
-	// Majority vote on the row-id sequence.
-	groups := make(map[string][]int)
-	for _, p := range kept {
-		sig := rowSignature(rowsByProvider[p].Rows)
+		sig := rowSignature(count, rowsByProvider[p].Rows)
 		groups[sig] = append(groups[sig], p)
 	}
 	var best []int
@@ -554,8 +553,8 @@ func (e *engine) applyVerification(meta *tableMeta, preds []compiledPred, provid
 	return best, faulty, nil
 }
 
-func rowSignature(rows []proto.Row) string {
-	var b []byte
+func rowSignature(count uint64, rows []proto.Row) string {
+	b := binary.BigEndian.AppendUint64(nil, count)
 	for _, r := range rows {
 		b = binary.BigEndian.AppendUint64(b, r.ID)
 	}
@@ -563,107 +562,90 @@ func rowSignature(rows []proto.Row) string {
 }
 
 // verifyProviderScan checks one provider's Merkle completeness proof
-// against its own digest.
-func (e *engine) verifyProviderScan(meta *tableMeta, preds []compiledPred, provider int, resp *proto.RowsResponse) error {
-	providers := []int{provider}
-	rowsByProvider := map[int]*proto.RowsResponse{provider: resp}
-	return e.verifyScan(meta, preds, providers, rowsByProvider)
-}
-
-// verifyScan checks each provider's Merkle completeness proof against its
-// own digest and cross-checks digests' row counts across providers.
-func (e *engine) verifyScan(meta *tableMeta, preds []compiledPred, providers []int, rowsByProvider map[int]*proto.RowsResponse) error {
+// against its own digest and returns the digest's row count: the proof shows
+// nothing is missing from the range of that many rows, the caller's vote
+// across providers that none is missing outside it.
+func (e *engine) verifyProviderScan(meta *tableMeta, preds []compiledPred, p int, resp *proto.RowsResponse) (uint64, error) {
 	cp := preds[0]
 	cm := &meta.Cols[cp.ci]
 	oppCol := cm.Name + suffixOPP
 	spec := meta.providerSpec()
 	oppIdx := spec.ColumnIndex(oppCol)
-	var counts []uint64
-	for _, p := range providers {
-		resp := rowsByProvider[p]
-		if resp.Proof == nil {
-			return fmt.Errorf("%w: provider %d sent no completeness proof", ErrVerification, p)
-		}
-		proof, err := merkle.UnmarshalRangeProof(resp.Proof)
-		if err != nil {
-			return fmt.Errorf("%w: provider %d: %v", ErrVerification, p, err)
-		}
-		digResp, err := e.call(p, &proto.DigestRequest{Table: meta.Name, Col: oppCol}, noDeadline)
-		if err != nil {
-			return fmt.Errorf("%w: provider %d digest: %v", ErrVerification, p, err)
-		}
-		dig, ok := digResp.(*proto.DigestResult)
-		if !ok {
-			return fmt.Errorf("%w: provider %d digest response %T", ErrVerification, p, digResp)
-		}
-		counts = append(counts, dig.Count)
-		if proof.N != dig.Count {
-			return fmt.Errorf("%w: provider %d proof covers %d leaves, digest says %d",
-				ErrVerification, p, proof.N, dig.Count)
-		}
-		// Rebuild the leaf run: left fence, matched rows, right fence.
-		var run []merkle.Hash
-		if proof.LeftFence != nil {
-			run = append(run, merkle.LeafHash(proof.LeftFence.Key, proof.LeftFence.RowDigest))
-		}
-		lo, hi, err := cm.shareBounds(e.g, p, cp.lo, cp.hi)
-		if err != nil {
-			return err
-		}
-		for _, row := range resp.Rows {
-			cell := row.Cells[oppIdx]
-			// The returned rows must actually lie inside the queried range;
-			// otherwise a provider could substitute other committed rows.
-			if len(cell) != len(lo) || bytes.Compare(cell, lo) < 0 || bytes.Compare(cell, hi) > 0 {
-				return fmt.Errorf("%w: provider %d returned a row outside the range", ErrVerification, p)
-			}
-			key := make([]byte, len(cell)+8)
-			copy(key, cell)
-			binary.BigEndian.PutUint64(key[len(cell):], row.ID)
-			run = append(run, merkle.LeafHash(key, store.RowDigest(row)))
-		}
-		if proof.RightFence != nil {
-			run = append(run, merkle.LeafHash(proof.RightFence.Key, proof.RightFence.RowDigest))
-		}
-		// Fences must be strictly outside the range (completeness at the
-		// boundary) unless the run touches a tree edge.
-		if proof.LeftFence != nil {
-			if len(proof.LeftFence.Key) <= 8 {
-				return fmt.Errorf("%w: provider %d sent a malformed left fence", ErrVerification, p)
-			}
-			fenceCell := proof.LeftFence.Key[:len(proof.LeftFence.Key)-8]
-			if len(fenceCell) != len(lo) || bytes.Compare(fenceCell, lo) >= 0 {
-				return fmt.Errorf("%w: provider %d left fence inside range", ErrVerification, p)
-			}
-		} else if proof.Start != 0 {
-			return fmt.Errorf("%w: provider %d omitted its left fence", ErrVerification, p)
-		}
-		if proof.RightFence != nil {
-			if len(proof.RightFence.Key) <= 8 {
-				return fmt.Errorf("%w: provider %d sent a malformed right fence", ErrVerification, p)
-			}
-			fenceCell := proof.RightFence.Key[:len(proof.RightFence.Key)-8]
-			if len(fenceCell) != len(hi) || bytes.Compare(fenceCell, hi) <= 0 {
-				return fmt.Errorf("%w: provider %d right fence inside range", ErrVerification, p)
-			}
-		} else if proof.Start+uint64(len(run)) != proof.N {
-			return fmt.Errorf("%w: provider %d omitted its right fence", ErrVerification, p)
-		}
-		root, err := merkle.VerifyRange(int(proof.N), int(proof.Start), run, proof.Hashes)
-		if err != nil {
-			return fmt.Errorf("%w: provider %d: %v", ErrVerification, p, err)
-		}
-		if !bytes.Equal(root[:], dig.Root) {
-			return fmt.Errorf("%w: provider %d proof does not match its digest", ErrVerification, p)
-		}
+	if resp.Proof == nil {
+		return 0, fmt.Errorf("%w: provider %d sent no completeness proof", ErrVerification, p)
 	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] != counts[0] {
-			return fmt.Errorf("%w: providers disagree on table size (%d vs %d rows)",
-				ErrVerification, counts[0], counts[i])
-		}
+	proof, err := merkle.UnmarshalRangeProof(resp.Proof)
+	if err != nil {
+		return 0, fmt.Errorf("%w: provider %d: %v", ErrVerification, p, err)
 	}
-	return nil
+	digResp, err := e.call(p, &proto.DigestRequest{Table: meta.Name, Col: oppCol}, noDeadline)
+	if err != nil {
+		return 0, fmt.Errorf("%w: provider %d digest: %v", ErrVerification, p, err)
+	}
+	dig, ok := digResp.(*proto.DigestResult)
+	if !ok {
+		return 0, fmt.Errorf("%w: provider %d digest response %T", ErrVerification, p, digResp)
+	}
+	if proof.N != dig.Count {
+		return 0, fmt.Errorf("%w: provider %d proof covers %d leaves, digest says %d",
+			ErrVerification, p, proof.N, dig.Count)
+	}
+	// Rebuild the leaf run: left fence, matched rows, right fence.
+	var run []merkle.Hash
+	if proof.LeftFence != nil {
+		run = append(run, merkle.LeafHash(proof.LeftFence.Key, proof.LeftFence.RowDigest))
+	}
+	lo, hi, err := cm.shareBounds(e.g, p, cp.lo, cp.hi)
+	if err != nil {
+		return 0, err
+	}
+	for _, row := range resp.Rows {
+		cell := row.Cells[oppIdx]
+		// The returned rows must actually lie inside the queried range;
+		// otherwise a provider could substitute other committed rows.
+		if len(cell) != len(lo) || bytes.Compare(cell, lo) < 0 || bytes.Compare(cell, hi) > 0 {
+			return 0, fmt.Errorf("%w: provider %d returned a row outside the range", ErrVerification, p)
+		}
+		key := make([]byte, len(cell)+8)
+		copy(key, cell)
+		binary.BigEndian.PutUint64(key[len(cell):], row.ID)
+		run = append(run, merkle.LeafHash(key, store.RowDigest(row)))
+	}
+	if proof.RightFence != nil {
+		run = append(run, merkle.LeafHash(proof.RightFence.Key, proof.RightFence.RowDigest))
+	}
+	// Fences must be strictly outside the range (completeness at the
+	// boundary) unless the run touches a tree edge.
+	if proof.LeftFence != nil {
+		if len(proof.LeftFence.Key) <= 8 {
+			return 0, fmt.Errorf("%w: provider %d sent a malformed left fence", ErrVerification, p)
+		}
+		fenceCell := proof.LeftFence.Key[:len(proof.LeftFence.Key)-8]
+		if len(fenceCell) != len(lo) || bytes.Compare(fenceCell, lo) >= 0 {
+			return 0, fmt.Errorf("%w: provider %d left fence inside range", ErrVerification, p)
+		}
+	} else if proof.Start != 0 {
+		return 0, fmt.Errorf("%w: provider %d omitted its left fence", ErrVerification, p)
+	}
+	if proof.RightFence != nil {
+		if len(proof.RightFence.Key) <= 8 {
+			return 0, fmt.Errorf("%w: provider %d sent a malformed right fence", ErrVerification, p)
+		}
+		fenceCell := proof.RightFence.Key[:len(proof.RightFence.Key)-8]
+		if len(fenceCell) != len(hi) || bytes.Compare(fenceCell, hi) <= 0 {
+			return 0, fmt.Errorf("%w: provider %d right fence inside range", ErrVerification, p)
+		}
+	} else if proof.Start+uint64(len(run)) != proof.N {
+		return 0, fmt.Errorf("%w: provider %d omitted its right fence", ErrVerification, p)
+	}
+	root, err := merkle.VerifyRange(int(proof.N), int(proof.Start), run, proof.Hashes)
+	if err != nil {
+		return 0, fmt.Errorf("%w: provider %d: %v", ErrVerification, p, err)
+	}
+	if !bytes.Equal(root[:], dig.Root) {
+		return 0, fmt.Errorf("%w: provider %d proof does not match its digest", ErrVerification, p)
+	}
+	return dig.Count, nil
 }
 
 // residualPreds returns the predicates the providers did not apply, for the

@@ -106,34 +106,15 @@ func (p *Provider) Handle(req proto.Message) proto.Message {
 			WALFsyncNanos:   st.WALFsyncNanos,
 			WALFsyncMaxNano: st.WALFsyncMaxNano,
 		}
-	case *proto.CreateTableRequest:
-		if err := p.store.CreateTable(m.Spec); err != nil {
-			return errResponse(err)
-		}
-		return &proto.OKResponse{}
-	case *proto.DropTableRequest:
-		if err := p.store.DropTable(m.Table); err != nil {
-			return errResponse(err)
-		}
-		return &proto.OKResponse{}
-	case *proto.ListTablesRequest:
-		return &proto.TablesResponse{Specs: p.store.ListTables()}
-	case *proto.InsertRequest:
-		if err := p.store.Insert(m.Table, m.Rows); err != nil {
-			return errResponse(err)
-		}
-		return &proto.OKResponse{Affected: uint64(len(m.Rows))}
-	case *proto.DeleteRequest:
-		affected, err := p.store.Delete(m.Table, m.RowIDs)
+	case *proto.CreateTableRequest, *proto.DropTableRequest, *proto.InsertRequest, *proto.UpdateRequest,
+		*proto.DeleteRequest, *proto.TxPrepareRequest, *proto.TxCommitRequest, *proto.TxAbortRequest:
+		affected, err := p.store.Mutate(m)
 		if err != nil {
 			return errResponse(err)
 		}
 		return &proto.OKResponse{Affected: affected}
-	case *proto.UpdateRequest:
-		if err := p.store.Update(m.Table, m.Rows); err != nil {
-			return errResponse(err)
-		}
-		return &proto.OKResponse{Affected: uint64(len(m.Rows))}
+	case *proto.ListTablesRequest:
+		return &proto.TablesResponse{Specs: p.store.ListTables()}
 	case *proto.ScanRequest:
 		resp, err := p.store.Scan(m.Table, m.Filter, store.Projection(m.Projection, m.IDsOnly), m.Limit, m.WithProof)
 		if err != nil {
@@ -171,19 +152,6 @@ func (p *Provider) Handle(req proto.Message) proto.Message {
 			return errResponse(err)
 		}
 		return res
-	case *proto.TxPrepareRequest:
-		if err := p.store.PrepareTx(m.TxID, m.Ops); err != nil {
-			return errResponse(err)
-		}
-		return &proto.OKResponse{}
-	case *proto.TxCommitRequest:
-		if err := p.store.CommitTx(m.TxID); err != nil {
-			return errResponse(err)
-		}
-		return &proto.OKResponse{}
-	case *proto.TxAbortRequest:
-		p.store.AbortTx(m.TxID)
-		return &proto.OKResponse{}
 	default:
 		return &proto.ErrorResponse{
 			Code: proto.CodeBadRequest,

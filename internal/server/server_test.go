@@ -157,6 +157,72 @@ func TestErrorCodeMapping(t *testing.T) {
 	check(&proto.OKResponse{}, proto.CodeBadRequest)
 }
 
+// TestMutationRequests walks the eight requests that change a provider
+// through Handle in order: each answers OK with the rows it changed, or the
+// code of the check that refused it, and a refused request changes nothing.
+func TestMutationRequests(t *testing.T) {
+	p := newProvider(t)
+	r := func(id, v uint64) proto.Row {
+		return proto.Row{ID: id, Cells: [][]byte{oppCell(v), cell8(v)}}
+	}
+	ops := func(msgs ...proto.Message) [][]byte {
+		raw := make([][]byte, len(msgs))
+		for i, m := range msgs {
+			raw[i] = proto.Encode(m)
+		}
+		return raw
+	}
+	steps := []struct {
+		req      proto.Message
+		code     proto.ErrorCode // 0: OK
+		affected uint64
+		rows     int // rows in the table afterwards
+	}{
+		{req: &proto.CreateTableRequest{Spec: spec()}},
+		{req: &proto.InsertRequest{Table: "t", Rows: []proto.Row{r(1, 10), r(2, 20), r(3, 30)}}, affected: 3, rows: 3},
+		{req: &proto.UpdateRequest{Table: "t", Rows: []proto.Row{r(1, 11), r(2, 21)}}, affected: 2, rows: 3},
+		{req: &proto.UpdateRequest{Table: "t", Rows: []proto.Row{r(1, 12), r(1, 13)}}, code: proto.CodeDuplicateRow, rows: 3},
+		{req: &proto.DeleteRequest{Table: "t", RowIDs: []uint64{3, 99}}, affected: 1, rows: 2},
+		{req: &proto.DeleteRequest{Table: "t", RowIDs: []uint64{99}}, rows: 2},
+		{req: &proto.TxCommitRequest{TxID: 5}, code: proto.CodeNoSuchTx, rows: 2},
+		{req: &proto.TxAbortRequest{TxID: 5}, rows: 2},
+		{req: &proto.TxPrepareRequest{TxID: 5, Ops: ops(&proto.DropTableRequest{Table: "t"})}, code: proto.CodeBadRequest, rows: 2},
+		{req: &proto.TxPrepareRequest{TxID: 5, Ops: ops(&proto.UpdateRequest{Table: "t", Rows: []proto.Row{r(3, 31)}})},
+			code: proto.CodeNoSuchRow, rows: 2},
+		{req: &proto.TxPrepareRequest{TxID: 5, Ops: ops(
+			&proto.InsertRequest{Table: "t", Rows: []proto.Row{r(3, 31)}},
+			&proto.UpdateRequest{Table: "t", Rows: []proto.Row{r(3, 32)}},
+			&proto.DeleteRequest{Table: "t", RowIDs: []uint64{1}})}, rows: 2},
+		{req: &proto.TxPrepareRequest{TxID: 6, Ops: ops(&proto.DeleteRequest{Table: "t", RowIDs: []uint64{2}})}, rows: 2},
+		{req: &proto.TxAbortRequest{TxID: 6}, rows: 2},
+		{req: &proto.TxCommitRequest{TxID: 6}, code: proto.CodeNoSuchTx, rows: 2},
+		{req: &proto.TxCommitRequest{TxID: 5}, rows: 2},
+		{req: &proto.TxCommitRequest{TxID: 5}, code: proto.CodeNoSuchTx, rows: 2},
+		{req: &proto.DropTableRequest{Table: "t"}},
+		{req: &proto.DropTableRequest{Table: "t"}, code: proto.CodeNoSuchTable},
+	}
+	for i, st := range steps {
+		switch resp := p.Handle(st.req).(type) {
+		case *proto.OKResponse:
+			if st.code != 0 || resp.Affected != st.affected {
+				t.Fatalf("step %d %T: OK with %d affected, want code %v / %d affected", i, st.req, resp.Affected, st.code, st.affected)
+			}
+		case *proto.ErrorResponse:
+			if resp.Code != st.code {
+				t.Fatalf("step %d %T: %v (%s), want code %v", i, st.req, resp.Code, resp.Msg, st.code)
+			}
+		default:
+			t.Fatalf("step %d %T: answered %T", i, st.req, resp)
+		}
+		if n, err := p.Store().RowCount("t"); err == nil && n != st.rows {
+			t.Fatalf("step %d %T: %d rows afterwards, want %d", i, st.req, n, st.rows)
+		}
+	}
+	if n := p.Store().StagedTxs(); n != 0 {
+		t.Fatalf("%d transactions still staged", n)
+	}
+}
+
 func TestGroupedAggregateDispatch(t *testing.T) {
 	p := newProvider(t)
 	if resp := p.Handle(&proto.CreateTableRequest{Spec: spec()}); resp.Kind() != proto.KOK {

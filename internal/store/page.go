@@ -148,10 +148,12 @@ func (h *rowHeap) get(id uint64) (*page, int, bool, error) {
 	return p, i, ok, err
 }
 
-// insert copies a row into the page covering its id span, extending an edge
-// page when the id falls outside every span, and splits the page if it
-// outgrew the target size. Returns ErrDuplicateRow if the id is present.
-func (h *rowHeap) insert(row proto.Row) error {
+// put copies a row into the page covering its id span — over the row with
+// its id, after showing that row as it was to old (the index entries to drop
+// are built from it), or as a new row, extending an edge page when the id
+// falls outside every span — and splits the page if it outgrew the target
+// size.
+func (h *rowHeap) put(row proto.Row, old func(p *page, i int)) error {
 	if len(h.pages) == 0 {
 		pm := &pageMeta{heap: h, id: h.nextPageID, res: proto.NewRowBlock(h.shape)}
 		h.nextPageID++
@@ -166,38 +168,19 @@ func (h *rowHeap) insert(row proto.Row) error {
 	if err != nil {
 		return err
 	}
-	i, ok := p.Find(row.ID)
-	if ok {
-		return fmt.Errorf("%w: %d", ErrDuplicateRow, row.ID)
+	if i, ok := p.Find(row.ID); ok {
+		old(p, i)
+		err = p.Replace(i, row.Cells)
+	} else if err = p.Insert(i, row.ID, row.Cells); err == nil {
+		h.count++
 	}
-	if err := p.Insert(i, row.ID, row.Cells); err != nil {
+	if err != nil {
 		if p.Len() == 0 { // the page was made for this row
 			h.dropPageAt(idx)
 		}
 		return fmt.Errorf("%w: row %d: %v", ErrBadRequest, row.ID, err)
 	}
-	h.count++
 	if err := h.s.cache.mutated(pm); err != nil {
-		return err
-	}
-	return h.maybeSplit(idx)
-}
-
-// replace overwrites an existing row's cells in place, after showing the
-// row as it was to old (the index entries to drop are built from it).
-func (h *rowHeap) replace(row proto.Row, old func(p *page, i int)) error {
-	idx, p, i, ok, err := h.locate(row.ID)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchRow, row.ID)
-	}
-	old(p, i)
-	if err := p.Replace(i, row.Cells); err != nil {
-		return fmt.Errorf("%w: row %d: %v", ErrBadRequest, row.ID, err)
-	}
-	if err := h.s.cache.mutated(h.pages[idx]); err != nil {
 		return err
 	}
 	return h.maybeSplit(idx)
@@ -205,19 +188,19 @@ func (h *rowHeap) replace(row proto.Row, old func(p *page, i int)) error {
 
 // delete removes a row if present, after showing it to old, and drops the
 // page when it empties.
-func (h *rowHeap) delete(id uint64, old func(p *page, i int)) (bool, error) {
+func (h *rowHeap) delete(id uint64, old func(p *page, i int)) error {
 	idx, p, i, ok, err := h.locate(id)
 	if err != nil || !ok {
-		return false, err
+		return err
 	}
 	old(p, i)
 	p.Delete(i)
 	h.count--
 	if p.Len() == 0 {
 		h.dropPageAt(idx)
-		return true, nil
+		return nil
 	}
-	return true, h.s.cache.mutated(h.pages[idx])
+	return h.s.cache.mutated(h.pages[idx])
 }
 
 // maybeSplit splits the page at idx when its encoded size exceeds the

@@ -105,7 +105,7 @@ type Store struct {
 	// PrepareTx and CommitTx/AbortTx (see txn.go). Leaf lock; never held
 	// while taking mu.
 	txMu   sync.Mutex
-	staged map[uint64][]proto.Message
+	staged map[uint64]*proto.TxPrepareRequest
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -191,11 +191,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		}
 	}
 	log, replayed, err := wal.OpenSegments(dir, walPrefix, s.checkpointLSN, func(_ uint64, rec []byte) error {
-		msg, err := proto.Decode(rec)
-		if err != nil {
-			return fmt.Errorf("store: decoding WAL record: %w", err)
-		}
-		return s.apply(msg)
+		return s.applyRecord(rec)
 	})
 	if err != nil {
 		return nil, err
@@ -305,117 +301,266 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// logMutation appends the already-validated mutation to the WAL and forces
-// it to disk before returning. Used by the rare DDL paths; the DML hot
-// paths use appendMutation + a group-committed Sync outside the store lock.
-func (s *Store) logMutation(msg proto.Message) error {
-	if s.log == nil {
+// --- The mutation path ---
+//
+// Everything that changes a table — DDL, autocommit DML, a committed
+// transaction, a WAL record replayed at Open — is one proto.Message taken
+// through mutate: validate resolves it into row and table changes, the
+// message is appended to the WAL, apply carries the changes out. A
+// transaction's batch travels as the proto.TxPrepareRequest that staged it,
+// so it is one record and a torn tail drops it whole.
+
+// change is one step of a validated mutation.
+type change struct {
+	do  changeKind
+	t   *table
+	row proto.Row // putRow: the row as it will be; removeRow: its ID
+}
+
+type changeKind uint8
+
+const (
+	putRow changeKind = iota
+	removeRow
+	createTable
+	dropTable
+)
+
+// mutate validates, logs and applies one mutation under a single hold of
+// s.mu, then makes it durable with one group-committed fsync outside the
+// lock, so readers proceed during the flush and concurrent mutations share
+// it. The mutation is visible before it is durable; the caller is answered
+// only after Sync returns. A mutation that fails validation, or changes
+// nothing, appends nothing. Returns the rows changed.
+func (s *Store) mutate(msg proto.Message) (rows uint64, err error) {
+	s.mu.Lock()
+	plan, err := s.validate(msg)
+	log := s.log // nil in a memory-only store, and at Open while the WAL replays
+	logged := err == nil && len(plan) > 0 && log != nil
+	if logged {
+		_, err = log.Append(proto.Encode(msg))
+	}
+	if err == nil {
+		rows, err = s.apply(plan)
+	}
+	s.mu.Unlock()
+	if err == nil && logged {
+		err = log.Sync()
+	}
+	return rows, err
+}
+
+// applyRecord replays one WAL record.
+func (s *Store) applyRecord(rec []byte) error {
+	msg, err := proto.Decode(rec)
+	if err != nil {
+		return fmt.Errorf("store: decoding WAL record: %w", err)
+	}
+	_, err = s.mutate(msg)
+	return err
+}
+
+// validate resolves a mutation into the changes it makes, or the reason it
+// cannot run: a table that is missing or already there, a row that does not
+// fit its table's shape, an INSERT of a live id, an UPDATE of a missing one,
+// the same id twice in one INSERT or UPDATE. A DELETE of a missing id is
+// neither an error nor a change. Each op of a transaction's batch is checked
+// against the tables as the ops before it leave them — touched holds the
+// liveness of every id the batch has put or removed so far — so a batch that
+// deletes an id and re-inserts it is valid and one that inserts it twice is
+// not. Nothing is modified; callers hold s.mu at least shared.
+func (s *Store) validate(msg proto.Message) ([]change, error) {
+	ops := []proto.Message{msg}
+	if tx, ok := msg.(*proto.TxPrepareRequest); ok {
+		ops = make([]proto.Message, 0, len(tx.Ops))
+		for _, raw := range tx.Ops {
+			op, err := proto.Decode(raw)
+			if err != nil {
+				return nil, fmt.Errorf("%w: undecodable tx op: %v", ErrBadRequest, err)
+			}
+			switch op.(type) {
+			case *proto.InsertRequest, *proto.UpdateRequest, *proto.DeleteRequest:
+				ops = append(ops, op)
+			default:
+				return nil, fmt.Errorf("%w: %T is not a transactional op", ErrBadRequest, op)
+			}
+		}
+	}
+	type rowKey struct {
+		t  *table
+		id uint64
+	}
+	type touch struct {
+		live bool
+		op   int // index in ops of the op that touched the row
+	}
+	var plan []change
+	var touched map[rowKey]touch
+	// live reports whether id is a row of t once the plan so far has run, and
+	// which op of the batch last touched it (-1: none).
+	live := func(t *table, id uint64) (bool, int, error) {
+		if tc, ok := touched[rowKey{t, id}]; ok {
+			return tc.live, tc.op, nil
+		}
+		_, _, ok, err := t.heap.get(id)
+		return ok, -1, err
+	}
+	// step adds one row change, by op n of so many rows, to the plan.
+	step := func(c change, n, rows int) {
+		if touched == nil {
+			touched, plan = make(map[rowKey]touch, rows), slices.Grow(plan, rows)
+		}
+		touched[rowKey{c.t, c.row.ID}] = touch{live: c.do == putRow, op: n}
+		plan = append(plan, c)
+	}
+	put := func(n int, name string, rows []proto.Row, update bool) error {
+		t, err := s.table(name)
+		if err != nil {
+			return err
+		}
+		for _, row := range rows {
+			if err := t.validateRow(row); err != nil {
+				return err
+			}
+			was, by, err := live(t, row.ID)
+			switch {
+			case err != nil:
+				return err
+			case was != update:
+				if update {
+					return fmt.Errorf("%w: %d", ErrNoSuchRow, row.ID)
+				}
+				return fmt.Errorf("%w: %d", ErrDuplicateRow, row.ID)
+			case by == n:
+				return fmt.Errorf("%w: %d (within batch)", ErrDuplicateRow, row.ID)
+			}
+			step(change{do: putRow, t: t, row: row}, n, len(rows))
+		}
 		return nil
 	}
-	if _, err := s.log.Append(proto.Encode(msg)); err != nil {
-		return err
+	for n, op := range ops {
+		switch m := op.(type) {
+		case *proto.CreateTableRequest:
+			if err := m.Spec.Validate(); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			}
+			if _, ok := s.tables[m.Spec.Name]; ok {
+				return nil, fmt.Errorf("%w: %q", ErrTableExists, m.Spec.Name)
+			}
+			plan = append(plan, change{do: createTable, t: &table{spec: m.Spec}})
+		case *proto.DropTableRequest:
+			t, err := s.table(m.Table)
+			if err != nil {
+				return nil, err
+			}
+			plan = append(plan, change{do: dropTable, t: t})
+		case *proto.InsertRequest:
+			if err := put(n, m.Table, m.Rows, false); err != nil {
+				return nil, err
+			}
+		case *proto.UpdateRequest:
+			if err := put(n, m.Table, m.Rows, true); err != nil {
+				return nil, err
+			}
+		case *proto.DeleteRequest:
+			t, err := s.table(m.Table)
+			if err != nil {
+				return nil, err
+			}
+			for _, id := range m.RowIDs {
+				was, _, err := live(t, id)
+				if err != nil {
+					return nil, err
+				}
+				if was {
+					step(change{do: removeRow, t: t, row: proto.Row{ID: id}}, n, len(m.RowIDs))
+				}
+			}
+		default:
+			return nil, fmt.Errorf("%w: %T is not a mutation", ErrBadRequest, op)
+		}
 	}
-	return s.log.Sync()
+	return plan, nil
 }
 
-// appendMutation appends the mutation to the WAL without syncing and
-// returns the log so the caller can Sync after releasing s.mu. Running the
-// fsync outside the store lock keeps readers unblocked during the flush,
-// and concurrent mutations group-commit: one fsync acknowledges them all.
-// The mutation becomes visible to readers before it is durable; the caller
-// is acknowledged only after Sync returns.
-func (s *Store) appendMutation(msg proto.Message) (*wal.Segmented, error) {
-	if s.log == nil {
-		return nil, nil
+// apply carries out a validated plan and returns the rows it put or removed:
+// the one place a mutation reaches the tables.
+func (s *Store) apply(plan []change) (rows uint64, err error) {
+	for _, c := range plan {
+		switch t := c.t; c.do {
+		case putRow:
+			rows++
+			err = t.put(c.row)
+		case removeRow:
+			rows++
+			err = t.remove(c.row.ID)
+		case createTable:
+			t.heap = &rowHeap{s: s, tableID: s.nextTableID, shape: shapeOf(&t.spec)}
+			s.nextTableID++
+			t.merkles = make(map[string]*merkleState)
+			t.indexes = make(map[string]*btree.Tree)
+			for _, col := range t.spec.Columns {
+				if col.Indexed {
+					t.indexes[col.Name] = btree.New()
+				}
+			}
+			s.tables[t.spec.Name] = t
+		case dropTable:
+			t.heap.drop()
+			delete(s.tables, t.spec.Name)
+		}
+		if err != nil {
+			return rows, err
+		}
 	}
-	if _, err := s.log.Append(proto.Encode(msg)); err != nil {
-		return nil, err
-	}
-	return s.log, nil
+	return rows, nil
 }
-
-// apply executes a mutation without logging; used by both the public
-// mutation methods (after logging) and WAL replay.
-func (s *Store) apply(msg proto.Message) error {
-	switch m := msg.(type) {
-	case *proto.CreateTableRequest:
-		return s.applyCreateTable(&m.Spec)
-	case *proto.DropTableRequest:
-		return s.applyDropTable(m.Table)
-	case *proto.InsertRequest:
-		return s.applyInsert(m.Table, m.Rows)
-	case *proto.DeleteRequest:
-		_, err := s.applyDelete(m.Table, m.RowIDs)
-		return err
-	case *proto.UpdateRequest:
-		return s.applyUpdate(m.Table, m.Rows)
-	default:
-		return fmt.Errorf("%w: non-mutation message %T in WAL", ErrBadRequest, msg)
-	}
-}
-
-// --- DDL ---
 
 // CreateTable creates an empty table from the spec.
 func (s *Store) CreateTable(spec proto.TableSpec) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := spec.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if _, ok := s.tables[spec.Name]; ok {
-		return fmt.Errorf("%w: %q", ErrTableExists, spec.Name)
-	}
-	if err := s.logMutation(&proto.CreateTableRequest{Spec: spec}); err != nil {
-		return err
-	}
-	return s.applyCreateTable(&spec)
-}
-
-func (s *Store) applyCreateTable(spec *proto.TableSpec) error {
-	if err := spec.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if _, ok := s.tables[spec.Name]; ok {
-		return fmt.Errorf("%w: %q", ErrTableExists, spec.Name)
-	}
-	t := &table{
-		spec:    *spec,
-		indexes: make(map[string]*btree.Tree),
-		merkles: make(map[string]*merkleState),
-		heap:    &rowHeap{s: s, tableID: s.nextTableID, shape: shapeOf(spec)},
-	}
-	s.nextTableID++
-	for _, c := range spec.Columns {
-		if c.Indexed {
-			t.indexes[c.Name] = btree.New()
-		}
-	}
-	s.tables[spec.Name] = t
-	return nil
+	_, err := s.mutate(&proto.CreateTableRequest{Spec: spec})
+	return err
 }
 
 // DropTable removes a table.
 func (s *Store) DropTable(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tables[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchTable, name)
-	}
-	if err := s.logMutation(&proto.DropTableRequest{Table: name}); err != nil {
-		return err
-	}
-	return s.applyDropTable(name)
+	_, err := s.mutate(&proto.DropTableRequest{Table: name})
+	return err
 }
 
-func (s *Store) applyDropTable(name string) error {
-	t, ok := s.tables[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchTable, name)
+// Insert adds rows; every row id must be fresh. The batch is atomic: any
+// validation failure rejects the whole batch before anything is applied.
+func (s *Store) Insert(name string, rows []proto.Row) error {
+	_, err := s.mutate(&proto.InsertRequest{Table: name, Rows: rows})
+	return err
+}
+
+// Update replaces existing rows in full (the paper's eager update path);
+// like Insert, all of the batch or none of it.
+func (s *Store) Update(name string, rows []proto.Row) error {
+	_, err := s.mutate(&proto.UpdateRequest{Table: name, Rows: rows})
+	return err
+}
+
+// Delete removes rows by id, returning how many existed.
+func (s *Store) Delete(name string, ids []uint64) (uint64, error) {
+	return s.mutate(&proto.DeleteRequest{Table: name, RowIDs: ids})
+}
+
+// Mutate runs a request that changes the store — DDL, DML, or a step of the
+// client's two-phase commit — and returns the rows it changed (none, for a
+// request that only stages or discards a transaction).
+func (s *Store) Mutate(req proto.Message) (uint64, error) {
+	switch m := req.(type) {
+	case *proto.TxPrepareRequest:
+		return 0, s.PrepareTx(m.TxID, m.Ops)
+	case *proto.TxCommitRequest:
+		return 0, s.CommitTx(m.TxID)
+	case *proto.TxAbortRequest:
+		s.AbortTx(m.TxID)
+		return 0, nil
 	}
-	t.heap.drop()
-	delete(s.tables, name)
-	return nil
+	return s.mutate(req)
 }
 
 // ListTables returns all table specs, sorted by name.
@@ -503,193 +648,37 @@ func (t *table) ensureIndexes() (map[string]*btree.Tree, error) {
 
 func (t *table) invalidateMerkles() {
 	t.merkleMu.Lock()
-	for k := range t.merkles {
-		delete(t.merkles, k)
-	}
+	clear(t.merkles)
 	t.merkleMu.Unlock()
 }
 
-// indexInsert/indexDelete maintain the B+-trees; while indexes is nil
-// (manifest-restored table, not yet read through an index) they are no-ops
-// — the lazy build will see the heap's current state.
-func (t *table) indexInsert(row proto.Row) {
-	for name, idx := range t.indexes {
-		ci := t.spec.ColumnIndex(name)
-		idx.Set(indexKey(row.Cells[ci], row.ID), nil)
-	}
-}
-
-func (t *table) indexDelete(p *page, i int) {
-	for name, idx := range t.indexes {
-		idx.Delete(indexKey(p.Cell(i, t.spec.ColumnIndex(name)), p.IDs[i]))
-	}
-}
-
-// --- DML ---
-
-// Insert adds rows; every row id must be fresh. The batch is atomic: any
-// validation failure rejects the whole batch before anything is applied.
-// The WAL fsync happens after the store lock is released (group commit), so
-// concurrent reads proceed during the flush.
-func (s *Store) Insert(name string, rows []proto.Row) error {
-	log, err := s.insertLocked(name, rows)
-	if err != nil {
+// put stores a row — new, or in place of the one with its id — and keeps
+// the B+-trees and the Merkle cache in step with the heap. While indexes is
+// nil (manifest-restored table, not yet read through an index) there is
+// nothing to maintain: the lazy build will see the heap's current state.
+func (t *table) put(row proto.Row) error {
+	if err := t.heap.put(row, t.unindex); err != nil {
 		return err
 	}
-	if log != nil {
-		return log.Sync()
-	}
-	return nil
-}
-
-func (s *Store) insertLocked(name string, rows []proto.Row) (*wal.Segmented, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, err := s.table(name)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[uint64]bool, len(rows))
-	for _, row := range rows {
-		if err := t.validateRow(row); err != nil {
-			return nil, err
-		}
-		if seen[row.ID] {
-			return nil, fmt.Errorf("%w: %d (within batch)", ErrDuplicateRow, row.ID)
-		}
-		seen[row.ID] = true
-		if _, _, exists, err := t.heap.get(row.ID); err != nil {
-			return nil, err
-		} else if exists {
-			return nil, fmt.Errorf("%w: %d", ErrDuplicateRow, row.ID)
-		}
-	}
-	log, err := s.appendMutation(&proto.InsertRequest{Table: name, Rows: rows})
-	if err != nil {
-		return nil, err
-	}
-	return log, s.applyInsert(name, rows)
-}
-
-func (s *Store) applyInsert(name string, rows []proto.Row) error {
-	t, err := s.table(name)
-	if err != nil {
-		return err
-	}
-	// The heap copies each row's cells into its page's slab; a row that
-	// does not fit the table's shape is rejected there.
-	for _, row := range rows {
-		if err := t.heap.insert(row); err != nil {
-			return err
-		}
-		t.indexInsert(row)
+	for name, idx := range t.indexes {
+		idx.Set(indexKey(row.Cells[t.spec.ColumnIndex(name)], row.ID), nil)
 	}
 	t.invalidateMerkles()
 	return nil
 }
 
-// Delete removes rows by id, returning how many existed. Like Insert, the
-// WAL fsync group-commits outside the store lock.
-func (s *Store) Delete(name string, ids []uint64) (uint64, error) {
-	affected, log, err := s.deleteLocked(name, ids)
-	if err != nil {
-		return 0, err
-	}
-	if log != nil {
-		if err := log.Sync(); err != nil {
-			return 0, err
-		}
-	}
-	return affected, nil
+// remove deletes the row with the id, its index entries and the Merkle cache.
+func (t *table) remove(id uint64) error {
+	err := t.heap.delete(id, t.unindex)
+	t.invalidateMerkles()
+	return err
 }
 
-func (s *Store) deleteLocked(name string, ids []uint64) (uint64, *wal.Segmented, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.table(name); err != nil {
-		return 0, nil, err
+// unindex drops the index entries of row i of p, which is about to change.
+func (t *table) unindex(p *page, i int) {
+	for name, idx := range t.indexes {
+		idx.Delete(indexKey(p.Cell(i, t.spec.ColumnIndex(name)), p.IDs[i]))
 	}
-	log, err := s.appendMutation(&proto.DeleteRequest{Table: name, RowIDs: ids})
-	if err != nil {
-		return 0, nil, err
-	}
-	affected, err := s.applyDelete(name, ids)
-	return affected, log, err
-}
-
-func (s *Store) applyDelete(name string, ids []uint64) (uint64, error) {
-	t, err := s.table(name)
-	if err != nil {
-		return 0, err
-	}
-	var affected uint64
-	for _, id := range ids {
-		ok, err := t.heap.delete(id, t.indexDelete)
-		if err != nil {
-			return affected, err
-		}
-		if ok {
-			affected++
-		}
-	}
-	if affected > 0 {
-		t.invalidateMerkles()
-	}
-	return affected, nil
-}
-
-// Update replaces existing rows in full (the paper's eager update path).
-// Like Insert, the WAL fsync group-commits outside the store lock.
-func (s *Store) Update(name string, rows []proto.Row) error {
-	log, err := s.updateLocked(name, rows)
-	if err != nil {
-		return err
-	}
-	if log != nil {
-		return log.Sync()
-	}
-	return nil
-}
-
-func (s *Store) updateLocked(name string, rows []proto.Row) (*wal.Segmented, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, err := s.table(name)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if err := t.validateRow(row); err != nil {
-			return nil, err
-		}
-		if _, _, ok, err := t.heap.get(row.ID); err != nil {
-			return nil, err
-		} else if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrNoSuchRow, row.ID)
-		}
-	}
-	log, err := s.appendMutation(&proto.UpdateRequest{Table: name, Rows: rows})
-	if err != nil {
-		return nil, err
-	}
-	return log, s.applyUpdate(name, rows)
-}
-
-func (s *Store) applyUpdate(name string, rows []proto.Row) error {
-	t, err := s.table(name)
-	if err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if err := t.heap.replace(row, t.indexDelete); err != nil {
-			return err
-		}
-		t.indexInsert(row)
-	}
-	if len(rows) > 0 {
-		t.invalidateMerkles()
-	}
-	return nil
 }
 
 // --- Reads ---
