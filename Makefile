@@ -37,11 +37,12 @@ race-hedge:
 	$(GO) test -race -count=1 -run 'TestFaulty|TestWaitBackoff|TestCallDeadline|TestLocalConn|TestDelaySchedule' ./internal/transport
 
 # Ten seconds on each fuzz target, from the corpora checked in under
-# testdata/fuzz: the share-row block codec, the page decoder, and a WAL record
-# through the store's mutation path. -fuzz takes one target and one package
-# per run.
+# testdata/fuzz: the share-row block codec, the message decoder (one message of
+# every kind), the page decoder, and a WAL record through the store's mutation
+# path. -fuzz takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBlock$$' -fuzztime=10s ./internal/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyRecord$$' -fuzztime=10s ./internal/store
 

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -104,6 +105,42 @@ func TestByzantineVerifiedAggregates(t *testing.T) {
 	}
 	if got := rowsAsStrings(res); fmt.Sprint(got) != "[6,245,35]" {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// Provider-side aggregates are not verified, but the K partials of a bucket
+// are cross-checked where they are combined: a provider that is off by one in
+// one bucket's count, or that picks another row as a bucket's MIN, disagrees
+// with its peer, and the statement fails as inconsistent rather than answering
+// — whether the buckets have a key or there is only the one.
+func TestByzantineAggregatePartials(t *testing.T) {
+	f := newFleet(t, 2, 2, Options{})
+	setupEmployees(t, f)
+	queries := map[string]string{
+		`SELECT COUNT(*), MIN(salary) FROM employees`:                     "[6,10]",
+		`SELECT dept, COUNT(*), MIN(salary) FROM employees GROUP BY dept`: "[1,2,10 2,2,40 3,2,35]",
+	}
+	for name, lie := range map[string]func(*proto.GroupPartial){
+		"count": func(g *proto.GroupPartial) { g.Count++ },
+		"pick":  func(g *proto.GroupPartial) { g.Pick, g.Sum = g.Pick+1, g.Sum^0x10 },
+	} {
+		f.faults[1].SetCorrupter(func(resp proto.Message) proto.Message {
+			if gr, ok := resp.(*proto.GroupResult); ok && len(gr.Groups) > 0 {
+				lie(&gr.Groups[len(gr.Groups)-1])
+			}
+			return resp
+		})
+		for q := range queries {
+			if res, err := f.client.Exec(q); !errors.Is(err, ErrInconsistent) {
+				t.Errorf("provider lying about a bucket's %s: %s = %v, %v, want ErrInconsistent", name, q, res, err)
+			}
+		}
+	}
+	f.faults[1].SetCorrupter(nil)
+	for q, want := range queries {
+		if got := rowsAsStrings(f.mustExec(t, q)); fmt.Sprint(got) != want {
+			t.Errorf("honest again: %s = %v, want %s", q, got, want)
+		}
 	}
 }
 

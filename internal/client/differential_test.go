@@ -5,6 +5,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"sssdb/internal/proto"
@@ -127,7 +128,7 @@ func differentialWorkload(t *testing.T, f *shardFleet) {
 
 	selectAndCompare := func(step int) {
 		t.Helper()
-		kind := rng.Intn(8)
+		kind := rng.Intn(10)
 		var q string
 		var want []int64 // expected v values, sorted
 		switch kind {
@@ -266,6 +267,79 @@ func differentialWorkload(t *testing.T, f *shardFleet) {
 			res := query(step, q, false)
 			if got, want := rowsAsStrings(res)[0], fmt.Sprintf("%d,%d,%d,%d", lo, hi, sum/count, count); got != want {
 				t.Fatalf("step %d: %s: got %s, want %s", step, q, got, want)
+			}
+			return
+		case 8, 9: // every reduction at once, over a range that is sometimes empty: per g (HAVING on a pick or not), or in one bucket
+			lo := randV()
+			hi := lo + int64(rng.Intn(600))
+			if rng.Intn(4) == 0 {
+				lo, hi = 2000, 3000 // above every v
+			}
+			byG := map[int64][]int64{}
+			var all []int64
+			for _, r := range oracle {
+				if r.v >= lo && r.v <= hi {
+					byG[r.g] = append(byG[r.g], r.v)
+					all = append(all, r.v)
+				}
+			}
+			// line renders "count,sum,avg,min,max,median" of a non-empty bucket.
+			line := func(vs []int64) string {
+				sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+				var sum int64
+				for _, v := range vs {
+					sum += v
+				}
+				n := int64(len(vs))
+				return fmt.Sprintf("%d,%d,%d,%d,%d,%d", n, sum, sum/n, vs[0], vs[n-1], vs[(n-1)/2])
+			}
+			where := fmt.Sprintf(`FROM t WHERE v BETWEEN %d AND %d`, lo, hi)
+			if kind == 9 {
+				// Five items, three provider rounds; MEDIAN is left out so that
+				// the statement stays provider-side at every group count.
+				q = `SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) ` + where
+				if len(all) == 0 {
+					if _, err := f.router.Exec(q); !errors.Is(err, ErrEmptyAggregate) {
+						t.Fatalf("step %d: %s over no rows: %v", step, q, err)
+					}
+					q = `SELECT COUNT(*), SUM(v) ` + where
+					if got := rowsAsStrings(query(step, q, false)); fmt.Sprint(got) != "[0,0]" {
+						t.Fatalf("step %d: %s over no rows: %v, want one row of zeroes", step, q, got)
+					}
+					return
+				}
+				want := line(all)
+				if got := rowsAsStrings(query(step, q, false)); len(got) != 1 || got[0] != want[:strings.LastIndex(want, ",")] {
+					t.Fatalf("step %d: %s: got %v, want %s less its median", step, q, got, want)
+				}
+				return
+			}
+			// A MEDIAN keeps the statement provider-side only at one group;
+			// without it the groups' MIN/MAX picks are merged by key.
+			median := rng.Intn(2) == 0
+			q = `SELECT g, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) ` + where + ` GROUP BY g`
+			if median {
+				q = `SELECT g, COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v), MEDIAN(v) ` + where + ` GROUP BY g`
+			}
+			floor := int64(-1)
+			if rng.Intn(2) == 0 {
+				floor = randV()
+				q += fmt.Sprintf(` HAVING MAX(v) >= %d`, floor)
+			}
+			var want []string
+			for g := int64(0); g < 4; g++ {
+				if vs := byG[g]; len(vs) > 0 {
+					l := line(vs)
+					if !median {
+						l = l[:strings.LastIndex(l, ",")]
+					}
+					if vs[len(vs)-1] >= floor {
+						want = append(want, fmt.Sprintf("%d,%s", g, l))
+					}
+				}
+			}
+			if got := rowsAsStrings(query(step, q, false)); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("step %d: %s:\n got  %v\n want %v", step, q, got, want)
 			}
 			return
 		}

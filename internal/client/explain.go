@@ -136,34 +136,29 @@ func (c *Client) execExplain(e *sql.Explain) (*Result, error) {
 	}
 
 	switch {
-	case p.gcm != nil:
-		if p.onProviders {
-			line("GROUP BY %s: provider-side grouped partials (COUNT/SUM per share-group)", p.gcm.Name)
-			line("  groups align positionally across providers (share order = value order)")
-			line("  group keys inverted from a single share; sums reconstructed from %d partials", c.opts.K)
-			if len(p.targets) > 1 {
-				line("  buckets of the %d groups re-reduced by key: counts and sums add", len(p.targets))
-			}
-		} else {
-			line("GROUP BY %s: CLIENT-SIDE — scan, reconstruct, group locally", p.gcm.Name)
-			describeScan()
+	case p.bucketed():
+		what := "AGGREGATE"
+		if p.gcm != nil {
+			what = "GROUP BY " + p.gcm.Name
 		}
-		if len(s.Having) > 0 {
-			line("HAVING: %d conjunct(s) applied to reconstructed group aggregates", len(s.Having))
-		}
-	case p.agg:
 		if p.onProviders {
-			line("AGGREGATE: provider-side partials from %d of %d providers", c.opts.K, c.opts.N)
+			line("%s: provider-side partials from %d of %d providers", what, c.opts.K, c.opts.N)
 			line("  SUM/AVG via share additivity; MIN/MAX/MEDIAN via order preservation; COUNT exact")
 			if len(preds) == 1 {
 				line("  filter on %q pushed in share space", meta.Cols[preds[0].ci].Name)
 			}
+			if p.gcm != nil {
+				line("  buckets align positionally across providers (share order = value order); keys inverted from a single share")
+			}
 			if len(p.targets) > 1 {
-				line("  partials of the %d groups merged: counts and sums add, MIN/MAX compare", len(p.targets))
+				line("  buckets of the %d groups re-reduced by key: counts and sums add, MIN/MAX compare", len(p.targets))
 			}
 		} else {
-			line("AGGREGATE: CLIENT-SIDE — scan, reconstruct, aggregate locally")
+			line("%s: CLIENT-SIDE — scan, reconstruct, bucket locally", what)
 			describeScan()
+		}
+		if len(s.Having) > 0 {
+			line("HAVING: %d conjunct(s) applied to reconstructed group aggregates", len(s.Having))
 		}
 	default:
 		describeScan()

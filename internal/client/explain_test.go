@@ -67,12 +67,18 @@ func TestExplainGroupBy(t *testing.T) {
 	f := newFleet(t, 3, 2, Options{})
 	setupEmployees(t, f)
 	plan := planText(t, f, `EXPLAIN SELECT dept, COUNT(*) FROM employees GROUP BY dept HAVING COUNT(*) > 1`)
-	for _, want := range []string{"grouped partials", "align positionally", "HAVING: 1 conjunct"} {
+	for _, want := range []string{"provider-side partials", "align positionally", "HAVING: 1 conjunct"} {
 		if !strings.Contains(plan, want) {
 			t.Fatalf("plan missing %q:\n%s", want, plan)
 		}
 	}
+	// MIN/MAX/MEDIAN are bucket reductions like the rest; a residual predicate
+	// is what moves a GROUP BY client-side.
 	plan = planText(t, f, `EXPLAIN SELECT dept, MEDIAN(salary) FROM employees GROUP BY dept`)
+	if !strings.Contains(plan, "provider-side partials") {
+		t.Fatalf("plan:\n%s", plan)
+	}
+	plan = planText(t, f, `EXPLAIN SELECT dept, MEDIAN(salary) FROM employees WHERE salary > 0 AND dept = 1 GROUP BY dept`)
 	if !strings.Contains(plan, "CLIENT-SIDE") {
 		t.Fatalf("plan:\n%s", plan)
 	}
@@ -195,11 +201,11 @@ func TestExplainGroups(t *testing.T) {
 	}
 	// Partials that merge say so.
 	plan := planText(t, two, `EXPLAIN SELECT SUM(salary), MAX(salary) FROM employees`)
-	if !strings.Contains(plan, "provider-side partials") || !strings.Contains(plan, "partials of the 2 groups merged") {
+	if !strings.Contains(plan, "provider-side partials") || !strings.Contains(plan, "buckets of the 2 groups re-reduced by key") {
 		t.Errorf("aggregate plan:\n%s", plan)
 	}
 	plan = planText(t, two, `EXPLAIN SELECT dept, COUNT(*) FROM employees GROUP BY dept`)
-	if !strings.Contains(plan, "grouped partials") || !strings.Contains(plan, "buckets of the 2 groups re-reduced by key") {
+	if !strings.Contains(plan, "GROUP BY dept: provider-side partials") || !strings.Contains(plan, "buckets of the 2 groups re-reduced by key") {
 		t.Errorf("GROUP BY plan:\n%s", plan)
 	}
 	// A MEDIAN does not merge: gathered at two groups, provider-side at one.

@@ -2,6 +2,7 @@ package client
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sssdb/internal/field"
@@ -10,41 +11,86 @@ import (
 	"sssdb/internal/sql"
 )
 
-// group is one GROUP BY bucket during reconstruction.
-type group struct {
-	key   Value
-	count uint64
-	// sums holds reconstructed (scaled) SUM totals per value column —
-	// provider-side path only; AVG divides at render time.
-	sums map[string]int64
-	// vals holds fully-computed aggregate values — client-side path.
-	vals map[string]Value
+// reduction is what a bucket's rows are reduced to besides their count: the
+// sum of column cm, or the value of the row that is its MIN, MAX or MEDIAN.
+// It is what one provider round computes, and a bucket holds one value per
+// reduction whichever side reduced it.
+type reduction struct {
+	op proto.AggOp
+	cm *colMeta
 }
 
-// render produces one aggregate output cell for this group.
+// reductionOf resolves an aggregate item onto the reduction that renders it.
+// COUNT needs no column's — every bucket carries its count — and AVG is a SUM
+// divided after the merge.
+func (meta *tableMeta) reductionOf(item sql.SelectItem) (red reduction, err error) {
+	if red.cm, _, err = meta.aggItemCol(item); err != nil {
+		return reduction{}, err
+	}
+	switch item.Agg {
+	case sql.AggSum, sql.AggAvg:
+		red.op = proto.AggSum
+	case sql.AggMin:
+		red.op = proto.AggMin
+	case sql.AggMax:
+		red.op = proto.AggMax
+	case sql.AggMedian:
+		red.op = proto.AggMedian
+	default:
+		return reduction{op: proto.AggCount}, nil
+	}
+	return red, nil
+}
+
+// reductions lists the distinct reductions of a column that items need, in
+// item order: what a bucket is reduced to, by either side, once each.
+func (meta *tableMeta) reductions(items []sql.SelectItem) ([]reduction, error) {
+	var reds []reduction
+	for _, item := range items {
+		red, err := meta.reductionOf(item)
+		if err != nil {
+			return nil, err
+		}
+		if red.cm != nil && !slices.Contains(reds, red) {
+			reds = append(reds, red)
+		}
+	}
+	return reds, nil
+}
+
+// group is one aggregate bucket during reconstruction: a GROUP BY key's, or
+// the only one of an aggregate without a key.
+type group struct {
+	key   Value
+	enc   uint64 // key's encoding: bucket identity and order
+	count uint64
+	// vals holds the bucket's value per reduction: a SUM's (scaled) total in
+	// I, the picked row's value otherwise.
+	vals map[reduction]Value
+}
+
+// render produces one aggregate output cell for this bucket.
 func (g *group) render(meta *tableMeta, item sql.SelectItem) (Value, error) {
-	key := aggKey(item)
-	if v, ok := g.vals[key]; ok {
-		return v, nil
-	}
-	if item.Agg == sql.AggCount {
-		return IntValue(int64(g.count)), nil
-	}
-	raw, ok := g.sums[item.Col.Name]
-	if !ok {
-		return Value{}, fmt.Errorf("%w: internal: missing aggregate %s", ErrUnsupported, key)
-	}
-	if item.Agg == sql.AggAvg && g.count > 0 {
-		raw /= int64(g.count)
-	}
-	cm, err := meta.col(item.Col.Name)
+	red, err := meta.reductionOf(item)
 	if err != nil {
 		return Value{}, err
 	}
-	if cm.Type == sql.TypeDecimal {
-		return DecimalValue(raw, cm.Arg), nil
+	switch {
+	case item.Agg == sql.AggCount:
+		return IntValue(int64(g.count)), nil
+	case g.count == 0:
+		return emptyAggValue(item, red.cm)
+	case red.op != proto.AggSum:
+		return g.vals[red], nil
 	}
-	return IntValue(raw), nil
+	total := g.vals[red].I
+	if item.Agg == sql.AggAvg {
+		total /= int64(g.count)
+	}
+	if red.cm.Type == sql.TypeDecimal {
+		return DecimalValue(total, red.cm.Arg), nil
+	}
+	return IntValue(total), nil
 }
 
 func aggKey(item sql.SelectItem) string {
@@ -54,55 +100,56 @@ func aggKey(item sql.SelectItem) string {
 	return item.Agg.String() + "(" + item.Col.Name + ")"
 }
 
-// planGroupBy validates a GROUP BY statement against the table's schema and
-// resolves the grouping column, the aggregates to compute (select list plus
-// HAVING), and whether every aggregate is provider-combinable (COUNT, SUM,
-// AVG).
-func planGroupBy(meta *tableMeta, s *sql.Select) (gcm *colMeta, gci int, computeItems []sql.SelectItem, simpleOnly bool, err error) {
-	if s.OrderBy != nil {
-		return nil, 0, nil, false, fmt.Errorf("%w: ORDER BY with GROUP BY (groups already come back in key order)", ErrUnsupported)
+// planBuckets validates an aggregate statement against the table's schema and
+// resolves the column that keys its buckets (nil, -1 without GROUP BY) and
+// the items to compute (select list plus HAVING).
+func planBuckets(meta *tableMeta, s *sql.Select) (gcm *colMeta, gci int, computeItems []sql.SelectItem, err error) {
+	gci = -1
+	if s.GroupBy != nil {
+		if s.OrderBy != nil {
+			return nil, 0, nil, fmt.Errorf("%w: ORDER BY with GROUP BY (groups already come back in key order)", ErrUnsupported)
+		}
+		if s.GroupBy.Table != "" && s.GroupBy.Table != meta.Name {
+			return nil, 0, nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, s.GroupBy)
+		}
+		if gcm, err = meta.col(s.GroupBy.Name); err != nil {
+			return nil, 0, nil, err
+		}
+		if !gcm.queryable() {
+			return nil, 0, nil, fmt.Errorf("%w: GROUP BY on BLOB column %q", ErrUnsupported, gcm.Name)
+		}
+		gci = meta.colIndex(gcm.Name)
 	}
-	if s.GroupBy.Table != "" && s.GroupBy.Table != meta.Name {
-		return nil, 0, nil, false, fmt.Errorf("%w: %q", ErrNoSuchColumn, s.GroupBy)
-	}
-	gcm, err = meta.col(s.GroupBy.Name)
-	if err != nil {
-		return nil, 0, nil, false, err
-	}
-	if !gcm.queryable() {
-		return nil, 0, nil, false, fmt.Errorf("%w: GROUP BY on BLOB column %q", ErrUnsupported, gcm.Name)
-	}
-	gci = meta.colIndex(gcm.Name)
 	// The aggregates to compute cover both the select list and HAVING.
 	computeItems = append([]sql.SelectItem(nil), s.Items...)
 	for _, hp := range s.Having {
 		computeItems = append(computeItems, hp.Item)
 	}
-	// Validate the select list: plain items must be the group column; every
-	// aggregate must be well-typed.
-	simpleOnly = true // aggregates all in {COUNT, SUM, AVG}
+	// Plain items must be the key column; every aggregate must be well-typed.
 	for i, item := range computeItems {
 		if item.Agg == sql.AggNone {
-			if i >= len(s.Items) {
-				return nil, 0, nil, false, fmt.Errorf("%w: HAVING requires an aggregate", ErrUnsupported)
-			}
-			if item.Star {
-				return nil, 0, nil, false, fmt.Errorf("%w: SELECT * with GROUP BY", ErrUnsupported)
-			}
-			if item.Col.Name != gcm.Name {
-				return nil, 0, nil, false, fmt.Errorf("%w: column %q must appear in an aggregate or in GROUP BY",
+			switch {
+			case gcm == nil:
+				return nil, 0, nil, fmt.Errorf("%w: mixing aggregates and plain columns", ErrUnsupported)
+			case i >= len(s.Items):
+				return nil, 0, nil, fmt.Errorf("%w: HAVING requires an aggregate", ErrUnsupported)
+			case item.Star:
+				return nil, 0, nil, fmt.Errorf("%w: SELECT * with GROUP BY", ErrUnsupported)
+			case item.Col.Name != gcm.Name:
+				return nil, 0, nil, fmt.Errorf("%w: column %q must appear in an aggregate or in GROUP BY",
 					ErrUnsupported, item.Col)
 			}
 			continue
 		}
-		if _, _, err := meta.aggItemCol(item); err != nil {
-			return nil, 0, nil, false, err
+		red, err := meta.reductionOf(item)
+		if err != nil {
+			return nil, 0, nil, err
 		}
-		if item.Agg != sql.AggCount && item.Agg != sql.AggSum && item.Agg != sql.AggAvg {
-			simpleOnly = false
+		if red.op == proto.AggSum && red.cm.Type == sql.TypeVarchar {
+			return nil, 0, nil, fmt.Errorf("%w: %s over VARCHAR column %q", ErrUnsupported, item.Agg, red.cm.Name)
 		}
 	}
-	return gcm, gci, computeItems, simpleOnly, nil
+	return gcm, gci, computeItems, nil
 }
 
 // renderGroups applies HAVING and renders the merged group list into a Result
@@ -255,56 +302,50 @@ func compareInt64(a, b int64) int {
 	}
 }
 
-// groupedFromScan buckets the gathered matching rows by the group column and
-// computes every aggregate per bucket, in encoded-key order — the client-side
-// path, for aggregates that do not merge, residual predicates, and verified
-// mode.
+// groupedFromScan buckets the gathered matching rows by the key column — all
+// into one bucket without one — and reduces every bucket for every item: the
+// client-side path, for residual predicates, verified mode and a MEDIAN over
+// several groups.
 func groupedFromScan(meta *tableMeta, gcm *colMeta, gci int, scan *scanResult, items []sql.SelectItem) ([]*group, error) {
-	byKey := make(map[uint64]*group)
-	rowsByKey := make(map[uint64][]int)
-	var order []uint64
-	for r := range scan.values {
-		enc, err := gcm.encode(scan.values[r][gci])
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := byKey[enc]; !ok {
-			byKey[enc] = &group{key: scan.values[r][gci], vals: map[string]Value{}}
-			order = append(order, enc)
-		}
-		rowsByKey[enc] = append(rowsByKey[enc], r)
+	reds, err := meta.reductions(items)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	groups := make([]*group, 0, len(order))
-	for _, enc := range order {
-		g := byKey[enc]
-		rows := rowsByKey[enc]
-		g.count = uint64(len(rows))
-		sub := &scanResult{}
-		for _, r := range rows {
-			sub.ids = append(sub.ids, scan.ids[r])
-			sub.values = append(sub.values, scan.values[r])
-		}
-		for _, item := range items {
-			if item.Agg == sql.AggNone {
-				continue
-			}
-			v, err := aggregateLocal(meta, sub, item)
-			if err != nil {
+	byKey := make(map[uint64]*group)
+	rowsByKey := make(map[uint64][][]Value)
+	for _, row := range scan.values {
+		var key Value
+		var enc uint64
+		if gcm != nil {
+			key = row[gci]
+			if enc, err = gcm.encode(key); err != nil {
 				return nil, err
 			}
-			g.vals[aggKey(item)] = v
 		}
-		groups = append(groups, g)
+		if _, ok := byKey[enc]; !ok {
+			byKey[enc] = &group{key: key, enc: enc, vals: map[reduction]Value{}}
+		}
+		rowsByKey[enc] = append(rowsByKey[enc], row)
 	}
-	return groups, nil
+	for enc, g := range byKey {
+		g.count = uint64(len(rowsByKey[enc]))
+		for _, red := range reds {
+			if g.vals[red], err = aggregateLocal(red, meta.colIndex(red.cm.Name), rowsByKey[enc]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return sortedGroups(byKey), nil
 }
 
-// groupedRemote runs provider-side grouped aggregation for COUNT/SUM/AVG:
-// each provider partitions matching rows by the group column's deterministic
-// share and returns per-group partials in share (= value) order, so the
-// client aligns groups positionally, inverts each key from a single share,
-// and reconstructs each group's sum from k partials (Lagrange).
+// groupedRemote reduces the buckets provider-side: each provider partitions
+// the matching rows by the key column's deterministic share (into one bucket
+// without a key) and returns per-bucket partials in share (= value) order, so
+// the client aligns buckets positionally, inverts each key from a single
+// share, and reconstructs each bucket's sum — or, order preservation having
+// made every provider pick the same row, its MIN/MAX/MEDIAN — from k value
+// shares (Lagrange). One round per distinct reduction: every round's buckets
+// carry their counts, so COUNT costs a round only when nothing else is asked.
 func (e *engine) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPred, items []sql.SelectItem) ([]*group, error) {
 	for _, cp := range preds {
 		if cp.empty {
@@ -315,169 +356,157 @@ func (e *engine) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 	if err != nil {
 		return nil, err
 	}
-	// Distinct value columns needing SUM partials.
-	valueCols := map[string]*colMeta{}
-	for _, item := range items {
-		if item.Agg == sql.AggSum || item.Agg == sql.AggAvg {
-			cm, _, err := meta.aggItemCol(item)
-			if err != nil {
-				return nil, err
-			}
-			if cm.Type == sql.TypeVarchar {
-				return nil, fmt.Errorf("%w: %s over VARCHAR column %q", ErrUnsupported, item.Agg, cm.Name)
-			}
-			valueCols[cm.Name] = cm
-		}
+	rounds, err := meta.reductions(items)
+	if err != nil {
+		return nil, err
 	}
-
-	type remotePartials struct {
-		providers []int
-		results   []*proto.GroupResult
+	if len(rounds) == 0 {
+		rounds = []reduction{{op: proto.AggCount}}
 	}
-	fetch := func(op proto.AggOp, valueCol string) (*remotePartials, error) {
+	var groups []*group
+	for ri, red := range rounds {
+		picks := red.op != proto.AggCount && red.op != proto.AggSum
 		responses, err := e.callQuorum(e.opts.K, e.opts.K, func(i int) proto.Message {
-			return &proto.AggregateRequest{
-				Table:    meta.Name,
-				Op:       op,
-				ValueCol: valueCol,
-				GroupCol: gcm.Name + suffixOPP,
-				Filter:   filters[i],
+			r := &proto.AggregateRequest{Table: meta.Name, Op: red.op, Filter: filters[i]}
+			if gcm != nil {
+				r.GroupCol = gcm.Name + suffixOPP
 			}
+			if red.cm != nil {
+				r.ValueCol = red.cm.Name + suffixField
+			}
+			if picks {
+				r.OrderCol = red.cm.Name + suffixOPP
+			}
+			return r
 		}, e.readDeadline())
 		if err != nil {
 			return nil, err
 		}
-		rp := &remotePartials{}
-		for _, r := range responses {
-			gr, err := as[*proto.GroupResult](r.provider, r.msg)
-			if err != nil {
+		// This is the one place the K partials of a bucket are combined, so it
+		// is where they are checked: the providers must agree on the buckets,
+		// on every bucket's count and on the row every bucket picked.
+		results := make([]*proto.GroupResult, len(responses))
+		for i, r := range responses {
+			if results[i], err = as[*proto.GroupResult](r.provider, r.msg); err != nil {
 				return nil, err
 			}
-			rp.providers = append(rp.providers, r.provider)
-			rp.results = append(rp.results, gr)
-		}
-		base := rp.results[0]
-		for i := 1; i < len(rp.results); i++ {
-			if len(rp.results[i].Groups) != len(base.Groups) {
-				return nil, fmt.Errorf("%w: providers report %d vs %d groups",
-					ErrInconsistent, len(base.Groups), len(rp.results[i].Groups))
+			if got, base := results[i], results[0]; got.Picks != picks || len(got.Groups) != len(base.Groups) {
+				return nil, fmt.Errorf("%w: provider %d answers %s with %d buckets (picked rows: %v), provider %d with %d",
+					ErrInconsistent, r.provider, red.op, len(got.Groups), got.Picks, responses[0].provider, len(base.Groups))
 			}
-			for gidx := range base.Groups {
-				if rp.results[i].Groups[gidx].Count != base.Groups[gidx].Count {
-					return nil, fmt.Errorf("%w: group %d counts diverge", ErrInconsistent, gidx)
+		}
+		base := results[0].Groups
+		if ri == 0 {
+			if groups, err = e.decodeBuckets(gcm, responses[0].provider, base); err != nil {
+				return nil, err
+			}
+		} else if len(base) != len(groups) {
+			return nil, fmt.Errorf("%w: bucket sets diverge across aggregate rounds", ErrInconsistent)
+		}
+		shares := make([]secretshare.Share, len(responses))
+		for b, g := range groups {
+			for i, r := range responses {
+				if got := results[i].Groups[b]; got.Count != g.count || got.Pick != base[b].Pick {
+					return nil, fmt.Errorf("%w: provider %d reports count %d and picked row %d for bucket %d, others %d and %d",
+						ErrInconsistent, r.provider, got.Count, got.Pick, b, g.count, base[b].Pick)
 				}
+				shares[i] = secretshare.Share{Index: r.provider, Y: field.New(results[i].Groups[b].Sum)}
 			}
-		}
-		return rp, nil
-	}
-
-	var first *remotePartials
-	sums := map[string][]int64{}
-	if len(valueCols) == 0 {
-		rp, err := fetch(proto.AggCount, "")
-		if err != nil {
-			return nil, err
-		}
-		first = rp
-	}
-	for _, name := range sortedColNames(valueCols) {
-		cm := valueCols[name]
-		rp, err := fetch(proto.AggSum, cm.Name+suffixField)
-		if err != nil {
-			return nil, err
-		}
-		if first == nil {
-			first = rp
-		} else if len(rp.results[0].Groups) != len(first.results[0].Groups) {
-			return nil, fmt.Errorf("%w: group sets diverge across aggregate fetches", ErrInconsistent)
-		}
-		perGroup := make([]int64, len(rp.results[0].Groups))
-		for gidx := range rp.results[0].Groups {
-			shares := make([]secretshare.Share, len(rp.providers))
-			for i, p := range rp.providers {
-				shares[i] = secretshare.Share{Index: p, Y: field.New(rp.results[i].Groups[gidx].Sum)}
+			if red.cm == nil {
+				continue
 			}
-			sumEnc, err := e.fieldSch.Reconstruct(shares)
+			u, err := e.fieldSch.Reconstruct(shares)
 			if err != nil {
 				return nil, err
 			}
-			total, err := decodeSum(cm, sumEnc.Uint64(), rp.results[0].Groups[gidx].Count)
+			if picks {
+				g.vals[red], err = red.cm.decode(u.Uint64())
+			} else {
+				// Partial sums are shares of the true sum by linearity.
+				var total int64
+				total, err = decodeSum(red.cm, u.Uint64(), g.count)
+				g.vals[red] = IntValue(total)
+			}
 			if err != nil {
 				return nil, err
 			}
-			perGroup[gidx] = total
 		}
-		sums[cm.Name] = perGroup
-	}
-	if first == nil {
-		return nil, nil
-	}
-	// Decode group keys from the first responding provider's shares.
-	providerIdx := first.providers[0]
-	groups := make([]*group, 0, len(first.results[0].Groups))
-	for gidx, gp := range first.results[0].Groups {
-		share, err := gcm.oppSch[e.g].ParseShare(gp.Key)
-		if err != nil {
-			return nil, fmt.Errorf("%w: malformed group key: %v", ErrInconsistent, err)
-		}
-		enc, err := gcm.oppSch[e.g].ReconstructSearch(providerIdx, share)
-		if err != nil {
-			return nil, fmt.Errorf("%w: group key has no preimage: %v", ErrVerification, err)
-		}
-		keyVal, err := gcm.decode(enc)
-		if err != nil {
-			return nil, err
-		}
-		g := &group{key: keyVal, count: gp.Count, sums: map[string]int64{}, vals: map[string]Value{}}
-		for name, perGroup := range sums {
-			g.sums[name] = perGroup[gidx]
-		}
-		groups = append(groups, g)
 	}
 	return groups, nil
 }
 
-// mergeGroups re-reduces bucket partials by group key: buckets with the same
-// key add their counts and sums, and the merged list sorts by encoded key,
-// which is every partial's own order (share order = value order). One
-// partial is already the answer.
-func mergeGroups(gcm *colMeta, parts [][]*group) ([]*group, error) {
+// decodeBuckets opens one bucket per partial of one provider's answer: the
+// key inverted from that provider's single share, the count as it reports it.
+func (e *engine) decodeBuckets(gcm *colMeta, provider int, parts []proto.GroupPartial) ([]*group, error) {
+	if gcm == nil && len(parts) > 1 {
+		return nil, fmt.Errorf("%w: provider %d answered an aggregate without a key with %d buckets", ErrInconsistent, provider, len(parts))
+	}
+	groups := make([]*group, len(parts))
+	for b, gp := range parts {
+		g := &group{count: gp.Count, vals: map[reduction]Value{}}
+		if gcm != nil {
+			share, err := gcm.oppSch[e.g].ParseShare(gp.Key)
+			if err != nil {
+				return nil, fmt.Errorf("%w: malformed group key: %v", ErrInconsistent, err)
+			}
+			if g.enc, err = gcm.oppSch[e.g].ReconstructSearch(provider, share); err != nil {
+				return nil, fmt.Errorf("%w: group key has no preimage: %v", ErrVerification, err)
+			}
+			if g.key, err = gcm.decode(g.enc); err != nil {
+				return nil, err
+			}
+		}
+		groups[b] = g
+	}
+	return groups, nil
+}
+
+// mergeGroups re-reduces the routed groups' bucket partials by key: buckets
+// with the same key add their counts and sums and keep the lesser MIN and the
+// greater MAX by encoded (= value) order — a MEDIAN is reduced provider-side
+// only when one group is routed. One partial is already the answer.
+func mergeGroups(parts [][]*group) ([]*group, error) {
 	if len(parts) == 1 {
 		return parts[0], nil
 	}
 	byKey := make(map[uint64]*group)
-	var order []uint64
 	for _, part := range parts {
 		for _, g := range part {
-			enc, err := gcm.encode(g.key)
-			if err != nil {
-				return nil, err
-			}
-			m, ok := byKey[enc]
+			m, ok := byKey[g.enc]
 			if !ok {
-				byKey[enc] = g
-				order = append(order, enc)
+				byKey[g.enc] = g
 				continue
 			}
 			m.count += g.count
-			for name, v := range g.sums {
-				m.sums[name] += v
+			for red, v := range g.vals {
+				if red.op == proto.AggSum {
+					m.vals[red] = IntValue(m.vals[red].I + v.I)
+					continue
+				}
+				have, err := red.cm.encode(m.vals[red])
+				if err != nil {
+					return nil, err
+				}
+				enc, err := red.cm.encode(v)
+				if err != nil {
+					return nil, err
+				}
+				if (red.op == proto.AggMin && enc < have) || (red.op == proto.AggMax && enc > have) {
+					m.vals[red] = v
+				}
 			}
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	groups := make([]*group, 0, len(order))
-	for _, enc := range order {
-		groups = append(groups, byKey[enc])
-	}
-	return groups, nil
+	return sortedGroups(byKey), nil
 }
 
-func sortedColNames(m map[string]*colMeta) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// sortedGroups lists buckets in encoded-key order, which is every provider's
+// own order (share order = value order).
+func sortedGroups(byKey map[uint64]*group) []*group {
+	groups := make([]*group, 0, len(byKey))
+	for _, g := range byKey {
+		groups = append(groups, g)
 	}
-	sort.Strings(out)
-	return out
+	sort.Slice(groups, func(i, j int) bool { return groups[i].enc < groups[j].enc })
+	return groups
 }

@@ -59,7 +59,7 @@ func TestGroupByClientSideFallbackMatches(t *testing.T) {
 	}
 }
 
-// MEDIAN/MIN/MAX force the client-side path but still work per group.
+// MEDIAN/MIN/MAX are picked per group, by order, at the providers.
 func TestGroupByComplexAggregates(t *testing.T) {
 	f := newFleet(t, 3, 2, Options{})
 	setupGrouped(t, f)
@@ -111,16 +111,25 @@ func TestGroupByIntKey(t *testing.T) {
 	}
 }
 
+// A verified aggregate is bucketed from a verified scan, and says so; one the
+// providers reduced is not — grouped and ungrouped by the same rule.
 func TestGroupByVerifiedUsesLocalPath(t *testing.T) {
 	f := newFleet(t, 4, 2, Options{})
 	setupGrouped(t, f)
-	res := f.mustExec(t, `SELECT region, SUM(units) FROM sales GROUP BY region VERIFIED`)
-	if !res.Verified {
-		t.Fatal("grouped verified query not marked verified")
-	}
-	got := rowsAsStrings(res)
-	if fmt.Sprint(got) != "[EAST,16 NORTH,2 WEST,10]" {
-		t.Fatalf("got %v", got)
+	for q, want := range map[string]string{
+		`SELECT region, SUM(units) FROM sales GROUP BY region`: "[EAST,16 NORTH,2 WEST,10]",
+		`SELECT SUM(units), MAX(amount), COUNT(*) FROM sales`:  "[28,300.00,6]",
+	} {
+		res := f.mustExec(t, q+` VERIFIED`)
+		if !res.Verified {
+			t.Errorf("%s VERIFIED: not marked verified", q)
+		}
+		if got := rowsAsStrings(res); fmt.Sprint(got) != want {
+			t.Errorf("%s VERIFIED: got %v, want %s", q, got, want)
+		}
+		if res = f.mustExec(t, q); res.Verified || fmt.Sprint(rowsAsStrings(res)) != want {
+			t.Errorf("%s: Verified = %v, rows %v, want unverified %s", q, res.Verified, rowsAsStrings(res), want)
+		}
 	}
 }
 
@@ -135,13 +144,20 @@ func TestGroupByErrors(t *testing.T) {
 		{`SELECT amount FROM sales GROUP BY region`, ErrUnsupported},              // non-grouped plain column
 		{`SELECT * FROM sales GROUP BY region`, ErrUnsupported},                   // star
 		{`SELECT region, SUM(region) FROM sales GROUP BY region`, ErrUnsupported}, // sum of varchar
-		{`SELECT body, COUNT(*) FROM blobs GROUP BY body`, ErrUnsupported},        // blob key
+		{`SELECT AVG(region) FROM sales`, ErrUnsupported},                         // the same, without a key
+		{`SELECT region, COUNT(*) FROM sales GROUP BY region HAVING SUM(region) > 1`, ErrUnsupported},
+		{`SELECT region, COUNT(*) FROM sales`, ErrUnsupported},             // plain column, no key
+		{`SELECT body, COUNT(*) FROM blobs GROUP BY body`, ErrUnsupported}, // blob key
 		{`SELECT missing, COUNT(*) FROM sales GROUP BY missing`, ErrNoSuchColumn},
 		{`SELECT a.x FROM sales JOIN blobs ON sales.units = blobs.id GROUP BY x`, ErrUnsupported},
 	}
+	// The plan refuses them, so EXPLAIN never describes a statement that
+	// then fails.
 	for _, tc := range cases {
-		if _, err := f.client.Exec(tc.q); !errors.Is(err, tc.want) {
-			t.Errorf("Exec(%q) = %v, want %v", tc.q, err, tc.want)
+		for _, q := range []string{tc.q, "EXPLAIN " + tc.q} {
+			if _, err := f.client.Exec(q); !errors.Is(err, tc.want) {
+				t.Errorf("Exec(%q) = %v, want %v", q, err, tc.want)
+			}
 		}
 	}
 }
@@ -168,17 +184,18 @@ func TestGroupByBytesAdvantage(t *testing.T) {
 		q += fmt.Sprintf("(%d, %d)", i%6, i)
 	}
 	f.mustExec(t, q)
-	sel := `SELECT g, SUM(v) FROM big GROUP BY g`
-	before := f.client.Stats()
-	f.mustExec(t, sel)
-	mid := f.client.Stats()
-	f.client.SetClientSideAggregates(true)
-	f.mustExec(t, sel)
-	after := f.client.Stats()
-	f.client.SetClientSideAggregates(false)
-	remote := mid.BytesReceived - before.BytesReceived
-	local := after.BytesReceived - mid.BytesReceived
-	if remote*10 > local {
-		t.Fatalf("grouped push-down moved %d bytes, fallback %d", remote, local)
+	for _, sel := range []string{`SELECT g, SUM(v) FROM big GROUP BY g`, `SELECT g, MIN(v), MAX(v) FROM big GROUP BY g`} {
+		before := f.client.Stats()
+		f.mustExec(t, sel)
+		mid := f.client.Stats()
+		f.client.SetClientSideAggregates(true)
+		f.mustExec(t, sel)
+		after := f.client.Stats()
+		f.client.SetClientSideAggregates(false)
+		remote := mid.BytesReceived - before.BytesReceived
+		local := after.BytesReceived - mid.BytesReceived
+		if remote*10 > local {
+			t.Errorf("%s: push-down moved %d bytes, fallback %d", sel, remote, local)
+		}
 	}
 }

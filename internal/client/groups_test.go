@@ -65,16 +65,21 @@ func TestSnapshotLimitPushedToEveryGroup(t *testing.T) {
 	}
 }
 
-// TestAggregateWireCount: every aggregate item costs one AggregateRequest at
-// each of K providers per routed group — its response carries the count, so
-// no group pays a leading COUNT(*) round.
+// TestAggregateWireCount: an aggregate costs one AggregateRequest at each of
+// K providers per routed group for every distinct reduction among its items,
+// not for every item — COUNT rides any round (every bucket carries its count)
+// and SUM and AVG of a column share one — grouped or not.
 func TestAggregateWireCount(t *testing.T) {
 	for _, groups := range []int{1, 2} {
 		c, caps := newCapturedGroups(t, groups)
 		loadSequence(t, c, 40)
-		for q, items := range map[string]int{
+		for q, rounds := range map[string]int{
 			`SELECT SUM(v) FROM t`:                               1,
-			`SELECT COUNT(*), AVG(v), MAX(v) FROM t WHERE v > 3`: 3,
+			`SELECT COUNT(*) FROM t`:                             1,
+			`SELECT COUNT(*), AVG(v), MAX(v) FROM t WHERE v > 3`: 2,
+			// examples/payroll's five items: one SUM round, one MIN, one MAX.
+			`SELECT COUNT(*), SUM(v), AVG(v), MIN(v), MAX(v) FROM t`:           3,
+			`SELECT v, COUNT(*), MIN(v), AVG(v) FROM t WHERE v < 9 GROUP BY v`: 2,
 		} {
 			takeRequests(caps)
 			if _, err := c.Exec(q); err != nil {
@@ -88,7 +93,7 @@ func TestAggregateWireCount(t *testing.T) {
 					t.Errorf("G=%d: %s sent a %T", groups, q, req)
 				}
 			}
-			if want := groups * c.K() * items; aggs != want {
+			if want := groups * c.K() * rounds; aggs != want {
 				t.Errorf("G=%d: %s issued %d AggregateRequests, want %d", groups, q, aggs, want)
 			}
 		}

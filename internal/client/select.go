@@ -8,7 +8,6 @@ import (
 
 	"sssdb/internal/field"
 	"sssdb/internal/proto"
-	"sssdb/internal/secretshare"
 	"sssdb/internal/sql"
 )
 
@@ -17,10 +16,10 @@ var ErrEmptyAggregate = errors.New("client: aggregate over an empty row set")
 
 // selectPlan is a single-table SELECT resolved against the catalog, once
 // per statement: where it routes, what every routed group is asked for, and
-// what the merged answer is finished with. A group answers with one of three
-// mergeable partials — a scanResult (rows), one aggPartial per aggregate
-// item, or a []*group of GROUP BY buckets; a join is planned as two of these
-// (joinPlan), one per side.
+// what the merged answer is finished with. A group answers with one of two
+// mergeable partials — a scanResult (rows) or a []*group of aggregate buckets,
+// an ungrouped aggregate's being the one bucket of a GROUP BY without a key;
+// a join is planned as two of these (joinPlan), one per side.
 type selectPlan struct {
 	s    *sql.Select
 	meta *tableMeta
@@ -45,24 +44,27 @@ type selectPlan struct {
 	idx  []int
 	oci  int
 
-	// agg marks plain aggregates; gcm, gci and computeItems are GROUP BY's
-	// grouping column and the aggregates to compute (select list + HAVING).
-	agg          bool
+	// computeItems, non-nil for an aggregate, are the items its buckets
+	// compute (select list + HAVING); gcm and gci are the column that keys
+	// the buckets — nil and -1 without GROUP BY: one bucket.
 	gcm          *colMeta
 	gci          int
 	computeItems []sql.SelectItem
-	// onProviders is the aggregate decision: the groups' providers compute
-	// mergeable partials in share space, rather than the client aggregating
-	// the gathered matching rows.
+	// onProviders is the aggregate decision: the groups' providers reduce
+	// the buckets in share space, rather than the client bucketing the
+	// gathered matching rows.
 	onProviders bool
 }
+
+// bucketed reports that the plan answers with buckets, not rows.
+func (p *selectPlan) bucketed() bool { return p.computeItems != nil }
 
 // exclusive reports that the statement must serialize against writers. A
 // plain scan tolerates concurrent INSERTs — the watermark hides partially
 // landed rows by id — but aggregation and verified reads compare or linearly
 // combine per-provider results that carry no ids to filter on.
 func (p *selectPlan) exclusive() bool {
-	return p.verified || p.agg || p.gcm != nil
+	return p.verified || p.bucketed()
 }
 
 // planSelect resolves a single-table SELECT. epochs is a transaction's
@@ -75,55 +77,40 @@ func (c *Client) planSelect(s *sql.Select, epochs []uint64) (*selectPlan, error)
 	// A snapshot read is never verified, whatever Options.Verified says: a
 	// completeness proof covers the table as it is now, not as of an epoch.
 	p := &selectPlan{s: s, meta: meta, verified: (s.Verified || c.opts.Verified) && epochs == nil, epochs: epochs, oci: -1}
+	aggregate := s.GroupBy != nil
 	for _, item := range s.Items {
-		p.agg = p.agg || item.Agg != sql.AggNone
+		aggregate = aggregate || item.Agg != sql.AggNone
 	}
-	simpleOnly := false
-	if s.GroupBy != nil {
-		p.agg = false
-		if p.gcm, p.gci, p.computeItems, simpleOnly, err = planGroupBy(meta, s); err != nil {
+	if aggregate {
+		if p.gcm, p.gci, p.computeItems, err = planBuckets(meta, s); err != nil {
 			return nil, err
 		}
 	}
-	p.flush = p.agg || p.gcm != nil
+	p.flush = aggregate
 	if p.preds, err = compilePredicates(meta, s.Where, ""); err != nil {
 		return nil, err
 	}
 	p.targets = c.routeGroups(meta, s.Where)
-	// Provider-side partial aggregation handles a single pushed-down
-	// interval predicate; residual predicates (including IN, whose pushed
-	// range is a superset) or verified mode fall back to a scan plus
-	// client-side aggregation (also the E8 baseline).
-	pushable := len(p.preds) <= 1 && !(len(p.preds) == 1 && p.preds[0].set != nil) &&
-		!p.verified && !c.forceClientAgg.Load()
 	switch {
-	case p.gcm != nil:
-		p.onProviders = pushable && simpleOnly
-		if p.fetch, err = aggCols(meta, p.computeItems); err != nil {
-			return nil, err
-		}
-		p.fetch = append(p.fetch, p.gci)
-	case p.agg:
-		p.onProviders = pushable
-		for _, item := range s.Items {
-			if item.Agg == sql.AggNone {
-				return nil, fmt.Errorf("%w: mixing aggregates and plain columns", ErrUnsupported)
-			}
-			cm, _, err := meta.aggItemCol(item)
-			if err != nil {
-				return nil, err
-			}
-			if (item.Agg == sql.AggSum || item.Agg == sql.AggAvg) && cm.Type == sql.TypeVarchar {
-				return nil, fmt.Errorf("%w: %s over VARCHAR column %q", ErrUnsupported, item.Agg, cm.Name)
-			}
+	case aggregate:
+		// Provider-side reduction handles a single pushed-down interval
+		// predicate; residual predicates (including IN, whose pushed range is
+		// a superset) or verified mode fall back to a scan plus client-side
+		// bucketing (also the E8 baseline).
+		p.onProviders = len(p.preds) <= 1 && !(len(p.preds) == 1 && p.preds[0].set != nil) &&
+			!p.verified && !c.forceClientAgg.Load()
+		for _, item := range p.computeItems {
 			if item.Agg == sql.AggMedian && len(p.targets) > 1 {
 				// A median cannot be combined from per-group medians; gather
 				// the matching rows instead.
 				p.onProviders = false
 			}
 		}
-		if p.fetch, err = aggCols(meta, s.Items); err != nil {
+		if p.fetch, err = aggCols(meta, p.computeItems); err != nil {
 			return nil, err
+		}
+		if p.gcm != nil {
+			p.fetch = append(p.fetch, p.gci)
 		}
 	default:
 		if p.cols, p.idx, err = selectColumns(meta, s.Items); err != nil {
@@ -157,8 +144,9 @@ func (c *Client) execSelect(s *sql.Select, epochs []uint64) (*Result, error) {
 func (c *Client) runSelect(p *selectPlan) (*Result, error) {
 	s, meta := p.s, p.meta
 	switch {
-	case p.gcm != nil:
+	case p.bucketed():
 		var groups []*group
+		verified := false
 		if p.onProviders {
 			parts := make([][]*group, len(p.targets))
 			err := c.scatter(p.targets, true, []*tableMeta{meta}, func(i int, e *engine) (err error) {
@@ -171,7 +159,7 @@ func (c *Client) runSelect(p *selectPlan) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if groups, err = mergeGroups(p.gcm, parts); err != nil {
+			if groups, err = mergeGroups(parts); err != nil {
 				return nil, err
 			}
 		} else {
@@ -179,55 +167,16 @@ func (c *Client) runSelect(p *selectPlan) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			verified = scan.verified
 			if groups, err = groupedFromScan(meta, p.gcm, p.gci, scan, p.computeItems); err != nil {
 				return nil, err
 			}
 		}
-		return renderGroups(meta, s, groups, p.verified && !p.onProviders)
-
-	case p.agg:
-		res := &Result{}
-		row := make([]Value, len(s.Items))
-		for _, item := range s.Items {
-			res.Columns = append(res.Columns, aggKey(item))
+		if p.gcm == nil && len(groups) == 0 {
+			// Without a key, no matching row is still one bucket.
+			groups = []*group{{}}
 		}
-		if p.onProviders {
-			parts := make([][]aggPartial, len(p.targets))
-			err := c.scatter(p.targets, true, []*tableMeta{meta}, func(i int, e *engine) error {
-				if err := e.flushTableLocked(meta.Name); err != nil {
-					return err
-				}
-				parts[i] = make([]aggPartial, len(s.Items))
-				for j, item := range s.Items {
-					var err error
-					if parts[i][j], err = e.aggPartial(meta, p.preds, item); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			for j, item := range s.Items {
-				if row[j], err = mergeAgg(meta, item, parts, j); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			scan, err := c.gather(p, 0, true)
-			if err != nil {
-				return nil, err
-			}
-			res.Verified = p.verified && scan.verified
-			for j, item := range s.Items {
-				if row[j], err = aggregateLocal(meta, scan, item); err != nil {
-					return nil, err
-				}
-			}
-		}
-		res.Rows = [][]Value{row}
-		return res, nil
+		return renderGroups(meta, s, groups, verified)
 
 	default:
 		// Every group receives LIMIT as a superset bound — unless a sort
@@ -463,159 +412,6 @@ func decodeSum(cm *colMeta, sumEnc uint64, count uint64) (int64, error) {
 	return total, nil
 }
 
-// aggPartial is one group's mergeable contribution to one aggregate item.
-type aggPartial struct {
-	// count is the number of matching rows, as the item's own response
-	// reports it.
-	count uint64
-	// sum is the group's (scaled) total, for SUM and AVG: AVG divides only
-	// after the merge, by the merged count.
-	sum int64
-	// extreme is the group's own MIN, MAX or MEDIAN value (count > 0).
-	extreme Value
-}
-
-// mergeAgg merges item j's partials across groups and renders the value:
-// counts and sums add, MIN/MAX compare on encoded (= value) order, and a
-// MEDIAN — which planSelect computes provider-side only when one group is
-// routed — is that group's own.
-func mergeAgg(meta *tableMeta, item sql.SelectItem, parts [][]aggPartial, j int) (Value, error) {
-	cm, _, err := meta.aggItemCol(item)
-	if err != nil {
-		return Value{}, err
-	}
-	var total aggPartial
-	var bestEnc uint64
-	for _, part := range parts {
-		p := part[j]
-		if p.count == 0 {
-			continue
-		}
-		if item.Agg == sql.AggMin || item.Agg == sql.AggMax || item.Agg == sql.AggMedian {
-			enc, err := cm.encode(p.extreme)
-			if err != nil {
-				return Value{}, err
-			}
-			if total.count == 0 || (item.Agg == sql.AggMin && enc < bestEnc) || (item.Agg == sql.AggMax && enc > bestEnc) {
-				total.extreme, bestEnc = p.extreme, enc
-			}
-		}
-		total.count += p.count
-		total.sum += p.sum
-	}
-	switch {
-	case item.Agg == sql.AggCount:
-		return IntValue(int64(total.count)), nil
-	case total.count == 0:
-		return emptyAggValue(item, cm)
-	case item.Agg == sql.AggSum || item.Agg == sql.AggAvg:
-		if item.Agg == sql.AggAvg {
-			total.sum /= int64(total.count)
-		}
-		if cm.Type == sql.TypeDecimal {
-			return DecimalValue(total.sum, cm.Arg), nil
-		}
-		return IntValue(total.sum), nil
-	default:
-		return total.extreme, nil
-	}
-}
-
-// aggOps maps an aggregate onto the provider operation that computes its
-// partial; AVG is a SUM divided after the merge.
-var aggOps = map[sql.AggFunc]proto.AggOp{
-	sql.AggCount: proto.AggCount, sql.AggSum: proto.AggSum, sql.AggAvg: proto.AggSum,
-	sql.AggMin: proto.AggMin, sql.AggMax: proto.AggMax, sql.AggMedian: proto.AggMedian,
-}
-
-// aggPartial computes one aggregate item provider-side, in share space:
-// COUNT exact, SUM via share additivity, MIN/MAX/MEDIAN via order
-// preservation. Every response carries the matching-row count, so no item
-// needs a COUNT round of its own.
-func (e *engine) aggPartial(meta *tableMeta, preds []compiledPred, item sql.SelectItem) (aggPartial, error) {
-	cm, _, err := meta.aggItemCol(item)
-	if err != nil {
-		return aggPartial{}, err
-	}
-	for _, cp := range preds {
-		if cp.empty {
-			return aggPartial{}, nil
-		}
-	}
-	filters, err := e.providerFilters(meta, preds)
-	if err != nil {
-		return aggPartial{}, err
-	}
-	op, ok := aggOps[item.Agg]
-	if !ok {
-		return aggPartial{}, fmt.Errorf("%w: aggregate %v", ErrUnsupported, item.Agg)
-	}
-	responses, err := e.callQuorum(e.opts.K, e.opts.K, func(i int) proto.Message {
-		r := &proto.AggregateRequest{Table: meta.Name, Op: op, Filter: filters[i]}
-		if cm != nil {
-			r.OrderCol = cm.Name + suffixOPP
-			r.ValueCol = cm.Name + suffixField
-		}
-		return r
-	}, e.readDeadline())
-	if err != nil {
-		return aggPartial{}, err
-	}
-	results := make([]*proto.AggResult, len(responses))
-	for i, r := range responses {
-		if results[i], err = as[*proto.AggResult](r.provider, r.msg); err != nil {
-			return aggPartial{}, err
-		}
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].Count != results[0].Count {
-			return aggPartial{}, fmt.Errorf("%w: providers disagree on aggregate count (%d vs %d)",
-				ErrInconsistent, results[0].Count, results[i].Count)
-		}
-	}
-	part := aggPartial{count: results[0].Count}
-	if part.count == 0 || op == proto.AggCount {
-		return part, nil
-	}
-	shares := make([]secretshare.Share, len(responses))
-	if op == proto.AggSum {
-		// Partial sums are shares of the true sum by linearity.
-		for i, r := range responses {
-			shares[i] = secretshare.Share{Index: r.provider, Y: field.New(results[i].Sum)}
-		}
-		sumEnc, err := e.fieldSch.Reconstruct(shares)
-		if err != nil {
-			return aggPartial{}, err
-		}
-		part.sum, err = decodeSum(cm, sumEnc.Uint64(), part.count)
-		return part, err
-	}
-	// Order preservation guarantees every provider picked the same row.
-	for i := 1; i < len(results); i++ {
-		if !results[i].HasRow || results[i].Row.ID != results[0].Row.ID {
-			return aggPartial{}, fmt.Errorf("%w: providers picked different %s rows", ErrInconsistent, item.Agg)
-		}
-	}
-	// The partial carries the winning row's value share alone.
-	for i, r := range responses {
-		if len(results[i].Row.Cells) != 1 {
-			return aggPartial{}, fmt.Errorf("%w: provider %d returned %d cells for %s", ErrInconsistent,
-				r.provider, len(results[i].Row.Cells), item.Agg)
-		}
-		cell := results[i].Row.Cells[0]
-		if len(cell) != 8 {
-			return aggPartial{}, fmt.Errorf("%w: provider %d returned a malformed share", ErrInconsistent, r.provider)
-		}
-		shares[i] = secretshare.Share{Index: r.provider, Y: field.New(beUint64(cell))}
-	}
-	u, err := e.fieldSch.Reconstruct(shares)
-	if err != nil {
-		return aggPartial{}, err
-	}
-	part.extreme, err = cm.decode(u.Uint64())
-	return part, err
-}
-
 // emptyAggValue renders an aggregate over zero rows: COUNT and SUM are 0,
 // the rest have no defined value.
 func emptyAggValue(item sql.SelectItem, cm *colMeta) (Value, error) {
@@ -632,61 +428,37 @@ func emptyAggValue(item sql.SelectItem, cm *colMeta) (Value, error) {
 	}
 }
 
-// aggregateLocal computes an aggregate client-side from a reconstructed
-// scan (fallback for residual predicates, verified mode, and the E8
-// client-side baseline).
-func aggregateLocal(meta *tableMeta, scan *scanResult, item sql.SelectItem) (Value, error) {
-	cm, ci, err := meta.aggItemCol(item)
-	if err != nil {
-		return Value{}, err
-	}
-	count := uint64(len(scan.ids))
-	if item.Agg == sql.AggCount {
-		return IntValue(int64(count)), nil
-	}
-	if count == 0 {
-		return emptyAggValue(item, cm)
-	}
-	switch item.Agg {
-	case sql.AggSum, sql.AggAvg:
-		if cm.Type == sql.TypeVarchar {
-			return Value{}, fmt.Errorf("%w: %s over VARCHAR column %q", ErrUnsupported, item.Agg, cm.Name)
-		}
+// aggregateLocal reduces one bucket's rows (never none) of a reconstructed
+// scan client-side — the fallback for residual predicates, verified mode, a
+// MEDIAN over several groups, and the E8 client-side baseline.
+func aggregateLocal(red reduction, ci int, rows [][]Value) (Value, error) {
+	if red.op == proto.AggSum {
 		var total int64
-		for r := range scan.values {
-			total += scan.values[r][ci].I
-		}
-		if item.Agg == sql.AggAvg {
-			total /= int64(count)
-		}
-		if cm.Type == sql.TypeDecimal {
-			return DecimalValue(total, cm.Arg), nil
+		for _, row := range rows {
+			total += row[ci].I
 		}
 		return IntValue(total), nil
-	case sql.AggMin, sql.AggMax, sql.AggMedian:
-		// Order by encoded value (== value order).
-		type pair struct {
-			enc uint64
-			v   Value
+	}
+	// Order by encoded value (== value order).
+	type pair struct {
+		enc uint64
+		v   Value
+	}
+	pairs := make([]pair, len(rows))
+	for r, row := range rows {
+		enc, err := red.cm.encode(row[ci])
+		if err != nil {
+			return Value{}, err
 		}
-		pairs := make([]pair, 0, count)
-		for r := range scan.values {
-			u, err := cm.encode(scan.values[r][ci])
-			if err != nil {
-				return Value{}, err
-			}
-			pairs = append(pairs, pair{enc: u, v: scan.values[r][ci]})
-		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].enc < pairs[b].enc })
-		switch item.Agg {
-		case sql.AggMin:
-			return pairs[0].v, nil
-		case sql.AggMax:
-			return pairs[len(pairs)-1].v, nil
-		default:
-			return pairs[(len(pairs)-1)/2].v, nil
-		}
+		pairs[r] = pair{enc: enc, v: row[ci]}
+	}
+	sort.Slice(pairs, func(a, b int) bool { return pairs[a].enc < pairs[b].enc })
+	switch red.op {
+	case proto.AggMin:
+		return pairs[0].v, nil
+	case proto.AggMax:
+		return pairs[len(pairs)-1].v, nil
 	default:
-		return Value{}, fmt.Errorf("%w: aggregate %v", ErrUnsupported, item.Agg)
+		return pairs[(len(pairs)-1)/2].v, nil
 	}
 }

@@ -42,7 +42,10 @@ const (
 	KOK
 	KError
 	KRows
-	KAggResult
+	// 46 was KAggResult, the ungrouped aggregate's answer up to wire version
+	// 4. Retired, never reused, and nothing after it renumbered: later kinds
+	// are on disk in WAL, hint and tx-log records.
+	_
 	KJoinResult
 	KDigestResult
 	KTables
@@ -159,12 +162,12 @@ func (m *ScanRequest) fields(c *codec) {
 	c.uvarint(&m.TimeoutMillis)
 }
 
-// AggregateRequest computes a provider-side partial aggregate.
+// AggregateRequest computes a provider-side partial aggregate, answered with
+// a GroupResult. GroupCol partitions the matching rows into buckets by that
+// column's cell bytes (an OPP column: deterministic shares make grouping
+// exact); without one they are a single bucket with an empty key.
 // OrderCol names the OPP column that defines ordering (min/max/median);
 // ValueCol names the field-share column to return/sum (empty for count).
-// A non-empty GroupCol partitions matching rows by that column's cell bytes
-// (an OPP column: deterministic shares make grouping exact) and the
-// provider answers with a GroupResult instead of an AggResult.
 type AggregateRequest struct {
 	Table    string
 	Op       AggOp
@@ -341,52 +344,35 @@ func (m *RowsResponse) fields(c *codec) {
 	c.bytes(&m.Proof)
 }
 
-// AggResult carries a partial aggregate. Count is always set; Sum holds the
-// field-share sum for AggSum; Row holds, for min/max/median, the selected
-// row's id and its ValueCol cell alone.
-type AggResult struct {
-	Count  uint64
-	Sum    uint64
-	HasRow bool
-	Row    Row
-}
-
-func (*AggResult) Kind() Kind { return KAggResult }
-func (m *AggResult) fields(c *codec) {
-	c.uvarint(&m.Count)
-	c.u64(&m.Sum)
-	if c.bool(&m.HasRow); !m.HasRow {
-		return
-	}
-	rows := []Row{m.Row}
-	if c.rows(&rows); len(rows) != 1 {
-		c.r.fail(fmt.Errorf("proto: aggregate result carries %d rows, want 1", len(rows)))
-	} else if c.reading {
-		m.Row = rows[0]
-	}
-}
-
-// GroupPartial is one group's partial aggregate at a provider: the group
-// key's share bytes, the group's row count, and the field-share sum of the
-// value column.
+// GroupPartial is one bucket's partial aggregate at a provider: the group
+// key's share bytes, the bucket's row count, and the field-share sum of the
+// value column over the rows the reduction keeps — every row for AggSum, the
+// one row (id Pick) that MIN/MAX/MEDIAN picked by order.
 type GroupPartial struct {
 	Key   []byte
 	Count uint64
 	Sum   uint64
+	Pick  uint64
 }
 
-// GroupResult carries grouped partial aggregates, ordered by key bytes —
-// which is value order, so groups align positionally across providers.
+// GroupResult carries bucket partials, ordered by key bytes — which is value
+// order, so buckets align positionally across providers. Picks marks the
+// answer to a MIN/MAX/MEDIAN: only then do buckets carry a Pick.
 type GroupResult struct {
+	Picks  bool
 	Groups []GroupPartial
 }
 
 func (*GroupResult) Kind() Kind { return KGroupResult }
 func (m *GroupResult) fields(c *codec) {
+	c.bool(&m.Picks)
 	list(c, &m.Groups, maxListLen, func(g *GroupPartial) {
 		c.bytes(&g.Key)
 		c.uvarint(&g.Count)
 		c.u64(&g.Sum)
+		if m.Picks {
+			c.uvarint(&g.Pick)
+		}
 	})
 }
 
@@ -442,7 +428,7 @@ var emptyMessage = [...]func() Message{
 	KListTables: mk[ListTablesRequest], KInsert: mk[InsertRequest], KDelete: mk[DeleteRequest],
 	KUpdate: mk[UpdateRequest], KScan: mk[ScanRequest], KAggregate: mk[AggregateRequest],
 	KJoin: mk[JoinRequest], KDigest: mk[DigestRequest], KOK: mk[OKResponse], KError: mk[ErrorResponse],
-	KRows: mk[RowsResponse], KAggResult: mk[AggResult], KJoinResult: mk[JoinResult],
+	KRows: mk[RowsResponse], KJoinResult: mk[JoinResult],
 	KDigestResult: mk[DigestResult], KTables: mk[TablesResponse], KGroupResult: mk[GroupResult],
 	KTableState: mk[TableStateRequest], KStats: mk[StatsResponse], KTxPrepare: mk[TxPrepareRequest],
 	KTxCommit: mk[TxCommitRequest], KTxAbort: mk[TxAbortRequest], KTxOps: mk[TxOpsRecord], KTxMark: mk[TxMarkRecord],

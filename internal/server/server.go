@@ -122,14 +122,7 @@ func (p *Provider) Handle(req proto.Message) proto.Message {
 		}
 		return resp
 	case *proto.AggregateRequest:
-		if m.GroupCol != "" {
-			res, err := p.store.AggregateGrouped(m.Table, m.Op, m.ValueCol, m.GroupCol, m.Filter)
-			if err != nil {
-				return errResponse(err)
-			}
-			return res
-		}
-		res, err := p.store.Aggregate(m.Table, m.Op, m.OrderCol, m.ValueCol, m.Filter)
+		res, err := p.store.Aggregate(m)
 		if err != nil {
 			return errResponse(err)
 		}

@@ -89,8 +89,8 @@ func TestHandleFullLifecycle(t *testing.T) {
 	}
 	agg, ok := call(&proto.AggregateRequest{
 		Table: "t", Op: proto.AggSum, ValueCol: "a#f",
-	}).(*proto.AggResult)
-	if !ok || agg.Sum != 180 || agg.Count != 3 {
+	}).(*proto.GroupResult)
+	if !ok || len(agg.Groups) != 1 || agg.Groups[0].Sum != 180 || agg.Groups[0].Count != 3 {
 		t.Fatalf("agg: %#v", agg)
 	}
 	join, ok := call(&proto.JoinRequest{
@@ -246,12 +246,19 @@ func TestGroupedAggregateDispatch(t *testing.T) {
 	if len(gr.Groups) != 2 || gr.Groups[0].Count != 2 || gr.Groups[0].Sum != 12 || gr.Groups[1].Sum != 1 {
 		t.Fatalf("groups: %+v", gr.Groups)
 	}
+	// The same arm answers a grouped MEDIAN, with each bucket's picked row.
+	resp = p.Handle(&proto.AggregateRequest{
+		Table: "t", Op: proto.AggMedian, OrderCol: "a#o", ValueCol: "a#f", GroupCol: "a#o",
+	})
+	if gr, ok = resp.(*proto.GroupResult); !ok || !gr.Picks || len(gr.Groups) != 2 || gr.Groups[0].Pick != 1 || gr.Groups[0].Sum != 5 || gr.Groups[1].Pick != 3 {
+		t.Fatalf("grouped median: %#v", resp)
+	}
 	// Grouped errors map to protocol codes too.
 	errResp := p.Handle(&proto.AggregateRequest{
-		Table: "t", Op: proto.AggMedian, ValueCol: "a#f", GroupCol: "a#o",
+		Table: "t", Op: proto.AggMedian, ValueCol: "a#f", GroupCol: "a#f",
 	})
 	if e, ok := errResp.(*proto.ErrorResponse); !ok || e.Code != proto.CodeBadRequest {
-		t.Fatalf("grouped median: %#v", errResp)
+		t.Fatalf("grouping by a field share: %#v", errResp)
 	}
 }
 

@@ -67,7 +67,7 @@ func TestConcurrentScanAndMutate(t *testing.T) {
 					errs <- fmt.Errorf("stable region scan saw %d rows", len(resp.Rows))
 					return
 				}
-				if _, err := s.Aggregate("employees", proto.AggCount, "", "", stableFilter); err != nil {
+				if _, err := s.Aggregate(&proto.AggregateRequest{Table: "employees", Op: proto.AggCount, Filter: stableFilter}); err != nil {
 					errs <- err
 					return
 				}

@@ -38,12 +38,12 @@ func TestAggregateGrouped(t *testing.T) {
 	if err := s.Insert("emp", rows); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.AggregateGrouped("emp", proto.AggSum, "salary#f", "dept#o", nil)
+	res, err := s.Aggregate(&proto.AggregateRequest{Table: "emp", Op: proto.AggSum, ValueCol: "salary#f", GroupCol: "dept#o"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Groups) != 3 {
-		t.Fatalf("groups = %d", len(res.Groups))
+	if len(res.Groups) != 3 || res.Picks {
+		t.Fatalf("groups = %+v", res)
 	}
 	// Groups sorted by key bytes (= dept order).
 	wantCounts := []uint64{2, 1, 3}
@@ -59,7 +59,23 @@ func TestAggregateGrouped(t *testing.T) {
 			t.Fatal("groups not in key order")
 		}
 	}
-	// With a filter.
+	// Every bucket picks its own MIN, MAX and lower-median row, by order cell
+	// then row id, and carries that row's value share.
+	for _, c := range []struct {
+		op    proto.AggOp
+		picks []uint64
+	}{{proto.AggMin, []uint64{1, 3, 4}}, {proto.AggMax, []uint64{2, 3, 6}}, {proto.AggMedian, []uint64{1, 3, 5}}} {
+		res, err := s.Aggregate(&proto.AggregateRequest{Table: "emp", Op: c.op, OrderCol: "salary#o", ValueCol: "salary#f", GroupCol: "dept#o"})
+		if err != nil || !res.Picks || len(res.Groups) != 3 {
+			t.Fatalf("%s: %+v, %v", c.op, res, err)
+		}
+		for i, g := range res.Groups {
+			if want := rows[c.picks[i]-1]; g.Count != wantCounts[i] || g.Pick != want.ID || !bytes.Equal(fieldCell(g.Sum), want.Cells[2]) {
+				t.Errorf("%s bucket %d = %+v, want row %d", c.op, i, g, want.ID)
+			}
+		}
+	}
+	// With a filter, through the positional form the benchmark's probe calls.
 	res, err = s.AggregateGrouped("emp", proto.AggCount, "", "dept#o", &proto.Filter{
 		Col: "salary#o", Op: proto.FilterRange, Lo: oppCell(50), Hi: oppCell(200),
 	})
@@ -76,26 +92,26 @@ func TestAggregateGroupedErrors(t *testing.T) {
 	if err := s.CreateTable(groupedSpec()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AggregateGrouped("nope", proto.AggSum, "salary#f", "dept#o", nil); !errors.Is(err, ErrNoSuchTable) {
+	sum := func(table, valueCol, groupCol string) (*proto.GroupResult, error) {
+		return s.Aggregate(&proto.AggregateRequest{Table: table, Op: proto.AggSum, ValueCol: valueCol, GroupCol: groupCol})
+	}
+	if _, err := sum("nope", "salary#f", "dept#o"); !errors.Is(err, ErrNoSuchTable) {
 		t.Errorf("missing table: %v", err)
 	}
-	if _, err := s.AggregateGrouped("emp", proto.AggMedian, "salary#f", "dept#o", nil); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("median grouped: %v", err)
-	}
-	if _, err := s.AggregateGrouped("emp", proto.AggSum, "salary#f", "zz", nil); !errors.Is(err, ErrNoSuchColumn) {
+	if _, err := sum("emp", "salary#f", "zz"); !errors.Is(err, ErrNoSuchColumn) {
 		t.Errorf("bad group col: %v", err)
 	}
-	if _, err := s.AggregateGrouped("emp", proto.AggSum, "salary#f", "salary#f", nil); !errors.Is(err, ErrBadRequest) {
+	if _, err := sum("emp", "salary#f", "salary#f"); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("field group col: %v", err)
 	}
-	if _, err := s.AggregateGrouped("emp", proto.AggSum, "zz", "dept#o", nil); !errors.Is(err, ErrNoSuchColumn) {
+	if _, err := sum("emp", "zz", "dept#o"); !errors.Is(err, ErrNoSuchColumn) {
 		t.Errorf("bad value col: %v", err)
 	}
-	if _, err := s.AggregateGrouped("emp", proto.AggSum, "dept#o", "dept#o", nil); !errors.Is(err, ErrBadRequest) {
+	if _, err := sum("emp", "dept#o", "dept#o"); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("opp value col: %v", err)
 	}
 	// Empty table: zero groups.
-	res, err := s.AggregateGrouped("emp", proto.AggSum, "salary#f", "dept#o", nil)
+	res, err := sum("emp", "salary#f", "dept#o")
 	if err != nil || len(res.Groups) != 0 {
 		t.Fatalf("empty: %v %v", res, err)
 	}

@@ -962,32 +962,41 @@ func fieldSum(sum uint64, cell []byte) uint64 {
 
 // Aggregate computes a provider-side partial aggregate (Sec. V-A: providers
 // "perform an intermediate computation"; the data source combines k of
-// them).
-func (s *Store) Aggregate(name string, op proto.AggOp, orderCol, valueCol string, f *proto.Filter) (*proto.AggResult, error) {
+// them). One cursor walk partitions the matching rows into buckets by
+// GroupCol's cell bytes — without a GroupCol they are one bucket with an empty
+// key — and reduces each bucket to its count and, by Op, the field-share sum of
+// ValueCol or the row MIN/MAX/MEDIAN picks by OrderCol. Buckets come back in
+// key-byte order, which for OPP columns is value order — identical at every
+// provider, so the client aligns bucket partials positionally.
+func (s *Store) Aggregate(req *proto.AggregateRequest) (*proto.GroupResult, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t, err := s.table(name)
+	t, err := s.table(req.Table)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := t.openCursor(f, NoColumns, 0)
-	if err != nil {
-		return nil, err
-	}
-	oi, vi := -1, -1
-	switch op {
-	case proto.AggCount:
-	case proto.AggSum:
-		vi, err = t.usableCol(valueCol, "sum", true)
-	case proto.AggMin, proto.AggMax, proto.AggMedian:
-		if oi, err = t.usableCol(orderCol, "order by", false); err == nil {
-			if vi = t.spec.ColumnIndex(valueCol); vi < 0 {
-				err = fmt.Errorf("%w: %q", ErrNoSuchColumn, valueCol)
-			}
+	gi, oi, vi := -1, -1, -1
+	if req.GroupCol != "" {
+		if gi, err = t.usableCol(req.GroupCol, "group by", false); err != nil {
+			return nil, err
 		}
-	default:
-		err = fmt.Errorf("%w: unknown aggregate op %d", ErrBadRequest, op)
 	}
+	switch req.Op {
+	case proto.AggCount:
+	case proto.AggMin, proto.AggMax, proto.AggMedian:
+		if oi, err = t.usableCol(req.OrderCol, "order by", false); err != nil {
+			return nil, err
+		}
+		fallthrough
+	case proto.AggSum:
+		vi, err = t.usableCol(req.ValueCol, "aggregate", true)
+	default:
+		err = fmt.Errorf("%w: unknown aggregate op %d", ErrBadRequest, req.Op)
+	}
+	if err != nil {
+		return nil, err
+	}
+	cur, err := t.openCursor(req.Filter, NoColumns, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -997,103 +1006,78 @@ func (s *Store) Aggregate(name string, op proto.AggOp, orderCol, valueCol string
 		id   uint64
 		cell []byte
 	}
-	var ordered []idCell
-	res := &proto.AggResult{}
+	type bucket struct {
+		proto.GroupPartial
+		ordered []idCell
+	}
+	buckets := make(map[string]*bucket)
+	// No key: every matching row falls into the one bucket, made before the
+	// walk so that the per-row closure stores no pointer it captured (a store
+	// the GC's write barrier would tax on every row).
+	var only *bucket
+	if gi < 0 {
+		only = &bucket{}
+	}
 	err = cur.walk(t, func(p *page, i int) bool {
-		res.Count++
+		b := only
+		if b == nil {
+			key := p.Cell(i, gi)
+			if b = buckets[string(key)]; b == nil {
+				b = &bucket{GroupPartial: proto.GroupPartial{Key: slices.Clone(key)}}
+				buckets[string(key)] = b
+			}
+		}
+		b.Count++
 		if oi >= 0 {
-			ordered = append(ordered, idCell{id: p.IDs[i], cell: p.Cell(i, oi)})
+			b.ordered = append(b.ordered, idCell{id: p.IDs[i], cell: p.Cell(i, oi)})
 		} else if vi >= 0 {
-			res.Sum = fieldSum(res.Sum, p.Cell(i, vi))
-		}
-		return true
-	})
-	if err != nil || len(ordered) == 0 {
-		return res, err
-	}
-	order := func(a, b idCell) int {
-		if c := bytes.Compare(a.cell, b.cell); c != 0 || op != proto.AggMedian {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	}
-	var pick idCell
-	switch op {
-	case proto.AggMin:
-		pick = slices.MinFunc(ordered, order)
-	case proto.AggMax:
-		pick = slices.MaxFunc(ordered, order)
-	default:
-		// Order preservation makes the lower-median row the same row at
-		// every provider.
-		slices.SortFunc(ordered, order)
-		pick = ordered[(len(ordered)-1)/2]
-	}
-	p, i, err := t.row(pick.id)
-	if err != nil {
-		return nil, err
-	}
-	// The winner's id lets the client check that every provider picked the
-	// same row; of its cells only the value share is of any use, and the
-	// result owns its copy.
-	res.HasRow = true
-	res.Row = proto.Row{ID: pick.id, Cells: [][]byte{slices.Clone(p.Cell(i, vi))}}
-	return res, nil
-}
-
-// AggregateGrouped partitions the matching rows by the group column's cell
-// bytes and computes COUNT (and, when valueCol is set, the field-share SUM)
-// per group. Groups are returned in key-byte order, which for OPP columns
-// is value order — identical at every provider, so the client can align
-// group partials positionally. Only COUNT/SUM are grouped provider-side;
-// other aggregates fall back to client-side computation.
-func (s *Store) AggregateGrouped(name string, op proto.AggOp, valueCol, groupCol string, f *proto.Filter) (*proto.GroupResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.table(name)
-	if err != nil {
-		return nil, err
-	}
-	if op != proto.AggCount && op != proto.AggSum {
-		return nil, fmt.Errorf("%w: grouped aggregation supports COUNT and SUM, not %s", ErrBadRequest, op)
-	}
-	gi, err := t.usableCol(groupCol, "group by", false)
-	if err != nil {
-		return nil, err
-	}
-	vi := -1
-	if op == proto.AggSum {
-		if vi, err = t.usableCol(valueCol, "sum", true); err != nil {
-			return nil, err
-		}
-	}
-	cur, err := t.openCursor(f, NoColumns, 0)
-	if err != nil {
-		return nil, err
-	}
-	partials := make(map[string]*proto.GroupPartial)
-	err = cur.walk(t, func(p *page, i int) bool {
-		cell := p.Cell(i, gi)
-		g, ok := partials[string(cell)]
-		if !ok {
-			g = &proto.GroupPartial{Key: slices.Clone(cell)}
-			partials[string(cell)] = g
-		}
-		g.Count++
-		if vi >= 0 {
-			g.Sum = fieldSum(g.Sum, p.Cell(i, vi))
+			b.Sum = fieldSum(b.Sum, p.Cell(i, vi))
 		}
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &proto.GroupResult{Groups: make([]proto.GroupPartial, 0, len(partials))}
-	for _, g := range partials {
-		res.Groups = append(res.Groups, *g)
+	if only != nil && only.Count > 0 {
+		buckets[""] = only
+	}
+	// Order preservation makes the least, greatest and lower-median row of a
+	// bucket the same row at every provider; equal cells order by row id.
+	order := func(x, y idCell) int {
+		return cmp.Or(bytes.Compare(x.cell, y.cell), cmp.Compare(x.id, y.id))
+	}
+	res := &proto.GroupResult{Picks: oi >= 0, Groups: make([]proto.GroupPartial, 0, len(buckets))}
+	for _, b := range buckets {
+		if oi >= 0 {
+			var pick idCell
+			switch req.Op {
+			case proto.AggMin:
+				pick = slices.MinFunc(b.ordered, order)
+			case proto.AggMax:
+				pick = slices.MaxFunc(b.ordered, order)
+			default:
+				slices.SortFunc(b.ordered, order)
+				pick = b.ordered[(len(b.ordered)-1)/2]
+			}
+			p, i, err := t.row(pick.id)
+			if err != nil {
+				return nil, err
+			}
+			// The pick's id lets the client check that every provider picked
+			// the same row; of its cells only the value share is of any use.
+			b.Pick, b.Sum = pick.id, binary.BigEndian.Uint64(p.Cell(i, vi))
+		}
+		res.Groups = append(res.Groups, b.GroupPartial)
 	}
 	slices.SortFunc(res.Groups, func(a, b proto.GroupPartial) int { return bytes.Compare(a.Key, b.Key) })
 	return res, nil
+}
+
+// AggregateGrouped is Aggregate spelled positionally, kept only because the
+// frozen benchmark/probes.go calls it; the next [benchmark] PR calls Aggregate
+// and removes it.
+func (s *Store) AggregateGrouped(name string, op proto.AggOp, valueCol, groupCol string, f *proto.Filter) (*proto.GroupResult, error) {
+	return s.Aggregate(&proto.AggregateRequest{Table: name, Op: op, ValueCol: valueCol, GroupCol: groupCol, Filter: f})
 }
 
 // Join equijoins two tables on byte-equality of the named columns,

@@ -296,79 +296,59 @@ func TestAggregates(t *testing.T) {
 		}
 	}
 	filter := &proto.Filter{Col: "salary#o", Op: proto.FilterRange, Lo: oppCell(20), Hi: oppCell(60)}
-
-	count, err := s.Aggregate("employees", proto.AggCount, "", "", filter)
-	if err != nil {
-		t.Fatal(err)
+	// Without a GroupCol the matching rows are one bucket with an empty key.
+	bucket := func(op proto.AggOp, orderCol, valueCol string) proto.GroupPartial {
+		t.Helper()
+		res, err := s.Aggregate(&proto.AggregateRequest{Table: "employees", Op: op, OrderCol: orderCol, ValueCol: valueCol, Filter: filter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if picks := op != proto.AggCount && op != proto.AggSum; len(res.Groups) != 1 || res.Groups[0].Key != nil || res.Picks != picks {
+			t.Fatalf("%s: %+v, want one bucket with no key, Picks = %v", op, res, picks)
+		}
+		return res.Groups[0]
 	}
-	if count.Count != 3 {
-		t.Fatalf("count = %d", count.Count)
-	}
-	sum, err := s.Aggregate("employees", proto.AggSum, "", "salary#f", filter)
-	if err != nil {
-		t.Fatal(err)
+	if count := bucket(proto.AggCount, "", ""); count.Count != 3 || count.Sum != 0 {
+		t.Fatalf("count = %+v", count)
 	}
 	// field cells hold salary*3: (20+40+60)*3 = 360.
-	if sum.Sum != 360 {
-		t.Fatalf("sum = %d", sum.Sum)
+	if sum := bucket(proto.AggSum, "", "salary#f"); sum.Count != 3 || sum.Sum != 360 {
+		t.Fatalf("sum = %+v", sum)
 	}
-	min, err := s.Aggregate("employees", proto.AggMin, "salary#o", "salary#f", filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !min.HasRow || min.Row.ID != 2 {
-		t.Fatalf("min row = %+v", min)
-	}
-	max, err := s.Aggregate("employees", proto.AggMax, "salary#o", "salary#f", filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !max.HasRow || max.Row.ID != 4 {
-		t.Fatalf("max row = %+v", max)
-	}
-	med, err := s.Aggregate("employees", proto.AggMedian, "salary#o", "salary#f", filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !med.HasRow || med.Row.ID != 3 {
-		t.Fatalf("median row = %+v", med)
-	}
-	// The partial names the winning row and carries its value share alone.
+	// A pick names the winning row and carries its value share alone.
 	for _, c := range []struct {
-		res    *proto.AggResult
+		op     proto.AggOp
+		id     uint64
 		salary uint64
-	}{{min, 20}, {max, 60}, {med, 40}} {
-		if len(c.res.Row.Cells) != 1 || !bytes.Equal(c.res.Row.Cells[0], fieldCell(c.salary*3)) {
-			t.Fatalf("row %d partial carries cells %x, want only the field share of %d", c.res.Row.ID, c.res.Row.Cells, c.salary)
+	}{{proto.AggMin, 2, 20}, {proto.AggMax, 4, 60}, {proto.AggMedian, 3, 40}} {
+		if got := bucket(c.op, "salary#o", "salary#f"); got.Count != 3 || got.Pick != c.id || got.Sum != c.salary*3 {
+			t.Fatalf("%s = %+v, want row %d and the field share of %d", c.op, got, c.id, c.salary)
 		}
 	}
-	if _, err := s.Aggregate("employees", proto.AggMax, "salary#o", "zz", filter); !errors.Is(err, ErrNoSuchColumn) {
-		t.Fatalf("max with a missing value column: %v", err)
-	}
-	// Empty match.
+	// Empty match: no bucket.
 	none := &proto.Filter{Col: "salary#o", Op: proto.FilterEq, Lo: oppCell(7777)}
-	res, err := s.Aggregate("employees", proto.AggMedian, "salary#o", "salary#f", none)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Count != 0 || res.HasRow {
-		t.Fatalf("empty median: %+v", res)
+	res, err := s.Aggregate(&proto.AggregateRequest{Table: "employees", Op: proto.AggMedian, OrderCol: "salary#o", ValueCol: "salary#f", Filter: none})
+	if err != nil || len(res.Groups) != 0 {
+		t.Fatalf("empty median: %+v, %v", res, err)
 	}
 	// Error cases.
-	if _, err := s.Aggregate("employees", proto.AggSum, "", "salary#o", filter); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("sum over opp: %v", err)
-	}
-	if _, err := s.Aggregate("employees", proto.AggSum, "", "zz", filter); !errors.Is(err, ErrNoSuchColumn) {
-		t.Fatalf("sum over missing: %v", err)
-	}
-	if _, err := s.Aggregate("employees", proto.AggMin, "salary#f", "", filter); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("min over field: %v", err)
-	}
-	if _, err := s.Aggregate("employees", proto.AggMin, "zz", "", filter); !errors.Is(err, ErrNoSuchColumn) {
-		t.Fatalf("min over missing: %v", err)
-	}
-	if _, err := s.Aggregate("employees", 99, "", "", nil); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("bad op: %v", err)
+	for _, c := range []struct {
+		name string
+		req  proto.AggregateRequest
+		want error
+	}{
+		{"max with a missing value column", proto.AggregateRequest{Op: proto.AggMax, OrderCol: "salary#o", ValueCol: "zz"}, ErrNoSuchColumn},
+		{"max of an opp value column", proto.AggregateRequest{Op: proto.AggMax, OrderCol: "salary#o", ValueCol: "salary#o"}, ErrBadRequest},
+		{"sum over opp", proto.AggregateRequest{Op: proto.AggSum, ValueCol: "salary#o"}, ErrBadRequest},
+		{"sum over missing", proto.AggregateRequest{Op: proto.AggSum, ValueCol: "zz"}, ErrNoSuchColumn},
+		{"min over field", proto.AggregateRequest{Op: proto.AggMin, OrderCol: "salary#f"}, ErrBadRequest},
+		{"min over missing", proto.AggregateRequest{Op: proto.AggMin, OrderCol: "zz"}, ErrNoSuchColumn},
+		{"bad op", proto.AggregateRequest{Op: 99}, ErrBadRequest},
+	} {
+		c.req.Table, c.req.Filter = "employees", filter
+		if _, err := s.Aggregate(&c.req); !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, err, c.want)
+		}
 	}
 }
 
@@ -386,13 +366,13 @@ func TestAggregateSumModular(t *testing.T) {
 	if err := s.Insert("employees", []proto.Row{r1, r2}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Aggregate("employees", proto.AggSum, "", "salary#f", nil)
+	res, err := s.Aggregate(&proto.AggregateRequest{Table: "employees", Op: proto.AggSum, ValueCol: "salary#f"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := field.New(big1).Add(field.New(17)).Uint64()
-	if res.Sum != want {
-		t.Fatalf("sum = %d, want %d", res.Sum, want)
+	if len(res.Groups) != 1 || res.Groups[0].Sum != want {
+		t.Fatalf("sum = %+v, want %d", res.Groups, want)
 	}
 }
 
@@ -936,11 +916,11 @@ func TestBoundWidths(t *testing.T) {
 			"scan":   func() error { _, err := s.Scan("employees", tc.f, nil, 0, false); return err },
 			"cursor": func() error { _, err := s.OpenCursor("employees", tc.f, nil, 0, 0); return err },
 			"aggregate": func() error {
-				_, err := s.Aggregate("employees", proto.AggSum, "", "salary#f", tc.f)
+				_, err := s.Aggregate(&proto.AggregateRequest{Table: "employees", Op: proto.AggSum, ValueCol: "salary#f", Filter: tc.f})
 				return err
 			},
 			"grouped": func() error {
-				_, err := s.AggregateGrouped("employees", proto.AggCount, "", "salary#o", tc.f)
+				_, err := s.Aggregate(&proto.AggregateRequest{Table: "employees", Op: proto.AggCount, GroupCol: "salary#o", Filter: tc.f})
 				return err
 			},
 			"join": func() error {

@@ -41,8 +41,9 @@ const maxFrameSize = 256 << 20
 // so a peer from a different generation fails loudly instead of misparsing
 // frames. Version 4 frames carry rows as share-row blocks (proto/rowblock.go)
 // whose order-preserving cells are as wide as the table spec declares, and
-// number their message kinds from proto's kindBase.
-const protoVersion = 4
+// number their message kinds from proto's kindBase; version 5 answers every
+// aggregate with one message of buckets (proto.GroupResult).
+const protoVersion = 5
 
 // Frame flags.
 const (
