@@ -38,13 +38,15 @@ race-hedge:
 
 # Ten seconds on each fuzz target, from the corpora checked in under
 # testdata/fuzz: the share-row block codec, the message decoder (one message of
-# every kind), the page decoder, and a WAL record through the store's mutation
-# path. -fuzz takes one target and one package per run.
+# every kind), the page decoder, a WAL record through the store's mutation
+# path, and a provider's range proof. -fuzz takes one target and one package
+# per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBlock$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyRecord$$' -fuzztime=10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalRangeProof$$' -fuzztime=10s ./internal/merkle
 
 # The figures ROADMAP.md and CHANGES.md quote for aim 2: non-test lines of
 # the client and the transport (item 6), the store and the server over it, the

@@ -46,7 +46,6 @@ func main() {
 	inflight := flag.Int("inflight", 0, "server-wide max concurrently-executing requests (0 = default)")
 	queue := flag.Int("queue", 0, "per-tenant admission queue bound (0 = default, <0 = no queueing)")
 	weights := flag.String("weights", "", "per-tenant scheduling weights, e.g. analytics=1,serving=4")
-	chunk := flag.Int("chunk", 0, "streamed row-frame chunk size in bytes (0 = default, <0 disables streaming)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight and queued requests")
 	flag.Parse()
 
@@ -77,7 +76,6 @@ func main() {
 		MaxInflight:   *inflight,
 		MaxQueue:      *queue,
 		TenantWeights: tenantWeights,
-		ChunkBytes:    *chunk,
 	})
 	fmt.Printf("dasd: serving on %s (dir=%q, tables=%d)\n", srv.Addr(), *dir, len(st.ListTables()))
 

@@ -265,8 +265,7 @@ func RunS6Detailed(scale Scale) (*Table, *S6Result, error) {
 		// A shallow queue keeps the admitted-request tail tight: at full
 		// queue the wait is MaxQueue×slot per provider, which is what the
 		// 3x-p99 overload bound exercises.
-		MaxQueue:   4,
-		ChunkBytes: 16 << 10, // chunk scans early so the streaming suite streams
+		MaxQueue: 4,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -14,7 +14,7 @@ type AuditReport struct {
 // every live provider is scanned with a Merkle completeness proof, row sets
 // are cross-checked, and every cell is robust-reconstructed to identify
 // providers returning corrupted shares. It returns an error when
-// verification cannot complete (too many corruptions to decode, digest
+// verification cannot complete (too many corruptions to decode, proof
 // mismatch, dropped rows).
 func (c *Client) Audit(table string) (*AuditReport, error) {
 	meta, err := c.cat.table(table)

@@ -18,10 +18,12 @@ const (
 	withholdsRows  // drops a matching row (caught by completeness proofs)
 	injectsGarbage // returns malformed cells
 	wrongType      // answers scans with an unrelated message type
+	shortRows      // cuts every row to its first cell
+	badHeader      // names a column it was not asked for
 )
 
 func (b behavior) String() string {
-	return [...]string{"honest", "crashed", "corrupt", "withholds", "garbage", "wrongtype"}[b]
+	return [...]string{"honest", "crashed", "corrupt", "withholds", "garbage", "wrongtype", "shortrows", "badheader"}[b]
 }
 
 func applyBehavior(f *fleet, provider int, b behavior) {
@@ -58,15 +60,32 @@ func applyBehavior(f *fleet, provider int, b behavior) {
 			}
 			return resp
 		})
+	case shortRows:
+		f.faults[provider].SetCorrupter(func(resp proto.Message) proto.Message {
+			if rr, ok := resp.(*proto.RowsResponse); ok {
+				for i := range rr.Rows {
+					rr.Rows[i].Cells = rr.Rows[i].Cells[:1]
+				}
+			}
+			return resp
+		})
+	case badHeader:
+		f.faults[provider].SetCorrupter(func(resp proto.Message) proto.Message {
+			if rr, ok := resp.(*proto.RowsResponse); ok && len(rr.Columns) > 0 {
+				rr.Columns[0] = "bogus#o"
+			}
+			return resp
+		})
 	}
 }
 
 // TestByzantineMatrix drives verified reads against every pairing of two
 // simultaneous provider misbehaviors on an n=5, k=2 fleet. With at most two
 // bad providers and three honest ones, every verified read must return the
-// exact honest result.
+// exact honest result — a malformed answer marks its provider faulty like a
+// failed proof does, and never stops the client.
 func TestByzantineMatrix(t *testing.T) {
-	behaviors := []behavior{honest, crashed, corruptShares, withholdsRows, injectsGarbage, wrongType}
+	behaviors := []behavior{honest, crashed, corruptShares, withholdsRows, injectsGarbage, wrongType, shortRows, badHeader}
 	for _, b1 := range behaviors {
 		for _, b2 := range behaviors {
 			t.Run(fmt.Sprintf("%v+%v", b1, b2), func(t *testing.T) {

@@ -316,6 +316,32 @@ func TestJoinRemoteSameDomain(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("reversed ON: %v", rowsAsStrings(res))
 	}
+
+	// At N = K every provider is read, the liar too: a pair whose right id
+	// diverges, a joined row short of cells and a header naming another
+	// column each fail the join as inconsistent — no panic, no wrong row.
+	g := newFleet(t, 2, 2, Options{})
+	g.mustExec(t, `CREATE TABLE employees (eid INT, name VARCHAR(8), salary INT)`)
+	g.mustExec(t, `CREATE TABLE managers (eid INT, level INT)`)
+	g.mustExec(t, `INSERT INTO employees VALUES (1, 'John', 10), (2, 'Alice', 20), (3, 'Bob', 40)`)
+	g.mustExec(t, `INSERT INTO managers VALUES (2, 100), (3, 200)`)
+	for name, lie := range map[string]func(*proto.JoinResult){
+		"right id":  func(jr *proto.JoinResult) { jr.RightIDs[len(jr.RightIDs)-1]++ },
+		"short row": func(jr *proto.JoinResult) { jr.Rows[0].Cells = jr.Rows[0].Cells[:1] },
+		"header":    func(jr *proto.JoinResult) { jr.Columns[0] = "bogus#f" },
+	} {
+		g.faults[1].SetCorrupter(func(resp proto.Message) proto.Message {
+			if jr, ok := resp.(*proto.JoinResult); ok && len(jr.Rows) > 0 {
+				lie(jr)
+			}
+			return resp
+		})
+		res, err := g.client.Exec(`SELECT employees.name, employees.salary, managers.level
+			FROM employees JOIN managers ON employees.eid = managers.eid`)
+		if !errors.Is(err, ErrInconsistent) {
+			t.Errorf("a provider lying about a joined pair's %s: %v, %v; want ErrInconsistent", name, res, err)
+		}
+	}
 }
 
 func TestJoinLocalFallbackCrossDomain(t *testing.T) {
@@ -461,6 +487,33 @@ func TestVerifiedSelectHonest(t *testing.T) {
 	}
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
+	}
+
+	// A verified read is one round: the provider's root travels inside its
+	// proof, so each provider asked gets one proof-carrying scan and nothing
+	// else.
+	c, caps := newCapturedFleet(t)
+	for _, q := range []string{
+		`CREATE TABLE employees (name VARCHAR(8), salary INT, dept INT)`,
+		`INSERT INTO employees VALUES ('John', 10, 1), ('Alice', 20, 1), ('Bob', 40, 2)`,
+	} {
+		if _, err := c.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	takeRequests(caps)
+	if res, err := c.Exec(`SELECT name FROM employees WHERE salary < 30 VERIFIED`); err != nil || len(res.Rows) != 2 {
+		t.Fatalf("captured fleet: %v, %v", res, err)
+	}
+	for p, cc := range caps {
+		reqs := takeRequests([]*capConn{cc})
+		var scan *proto.ScanRequest
+		if len(reqs) == 1 {
+			scan, _ = reqs[0].(*proto.ScanRequest)
+		}
+		if scan == nil || !scan.WithProof {
+			t.Errorf("provider %d was sent %#v; want one proof-carrying scan", p, reqs)
+		}
 	}
 }
 

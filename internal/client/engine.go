@@ -137,8 +137,7 @@ type indexedResponse struct {
 	msg      proto.Message
 }
 
-// noDeadline is the zero deadline: writes, repair traffic and verification
-// digests run unbounded.
+// noDeadline is the zero deadline: writes and repair traffic run unbounded.
 var noDeadline time.Time
 
 // call sends one request to one provider under an absolute deadline

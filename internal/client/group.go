@@ -24,7 +24,7 @@ type reduction struct {
 // COUNT needs no column's — every bucket carries its count — and AVG is a SUM
 // divided after the merge.
 func (meta *tableMeta) reductionOf(item sql.SelectItem) (red reduction, err error) {
-	if red.cm, _, err = meta.aggItemCol(item); err != nil {
+	if red.cm, err = meta.aggItemCol(item); err != nil {
 		return reduction{}, err
 	}
 	switch item.Agg {

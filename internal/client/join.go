@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"slices"
 
-	"sssdb/internal/field"
 	"sssdb/internal/proto"
-	"sssdb/internal/secretshare"
 	"sssdb/internal/sql"
 )
 
@@ -286,12 +284,16 @@ func predicateSide(left, right *tableMeta, p sql.Predicate) (int, error) {
 }
 
 // joinRemote executes the equijoin at this group's providers (same-domain
-// keys, both sides wholly in this group).
+// keys, both sides wholly in this group). Each provider's pairs are cut into
+// their two sides — left ids and cells, right ids and cells — and each side
+// is checked and combined like a scan of its own table, so the K providers
+// agree on a pair exactly when they agree on both of its halves.
 func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
-	left, right, lc, rc, items := j.left.meta, j.right.meta, j.lc, j.rc, j.items
+	left, right, items := j.left.meta, j.right.meta, j.items
+	res := &Result{Columns: joinColumns(items)}
 	for _, cp := range j.left.preds {
 		if cp.empty {
-			return &Result{Columns: joinColumns(items)}, nil
+			return res, nil
 		}
 	}
 	filters, err := e.providerFilters(left, j.left.preds)
@@ -302,13 +304,12 @@ func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 	// ship back only the value cells of the selected columns.
 	lPlan := left.fetchPlan(joinSideCols(items, true))
 	rPlan := right.fetchPlan(joinSideCols(items, false))
-	header := append(append([]string(nil), lPlan.names...), rPlan.names...)
 	responses, err := e.callQuorum(e.opts.K, e.opts.K, func(i int) proto.Message {
 		return &proto.JoinRequest{
 			LeftTable:    left.Name,
-			LeftCol:      lc.Name + suffixOPP,
+			LeftCol:      j.lc.Name + suffixOPP,
 			RightTable:   right.Name,
-			RightCol:     rc.Name + suffixOPP,
+			RightCol:     j.rc.Name + suffixOPP,
 			LeftProj:     lPlan.names,
 			RightProj:    rPlan.names,
 			Filter:       filters[i],
@@ -319,94 +320,55 @@ func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*proto.JoinResult, len(responses))
 	providers := make([]int, len(responses))
+	lResps := make([]*proto.RowsResponse, len(responses))
+	rResps := make([]*proto.RowsResponse, len(responses))
 	for i, r := range responses {
 		jr, err := as[*proto.JoinResult](r.provider, r.msg)
 		if err != nil {
 			return nil, err
 		}
-		if err := checkHeader(r.provider, jr.Columns, header); err != nil {
-			return nil, err
-		}
-		results[i] = jr
 		providers[i] = r.provider
+		lResps[i], rResps[i] = splitPairs(jr, len(lPlan.names))
 	}
-	base := results[0]
-	for i := 1; i < len(results); i++ {
-		if len(results[i].Rows) != len(base.Rows) {
-			return nil, fmt.Errorf("%w: join row counts diverge", ErrInconsistent)
-		}
-		for r := range base.Rows {
-			if results[i].Rows[r].ID != base.Rows[r].ID || results[i].RightIDs[r] != base.RightIDs[r] {
-				return nil, fmt.Errorf("%w: join pair order diverges", ErrInconsistent)
-			}
-		}
-	}
-	// Cell layout: the left projection then the right one.
-	itemCell := make([]int, len(items))
-	for i, item := range items {
-		if item.left {
-			itemCell[i] = lPlan.cell[item.ci]
-		} else {
-			itemCell[i] = len(lPlan.names) + rPlan.cell[item.ci]
-		}
-	}
-	weights, err := e.fieldSch.WeightsFor(providers[:e.opts.K])
+	lScan, err := e.reconstructRows(left, &lPlan, providers, lResps, false)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Columns: joinColumns(items)}
-	for r := range base.Rows {
-		for i := range results[:e.opts.K] {
-			if n := len(results[i].Rows[r].Cells); n != len(header) {
-				return nil, fmt.Errorf("%w: provider %d sent a joined row with %d cells under a %d-column header",
-					ErrInconsistent, providers[i], n, len(header))
-			}
-		}
+	rScan, err := e.reconstructRows(right, &rPlan, providers, rResps, false)
+	if err != nil {
+		return nil, err
+	}
+	for pair := range lScan.values {
 		row := make([]Value, len(items))
 		for i, item := range items {
-			meta := left
-			if !item.left {
-				meta = right
+			if item.left {
+				row[i] = lScan.values[pair][item.ci]
+			} else {
+				row[i] = rScan.values[pair][item.ci]
 			}
-			cm := &meta.Cols[item.ci]
-			cellIdx := itemCell[i]
-			if !cm.queryable() {
-				blob, err := e.openBlob(meta, base.Rows[r].Cells[cellIdx])
-				if err != nil {
-					return nil, err
-				}
-				row[i] = BytesValue(blob)
-				continue
-			}
-			v, err := e.combineCells(weights, providers, results, r, cellIdx, cm)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// combineCells reconstructs one joined cell from the first K providers'
-// aligned responses using precomputed Lagrange weights.
-func (e *engine) combineCells(weights []field.Element, providers []int, results []*proto.JoinResult, r, cellIdx int, cm *colMeta) (Value, error) {
-	ys := make([]field.Element, e.opts.K)
-	for i := 0; i < e.opts.K; i++ {
-		cell := results[i].Rows[r].Cells[cellIdx]
-		if len(cell) != 8 {
-			return Value{}, fmt.Errorf("%w: provider %d returned a malformed share", ErrInconsistent, providers[i])
-		}
-		ys[i] = field.New(beUint64(cell))
+// splitPairs cuts one provider's joined pairs into its two sides' answers:
+// the first nl header names and cells of every pair under the left row ids,
+// the rest under RightIDs. Each cut is clamped to what is there, so a header
+// or pair of the wrong width leaves a side malformed — which reconstructRows
+// refuses before reading a cell — and never slices out of range; Decode
+// already refuses right ids that do not pair up with the rows.
+func splitPairs(jr *proto.JoinResult, nl int) (l, r *proto.RowsResponse) {
+	cut := min(nl, len(jr.Columns))
+	l = &proto.RowsResponse{Columns: jr.Columns[:cut], Rows: make([]proto.Row, len(jr.Rows))}
+	r = &proto.RowsResponse{Columns: jr.Columns[cut:], Rows: make([]proto.Row, len(jr.Rows))}
+	for i, pair := range jr.Rows {
+		cut := min(nl, len(pair.Cells))
+		l.Rows[i] = proto.Row{ID: pair.ID, Cells: pair.Cells[:cut]}
+		r.Rows[i] = proto.Row{ID: jr.RightIDs[i], Cells: pair.Cells[cut:]}
 	}
-	u, err := secretshare.CombineShares(weights, ys)
-	if err != nil {
-		return Value{}, err
-	}
-	return cm.decode(u.Uint64())
+	return l, r
 }
 
 func joinColumns(items []joinItem) []string {

@@ -167,17 +167,6 @@ func (t *tableMeta) scanPlan(preds []compiledPred, cols []int, verified bool) fe
 	return fp
 }
 
-// checkHeader rejects a provider response whose column header is not exactly
-// the projection it was asked for: cell positions are resolved from the
-// request alone.
-func checkHeader(provider int, header, asked []string) error {
-	if !slices.Equal(header, asked) {
-		return fmt.Errorf("%w: provider %d answered with columns %v, asked for %v",
-			ErrInconsistent, provider, header, asked)
-	}
-	return nil
-}
-
 // providerSpec derives the share-space table spec shipped to providers; an
 // order-preserving column is as wide as its domain's scheme (any group's).
 func (t *tableMeta) providerSpec() proto.TableSpec {

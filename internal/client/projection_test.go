@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 	mrand "math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -265,6 +266,37 @@ func TestProjectionOnTheWire(t *testing.T) {
 	exec(`DELETE FROM depts WHERE floor = 14`)
 	if m := last("depts"); m == nil || len(m.Projection) != 0 || !m.IDsOnly {
 		t.Errorf("DELETE's read round: %+v, want an ids-only scan", m)
+	}
+	// A COUNT(col) evaluated client-side reads no cell of col: its scan asks
+	// for what the residual predicates test — dept's cells when a second
+	// predicate keeps the count off the providers — and, when nothing does,
+	// for ids alone.
+	for _, tc := range []struct {
+		q     string
+		force bool
+		want  []string
+	}{
+		{`SELECT COUNT(salary) FROM employees WHERE salary > 30 AND dept < 3`, false, []string{"dept#f"}},
+		{`SELECT COUNT(salary) FROM employees WHERE salary > 30`, true, nil},
+	} {
+		seen := make([]int, len(caps))
+		for p, cc := range caps {
+			seen[p] = len(cc.scans)
+		}
+		c.SetClientSideAggregates(tc.force)
+		exec(tc.q)
+		c.SetClientSideAggregates(false)
+		counted := 0
+		for p, cc := range caps {
+			for _, m := range cc.scans[seen[p]:] {
+				if counted++; !slices.Equal(m.Projection, tc.want) || m.IDsOnly != (tc.want == nil) {
+					t.Errorf("%s: scans %v with IDsOnly %v, want %v", tc.q, m.Projection, m.IDsOnly, tc.want)
+				}
+			}
+		}
+		if counted == 0 {
+			t.Errorf("%s: sent no scan; want the client-side path", tc.q)
+		}
 	}
 	var idRows, idCells int
 	for _, cc := range caps {

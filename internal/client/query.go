@@ -278,8 +278,8 @@ func (e *engine) scanTable(meta *tableMeta, preds []compiledPred, o scanOpts) (*
 }
 
 // scanVerified gathers whole proof-carrying responses from every reachable
-// non-lagging provider, checks each Merkle completeness proof against that
-// provider's digest, keeps the majority row set, and robust-reconstructs
+// non-lagging provider in one round, checks each one's shape and Merkle
+// completeness proof, keeps the majority row set, and robust-reconstructs
 // cells to identify corrupt providers. The caller holds the exclusive
 // statement lock, so no insert is in flight and no row needs masking. A
 // completeness proof covers a whole range, so no LIMIT is pushed down:
@@ -320,37 +320,22 @@ func (e *engine) scanVerified(meta *tableMeta, preds []compiledPred, deadline ti
 	if err != nil {
 		return nil, err
 	}
-	rowsByProvider := make(map[int]*proto.RowsResponse, len(responses))
-	providers := make([]int, 0, len(responses))
-	var proofFaulty []int
-	for _, r := range responses {
-		rr, err := as[*proto.RowsResponse](r.provider, r.msg)
-		if err != nil {
-			// A mis-typed response is just another malicious behavior:
-			// drop the provider and continue if a quorum remains.
-			proofFaulty = append(proofFaulty, r.provider)
-			continue
-		}
-		rowsByProvider[r.provider] = rr
-		providers = append(providers, r.provider)
-	}
-	if len(providers) < e.opts.K {
-		return nil, fmt.Errorf("%w: only %d well-formed responses (faulty: %v)",
-			ErrVerification, len(providers), proofFaulty)
-	}
-	// Detection AND recovery: drop providers whose completeness proofs fail
-	// or that disagree with the majority row set, as long as a quorum of K
-	// honest-looking providers remains.
-	providers, verifyFaulty, err := e.applyVerification(meta, preds, providers, rowsByProvider)
-	if err != nil {
-		return nil, err
-	}
+	// Detection AND recovery: drop providers whose answers are malformed,
+	// whose completeness proofs fail or that disagree with the majority row
+	// set, as long as a quorum of K honest-looking providers remains.
 	plan := meta.scanPlan(preds, nil, true)
-	res, err := e.reconstructRows(meta, &plan, providers, rowsByProvider, true)
+	providers, resps, faulty, err := e.applyVerification(meta, preds, &plan, responses)
 	if err != nil {
 		return nil, err
 	}
-	res.faulty = mergeFaulty(res.faulty, mergeFaulty(proofFaulty, verifyFaulty))
+	res, err := e.reconstructRows(meta, &plan, providers, resps, true)
+	if err != nil {
+		return nil, err
+	}
+	// The providers dropped before reconstruction and those it caught are
+	// disjoint.
+	res.faulty = append(res.faulty, faulty...)
+	sort.Ints(res.faulty)
 	res.verified = true
 	if err := e.filterResidual(meta, res, residualPreds(preds)); err != nil {
 		return nil, err
@@ -362,21 +347,36 @@ func (e *engine) hasPending(table string) bool {
 	return len(e.pending[table]) > 0
 }
 
-// reconstructRows rebuilds typed values from aligned provider responses,
-// for the columns of plan — a projected stream batch and a verified whole-row
-// response alike. The per-cell work — Lagrange combination (or robust
-// reconstruction) plus domain decoding — is independent across rows, so the
-// row range is chunked across the worker pool. Each worker owns a contiguous
-// span with its own share scratch buffer and its own faulty set; spans share
-// the precomputed quorum Lagrange weights, and the faulty sets merge after
-// the join, so the result is identical to the serial pass in both modes.
-func (e *engine) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []int, rowsByProvider map[int]*proto.RowsResponse, robust bool) (*scanResult, error) {
-	for _, p := range providers {
-		if err := checkHeader(p, rowsByProvider[p].Columns, plan.names); err != nil {
+// reconstructRows is the one place provider rows are checked and combined:
+// several providers' answers to one request — a projected stream batch, one
+// side of the joined pairs, a verified whole-row response — become typed
+// values for the columns of plan (resps[i] is providers[i]'s). Every answer
+// must carry the asked-for header, one cell per column in every row, and the
+// first answer's row count and id at every position; all of it is checked
+// before any cell is read, and a breach is ErrInconsistent. The per-cell work
+// — Lagrange combination (or robust reconstruction) plus domain decoding — is
+// independent across rows, so the row range is chunked across the worker
+// pool. Each worker owns a contiguous span with its own share scratch buffer
+// and its own faulty set; spans share the precomputed quorum Lagrange weights,
+// and the faulty sets merge after the join, so the result is identical to the
+// serial pass in both modes.
+func (e *engine) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []int, resps []*proto.RowsResponse, robust bool) (*scanResult, error) {
+	base := resps[0]
+	for i, rr := range resps {
+		if err := checkShape(providers[i], rr, plan.names); err != nil {
 			return nil, err
 		}
+		if len(rr.Rows) != len(base.Rows) {
+			return nil, fmt.Errorf("%w: provider %d sent %d rows, provider %d sent %d",
+				ErrInconsistent, providers[i], len(rr.Rows), providers[0], len(base.Rows))
+		}
+		for r, row := range rr.Rows {
+			if row.ID != base.Rows[r].ID {
+				return nil, fmt.Errorf("%w: row order diverges at id %d (provider %d vs %d)",
+					ErrInconsistent, base.Rows[r].ID, providers[0], providers[i])
+			}
+		}
 	}
-	base := rowsByProvider[providers[0]]
 	weights, err := e.fieldSch.WeightsFor(providers[:e.opts.K])
 	if err != nil {
 		return nil, err
@@ -395,12 +395,6 @@ func (e *engine) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []i
 		slab := make([]Value, (end-start)*width)
 		for r := start; r < end; r++ {
 			id := base.Rows[r].ID
-			for _, p := range providers {
-				if n := len(rowsByProvider[p].Rows[r].Cells); n != len(plan.names) {
-					return fmt.Errorf("%w: provider %d sent row %d with %d cells under a %d-column header",
-						ErrInconsistent, p, id, n, len(plan.names))
-				}
-			}
 			vals := slab[(r-start)*width : (r-start+1)*width : (r-start+1)*width]
 			for ci, cell := range plan.cell {
 				if cell < 0 {
@@ -413,9 +407,9 @@ func (e *engine) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []i
 						return err
 					}
 					if robust {
-						for _, p := range providers[1:] {
-							if !bytes.Equal(rowsByProvider[p].Rows[r].Cells[cell], base.Rows[r].Cells[cell]) {
-								chunkFaulty[p] = true
+						for i, rr := range resps[1:] {
+							if !bytes.Equal(rr.Rows[r].Cells[cell], base.Rows[r].Cells[cell]) {
+								chunkFaulty[providers[i+1]] = true
 							}
 						}
 					}
@@ -424,15 +418,15 @@ func (e *engine) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []i
 				}
 				var u uint64
 				if robust {
-					shares := make([]secretshare.Share, 0, len(providers))
-					for _, p := range providers {
-						cellBytes := rowsByProvider[p].Rows[r].Cells[cell]
+					shares := make([]secretshare.Share, 0, len(resps))
+					for i, rr := range resps {
+						cellBytes := rr.Rows[r].Cells[cell]
 						if len(cellBytes) != 8 {
-							chunkFaulty[p] = true
+							chunkFaulty[providers[i]] = true
 							continue
 						}
 						shares = append(shares, secretshare.Share{
-							Index: p,
+							Index: providers[i],
 							Y:     field.New(beUint64(cellBytes)),
 						})
 					}
@@ -445,10 +439,10 @@ func (e *engine) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []i
 					}
 					u = rr.Secret.Uint64()
 				} else {
-					for i, p := range providers[:e.opts.K] {
-						cellBytes := rowsByProvider[p].Rows[r].Cells[cell]
+					for i, rr := range resps[:e.opts.K] {
+						cellBytes := rr.Rows[r].Cells[cell]
 						if len(cellBytes) != 8 {
-							return fmt.Errorf("%w: provider %d returned a malformed share", ErrInconsistent, p)
+							return fmt.Errorf("%w: provider %d returned a malformed share", ErrInconsistent, providers[i])
 						}
 						ys[i] = field.New(beUint64(cellBytes))
 					}
@@ -486,71 +480,81 @@ func (e *engine) reconstructRows(meta *tableMeta, plan *fetchPlan, providers []i
 	return res, nil
 }
 
-func beUint64(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
-
-// mergeFaulty unions two sorted fault lists.
-func mergeFaulty(a, b []int) []int {
-	if len(b) == 0 {
-		return a
+// checkShape rejects a provider answer that is not exactly what was asked
+// for: a column header other than the projection, or a row with other than
+// one cell per projected column. Cell positions are resolved from the request
+// alone, so no cell may be read before this passes.
+func checkShape(provider int, rr *proto.RowsResponse, asked []string) error {
+	if !slices.Equal(rr.Columns, asked) {
+		return fmt.Errorf("%w: provider %d answered with columns %v, asked for %v",
+			ErrInconsistent, provider, rr.Columns, asked)
 	}
-	seen := make(map[int]bool, len(a)+len(b))
-	for _, p := range a {
-		seen[p] = true
+	for _, row := range rr.Rows {
+		if len(row.Cells) != len(asked) {
+			return fmt.Errorf("%w: provider %d sent row %d with %d cells under a %d-column header",
+				ErrInconsistent, provider, row.ID, len(row.Cells), len(asked))
+		}
 	}
-	for _, p := range b {
-		seen[p] = true
-	}
-	out := make([]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
+	return nil
 }
 
-// applyVerification verifies each provider's proof individually, drops the
-// failures, then keeps the majority table size and row-id sequence among
-// survivors. It errors only when fewer than K trustworthy providers remain.
-func (e *engine) applyVerification(meta *tableMeta, preds []compiledPred, providers []int, rowsByProvider map[int]*proto.RowsResponse) (kept, faulty []int, err error) {
-	// Majority vote on the table size and the row-id sequence.
+func beUint64(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
+
+// applyVerification checks each provider's answer on its own — the asked-for
+// message, its shape, then its completeness proof — and drops the failures, a
+// malformed answer being as faulty as a failed proof; then it keeps the
+// majority table size and row-id sequence among the survivors, whose answers
+// it returns with them. It errors only when fewer than K trustworthy
+// providers remain.
+func (e *engine) applyVerification(meta *tableMeta, preds []compiledPred, plan *fetchPlan, responses []indexedResponse) (providers []int, resps []*proto.RowsResponse, faulty []int, err error) {
+	// Majority vote on the table size and the row-id sequence: each
+	// signature maps to the responses (by index) that carry it.
 	groups := make(map[string][]int)
-	for _, p := range providers {
-		count, verr := e.verifyProviderScan(meta, preds, p, rowsByProvider[p])
-		if verr != nil {
-			faulty = append(faulty, p)
+	answers := make([]*proto.RowsResponse, len(responses))
+	kept := 0
+	for i, r := range responses {
+		rr, err := as[*proto.RowsResponse](r.provider, r.msg)
+		if err == nil {
+			err = checkShape(r.provider, rr, plan.names)
+		}
+		var count uint64
+		if err == nil {
+			count, err = e.verifyProviderScan(meta, preds, r.provider, rr)
+		}
+		if err != nil {
+			faulty = append(faulty, r.provider)
 			continue
 		}
-		kept = append(kept, p)
-		sig := rowSignature(count, rowsByProvider[p].Rows)
-		groups[sig] = append(groups[sig], p)
+		kept++
+		answers[i] = rr
+		sig := rowSignature(count, rr.Rows)
+		groups[sig] = append(groups[sig], i)
 	}
-	var best []int
-	for _, members := range groups {
-		if len(members) > len(best) {
-			best = members
+	var best string
+	for sig, members := range groups {
+		if len(members) > len(groups[best]) {
+			best = sig
 		}
 	}
-	for _, p := range kept {
-		inBest := false
-		for _, q := range best {
-			if p == q {
-				inBest = true
+	for sig, members := range groups {
+		for _, i := range members {
+			if sig != best {
+				faulty = append(faulty, responses[i].provider)
+				continue
 			}
-		}
-		if !inBest {
-			faulty = append(faulty, p)
+			providers = append(providers, responses[i].provider)
+			resps = append(resps, answers[i])
 		}
 	}
-	sort.Ints(best)
 	sort.Ints(faulty)
-	if len(best) < e.opts.K {
-		return nil, nil, fmt.Errorf("%w: only %d of %d required providers verified (faulty: %v)",
-			ErrVerification, len(best), e.opts.K, faulty)
+	if len(providers) < e.opts.K {
+		return nil, nil, nil, fmt.Errorf("%w: only %d of %d required providers verified (faulty: %v)",
+			ErrVerification, len(providers), e.opts.K, faulty)
 	}
-	if len(groups) > 1 && 2*len(best) <= len(kept) {
-		return nil, nil, fmt.Errorf("%w: no majority row set among providers", ErrVerification)
+	if len(groups) > 1 && 2*len(providers) <= kept {
+		return nil, nil, nil, fmt.Errorf("%w: no majority row set among providers", ErrVerification)
 	}
-	return best, faulty, nil
+	return providers, resps, faulty, nil
 }
 
 func rowSignature(count uint64, rows []proto.Row) string {
@@ -561,34 +565,22 @@ func rowSignature(count uint64, rows []proto.Row) string {
 	return string(b)
 }
 
-// verifyProviderScan checks one provider's Merkle completeness proof
-// against its own digest and returns the digest's row count: the proof shows
-// nothing is missing from the range of that many rows, the caller's vote
-// across providers that none is missing outside it.
+// verifyProviderScan checks one provider's Merkle completeness proof: its
+// run — left fence, the rows it answered, right fence — must recompute the
+// root the proof was cut under. It returns the proof's leaf count: the proof
+// shows nothing is missing from the range of a table that many rows long,
+// the caller's vote across providers that none is missing outside it.
 func (e *engine) verifyProviderScan(meta *tableMeta, preds []compiledPred, p int, resp *proto.RowsResponse) (uint64, error) {
 	cp := preds[0]
 	cm := &meta.Cols[cp.ci]
-	oppCol := cm.Name + suffixOPP
 	spec := meta.providerSpec()
-	oppIdx := spec.ColumnIndex(oppCol)
+	oppIdx := spec.ColumnIndex(cm.Name + suffixOPP)
 	if resp.Proof == nil {
 		return 0, fmt.Errorf("%w: provider %d sent no completeness proof", ErrVerification, p)
 	}
 	proof, err := merkle.UnmarshalRangeProof(resp.Proof)
 	if err != nil {
 		return 0, fmt.Errorf("%w: provider %d: %v", ErrVerification, p, err)
-	}
-	digResp, err := e.call(p, &proto.DigestRequest{Table: meta.Name, Col: oppCol}, noDeadline)
-	if err != nil {
-		return 0, fmt.Errorf("%w: provider %d digest: %v", ErrVerification, p, err)
-	}
-	dig, ok := digResp.(*proto.DigestResult)
-	if !ok {
-		return 0, fmt.Errorf("%w: provider %d digest response %T", ErrVerification, p, digResp)
-	}
-	if proof.N != dig.Count {
-		return 0, fmt.Errorf("%w: provider %d proof covers %d leaves, digest says %d",
-			ErrVerification, p, proof.N, dig.Count)
 	}
 	// Rebuild the leaf run: left fence, matched rows, right fence.
 	var run []merkle.Hash
@@ -642,10 +634,10 @@ func (e *engine) verifyProviderScan(meta *tableMeta, preds []compiledPred, p int
 	if err != nil {
 		return 0, fmt.Errorf("%w: provider %d: %v", ErrVerification, p, err)
 	}
-	if !bytes.Equal(root[:], dig.Root) {
-		return 0, fmt.Errorf("%w: provider %d proof does not match its digest", ErrVerification, p)
+	if root != proof.Root {
+		return 0, fmt.Errorf("%w: provider %d proof does not match its root", ErrVerification, p)
 	}
-	return dig.Count, nil
+	return proof.N, nil
 }
 
 // residualPreds returns the predicates the providers did not apply, for the

@@ -106,8 +106,14 @@ func (c *Client) planSelect(s *sql.Select, epochs []uint64) (*selectPlan, error)
 				p.onProviders = false
 			}
 		}
-		if p.fetch, err = aggCols(meta, p.computeItems); err != nil {
+		// A client-side evaluation reads the columns its reductions reduce —
+		// not a COUNT's, which reads none — and the key.
+		reds, err := meta.reductions(p.computeItems)
+		if err != nil {
 			return nil, err
+		}
+		for _, red := range reds {
+			p.fetch = append(p.fetch, meta.colIndex(red.cm.Name))
 		}
 		if p.gcm != nil {
 			p.fetch = append(p.fetch, p.gci)
@@ -351,41 +357,22 @@ func projectScan(cols []string, idx []int, scan *scanResult) *Result {
 // --- Aggregates ---
 
 // aggItemCol resolves the aggregated column (nil for COUNT(*)).
-func (meta *tableMeta) aggItemCol(item sql.SelectItem) (*colMeta, int, error) {
+func (meta *tableMeta) aggItemCol(item sql.SelectItem) (*colMeta, error) {
 	if item.Star {
-		return nil, -1, nil
+		return nil, nil
 	}
 	if item.Col.Table != "" && item.Col.Table != meta.Name {
-		return nil, -1, fmt.Errorf("%w: %q", ErrNoSuchColumn, item.Col)
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, item.Col)
 	}
 	ci := meta.colIndex(item.Col.Name)
 	if ci < 0 {
-		return nil, -1, fmt.Errorf("%w: %q", ErrNoSuchColumn, item.Col)
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchColumn, item.Col)
 	}
 	cm := &meta.Cols[ci]
 	if !cm.queryable() {
-		return nil, -1, fmt.Errorf("%w: aggregate over BLOB column %q", ErrUnsupported, cm.Name)
+		return nil, fmt.Errorf("%w: aggregate over BLOB column %q", ErrUnsupported, cm.Name)
 	}
-	return cm, ci, nil
-}
-
-// aggCols lists the columns a client-side evaluation of the aggregates
-// among items reads from a scan (COUNT(*) reads none).
-func aggCols(meta *tableMeta, items []sql.SelectItem) ([]int, error) {
-	var cols []int
-	for _, item := range items {
-		if item.Agg == sql.AggNone {
-			continue
-		}
-		_, ci, err := meta.aggItemCol(item)
-		if err != nil {
-			return nil, err
-		}
-		if ci >= 0 {
-			cols = append(cols, ci)
-		}
-	}
-	return cols, nil
+	return cm, nil
 }
 
 // sumBias is the encoding offset folded into SUM: every signed/decimal

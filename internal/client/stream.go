@@ -425,9 +425,10 @@ func (rs *rowStream) failover() (*rowStream, error) {
 }
 
 // align is the zipper: it pops rows off the K provider streams in
-// lockstep, demands row-id agreement position by position (unverified reads
-// want strict agreement among the K providers), and flushes aligned spans
-// through reconstruction whenever streamBatchRows accumulate.
+// lockstep and flushes the aligned spans through reconstruction whenever
+// streamBatchRows accumulate; reconstructRows demands row-id agreement
+// position by position (unverified reads want strict agreement among the K
+// providers) before it combines a span.
 //
 // A slot whose stream stalls past the straggler threshold is hedged: the
 // pending aligned batch is flushed first (a batch must never mix an old
@@ -461,12 +462,12 @@ func (rs *rowStream) align(streams []*provStream) {
 		// and the batch rows are guaranteed to belong to the current owners
 		// (a swap always flushes first).
 		providers := make([]int, len(streams))
-		rowsByProvider := make(map[int]*proto.RowsResponse, len(streams))
+		resps := make([]*proto.RowsResponse, len(streams))
 		for i, ps := range streams {
 			providers[i] = ps.p
-			rowsByProvider[ps.p] = &proto.RowsResponse{Columns: ps.cols, Rows: batch[i]}
+			resps[i] = &proto.RowsResponse{Columns: ps.cols, Rows: batch[i]}
 		}
-		res, err := e.reconstructRows(meta, &rs.plan, providers, rowsByProvider, false)
+		res, err := e.reconstructRows(meta, &rs.plan, providers, resps, false)
 		if err != nil {
 			rs.err = err
 			return true
@@ -560,17 +561,6 @@ func (rs *rowStream) align(streams []*provStream) {
 			// stop at LIMIT. Streams need not agree past it — one that
 			// continued unlimited has rows its limited peers never sent.
 			avail = int(remaining) - batched
-		}
-		base := streams[0]
-		for i := 0; i < avail; i++ {
-			id := base.rows[base.off+i].ID
-			for _, ps := range streams[1:] {
-				if ps.rows[ps.off+i].ID != id {
-					rs.err = fmt.Errorf("%w: row order diverges at id %d (provider %d vs %d)",
-						ErrInconsistent, id, base.p, ps.p)
-					return
-				}
-			}
 		}
 		for si, ps := range streams {
 			batch[si] = append(batch[si], ps.rows[ps.off:ps.off+avail]...)

@@ -6,10 +6,11 @@
 // A provider maintains one tree per indexed share column, with leaves in
 // index-key order. To answer a range scan verifiably it returns the
 // matching leaf run plus its two fence leaves and a proof consisting of the
-// hashes of the maximal subtrees outside the run. The client recomputes the
-// root; if it matches a root obtained earlier (or cross-checked against
-// other providers), the provider can neither drop rows inside the range nor
-// inject rows that were never outsourced.
+// hashes of the maximal subtrees outside the run, under the root and leaf
+// count of the tree the proof was cut from. The client recomputes the root
+// from the run; if it matches, and the leaf count agrees with other
+// providers', the provider can neither drop rows inside the range nor inject
+// rows that were never outsourced.
 package merkle
 
 import (
@@ -194,10 +195,13 @@ func VerifyRange(n, start int, run []Hash, proof []Hash) (Hash, error) {
 // --- Proof serialization (opaque blob carried in proto.RowsResponse) ---
 
 // RangeProof bundles everything a client needs to verify a scan's
-// completeness: tree shape, run position, fence leaves, and subtree hashes.
+// completeness: tree shape and root, run position, fence leaves, and subtree
+// hashes.
 type RangeProof struct {
-	// N is the total number of leaves in the provider's tree.
-	N uint64
+	// N is the total number of leaves in the provider's tree, Root its root
+	// when the proof was cut: the answer the recomputed root must equal.
+	N    uint64
+	Root Hash
 	// Start is the index of the first leaf in the supplied run (fences
 	// included).
 	Start uint64
@@ -218,7 +222,7 @@ type FenceLeaf struct {
 
 // Marshal serializes the proof.
 func (p *RangeProof) Marshal() []byte {
-	size := 8 + 8 + 2 + len(p.Hashes)*HashSize + 32
+	size := 8 + HashSize + 8 + 2 + 4 + len(p.Hashes)*HashSize
 	if p.LeftFence != nil {
 		size += 8 + len(p.LeftFence.Key) + len(p.LeftFence.RowDigest)
 	}
@@ -227,6 +231,7 @@ func (p *RangeProof) Marshal() []byte {
 	}
 	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint64(buf, p.N)
+	buf = append(buf, p.Root[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, p.Start)
 	buf = appendFence(buf, p.LeftFence)
 	buf = appendFence(buf, p.RightFence)
@@ -251,12 +256,13 @@ func appendFence(buf []byte, f *FenceLeaf) []byte {
 // UnmarshalRangeProof parses a proof blob.
 func UnmarshalRangeProof(buf []byte) (*RangeProof, error) {
 	p := &RangeProof{}
-	if len(buf) < 16 {
+	if len(buf) < 16+HashSize {
 		return nil, ErrBadProof
 	}
 	p.N = binary.BigEndian.Uint64(buf[0:8])
-	p.Start = binary.BigEndian.Uint64(buf[8:16])
-	rest := buf[16:]
+	copy(p.Root[:], buf[8:])
+	p.Start = binary.BigEndian.Uint64(buf[8+HashSize:])
+	rest := buf[16+HashSize:]
 	var err error
 	p.LeftFence, rest, err = readFence(rest)
 	if err != nil {
@@ -290,7 +296,7 @@ func readFence(buf []byte) (*FenceLeaf, []byte, error) {
 	if present == 0 {
 		return nil, buf, nil
 	}
-	if len(buf) < 4 {
+	if present != 1 || len(buf) < 4 {
 		return nil, nil, ErrBadProof
 	}
 	kl := binary.BigEndian.Uint32(buf)

@@ -274,6 +274,7 @@ func TestVerifyRangeGarbageNeverPanics(t *testing.T) {
 func TestRangeProofMarshalRoundTrip(t *testing.T) {
 	p := &RangeProof{
 		N:     100,
+		Root:  LeafHash([]byte("root"), nil),
 		Start: 7,
 		LeftFence: &FenceLeaf{
 			Key:       []byte{1, 2, 3},
@@ -314,6 +315,23 @@ func TestUnmarshalRangeProofTruncations(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+}
+
+// FuzzUnmarshalRangeProof feeds arbitrary bytes — what a provider sends is
+// untrusted — to UnmarshalRangeProof, which may refuse them but not panic;
+// whatever it accepts must marshal back to exactly the bytes it came from.
+// The corpus under testdata/fuzz holds proofs cut from real trees: with both
+// fences, with neither, and of an empty run.
+func FuzzUnmarshalRangeProof(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := UnmarshalRangeProof(data)
+		if err != nil {
+			return
+		}
+		if again := p.Marshal(); !bytes.Equal(again, data) {
+			t.Fatalf("%x decodes to a proof that marshals to %x", data, again)
+		}
+	})
 }
 
 func BenchmarkRoot10k(b *testing.B) {

@@ -38,6 +38,9 @@ const (
 	KScan
 	KAggregate
 	KJoin
+	// 42 was the digest request (a column's Merkle root) up to wire version 5;
+	// since 6 a verified scan's proof carries the root. Retired like 46, the
+	// name kept for tools that label kinds by name.
 	KDigest
 	KOK
 	KError
@@ -215,18 +218,6 @@ func (m *JoinRequest) fields(c *codec) {
 	c.flags(&m.LeftIDsOnly, &m.RightIDsOnly)
 }
 
-// DigestRequest asks for the Merkle root of a table's indexed column.
-type DigestRequest struct {
-	Table string
-	Col   string
-}
-
-func (*DigestRequest) Kind() Kind { return KDigest }
-func (m *DigestRequest) fields(c *codec) {
-	c.str(&m.Table)
-	c.str(&m.Col)
-}
-
 // TableStateRequest asks for a provider-neutral resync digest of a whole
 // table: a Merkle root over the sorted row ids whose leaves commit to cell
 // *shapes* (and to full plaintext-replicated cells) rather than to share
@@ -394,7 +385,8 @@ func (m *JoinResult) fields(c *codec) {
 	}
 }
 
-// DigestResult carries a table column's Merkle root and row count.
+// DigestResult carries a table's provider-neutral resync root and row count
+// (the answer to a TableStateRequest).
 type DigestResult struct {
 	Root  []byte
 	Count uint64
@@ -427,7 +419,7 @@ var emptyMessage = [...]func() Message{
 	KPing: mk[PingRequest], KCreateTable: mk[CreateTableRequest], KDropTable: mk[DropTableRequest],
 	KListTables: mk[ListTablesRequest], KInsert: mk[InsertRequest], KDelete: mk[DeleteRequest],
 	KUpdate: mk[UpdateRequest], KScan: mk[ScanRequest], KAggregate: mk[AggregateRequest],
-	KJoin: mk[JoinRequest], KDigest: mk[DigestRequest], KOK: mk[OKResponse], KError: mk[ErrorResponse],
+	KJoin: mk[JoinRequest], KOK: mk[OKResponse], KError: mk[ErrorResponse],
 	KRows: mk[RowsResponse], KJoinResult: mk[JoinResult],
 	KDigestResult: mk[DigestResult], KTables: mk[TablesResponse], KGroupResult: mk[GroupResult],
 	KTableState: mk[TableStateRequest], KStats: mk[StatsResponse], KTxPrepare: mk[TxPrepareRequest],

@@ -53,7 +53,6 @@ func allMessages() []Message {
 			LeftProj: []string{"salary#f"}, RightProj: []string{"mid#f"},
 			Filter: &Filter{Col: "dept#o", Op: FilterEq, Lo: []byte{7}},
 		},
-		&DigestRequest{Table: "employees", Col: "salary#o"},
 		&OKResponse{Affected: 42},
 		&ErrorResponse{Code: CodeNoSuchTable, Msg: "employees"},
 		&RowsResponse{Columns: []string{"a", "b", "c"}, Rows: rows, Proof: []byte{0xde, 0xad}},
@@ -87,13 +86,14 @@ func allMessages() []Message {
 
 // TestKindNumbers pins the wire number of every kind. Mutations and the tx
 // records (KInsert…KTxMark) are on disk in WAL, hint-journal and tx-log
-// records, so a kind that is retired — 46, once KAggResult — leaves a hole
-// that decodes as unknown instead of shifting the kinds after it; and
-// allMessages, which seeds FuzzDecode's corpus, has a message of every kind.
+// records, so a kind that is retired — 42, once the digest request, and 46,
+// once KAggResult — leaves a hole that decodes as unknown instead of shifting
+// the kinds after it; and allMessages, which seeds FuzzDecode's corpus, has a
+// message of every kind.
 func TestKindNumbers(t *testing.T) {
 	want := map[Kind]uint8{
 		KPing: 32, KCreateTable: 33, KDropTable: 34, KListTables: 35, KInsert: 36, KDelete: 37, KUpdate: 38,
-		KScan: 39, KAggregate: 40, KJoin: 41, KDigest: 42, KOK: 43, KError: 44, KRows: 45,
+		KScan: 39, KAggregate: 40, KJoin: 41, KOK: 43, KError: 44, KRows: 45,
 		KJoinResult: 47, KDigestResult: 48, KTables: 49, KGroupResult: 50, KTableState: 51, KStats: 52,
 		KTxPrepare: 53, KTxCommit: 54, KTxAbort: 55, KTxOps: 56, KTxMark: 57,
 	}
@@ -111,8 +111,10 @@ func TestKindNumbers(t *testing.T) {
 			t.Errorf("kind %d: pinned as %d, allocates a %T of kind %d, in allMessages: %v", k, n, m, m.Kind(), sent[k])
 		}
 	}
-	if _, err := Decode([]byte{formatTag | 46, 0, 0}); err == nil || errors.Is(err, ErrOldFormat) {
-		t.Errorf("retired kind 46: %v, want an unknown-kind error", err)
+	for _, retired := range []Kind{KDigest, 46} {
+		if _, err := Decode([]byte{formatTag | uint8(retired), 0, 0}); err == nil || errors.Is(err, ErrOldFormat) {
+			t.Errorf("retired kind %d: %v, want an unknown-kind error", retired, err)
+		}
 	}
 }
 

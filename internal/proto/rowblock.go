@@ -35,6 +35,11 @@ func RowBytes(r Row) int {
 	return n
 }
 
+// BatchBytes is the row payload one piece of a row response carries: a store
+// cursor's batch and a buffered response's chunk frame alike, so one batch is
+// one frame.
+const BatchBytes = 256 << 10
+
 // --- Row lists: []Row to blocks and back ---
 
 // colStat is what the encoder learns about one cell position in its sizing

@@ -133,12 +133,6 @@ func (p *Provider) Handle(req proto.Message) proto.Message {
 			return errResponse(err)
 		}
 		return res
-	case *proto.DigestRequest:
-		res, err := p.store.Digest(m.Table, m.Col)
-		if err != nil {
-			return errResponse(err)
-		}
-		return res
 	case *proto.TableStateRequest:
 		res, err := p.store.ResyncDigest(m.Table)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sssdb/internal/merkle"
 	"sssdb/internal/proto"
 	"sssdb/internal/store"
 	"sssdb/internal/transport"
@@ -99,9 +100,15 @@ func TestHandleFullLifecycle(t *testing.T) {
 	if !ok || len(join.Rows) != 3 {
 		t.Fatalf("join: %#v", join)
 	}
-	dig, ok := call(&proto.DigestRequest{Table: "t", Col: "a#o"}).(*proto.DigestResult)
-	if !ok || dig.Count != 3 {
-		t.Fatalf("digest: %#v", dig)
+	proved, ok := call(&proto.ScanRequest{
+		Table: "t", WithProof: true,
+		Filter: &proto.Filter{Col: "a#o", Op: proto.FilterRange, Lo: oppCell(10), Hi: oppCell(20)},
+	}).(*proto.RowsResponse)
+	if !ok {
+		t.Fatalf("proof-carrying scan: %#v", proved)
+	}
+	if p, err := merkle.UnmarshalRangeProof(proved.Proof); err != nil || p.N != 3 {
+		t.Fatalf("proof of a 3-row table: %+v, %v", p, err)
 	}
 	upd, ok := call(&proto.UpdateRequest{Table: "t", Rows: []proto.Row{
 		{ID: 1, Cells: [][]byte{oppCell(99), cell8(297)}},

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"sssdb/internal/merkle"
 	"sssdb/internal/proto"
 )
 
@@ -74,7 +75,7 @@ func TestConcurrentScanAndMutate(t *testing.T) {
 			}
 		}()
 	}
-	// Digest reads exercise the Merkle cache invalidation path while
+	// Proof-carrying scans exercise the Merkle cache invalidation path while
 	// mutations keep invalidating it.
 	readers.Add(1)
 	go func() {
@@ -85,7 +86,7 @@ func TestConcurrentScanAndMutate(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := s.Digest("employees", "salary#o"); err != nil {
+			if _, _, err := proofRoot(s); err != nil {
 				errs <- err
 				return
 			}
@@ -147,8 +148,8 @@ func TestConcurrentDurableMutations(t *testing.T) {
 }
 
 // Readers share the store lock; the Merkle cache is built lazily by
-// whichever reader arrives first. Racing digests on a cold cache must all
-// observe the same root.
+// whichever reader arrives first. Racing proof-carrying scans on a cold
+// cache must all be cut under the same root.
 func TestConcurrentDigestColdCache(t *testing.T) {
 	s := memStore(t)
 	mustCreate(t, s)
@@ -163,18 +164,18 @@ func TestConcurrentDigestColdCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
-		roots := make([][]byte, 8)
+		roots := make([]merkle.Hash, 8)
 		errs := make(chan error, 8)
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				dig, err := s.Digest("employees", "salary#o")
+				root, _, err := proofRoot(s)
 				if err != nil {
 					errs <- err
 					return
 				}
-				roots[g] = dig.Root
+				roots[g] = root
 			}(g)
 		}
 		wg.Wait()
@@ -183,8 +184,8 @@ func TestConcurrentDigestColdCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		for g := 1; g < 8; g++ {
-			if fmt.Sprintf("%x", roots[g]) != fmt.Sprintf("%x", roots[0]) {
-				t.Fatalf("round %d: digest %d = %x, digest 0 = %x", round, g, roots[g], roots[0])
+			if roots[g] != roots[0] {
+				t.Fatalf("round %d: root %d = %x, root 0 = %x", round, g, roots[g], roots[0])
 			}
 		}
 	}

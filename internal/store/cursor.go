@@ -9,11 +9,6 @@ import (
 	"sssdb/internal/proto"
 )
 
-// DefaultCursorBatchBytes bounds one cursor batch's row payload when the
-// caller passes 0; it matches the transport's default stream chunk size so
-// one batch becomes one wire frame.
-const DefaultCursorBatchBytes = 256 << 10
-
 // ScanCursor iterates a scan in bounded batches instead of materializing
 // the whole result set under the store lock. The cursor holds the store
 // lock only while assembling one batch: between batches, concurrent
@@ -148,12 +143,12 @@ const unlimitedRows = ^uint64(0)
 // else walks the row heap page by page, applying the filter inline. A
 // non-zero limit caps the total rows emitted (and stops provider-side
 // walking early); batchBytes bounds one batch's row payload (0 means
-// DefaultCursorBatchBytes). Proof-carrying scans have no cursor form: a
+// proto.BatchBytes). Proof-carrying scans have no cursor form: a
 // Merkle completeness proof covers the whole result, so verified reads use
 // the buffered Scan.
 func (s *Store) OpenCursor(name string, f *proto.Filter, projection []string, limit uint64, batchBytes int) (*ScanCursor, error) {
 	if batchBytes <= 0 {
-		batchBytes = DefaultCursorBatchBytes
+		batchBytes = proto.BatchBytes
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()

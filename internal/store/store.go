@@ -67,8 +67,8 @@ type Options struct {
 	CheckpointInterval time.Duration
 }
 
-// Store is one provider's database. Reads (Scan, Digest, aggregates,
-// joins, ListTables) hold an internal RWMutex shared, so concurrent
+// Store is one provider's database. Reads (Scan, aggregates, joins,
+// ListTables) hold an internal RWMutex shared, so concurrent
 // statements from the data source — the transport layer may deliver
 // requests concurrently — execute in parallel; mutations (DDL, DML, WAL
 // append, checkpoint capture) hold it exclusively. The page cache and WAL
@@ -133,9 +133,7 @@ type table struct {
 
 type merkleState struct {
 	keys    [][]byte // index keys in order
-	rowIDs  []uint64
 	digests [][]byte // RowDigest per leaf, for fence leaves in proofs
-	leaves  []merkle.Hash
 	tree    *merkle.Tree
 	root    merkle.Hash
 }
@@ -806,12 +804,12 @@ func (t *table) merkleFor(col string) (*merkleState, error) {
 		return m, nil
 	}
 	m := &merkleState{}
+	var leaves []merkle.Hash
 	var walkErr error
 	var row proto.Row
 	idx.Ascend(func(k, _ []byte) bool {
 		key := append([]byte(nil), k...)
-		rowID := binary.BigEndian.Uint64(key[len(key)-8:])
-		p, i, err := t.row(rowID)
+		p, i, err := t.row(binary.BigEndian.Uint64(key[len(key)-8:]))
 		if err != nil {
 			walkErr = err
 			return false
@@ -819,22 +817,23 @@ func (t *table) merkleFor(col string) (*merkleState, error) {
 		row = rowAt(p, i, row.Cells)
 		digest := RowDigest(row)
 		m.keys = append(m.keys, key)
-		m.rowIDs = append(m.rowIDs, rowID)
 		m.digests = append(m.digests, digest)
-		m.leaves = append(m.leaves, merkle.LeafHash(key, digest))
+		leaves = append(leaves, merkle.LeafHash(key, digest))
 		return true
 	})
 	if walkErr != nil {
 		return nil, walkErr
 	}
-	m.tree = merkle.New(m.leaves)
+	m.tree = merkle.New(leaves)
 	m.root = m.tree.Root()
 	t.merkles[col] = m
 	return m, nil
 }
 
 // proveScan builds the completeness proof for a filter over an indexed
-// column: the run of matching leaves extended by one fence on each side.
+// column: the run of matching leaves extended by one fence on each side,
+// under the root and leaf count of the tree it was cut from — read under the
+// same lock hold as the scan's rows, so no write can fall between them.
 func (t *table) proveScan(f *proto.Filter) ([]byte, error) {
 	m, err := t.merkleFor(f.Col)
 	if err != nil {
@@ -851,7 +850,7 @@ func (t *table) proveScan(f *proto.Filter) ([]byte, error) {
 		return bytes.Compare(m.keys[i], indexKey(hi, ^uint64(0))) > 0
 	})
 	runStart, runEnd := start, end
-	p := &merkle.RangeProof{N: uint64(len(m.keys))}
+	p := &merkle.RangeProof{N: uint64(len(m.keys)), Root: m.root}
 	if start > 0 {
 		runStart = start - 1
 		p.LeftFence = &merkle.FenceLeaf{
@@ -873,22 +872,6 @@ func (t *table) proveScan(f *proto.Filter) ([]byte, error) {
 	}
 	p.Hashes = hashes
 	return p.Marshal(), nil
-}
-
-// Digest returns the Merkle root and leaf count of an indexed column.
-func (s *Store) Digest(name, col string) (*proto.DigestResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.table(name)
-	if err != nil {
-		return nil, err
-	}
-	m, err := t.merkleFor(col)
-	if err != nil {
-		return nil, err
-	}
-	root := m.root
-	return &proto.DigestResult{Root: root[:], Count: uint64(len(m.leaves))}, nil
 }
 
 // ResyncDigest returns a provider-neutral Merkle summary of a whole table:

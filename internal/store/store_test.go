@@ -458,6 +458,21 @@ func TestJoin(t *testing.T) {
 	}
 }
 
+// proofRoot is the root and leaf count of the salary column's Merkle tree,
+// as the proof of a whole-range verified scan carries them.
+func proofRoot(s *Store) (merkle.Hash, uint64, error) {
+	f := &proto.Filter{Col: "salary#o", Op: proto.FilterRange, Lo: oppCell(0), Hi: oppCell(^uint64(0))}
+	resp, err := s.Scan("employees", f, nil, 0, true)
+	if err != nil {
+		return merkle.Hash{}, 0, err
+	}
+	p, err := merkle.UnmarshalRangeProof(resp.Proof)
+	if err != nil {
+		return merkle.Hash{}, 0, err
+	}
+	return p.Root, p.N, nil
+}
+
 func TestDigestAndProof(t *testing.T) {
 	s := memStore(t)
 	mustCreate(t, s)
@@ -467,27 +482,23 @@ func TestDigestAndProof(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dig, err := s.Digest("employees", "salary#o")
+	root, n, err := proofRoot(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dig.Count != 5 || len(dig.Root) != merkle.HashSize {
-		t.Fatalf("digest: %+v", dig)
+	if n != 5 || root == (merkle.Hash{}) {
+		t.Fatalf("proof of %d leaves under root %x", n, root)
 	}
-	// Digest changes with data.
+	// The root changes with data.
 	if err := s.Insert("employees", []proto.Row{row(6, 70)}); err != nil {
 		t.Fatal(err)
 	}
-	dig2, err := s.Digest("employees", "salary#o")
+	root2, n2, err := proofRoot(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(dig.Root, dig2.Root) || dig2.Count != 6 {
-		t.Fatal("digest did not change after insert")
-	}
-	// Digest of unindexed column fails.
-	if _, err := s.Digest("employees", "salary#f"); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("digest unindexed: %v", err)
+	if root == root2 || n2 != 6 {
+		t.Fatal("root did not change after insert")
 	}
 
 	// Verified range scan: the returned rows + proof must recompute the root.
@@ -515,12 +526,12 @@ func TestDigestAndProof(t *testing.T) {
 	if p.RightFence != nil {
 		run = append(run, merkle.LeafHash(p.RightFence.Key, p.RightFence.RowDigest))
 	}
-	root, err := merkle.VerifyRange(int(p.N), int(p.Start), run, p.Hashes)
+	got, err := merkle.VerifyRange(int(p.N), int(p.Start), run, p.Hashes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(root[:], dig2.Root) {
-		t.Fatal("recomputed root does not match digest")
+	if got != p.Root || got != root2 {
+		t.Fatal("recomputed root does not match the tree's")
 	}
 
 	// Proof restrictions.
@@ -543,7 +554,7 @@ func TestProofAtEdges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dig, err := s.Digest("employees", "salary#o")
+	root, _, err := proofRoot(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,11 +582,11 @@ func TestProofAtEdges(t *testing.T) {
 		if p.RightFence != nil {
 			run = append(run, merkle.LeafHash(p.RightFence.Key, p.RightFence.RowDigest))
 		}
-		root, err := merkle.VerifyRange(int(p.N), int(p.Start), run, p.Hashes)
+		got, err := merkle.VerifyRange(int(p.N), int(p.Start), run, p.Hashes)
 		if err != nil {
 			t.Fatalf("[%d,%d]: %v", lo, hi, err)
 		}
-		if !bytes.Equal(root[:], dig.Root) {
+		if got != root || p.Root != root {
 			t.Fatalf("[%d,%d]: root mismatch", lo, hi)
 		}
 	}

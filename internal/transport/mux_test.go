@@ -194,11 +194,15 @@ func (h *rowsHandler) Handle(req proto.Message) proto.Message {
 	return &proto.RowsResponse{Columns: []string{"a", "b"}, Rows: rows, Proof: []byte("proof")}
 }
 
-// TestMuxStreamingReassembly forces tiny chunks server-side and checks
-// that Call transparently reassembles the full response.
+// chunkedRows is a row count whose response outgrows one chunk frame: every
+// rowsHandler row is at least 23 bytes.
+const chunkedRows = 2 * proto.BatchBytes / 20
+
+// TestMuxStreamingReassembly sends a response larger than one chunk frame
+// and checks that Call transparently reassembles the full response.
 func TestMuxStreamingReassembly(t *testing.T) {
-	const n = 500
-	srv := newTestServer(t, &rowsHandler{n: n}, ServerConfig{ChunkBytes: 256})
+	const n = chunkedRows
+	srv := newTestServer(t, &rowsHandler{n: n}, ServerConfig{})
 	c, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +235,8 @@ func TestMuxStreamingReassembly(t *testing.T) {
 // TestMuxCallStream consumes the chunk stream incrementally and checks
 // that multiple chunks actually arrive.
 func TestMuxCallStream(t *testing.T) {
-	const n = 500
-	srv := newTestServer(t, &rowsHandler{n: n}, ServerConfig{ChunkBytes: 256})
+	const n = chunkedRows
+	srv := newTestServer(t, &rowsHandler{n: n}, ServerConfig{})
 	c, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 // Server tuning defaults.
 const (
 	defaultMaxInflight   = 32
-	defaultChunkBytes    = 256 << 10
 	acceptBackoffInitial = 5 * time.Millisecond
 	acceptBackoffCap     = time.Second
 	// outQueueLen buffers response frames between handler workers and the
@@ -45,11 +44,6 @@ type ServerConfig struct {
 	// with weight w gets w shares of the inflight budget under contention,
 	// however many connections it opens.
 	TenantWeights map[string]int
-	// ChunkBytes is the streaming threshold and chunk size target: a
-	// RowsResponse whose rows exceed it is sent as a sequence of row-chunk
-	// frames of roughly ChunkBytes each, bounding encode-buffer memory.
-	// 0 means the default (256 KiB); negative disables streaming.
-	ChunkBytes int
 	// WriteStall bounds a single blocking socket write; a connection whose
 	// client stops reading for longer is closed so shared pool workers
 	// cannot be held hostage by its backpressure. 0 means the default
@@ -69,9 +63,6 @@ func (cfg ServerConfig) withDefaults() ServerConfig {
 		cfg.MaxQueue = 8 * cfg.MaxInflight
 	case cfg.MaxQueue < 0:
 		cfg.MaxQueue = 1
-	}
-	if cfg.ChunkBytes == 0 {
-		cfg.ChunkBytes = defaultChunkBytes
 	}
 	switch {
 	case cfg.WriteStall == 0:
@@ -296,18 +287,14 @@ func (s *Server) serveMux(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, tenan
 // runRequest executes one admitted request, preferring the streaming path
 // for handlers that support it.
 func (s *Server) runRequest(id uint64, req proto.Message, cancel chan struct{}, out chan<- outFrame) {
-	if s.cfg.ChunkBytes > 0 {
-		if sh, ok := s.handler.(StreamHandler); ok {
-			if s.serveStream(sh, id, req, cancel, out) {
-				return
-			}
-		}
+	if sh, ok := s.handler.(StreamHandler); ok && s.serveStream(sh, id, req, cancel, out) {
+		return
 	}
 	resp := s.handleOne(req)
 	// One handler emits its frames in order into the shared queue;
 	// interleaving with other responses is fine — every frame carries its
 	// request id.
-	for _, f := range s.responseFrames(id, resp) {
+	for _, f := range responseFrames(id, resp) {
 		out <- f
 	}
 }
@@ -399,13 +386,13 @@ func (s *Server) writeLoop(nc net.Conn, bw *bufio.Writer, out <-chan outFrame) {
 }
 
 // responseFrames encodes one response as its on-wire frame sequence. Row
-// responses larger than ChunkBytes stream as row chunks — each a complete,
-// independently-decodable RowsResponse carrying the column header, with
-// the completeness proof on the final chunk — so neither side ever buffers
-// the whole result in one contiguous encode buffer.
-func (s *Server) responseFrames(id uint64, resp proto.Message) []outFrame {
+// responses larger than proto.BatchBytes stream as row chunks — each a
+// complete, independently-decodable RowsResponse carrying the column header,
+// with the completeness proof on the final chunk — so neither side ever
+// buffers the whole result in one contiguous encode buffer.
+func responseFrames(id uint64, resp proto.Message) []outFrame {
 	rr, isRows := resp.(*proto.RowsResponse)
-	if !isRows || s.cfg.ChunkBytes <= 0 || len(rr.Rows) < 2 {
+	if !isRows || len(rr.Rows) < 2 {
 		return []outFrame{{id: id, flags: flagFinal, body: proto.Encode(resp)}}
 	}
 	// Greedily group rows by what each adds to a block.
@@ -413,7 +400,7 @@ func (s *Server) responseFrames(id uint64, resp proto.Message) []outFrame {
 	size := 0
 	for i, row := range rr.Rows {
 		rs := proto.RowBytes(row)
-		if size > 0 && size+rs > s.cfg.ChunkBytes {
+		if size > 0 && size+rs > proto.BatchBytes {
 			cuts = append(cuts, i)
 			size = 0
 		}

@@ -42,8 +42,9 @@ const maxFrameSize = 256 << 20
 // frames. Version 4 frames carry rows as share-row blocks (proto/rowblock.go)
 // whose order-preserving cells are as wide as the table spec declares, and
 // number their message kinds from proto's kindBase; version 5 answers every
-// aggregate with one message of buckets (proto.GroupResult).
-const protoVersion = 5
+// aggregate with one message of buckets (proto.GroupResult); version 6 puts
+// the Merkle root inside a verified scan's proof and has no digest request.
+const protoVersion = 6
 
 // Frame flags.
 const (
