@@ -39,20 +39,21 @@ race-hedge:
 # Ten seconds on each fuzz target, from the corpora checked in under
 # testdata/fuzz: the share-row block codec, the message decoder (one message of
 # every kind), the page decoder, a WAL record through the store's mutation
-# path, and a provider's range proof. -fuzz takes one target and one package
-# per run.
+# path, a provider's range proof, and the index B+-tree against a sorted-set
+# oracle. -fuzz takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBlock$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyRecord$$' -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalRangeProof$$' -fuzztime=10s ./internal/merkle
+	$(GO) test -run '^$$' -fuzz '^FuzzTree$$' -fuzztime=10s ./internal/btree
 
 # The figures ROADMAP.md and CHANGES.md quote for aim 2: non-test lines of
-# the client and the transport (item 6), the store and the server over it, the
-# codec and the order-preserving scheme (item 1).
+# the client and the transport (item 6), the store, its index tree and the
+# server over them, the codec and the order-preserving scheme (item 1).
 loc:
-	@for d in internal/client internal/transport internal/store internal/server internal/proto internal/opp; do \
+	@for d in internal/client internal/transport internal/store internal/btree internal/server internal/proto internal/opp; do \
 		printf '%s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 

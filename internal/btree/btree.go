@@ -1,14 +1,16 @@
-// Package btree implements an in-memory B+-tree keyed by byte slices, the
+// Package btree implements an in-memory B+-tree set of byte-slice keys, the
 // ordered index structure behind every provider-side share index. Keys are
 // compared with bytes.Compare; because order-preserving shares serialize to
 // big-endian fixed-width bytes, the tree can index shares without knowing
 // anything about the sharing construction.
 //
-// The tree stores unique keys. Callers that need duplicates (several rows
-// with the same share value) append a unique row-id suffix to the key and
-// range-scan by prefix. Values are opaque byte slices.
+// The tree stores unique keys and no values. Callers that need duplicates
+// (several rows with the same share value) append a unique row-id suffix to
+// the key and range-scan by prefix.
 //
-// All keys and values are copied on insert, so callers may reuse buffers.
+// Every node packs its keys into one byte slab plus a vector of end offsets,
+// so an entry costs its key bytes and four: no slice header, no allocation
+// per key. Keys are copied on insert, so callers may reuse buffers.
 // A Tree is not safe for concurrent mutation; the store layer serializes
 // access.
 package btree
@@ -16,6 +18,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"slices"
 )
 
 // degree is the maximum number of children of an internal node. Leaves hold
@@ -28,7 +31,7 @@ const (
 	minKeys = maxKeys / 2
 )
 
-// Tree is a B+-tree from []byte keys to []byte values.
+// Tree is a B+-tree set of []byte keys.
 // The zero value is not usable; call New.
 type Tree struct {
 	root *node
@@ -37,11 +40,11 @@ type Tree struct {
 
 type node struct {
 	leaf bool
-	// keys: in a leaf, the stored keys; in an internal node, keys[i] is the
-	// smallest key reachable under children[i+1].
-	keys [][]byte
-	// vals parallels keys in leaves; nil in internal nodes.
-	vals [][]byte
+	// slab holds the keys back to back; key i is slab[ends[i-1]:ends[i]]
+	// (from 0 for i = 0). In a leaf they are the stored keys; in an
+	// internal node key i is the smallest key reachable under children[i+1].
+	slab []byte
+	ends []uint32
 	// children is nil in leaves.
 	children []*node
 	// next links leaves in ascending key order for range scans.
@@ -56,27 +59,30 @@ func New() *Tree {
 // Len returns the number of stored keys.
 func (t *Tree) Len() int { return t.size }
 
-// Get returns the value stored under key and whether it exists.
-// The returned slice is the tree's internal copy; callers must not mutate.
-func (t *Tree) Get(key []byte) ([]byte, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, key)]
+func (n *node) len() int { return len(n.ends) }
+
+// start returns the slab offset of key i; start(len) is the slab's length.
+func (n *node) start(i int) uint32 {
+	if i == 0 {
+		return 0
 	}
-	i, ok := leafIndex(n.keys, key)
-	if !ok {
-		return nil, false
-	}
-	return n.vals[i], true
+	return n.ends[i-1]
 }
 
-// childIndex returns which child of an internal node covers key:
-// the number of separator keys <= key.
-func childIndex(keys [][]byte, key []byte) int {
-	lo, hi := 0, len(keys)
+// key returns key i, capped so that an append by the caller cannot reach
+// into the next key.
+func (n *node) key(i int) []byte {
+	return n.slab[n.start(i):n.ends[i]:n.ends[i]]
+}
+
+// rank returns the number of keys below key, or at most key when orEqual.
+// An internal node descends into children[rank(key, true)]; a leaf holds
+// key, if at all, at rank(key, false).
+func (n *node) rank(key []byte, orEqual bool) int {
+	lo, hi := 0, n.len()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], key) <= 0 {
+		if c := bytes.Compare(n.key(mid), key); c < 0 || orEqual && c == 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -85,32 +91,66 @@ func childIndex(keys [][]byte, key []byte) int {
 	return lo
 }
 
-// leafIndex returns the position of key in a leaf (or where it would be
-// inserted) and whether it is present.
-func leafIndex(keys [][]byte, key []byte) (int, bool) {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// find returns the leaf that would hold key and key's position in it.
+func (t *Tree) find(key []byte) (*node, int, bool) {
+	n := t.root
+	for !n.leaf {
+		n = n.children[n.rank(key, true)]
 	}
-	return lo, lo < len(keys) && bytes.Equal(keys[lo], key)
+	i := n.rank(key, false)
+	return n, i, i < n.len() && bytes.Equal(n.key(i), key)
 }
 
-// Set inserts key with value, replacing any existing value.
-// It reports whether the key was newly inserted.
-func (t *Tree) Set(key, value []byte) bool {
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
-	inserted, splitKey, right := t.insert(t.root, k, v)
+// Has reports whether key is in the tree.
+func (t *Tree) Has(key []byte) bool {
+	_, _, ok := t.find(key)
+	return ok
+}
+
+// insertKey copies k into the slab as key i, shifting the keys after it.
+func (n *node) insertKey(i int, k []byte) {
+	off := n.start(i)
+	n.slab = slices.Insert(n.slab, int(off), k...)
+	n.ends = slices.Insert(n.ends, i, off)
+	for j := i; j < len(n.ends); j++ {
+		n.ends[j] += uint32(len(k))
+	}
+}
+
+// removeKey drops key i, shifting the keys after it down in place.
+func (n *node) removeKey(i int) {
+	off, end := n.start(i), n.ends[i]
+	n.slab = slices.Delete(n.slab, int(off), int(end))
+	n.ends = slices.Delete(n.ends, i, i+1)
+	for j := i; j < len(n.ends); j++ {
+		n.ends[j] -= end - off
+	}
+}
+
+// setKey replaces key i with k.
+func (n *node) setKey(i int, k []byte) {
+	n.removeKey(i)
+	n.insertKey(i, k)
+}
+
+// span returns an exact-size copy of keys [i, j): a slab and its offsets.
+func (n *node) span(i, j int) ([]byte, []uint32) {
+	base := n.start(i)
+	slab := slices.Clone(n.slab[base:n.start(j)])
+	ends := make([]uint32, j-i)
+	for x := range ends {
+		ends[x] = n.ends[i+x] - base
+	}
+	return slab, ends
+}
+
+// Insert adds key, reporting whether it was not already present.
+func (t *Tree) Insert(key []byte) bool {
+	inserted, splitKey, right := t.insert(t.root, key)
 	if right != nil {
-		t.root = &node{
-			keys:     [][]byte{splitKey},
-			children: []*node{t.root, right},
-		}
+		root := &node{children: []*node{t.root, right}}
+		root.insertKey(0, splitKey)
+		t.root = root
 	}
 	if inserted {
 		t.size++
@@ -118,56 +158,66 @@ func (t *Tree) Set(key, value []byte) bool {
 	return inserted
 }
 
-// insert adds k/v under n. If n splits, it returns the separator key and
-// the new right sibling.
-func (t *Tree) insert(n *node, k, v []byte) (inserted bool, splitKey []byte, right *node) {
+// Set adds key to the set; value must be empty, since the tree stores none.
+// It adapts the frozen benchmark probe to the set API, and the next
+// [benchmark] PR, which may edit the probe, deletes it.
+func (t *Tree) Set(key, value []byte) bool {
+	if len(value) != 0 {
+		panic("btree: Set with a value; the tree is a set")
+	}
+	return t.Insert(key)
+}
+
+// Get reports whether key is present, with a nil value: the probe's other
+// adapter, deleted with Set.
+func (t *Tree) Get(key []byte) ([]byte, bool) { return nil, t.Has(key) }
+
+// insert adds k under n. If n splits, it returns the separator key and the
+// new right sibling; the separator is only valid until the next mutation.
+func (t *Tree) insert(n *node, k []byte) (inserted bool, splitKey []byte, right *node) {
 	if n.leaf {
-		i, ok := leafIndex(n.keys, k)
-		if ok {
-			n.vals[i] = v
+		i := n.rank(k, false)
+		if i < n.len() && bytes.Equal(n.key(i), k) {
 			return false, nil, nil
 		}
-		n.keys = insertAt(n.keys, i, k)
-		n.vals = insertAt(n.vals, i, v)
+		n.insertKey(i, k)
 		inserted = true
 	} else {
-		ci := childIndex(n.keys, k)
+		ci := n.rank(k, true)
 		var childSplit []byte
 		var newChild *node
-		inserted, childSplit, newChild = t.insert(n.children[ci], k, v)
+		inserted, childSplit, newChild = t.insert(n.children[ci], k)
 		if newChild != nil {
-			n.keys = insertAt(n.keys, ci, childSplit)
-			n.children = insertNodeAt(n.children, ci+1, newChild)
+			n.insertKey(ci, childSplit)
+			n.children = slices.Insert(n.children, ci+1, newChild)
 		}
 	}
-	if len(n.keys) <= maxKeys {
+	if n.len() <= maxKeys {
 		return inserted, nil, nil
 	}
 	splitKey, right = n.split()
 	return inserted, splitKey, right
 }
 
-// split divides an overfull node, returning the separator to promote and
-// the new right sibling.
+// split divides an overfull node into two, each with its own exact-size
+// slab, returning the separator to promote and the new right sibling.
 func (n *node) split() ([]byte, *node) {
-	mid := len(n.keys) / 2
+	mid := n.len() / 2
 	right := &node{leaf: n.leaf}
+	// In a B+-tree the separator for a leaf split is the first key of the
+	// right sibling, which stays in the leaf; an internal split moves its
+	// middle key up.
+	from := mid + 1
 	if n.leaf {
-		right.keys = append(right.keys, n.keys[mid:]...)
-		right.vals = append(right.vals, n.vals[mid:]...)
-		n.keys = n.keys[:mid:mid]
-		n.vals = n.vals[:mid:mid]
-		right.next = n.next
-		n.next = right
-		// In a B+-tree the separator for a leaf split is the first key of
-		// the right sibling, which stays in the leaf.
-		return right.keys[0], right
+		from = mid
+		right.next, n.next = n.next, right
+	} else {
+		right.children = append(right.children, n.children[from:]...)
+		n.children = n.children[: mid+1 : mid+1]
 	}
-	sep := n.keys[mid]
-	right.keys = append(right.keys, n.keys[mid+1:]...)
-	right.children = append(right.children, n.children[mid+1:]...)
-	n.keys = n.keys[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
+	sep := n.key(mid) // aliases the old slab, which n is about to drop
+	right.slab, right.ends = n.span(from, n.len())
+	n.slab, n.ends = n.span(0, mid)
 	return sep, right
 }
 
@@ -185,18 +235,17 @@ func (t *Tree) Delete(key []byte) bool {
 
 func (t *Tree) delete(n *node, key []byte) bool {
 	if n.leaf {
-		i, ok := leafIndex(n.keys, key)
-		if !ok {
+		i := n.rank(key, false)
+		if i == n.len() || !bytes.Equal(n.key(i), key) {
 			return false
 		}
-		n.keys = removeAt(n.keys, i)
-		n.vals = removeAt(n.vals, i)
+		n.removeKey(i)
 		return true
 	}
-	ci := childIndex(n.keys, key)
+	ci := n.rank(key, true)
 	child := n.children[ci]
 	deleted := t.delete(child, key)
-	if deleted && len(child.keys) < minKeys {
+	if deleted && child.len() < minKeys {
 		n.rebalance(ci)
 	}
 	return deleted
@@ -209,39 +258,33 @@ func (n *node) rebalance(ci int) {
 	// Try borrowing from the left sibling.
 	if ci > 0 {
 		left := n.children[ci-1]
-		if len(left.keys) > minKeys {
+		if last := left.len() - 1; last >= minKeys {
 			if child.leaf {
-				last := len(left.keys) - 1
-				child.keys = insertAt(child.keys, 0, left.keys[last])
-				child.vals = insertAt(child.vals, 0, left.vals[last])
-				left.keys = removeAt(left.keys, last)
-				left.vals = removeAt(left.vals, last)
-				n.keys[ci-1] = child.keys[0]
+				child.insertKey(0, left.key(last))
+				n.setKey(ci-1, child.key(0))
 			} else {
 				// Rotate through the separator.
-				child.keys = insertAt(child.keys, 0, n.keys[ci-1])
-				n.keys[ci-1] = left.keys[len(left.keys)-1]
-				left.keys = removeAt(left.keys, len(left.keys)-1)
-				child.children = insertNodeAt(child.children, 0, left.children[len(left.children)-1])
-				left.children = left.children[:len(left.children)-1]
+				child.insertKey(0, n.key(ci-1))
+				n.setKey(ci-1, left.key(last))
+				child.children = slices.Insert(child.children, 0, left.children[last+1])
+				left.children = left.children[:last+1]
 			}
+			left.removeKey(last)
 			return
 		}
 	}
 	// Try borrowing from the right sibling.
 	if ci < len(n.children)-1 {
 		right := n.children[ci+1]
-		if len(right.keys) > minKeys {
+		if right.len() > minKeys {
 			if child.leaf {
-				child.keys = append(child.keys, right.keys[0])
-				child.vals = append(child.vals, right.vals[0])
-				right.keys = removeAt(right.keys, 0)
-				right.vals = removeAt(right.vals, 0)
-				n.keys[ci] = right.keys[0]
+				child.insertKey(child.len(), right.key(0))
+				right.removeKey(0)
+				n.setKey(ci, right.key(0))
 			} else {
-				child.keys = append(child.keys, n.keys[ci])
-				n.keys[ci] = right.keys[0]
-				right.keys = removeAt(right.keys, 0)
+				child.insertKey(child.len(), n.key(ci))
+				n.setKey(ci, right.key(0))
+				right.removeKey(0)
 				child.children = append(child.children, right.children[0])
 				right.children = right.children[1:]
 			}
@@ -256,80 +299,42 @@ func (n *node) rebalance(ci int) {
 	}
 }
 
-// merge folds children[i+1] into children[i] and drops separator keys[i].
+// merge folds children[i+1] into children[i] and drops separator key i.
 func (n *node) merge(i int) {
 	left, right := n.children[i], n.children[i+1]
 	if left.leaf {
-		left.keys = append(left.keys, right.keys...)
-		left.vals = append(left.vals, right.vals...)
 		left.next = right.next
 	} else {
-		left.keys = append(left.keys, n.keys[i])
-		left.keys = append(left.keys, right.keys...)
+		left.insertKey(left.len(), n.key(i))
 		left.children = append(left.children, right.children...)
 	}
-	n.keys = removeAt(n.keys, i)
+	for j := 0; j < right.len(); j++ {
+		left.insertKey(left.len(), right.key(j))
+	}
+	n.removeKey(i)
 	n.children = append(n.children[:i+1], n.children[i+2:]...)
 }
 
 // AscendRange visits keys in [lo, hi) in ascending order, calling fn for
 // each; iteration stops early if fn returns false. A nil lo starts at the
-// smallest key; a nil hi scans to the end. The callback must not retain or
-// mutate the slices.
-func (t *Tree) AscendRange(lo, hi []byte, fn func(key, value []byte) bool) {
-	n := t.root
-	for !n.leaf {
-		if lo == nil {
-			n = n.children[0]
-		} else {
-			n = n.children[childIndex(n.keys, lo)]
-		}
-	}
-	start := 0
-	if lo != nil {
-		start, _ = leafIndex(n.keys, lo)
-	}
-	for n != nil {
-		for i := start; i < len(n.keys); i++ {
-			if hi != nil && bytes.Compare(n.keys[i], hi) >= 0 {
-				return
-			}
-			if !fn(n.keys[i], n.vals[i]) {
+// smallest key; a nil hi scans to the end. The key passed to fn aliases the
+// node's slab, which the next insert or delete shifts in place: fn must not
+// retain or mutate it.
+func (t *Tree) AscendRange(lo, hi []byte, fn func(key []byte) bool) {
+	n, start, _ := t.find(lo)
+	for ; n != nil; n, start = n.next, 0 {
+		for i := start; i < n.len(); i++ {
+			k := n.key(i)
+			if hi != nil && bytes.Compare(k, hi) >= 0 || !fn(k) {
 				return
 			}
 		}
-		n = n.next
-		start = 0
 	}
 }
 
-// Ascend visits all keys in ascending order.
-func (t *Tree) Ascend(fn func(key, value []byte) bool) {
+// Ascend visits all keys in ascending order, under AscendRange's rules.
+func (t *Tree) Ascend(fn func(key []byte) bool) {
 	t.AscendRange(nil, nil, fn)
-}
-
-// Min returns the smallest key and its value, or ok=false when empty.
-func (t *Tree) Min() (key, value []byte, ok bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	if len(n.keys) == 0 {
-		return nil, nil, false
-	}
-	return n.keys[0], n.vals[0], true
-}
-
-// Max returns the largest key and its value, or ok=false when empty.
-func (t *Tree) Max() (key, value []byte, ok bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
-	}
-	if len(n.keys) == 0 {
-		return nil, nil, false
-	}
-	return n.keys[len(n.keys)-1], n.vals[len(n.keys)-1], true
 }
 
 // checkInvariants walks the tree verifying structural invariants; it is
@@ -347,7 +352,8 @@ func (t *Tree) checkInvariants() error {
 	count := 0
 	var prev []byte
 	for ; n != nil; n = n.next {
-		for _, k := range n.keys {
+		for i := 0; i < n.len(); i++ {
+			k := n.key(i)
 			if prev != nil && bytes.Compare(prev, k) >= 0 {
 				return fmt.Errorf("btree: leaf chain out of order at %x", k)
 			}
@@ -362,29 +368,35 @@ func (t *Tree) checkInvariants() error {
 }
 
 func checkNode(n *node, isRoot bool) (min, max []byte, err error) {
-	if len(n.keys) > maxKeys {
-		return nil, nil, fmt.Errorf("btree: node with %d keys", len(n.keys))
+	if n.len() > maxKeys {
+		return nil, nil, fmt.Errorf("btree: node with %d keys", n.len())
 	}
-	if !isRoot && len(n.keys) < minKeys {
-		return nil, nil, fmt.Errorf("btree: underfull node with %d keys", len(n.keys))
+	if !isRoot && n.len() < minKeys {
+		return nil, nil, fmt.Errorf("btree: underfull node with %d keys", n.len())
 	}
-	for i := 1; i < len(n.keys); i++ {
-		if bytes.Compare(n.keys[i-1], n.keys[i]) >= 0 {
+	if int(n.start(n.len())) != len(n.slab) {
+		return nil, nil, fmt.Errorf("btree: keys end at %d of a %d-byte slab", n.start(n.len()), len(n.slab))
+	}
+	for i := 0; i < n.len(); i++ {
+		if n.ends[i] < n.start(i) {
+			return nil, nil, fmt.Errorf("btree: key %d ends before it starts", i)
+		}
+		if i > 0 && bytes.Compare(n.key(i-1), n.key(i)) >= 0 {
 			return nil, nil, fmt.Errorf("btree: keys out of order")
 		}
 	}
 	if n.leaf {
-		if len(n.vals) != len(n.keys) {
-			return nil, nil, fmt.Errorf("btree: leaf keys/vals mismatch")
+		if n.children != nil {
+			return nil, nil, fmt.Errorf("btree: leaf with children")
 		}
-		if len(n.keys) == 0 {
+		if n.len() == 0 {
 			return nil, nil, nil
 		}
-		return n.keys[0], n.keys[len(n.keys)-1], nil
+		return n.key(0), n.key(n.len() - 1), nil
 	}
-	if len(n.children) != len(n.keys)+1 {
+	if len(n.children) != n.len()+1 {
 		return nil, nil, fmt.Errorf("btree: internal node with %d keys, %d children",
-			len(n.keys), len(n.children))
+			n.len(), len(n.children))
 	}
 	for i, c := range n.children {
 		cmin, cmax, err := checkNode(c, false)
@@ -394,10 +406,10 @@ func checkNode(n *node, isRoot bool) (min, max []byte, err error) {
 		if cmin == nil {
 			return nil, nil, fmt.Errorf("btree: empty non-root child")
 		}
-		if i > 0 && bytes.Compare(cmin, n.keys[i-1]) < 0 {
+		if i > 0 && bytes.Compare(cmin, n.key(i-1)) < 0 {
 			return nil, nil, fmt.Errorf("btree: child %d min below separator", i)
 		}
-		if i < len(n.keys) && bytes.Compare(cmax, n.keys[i]) >= 0 {
+		if i < n.len() && bytes.Compare(cmax, n.key(i)) >= 0 {
 			return nil, nil, fmt.Errorf("btree: child %d max above separator", i)
 		}
 		if i == 0 {
@@ -408,23 +420,4 @@ func checkNode(n *node, isRoot bool) (min, max []byte, err error) {
 		}
 	}
 	return min, max, nil
-}
-
-func insertAt(s [][]byte, i int, v []byte) [][]byte {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertNodeAt(s []*node, i int, v *node) []*node {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func removeAt(s [][]byte, i int) [][]byte {
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
 }

@@ -46,10 +46,13 @@ func (e *engine) stopRepairLoop() {
 	}
 }
 
-// RepairNow kicks the repair loop synchronously into its next pass; tests
-// and experiments use it to bound time-to-convergence measurements from
-// below instead of waiting out a probe interval.
+// RepairNow kicks the repair loop into a pass that probes every lagging
+// provider now, ignoring the backoff of failed probes: whoever asks has
+// reason to think a provider is back. Tests and experiments use it to bound
+// time-to-convergence measurements from below instead of waiting out a probe
+// interval.
 func (c *Client) RepairNow() {
+	c.eachProvider(func(_ int, p *provider) { p.probeNext = time.Time{} })
 	for _, e := range c.groups {
 		e.ensureRepairLoop()
 		e.kickRepair()

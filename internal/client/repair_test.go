@@ -157,17 +157,41 @@ func TestDegradedWriteBelowQuorumFails(t *testing.T) {
 	}
 }
 
+// pingGate holds a provider's answers to the repair loop's pings until
+// release is closed, so a test decides when a repair pass can reach it.
+type pingGate struct {
+	*server.Provider
+	release chan struct{}
+}
+
+func (g *pingGate) Handle(req proto.Message) proto.Message {
+	if _, ok := req.(*proto.PingRequest); ok {
+		<-g.release
+	}
+	return g.Provider.Handle(req)
+}
+
 // TestDegradedScanMasksLaggingProvider pins the watermark invariant: a scan
 // forced onto a provider with queued hints hides every row id at or above
 // that provider's lag floor, so the K responses agree instead of exposing a
-// half-replicated write.
+// half-replicated write. The hint kicks a repair pass, whose ping either
+// fails while the provider is down (and then backs off for two hours) or
+// waits at the gate: either way nothing is replayed before the scan, and
+// the gate opens only after it.
 func TestDegradedScanMasksLaggingProvider(t *testing.T) {
-	f := newFleet(t, 3, 2, Options{WriteQuorum: 2, RepairInterval: time.Hour})
+	gate := &pingGate{release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(gate.release) })
+	f := newFleetWrapped(t, 3, 2, Options{WriteQuorum: 2, RepairInterval: time.Hour}, func(i int, p *server.Provider) transport.Handler {
+		if i != 2 {
+			return p
+		}
+		gate.Provider = p
+		return gate
+	})
+	t.Cleanup(release)   // before the fleet's Close, which waits for the repair loop
 	setupEmployees(t, f) // 6 rows, ids 1..6
 	f.faults[2].Crash()
 	f.mustExec(t, `INSERT INTO employees VALUES ('Zed', 99, 4)`) // id 7, hinted for provider 2
-	// Provider 2 is back and answers calls, but its hints have not been
-	// replayed (the hour-long repair interval never fires in this test).
 	f.faults[2].Recover()
 	f.faults[1].Crash() // force the scan onto {0, 2}
 	res := f.mustExec(t, `SELECT name FROM employees`)
@@ -180,11 +204,41 @@ func TestDegradedScanMasksLaggingProvider(t *testing.T) {
 		}
 	}
 	// After repair the same fleet serves the full table.
+	release()
 	f.faults[1].Recover()
 	waitConverged(t, f.client)
 	res = f.mustExec(t, `SELECT name FROM employees`)
 	if len(res.Rows) != 7 {
 		t.Fatalf("post-repair scan returned %d rows, want 7", len(res.Rows))
+	}
+}
+
+// An explicit RepairNow probes a lagging provider at once, whatever backoff
+// its failed probes earned: with an hour-long interval, a provider whose
+// ping failed while it was down converges within a second of recovering.
+func TestRepairNowIgnoresProbeBackoff(t *testing.T) {
+	f := newFleet(t, 3, 2, Options{WriteQuorum: 2, RepairInterval: time.Hour})
+	setupEmployees(t, f)
+	f.faults[2].Crash()
+	f.mustExec(t, `INSERT INTO employees VALUES ('Zed', 99, 4)`) // hinted; the hint kicks a pass
+	pr := f.client.groups[0].provs[2]
+	failedProbe := func() bool {
+		pr.mu.Lock()
+		defer pr.mu.Unlock()
+		return pr.probeFails > 0
+	}
+	for deadline := time.Now().Add(10 * time.Second); !failedProbe(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the repair pass never probed the crashed provider")
+		}
+	}
+	f.faults[2].Recover()
+	f.client.RepairNow()
+	for deadline := time.Now().Add(time.Second); !f.client.Converged(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("not converged a second after RepairNow: %d hints pending for providers %v",
+				f.client.PendingHints(), f.client.LaggingProviders())
+		}
 	}
 }
 

@@ -191,8 +191,8 @@ func (t *table) openCursor(f *proto.Filter, projection []string, limit uint64) (
 	}
 	// Composite keys are cell||rowID: walk [lo||0^8, hi||0xff^8].
 	cur.indexed, cur.idxCol = true, f.Col
-	cur.nextKey = indexKey(lo, 0)
-	cur.endKey = append(indexKey(hi, ^uint64(0)), 0)
+	cur.nextKey = appendIndexKey(nil, lo, 0)
+	cur.endKey = append(appendIndexKey(nil, hi, ^uint64(0)), 0)
 	return cur, nil
 }
 
@@ -269,7 +269,7 @@ func (cur *ScanCursor) walk(t *table, visit func(p *page, i int) bool) error {
 	if !ok {
 		return fmt.Errorf("%w: column %q lost its index mid-scan", ErrBadRequest, cur.idxCol)
 	}
-	idx.AscendRange(cur.nextKey, cur.endKey, func(k, _ []byte) bool {
+	idx.AscendRange(cur.nextKey, cur.endKey, func(k []byte) bool {
 		var p *page
 		var i int
 		if p, i, ok, err = t.heap.get(binary.BigEndian.Uint64(k[len(k)-8:])); err != nil {

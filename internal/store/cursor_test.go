@@ -191,6 +191,55 @@ func TestCursorSkipsConcurrentDeletes(t *testing.T) {
 	}
 }
 
+// TestCursorResumesAcrossShiftedSlab checks an indexed cursor's resume point
+// after writes between batches shift the keys of the very leaf it stopped in:
+// the row at the boundary and its neighbours are deleted, new keys land on
+// both sides of it, and the rest of the scan is exactly the rows now past the
+// boundary, in index order.
+func TestCursorResumesAcrossShiftedSlab(t *testing.T) {
+	s := memStore(t)
+	mustCreate(t, s)
+	var rows []proto.Row
+	for i := uint64(1); i <= 40; i++ { // one leaf: salaries 2, 4, …, 80
+		rows = append(rows, row(i, 2*i))
+	}
+	if err := s.Insert("employees", rows); err != nil {
+		t.Fatal(err)
+	}
+	f := &proto.Filter{Col: "salary#o", Op: proto.FilterRange, Lo: oppCell(0), Hi: oppCell(1000)}
+	cur, err := s.OpenCursor("employees", f, nil, 0, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := cur.Next()
+	if err != nil || first == nil || len(first.Rows) < 3 || len(first.Rows) >= 40 {
+		t.Fatalf("first batch: %v, %v", first, err)
+	}
+	last := first.Rows[len(first.Rows)-1].ID // salary 2·last
+	if _, err := s.Delete("employees", []uint64{last - 1, last, last + 1}); err != nil {
+		t.Fatal(err)
+	}
+	added := []proto.Row{row(100, 2*last-1), row(101, 2*last), row(102, 2*last+1), row(103, 1)}
+	if err := s.Insert("employees", added); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := drainCursor(t, cur)
+	var got []uint64
+	for _, r := range rest.Rows {
+		got = append(got, r.ID)
+	}
+	// Past the boundary (salary 2·last, id last) in cell||id order: the new
+	// row with the same salary and a larger id, then the next odd salary, then
+	// the original rows from last+2 on.
+	want := []uint64{101, 102}
+	for i := last + 2; i <= 40; i++ {
+		want = append(want, i)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("after the boundary at row %d the cursor returned %v, want %v", last, got, want)
+	}
+}
+
 // TestWalkLimitPushdown verifies that a limit stops the walk — of the index
 // and of the heap, filtered or not — after that many rows, instead of
 // visiting every match and slicing afterwards.

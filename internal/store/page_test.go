@@ -207,6 +207,50 @@ func TestResidentBytesAreHeapBytes(t *testing.T) {
 		float64(held)/float64(st.ResidentBytes), float64(st.ResidentBytes)/n)
 }
 
+// TestIndexEntryHeapBytes holds what an index entry costs in live heap: a
+// 20 000-row table with two indexed 13-byte order-preserving columns, loaded
+// with and without Indexed, differs by at most 48 bytes per entry after two
+// GCs. The key is 21 bytes (the cell and an 8-byte row id), so the node's
+// packed slab and offsets leave under 27 bytes of overhead per entry.
+func TestIndexEntryHeapBytes(t *testing.T) {
+	const n = 20000
+	liveAfterLoad := func(indexed bool) int64 {
+		spec := proto.TableSpec{Name: "t", Columns: []proto.ColumnSpec{
+			{Name: "a#o", Kind: proto.KindOPP, Indexed: indexed, Width: 13},
+			{Name: "b#o", Kind: proto.KindOPP, Indexed: indexed, Width: 13},
+		}}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := memStore(t)
+		if err := s.CreateTable(spec); err != nil {
+			t.Fatal(err)
+		}
+		rng := mrand.New(mrand.NewSource(53))
+		for id := uint64(1); id <= n; id += 2000 {
+			batch := make([]proto.Row, 2000)
+			for i := range batch {
+				batch[i] = randomRow(rng, &spec, id+uint64(i))
+			}
+			if err := s.Insert("t", batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	plain, indexed := liveAfterLoad(false), liveAfterLoad(true)
+	perEntry := float64(indexed-plain) / (2 * n)
+	t.Logf("%d rows: %d live bytes without indexes, %d with: %.1f B per index entry", n, plain, indexed, perEntry)
+	if perEntry > 48 {
+		t.Errorf("an index entry costs %.1f bytes of live heap, want ≤ 48", perEntry)
+	}
+}
+
 // TestStoredRowBytes guards the stored-footprint figure the repository
 // benchmark reports (stored_bytes_per_user_byte): 10 000 rows of the emp
 // shape, loaded and checkpointed, must cost at most 90 bytes each on disk —

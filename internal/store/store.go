@@ -120,10 +120,11 @@ type table struct {
 	// Mutations skip index maintenance while indexes is nil; the eventual
 	// build sees their effect in the heap.
 	indexMu sync.Mutex
-	// indexes maps an indexed column name to a B+-tree whose keys are
-	// cell||rowID (value empty); the rowID suffix disambiguates duplicate
-	// shares.
+	// indexes maps an indexed column name to a B+-tree set of cell||rowID
+	// keys; the rowID suffix disambiguates duplicate shares.
 	indexes map[string]*btree.Tree
+	// keyBuf is put's and unindex's index key, under the exclusive store lock.
+	keyBuf []byte
 	// merkleMu guards merkles: the cache is (re)built lazily by readers
 	// holding the store lock shared, so the build itself needs a leaf lock.
 	merkleMu sync.Mutex
@@ -132,10 +133,9 @@ type table struct {
 }
 
 type merkleState struct {
-	keys    [][]byte // index keys in order
-	digests [][]byte // RowDigest per leaf, for fence leaves in proofs
-	tree    *merkle.Tree
-	root    merkle.Hash
+	ids  []uint64 // row ids in index order; proofs rebuild leaves from the rows
+	tree *merkle.Tree
+	root merkle.Hash
 }
 
 // walPrefix names the segmented WAL's files: store.wal.<first-LSN>.
@@ -592,12 +592,9 @@ func (t *table) validateRow(row proto.Row) error {
 	return nil
 }
 
-// indexKey builds the composite key cell||rowID.
-func indexKey(cell []byte, rowID uint64) []byte {
-	k := make([]byte, len(cell)+8)
-	copy(k, cell)
-	binary.BigEndian.PutUint64(k[len(cell):], rowID)
-	return k
+// appendIndexKey appends the composite key cell||rowID to dst.
+func appendIndexKey(dst, cell []byte, rowID uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(slices.Grow(dst, len(cell)+8), cell...), rowID)
 }
 
 // row locates one row by id, faulting its page in if needed: the page and
@@ -628,10 +625,12 @@ func (t *table) ensureIndexes() (map[string]*btree.Tree, error) {
 		}
 	}
 	if len(idxs) > 0 {
+		var key []byte
 		err := t.heap.ascendPages(0, false, func(p *page, _ int) (bool, error) {
 			for i, id := range p.IDs {
 				for name, tree := range idxs {
-					tree.Set(indexKey(p.Cell(i, cols[name]), id), nil)
+					key = appendIndexKey(key[:0], p.Cell(i, cols[name]), id)
+					tree.Insert(key)
 				}
 			}
 			return true, nil
@@ -659,7 +658,8 @@ func (t *table) put(row proto.Row) error {
 		return err
 	}
 	for name, idx := range t.indexes {
-		idx.Set(indexKey(row.Cells[t.spec.ColumnIndex(name)], row.ID), nil)
+		t.keyBuf = appendIndexKey(t.keyBuf[:0], row.Cells[t.spec.ColumnIndex(name)], row.ID)
+		idx.Insert(t.keyBuf)
 	}
 	t.invalidateMerkles()
 	return nil
@@ -675,7 +675,8 @@ func (t *table) remove(id uint64) error {
 // unindex drops the index entries of row i of p, which is about to change.
 func (t *table) unindex(p *page, i int) {
 	for name, idx := range t.indexes {
-		idx.Delete(indexKey(p.Cell(i, t.spec.ColumnIndex(name)), p.IDs[i]))
+		t.keyBuf = appendIndexKey(t.keyBuf[:0], p.Cell(i, t.spec.ColumnIndex(name)), p.IDs[i])
+		idx.Delete(t.keyBuf)
 	}
 }
 
@@ -803,22 +804,20 @@ func (t *table) merkleFor(col string) (*merkleState, error) {
 	if m, ok := t.merkles[col]; ok {
 		return m, nil
 	}
-	m := &merkleState{}
-	var leaves []merkle.Hash
+	m := &merkleState{ids: make([]uint64, 0, idx.Len())}
+	leaves := make([]merkle.Hash, 0, idx.Len())
 	var walkErr error
 	var row proto.Row
-	idx.Ascend(func(k, _ []byte) bool {
-		key := append([]byte(nil), k...)
-		p, i, err := t.row(binary.BigEndian.Uint64(key[len(key)-8:]))
+	idx.Ascend(func(k []byte) bool {
+		id := binary.BigEndian.Uint64(k[len(k)-8:])
+		p, i, err := t.row(id)
 		if err != nil {
 			walkErr = err
 			return false
 		}
 		row = rowAt(p, i, row.Cells)
-		digest := RowDigest(row)
-		m.keys = append(m.keys, key)
-		m.digests = append(m.digests, digest)
-		leaves = append(leaves, merkle.LeafHash(key, digest))
+		m.ids = append(m.ids, id)
+		leaves = append(leaves, merkle.LeafHash(k, RowDigest(row)))
 		return true
 	})
 	if walkErr != nil {
@@ -839,31 +838,41 @@ func (t *table) proveScan(f *proto.Filter) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, lo, hi, err := t.filterBounds(f)
+	ci, lo, hi, err := t.filterBounds(f)
 	if err != nil {
 		return nil, err
 	}
-	start := sort.Search(len(m.keys), func(i int) bool {
-		return bytes.Compare(m.keys[i], indexKey(lo, 0)) >= 0
-	})
-	end := sort.Search(len(m.keys), func(i int) bool {
-		return bytes.Compare(m.keys[i], indexKey(hi, ^uint64(0))) > 0
-	})
+	// keyAt rebuilds leaf i's index key from its row, which it leaves in row.
+	var row proto.Row
+	var rowErr error
+	keyAt := func(i int) []byte {
+		p, j, err := t.row(m.ids[i])
+		if err != nil {
+			rowErr = err
+			return nil
+		}
+		row = rowAt(p, j, row.Cells)
+		return appendIndexKey(nil, row.Cells[ci], row.ID)
+	}
+	loKey, hiKey := appendIndexKey(nil, lo, 0), appendIndexKey(nil, hi, ^uint64(0))
+	start := sort.Search(len(m.ids), func(i int) bool { return bytes.Compare(keyAt(i), loKey) >= 0 })
+	end := sort.Search(len(m.ids), func(i int) bool { return bytes.Compare(keyAt(i), hiKey) > 0 })
+	fence := func(i int) *merkle.FenceLeaf {
+		k := keyAt(i)
+		return &merkle.FenceLeaf{Key: k, RowDigest: RowDigest(row)}
+	}
 	runStart, runEnd := start, end
-	p := &merkle.RangeProof{N: uint64(len(m.keys)), Root: m.root}
+	p := &merkle.RangeProof{N: uint64(len(m.ids)), Root: m.root}
 	if start > 0 {
 		runStart = start - 1
-		p.LeftFence = &merkle.FenceLeaf{
-			Key:       m.keys[runStart],
-			RowDigest: m.digests[runStart],
-		}
+		p.LeftFence = fence(runStart)
 	}
-	if end < len(m.keys) {
+	if end < len(m.ids) {
 		runEnd = end + 1
-		p.RightFence = &merkle.FenceLeaf{
-			Key:       m.keys[end],
-			RowDigest: m.digests[end],
-		}
+		p.RightFence = fence(end)
+	}
+	if rowErr != nil {
+		return nil, rowErr
 	}
 	p.Start = uint64(runStart)
 	hashes, err := m.tree.ProveRange(runStart, runEnd)

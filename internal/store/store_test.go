@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	mrand "math/rand"
@@ -520,7 +521,7 @@ func TestDigestAndProof(t *testing.T) {
 		run = append(run, merkle.LeafHash(p.LeftFence.Key, p.LeftFence.RowDigest))
 	}
 	for _, r := range resp.Rows {
-		key := indexKey(r.Cells[0], r.ID)
+		key := appendIndexKey(nil, r.Cells[0], r.ID)
 		run = append(run, merkle.LeafHash(key, RowDigest(r)))
 	}
 	if p.RightFence != nil {
@@ -546,6 +547,10 @@ func TestDigestAndProof(t *testing.T) {
 	}
 }
 
+// TestProofAtEdges verifies the proof of every run shape against the root,
+// and holds each proof's bytes to the ones recorded when the Merkle cache kept
+// its own copy of every index key and digest: rebuilding the fences from the
+// rows must not change a byte.
 func TestProofAtEdges(t *testing.T) {
 	s := memStore(t)
 	mustCreate(t, s)
@@ -558,15 +563,21 @@ func TestProofAtEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verify := func(lo, hi uint64, wantRows int) {
+	verify := func(op proto.FilterOp, lo, hi uint64, wantRows int, golden string) {
 		t.Helper()
-		f := &proto.Filter{Col: "salary#o", Op: proto.FilterRange, Lo: oppCell(lo), Hi: oppCell(hi)}
+		f := &proto.Filter{Col: "salary#o", Op: op, Lo: oppCell(lo), Hi: oppCell(hi)}
+		if op == proto.FilterEq {
+			f.Hi = nil
+		}
 		resp, err := s.Scan("employees", f, nil, 0, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(resp.Rows) != wantRows {
 			t.Fatalf("[%d,%d]: %d rows, want %d", lo, hi, len(resp.Rows), wantRows)
+		}
+		if got := hex.EncodeToString(resp.Proof); got != golden {
+			t.Errorf("%v [%d,%d]: proof bytes\n%s\nwant\n%s", op, lo, hi, got, golden)
 		}
 		p, err := merkle.UnmarshalRangeProof(resp.Proof)
 		if err != nil {
@@ -577,7 +588,7 @@ func TestProofAtEdges(t *testing.T) {
 			run = append(run, merkle.LeafHash(p.LeftFence.Key, p.LeftFence.RowDigest))
 		}
 		for _, r := range resp.Rows {
-			run = append(run, merkle.LeafHash(indexKey(r.Cells[0], r.ID), RowDigest(r)))
+			run = append(run, merkle.LeafHash(appendIndexKey(nil, r.Cells[0], r.ID), RowDigest(r)))
 		}
 		if p.RightFence != nil {
 			run = append(run, merkle.LeafHash(p.RightFence.Key, p.RightFence.RowDigest))
@@ -590,12 +601,27 @@ func TestProofAtEdges(t *testing.T) {
 			t.Fatalf("[%d,%d]: root mismatch", lo, hi)
 		}
 	}
-	verify(0, 100, 3) // whole table, no fences
-	verify(0, 5, 0)   // empty result at left edge
-	verify(50, 99, 0) // empty result at right edge
-	verify(15, 17, 0) // empty result in the middle, two fences
-	verify(10, 10, 1) // leftmost row
-	verify(30, 30, 1) // rightmost row
+	// Every proof opens with the leaf count and the root.
+	const golden = "0000000000000003d608aadec5273b7c606a2106488c75bd34710253d7bf6f58855f01e2486866c1"
+	range_, eq := proto.FilterRange, proto.FilterEq
+	// Whole table, no fences.
+	verify(range_, 0, 100, 3, golden+"0000000000000000000000000000")
+	// Empty result at left edge.
+	verify(range_, 0, 5, 0, golden+"00000000000000000001000000150000000000000000000000000a00000000000000010000002054f5046a16b74c4016f3a37b19f004d2e4f058437547c0ecb4208107f288d988000000024a5c8e5d38505776dd059f8edeeccfae15e476dc23671b6ec417bebdd542dce3300ea87937573fb19d4fdc149556501b3f8a4aa83d30a8a53f8b28c6323507b1")
+	// Empty result at right edge.
+	verify(range_, 50, 99, 0, golden+"000000000000000201000000150000000000000000000000001e000000000000000300000020c8a3d187c9cad93dcb40ece0f5a1e3754339e8c5d9e9b960e123bb951b8a08d10000000001565562f8f33396b79ceda63f5624db9c79298c60aeebda132c1a2ed210547dbc")
+	// Empty result in the middle, two fences.
+	verify(range_, 15, 17, 0, golden+"000000000000000001000000150000000000000000000000000a00000000000000010000002054f5046a16b74c4016f3a37b19f004d2e4f058437547c0ecb4208107f288d98801000000150000000000000000000000001400000000000000020000002025d9aeb9d0ba5c599c3b15b90ef5fc3a91cf41683fc616dfd0ca2042a7f4ba3200000001300ea87937573fb19d4fdc149556501b3f8a4aa83d30a8a53f8b28c6323507b1")
+	// Leftmost row.
+	verify(range_, 10, 10, 1, golden+"00000000000000000001000000150000000000000000000000001400000000000000020000002025d9aeb9d0ba5c599c3b15b90ef5fc3a91cf41683fc616dfd0ca2042a7f4ba3200000001300ea87937573fb19d4fdc149556501b3f8a4aa83d30a8a53f8b28c6323507b1")
+	// Rightmost row.
+	verify(range_, 30, 30, 1, golden+"000000000000000101000000150000000000000000000000001400000000000000020000002025d9aeb9d0ba5c599c3b15b90ef5fc3a91cf41683fc616dfd0ca2042a7f4ba32000000000164fcc649b21efa8bf635f14f30e101fc04e04207aa15ecd16b31bdc645e581ea")
+	// A run with its left fence.
+	verify(range_, 15, 30, 2, golden+"000000000000000001000000150000000000000000000000000a00000000000000010000002054f5046a16b74c4016f3a37b19f004d2e4f058437547c0ecb4208107f288d9880000000000")
+	// Equality, both fences.
+	verify(eq, 20, 20, 1, golden+"000000000000000001000000150000000000000000000000000a00000000000000010000002054f5046a16b74c4016f3a37b19f004d2e4f058437547c0ecb4208107f288d98801000000150000000000000000000000001e000000000000000300000020c8a3d187c9cad93dcb40ece0f5a1e3754339e8c5d9e9b960e123bb951b8a08d100000000")
+	// Equality matching nothing.
+	verify(eq, 25, 25, 0, golden+"000000000000000101000000150000000000000000000000001400000000000000020000002025d9aeb9d0ba5c599c3b15b90ef5fc3a91cf41683fc616dfd0ca2042a7f4ba3201000000150000000000000000000000001e000000000000000300000020c8a3d187c9cad93dcb40ece0f5a1e3754339e8c5d9e9b960e123bb951b8a08d10000000164fcc649b21efa8bf635f14f30e101fc04e04207aa15ecd16b31bdc645e581ea")
 }
 
 func TestPersistenceAcrossReopen(t *testing.T) {

@@ -131,7 +131,7 @@ func dumpStore(t testing.TB, s *Store) string {
 				continue
 			}
 			keys := 0
-			idx.Ascend(func(k, _ []byte) bool {
+			idx.Ascend(func(k []byte) bool {
 				keys++
 				id := binary.BigEndian.Uint64(k[len(k)-8:])
 				p, i, err := tb.row(id)
