@@ -21,10 +21,12 @@ race:
 
 # Focused race pass over the transaction paths: the client-side 2PC and
 # snapshot machinery plus the randomized concurrent-transaction differential
-# (interleaved workers vs a serial oracle, plain and sharded), then the
-# provider side: the store's one mutation path and the server arm onto it.
+# (interleaved workers vs a serial oracle, plain and sharded), the one write
+# path autocommit and Commit share (byte-identical providers, Audit beside a
+# half-landed INSERT, Close flushing lazy UPDATEs), then the provider side:
+# the store's one mutation path and the server arm onto it.
 race-txn:
-	$(GO) test -race -count=1 -run 'TestTx|TestWatermark|TestSharded' ./internal/client
+	$(GO) test -race -count=2 -run 'TestTx|TestWatermark|TestSharded|TestWritePathsAgree|TestAuditWaitsOutHalfLandedInsert|TestCloseFlushesLazyUpdates' ./internal/client
 	$(GO) test -race -count=1 -run 'TestTx' .
 	$(GO) test -race -count=2 -run 'TestPrepareTx|TestCommitTx|TestMutation' ./internal/store ./internal/server
 

@@ -22,9 +22,11 @@ func (c *Client) Audit(table string) (*AuditReport, error) {
 		return nil, err
 	}
 	p := &selectPlan{meta: meta, targets: c.allGroups(), verified: true, fetch: meta.allCols(), flush: true, oci: -1}
-	// Audits are reads: they share the statement locks unless buffered lazy
-	// updates force a flush first.
-	scan, err := c.gather(p, 0, false)
+	// A verified sweep compares row sets across providers, so it holds the
+	// statement locks exclusively, as every verified read does: under a shared
+	// lock a concurrent INSERT could be half-landed and outvote an honest
+	// provider.
+	scan, err := c.gather(p, 0, p.exclusive())
 	if err != nil {
 		return nil, err
 	}

@@ -342,15 +342,14 @@ func NewSharded(groups [][]transport.Conn, opts Options) (*Client, error) {
 // two places; kept in sync by a test.
 const defaultAlphabet = " 0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz"
 
-// Close releases the transaction log, then stops every group's repair loop,
-// releases its hint journals, and closes its provider connections. Queued
-// hints persist (when HintDir is set) and are reloaded by the next client.
+// Close pushes buffered lazy updates — Exec has already reported them
+// applied — and then, whatever that flush's outcome, releases the
+// transaction log, stops every group's repair loop, releases its hint
+// journals, and closes its provider connections. Queued hints persist (when
+// HintDir is set) and are reloaded by the next client. With nothing buffered
+// Close takes no statement lock, so a Rows left open does not hold it up.
 func (c *Client) Close() error {
-	firstErr := c.closeTxLog()
-	if err := c.closeGroups(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return errors.Join(c.Flush(), c.closeTxLog(), c.closeGroups())
 }
 
 func (c *Client) closeGroups() error {

@@ -64,9 +64,10 @@ type engine struct {
 	repairMu               sync.Mutex
 	repairDone             chan struct{}
 	closed                 bool
-	// pending holds lazy updates: table -> rowID -> full row values. It is
-	// only mutated under the exclusive statement lock; read statements
-	// escalate to exclusive mode when it is non-empty (see lockForRead).
+	// pending holds lazy updates: table -> rowID -> full row values, with no
+	// table's map ever empty. It is only mutated under the exclusive statement
+	// lock; read statements escalate to exclusive mode when it is non-empty
+	// (see lockForRead).
 	pending map[string]map[uint64][]Value
 	// insMu guards row-id allocation (tableMeta.nextID[g]) and inflight.
 	// INSERT statements hold the statement lock shared so reads can

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"sssdb/internal/field"
 	"sssdb/internal/opp"
@@ -34,16 +35,12 @@ func (c *Client) Exec(query string) (*Result, error) {
 		return c.execSelect(s, nil)
 	case *sql.Explain:
 		return c.execExplain(s)
-	case *sql.Insert:
-		return c.execInsert(s)
+	case *sql.Insert, *sql.Update, *sql.Delete:
+		return c.execWrite(s, nil)
 	case *sql.CreateTable:
 		return c.execCreateTable(s)
 	case *sql.DropTable:
 		return c.execDropTable(s)
-	case *sql.Update:
-		return c.execUpdate(s)
-	case *sql.Delete:
-		return c.execDelete(s)
 	case *sql.BeginTx, *sql.CommitTx, *sql.RollbackTx:
 		// Transactions need a handle to buffer statements on: BEGIN maps to
 		// Client.Begin, COMMIT/ROLLBACK to methods of the returned Tx (the
@@ -63,21 +60,12 @@ func (c *Client) Exec(query string) (*Result, error) {
 // stable for the duration of the statement.
 func (e *engine) lockForRead() (unlock func()) {
 	e.mu.RLock()
-	if !e.anyPending() {
+	if len(e.pending) == 0 {
 		return e.mu.RUnlock
 	}
 	e.mu.RUnlock()
 	e.mu.Lock()
 	return e.mu.Unlock
-}
-
-func (e *engine) anyPending() bool {
-	for _, m := range e.pending {
-		if len(m) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // --- DDL ---
@@ -182,101 +170,188 @@ func (e *engine) dropTable(meta *tableMeta) error {
 	return nil
 }
 
-// --- INSERT ---
+// --- DML: one write path ---
 
-// parseRows types the literal rows of an INSERT against the schema.
-func parseRows(meta *tableMeta, lits [][]sql.Literal) ([][]Value, error) {
-	rows := make([][]Value, 0, len(lits))
-	for _, litRow := range lits {
-		if len(litRow) != len(meta.Cols) {
-			return nil, fmt.Errorf("%w: %d values for %d columns",
-				ErrTypeMismatch, len(litRow), len(meta.Cols))
-		}
-		vals := make([]Value, len(litRow))
-		for i, lit := range litRow {
-			v, err := meta.Cols[i].parseValue(lit)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		rows = append(rows, vals)
-	}
-	return rows, nil
-}
+// writeKind is what a DML statement does to the rows it names.
+type writeKind uint8
 
-func (c *Client) execInsert(s *sql.Insert) (*Result, error) {
-	meta, err := c.cat.table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := parseRows(meta, s.Rows)
-	if err != nil {
-		return nil, err
-	}
-	return c.insertRows(meta, rows)
+const (
+	writeInsert writeKind = iota
+	writeUpdate
+	writeDelete
+)
+
+// write is a DML statement resolved against the catalog — autocommit or
+// buffered in a Tx alike — which engine.lower turns into provider messages: an
+// INSERT's typed rows, or an UPDATE's or DELETE's WHERE (parsed, for routing,
+// and compiled) and an UPDATE's resolved assignments.
+type write struct {
+	kind    writeKind
+	meta    *tableMeta
+	rows    [][]Value
+	where   []sql.Predicate
+	preds   []compiledPred
+	assigns []assign
+	// lazy: an autocommit UPDATE under Options.LazyUpdates, buffered unsent.
+	lazy bool
 }
 
 // InsertValues outsources pre-typed rows, bypassing SQL parsing; bulk
 // loaders and the workload generators use it.
 func (c *Client) InsertValues(table string, rows [][]Value) (*Result, error) {
-	meta, err := c.cat.table(table)
-	if err != nil {
-		return nil, err
-	}
-	return c.insertRows(meta, rows)
+	return c.execWrite(&sql.Insert{Table: table}, rows)
 }
 
-// insertRows partitions typed rows onto their owning groups and runs the
-// per-group inserts concurrently. Atomicity is per group: if one group fails
-// its batch (which that group rolls back), batches committed by other groups
-// stay committed, and the joined error reports which groups failed. (A Tx
-// makes a multi-group write atomic.)
-func (c *Client) insertRows(meta *tableMeta, rows [][]Value) (*Result, error) {
-	targets, batches, err := c.partitionRows(meta, rows)
+// resolveWrite is the one parser of DML. It resolves an INSERT, UPDATE or
+// DELETE against the catalog, so every error short of a provider's — a
+// missing table or column, a mistyped literal or a row of the wrong arity, an
+// assignment to the shard key — surfaces before anything is routed or
+// buffered. typed, when non-nil, are an INSERT's rows already typed
+// (InsertValues).
+func (c *Client) resolveWrite(stmt sql.Statement, typed [][]Value) (*write, error) {
+	var w write
+	var err error
+	switch s := stmt.(type) {
+	case *sql.Insert:
+		if w.meta, err = c.cat.table(s.Table); err != nil {
+			return nil, err
+		}
+		if typed != nil {
+			w.rows, err = parseRows(w.meta, typed, func(_ *colMeta, v Value) (Value, error) { return v, nil })
+		} else {
+			w.rows, err = parseRows(w.meta, s.Rows, (*colMeta).parseValue)
+		}
+	case *sql.Update:
+		w.kind, w.where = writeUpdate, s.Where
+		if w.meta, err = c.cat.table(s.Table); err == nil {
+			w.assigns, err = resolveAssigns(w.meta, s.Set)
+		}
+	case *sql.Delete:
+		w.kind, w.where = writeDelete, s.Where
+		w.meta, err = c.cat.table(s.Table)
+	}
+	if err == nil && w.kind != writeInsert {
+		w.preds, err = compilePredicates(w.meta, w.where, "")
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(targets) == 0 {
-		return &Result{}, nil
-	}
-	err = c.scatter(targets, false, []*tableMeta{meta}, func(_ int, e *engine) error {
-		return e.insertValues(meta, batches[e.g])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Affected: uint64(len(rows))}, nil
+	return &w, nil
 }
 
-// insertValues runs under the shared statement lock: it reserves a fresh
-// id range, encodes, and distributes the batch while concurrent scans keep
-// flowing. Until the reservation is released, scans treat the range as
-// unstable and hide it (see stableWatermark), so no reader can catch the
-// batch present on one provider and absent on another.
-func (e *engine) insertValues(meta *tableMeta, rows [][]Value) error {
-	base := e.reserveIDs(meta, uint64(len(rows)))
-	defer e.releaseIDs(meta, base)
-	ids := make([]uint64, len(rows))
-	for r := range ids {
-		ids[r] = base + uint64(r)
+// parseRows checks an INSERT's rows against the schema's arity and types
+// every cell into one slab the write owns: SQL literals are parsed, the
+// pre-typed rows of InsertValues copied, so a caller may reuse its rows once
+// the call returns.
+func parseRows[T any](meta *tableMeta, in [][]T, cell func(*colMeta, T) (Value, error)) ([][]Value, error) {
+	n := len(meta.Cols)
+	slab := make([]Value, len(in)*n)
+	rows := make([][]Value, len(in))
+	for r, row := range in {
+		if len(row) != n {
+			return nil, fmt.Errorf("%w: %d values for %d columns", ErrTypeMismatch, len(row), n)
+		}
+		rows[r] = slab[r*n : (r+1)*n : (r+1)*n]
+		for ci, v := range row {
+			var err error
+			if rows[r][ci], err = cell(&meta.Cols[ci], v); err != nil {
+				return nil, err
+			}
+		}
 	}
-	perProvider, err := e.encodeRowsAt(meta, ids, rows)
-	if err != nil {
-		return err
+	return rows, nil
+}
+
+// assign is one resolved SET clause of an UPDATE.
+type assign struct {
+	ci  int
+	val Value
+}
+
+// resolveAssigns types an UPDATE's SET clauses against the schema.
+func resolveAssigns(meta *tableMeta, set []sql.Assignment) ([]assign, error) {
+	assigns := make([]assign, 0, len(set))
+	for _, a := range set {
+		cm, err := meta.col(a.Col)
+		if err != nil {
+			return nil, err
+		}
+		ci := meta.colIndex(a.Col)
+		if ci == meta.shardCol {
+			// Re-assigning the shard key would strand the row in a group its
+			// key no longer routes to.
+			return nil, fmt.Errorf("%w: UPDATE of shard key %q (delete and re-insert instead)",
+				ErrUnsupported, a.Col)
+		}
+		v, err := cm.parseValue(a.Value)
+		if err != nil {
+			return nil, err
+		}
+		assigns = append(assigns, assign{ci: ci, val: v})
 	}
-	succeeded, err := e.callWrite(func(i int) proto.Message {
-		return &proto.InsertRequest{Table: meta.Name, Rows: perProvider[i]}
-	})
+	return assigns, nil
+}
+
+// route picks the groups a write reaches, ascending: an INSERT's rows are
+// partitioned onto their owning groups (batches[g] is group g's), an UPDATE
+// or DELETE goes where its WHERE routes it.
+func (c *Client) route(w *write) (targets []int, batches [][][]Value, err error) {
+	if w.kind == writeInsert {
+		return c.partitionRows(w.meta, w.rows)
+	}
+	return c.routeGroups(w.meta, w.where), make([][][]Value, len(c.groups)), nil
+}
+
+// execWrite runs one DML statement on its own: resolve, route, and in every
+// routed group — under its statement lock, shared for an INSERT (see Exec) —
+// lower it and deliver the messages, or buffer a lazy UPDATE's rows. Atomicity
+// is per group: a group that fails its part (an INSERT's is rolled back there)
+// leaves the parts other groups committed, and the joined error names it.
+func (c *Client) execWrite(stmt sql.Statement, typed [][]Value) (*Result, error) {
+	w, err := c.resolveWrite(stmt, typed)
 	if err != nil {
+		return nil, err
+	}
+	w.lazy = w.kind == writeUpdate && c.opts.LazyUpdates
+	targets, batches, err := c.route(w)
+	if err != nil {
+		return nil, err
+	}
+	var affected atomic.Uint64
+	err = c.scatter(targets, w.kind != writeInsert, []*tableMeta{w.meta}, func(_ int, e *engine) error {
+		l, err := e.lower(w, batches[e.g])
+		if err != nil {
+			return err
+		}
+		affected.Add(uint64(len(l.ids)))
+		switch {
+		case w.kind == writeInsert:
+			defer e.releaseIDs(w.meta, l.ids[0])
+		case len(l.ids) == 0:
+			return nil
+		case w.lazy:
+			pend := e.pending[w.meta.Name]
+			if pend == nil {
+				pend = make(map[uint64][]Value)
+				e.pending[w.meta.Name] = pend
+			}
+			for r, id := range l.ids {
+				pend[id] = l.rows[r]
+			}
+			return nil
+		}
+		succeeded, err := e.callWrite(func(p int) proto.Message { return l.msgs[p] })
+		if err == nil || w.kind != writeInsert {
+			return err
+		}
 		// Best-effort compensation: providers that accepted the batch would
-		// otherwise hold rows their peers lack, permanently forking the
-		// share sets. Delete the batch from every provider it landed on, in
-		// one round. A rollback that fails on transport is additionally
-		// queued as a hint so the repair loop heals the fork once the
-		// provider returns. The reservation is burned either way (ids are
-		// never reused), so a retry starts from fresh ids.
-		rollback := &proto.DeleteRequest{Table: meta.Name, RowIDs: ids}
+		// otherwise hold rows their peers lack, permanently forking the share
+		// sets. Delete the batch from every provider it landed on, in one
+		// round. A rollback that fails on transport is additionally queued as
+		// a hint so the repair loop heals the fork once the provider returns.
+		// The reservation is burned either way (ids are never reused), so a
+		// retry starts from fresh ids.
+		rollback := &proto.DeleteRequest{Table: w.meta.Name, RowIDs: l.ids}
 		t := round(succeeded, e.deliver(func(int) proto.Message { return rollback }))
 		for _, p := range t.unreached {
 			e.hint(p, rollback)
@@ -285,8 +360,97 @@ func (e *engine) insertValues(meta *tableMeta, rows [][]Value) error {
 			return errors.Join(err, fmt.Errorf("rollback on %w", failed))
 		}
 		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return &Result{Affected: affected.Load()}, nil
+}
+
+// lowered is one write's part in one group: the row ids it writes or deletes,
+// an UPDATE's new rows, and provider p's request in msgs[p] — nil when no row
+// is touched here, and for a lazy UPDATE, whose rows are buffered instead.
+type lowered struct {
+	ids  []uint64
+	rows [][]Value
+	msgs []proto.Message
+}
+
+// lower is the one place a write becomes provider messages — the paper's
+// update flow (Sec. V-C) in one group. An INSERT reserves fresh ids for batch,
+// the group's share of its rows; an UPDATE or DELETE first pushes the table's
+// buffered lazy UPDATEs, unless it is one itself (its scan overlays them), then
+// retrieves the matching rows — a DELETE their ids, an UPDATE whole rows with
+// its assignments applied — and the rows are re-shared into each provider's
+// request. The caller holds the group's statement lock (exclusively for an
+// UPDATE or DELETE) and retires an INSERT's reservation, based at ids[0], once
+// every provider's fate is settled: until then scans hide the range (see
+// stableWatermark), so no reader sees the batch on one provider and not another.
+func (e *engine) lower(w *write, batch [][]Value) (*lowered, error) {
+	meta, l := w.meta, &lowered{rows: batch}
+	if w.kind == writeInsert {
+		base := e.reserveIDs(meta, uint64(len(batch)))
+		l.ids = make([]uint64, len(batch))
+		for r := range l.ids {
+			l.ids[r] = base + uint64(r)
+		}
+	} else {
+		if !w.lazy {
+			if err := e.flushTableLocked(meta.Name); err != nil {
+				return nil, err
+			}
+		}
+		var cols []int // a DELETE reads row ids only
+		if w.kind == writeUpdate {
+			cols = meta.allCols() // whole rows are re-shared
+		}
+		scan, err := e.scanTable(meta, w.preds, e.readOpts(cols, 0, false))
+		if err != nil {
+			return nil, err
+		}
+		l.ids, l.rows = scan.ids, scan.values
+		for _, row := range l.rows {
+			for _, a := range w.assigns {
+				row[a.ci] = a.val
+			}
+		}
+	}
+	if len(l.ids) == 0 || w.lazy {
+		return l, nil
+	}
+	var err error
+	if l.msgs, err = e.requests(meta, w.kind, l.ids, l.rows); err != nil {
+		if w.kind == writeInsert {
+			e.releaseIDs(meta, l.ids[0])
+		}
+		return nil, err
+	}
+	return l, nil
+}
+
+// requests builds each provider's request for rows under ids: the row ids of a
+// DELETE, or the rows of an INSERT or UPDATE, encoded afresh.
+func (e *engine) requests(meta *tableMeta, kind writeKind, ids []uint64, rows [][]Value) ([]proto.Message, error) {
+	msgs := make([]proto.Message, e.opts.N)
+	if kind == writeDelete {
+		del := &proto.DeleteRequest{Table: meta.Name, RowIDs: ids}
+		for p := range msgs {
+			msgs[p] = del
+		}
+		return msgs, nil
+	}
+	perProvider, err := e.encodeRowsAt(meta, ids, rows)
+	if err != nil {
+		return nil, err
+	}
+	for p := range msgs {
+		if kind == writeInsert {
+			msgs[p] = &proto.InsertRequest{Table: meta.Name, Rows: perProvider[p]}
+		} else {
+			msgs[p] = &proto.UpdateRequest{Table: meta.Name, Rows: perProvider[p]}
+		}
+	}
+	return msgs, nil
 }
 
 // reserveIDs allocates n consecutive row ids in meta's table and registers
@@ -475,153 +639,14 @@ func (e *engine) openBlob(meta *tableMeta, cell []byte) ([]byte, error) {
 	return plain, nil
 }
 
-// --- DELETE / UPDATE ---
+// --- Lazy UPDATEs ---
 
-// whereDML runs an UPDATE or DELETE in the groups its WHERE routes to,
-// exclusively, and sums the rows each touched.
-func (c *Client) whereDML(meta *tableMeta, where []sql.Predicate, fn func(e *engine) (uint64, error)) (*Result, error) {
-	targets := c.routeGroups(meta, where)
-	affected := make([]uint64, len(targets))
-	err := c.scatter(targets, true, []*tableMeta{meta}, func(i int, e *engine) (err error) {
-		affected[i], err = fn(e)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	for _, n := range affected {
-		res.Affected += n
-	}
-	return res, nil
-}
-
-func (c *Client) execDelete(s *sql.Delete) (*Result, error) {
-	meta, err := c.cat.table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	preds, err := compilePredicates(meta, s.Where, "")
-	if err != nil {
-		return nil, err
-	}
-	return c.whereDML(meta, s.Where, func(e *engine) (uint64, error) {
-		ids, err := e.idsToDelete(meta, preds)
-		if err != nil || len(ids) == 0 {
-			return 0, err
-		}
-		_, err = e.callWrite(func(int) proto.Message {
-			return &proto.DeleteRequest{Table: meta.Name, RowIDs: ids}
-		})
-		return uint64(len(ids)), err
-	})
-}
-
-// idsToDelete finds the rows a DELETE removes; only the row ids are read.
-func (e *engine) idsToDelete(meta *tableMeta, preds []compiledPred) ([]uint64, error) {
-	if err := e.flushTableLocked(meta.Name); err != nil {
-		return nil, err
-	}
-	scan, err := e.scanTable(meta, preds, e.readOpts(nil, 0, false))
-	if err != nil {
-		return nil, err
-	}
-	return scan.ids, nil
-}
-
-// assign is one resolved SET clause of an UPDATE.
-type assign struct {
-	ci  int
-	val Value
-}
-
-// resolveAssigns types an UPDATE's SET clauses against the schema.
-func resolveAssigns(meta *tableMeta, set []sql.Assignment) ([]assign, error) {
-	assigns := make([]assign, 0, len(set))
-	for _, a := range set {
-		cm, err := meta.col(a.Col)
-		if err != nil {
-			return nil, err
-		}
-		ci := meta.colIndex(a.Col)
-		if ci == meta.shardCol {
-			// Re-assigning the shard key would strand the row in a group its
-			// key no longer routes to.
-			return nil, fmt.Errorf("%w: UPDATE of shard key %q (delete and re-insert instead)",
-				ErrUnsupported, a.Col)
-		}
-		v, err := cm.parseValue(a.Value)
-		if err != nil {
-			return nil, err
-		}
-		assigns = append(assigns, assign{ci: ci, val: v})
-	}
-	return assigns, nil
-}
-
-func (c *Client) execUpdate(s *sql.Update) (*Result, error) {
-	meta, err := c.cat.table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	assigns, err := resolveAssigns(meta, s.Set)
-	if err != nil {
-		return nil, err
-	}
-	preds, err := compilePredicates(meta, s.Where, "")
-	if err != nil {
-		return nil, err
-	}
-	return c.whereDML(meta, s.Where, func(e *engine) (uint64, error) {
-		scan, err := e.rowsToUpdate(meta, preds, assigns)
-		if err != nil || len(scan.ids) == 0 {
-			return 0, err
-		}
-		if e.opts.LazyUpdates {
-			pend := e.pending[meta.Name]
-			if pend == nil {
-				pend = make(map[uint64][]Value)
-				e.pending[meta.Name] = pend
-			}
-			for r, id := range scan.ids {
-				pend[id] = scan.values[r]
-			}
-			return uint64(len(scan.ids)), nil
-		}
-		return uint64(len(scan.ids)), e.pushUpdates(meta, scan.ids, scan.values)
-	})
-}
-
-// rowsToUpdate is the read half of the paper's update flow: retrieve the
-// affected tuples, reconstruct at the client, apply the change (Sec. V-C).
-// Whole rows are re-shared afterwards, so every column is read.
-func (e *engine) rowsToUpdate(meta *tableMeta, preds []compiledPred, assigns []assign) (*scanResult, error) {
-	scan, err := e.scanTable(meta, preds, e.readOpts(meta.allCols(), 0, false))
-	if err != nil {
-		return nil, err
-	}
-	for r := range scan.values {
-		for _, a := range assigns {
-			scan.values[r][a.ci] = a.val
-		}
-	}
-	return scan, nil
-}
-
-// pushUpdates re-shares full rows and distributes them to every provider.
-func (e *engine) pushUpdates(meta *tableMeta, ids []uint64, values [][]Value) error {
-	perProvider, err := e.encodeRowsAt(meta, ids, values)
-	if err != nil {
-		return err
-	}
-	_, err = e.callWrite(func(i int) proto.Message {
-		return &proto.UpdateRequest{Table: meta.Name, Rows: perProvider[i]}
-	})
-	return err
-}
-
-// Flush pushes all buffered lazy updates to the providers.
+// Flush pushes all buffered lazy updates to the providers. With none
+// buffered it takes no statement lock.
 func (c *Client) Flush() error {
+	if c.PendingUpdates() == 0 {
+		return nil
+	}
 	return c.scatter(c.allGroups(), true, nil, func(_ int, e *engine) error {
 		for name := range e.pending {
 			if err := e.flushTableLocked(name); err != nil {
@@ -645,7 +670,8 @@ func (c *Client) PendingUpdates() int {
 	return total
 }
 
-// flushTableLocked pushes one table's buffered lazy updates; the caller holds
+// flushTableLocked finishes one table's buffered lazy updates: the rows a
+// lazy UPDATE's lowering stopped at are re-shared and sent. The caller holds
 // the exclusive statement lock.
 func (e *engine) flushTableLocked(name string) error {
 	pend := e.pending[name]
@@ -662,7 +688,11 @@ func (e *engine) flushTableLocked(name string) error {
 		ids = append(ids, id)
 		values = append(values, vals)
 	}
-	if err := e.pushUpdates(meta, ids, values); err != nil {
+	msgs, err := e.requests(meta, writeUpdate, ids, values)
+	if err != nil {
+		return err
+	}
+	if _, err := e.callWrite(func(p int) proto.Message { return msgs[p] }); err != nil {
 		return err
 	}
 	delete(e.pending, name)

@@ -19,7 +19,6 @@ package client
 // only. With one group every route is that group and nothing is hashed.
 
 import (
-	"fmt"
 	"sort"
 
 	"sssdb/internal/sql"
@@ -92,16 +91,11 @@ func (c *Client) routeGroups(meta *tableMeta, where []sql.Predicate) []int {
 	return c.allGroups()
 }
 
-// partitionRows splits typed rows onto their owning groups — by the shard
-// key's encoded value, or by fresh insert sequence numbers — and returns the
-// groups that received any, ascending, with batches indexed by group.
+// partitionRows splits an INSERT's rows, resolved to the schema's arity,
+// onto their owning groups — by the shard key's encoded value, or by fresh
+// insert sequence numbers — and returns the groups that received any,
+// ascending, with batches indexed by group.
 func (c *Client) partitionRows(meta *tableMeta, rows [][]Value) (targets []int, batches [][][]Value, err error) {
-	for _, row := range rows {
-		if len(row) != len(meta.Cols) {
-			return nil, nil, fmt.Errorf("%w: %d values for %d columns",
-				ErrTypeMismatch, len(row), len(meta.Cols))
-		}
-	}
 	batches = make([][][]Value, len(c.groups))
 	switch {
 	case len(c.groups) == 1:

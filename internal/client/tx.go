@@ -4,10 +4,11 @@ package client
 // (the paper's trust model — providers never talk to each other), running a
 // client-coordinated two-phase commit over the provider fleet.
 //
-// A Tx buffers DML locally: INSERT captures typed rows, UPDATE and DELETE
-// capture the parsed statement and are evaluated at commit time against the
-// pre-transaction state. Commit, under every group's exclusive statement
-// lock, lowers the buffered statements into per-provider op batches, appends them
+// A Tx buffers DML locally, each statement resolved at Tx.Exec into the same
+// write an autocommit statement becomes (exec.go); an UPDATE or DELETE is
+// evaluated at commit time against the then-current state. Commit, under
+// every group's exclusive statement lock, lowers every write through the same
+// engine.lower as autocommit into per-provider op batches, appends them
 // plus a commit-intent record to the client's WAL-backed transaction log
 // (the same CRC framing as the hint journals), PREPAREs the batches at
 // every provider (in-memory staging, validated), and — once a write quorum
@@ -55,14 +56,6 @@ const txLogName = "txlog.wal"
 // noEpoch disables snapshot capping (non-transactional scans).
 const noEpoch = ^uint64(0)
 
-// txStmt is one buffered DML statement, exactly one field set.
-type txStmt struct {
-	insTable string
-	insRows  [][]Value
-	update   *sql.Update
-	delete   *sql.Delete
-}
-
 // Tx is a multi-statement transaction handle. A Tx is not safe for
 // concurrent use; reads run against the Begin-time snapshot, writes buffer
 // until Commit. Aggregates, joins, GROUP BY, ORDER BY, and verified reads
@@ -74,7 +67,7 @@ type Tx struct {
 	// epochs maps table -> snapshot watermark captured at Begin, one entry
 	// per provider group.
 	epochs map[string][]uint64
-	stmts  []txStmt
+	writes []*write
 	done   bool
 }
 
@@ -111,10 +104,11 @@ func (tx *Tx) ID() uint64 { return tx.id }
 func (tx *Tx) Done() bool { return tx.done }
 
 // Exec runs one SQL statement inside the transaction: SELECTs read the
-// Begin-time snapshot immediately; INSERT/UPDATE/DELETE buffer until
-// Commit (their Result reports zero affected rows — the count is unknown
-// until commit). COMMIT and ROLLBACK finish the transaction. DDL is not
-// transactional.
+// Begin-time snapshot immediately; INSERT/UPDATE/DELETE are resolved against
+// the catalog now — a statement that cannot run fails here — and buffer
+// until Commit (their Result reports zero affected rows — the count is
+// unknown until commit). COMMIT and ROLLBACK finish the transaction. DDL is
+// not transactional.
 func (tx *Tx) Exec(query string) (*Result, error) {
 	if tx.done {
 		return nil, ErrTxDone
@@ -126,23 +120,8 @@ func (tx *Tx) Exec(query string) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sql.Select:
 		return tx.execSelect(s)
-	case *sql.Insert:
-		meta, err := tx.c.cat.table(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := parseRows(meta, s.Rows)
-		if err != nil {
-			return nil, err
-		}
-		tx.stmts = append(tx.stmts, txStmt{insTable: s.Table, insRows: rows})
-		return &Result{}, nil
-	case *sql.Update:
-		tx.stmts = append(tx.stmts, txStmt{update: s})
-		return &Result{}, nil
-	case *sql.Delete:
-		tx.stmts = append(tx.stmts, txStmt{delete: s})
-		return &Result{}, nil
+	case *sql.Insert, *sql.Update, *sql.Delete:
+		return tx.buffer(s, nil)
 	case *sql.CommitTx:
 		return &Result{}, tx.Commit()
 	case *sql.RollbackTx:
@@ -156,24 +135,20 @@ func (tx *Tx) Exec(query string) (*Result, error) {
 
 // InsertValues buffers pre-typed rows (the bulk-load form of INSERT).
 func (tx *Tx) InsertValues(table string, rows [][]Value) (*Result, error) {
+	return tx.buffer(&sql.Insert{Table: table}, rows)
+}
+
+// buffer resolves a DML statement — the same write an autocommit statement
+// becomes — and holds it for Commit.
+func (tx *Tx) buffer(stmt sql.Statement, typed [][]Value) (*Result, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
-	meta, err := tx.c.cat.table(table)
+	w, err := tx.c.resolveWrite(stmt, typed)
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		if len(row) != len(meta.Cols) {
-			return nil, fmt.Errorf("%w: %d values for %d columns",
-				ErrTypeMismatch, len(row), len(meta.Cols))
-		}
-	}
-	buf := make([][]Value, len(rows))
-	for i, row := range rows {
-		buf[i] = append([]Value(nil), row...)
-	}
-	tx.stmts = append(tx.stmts, txStmt{insTable: table, insRows: buf})
+	tx.writes = append(tx.writes, w)
 	return &Result{}, nil
 }
 
@@ -204,145 +179,61 @@ func (tx *Tx) Rollback() error {
 		return ErrTxDone
 	}
 	tx.done = true
-	tx.stmts = nil
+	tx.writes = nil
 	return nil
 }
 
 // Commit runs the two-phase commit. On success every buffered statement is
 // durable at a write quorum of every involved provider group; on error the
-// transaction applied nowhere (prepared providers were told to abort).
+// transaction applied nowhere (prepared providers were told to abort). A
+// statement whose table was dropped since Tx.Exec fails the commit with
+// ErrNoSuchTable before anything is sent.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone
 	}
 	tx.done = true
-	if len(tx.stmts) == 0 {
+	if len(tx.writes) == 0 {
 		return nil
 	}
 	c := tx.c
-	unlock, err := c.lock(c.allGroups(), true)
+	metas := make([]*tableMeta, len(tx.writes))
+	for i, w := range tx.writes {
+		metas[i] = w.meta
+	}
+	unlock, err := c.lock(c.allGroups(), true, metas...)
 	if err != nil {
 		return err
 	}
 	defer unlock()
-	ops, release, err := c.lowerTx(tx.stmts)
-	// The insert id reservations stay registered until the 2PC finishes, so
-	// scans mask the new ids until every provider's fate is settled (applied,
-	// aborted, or hinted). They are burned whether or not the commit
-	// succeeds, like a failed single-statement insert.
-	defer release()
-	if err != nil {
-		return err
+	// Each write is lowered in statement order, in the groups it routes to,
+	// onto op batches by the global provider index the log records (group*N +
+	// provider); one 2PC over all of them makes a multi-group write atomic.
+	n := c.opts.N
+	ops := make([][]proto.Message, len(c.groups)*n)
+	for _, w := range tx.writes {
+		targets, batches, err := c.route(w)
+		if err != nil {
+			return err
+		}
+		for _, g := range targets {
+			e := c.groups[g]
+			l, err := e.lower(w, batches[g])
+			if err != nil {
+				return err
+			}
+			if w.kind == writeInsert {
+				// Scans mask the reserved ids until the 2PC has settled every
+				// provider's fate (applied, aborted, or hinted); committed or
+				// not, the ids are burned, like a failed autocommit insert's.
+				defer e.releaseIDs(w.meta, l.ids[0])
+			}
+			for p, msg := range l.msgs {
+				ops[g*n+p] = append(ops[g*n+p], msg)
+			}
+		}
 	}
 	return c.txRun2PC(tx.id, ops)
-}
-
-// lowerTx lowers buffered statements onto per-provider op batches, in
-// statement order, indexed by the global provider index the transaction log
-// records (group*N + provider): each statement goes to the groups that own
-// its rows (INSERT) or that its WHERE routes to (UPDATE, DELETE), evaluated
-// there against the current state. One 2PC over every involved provider of
-// every involved group then makes a multi-group write atomic. Caller holds
-// every group's exclusive statement lock; release retires the insert id
-// reservations.
-func (c *Client) lowerTx(stmts []txStmt) (ops [][]proto.Message, release func(), err error) {
-	n := c.opts.N
-	ops = make([][]proto.Message, len(c.groups)*n)
-	var releases []func()
-	release = func() {
-		for _, f := range releases {
-			f()
-		}
-	}
-	addOp := func(g int, build func(i int) proto.Message) {
-		for i := 0; i < n; i++ {
-			ops[g*n+i] = append(ops[g*n+i], build(i))
-		}
-	}
-	for _, st := range stmts {
-		switch {
-		case st.insRows != nil:
-			meta, err := c.cat.table(st.insTable)
-			if err != nil {
-				return nil, release, err
-			}
-			groups, batches, err := c.partitionRows(meta, st.insRows)
-			if err != nil {
-				return nil, release, err
-			}
-			for _, g := range groups {
-				e := c.groups[g]
-				base := e.reserveIDs(meta, uint64(len(batches[g])))
-				releases = append(releases, func() { e.releaseIDs(meta, base) })
-				ids := make([]uint64, len(batches[g]))
-				for r := range ids {
-					ids[r] = base + uint64(r)
-				}
-				perProvider, err := e.encodeRowsAt(meta, ids, batches[g])
-				if err != nil {
-					return nil, release, err
-				}
-				addOp(g, func(i int) proto.Message {
-					return &proto.InsertRequest{Table: meta.Name, Rows: perProvider[i]}
-				})
-			}
-		case st.update != nil:
-			meta, err := c.cat.table(st.update.Table)
-			if err != nil {
-				return nil, release, err
-			}
-			assigns, err := resolveAssigns(meta, st.update.Set)
-			if err != nil {
-				return nil, release, err
-			}
-			preds, err := compilePredicates(meta, st.update.Where, "")
-			if err != nil {
-				return nil, release, err
-			}
-			for _, g := range c.routeGroups(meta, st.update.Where) {
-				e := c.groups[g]
-				if err := e.flushTableLocked(meta.Name); err != nil {
-					return nil, release, err
-				}
-				scan, err := e.rowsToUpdate(meta, preds, assigns)
-				if err != nil {
-					return nil, release, err
-				}
-				if len(scan.ids) == 0 {
-					continue
-				}
-				perProvider, err := e.encodeRowsAt(meta, scan.ids, scan.values)
-				if err != nil {
-					return nil, release, err
-				}
-				addOp(g, func(i int) proto.Message {
-					return &proto.UpdateRequest{Table: meta.Name, Rows: perProvider[i]}
-				})
-			}
-		case st.delete != nil:
-			meta, err := c.cat.table(st.delete.Table)
-			if err != nil {
-				return nil, release, err
-			}
-			preds, err := compilePredicates(meta, st.delete.Where, "")
-			if err != nil {
-				return nil, release, err
-			}
-			for _, g := range c.routeGroups(meta, st.delete.Where) {
-				ids, err := c.groups[g].idsToDelete(meta, preds)
-				if err != nil {
-					return nil, release, err
-				}
-				if len(ids) == 0 {
-					continue
-				}
-				addOp(g, func(int) proto.Message {
-					return &proto.DeleteRequest{Table: meta.Name, RowIDs: ids}
-				})
-			}
-		}
-	}
-	return ops, release, nil
 }
 
 // txStage is the crash-injection failpoint: tests install txHook to

@@ -743,3 +743,94 @@ func TestTxStaleCatalogInsertAborts(t *testing.T) {
 		t.Fatalf("table has %d rows after aborted duplicate insert, want 3", len(res.Rows))
 	}
 }
+
+// TestTxExecResolvesWrites: a transaction's DML is resolved against the
+// catalog by the same parser as an autocommit statement, at Tx.Exec, so a
+// statement that cannot run fails there instead of at Commit, and nothing of
+// it is buffered.
+func TestTxExecResolvesWrites(t *testing.T) {
+	f := newShardFleet(t, 2, 3, 2, Options{Shards: 2, ShardKeys: map[string]string{"kv": "id"}})
+	f.mustExec(t, `CREATE TABLE kv (id INT, v INT)`)
+	tx, err := f.router.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		q    string
+		want error
+	}{
+		{`INSERT INTO missing VALUES (1, 2)`, ErrNoSuchTable},
+		{`UPDATE missing SET v = 1`, ErrNoSuchTable},
+		{`DELETE FROM missing WHERE id = 1`, ErrNoSuchTable},
+		{`UPDATE kv SET nope = 1 WHERE id = 1`, ErrNoSuchColumn},
+		{`UPDATE kv SET v = 1 WHERE nope = 1`, ErrNoSuchColumn},
+		{`DELETE FROM kv WHERE nope = 1`, ErrNoSuchColumn},
+		{`INSERT INTO kv VALUES ('x', 1)`, ErrTypeMismatch},
+		{`INSERT INTO kv VALUES (1)`, ErrTypeMismatch},
+		{`UPDATE kv SET v = 'x' WHERE id = 1`, ErrTypeMismatch},
+		{`DELETE FROM kv WHERE v = 'x'`, ErrTypeMismatch},
+		{`UPDATE kv SET id = 2 WHERE id = 1`, ErrUnsupported},
+	} {
+		if _, err := tx.Exec(tc.q); !errors.Is(err, tc.want) {
+			t.Errorf("tx.Exec(%q) = %v, want %v", tc.q, err, tc.want)
+		}
+	}
+	if _, err := tx.InsertValues("kv", [][]Value{{IntValue(1)}}); !errors.Is(err, ErrTypeMismatch) {
+		t.Errorf("tx.InsertValues of a short row = %v, want ErrTypeMismatch", err)
+	}
+	if _, err := tx.InsertValues("missing", [][]Value{{IntValue(1), IntValue(2)}}); !errors.Is(err, ErrNoSuchTable) {
+		t.Errorf("tx.InsertValues into a missing table = %v, want ErrNoSuchTable", err)
+	}
+	calls := f.router.Stats().Calls
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit of refused statements only: %v", err)
+	}
+	if after := f.router.Stats().Calls; after != calls {
+		t.Errorf("refused statements were buffered: commit made %d provider calls", after-calls)
+	}
+}
+
+// TestTxCommitOfDroppedTable: a buffered statement is bound to the table it
+// was resolved against, so a commit after that table is dropped — even
+// re-created under the same name — fails with ErrNoSuchTable and applies
+// nothing, the statements on live tables included.
+func TestTxCommitOfDroppedTable(t *testing.T) {
+	f := newFleet(t, 3, 2, Options{})
+	setupEmployees(t, f)
+	f.mustExec(t, `CREATE TABLE gone (x INT)`)
+	for _, recreate := range []bool{false, true} {
+		tx, err := f.client.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{
+			`INSERT INTO employees VALUES ('Zed', 99, 4)`,
+			`DELETE FROM employees WHERE name = 'Bob'`,
+			`INSERT INTO gone VALUES (1)`,
+		} {
+			if _, err := tx.Exec(q); err != nil {
+				t.Fatalf("tx.Exec(%q): %v", q, err)
+			}
+		}
+		f.mustExec(t, `DROP TABLE gone`)
+		if recreate {
+			f.mustExec(t, `CREATE TABLE gone (x VARCHAR(4), y INT)`)
+		}
+		calls := f.client.Stats().Calls
+		if err := tx.Commit(); !errors.Is(err, ErrNoSuchTable) {
+			t.Fatalf("commit into a dropped table (re-created: %v) = %v, want ErrNoSuchTable", recreate, err)
+		}
+		if after := f.client.Stats().Calls; after != calls {
+			t.Errorf("failed commit made %d provider calls", after-calls)
+		}
+		if got := len(f.mustExec(t, `SELECT name FROM employees`).Rows); got != 6 {
+			t.Fatalf("failed commit changed employees: %d rows, want 6", got)
+		}
+		if !recreate {
+			f.mustExec(t, `CREATE TABLE gone (x INT)`)
+		}
+	}
+	if totalStaged(f.stores) != 0 {
+		t.Errorf("%d staged prepares after failed commits", totalStaged(f.stores))
+	}
+}
