@@ -30,24 +30,26 @@ race-txn:
 	$(GO) test -race -count=1 -run 'TestTx' .
 	$(GO) test -race -count=2 -run 'TestPrepareTx|TestCommitTx|TestMutation' ./internal/store ./internal/server
 
-# Focused race pass over the tail-tolerance paths: hedged quorum rounds
-# and streaming scans, the provider record's judge and ordering, end-to-end
-# deadlines, the flapping provider's repair loop, and the deadline-aware
-# transport.
+# Focused race pass over the tail-tolerance paths: hedged slots of
+# whole-response reads and streaming scans, the one spare rule, stall
+# demotion, the provider record's judge and ordering, end-to-end deadlines,
+# the flapping provider's repair loop, and the deadline-aware transport.
 race-hedge:
-	$(GO) test -race -count=1 -run 'TestHedge|TestNoHedges|TestHealth|TestCircuit|TestDynamic|TestReadDeadline|TestRepairFlapping|TestRemoteErrorDoesNotDemote|TestEveryOutcomeReachesLedger|TestProviderOrder' ./internal/client
+	$(GO) test -race -count=1 -run 'TestHedge|TestStall|TestNoHedges|TestHealth|TestCircuit|TestDynamic|TestReadDeadline|TestRepairFlapping|TestRemoteErrorDoesNotDemote|TestEveryOutcomeReachesLedger|TestProviderOrder' ./internal/client
 	$(GO) test -race -count=1 -run 'TestFaulty|TestWaitBackoff|TestCallDeadline|TestLocalConn|TestDelaySchedule' ./internal/transport
 
 # Ten seconds on each fuzz target, from the corpora checked in under
 # testdata/fuzz: the share-row block codec, the message decoder (one message of
 # every kind), the page decoder, a WAL record through the store's mutation
-# path, a provider's range proof, and the index B+-tree against a sorted-set
-# oracle. -fuzz takes one target and one package per run.
+# path, the store manifest Open reads from disk, a provider's range proof, and
+# the index B+-tree against a sorted-set oracle. -fuzz takes one target and one
+# package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBlock$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePage$$' -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyRecord$$' -fuzztime=10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalRangeProof$$' -fuzztime=10s ./internal/merkle
 	$(GO) test -run '^$$' -fuzz '^FuzzTree$$' -fuzztime=10s ./internal/btree
 

@@ -4,7 +4,8 @@ import (
 	"crypto/cipher"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,6 +36,7 @@ import (
 // truly in flight together on one connection; when that shared connection
 // dies, every in-flight call fails at once, each is judged failing
 // independently (provider.observe: last outcome wins, benignly), and reads
+// — every one a set of slots (stream.go), scans and whole responses alike —
 // fail over to the surviving providers while the transport redials in the
 // background of subsequent calls.
 type engine struct {
@@ -132,28 +134,28 @@ func (e *engine) close() error {
 	return errors.Join(errs...)
 }
 
-// indexedResponse pairs a provider index with its response.
-type indexedResponse struct {
-	provider int
-	msg      proto.Message
-}
-
 // noDeadline is the zero deadline: writes and repair traffic run unbounded.
 var noDeadline time.Time
 
 // call sends one request to one provider under an absolute deadline
 // (noDeadline = unbounded), surfacing remote errors. Every call through
 // here is judged by the provider record — including repair-loop pings, so an
-// idle client still tracks provider latency, and a hedge loser nobody waits
-// for any more.
+// idle client still tracks provider latency.
 func (e *engine) call(provider int, req proto.Message, deadline time.Time) (proto.Message, error) {
 	p := e.provs[provider]
 	start := time.Now()
-	resp, err := transport.CallWithDeadline(p.conn, req, deadline)
-	if re, ok := resp.(*proto.ErrorResponse); ok && err == nil {
-		resp, err = nil, re.Err()
-	}
+	resp, err := callWhole(p.conn, req, deadline)
 	p.observe(time.Since(start), err)
+	return resp, err
+}
+
+// callWhole is one request-response exchange under an absolute deadline, a
+// provider's ErrorResponse surfacing as its RemoteError.
+func callWhole(conn transport.Conn, req proto.Message, deadline time.Time) (proto.Message, error) {
+	resp, err := transport.CallWithDeadline(conn, req, deadline)
+	if re, ok := resp.(*proto.ErrorResponse); ok && err == nil {
+		return nil, re.Err()
+	}
 	return resp, err
 }
 
@@ -201,142 +203,56 @@ func (e *engine) callWrite(build func(provider int) proto.Message) ([]int, error
 	return t.acked, nil
 }
 
-// callQuorum is the one collector of whole-response reads: it launches the
-// `want` best-ranked candidates concurrently, collects up to `want`
-// responses and needs at least `need` of them, returned ordered by provider
-// index. Aggregates and joins combine per-provider computations and want
-// exactly the K they need; a verified read wants all N — maximal redundancy,
-// so that detectably-faulty providers can be dropped while a quorum
-// survives — and with every candidate launched up front it has nothing left
-// to hedge onto, while the deadline still makes it fail fast. Candidates are
-// the non-lagging providers only: these statements carry no row ids to mask,
-// and a provider that missed writes would silently contribute stale state —
-// or fail a verified read's cross-checks indistinguishably from malice. The
-// collector waits on three clocks at once:
-//
-//   - a response arriving — failures launch the next candidate immediately
-//     (plain failover, not charged to the hedge budget), successes count
-//     toward the quorum;
-//   - the straggler threshold elapsing with candidates still unlaunched —
-//     one hedge is issued per elapse, budget permitting, and whichever of
-//     the duplicated calls answers first is used (the loser's response is
-//     discarded on arrival; an abandoned slow call dies with its own
-//     timeout, and engine.call still judges it);
-//   - the deadline elapsing — a round still short of `need` fails with
-//     ErrDeadline rather than waiting out a slow provider.
-func (e *engine) callQuorum(need, want int, build func(provider int) proto.Message, deadline time.Time) ([]indexedResponse, error) {
-	if need > e.opts.N {
-		return nil, fmt.Errorf("%w: need %d of %d", ErrNotEnough, need, e.opts.N)
-	}
+// collectWhole is the one collector of whole-response reads: aggregates,
+// joins and verified reads. Each of up to want slots carries one provider's
+// answer to build(p) as its one message, on the best-ranked non-lagging
+// providers (a lagging one would compute over a stale share set, or fail a
+// verified read's cross-checks indistinguishably from malice); the rest of
+// that ranking are the spares. Aggregates and joins want the K they need; a
+// verified read wants all N, so faulty providers can be dropped while a
+// quorum survives. A stalled slot is hedged as a scan's is; a failed one moves
+// to the next spare unless the deadline has passed. The answered slots come
+// back ordered by provider; short of need, collectWhole fails with
+// ErrNotEnough, or ErrDeadline when it ran out of time.
+func (e *engine) collectWhole(need, want int, build func(provider int) proto.Message, deadline time.Time) ([]*slot, error) {
 	order := e.providerOrder(false)
-	type res struct {
-		provider int
-		msg      proto.Message
-		err      error
+	want = min(want, len(order))
+	s := &slots{
+		e:         e,
+		ask:       func(p int, _ uint64) proto.Message { return build(p) },
+		deadline:  deadline,
+		watermark: math.MaxUint64, // no row id to mask
+		threshold: e.hedgeThreshold(),
+		spares:    order[want:],
 	}
-	ch := make(chan res, len(order))
-	// launchedAt lets a firing hedge timer attribute the stall: every
-	// launched-but-unanswered provider older than the threshold gets a
-	// right-censored latency observation (observeStall), so ranking learns
-	// about a gray failure from the very first hedge. Accessed only from
-	// this goroutine's loop.
-	launchedAt := make(map[int]time.Time, len(order))
-	launch := func(p int) {
-		launchedAt[p] = time.Now()
-		go func() {
-			msg, err := e.call(p, build(p), deadline)
-			ch <- res{provider: p, msg: msg, err: err}
-		}()
+	queue := make([]*slot, want)
+	for i, p := range order[:want] {
+		queue[i] = s.start(p, 0, 0)
 	}
-	next := 0
-	for ; next < min(want, len(order)); next++ {
-		launch(order[next])
-	}
-	var got []indexedResponse
+	var got []*slot
 	var errs []error
-	inflight := next
-	var hedgedProvs map[int]bool
-	threshold := e.hedgeThreshold()
-	var deadlineCh <-chan time.Time
-	if !deadline.IsZero() {
-		dt := time.NewTimer(time.Until(deadline))
-		defer dt.Stop()
-		deadlineCh = dt.C
-	}
-	for len(got) < want && inflight > 0 {
-		// The hedge timer is re-armed per wait: each stall of threshold
-		// duration with spare candidates available may add one hedge. With
-		// hedging off or no spare left the channel stays nil and never fires.
-		var ht *time.Timer
-		var hedgeCh <-chan time.Time
-		if threshold > 0 && next < len(order) {
-			ht = time.NewTimer(threshold)
-			hedgeCh = ht.C
+	short := ErrNotEnough
+	for ; len(queue) > 0; queue = queue[1:] {
+		ps := queue[0]
+		if !ps.fill(s.watermark, s.threshold) {
+			ps = s.hedge(ps)
 		}
-		select {
-		case r := <-ch:
-			inflight--
-			delete(launchedAt, r.provider)
-			if r.err != nil {
-				errs = append(errs, fmt.Errorf("provider %d: %w", r.provider, r.err))
-				// Plain failover: replace the failed candidate if the
-				// quorum still needs it.
-				if len(got)+inflight < want && next < len(order) {
-					launch(order[next])
-					next++
-					inflight++
-				}
-				break
-			}
-			if hedgedProvs[r.provider] {
-				e.health.hedgesWon.Add(1)
-			}
-			got = append(got, indexedResponse{provider: r.provider, msg: r.msg})
-		case <-hedgeCh:
-			for p, at := range launchedAt {
-				if stalled := time.Since(at); stalled >= threshold {
-					e.provs[p].observeStall(stalled)
-					delete(launchedAt, p) // one stall sample per statement
-				}
-			}
-			if e.health.allowHedge() {
-				if hedgedProvs == nil {
-					hedgedProvs = make(map[int]bool)
-				}
-				hedgedProvs[order[next]] = true
-				launch(order[next])
-				next++
-				inflight++
-			} else {
-				// Budget denied: stop trying this statement (the timer
-				// would otherwise re-fire every threshold).
-				threshold = 0
-			}
-		case <-deadlineCh:
-			// Whatever answered in time is the round; settleQuorum says
-			// ErrDeadline when that is short of need.
-			inflight = 0
+		ps.fill(s.watermark, 0)
+		if ps.err == nil {
+			got = append(got, ps)
+			continue
 		}
-		if ht != nil {
-			ht.Stop()
-		}
-	}
-	return settleQuorum(got, need, errs, deadline)
-}
-
-// settleQuorum closes a gathering round: the responses ordered by provider
-// index, or — short of `need` — ErrNotEnough naming the failures. The
-// per-call transport deadlines and a collector's deadline timer race
-// benignly; a round that falls short past its deadline ran out of time, not
-// out of providers, and says ErrDeadline.
-func settleQuorum(got []indexedResponse, need int, errs []error, deadline time.Time) ([]indexedResponse, error) {
-	if len(got) < need {
-		base := ErrNotEnough
+		errs = append(errs, fmt.Errorf("provider %d: %w", ps.p, ps.err))
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			base = ErrDeadline
+			short = ErrDeadline
+		} else if len(s.spares) > 0 {
+			queue = append(queue, s.start(s.spares[0], 0, 0))
+			s.spares = s.spares[1:]
 		}
-		return nil, fmt.Errorf("%w: %d of %d needed answered (%v)", base, len(got), need, errors.Join(errs...))
 	}
-	sort.Slice(got, func(i, j int) bool { return got[i].provider < got[j].provider })
+	if len(got) < need {
+		return nil, fmt.Errorf("%w: %d of %d needed answered (%v)", short, len(got), need, errors.Join(errs...))
+	}
+	slices.SortFunc(got, func(a, b *slot) int { return a.p - b.p })
 	return got, nil
 }

@@ -182,7 +182,10 @@ func (c *Client) execExplain(e *sql.Explain) (*Result, error) {
 			}
 			unlock()
 			where := "pushed to providers"
-			if len(residualPreds(preds)) > 0 || s.OrderBy != nil || pending {
+			switch {
+			case p.verified:
+				where = "applied client-side (a completeness proof covers the whole range)"
+			case len(residualPreds(preds)) > 0 || s.OrderBy != nil || pending:
 				where = "applied client-side (residuals/order/pending overlay)"
 			}
 			line("LIMIT %d: %s", s.Limit, where)

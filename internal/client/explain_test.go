@@ -108,6 +108,12 @@ func TestExplainVerified(t *testing.T) {
 			t.Fatalf("plan missing %q:\n%s", want, plan)
 		}
 	}
+	// A proof covers the whole range, so a verified read never pushes its
+	// LIMIT: scanTable truncates the verified result.
+	plan = planText(t, f, `EXPLAIN SELECT name FROM employees WHERE salary > 10 LIMIT 2 VERIFIED`)
+	if !strings.Contains(plan, "LIMIT 2: applied client-side (a completeness proof covers the whole range)") {
+		t.Fatalf("verified LIMIT not explained as client-side:\n%s", plan)
+	}
 }
 
 func TestExplainDoesNotExecute(t *testing.T) {

@@ -366,7 +366,7 @@ func (e *engine) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 	var groups []*group
 	for ri, red := range rounds {
 		picks := red.op != proto.AggCount && red.op != proto.AggSum
-		responses, err := e.callQuorum(e.opts.K, e.opts.K, func(i int) proto.Message {
+		responses, err := e.collectWhole(e.opts.K, e.opts.K, func(i int) proto.Message {
 			r := &proto.AggregateRequest{Table: meta.Name, Op: red.op, Filter: filters[i]}
 			if gcm != nil {
 				r.GroupCol = gcm.Name + suffixOPP
@@ -387,17 +387,17 @@ func (e *engine) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 		// on every bucket's count and on the row every bucket picked.
 		results := make([]*proto.GroupResult, len(responses))
 		for i, r := range responses {
-			if results[i], err = as[*proto.GroupResult](r.provider, r.msg); err != nil {
+			if results[i], err = as[*proto.GroupResult](r.p, r.msg); err != nil {
 				return nil, err
 			}
 			if got, base := results[i], results[0]; got.Picks != picks || len(got.Groups) != len(base.Groups) {
 				return nil, fmt.Errorf("%w: provider %d answers %s with %d buckets (picked rows: %v), provider %d with %d",
-					ErrInconsistent, r.provider, red.op, len(got.Groups), got.Picks, responses[0].provider, len(base.Groups))
+					ErrInconsistent, r.p, red.op, len(got.Groups), got.Picks, responses[0].p, len(base.Groups))
 			}
 		}
 		base := results[0].Groups
 		if ri == 0 {
-			if groups, err = e.decodeBuckets(gcm, responses[0].provider, base); err != nil {
+			if groups, err = e.decodeBuckets(gcm, responses[0].p, base); err != nil {
 				return nil, err
 			}
 		} else if len(base) != len(groups) {
@@ -408,9 +408,9 @@ func (e *engine) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 			for i, r := range responses {
 				if got := results[i].Groups[b]; got.Count != g.count || got.Pick != base[b].Pick {
 					return nil, fmt.Errorf("%w: provider %d reports count %d and picked row %d for bucket %d, others %d and %d",
-						ErrInconsistent, r.provider, got.Count, got.Pick, b, g.count, base[b].Pick)
+						ErrInconsistent, r.p, got.Count, got.Pick, b, g.count, base[b].Pick)
 				}
-				shares[i] = secretshare.Share{Index: r.provider, Y: field.New(results[i].Groups[b].Sum)}
+				shares[i] = secretshare.Share{Index: r.p, Y: field.New(results[i].Groups[b].Sum)}
 			}
 			if red.cm == nil {
 				continue

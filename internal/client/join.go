@@ -304,7 +304,7 @@ func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 	// ship back only the value cells of the selected columns.
 	lPlan := left.fetchPlan(joinSideCols(items, true))
 	rPlan := right.fetchPlan(joinSideCols(items, false))
-	responses, err := e.callQuorum(e.opts.K, e.opts.K, func(i int) proto.Message {
+	responses, err := e.collectWhole(e.opts.K, e.opts.K, func(i int) proto.Message {
 		return &proto.JoinRequest{
 			LeftTable:    left.Name,
 			LeftCol:      j.lc.Name + suffixOPP,
@@ -324,11 +324,11 @@ func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 	lResps := make([]*proto.RowsResponse, len(responses))
 	rResps := make([]*proto.RowsResponse, len(responses))
 	for i, r := range responses {
-		jr, err := as[*proto.JoinResult](r.provider, r.msg)
+		jr, err := as[*proto.JoinResult](r.p, r.msg)
 		if err != nil {
 			return nil, err
 		}
-		providers[i] = r.provider
+		providers[i] = r.p
 		lResps[i], rResps[i] = splitPairs(jr, len(lPlan.names))
 	}
 	lScan, err := e.reconstructRows(left, &lPlan, providers, lResps, false)

@@ -309,7 +309,7 @@ func (e *engine) scanVerified(meta *tableMeta, preds []compiledPred, deadline ti
 	// Every reachable provider is asked: redundancy is what lets
 	// proof-failing or outvoted providers be dropped while a quorum of K
 	// survives.
-	responses, err := e.callQuorum(e.opts.K, e.opts.N, func(i int) proto.Message {
+	responses, err := e.collectWhole(e.opts.K, e.opts.N, func(i int) proto.Message {
 		return &proto.ScanRequest{
 			Table:         meta.Name,
 			Filter:        filters[i],
@@ -506,23 +506,23 @@ func beUint64(b []byte) uint64 { return binary.BigEndian.Uint64(b) }
 // majority table size and row-id sequence among the survivors, whose answers
 // it returns with them. It errors only when fewer than K trustworthy
 // providers remain.
-func (e *engine) applyVerification(meta *tableMeta, preds []compiledPred, plan *fetchPlan, responses []indexedResponse) (providers []int, resps []*proto.RowsResponse, faulty []int, err error) {
+func (e *engine) applyVerification(meta *tableMeta, preds []compiledPred, plan *fetchPlan, responses []*slot) (providers []int, resps []*proto.RowsResponse, faulty []int, err error) {
 	// Majority vote on the table size and the row-id sequence: each
 	// signature maps to the responses (by index) that carry it.
 	groups := make(map[string][]int)
 	answers := make([]*proto.RowsResponse, len(responses))
 	kept := 0
 	for i, r := range responses {
-		rr, err := as[*proto.RowsResponse](r.provider, r.msg)
+		rr, err := as[*proto.RowsResponse](r.p, r.msg)
 		if err == nil {
-			err = checkShape(r.provider, rr, plan.names)
+			err = checkShape(r.p, rr, plan.names)
 		}
 		var count uint64
 		if err == nil {
-			count, err = e.verifyProviderScan(meta, preds, r.provider, rr)
+			count, err = e.verifyProviderScan(meta, preds, r.p, rr)
 		}
 		if err != nil {
-			faulty = append(faulty, r.provider)
+			faulty = append(faulty, r.p)
 			continue
 		}
 		kept++
@@ -539,10 +539,10 @@ func (e *engine) applyVerification(meta *tableMeta, preds []compiledPred, plan *
 	for sig, members := range groups {
 		for _, i := range members {
 			if sig != best {
-				faulty = append(faulty, responses[i].provider)
+				faulty = append(faulty, responses[i].p)
 				continue
 			}
-			providers = append(providers, responses[i].provider)
+			providers = append(providers, responses[i].p)
 			resps = append(resps, answers[i])
 		}
 	}

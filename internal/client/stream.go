@@ -13,7 +13,7 @@ package client
 // QueryRows iterates it, and both get provider failover from it
 // (rowStream.failover). Verified (proof-carrying) reads never stream — a
 // Merkle completeness proof covers the entire result set — and take
-// scanVerified instead.
+// scanVerified, whose whole responses ride the same slots (collectWhole).
 
 import (
 	"errors"
@@ -47,43 +47,53 @@ type alignedBatch struct {
 	values [][]Value
 }
 
+// slots is what the slots of one read share. A slot carries one provider's
+// answer — a scan's stream of row chunks, or the one whole response of an
+// aggregate, a join or a verified read (collectWhole) — and both kinds are
+// started, hedged and raced by the same methods below.
+type slots struct {
+	e   *engine
+	ask func(p int, limit uint64) proto.Message // provider p's request
+	// deadline bounds every call (noDeadline = none); done, when non-nil,
+	// cancels every slot at once.
+	deadline time.Time
+	done     chan struct{}
+	// watermark drops rows at or above it from every chunk.
+	watermark uint64
+	// threshold is the straggler threshold (0 = no hedging); it flips to 0
+	// once the hedge budget denies, so a slow read does not keep re-arming
+	// stall timers it can never act on.
+	threshold time.Duration
+	// spares are the one spare rule of every read: the ranked non-lagging
+	// providers outside the read set. A lagging one would compute over a
+	// stale share set, and its lag floor may sit below a scan's watermark.
+	spares []int
+}
+
 // rowStream is a running streaming scan: K provider goroutines feed chunk
 // channels, one aligner goroutine zips them by row id, reconstructs, and
 // emits alignedBatches on out. err and failed are valid once out is closed.
 type rowStream struct {
+	slots
 	out    chan alignedBatch
-	done   chan struct{}
 	stop   sync.Once
 	err    error
 	closed bool
-	// failed is the provider stream whose failure err reports (nil when
-	// err is providers disagreeing, or a local decode error): a re-opened
-	// scan routes around that provider.
-	failed *provStream
+	// failed is the slot whose failure err reports (nil when err is
+	// providers disagreeing, or a local decode error): a re-opened scan
+	// routes around that provider.
+	failed *slot
 
 	// What was asked, so a failed scan can re-open (see failover); avoid
 	// lists the providers whose streams failed earlier opens of this scan.
-	e     *engine
 	meta  *tableMeta
 	preds []compiledPred
 	o     scanOpts
 	avoid []int
 
-	// The rest is the aligner goroutine's: how to start a replacement
-	// provider stream mid-scan, and which hedge spares remain. Every stream
-	// of the scan — initial, hedge rival, continuation — asks for plan.names.
-	filters   []*proto.Filter
+	// plan is what every stream of the scan asks for (see ask).
 	plan      fetchPlan
 	pushLimit uint64
-	watermark uint64
-	// threshold is the straggler threshold for this scan (0 = no hedging);
-	// it flips to 0 once the hedge budget denies, so a slow scan does not
-	// keep re-arming stall timers it can never act on.
-	threshold time.Duration
-	// spares are ranked candidates not in the read set: not down, not
-	// lagging (a lagging spare could not honor the already-fixed watermark
-	// — its lag floor might sit below rows this scan already emitted).
-	spares []int
 }
 
 // interrupt signals the provider goroutines to abandon their calls (the
@@ -110,13 +120,17 @@ func (rs *rowStream) Close() {
 	}
 }
 
-// provStream is the aligner's view of one provider's chunk stream.
-type provStream struct {
-	p    int
-	ch   chan *proto.RowsResponse
-	errc chan error
-	// stop cancels this stream alone (a hedge race loser) without touching
-	// its siblings; rs.done still cancels all of them at once.
+// slot is a reader's view of one provider's answer.
+type slot struct {
+	p  int
+	ch chan proto.Message
+	// end is how the call ended, set by the slot's goroutine before it
+	// closes ch, so it is read only once ch reads as closed.
+	end error
+	// msg is the newest message received: a whole response's only one.
+	msg proto.Message
+	// stop cancels this slot alone (a hedge race loser) without touching
+	// its siblings; slots.done still cancels all of them at once.
 	stop     chan struct{}
 	stopOnce sync.Once
 	// limit is the LIMIT pushed to this provider (0 = none) and received
@@ -139,20 +153,25 @@ type provStream struct {
 	accepted int
 }
 
-// cancel stops this stream's provider goroutine (best-effort cancel frame
+// cancel stops this slot's provider goroutine (best-effort cancel frame
 // on the wire, cursor released server-side). Idempotent.
-func (ps *provStream) cancel() {
+func (ps *slot) cancel() {
 	ps.stopOnce.Do(func() { close(ps.stop) })
 }
 
-// ingest folds one chunk receive (chunk, ok := <-ps.ch) into the stream
-// state: watermark rows drop, skip rows fast-forward, the rest land in
-// ps.rows. Only legal when every previously delivered row is consumed
-// (ps.off >= len(ps.rows)).
-func (ps *provStream) ingest(chunk *proto.RowsResponse, ok bool, watermark uint64) {
+// ingest folds one receive (msg, ok := <-ps.ch) into the slot state: it
+// keeps msg, and of a row chunk the watermark rows drop, skip rows
+// fast-forward and the rest land in ps.rows. Only legal when every
+// previously delivered row is consumed (ps.off >= len(ps.rows)).
+func (ps *slot) ingest(msg proto.Message, ok bool, watermark uint64) {
 	if !ok {
-		ps.err = <-ps.errc
+		ps.err = ps.end
 		ps.eof = true
+		return
+	}
+	ps.msg = msg
+	chunk, isRows := msg.(*proto.RowsResponse)
+	if !isRows {
 		return
 	}
 	if ps.cols == nil && len(chunk.Columns) > 0 {
@@ -181,23 +200,23 @@ func (ps *provStream) ingest(chunk *proto.RowsResponse, ok bool, watermark uint6
 // (a concurrent INSERT landing inside the range, a lag-floor cap), so every
 // masked row cost the result a slot the provider could have filled. The
 // aligner then continues the slot on an unlimited stream.
-func (ps *provStream) spentLimitOnMasked() bool {
+func (ps *slot) spentLimitOnMasked() bool {
 	return ps.eof && ps.err == nil && ps.limit > 0 &&
 		ps.received >= ps.limit && uint64(ps.accepted) < ps.limit
 }
 
-// ready reports that the aligner can make progress on this stream without
-// blocking: unconsumed rows are available or the stream has ended.
-func (ps *provStream) ready() bool {
+// ready reports that the reader can make progress on this slot without
+// blocking: unconsumed rows are available or the answer has ended.
+func (ps *slot) ready() bool {
 	return ps.eof || ps.off < len(ps.rows)
 }
 
-// fill blocks until ps has at least one unconsumed row or has reached end
-// of stream, dropping rows at or above the insert watermark as they arrive.
-// A positive d bounds the wait: fill returns false if the stream produced
-// nothing for d (the straggler threshold — the aligner then considers
-// hedging), true once the stream is ready.
-func (ps *provStream) fill(watermark uint64, d time.Duration) bool {
+// fill blocks until ps has at least one unconsumed row or has reached the
+// end of its answer, dropping rows at or above the insert watermark as they
+// arrive. A positive d bounds the wait: fill returns false if the slot
+// produced nothing for d (the straggler threshold — the reader then
+// considers hedging), true once the slot is ready.
+func (ps *slot) fill(watermark uint64, d time.Duration) bool {
 	var stall <-chan time.Time
 	if d > 0 {
 		t := time.NewTimer(d)
@@ -206,8 +225,8 @@ func (ps *provStream) fill(watermark uint64, d time.Duration) bool {
 	}
 	for !ps.ready() {
 		select {
-		case chunk, ok := <-ps.ch:
-			ps.ingest(chunk, ok, watermark)
+		case msg, ok := <-ps.ch:
+			ps.ingest(msg, ok, watermark)
 		case <-stall:
 			return false
 		}
@@ -215,51 +234,56 @@ func (ps *provStream) fill(watermark uint64, d time.Duration) bool {
 	return true
 }
 
-// start launches one provider chunk stream with `limit` pushed down,
-// skipping the first `skip` post-watermark rows (0 for the initial read
-// set; the slot position for a hedge rival or a continuation).
-func (rs *rowStream) start(p int, skip int, limit uint64) *provStream {
-	ps := &provStream{
+// start launches one slot on provider p with `limit` pushed down, skipping
+// the first `skip` post-watermark rows (0 for the initial read set; the slot
+// position for a hedge rival or a continuation). An unverified scan streams
+// its chunks; anything else — a verified scan too, whose proof covers the
+// whole answer — is one message.
+func (s *slots) start(p int, skip int, limit uint64) *slot {
+	ps := &slot{
 		p:        p,
-		ch:       make(chan *proto.RowsResponse, 1),
-		errc:     make(chan error, 1),
+		ch:       make(chan proto.Message, 1),
 		stop:     make(chan struct{}),
 		limit:    limit,
 		skip:     skip,
 		accepted: skip,
 	}
-	req := &proto.ScanRequest{
-		Table:         rs.meta.Name,
-		Filter:        rs.filters[p],
-		Projection:    rs.plan.names,
-		IDsOnly:       rs.plan.idsOnly(),
-		Limit:         limit,
-		TimeoutMillis: timeoutMillis(rs.o.deadline),
-	}
-	pr := rs.e.provs[p]
+	req := s.ask(p, limit)
+	pr := s.e.provs[p]
 	go func() {
 		// The latency the provider is judged on is the time to its first
-		// chunk (or to the end of a stream that sent none): whole-stream
+		// message (or to the end of a stream that sent none): whole-stream
 		// duration would scale with result size, not provider health.
 		started := time.Now()
 		var first time.Duration
 		judged := false
-		err := transport.CallStreamWithDeadline(pr.conn, req, rs.o.deadline, func(chunk *proto.RowsResponse) error {
+		deliver := func(msg proto.Message) error {
 			if !judged {
 				first, judged = time.Since(started), true
 				pr.observe(first, nil)
 			}
 			select {
-			case ps.ch <- chunk:
+			case ps.ch <- msg:
 				return nil
 			case <-ps.stop:
 				return errStreamDone
-			case <-rs.done:
+			case <-s.done:
 				return errStreamDone
 			}
-		})
-		// A stream this client canceled has no outcome, and a clean end after
-		// chunks was judged at the first one. Every other ending is judged
+		}
+		var err error
+		if scan, ok := req.(*proto.ScanRequest); ok && !scan.WithProof {
+			err = transport.CallStreamWithDeadline(pr.conn, req, s.deadline, func(chunk *proto.RowsResponse) error {
+				return deliver(chunk)
+			})
+		} else {
+			var msg proto.Message
+			if msg, err = callWhole(pr.conn, req, s.deadline); err == nil {
+				err = deliver(msg)
+			}
+		}
+		// A slot this client canceled has no outcome, and a clean end after
+		// a message was judged at the first one. Every other ending is judged
 		// here — a death after the first chunk like one before it.
 		if !errors.Is(err, errStreamDone) && (err != nil || !judged) {
 			if !judged {
@@ -267,39 +291,40 @@ func (rs *rowStream) start(p int, skip int, limit uint64) *provStream {
 			}
 			pr.observe(first, err)
 		}
-		ps.errc <- err
+		ps.end = err
 		close(ps.ch)
 	}()
 	return ps
 }
 
-// tryHedge starts a rival stream for a stalled slot, if a spare provider
-// and hedge budget remain.
-func (rs *rowStream) tryHedge(old *provStream) *provStream {
-	// The stalled stream has provably produced nothing for a full
-	// threshold: feed that as a right-censored latency sample so ranking
-	// demotes a gray-failing provider without waiting for the stream to
-	// finish or die (see provider.observeStall).
-	rs.e.provs[old.p].observeStall(rs.threshold)
-	if len(rs.spares) == 0 {
-		return nil
+// hedge is what a slot that stalled past the straggler threshold gets: if a
+// spare and hedge budget remain, a rival on the spare, raced against it; it
+// returns the slot's owner afterwards.
+func (s *slots) hedge(old *slot) *slot {
+	// The stalled slot has provably produced nothing for a full threshold:
+	// feed that as a right-censored latency sample so ranking demotes a
+	// gray-failing provider without waiting for the call to finish or die
+	// (see provider.observeStall).
+	s.e.provs[old.p].observeStall(s.threshold)
+	if len(s.spares) == 0 {
+		return old
 	}
-	if !rs.e.health.allowHedge() {
-		rs.threshold = 0
-		return nil
+	if !s.e.health.allowHedge() {
+		s.threshold = 0
+		return old
 	}
-	p := rs.spares[0]
-	rs.spares = rs.spares[1:]
-	return rs.start(p, old.accepted, old.limit)
+	p := s.spares[0]
+	s.spares = s.spares[1:]
+	return s.race(old, s.start(p, old.accepted, old.limit))
 }
 
-// race waits for either the stalled stream or its rival to become usable
-// and returns the slot's new owner, canceling the other. A mid-stream
-// death of either side hands the slot to the survivor — hedging doubles as
-// mid-stream failover. Both streams sit at the same slot position (the
-// rival skipped to it), so whichever produces rows first produces the SAME
-// rows; a clean EOF is equally adoptable from either.
-func (rs *rowStream) race(old, rival *provStream) *provStream {
+// race waits for either the stalled slot or its rival to become usable and
+// returns the slot's new owner, canceling the other. A death of either side
+// hands the slot to the survivor — hedging doubles as failover. Both sit at
+// the same slot position (the rival skipped to it), so whichever produces
+// rows first produces the SAME rows; a clean end is equally adoptable from
+// either.
+func (s *slots) race(old, rival *slot) *slot {
 	oldCh, rivalCh := old.ch, rival.ch
 	for {
 		if old != nil && old.ready() {
@@ -323,14 +348,14 @@ func (rs *rowStream) race(old, rival *provStream) *provStream {
 			if old != nil {
 				old.cancel()
 			}
-			rs.e.health.hedgesWon.Add(1)
+			s.e.health.hedgesWon.Add(1)
 			return rival
 		}
 		select {
-		case chunk, ok := <-oldCh:
-			old.ingest(chunk, ok, rs.watermark)
-		case chunk, ok := <-rivalCh:
-			rival.ingest(chunk, ok, rs.watermark)
+		case msg, ok := <-oldCh:
+			old.ingest(msg, ok, s.watermark)
+		case msg, ok := <-rivalCh:
+			rival.ingest(msg, ok, s.watermark)
 		}
 	}
 }
@@ -374,28 +399,35 @@ func (e *engine) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 		watermark = min(watermark, e.provs[p].lagFloor(meta.Name))
 	}
 
+	plan := meta.scanPlan(preds, o.cols, false)
 	rs := &rowStream{
+		slots: slots{
+			e: e,
+			ask: func(p int, limit uint64) proto.Message {
+				return &proto.ScanRequest{
+					Table:         meta.Name,
+					Filter:        filters[p],
+					Projection:    plan.names,
+					IDsOnly:       plan.idsOnly(),
+					Limit:         limit,
+					TimeoutMillis: timeoutMillis(o.deadline),
+				}
+			},
+			deadline:  o.deadline,
+			done:      make(chan struct{}),
+			watermark: watermark,
+			threshold: e.hedgeThreshold(),
+			spares:    slices.DeleteFunc(order[e.opts.K:], func(p int) bool { return e.provs[p].lagging() }),
+		},
 		out:       make(chan alignedBatch, 1),
-		done:      make(chan struct{}),
-		e:         e,
 		meta:      meta,
 		preds:     preds,
 		o:         o,
 		avoid:     avoid,
-		filters:   filters,
-		plan:      meta.scanPlan(preds, o.cols, false),
+		plan:      plan,
 		pushLimit: pushLimit,
-		watermark: watermark,
-		threshold: e.hedgeThreshold(),
 	}
-	// Hedge spares: the ranked also-rans that are both reachable and fully
-	// caught up (see rowStream.spares for why lagging ones cannot serve).
-	for _, p := range order[e.opts.K:] {
-		if tier, _ := e.provs[p].standing(time.Now()); tier == 0 {
-			rs.spares = append(rs.spares, p)
-		}
-	}
-	streams := make([]*provStream, len(providers))
+	streams := make([]*slot, len(providers))
 	for i, p := range providers {
 		streams[i] = rs.start(p, 0, pushLimit)
 	}
@@ -436,7 +468,7 @@ func (rs *rowStream) failover() (*rowStream, error) {
 // the CURRENT slot provider), then a rival stream starts on a spare
 // provider, fast-forwarded to the slot position, and whichever of the two
 // becomes usable first owns the slot from then on.
-func (rs *rowStream) align(streams []*provStream) {
+func (rs *rowStream) align(streams []*slot) {
 	e, meta, preds, limit, watermark := rs.e, rs.meta, rs.preds, rs.o.limit, rs.watermark
 	defer close(rs.out)
 	// Whatever ends this aligner — completion, a satisfied LIMIT, a failed
@@ -512,10 +544,8 @@ func (rs *rowStream) align(streams []*provStream) {
 				if flush() {
 					return
 				}
-				if rival := rs.tryHedge(ps); rival != nil {
-					ps = rs.race(ps, rival)
-					streams[si] = ps
-				}
+				ps = rs.hedge(ps)
+				streams[si] = ps
 			}
 			ps.fill(watermark, 0)
 			if ps.spentLimitOnMasked() {

@@ -42,8 +42,8 @@ func TestNoHedgesWhenAllHealthy(t *testing.T) {
 	}
 }
 
-// A straggling provider in a whole-response quorum round (callQuorum, the
-// path aggregates and joins take) gets hedged: the query completes near the
+// A straggling provider in a whole-response read (collectWhole, the path
+// aggregates and joins take) gets hedged: the query completes near the
 // healthy providers' latency, not the straggler's.
 func TestHedgeCoversStragglerAggregate(t *testing.T) {
 	f := newFleet(t, 4, 2, Options{HedgeDelay: 10 * time.Millisecond})
@@ -77,7 +77,7 @@ func TestHedgeCoversStragglerAggregate(t *testing.T) {
 // budget runs dry and statements start dying on the straggler — exactly
 // K-1 healthy answers short. Sequential statements here stay fast and
 // hedge only during the first few, before ranking learns. (Aggregates, so
-// the stall is observed by callQuorum's hedge timer.)
+// the stall is observed on a whole-response slot.)
 func TestStallObservationDemotesWithoutCompletion(t *testing.T) {
 	f := newFleet(t, 3, 2, Options{HedgeDelay: 10 * time.Millisecond})
 	setupEmployees(t, f)
@@ -152,6 +152,37 @@ func TestHedgeCoversStragglerStreaming(t *testing.T) {
 	if hs := f.client.HedgeStats(); hs.Issued == 0 {
 		t.Error("stalled stream produced no hedge")
 	}
+}
+
+// One spare rule for every read: a provider judged failing once but still
+// answering is a spare — ranked last, yet not lagging — so a read-set member
+// that stalls is raced onto it, by a scan's slot as by an aggregate's.
+func hedgeOntoFailingSpare(t *testing.T, query, want string) {
+	t.Helper()
+	f := newFleet(t, 3, 2, Options{HedgeDelay: 10 * time.Millisecond})
+	setupEmployees(t, f)
+	f.client.groups[0].provs[2].observe(time.Millisecond, errors.New("connection reset"))
+	f.faults[0].SetDelay(2 * time.Second)
+	start := time.Now()
+	res := f.mustExec(t, query)
+	elapsed := time.Since(start)
+	if got := fmt.Sprint(rowsAsStrings(res)); got != want {
+		t.Fatalf("%s = %s, want %s", query, got, want)
+	}
+	if elapsed > time.Second {
+		t.Errorf("%s took %v; the failing spare was not raced", query, elapsed)
+	}
+	if hs := f.client.HedgeStats(); hs.Won < 1 {
+		t.Errorf("no hedge won: %+v", hs)
+	}
+}
+
+func TestHedgeOntoFailingSpareStreaming(t *testing.T) {
+	hedgeOntoFailingSpare(t, `SELECT name FROM employees WHERE salary <= 20`, "[John Alice]")
+}
+
+func TestHedgeOntoFailingSpareAggregate(t *testing.T) {
+	hedgeOntoFailingSpare(t, `SELECT SUM(salary) FROM employees WHERE dept = 1`, "[30]")
 }
 
 // After a straggler has been observed, health ranking routes subsequent

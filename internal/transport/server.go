@@ -19,11 +19,11 @@ const (
 	// outQueueLen buffers response frames between handler workers and the
 	// per-connection writer goroutine.
 	outQueueLen = 64
-	// defaultWriteStall bounds how long the writer goroutine may sit in one
-	// socket write before the connection is declared dead. With a shared
-	// handler pool, a client that stops reading would otherwise wedge pool
-	// workers behind its full response queue indefinitely.
-	defaultWriteStall = 30 * time.Second
+	// writeStall bounds how long the writer goroutine may sit in one socket
+	// write before the connection is declared dead. With a shared handler
+	// pool, a client that stops reading would otherwise wedge pool workers
+	// behind its full response queue indefinitely.
+	writeStall = 30 * time.Second
 )
 
 // ServerConfig tunes a provider-side transport server.
@@ -44,11 +44,6 @@ type ServerConfig struct {
 	// with weight w gets w shares of the inflight budget under contention,
 	// however many connections it opens.
 	TenantWeights map[string]int
-	// WriteStall bounds a single blocking socket write; a connection whose
-	// client stops reading for longer is closed so shared pool workers
-	// cannot be held hostage by its backpressure. 0 means the default
-	// (30s); negative disables the bound.
-	WriteStall time.Duration
 }
 
 func (cfg ServerConfig) withDefaults() ServerConfig {
@@ -63,12 +58,6 @@ func (cfg ServerConfig) withDefaults() ServerConfig {
 		cfg.MaxQueue = 8 * cfg.MaxInflight
 	case cfg.MaxQueue < 0:
 		cfg.MaxQueue = 1
-	}
-	switch {
-	case cfg.WriteStall == 0:
-		cfg.WriteStall = defaultWriteStall
-	case cfg.WriteStall < 0:
-		cfg.WriteStall = 0
 	}
 	return cfg
 }
@@ -351,16 +340,12 @@ func (s *Server) serveStream(sh StreamHandler, id uint64, req proto.Message, can
 // queue runs dry so bursts of small responses batch into few syscalls. On
 // a write error it closes the socket (unblocking the read loop) and keeps
 // draining so handler workers never block on a dead connection. Each write
-// is bounded by WriteStall: a client that stops reading long enough to
+// is bounded by writeStall: a client that stops reading long enough to
 // stall the writer is treated as dead rather than allowed to wedge shared
 // pool workers behind its full response queue.
 func (s *Server) writeLoop(nc net.Conn, bw *bufio.Writer, out <-chan outFrame) {
 	failed := false
-	arm := func() {
-		if s.cfg.WriteStall > 0 {
-			nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteStall))
-		}
-	}
+	arm := func() { nc.SetWriteDeadline(time.Now().Add(writeStall)) }
 	for f := range out {
 		if failed {
 			continue

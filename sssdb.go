@@ -112,29 +112,10 @@ var (
 	ErrTxAborted = client.ErrTxAborted
 )
 
-// DialConfig tunes how the client connects to providers over TCP.
-type DialConfig struct {
-	// Timeout is the per-call deadline. A provider that does not answer
-	// within Timeout is treated as crashed and the client fails over to
-	// the remaining providers (reads need only K of N). Zero disables
-	// deadlines.
-	Timeout time.Duration
-	// MaxRedials caps automatic reconnect attempts after a connection
-	// dies, per call, for requests that never reached the wire. Zero
-	// means the default (2); negative disables redialing.
-	MaxRedials int
-	// Tenant names this client's workload to the providers' admission
-	// schedulers: all connections carrying the same tenant id share one
-	// fair-scheduling queue server-side, so opening more connections (or
-	// more clients) under one tenant never multiplies that tenant's share.
-	// Empty joins the anonymous tenant.
-	Tenant string
-	// BusyRetries caps transparent retries (with exponential backoff) when
-	// an overloaded provider sheds a request with "server busy". Shed
-	// requests never executed, so retrying is safe. Zero means the default
-	// (4); negative disables retrying and surfaces the busy error.
-	BusyRetries int
-}
+// DialConfig tunes how the client connects to providers over TCP. A
+// provider that does not answer within Timeout is treated as crashed, and
+// reads fail over to the remaining providers (they need only K of N).
+type DialConfig = transport.DialConfig
 
 // Open connects a data source to n providers listening at the given TCP
 // addresses (for providers started with cmd/dasd). The address order is
@@ -153,15 +134,9 @@ func OpenTimeout(addrs []string, opts Options, timeout time.Duration) (*Client, 
 // Options.Shards equal-sized provider groups laid out consecutively (group
 // 0's providers first, then group 1's, ...); the default is one group.
 func OpenWith(addrs []string, opts Options, dc DialConfig) (*Client, error) {
-	tc := transport.DialConfig{
-		Timeout:     dc.Timeout,
-		MaxRedials:  dc.MaxRedials,
-		Tenant:      dc.Tenant,
-		BusyRetries: dc.BusyRetries,
-	}
 	conns := make([]transport.Conn, 0, len(addrs))
 	for _, addr := range addrs {
-		conn, err := transport.DialWith(addr, tc)
+		conn, err := transport.DialWith(addr, dc)
 		if err != nil {
 			for _, c := range conns {
 				c.Close()
@@ -260,7 +235,7 @@ func (c *Cluster) NumGroups() int { return len(c.stores) / c.groupSize }
 // OpenLocal starts opts.Shards provider groups (default one) of n in-memory
 // providers each and connects a client.
 func OpenLocal(n int, opts Options) (*Cluster, error) {
-	return openLocal(make([]string, n*max(opts.Shards, 1)), opts)
+	return openLocalWith(make([]string, n*max(opts.Shards, 1)), opts, StoreOptions{})
 }
 
 // OpenLocalSharded starts `groups` provider groups of perGroup in-memory
@@ -268,7 +243,7 @@ func OpenLocal(n int, opts Options) (*Cluster, error) {
 // rows across the groups. opts.Shards is overridden with groups.
 func OpenLocalSharded(groups, perGroup int, opts Options) (*Cluster, error) {
 	opts.Shards = groups
-	return openLocal(make([]string, groups*perGroup), opts)
+	return openLocalWith(make([]string, groups*perGroup), opts, StoreOptions{})
 }
 
 // OpenLocalDirs starts one durable provider per directory (state persists
@@ -289,10 +264,6 @@ type StoreOptions = store.Options
 // while cold pages fault in from disk on demand.
 func OpenLocalDirsWith(dirs []string, opts Options, storeOpts StoreOptions) (*Cluster, error) {
 	return openLocalWith(dirs, opts, storeOpts)
-}
-
-func openLocal(dirs []string, opts Options) (*Cluster, error) {
-	return openLocalWith(dirs, opts, StoreOptions{})
 }
 
 func openLocalWith(dirs []string, opts Options, storeOpts StoreOptions) (*Cluster, error) {
