@@ -33,7 +33,8 @@ race-txn:
 # Focused race pass over the tail-tolerance paths: hedged slots of
 # whole-response reads and streaming scans, the one spare rule, stall
 # demotion, the provider record's judge and ordering, end-to-end deadlines,
-# the flapping provider's repair loop, and the deadline-aware transport.
+# the flapping provider's repair loop, and the deadline-aware transport,
+# in-process conns included (a deadline preempts a handler still running).
 race-hedge:
 	$(GO) test -race -count=1 -run 'TestHedge|TestStall|TestNoHedges|TestHealth|TestCircuit|TestDynamic|TestReadDeadline|TestRepairFlapping|TestRemoteErrorDoesNotDemote|TestEveryOutcomeReachesLedger|TestProviderOrder' ./internal/client
 	$(GO) test -race -count=1 -run 'TestFaulty|TestWaitBackoff|TestCallDeadline|TestLocalConn|TestDelaySchedule' ./internal/transport
@@ -41,9 +42,9 @@ race-hedge:
 # Ten seconds on each fuzz target, from the corpora checked in under
 # testdata/fuzz: the share-row block codec, the message decoder (one message of
 # every kind), the page decoder, a WAL record through the store's mutation
-# path, the store manifest Open reads from disk, a provider's range proof, and
-# the index B+-tree against a sorted-set oracle. -fuzz takes one target and one
-# package per run.
+# path, the store manifest Open reads from disk, a provider's range proof, the
+# index B+-tree against a sorted-set oracle, and the transport's frame and
+# handshake readers. -fuzz takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBlock$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/proto
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime=10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalRangeProof$$' -fuzztime=10s ./internal/merkle
 	$(GO) test -run '^$$' -fuzz '^FuzzTree$$' -fuzztime=10s ./internal/btree
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/transport
 
 # The figures ROADMAP.md and CHANGES.md quote for aim 2: non-test lines of
 # the client and the transport (item 6), the store, its index tree and the

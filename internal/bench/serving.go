@@ -132,8 +132,9 @@ func (p *pacedHandler) HandleStream(req proto.Message, emit func(*proto.RowsResp
 }
 
 // servingFleet is a set of real TCP providers behind the admission
-// scheduler (the in-process loopback bypasses it, so S6 must go over
-// sockets).
+// scheduler. S6 builds its own servers rather than using NewLocal because
+// it sets each one's ServerConfig (inflight budget, queue bound, tenant
+// weights), paces its handler, and reads its SchedStats directly.
 type servingFleet struct {
 	stores  []*store.Store
 	servers []*transport.Server

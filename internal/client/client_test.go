@@ -15,7 +15,7 @@ import (
 )
 
 // fleet is an in-process deployment: n provider stores behind faulty-capable
-// loopback connections and one client.
+// connections and one client.
 type fleet struct {
 	client *Client
 	stores []*store.Store

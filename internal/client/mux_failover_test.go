@@ -34,7 +34,7 @@ func TestConcurrentStatementsSurviveSharedConnDeath(t *testing.T) {
 		srv := transport.NewServer(ln, server.New(st))
 		servers = append(servers, srv)
 		t.Cleanup(func() { srv.Close() })
-		conn, err := transport.DialTimeout(srv.Addr().String(), 2*time.Second)
+		conn, err := transport.DialWith(srv.Addr().String(), transport.DialConfig{Timeout: 2 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 )
 
 // shardFleet is an in-process sharded deployment: groups×n provider stores
-// behind faulty-capable loopback connections and one shard router.
+// behind faulty-capable connections and one shard router.
 type shardFleet struct {
 	router *Client
 	stores [][]*store.Store

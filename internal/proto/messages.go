@@ -272,8 +272,8 @@ type StatsResponse struct {
 	WALFsyncNanos   uint64
 	WALFsyncMaxNano uint64
 
-	// Serving-path stats, filled by the TCP transport's admission
-	// scheduler (zero on in-process loopback connections): current queue
+	// Serving-path stats, filled by the transport server's admission
+	// scheduler on every connection, in-process or TCP: current queue
 	// depth across tenant queues, tenants with queued work, cumulative
 	// admitted/shed request counts, and latency quantiles in nanoseconds
 	// for admission wait and handler execution.

@@ -73,7 +73,7 @@ func TestProviderOverMuxTransport(t *testing.T) {
 	}
 	srv := transport.NewServer(ln, p)
 	defer srv.Close()
-	conn, err := transport.Dial(srv.Addr().String())
+	conn, err := transport.DialWith(srv.Addr().String(), transport.DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,6 +125,20 @@ func TestHandleFullLifecycle(t *testing.T) {
 	}
 }
 
+// An in-process provider serves through the transport's admission
+// scheduler, so its ping answer carries the scheduler's serving stats.
+func TestLocalPingCarriesSchedStats(t *testing.T) {
+	conn := transport.NewLocal(newProvider(t))
+	defer conn.Close()
+	resp, err := conn.Call(&proto.PingRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := resp.(*proto.StatsResponse); !ok || st.Admitted < 1 {
+		t.Fatalf("ping answered %#v, want a StatsResponse with Admitted >= 1", resp)
+	}
+}
+
 func TestErrorCodeMapping(t *testing.T) {
 	p := newProvider(t)
 	check := func(req proto.Message, want proto.ErrorCode) {

@@ -130,7 +130,7 @@ func TestWaitBackoffAbortsOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := conn.(*tcpConn)
+	tc := conn.(*muxConn)
 	done := make(chan error, 1)
 	go func() { done <- tc.waitBackoff(time.Minute, time.Time{}) }()
 	time.Sleep(10 * time.Millisecond)
@@ -157,7 +157,7 @@ func TestWaitBackoffRespectsDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	tc := conn.(*tcpConn)
+	tc := conn.(*muxConn)
 	start := time.Now()
 	if err := tc.waitBackoff(time.Minute, time.Now().Add(10*time.Millisecond)); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
@@ -187,7 +187,7 @@ func TestCallDeadlineBoundsSilentServer(t *testing.T) {
 	}
 }
 
-// An already-expired deadline fails fast on the local loopback conn too.
+// An already-expired deadline fails fast on an in-process conn too.
 func TestLocalConnExpiredDeadline(t *testing.T) {
 	conn := NewLocal(HandlerFunc(func(m proto.Message) proto.Message {
 		return &proto.OKResponse{}

@@ -34,7 +34,7 @@ const (
 	busyBackoffCap     = 100 * time.Millisecond
 )
 
-// DialConfig tunes a TCP provider connection.
+// DialConfig tunes a provider connection.
 type DialConfig struct {
 	// Timeout is the per-call deadline: a Call (including the whole chunk
 	// stream of its response) that does not complete within Timeout fails
@@ -57,23 +57,102 @@ type DialConfig struct {
 	BusyRetries int
 }
 
-// Dial connects to a provider at addr (host:port).
-func Dial(addr string) (Conn, error) {
-	return DialWith(addr, DialConfig{})
-}
-
-// DialTimeout connects with a per-call deadline: any Call that does not
-// complete within timeout fails (and the caller's failover logic treats the
-// provider as down). Zero disables deadlines.
-func DialTimeout(addr string, timeout time.Duration) (Conn, error) {
-	return DialWith(addr, DialConfig{Timeout: timeout})
-}
-
-// DialWith connects to a provider with explicit transport configuration.
-// The TCP connection is established eagerly; protocol version negotiation
-// happens lazily on the first call (under that call's deadline), so a
-// silent peer surfaces as a call timeout, not a dial failure.
+// DialWith connects to a provider at addr (host:port) with explicit
+// transport configuration; a zero DialConfig takes every default. The TCP
+// connection is established eagerly; protocol version negotiation happens
+// lazily on the first call (under that call's deadline), so a silent peer
+// surfaces as a call timeout, not a dial failure.
 func DialWith(addr string, cfg DialConfig) (Conn, error) {
+	dialTimeout := cfg.Timeout
+	if dialTimeout == 0 {
+		dialTimeout = defaultDialTimeout
+	}
+	c := newMuxConn(addr, cfg, func() (net.Conn, error) {
+		return net.DialTimeout("tcp", addr, dialTimeout)
+	})
+	s, err := c.dialSession()
+	if err != nil {
+		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
+	}
+	c.sess = s
+	return c, nil
+}
+
+// NewLocal serves h in-process and returns a Conn to it: a Server runs h
+// behind a listener whose connections are net.Pipe pairs, and the Conn is
+// the one DialWith builds, dialing that listener instead of TCP. An
+// in-process call therefore takes every step a deployed one does —
+// handshake, framing, admission, chunk and cancel frames, deadlines — with
+// no socket or port. Closing the Conn stops the server.
+func NewLocal(h Handler) Conn {
+	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	c := newMuxConn("in-process provider", DialConfig{}, ln.dial)
+	c.server = NewServer(ln, h)
+	return c
+}
+
+// pipeListener is an in-memory net.Listener: dial creates a net.Pipe and
+// Accept hands its other end to the server.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *pipeListener) dial() (net.Conn, error) {
+	client, server := net.Pipe()
+	select {
+	case l.conns <- server:
+		return client, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case nc := <-l.conns:
+		return nc, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+// muxConn is a provider connection. It owns at most one live session at a
+// time and transparently redials (capped) when the session dies, so one
+// failed call no longer strands the provider until restart.
+type muxConn struct {
+	counters
+	addr string
+	cfg  DialConfig
+	// dial opens a fresh connection to the provider's server.
+	dial func() (net.Conn, error)
+	// server, when set, is the in-process server NewLocal started; Close
+	// stops it.
+	server *Server
+
+	// closeCh is closed by Close so backoff waits (busy-retry, redial)
+	// abort immediately instead of sleeping out their full delay.
+	closeCh chan struct{}
+
+	mu     sync.Mutex // guards sess and closed
+	sess   *session
+	closed bool
+}
+
+func newMuxConn(addr string, cfg DialConfig, dial func() (net.Conn, error)) *muxConn {
 	switch {
 	case cfg.MaxRedials == 0:
 		cfg.MaxRedials = defaultMaxRedials
@@ -86,33 +165,10 @@ func DialWith(addr string, cfg DialConfig) (Conn, error) {
 	case cfg.BusyRetries < 0:
 		cfg.BusyRetries = 0
 	}
-	c := &tcpConn{addr: addr, cfg: cfg, closeCh: make(chan struct{})}
-	s, err := c.dialSession()
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	c.sess = s
-	return c, nil
+	return &muxConn{addr: addr, cfg: cfg, dial: dial, closeCh: make(chan struct{})}
 }
 
-// tcpConn is a provider connection over TCP. It owns at most one live
-// session at a time and transparently redials (capped) when the session
-// dies, so one failed call no longer strands the provider until restart.
-type tcpConn struct {
-	counters
-	addr string
-	cfg  DialConfig
-
-	// closeCh is closed by Close so backoff waits (busy-retry, redial)
-	// abort immediately instead of sleeping out their full delay.
-	closeCh chan struct{}
-
-	mu     sync.Mutex // guards sess and closed
-	sess   *session
-	closed bool
-}
-
-// session is one established TCP connection, shared by any number of
+// session is one established connection, shared by any number of
 // in-flight calls: writers serialize frame writes through sendMu, and a
 // single reader goroutine demultiplexes response frames into the pending
 // map by request id.
@@ -168,12 +224,8 @@ type pendingCall struct {
 	partial *proto.RowsResponse
 }
 
-func (c *tcpConn) dialSession() (*session, error) {
-	dialTimeout := c.cfg.Timeout
-	if dialTimeout == 0 {
-		dialTimeout = defaultDialTimeout
-	}
-	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
+func (c *muxConn) dialSession() (*session, error) {
+	nc, err := c.dial()
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +240,7 @@ func (c *tcpConn) dialSession() (*session, error) {
 }
 
 // session returns the live session, redialing if the previous one died.
-func (c *tcpConn) session() (*session, error) {
+func (c *muxConn) session() (*session, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -258,7 +310,7 @@ func (s *session) abandon(id uint64) {
 // call deadline), so a silent peer cannot hold negotiation longer than the
 // call it serves. Anything but an ack naming protoVersion is an error; the
 // caller fails the session, closing the connection.
-func (c *tcpConn) negotiate(s *session, timeout time.Duration) error {
+func (c *muxConn) negotiate(s *session, timeout time.Duration) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	if s.negotiated.Load() {
@@ -304,25 +356,25 @@ func (c *tcpConn) negotiate(s *session, timeout time.Duration) error {
 }
 
 // Call implements Conn.
-func (c *tcpConn) Call(req proto.Message) (proto.Message, error) {
+func (c *muxConn) Call(req proto.Message) (proto.Message, error) {
 	return c.do(req, nil, time.Time{})
 }
 
 // CallDeadline implements DeadlineCaller: the call (including redial and
 // busy-retry backoff waits) is bounded by the absolute deadline, which
 // tightens the per-call Timeout when it is nearer.
-func (c *tcpConn) CallDeadline(req proto.Message, deadline time.Time) (proto.Message, error) {
+func (c *muxConn) CallDeadline(req proto.Message, deadline time.Time) (proto.Message, error) {
 	return c.do(req, nil, deadline)
 }
 
 // CallStream implements StreamCaller.
-func (c *tcpConn) CallStream(req proto.Message, yield func(*proto.RowsResponse) error) error {
+func (c *muxConn) CallStream(req proto.Message, yield func(*proto.RowsResponse) error) error {
 	return c.CallStreamDeadline(req, time.Time{}, yield)
 }
 
 // CallStreamDeadline implements StreamDeadlineCaller; the deadline covers
 // the whole chunk stream.
-func (c *tcpConn) CallStreamDeadline(req proto.Message, deadline time.Time, yield func(*proto.RowsResponse) error) error {
+func (c *muxConn) CallStreamDeadline(req proto.Message, deadline time.Time, yield func(*proto.RowsResponse) error) error {
 	resp, err := c.do(req, yield, deadline)
 	if err != nil {
 		return err
@@ -338,7 +390,7 @@ func (c *tcpConn) CallStreamDeadline(req proto.Message, deadline time.Time, yiel
 // executed, so replaying is safe even for writes) is retried up to
 // BusyRetries times behind exponential backoff. Anything else passes
 // straight through.
-func (c *tcpConn) do(req proto.Message, yield func(*proto.RowsResponse) error, deadline time.Time) (proto.Message, error) {
+func (c *muxConn) do(req proto.Message, yield func(*proto.RowsResponse) error, deadline time.Time) (proto.Message, error) {
 	for attempt := 0; ; attempt++ {
 		resp, err := c.doOnce(req, yield, deadline)
 		busy := IsBusy(err)
@@ -358,7 +410,7 @@ func (c *tcpConn) do(req proto.Message, yield func(*proto.RowsResponse) error, d
 // the call deadline would elapse before the wait ends. Backoff must never
 // outlive the caller's interest: a closing client or an expired deadline
 // gets an immediate error, not a slept-out cap.
-func (c *tcpConn) waitBackoff(d time.Duration, deadline time.Time) error {
+func (c *muxConn) waitBackoff(d time.Duration, deadline time.Time) error {
 	if !deadline.IsZero() && time.Until(deadline) <= d {
 		return os.ErrDeadlineExceeded
 	}
@@ -386,7 +438,7 @@ func busyBackoff(attempt int) time.Duration {
 // long as the request has not touched the wire (a request that may have
 // reached the provider is never replayed — the caller's failover logic
 // owns that decision).
-func (c *tcpConn) doOnce(req proto.Message, yield func(*proto.RowsResponse) error, deadline time.Time) (proto.Message, error) {
+func (c *muxConn) doOnce(req proto.Message, yield func(*proto.RowsResponse) error, deadline time.Time) (proto.Message, error) {
 	body := proto.Encode(req)
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRedials; attempt++ {
@@ -452,7 +504,7 @@ func redialBackoff(attempt int) time.Duration {
 // muxCall runs one exchange: register a pending entry, write one request
 // frame, and wait for the reader goroutine to deliver the response (or the
 // per-request timer to fire).
-func (c *tcpConn) muxCall(s *session, body []byte, yield func(*proto.RowsResponse) error, timeout time.Duration, countWedge bool) (resp proto.Message, wrote bool, err error) {
+func (c *muxConn) muxCall(s *session, body []byte, yield func(*proto.RowsResponse) error, timeout time.Duration, countWedge bool) (resp proto.Message, wrote bool, err error) {
 	id := s.nextID.Add(1)
 	pc := &pendingCall{done: make(chan callResult, 1)}
 	if yield != nil {
@@ -658,10 +710,10 @@ func (s *session) readLoop() {
 }
 
 // Stats implements Conn.
-func (c *tcpConn) Stats() Stats { return c.snapshot() }
+func (c *muxConn) Stats() Stats { return c.snapshot() }
 
 // Close implements Conn.
-func (c *tcpConn) Close() error {
+func (c *muxConn) Close() error {
 	c.mu.Lock()
 	s := c.sess
 	c.sess = nil
@@ -673,6 +725,9 @@ func (c *tcpConn) Close() error {
 	}
 	if s != nil {
 		s.fail(ErrClosed)
+	}
+	if c.server != nil {
+		return c.server.Close()
 	}
 	return nil
 }

@@ -58,17 +58,28 @@ func newTestServer(t testing.TB, h Handler, cfg ServerConfig) *Server {
 }
 
 // TestMuxConcurrentInFlight proves N in-flight requests share one provider
-// connection with no per-request serialization: 8 scans that each block
-// the handler 50ms complete together far faster than 8×50ms, and the
-// server observes them running concurrently.
+// connection with no per-request serialization, over TCP and in-process: 8
+// scans that each block the handler 50ms complete together far faster than
+// 8×50ms, and the server observes them running concurrently.
 func TestMuxConcurrentInFlight(t *testing.T) {
+	for _, over := range []string{"tcp", "local"} {
+		t.Run(over, func(t *testing.T) { testConcurrentInFlight(t, over) })
+	}
+}
+
+func testConcurrentInFlight(t *testing.T, over string) {
 	const n = 8
 	const delay = 50 * time.Millisecond
 	h := &sleepHandler{delay: delay}
-	srv := newTestServer(t, h, ServerConfig{})
-	c, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	var c Conn
+	if over == "tcp" {
+		srv := newTestServer(t, h, ServerConfig{})
+		var err error
+		if c, err = DialWith(srv.Addr().String(), DialConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		c = NewLocal(h)
 	}
 	defer c.Close()
 
@@ -112,7 +123,7 @@ func TestMuxConcurrentInFlight(t *testing.T) {
 func TestMuxOutOfOrderCompletion(t *testing.T) {
 	h := &sleepHandler{delay: 200 * time.Millisecond}
 	srv := newTestServer(t, h, ServerConfig{})
-	c, err := Dial(srv.Addr().String())
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +164,7 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 // id-less frames, each request/response as a full frame.
 func TestMuxStatsExact(t *testing.T) {
 	srv := newTestServer(t, &sleepHandler{}, ServerConfig{})
-	c, err := Dial(srv.Addr().String())
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +214,7 @@ const chunkedRows = 2 * proto.BatchBytes / 20
 func TestMuxStreamingReassembly(t *testing.T) {
 	const n = chunkedRows
 	srv := newTestServer(t, &rowsHandler{n: n}, ServerConfig{})
-	c, err := Dial(srv.Addr().String())
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +248,7 @@ func TestMuxStreamingReassembly(t *testing.T) {
 func TestMuxCallStream(t *testing.T) {
 	const n = chunkedRows
 	srv := newTestServer(t, &rowsHandler{n: n}, ServerConfig{})
-	c, err := Dial(srv.Addr().String())
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +277,18 @@ func TestMuxCallStream(t *testing.T) {
 	}
 }
 
+// callOnly is a Conn that can only Call: it answers every request with its
+// handler, in the caller's goroutine.
+type callOnly struct{ h Handler }
+
+func (c callOnly) Call(req proto.Message) (proto.Message, error) { return c.h.Handle(req), nil }
+func (callOnly) Stats() Stats                                    { return Stats{} }
+func (callOnly) Close() error                                    { return nil }
+
 // TestCallStreamFallback exercises the buffered fallback for conns that
-// cannot stream (the in-process loopback).
+// cannot stream.
 func TestCallStreamFallback(t *testing.T) {
-	c := NewLocal(&rowsHandler{n: 10})
-	defer c.Close()
+	c := callOnly{&rowsHandler{n: 10}}
 	var chunks, rows int
 	err := CallStream(c, &proto.ScanRequest{Table: "t"}, func(rr *proto.RowsResponse) error {
 		chunks++
@@ -339,7 +357,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	srv := NewServerWith(ln, &sleepHandler{}, ServerConfig{})
-	c, err := DialTimeout(addr, 2*time.Second)
+	c, err := DialWith(addr, DialConfig{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +434,7 @@ func TestAcceptLoopBackoff(t *testing.T) {
 func TestFaultyConnConcurrentMux(t *testing.T) {
 	h := &sleepHandler{delay: 50 * time.Millisecond}
 	srv := newTestServer(t, h, ServerConfig{})
-	inner, err := Dial(srv.Addr().String())
+	inner, err := DialWith(srv.Addr().String(), DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +532,7 @@ func TestFaultyConnConcurrentMux(t *testing.T) {
 func TestMuxPerRequestTimeout(t *testing.T) {
 	h := &sleepHandler{delay: 500 * time.Millisecond}
 	srv := newTestServer(t, h, ServerConfig{})
-	c, err := DialTimeout(srv.Addr().String(), 120*time.Millisecond)
+	c, err := DialWith(srv.Addr().String(), DialConfig{Timeout: 120 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,7 +303,7 @@ func (statsHandler) Handle(req proto.Message) proto.Message {
 // as a queue-pressure probe.
 func TestSchedStatsOnPing(t *testing.T) {
 	srv := newTestServer(t, statsHandler{}, ServerConfig{})
-	c, err := Dial(srv.Addr().String())
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func (h *cancelObserver) HandleStream(req proto.Message, emit func(*proto.RowsRe
 func TestStreamCancelReachesHandler(t *testing.T) {
 	h := &cancelObserver{canceled: make(chan struct{}), finished: make(chan struct{})}
 	srv := newTestServer(t, h, ServerConfig{})
-	c, err := Dial(srv.Addr().String())
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func (h *errorAfterHandler) HandleStream(req proto.Message, emit func(*proto.Row
 // stream surfaces its error code to the caller as the final frame.
 func TestStreamMidStreamError(t *testing.T) {
 	srv := newTestServer(t, &errorAfterHandler{n: 4}, ServerConfig{})
-	c, err := Dial(srv.Addr().String())
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestDialTimeoutTripsOnSilentServer(t *testing.T) {
 			}()
 		}
 	}()
-	c, err := DialTimeout(ln.Addr().String(), 100*time.Millisecond)
+	c, err := DialWith(ln.Addr().String(), DialConfig{Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDialTimeoutNormalOperation(t *testing.T) {
 	}
 	srv := NewServer(ln, &echoHandler{})
 	defer srv.Close()
-	c, err := DialTimeout(srv.Addr().String(), 2*time.Second)
+	c, err := DialWith(srv.Addr().String(), DialConfig{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestDialTimeoutConnectFailure(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	start := time.Now()
-	if _, err := DialTimeout(addr, 200*time.Millisecond); err == nil {
+	if _, err := DialWith(addr, DialConfig{Timeout: 200 * time.Millisecond}); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {

@@ -1,11 +1,11 @@
 // Package transport moves protocol messages between the data source and
-// providers. Two interchangeable implementations exist: a framed TCP
-// transport for real deployments (cmd/dasd) and an in-process loopback that
-// runs the identical encode/decode path and counts the identical frame
-// sizes — so unit tests and benchmarks measure exactly the bytes a network
-// deployment would move, without socket noise.
+// providers. There is one client, the multiplexed Conn, and one provider
+// side, Server. DialWith connects the Conn to a Server over TCP (cmd/dasd);
+// NewLocal connects it to a Server over in-memory pipes, so in-process
+// clusters, unit tests and experiments run the deployed protocol step for
+// step and count exactly the bytes a network deployment would move.
 //
-// There is one wire protocol (version 3). A connection opens with a
+// There is one wire protocol (protoVersion). A connection opens with a
 // hello/ack handshake naming the version and the session's tenant; a peer
 // that opens with anything else, or acks any other version, is answered
 // with an error and disconnected. After the handshake every frame is
@@ -27,7 +27,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -74,7 +73,7 @@ var ErrFrameCorrupt = errors.New("transport: corrupt frame")
 var ErrStreamCanceled = errors.New("transport: stream canceled by client")
 
 // Stats counts traffic through a Conn. Byte counts include framing
-// overhead (and, over TCP, the negotiation handshake), mirroring what a
+// overhead, the negotiation handshake and cancel frames, mirroring what a
 // network capture would show. Calls counts logical request/response
 // exchanges, not frames: a response streamed as several chunk frames is
 // still one call.
@@ -85,8 +84,8 @@ type Stats struct {
 }
 
 // Conn is a request/response channel to one provider. Implementations are
-// safe for concurrent use; the TCP transport runs concurrent calls truly in
-// parallel on one connection.
+// safe for concurrent use; the multiplexed Conn runs concurrent calls truly
+// in parallel on one connection.
 type Conn interface {
 	// Call sends a request and waits for the provider's response.
 	Call(req proto.Message) (proto.Message, error)
@@ -120,10 +119,11 @@ type StreamDeadlineCaller interface {
 }
 
 // CallWithDeadline invokes req on c under an absolute deadline. A zero
-// deadline means none. Conns that do not implement DeadlineCaller get a
-// best-effort bound: the call fails fast if the deadline has already
-// passed, and otherwise runs unbounded (the in-process loopback cannot
-// preempt a synchronous handler).
+// deadline means none. Every Conn this package builds implements
+// DeadlineCaller and abandons the call when the deadline passes, however
+// long the handler runs; a wrapper that does not gets a best-effort bound:
+// the call fails fast if the deadline has already passed, and otherwise
+// runs unbounded.
 func CallWithDeadline(c Conn, req proto.Message, deadline time.Time) (proto.Message, error) {
 	if deadline.IsZero() {
 		return c.Call(req)
@@ -253,6 +253,12 @@ func readHandshake(r io.Reader) ([]byte, error) {
 	return readBody(r, hdr[:])
 }
 
+// bodyPrealloc is the largest body readBody allocates before its bytes
+// arrive. Every chunk frame is smaller (proto.BatchBytes is 256 KiB); a
+// larger body grows as it is read, so a header alone — from any peer,
+// before or after the hello — cannot make the reader allocate maxFrameSize.
+const bodyPrealloc = 1 << 20
+
 // readBody reads and checks the body a frame header announces; every frame
 // header starts with [len u32][crc u32].
 func readBody(r io.Reader, hdr []byte) ([]byte, error) {
@@ -261,8 +267,18 @@ func readBody(r io.Reader, hdr []byte) ([]byte, error) {
 	if length > maxFrameSize {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", length)
 	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
+	var body []byte
+	var err error
+	if length <= bodyPrealloc {
+		body = make([]byte, length)
+		_, err = io.ReadFull(r, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(r, int64(length)))
+		if err == nil && len(body) < int(length) {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
 	if crc32.Checksum(body, crcTable) != want {
@@ -352,127 +368,4 @@ func parseNegotiation(body, prefix []byte) (version uint8, rest []byte, ok bool)
 		}
 	}
 	return body[len(prefix)], body[len(prefix)+1:], true
-}
-
-// --- In-process loopback ---
-
-type localConn struct {
-	counters
-	mu      sync.Mutex
-	handler Handler
-	closed  bool
-}
-
-// NewLocal returns a Conn that delivers requests to h in-process, running
-// the full encode/decode path in both directions so byte accounting matches
-// a network deployment exactly.
-func NewLocal(h Handler) Conn {
-	return &localConn{handler: h}
-}
-
-// deliver is the request half of a loopback call: the request is counted
-// as one frame and round-tripped through the codec, so the handler sees
-// exactly what a remote server would.
-func (c *localConn) deliver(req proto.Message) (proto.Message, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	reqBody := proto.Encode(req)
-	c.sent.Add(frameLen(reqBody))
-	c.calls.Add(1)
-	return proto.Decode(reqBody)
-}
-
-// answer is the response half for a whole (unstreamed) response.
-func (c *localConn) answer(serverReq proto.Message) (proto.Message, error) {
-	respBody := proto.Encode(c.handler.Handle(serverReq))
-	c.recv.Add(frameLen(respBody))
-	return proto.Decode(respBody)
-}
-
-func (c *localConn) Call(req proto.Message) (proto.Message, error) {
-	serverReq, err := c.deliver(req)
-	if err != nil {
-		return nil, err
-	}
-	return c.answer(serverReq)
-}
-
-// CallStream implements StreamCaller: when the handler streams, each batch
-// is round-tripped through the codec (and counted as one chunk frame)
-// before reaching yield, so loopback byte accounting and aliasing behavior
-// match the TCP transport.
-func (c *localConn) CallStream(req proto.Message, yield func(*proto.RowsResponse) error) error {
-	serverReq, err := c.deliver(req)
-	if err != nil {
-		return err
-	}
-	if sh, ok := c.handler.(StreamHandler); ok {
-		handled, err := sh.HandleStream(serverReq, func(chunk *proto.RowsResponse) error {
-			body := proto.Encode(chunk)
-			c.recv.Add(frameLen(body))
-			msg, err := proto.Decode(body)
-			if err != nil {
-				return err
-			}
-			rr, ok := msg.(*proto.RowsResponse)
-			if !ok {
-				return fmt.Errorf("transport: chunk decoded as %T", msg)
-			}
-			return yield(rr)
-		})
-		if handled {
-			var re *proto.RemoteError
-			if errors.As(err, &re) {
-				return re
-			}
-			return err
-		}
-	}
-	// No streaming form: one whole response.
-	msg, err := c.answer(serverReq)
-	if err != nil {
-		return err
-	}
-	return yieldWhole(msg, yield)
-}
-
-// CallDeadline implements DeadlineCaller for the loopback: the handler
-// runs synchronously in-process and cannot be preempted, so the bound is
-// an up-front fast-fail once the deadline has passed.
-func (c *localConn) CallDeadline(req proto.Message, deadline time.Time) (proto.Message, error) {
-	if !deadline.IsZero() && time.Until(deadline) <= 0 {
-		return nil, os.ErrDeadlineExceeded
-	}
-	return c.Call(req)
-}
-
-// CallStreamDeadline implements StreamDeadlineCaller: the deadline is
-// checked before every chunk delivery, so a loopback stream observes it at
-// batch granularity (matching where a real server checks it).
-func (c *localConn) CallStreamDeadline(req proto.Message, deadline time.Time, yield func(*proto.RowsResponse) error) error {
-	if deadline.IsZero() {
-		return c.CallStream(req, yield)
-	}
-	if time.Until(deadline) <= 0 {
-		return os.ErrDeadlineExceeded
-	}
-	return c.CallStream(req, func(chunk *proto.RowsResponse) error {
-		if time.Until(deadline) <= 0 {
-			return os.ErrDeadlineExceeded
-		}
-		return yield(chunk)
-	})
-}
-
-func (c *localConn) Stats() Stats { return c.snapshot() }
-
-func (c *localConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	return nil
 }

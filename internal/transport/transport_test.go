@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -67,13 +68,49 @@ func TestLocalConnStats(t *testing.T) {
 	if st.Calls != 1 {
 		t.Fatalf("calls = %d", st.Calls)
 	}
-	// Ping is 1 body byte + the 17-byte frame header every TCP request
-	// carries: loopback bytes equal network bytes.
-	if st.BytesSent != 18 {
-		t.Fatalf("sent = %d, want 18", st.BytesSent)
+	// An in-process connection moves the deployed protocol's bytes: a 14-byte
+	// hello (8-byte handshake header, 6-byte body), then the ping's 1 body
+	// byte behind the 17-byte frame header; back come a 14-byte ack and the
+	// framed answer.
+	if st.BytesSent != 14+17+1 {
+		t.Fatalf("sent = %d, want %d", st.BytesSent, 14+17+1)
 	}
-	if want := frameLen(proto.Encode(&proto.OKResponse{Affected: 7})); st.BytesReceived != want {
+	if want := 14 + frameLen(proto.Encode(&proto.OKResponse{Affected: 7})); st.BytesReceived != want {
 		t.Fatalf("received = %d, want %d", st.BytesReceived, want)
+	}
+}
+
+// A deadline preempts a handler that runs past it: the in-process Conn
+// abandons the call, as it does over TCP, instead of waiting the handler
+// out.
+func TestLocalConnDeadlinePreemptsHandler(t *testing.T) {
+	release := make(chan struct{})
+	c := NewLocal(HandlerFunc(func(proto.Message) proto.Message {
+		select {
+		case <-time.After(2 * time.Second):
+		case <-release:
+		}
+		return &proto.RowsResponse{}
+	}))
+	defer c.Close()
+	defer close(release)
+	for name, call := range map[string]func(time.Time) error{
+		"call": func(d time.Time) error {
+			_, err := CallWithDeadline(c, &proto.PingRequest{}, d)
+			return err
+		},
+		"stream": func(d time.Time) error {
+			return CallStreamWithDeadline(c, &proto.ScanRequest{Table: "t"}, d, func(*proto.RowsResponse) error { return nil })
+		},
+	} {
+		start := time.Now()
+		err := call(start.Add(50 * time.Millisecond))
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: err = %v, want deadline exceeded", name, err)
+		}
+		if el := time.Since(start); el > 500*time.Millisecond {
+			t.Errorf("%s: returned after %v despite a 50ms deadline", name, el)
+		}
 	}
 }
 
@@ -95,7 +132,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	srv := NewServer(ln, &echoHandler{})
 	defer srv.Close()
 
-	c, err := Dial(srv.Addr().String())
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +170,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(srv.Addr().String())
+			c, err := DialWith(srv.Addr().String(), DialConfig{})
 			if err != nil {
 				errs <- err
 				return
@@ -211,7 +248,7 @@ func TestTCPClosedConn(t *testing.T) {
 	}
 	srv := NewServer(ln, &echoHandler{})
 	defer srv.Close()
-	c, err := Dial(srv.Addr().String())
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +348,7 @@ func BenchmarkTCPCall(b *testing.B) {
 	}
 	srv := NewServer(ln, &echoHandler{})
 	defer srv.Close()
-	c, err := Dial(srv.Addr().String())
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -49,18 +49,19 @@ func segmentPath(dir, prefix string, firstLSN uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s.%016x", prefix, firstLSN))
 }
 
-// listSegments returns the existing segment files for prefix in first-LSN
-// order.
-func listSegments(dir, prefix string) ([]string, []uint64, error) {
+// listSegments returns the existing segment files for prefix, each with the
+// first LSN its name gives, in first-LSN order. Directory order is name
+// order, which matches LSN order only for the zero-padded names segmentPath
+// writes, so the (path, LSN) pairs are sorted as one.
+func listSegments(dir, prefix string) ([]sealedSegment, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil, nil
+			return nil, nil
 		}
-		return nil, nil, err
+		return nil, err
 	}
-	var paths []string
-	var firsts []uint64
+	var segs []sealedSegment
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasPrefix(name, prefix+".") {
@@ -70,12 +71,10 @@ func listSegments(dir, prefix string) ([]string, []uint64, error) {
 		if err != nil {
 			continue // not a segment file
 		}
-		paths = append(paths, filepath.Join(dir, name))
-		firsts = append(firsts, first)
+		segs = append(segs, sealedSegment{path: filepath.Join(dir, name), first: first})
 	}
-	sort.Slice(paths, func(i, j int) bool { return firsts[i] < firsts[j] })
-	sort.Slice(firsts, func(i, j int) bool { return firsts[i] < firsts[j] })
-	return paths, firsts, nil
+	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
+	return segs, nil
 }
 
 // OpenSegments replays every record with LSN > fromLSN across the segment
@@ -86,17 +85,16 @@ func listSegments(dir, prefix string) ([]string, []uint64, error) {
 // lost in the middle of the sequence and is reported as corruption.
 // The returned replayed count is the number of records delivered to fn.
 func OpenSegments(dir, prefix string, fromLSN uint64, fn func(lsn uint64, rec []byte) error) (*Segmented, uint64, error) {
-	paths, firsts, err := listSegments(dir, prefix)
+	segs, err := listSegments(dir, prefix)
 	if err != nil {
 		return nil, 0, err
 	}
 	s := &Segmented{dir: dir, prefix: prefix}
 	var replayed uint64
 	last := fromLSN
-	for i, path := range paths {
-		first := firsts[i]
-		lsn := first - 1
-		_, _, err := scan(path, func(rec []byte) error {
+	for i, seg := range segs {
+		lsn := seg.first - 1
+		_, _, err := scan(seg.path, func(rec []byte) error {
 			lsn++
 			if lsn <= fromLSN {
 				return nil
@@ -112,17 +110,18 @@ func OpenSegments(dir, prefix string, fromLSN uint64, fn func(lsn uint64, rec []
 		if err != nil {
 			return nil, 0, err
 		}
-		if i < len(paths)-1 && lsn+1 < firsts[i+1] {
+		if i < len(segs)-1 && lsn+1 < segs[i+1].first {
 			// Records between this segment's valid tail and the next
 			// segment's first LSN are gone: a mid-sequence tear.
 			if lsn >= fromLSN {
-				return nil, 0, fmt.Errorf("%w: segment %s torn before %s", ErrCorrupt, path, paths[i+1])
+				return nil, 0, fmt.Errorf("%w: segment %s torn before %s", ErrCorrupt, seg.path, segs[i+1].path)
 			}
 		}
 		if lsn > last {
 			last = lsn
 		}
-		s.sealed = append(s.sealed, sealedSegment{path: path, first: first, last: lsn})
+		seg.last = lsn
+		s.sealed = append(s.sealed, seg)
 	}
 	s.lsn = last
 	s.curFirst = last + 1

@@ -172,10 +172,12 @@ func splitGroups(conns []transport.Conn, shards int) ([][]transport.Conn, error)
 }
 
 // Cluster is an in-process deployment: n provider engines plus a connected
-// client, for examples, tests, and single-machine use. All traffic still
-// flows through the real wire codec, so byte accounting matches a network
-// deployment. Fault-injection knobs let examples and experiments crash or
-// corrupt individual providers.
+// client, for examples, tests, and single-machine use. Each provider runs
+// behind the deployed transport server, reached over in-memory pipes
+// instead of TCP, so every call takes the network protocol's steps and byte
+// accounting matches a network deployment, handshakes included.
+// Fault-injection knobs let examples and experiments crash or corrupt
+// individual providers.
 type Cluster struct {
 	// Client is the connected data source.
 	Client *Client
@@ -272,7 +274,7 @@ func openLocalWith(dirs []string, opts Options, storeOpts StoreOptions) (*Cluste
 	for _, dir := range dirs {
 		st, err := store.OpenOptions(dir, storeOpts)
 		if err != nil {
-			cl.closeStores()
+			cl.closeProviders()
 			return nil, err
 		}
 		cl.stores = append(cl.stores, st)
@@ -282,13 +284,13 @@ func openLocalWith(dirs []string, opts Options, storeOpts StoreOptions) (*Cluste
 	}
 	groups, err := splitGroups(conns, opts.Shards)
 	if err != nil {
-		cl.closeStores()
+		cl.closeProviders()
 		return nil, err
 	}
 	cl.groupSize = len(groups[0])
 	c, err := client.NewSharded(groups, opts)
 	if err != nil {
-		cl.closeStores()
+		cl.closeProviders()
 		return nil, err
 	}
 	cl.Client = c
@@ -303,14 +305,20 @@ func (c *Cluster) Close() error {
 			firstErr = err
 		}
 	}
-	if err := c.closeStores(); err != nil && firstErr == nil {
+	if err := c.closeProviders(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
 }
 
-func (c *Cluster) closeStores() error {
+// closeProviders stops each provider's in-process server (closing its
+// connection) and then its store. After a successful open the client has
+// already closed the connections; on a failed one nothing else would.
+func (c *Cluster) closeProviders() error {
 	var firstErr error
+	for _, fc := range c.faults {
+		fc.Close()
+	}
 	for _, st := range c.stores {
 		if err := st.Close(); err != nil && firstErr == nil {
 			firstErr = err
