@@ -112,8 +112,10 @@ func main() {
 	}
 
 	if *loadRows > 0 {
+		// The 8-byte big-endian key orders as its value does, and an index
+		// takes fixed-width cells only, so it is declared an opp column.
 		spec := proto.TableSpec{Name: benchTable, Columns: []proto.ColumnSpec{
-			{Name: "k", Kind: proto.KindPlain, Indexed: true},
+			{Name: "k", Kind: proto.KindOPP, Indexed: true, Width: 8},
 			{Name: "v", Kind: proto.KindPlain},
 		}}
 		payload := make([]byte, 64)

@@ -274,13 +274,14 @@ func RunS6Detailed(scale Scale) (*Table, *S6Result, error) {
 	defer fleet.Close()
 
 	// Load the keyspace: row ids 1..nRows, 8-byte big-endian key column
-	// (bytewise order = numeric order) plus a small payload.
+	// (bytewise order = numeric order) plus a small payload. The key is
+	// declared an 8-byte opp column: an index takes fixed-width cells only.
 	payload := make([]byte, 64)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
 	spec := proto.TableSpec{Name: "kv", Columns: []proto.ColumnSpec{
-		{Name: "k", Kind: proto.KindPlain, Indexed: true},
+		{Name: "k", Kind: proto.KindOPP, Indexed: true, Width: 8},
 		{Name: "v", Kind: proto.KindPlain},
 	}}
 	for _, st := range fleet.stores {

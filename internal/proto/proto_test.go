@@ -234,13 +234,14 @@ func TestTableSpecValidate(t *testing.T) {
 		{"opp of the INT width", TableSpec{Name: "t", Columns: []ColumnSpec{opp(13)}}, true},
 		{"narrowest opp", TableSpec{Name: "t", Columns: []ColumnSpec{opp(1)}}, true},
 		{"widest opp", TableSpec{Name: "t", Columns: []ColumnSpec{opp(24)}}, true},
-		{"every kind", TableSpec{Name: "t", Columns: []ColumnSpec{opp(14), {Name: "f", Kind: KindField}, {Name: "p", Kind: KindPlain, Indexed: true}}}, true},
+		{"every kind", TableSpec{Name: "t", Columns: []ColumnSpec{opp(14), {Name: "f", Kind: KindField}, {Name: "p", Kind: KindPlain}}}, true},
 		{"empty table name", TableSpec{Name: "", Columns: []ColumnSpec{opp(13)}}, false},
 		{"no columns", TableSpec{Name: "t"}, false},
 		{"unnamed column", TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "", Kind: KindOPP, Width: 13}}}, false},
 		{"duplicate column", TableSpec{Name: "t", Columns: []ColumnSpec{opp(13), {Name: "a", Kind: KindPlain}}}, false},
 		{"unknown kind", TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: 0}}}, false},
 		{"indexed field share", TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: KindField, Indexed: true}}}, false},
+		{"indexed plain cell", TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: KindPlain, Indexed: true}}}, false},
 		{"opp without a width", TableSpec{Name: "t", Columns: []ColumnSpec{opp(0)}}, false},
 		{"opp wider than a share", TableSpec{Name: "t", Columns: []ColumnSpec{opp(25)}}, false},
 		{"field share with a width", TableSpec{Name: "t", Columns: []ColumnSpec{{Name: "a", Kind: KindField, Width: 8}}}, false},

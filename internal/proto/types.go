@@ -89,8 +89,8 @@ func (k ColKind) Valid() bool { return k >= KindOPP && k <= KindPlain }
 type ColumnSpec struct {
 	Name string
 	Kind ColKind
-	// Indexed requests a B+-tree index over the column's cell bytes.
-	// Only OPP and Plain columns can be indexed.
+	// Indexed requests a B+-tree index over the column's cell bytes. Only
+	// OPP columns can be indexed: an index takes keys of one width.
 	Indexed bool
 	// Width is the byte width of every cell of a KindOPP column (what the
 	// client's scheme for its domain serializes a share to), else zero.
@@ -136,8 +136,8 @@ func (t *TableSpec) Validate() error {
 		if !c.Kind.Valid() {
 			return fmt.Errorf("proto: table %q column %q: bad kind %d", t.Name, c.Name, c.Kind)
 		}
-		if c.Indexed && c.Kind == KindField {
-			return fmt.Errorf("proto: table %q column %q: field shares cannot be indexed", t.Name, c.Name)
+		if c.Indexed && c.Kind != KindOPP {
+			return fmt.Errorf("proto: table %q column %q: a %s column cannot be indexed, only fixed-width opp shares", t.Name, c.Name, c.Kind)
 		}
 		if isOPP := c.Kind == KindOPP; isOPP != (c.Width != 0) || int(c.Width) > maxOPPWidth {
 			return fmt.Errorf("proto: table %q column %q: %s column of width %d (opp wants 1..%d, others 0)",

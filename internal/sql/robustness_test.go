@@ -1,7 +1,10 @@
 package sql
 
 import (
+	"errors"
+	"fmt"
 	mrand "math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -62,6 +65,31 @@ func TestParseNeverPanics(t *testing.T) {
 			_, _ = Parse(input)
 		}()
 	}
+}
+
+// FuzzParse feeds arbitrary text to the lexer and the parser, starting from
+// the corpus under testdata/fuzz/FuzzParse (TestParseNeverPanics' statements
+// and the transaction keywords). Neither may panic; every token and every
+// syntax error must point into the input (EOF at its end); and the same input
+// must give the same statement or the same error again.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, input string) {
+		toks, _ := Lex(input)
+		for _, tok := range toks {
+			if tok.Pos < 0 || tok.Pos > len(input) {
+				t.Fatalf("Lex(%q): token %q at position %d", input, tok.Text, tok.Pos)
+			}
+		}
+		stmt, err := Parse(input)
+		var se *SyntaxError
+		if errors.As(err, &se) && (se.Pos < 0 || se.Pos > len(input)) {
+			t.Fatalf("Parse(%q): error at position %d: %v", input, se.Pos, err)
+		}
+		again, errAgain := Parse(input)
+		if !reflect.DeepEqual(stmt, again) || fmt.Sprint(err) != fmt.Sprint(errAgain) {
+			t.Fatalf("Parse(%q) gave %#v, %v and then %#v, %v", input, stmt, err, again, errAgain)
+		}
+	})
 }
 
 // Lex positions must be within the input, so error messages point at real

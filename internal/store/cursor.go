@@ -2,10 +2,10 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"slices"
 
+	"sssdb/internal/btree"
 	"sssdb/internal/proto"
 )
 
@@ -14,9 +14,9 @@ import (
 // lock only while assembling one batch: between batches, concurrent
 // mutations proceed freely — including checkpoints and page eviction, which
 // the cursor tolerates because it holds no page reference across batches.
-// Index-order cursors re-seek the B+-tree at the last emitted composite
-// key, so rows inserted behind the cursor are skipped and rows inserted
-// ahead are observed — exactly the semantics of the client's
+// Index-order cursors re-seek the B+-tree after the last emitted (cell, row
+// id) entry, so rows inserted behind the cursor are skipped and rows
+// inserted ahead are observed — exactly the semantics of the client's
 // stable-watermark filtering, which hides in-flight inserts by row id.
 // Heap-order cursors resume at the page directory after the last scanned
 // row id, faulting each page in on demand, so a full scan of a
@@ -33,18 +33,18 @@ type ScanCursor struct {
 	// colIdx maps each output column to its cell index in stored rows.
 	colIdx []int
 
-	// Index-order state: iterate idxCol's B+-tree over [nextKey, endKey).
-	indexed bool
-	idxCol  string
-	nextKey []byte
-	endKey  []byte
-
-	// Heap-order state: resume the page walk after the last scanned row id.
-	// filterCol is the cell index an unindexed filter compares (-1 = none).
+	// filterCol is the cell index the filter compares (-1 = none) and lo and
+	// hi its inclusive bounds. An indexed filter walks the column's B+-tree
+	// with it; any other walks the heap and compares inline.
 	filterCol int
+	indexed   bool
 	lo, hi    []byte
-	afterID   uint64
-	started   bool
+	it        btree.Iter
+	// The walk resumes after the last row visited: in heap order after row
+	// afterID, in index order after the entry (lo, afterID), lo having
+	// moved up to that row's cell. started is false before the first row.
+	afterID uint64
+	started bool
 
 	// remaining counts rows the limit still allows (^0 = unlimited).
 	remaining  uint64
@@ -185,14 +185,10 @@ func (t *table) openCursor(f *proto.Filter, projection []string, limit uint64) (
 	if err != nil {
 		return nil, err
 	}
-	if !t.spec.Columns[ci].Indexed {
-		cur.filterCol, cur.lo, cur.hi = ci, slices.Clone(lo), slices.Clone(hi)
-		return cur, nil
-	}
-	// Composite keys are cell||rowID: walk [lo||0^8, hi||0xff^8].
-	cur.indexed, cur.idxCol = true, f.Col
-	cur.nextKey = appendIndexKey(nil, lo, 0)
-	cur.endKey = append(appendIndexKey(nil, hi, ^uint64(0)), 0)
+	// One allocation holds both bounds; an index walk overwrites lo in place.
+	bounds := append(append(make([]byte, 0, len(lo)+len(hi)), lo...), hi...)
+	cur.filterCol, cur.lo, cur.hi = ci, bounds[:len(lo):len(lo)], bounds[len(lo):]
+	cur.indexed = t.spec.Columns[ci].Indexed
 	return cur, nil
 }
 
@@ -229,11 +225,11 @@ func (cur *ScanCursor) Next() (*proto.RowsResponse, error) {
 
 // walk visits the matching rows from the cursor's position on, until visit
 // returns false or the limit is spent, and leaves the cursor after the last
-// row visited. An indexed filter walks the B+-tree from the seek position,
-// remembering the successor of the last key so that a later walk re-seeks
-// past it; anything else walks the page directory from the row id after the
-// last one seen, faulting pages in through the cache and applying the
-// filter inline, so eviction between walks just means a page faults back.
+// row visited. An indexed filter walks the B+-tree from (lo, 0), or after
+// the last entry visited, while cells are at most hi; anything else walks
+// the page directory from the row id after the last one seen, faulting
+// pages in through the cache and applying the filter inline, so eviction
+// between walks just means a page faults back.
 // A visited row aliases page storage: it is valid while the caller holds
 // the store lock, and what outlives the lock must be copied out.
 func (cur *ScanCursor) walk(t *table, visit func(p *page, i int) bool) error {
@@ -265,20 +261,29 @@ func (cur *ScanCursor) walk(t *table, visit func(p *page, i int) bool) error {
 	if err != nil {
 		return err
 	}
-	idx, ok := idxs[cur.idxCol]
-	if !ok {
-		return fmt.Errorf("%w: column %q lost its index mid-scan", ErrBadRequest, cur.idxCol)
+	var idx *btree.Tree
+	if cur.filterCol < len(idxs) {
+		idx = idxs[cur.filterCol]
 	}
-	idx.AscendRange(cur.nextKey, cur.endKey, func(k []byte) bool {
-		var p *page
-		var i int
-		if p, i, ok, err = t.heap.get(binary.BigEndian.Uint64(k[len(k)-8:])); err != nil {
-			return false
+	if idx == nil || idx.Width() != len(cur.hi) { // the table was dropped and made again
+		return fmt.Errorf("%w: table %q lost the index the scan walks", ErrBadRequest, cur.name)
+	}
+	if cur.started {
+		idx.SeekAfter(&cur.it, cur.lo, cur.afterID)
+	} else {
+		idx.Seek(&cur.it, cur.lo, 0)
+	}
+	for cur.it.Next() && bytes.Compare(cur.it.Key(), cur.hi) <= 0 {
+		id := cur.it.ID()
+		p, i, ok, err := t.heap.get(id)
+		if err != nil {
+			return err
 		}
-		// The immediate successor of k in bytewise order is k||0x00.
-		cur.nextKey = append(append(cur.nextKey[:0], k...), 0)
+		cur.lo, cur.afterID, cur.started = append(cur.lo[:0], cur.it.Key()...), id, true
 		// An index entry without its row raced a concurrent delete: skip it.
-		return !ok || took(visit(p, i))
-	})
-	return err
+		if ok && !took(visit(p, i)) {
+			break
+		}
+	}
+	return nil
 }

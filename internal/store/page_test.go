@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"sssdb/internal/numenc"
+	"sssdb/internal/opp"
 	"sssdb/internal/proto"
 )
 
@@ -208,47 +210,128 @@ func TestResidentBytesAreHeapBytes(t *testing.T) {
 }
 
 // TestIndexEntryHeapBytes holds what an index entry costs in live heap: a
-// 20 000-row table with two indexed 13-byte order-preserving columns, loaded
-// with and without Indexed, differs by at most 48 bytes per entry after two
-// GCs. The key is 21 bytes (the cell and an 8-byte row id), so the node's
-// packed slab and offsets leave under 27 bytes of overhead per entry.
+// table of indexed order-preserving columns, loaded with and without
+// Indexed, differs by at most so many bytes per entry after two GCs. Random
+// 13-byte cells (20 000 rows, two columns) share little but their high id
+// bytes, and leave at most 24. The benchmark fixture's real shares (100 000
+// rows of emp, see fixtureCells) share more — a leaf's entries start alike
+// and dept has 16 values — and leave at most 16.
 func TestIndexEntryHeapBytes(t *testing.T) {
-	const n = 20000
-	liveAfterLoad := func(indexed bool) int64 {
-		spec := proto.TableSpec{Name: "t", Columns: []proto.ColumnSpec{
-			{Name: "a#o", Kind: proto.KindOPP, Indexed: indexed, Width: 13},
-			{Name: "b#o", Kind: proto.KindOPP, Indexed: indexed, Width: 13},
-		}}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		s := memStore(t)
-		if err := s.CreateTable(spec); err != nil {
+	rng := mrand.New(mrand.NewSource(53))
+	random := make([][][]byte, 20000)
+	for i := range random {
+		random[i] = [][]byte{make([]byte, 13), make([]byte, 13)}
+		rng.Read(random[i][0])
+		rng.Read(random[i][1])
+	}
+	for _, tc := range []struct {
+		name  string
+		rows  [][][]byte
+		bound float64
+	}{
+		{"random cells", random, 24},
+		{"fixture shares", fixtureCells(t, 100_000), 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, cols := len(tc.rows), len(tc.rows[0])
+			liveAfterLoad := func(indexed bool) int64 {
+				spec := proto.TableSpec{Name: "t"}
+				for ci, cell := range tc.rows[0] {
+					spec.Columns = append(spec.Columns, proto.ColumnSpec{
+						Name: fmt.Sprintf("c%d#o", ci), Kind: proto.KindOPP, Indexed: indexed, Width: uint8(len(cell))})
+				}
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				s := memStore(t)
+				if err := s.CreateTable(spec); err != nil {
+					t.Fatal(err)
+				}
+				for lo := 0; lo < n; lo += 2000 {
+					batch := make([]proto.Row, min(2000, n-lo))
+					for i := range batch {
+						batch[i] = proto.Row{ID: uint64(lo + i), Cells: tc.rows[lo+i]}
+					}
+					if err := s.Insert("t", batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(s)
+				return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+			}
+			plain, indexed := liveAfterLoad(false), liveAfterLoad(true)
+			perEntry := float64(indexed-plain) / float64(cols*n)
+			t.Logf("%d rows × %d columns: %d live bytes without indexes, %d with: %.1f B per index entry",
+				n, cols, plain, indexed, perEntry)
+			if perEntry > tc.bound {
+				t.Errorf("an index entry costs %.1f bytes of live heap, want ≤ %.0f", perEntry, tc.bound)
+			}
+		})
+	}
+}
+
+// fixtureCells returns the order-preserving cells one provider holds for
+// rows 0..n-1 of the benchmark's emp fixture (seed 1) under the client's
+// defaults: id dense from 0, an 8-letter name, salary uniform in
+// [0, 100 000) and one of 16 depts, each value shared at the first evaluation
+// point by its domain's degree-3 scheme — INT 40 bits (13-byte cells),
+// VARCHAR(8) over the printable alphabet (14-byte cells).
+func fixtureCells(t testing.TB, n int) [][][]byte {
+	t.Helper()
+	ints, err := numenc.NewSignedCodec(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := numenc.NewStringCodec(numenc.PrintableAlphabet, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intSch, err := opp.NewScheme(opp.Params{Degree: 3, DomainBits: 40, N: 3}, []byte("int domain key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nameSch, err := opp.NewScheme(opp.Params{Degree: 3, DomainBits: names.Bits(), N: 3}, []byte("name domain key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(u uint64, err error) uint64 {
+		if err != nil {
 			t.Fatal(err)
 		}
-		rng := mrand.New(mrand.NewSource(53))
-		for id := uint64(1); id <= n; id += 2000 {
-			batch := make([]proto.Row, 2000)
-			for i := range batch {
-				batch[i] = randomRow(rng, &spec, id+uint64(i))
-			}
-			if err := s.Insert("t", batch); err != nil {
-				t.Fatal(err)
-			}
+		return u
+	}
+	share := func(sch *opp.Scheme, u uint64) []byte {
+		sh, err := sch.ShareAt(u, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(s)
-		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		return sch.AppendShare(nil, sh)
 	}
-	plain, indexed := liveAfterLoad(false), liveAfterLoad(true)
-	perEntry := float64(indexed-plain) / (2 * n)
-	t.Logf("%d rows: %d live bytes without indexes, %d with: %.1f B per index entry", n, plain, indexed, perEntry)
-	if perEntry > 48 {
-		t.Errorf("an index entry costs %.1f bytes of live heap, want ≤ 48", perEntry)
+	mix := func(u uint64) uint64 { // splitmix64's finalizer, as the fixture derives rows
+		u += 0x9e3779b97f4a7c15
+		u = (u ^ (u >> 30)) * 0xbf58476d1ce4e5b9
+		u = (u ^ (u >> 27)) * 0x94d049bb133111eb
+		return u ^ (u >> 31)
 	}
+	rows := make([][][]byte, n)
+	for id := range rows {
+		h := mix(1<<32 ^ uint64(id))
+		var name [8]byte
+		for i, g := 0, mix(h); i < len(name); i, g = i+1, g/26 {
+			name[i] = byte('A' + g%26)
+		}
+		rows[id] = [][]byte{
+			share(intSch, must(ints.Encode(int64(id)))),
+			share(nameSch, must(names.Encode(string(name[:])))),
+			share(intSch, must(ints.Encode(int64(h%100_000)))),
+			share(intSch, must(ints.Encode(int64(h>>32%16)))),
+		}
+	}
+	return rows
 }
 
 // TestStoredRowBytes guards the stored-footprint figure the repository

@@ -120,11 +120,10 @@ type table struct {
 	// Mutations skip index maintenance while indexes is nil; the eventual
 	// build sees their effect in the heap.
 	indexMu sync.Mutex
-	// indexes maps an indexed column name to a B+-tree set of cell||rowID
-	// keys; the rowID suffix disambiguates duplicate shares.
-	indexes map[string]*btree.Tree
-	// keyBuf is put's and unindex's index key, under the exclusive store lock.
-	keyBuf []byte
+	// indexes holds, at an indexed column's position, a B+-tree set of
+	// (cell, row id) entries (the id tells rows with one share apart), and
+	// nil at every other column.
+	indexes []*btree.Tree
 	// merkleMu guards merkles: the cache is (re)built lazily by readers
 	// holding the store lock shared, so the build itself needs a leaf lock.
 	merkleMu sync.Mutex
@@ -496,12 +495,7 @@ func (s *Store) apply(plan []change) (rows uint64, err error) {
 			t.heap = &rowHeap{s: s, tableID: s.nextTableID, shape: shapeOf(&t.spec)}
 			s.nextTableID++
 			t.merkles = make(map[string]*merkleState)
-			t.indexes = make(map[string]*btree.Tree)
-			for _, col := range t.spec.Columns {
-				if col.Indexed {
-					t.indexes[col.Name] = btree.New()
-				}
-			}
+			t.indexes = newIndexes(&t.spec)
 			s.tables[t.spec.Name] = t
 		case dropTable:
 			t.heap.drop()
@@ -592,7 +586,8 @@ func (t *table) validateRow(row proto.Row) error {
 	return nil
 }
 
-// appendIndexKey appends the composite key cell||rowID to dst.
+// appendIndexKey appends cell||rowID to dst: an index entry as a Merkle leaf
+// hashes it.
 func appendIndexKey(dst, cell []byte, rowID uint64) []byte {
 	return binary.BigEndian.AppendUint64(append(slices.Grow(dst, len(cell)+8), cell...), rowID)
 }
@@ -607,37 +602,40 @@ func (t *table) row(id uint64) (*page, int, error) {
 	return p, i, err
 }
 
+// newIndexes returns an empty B+-tree for each indexed column of spec, at
+// the column's position, as wide as its cells.
+func newIndexes(spec *proto.TableSpec) []*btree.Tree {
+	idxs := make([]*btree.Tree, len(spec.Columns))
+	for i, c := range spec.Columns {
+		if c.Indexed {
+			idxs[i] = btree.NewWidth(int(c.Width))
+		}
+	}
+	return idxs
+}
+
 // ensureIndexes returns the table's B+-trees, building them with one heap
 // walk on first indexed access after a manifest restore. Callers hold the
 // store lock at least shared; indexMu serializes the build.
-func (t *table) ensureIndexes() (map[string]*btree.Tree, error) {
+func (t *table) ensureIndexes() ([]*btree.Tree, error) {
 	t.indexMu.Lock()
 	defer t.indexMu.Unlock()
 	if t.indexes != nil {
 		return t.indexes, nil
 	}
-	idxs := make(map[string]*btree.Tree)
-	cols := make(map[string]int)
-	for i, c := range t.spec.Columns {
-		if c.Indexed {
-			idxs[c.Name] = btree.New()
-			cols[c.Name] = i
-		}
-	}
-	if len(idxs) > 0 {
-		var key []byte
-		err := t.heap.ascendPages(0, false, func(p *page, _ int) (bool, error) {
-			for i, id := range p.IDs {
-				for name, tree := range idxs {
-					key = appendIndexKey(key[:0], p.Cell(i, cols[name]), id)
-					tree.Insert(key)
+	idxs := newIndexes(&t.spec)
+	err := t.heap.ascendPages(0, false, func(p *page, _ int) (bool, error) {
+		for i, id := range p.IDs {
+			for ci, idx := range idxs {
+				if idx != nil {
+					idx.Insert(p.Cell(i, ci), id)
 				}
 			}
-			return true, nil
-		})
-		if err != nil {
-			return nil, err
 		}
+		return true, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.indexes = idxs
 	return idxs, nil
@@ -654,12 +652,18 @@ func (t *table) invalidateMerkles() {
 // nil (manifest-restored table, not yet read through an index) there is
 // nothing to maintain: the lazy build will see the heap's current state.
 func (t *table) put(row proto.Row) error {
-	if err := t.heap.put(row, t.unindex); err != nil {
+	fresh := true
+	err := t.heap.put(row, func(p *page, i int) {
+		fresh = false
+		t.reindex(p, i, row.Cells)
+	})
+	if err != nil {
 		return err
 	}
-	for name, idx := range t.indexes {
-		t.keyBuf = appendIndexKey(t.keyBuf[:0], row.Cells[t.spec.ColumnIndex(name)], row.ID)
-		idx.Insert(t.keyBuf)
+	for ci, idx := range t.indexes {
+		if fresh && idx != nil {
+			idx.Insert(row.Cells[ci], row.ID)
+		}
 	}
 	t.invalidateMerkles()
 	return nil
@@ -667,16 +671,26 @@ func (t *table) put(row proto.Row) error {
 
 // remove deletes the row with the id, its index entries and the Merkle cache.
 func (t *table) remove(id uint64) error {
-	err := t.heap.delete(id, t.unindex)
+	err := t.heap.delete(id, func(p *page, i int) { t.reindex(p, i, nil) })
 	t.invalidateMerkles()
 	return err
 }
 
-// unindex drops the index entries of row i of p, which is about to change.
-func (t *table) unindex(p *page, i int) {
-	for name, idx := range t.indexes {
-		t.keyBuf = appendIndexKey(t.keyBuf[:0], p.Cell(i, t.spec.ColumnIndex(name)), p.IDs[i])
-		idx.Delete(t.keyBuf)
+// reindex moves the index entries of row i of p, which is about to become
+// cells (nil: to go). An entry whose cell stays the same stays where it is:
+// shares are deterministic, so an UPDATE of one column touches one index.
+func (t *table) reindex(p *page, i int, cells [][]byte) {
+	id := p.IDs[i]
+	for ci, idx := range t.indexes {
+		if idx == nil {
+			continue
+		}
+		if old := p.Cell(i, ci); cells == nil || !bytes.Equal(old, cells[ci]) {
+			idx.Delete(old, id)
+			if cells != nil {
+				idx.Insert(cells[ci], id)
+			}
+		}
 	}
 }
 
@@ -711,8 +725,8 @@ func (t *table) resolveProjection(projection []string) ([]string, []int, error) 
 
 // filterBounds resolves a filter to its column index and inclusive
 // [lo, hi] cell range, rejecting field-share columns and, on a fixed-width
-// column, a bound of any other width: against cell||rowID keys it would
-// silently select the wrong rows.
+// column, a bound of any other width: compared with the column's cells it
+// would silently select the wrong rows.
 func (t *table) filterBounds(f *proto.Filter) (int, []byte, []byte, error) {
 	ci, err := t.usableCol(f.Col, "filter on", false)
 	if err != nil {
@@ -798,7 +812,7 @@ func (t *table) merkleFor(col string) (*merkleState, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := idxs[col]
+	idx := idxs[ci]
 	t.merkleMu.Lock()
 	defer t.merkleMu.Unlock()
 	if m, ok := t.merkles[col]; ok {
@@ -806,22 +820,18 @@ func (t *table) merkleFor(col string) (*merkleState, error) {
 	}
 	m := &merkleState{ids: make([]uint64, 0, idx.Len())}
 	leaves := make([]merkle.Hash, 0, idx.Len())
-	var walkErr error
 	var row proto.Row
-	idx.Ascend(func(k []byte) bool {
-		id := binary.BigEndian.Uint64(k[len(k)-8:])
-		p, i, err := t.row(id)
+	var it btree.Iter
+	var key []byte
+	for idx.Seek(&it, nil, 0); it.Next(); {
+		p, i, err := t.row(it.ID())
 		if err != nil {
-			walkErr = err
-			return false
+			return nil, err
 		}
 		row = rowAt(p, i, row.Cells)
-		m.ids = append(m.ids, id)
-		leaves = append(leaves, merkle.LeafHash(k, RowDigest(row)))
-		return true
-	})
-	if walkErr != nil {
-		return nil, walkErr
+		m.ids = append(m.ids, it.ID())
+		key = appendIndexKey(key[:0], it.Key(), it.ID())
+		leaves = append(leaves, merkle.LeafHash(key, RowDigest(row)))
 	}
 	m.tree = merkle.New(leaves)
 	m.root = m.tree.Root()

@@ -915,8 +915,14 @@ func TestBoundWidths(t *testing.T) {
 	mustCreate(t, s)
 	wide := proto.TableSpec{Name: "names", Columns: []proto.ColumnSpec{
 		{Name: "name#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize + 1},
-		{Name: "tag", Kind: proto.KindPlain, Indexed: true},
+		{Name: "tag", Kind: proto.KindPlain},
 	}}
+	// An index takes keys of one width, so a variable-width column has none.
+	wide.Columns[1].Indexed = true
+	if err := s.CreateTable(wide); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), `"tag"`) {
+		t.Fatalf("an indexed plain column: %v, want ErrBadRequest naming it", err)
+	}
+	wide.Columns[1].Indexed = false
 	if err := s.CreateTable(wide); err != nil {
 		t.Fatal(err)
 	}
@@ -1000,5 +1006,61 @@ func TestBoundWidths(t *testing.T) {
 		if !tc.ok && err != nil && !(strings.Contains(err.Error(), tc.lc) && strings.Contains(err.Error(), tc.rc)) {
 			t.Errorf("join %s: %q does not name both columns", tc.name, err)
 		}
+	}
+}
+
+// TestUpdateLeavesUnchangedIndexEntries: an UPDATE moves the index entry of
+// each indexed cell it changes and touches no other. Shares are
+// deterministic, so an unchanged column's cell is byte-identical and its
+// entry already right. To see that such an entry is not deleted and put
+// back, the test first takes it out of its tree behind the store's back: an
+// UPDATE that rewrote it would restore it.
+func TestUpdateLeavesUnchangedIndexEntries(t *testing.T) {
+	s := memStore(t)
+	spec := proto.TableSpec{Name: "emp", Columns: []proto.ColumnSpec{
+		{Name: "salary#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize},
+		{Name: "dept#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize},
+		{Name: "note", Kind: proto.KindPlain},
+	}}
+	if err := s.CreateTable(spec); err != nil {
+		t.Fatal(err)
+	}
+	emp := func(id, salary, dept uint64, note string) proto.Row {
+		return proto.Row{ID: id, Cells: [][]byte{oppCell(salary), oppCell(dept), []byte(note)}}
+	}
+	var rows []proto.Row
+	for id := uint64(1); id <= 100; id++ {
+		rows = append(rows, emp(id, 10*id, id%4, "a"))
+	}
+	if err := s.Insert("emp", rows); err != nil {
+		t.Fatal(err)
+	}
+	salary, dept := s.tables["emp"].indexes[0], s.tables["emp"].indexes[1]
+
+	salary.Delete(oppCell(70), 7)
+	if err := s.Update("emp", []proto.Row{emp(7, 70, 1, "a")}); err != nil { // dept 3 → 1
+		t.Fatal(err)
+	}
+	if !dept.Has(oppCell(1), 7) || dept.Has(oppCell(3), 7) || dept.Len() != 100 {
+		t.Fatal("the UPDATE did not move the changed cell's entry")
+	}
+	if salary.Has(oppCell(70), 7) || salary.Len() != 99 {
+		t.Fatal("the UPDATE rewrote the entry of the unchanged salary cell")
+	}
+
+	dept.Delete(oppCell(1), 7)
+	if err := s.Update("emp", []proto.Row{emp(7, 75, 1, "b")}); err != nil { // salary and note
+		t.Fatal(err)
+	}
+	if dept.Has(oppCell(1), 7) || !salary.Has(oppCell(75), 7) || salary.Has(oppCell(70), 7) {
+		t.Fatal("an UPDATE of salary and note touched the dept index or missed the salary one")
+	}
+	dept.Insert(oppCell(1), 7)
+
+	if _, err := s.Delete("emp", []uint64{7}); err != nil {
+		t.Fatal(err)
+	}
+	if salary.Len() != 99 || dept.Len() != 99 || salary.Has(oppCell(75), 7) || dept.Has(oppCell(1), 7) {
+		t.Fatal("a DELETE left index entries behind")
 	}
 }

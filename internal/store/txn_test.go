@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"sssdb/internal/btree"
 	"sssdb/internal/proto"
 )
 
@@ -126,24 +126,23 @@ func dumpStore(t testing.TB, s *Store) string {
 			t.Fatal(err)
 		}
 		for ci, col := range spec.Columns {
-			idx, ok := idxs[col.Name]
-			if !ok {
+			idx := idxs[ci]
+			if idx == nil {
 				continue
 			}
 			keys := 0
-			idx.Ascend(func(k []byte) bool {
+			var it btree.Iter
+			for idx.Seek(&it, nil, 0); it.Next(); {
 				keys++
-				id := binary.BigEndian.Uint64(k[len(k)-8:])
-				p, i, err := tb.row(id)
+				p, i, err := tb.row(it.ID())
 				if err != nil {
-					t.Fatalf("index %s has a key for row %d: %v", col.Name, id, err)
+					t.Fatalf("index %s has an entry for row %d: %v", col.Name, it.ID(), err)
 				}
-				if !bytes.Equal(p.Cell(i, ci), k[:len(k)-8]) {
-					t.Fatalf("index %s key %x does not match row %d's cell %x", col.Name, k, id, p.Cell(i, ci))
+				if !bytes.Equal(p.Cell(i, ci), it.Key()) {
+					t.Fatalf("index %s entry (%x, %d) does not match the row's cell %x", col.Name, it.Key(), it.ID(), p.Cell(i, ci))
 				}
-				fmt.Fprintf(&b, " index %s %x\n", col.Name, k)
-				return true
-			})
+				fmt.Fprintf(&b, " index %s %x%016x\n", col.Name, it.Key(), it.ID())
+			}
 			if keys != tb.heap.count {
 				t.Fatalf("index %s holds %d keys, the heap %d rows", col.Name, keys, tb.heap.count)
 			}
