@@ -27,12 +27,15 @@ race:
 # the store's one mutation path and the server arm onto it, and the share
 # indexes it maintains (an UPDATE moving only its changed cells' entries, an
 # entry's heap cost, a cursor resuming across writes, proofs rebuilt from
-# rows).
+# rows), and the verified scan served from that cursor (its proof on the last
+# batch, refused across a write, bounded by its deadline and by one batch of
+# heap).
 race-txn:
 	$(GO) test -race -count=2 -run 'TestTx|TestWatermark|TestSharded|TestWritePathsAgree|TestAuditWaitsOutHalfLandedInsert|TestCloseFlushesLazyUpdates' ./internal/client
 	$(GO) test -race -count=1 -run 'TestTx' .
 	$(GO) test -race -count=2 -run 'TestPrepareTx|TestCommitTx|TestMutation' ./internal/store ./internal/server
-	$(GO) test -race -count=1 -run 'TestUpdateLeavesUnchangedIndexEntries|TestIndexEntryHeapBytes|TestCursorResumesAcrossShiftedSlab|TestProofAtEdges' ./internal/store
+	$(GO) test -race -count=1 -run 'TestUpdateLeavesUnchangedIndexEntries|TestIndexEntryHeapBytes|TestCursorResumesAcrossShiftedSlab|TestProofAtEdges|TestProvedCursor' ./internal/store
+	$(GO) test -race -count=1 -run 'TestVerifiedScan' ./internal/server
 
 # Focused race pass over the tail-tolerance paths: hedged slots of
 # whole-response reads and streaming scans, the one spare rule, stall
@@ -48,8 +51,8 @@ race-hedge:
 # every kind), the page decoder, a WAL record through the store's mutation
 # path, the store manifest Open reads from disk, a provider's range proof, the
 # index B+-tree against a sorted-set oracle, the transport's frame and
-# handshake readers, and the SQL lexer and parser. -fuzz takes one target and
-# one package per run.
+# handshake readers, the transport's demux of chunk and flag sequences, and
+# the SQL lexer and parser. -fuzz takes one target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBlock$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/proto
@@ -59,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalRangeProof$$' -fuzztime=10s ./internal/merkle
 	$(GO) test -run '^$$' -fuzz '^FuzzTree$$' -fuzztime=10s ./internal/btree
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzDemux$$' -fuzztime=10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/sql
 
 # The figures ROADMAP.md and CHANGES.md quote for aim 2: non-test lines of

@@ -119,12 +119,11 @@ func (p *pacedHandler) Handle(req proto.Message) proto.Message {
 func (p *pacedHandler) HandleStream(req proto.Message, emit func(*proto.RowsResponse) error) (bool, error) {
 	// The transport offers every request to the streaming path first and
 	// falls back to Handle when the stream is declined — so pace only
-	// requests the provider will actually stream (plain scans). Paying a
-	// token here for a request that then falls back to Handle would
-	// charge it twice, halving measured write capacity.
+	// requests the provider will actually stream (every scan, verified or
+	// not). Paying a token here for a request that then falls back to Handle
+	// would charge it twice, halving measured write capacity.
 	sh, ok := p.h.(transport.StreamHandler)
-	sr, isScan := req.(*proto.ScanRequest)
-	if !ok || !isScan || sr.WithProof {
+	if _, isScan := req.(*proto.ScanRequest); !ok || !isScan {
 		return false, nil
 	}
 	p.pace()

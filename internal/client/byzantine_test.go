@@ -184,3 +184,23 @@ func TestByzantineBeyondThreshold(t *testing.T) {
 		t.Fatal("four bad providers of five slipped past verification")
 	}
 }
+
+// TestWrongTypeStreamFailsOver: a provider among the K that turns a streaming
+// read's chunks into another message type is failed over and marked failing,
+// as the transport fails a session whose chunk frame carries no rows, and
+// the read answers the honest rows.
+func TestWrongTypeStreamFailsOver(t *testing.T) {
+	f := newFleet(t, 3, 2, Options{HedgeDelay: -1})
+	setupEmployees(t, f)
+	const q = `SELECT name, salary FROM employees WHERE salary BETWEEN 10 AND 80`
+	want := fmt.Sprint(rowsAsStrings(f.mustExec(t, q)))
+	e := f.client.groups[0]
+	liar := e.providerOrder(true)[0]
+	applyBehavior(f, liar, wrongType)
+	if got := fmt.Sprint(rowsAsStrings(f.mustExec(t, q))); got != want {
+		t.Fatalf("with provider %d answering chunks with another type: %s, want %s", liar, got, want)
+	}
+	if failing, _ := e.provs[liar].failures(); !failing {
+		t.Fatalf("provider %d answered a stream with a non-row chunk and is not marked failing", liar)
+	}
+}

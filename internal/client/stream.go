@@ -11,9 +11,9 @@ package client
 //
 // This is the one unverified scan pipeline: Exec drains it (collectStream),
 // QueryRows iterates it, and both get provider failover from it
-// (rowStream.failover). Verified (proof-carrying) reads never stream — a
-// Merkle completeness proof covers the entire result set — and take
-// scanVerified, whose whole responses ride the same slots (collectWhole).
+// (rowStream.failover). A verified read takes scanVerified: providers stream
+// it from their cursors, the proof on the last chunk, and the transport hands
+// each slot the reassembled answer, since the proof checks only the whole.
 
 import (
 	"errors"
@@ -236,9 +236,9 @@ func (ps *slot) fill(watermark uint64, d time.Duration) bool {
 
 // start launches one slot on provider p with `limit` pushed down, skipping
 // the first `skip` post-watermark rows (0 for the initial read set; the slot
-// position for a hedge rival or a continuation). An unverified scan streams
-// its chunks; anything else — a verified scan too, whose proof covers the
-// whole answer — is one message.
+// position for a hedge rival or a continuation). An unverified scan yields
+// its chunks; anything else is one message (a verified scan's chunks arrive
+// reassembled: its proof covers the whole answer).
 func (s *slots) start(p int, skip int, limit uint64) *slot {
 	ps := &slot{
 		p:        p,

@@ -25,19 +25,8 @@ func uvarintSize(v uint64) int {
 	return n
 }
 
-// RowBytes is what a row adds to a block that holds its cells at fixed
-// widths: its id and its cell bytes. Batch and chunk sizing count with it.
-func RowBytes(r Row) int {
-	n := uvarintSize(r.ID)
-	for _, c := range r.Cells {
-		n += len(c)
-	}
-	return n
-}
-
 // BatchBytes is the row payload one piece of a row response carries: a store
-// cursor's batch and a buffered response's chunk frame alike, so one batch is
-// one frame.
+// cursor's batch, which a provider sends as one chunk frame.
 const BatchBytes = 256 << 10
 
 // --- Row lists: []Row to blocks and back ---

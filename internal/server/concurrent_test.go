@@ -42,7 +42,7 @@ func TestHandleConcurrentMixed(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				resp := p.Handle(&proto.ScanRequest{Table: "t"})
+				resp := scan(p, &proto.ScanRequest{Table: "t"})
 				if _, ok := resp.(*proto.RowsResponse); !ok {
 					errs <- fmt.Errorf("scan: %#v", resp)
 					return
@@ -55,10 +55,10 @@ func TestHandleConcurrentMixed(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	scan := p.Handle(&proto.ScanRequest{Table: "t"})
-	rr, ok := scan.(*proto.RowsResponse)
+	final := scan(p, &proto.ScanRequest{Table: "t"})
+	rr, ok := final.(*proto.RowsResponse)
 	if !ok || len(rr.Rows) != writers*per {
-		t.Fatalf("final scan: %#v", scan)
+		t.Fatalf("final scan: %#v", final)
 	}
 }
 

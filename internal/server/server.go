@@ -35,17 +35,20 @@ var (
 	_ transport.StreamHandler = (*Provider)(nil)
 )
 
-// HandleStream implements transport.StreamHandler: unverified scans run on
-// a store cursor, emitting bounded row batches as they are produced instead
-// of materializing the result set. Proof-carrying scans report
-// handled=false — a Merkle completeness proof covers the whole result, so
-// they stay on the buffered Handle path — as does every non-scan request.
+// HandleStream implements transport.StreamHandler: every scan runs on a
+// store cursor, emitting bounded row batches as they are produced instead of
+// materializing the result set, and a proof-carrying scan's last batch
+// carries its completeness proof. A scan that cannot be proved is refused
+// before any row is sent. Every other request reports handled=false.
 func (p *Provider) HandleStream(req proto.Message, emit func(*proto.RowsResponse) error) (bool, error) {
 	m, ok := req.(*proto.ScanRequest)
-	if !ok || m.WithProof {
+	if !ok {
 		return false, nil
 	}
 	cur, err := p.store.OpenCursor(m.Table, m.Filter, store.Projection(m.Projection, m.IDsOnly), m.Limit, 0)
+	if err == nil && m.WithProof {
+		err = cur.Prove()
+	}
 	if err != nil {
 		return true, errResponse(err).Err()
 	}
@@ -56,28 +59,24 @@ func (p *Provider) HandleStream(req proto.Message, emit func(*proto.RowsResponse
 	if m.TimeoutMillis > 0 {
 		deadline = time.Now().Add(time.Duration(m.TimeoutMillis) * time.Millisecond)
 	}
-	sent := false
-	for {
+	for sent := false; ; sent = true {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return true, &proto.RemoteError{Code: proto.CodeDeadlineExceeded, Msg: "scan abandoned: client deadline elapsed"}
 		}
 		batch, err := cur.Next()
-		if err != nil {
+		switch {
+		case err != nil:
 			return true, errResponse(err).Err()
+		case batch == nil && sent:
+			return true, nil
+		case batch == nil:
+			// Empty result: one empty batch still carries the column header.
+			batch = &proto.RowsResponse{Columns: cur.Columns()}
 		}
-		if batch == nil {
-			break
+		if err := emit(batch); err != nil || len(batch.Rows) == 0 {
+			return true, err // a batch without rows is the last
 		}
-		if err := emit(batch); err != nil {
-			return true, err
-		}
-		sent = true
 	}
-	if !sent {
-		// Empty result: one empty batch still carries the column header.
-		return true, emit(&proto.RowsResponse{Columns: cur.Columns()})
-	}
-	return true, nil
 }
 
 // Handle implements transport.Handler.
@@ -115,12 +114,6 @@ func (p *Provider) Handle(req proto.Message) proto.Message {
 		return &proto.OKResponse{Affected: affected}
 	case *proto.ListTablesRequest:
 		return &proto.TablesResponse{Specs: p.store.ListTables()}
-	case *proto.ScanRequest:
-		resp, err := p.store.Scan(m.Table, m.Filter, store.Projection(m.Projection, m.IDsOnly), m.Limit, m.WithProof)
-		if err != nil {
-			return errResponse(err)
-		}
-		return resp
 	case *proto.AggregateRequest:
 		res, err := p.store.Aggregate(m)
 		if err != nil {

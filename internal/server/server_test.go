@@ -44,6 +44,27 @@ func cell8(v uint64) []byte {
 	return c
 }
 
+// scan serves a scan down the provider's one scan path, HandleStream, and
+// answers what a client's Call would get: the batches merged, or the error
+// the stream ended with.
+func scan(p *Provider, req *proto.ScanRequest) proto.Message {
+	var resp *proto.RowsResponse
+	handled, err := p.HandleStream(req, func(b *proto.RowsResponse) error {
+		resp = proto.MergeRowsChunk(resp, b)
+		return nil
+	})
+	var re *proto.RemoteError
+	switch {
+	case !handled:
+		return &proto.ErrorResponse{Code: proto.CodeInternal, Msg: "scan not streamed"}
+	case errors.As(err, &re):
+		return &proto.ErrorResponse{Code: re.Code, Msg: re.Msg}
+	case err != nil:
+		return &proto.ErrorResponse{Code: proto.CodeInternal, Msg: err.Error()}
+	}
+	return resp
+}
+
 func TestHandleFullLifecycle(t *testing.T) {
 	p := newProvider(t)
 	conn := transport.NewLocal(p)
@@ -143,7 +164,12 @@ func TestErrorCodeMapping(t *testing.T) {
 	p := newProvider(t)
 	check := func(req proto.Message, want proto.ErrorCode) {
 		t.Helper()
-		resp := p.Handle(req)
+		var resp proto.Message
+		if sr, ok := req.(*proto.ScanRequest); ok {
+			resp = scan(p, sr)
+		} else {
+			resp = p.Handle(req)
+		}
 		e, ok := resp.(*proto.ErrorResponse)
 		if !ok {
 			t.Fatalf("%T: got %#v, want error", req, resp)

@@ -25,7 +25,8 @@ import (
 // Returned batches own their bytes: a page's slab is overwritten in place by
 // UPDATE and shifted by INSERT and DELETE, so each batch copies the cells it
 // projects into one arena of its own while the read lock is still held (see
-// rowBatch), and nothing a caller holds ever aliases page storage.
+// rowBatch), and nothing a caller holds ever aliases page storage. A
+// verified read is a proved cursor (see Prove).
 type ScanCursor struct {
 	s    *Store
 	name string
@@ -33,9 +34,11 @@ type ScanCursor struct {
 	// colIdx maps each output column to its cell index in stored rows.
 	colIdx []int
 
-	// filterCol is the cell index the filter compares (-1 = none) and lo and
-	// hi its inclusive bounds. An indexed filter walks the column's B+-tree
-	// with it; any other walks the heap and compares inline.
+	// filter is the scan's filter (nil = none); filterCol is the cell index
+	// it compares (-1 = none) and lo and hi its inclusive bounds. An indexed
+	// filter walks the column's B+-tree with it; any other walks the heap and
+	// compares inline.
+	filter    *proto.Filter
 	filterCol int
 	indexed   bool
 	lo, hi    []byte
@@ -45,6 +48,11 @@ type ScanCursor struct {
 	// moved up to that row's cell. started is false before the first row.
 	afterID uint64
 	started bool
+	// tab and version are the table and its version the scan began at, which
+	// a proving cursor's last batch proves.
+	tab     *table
+	version uint64
+	proving bool
 
 	// remaining counts rows the limit still allows (^0 = unlimited).
 	remaining  uint64
@@ -143,9 +151,8 @@ const unlimitedRows = ^uint64(0)
 // else walks the row heap page by page, applying the filter inline. A
 // non-zero limit caps the total rows emitted (and stops provider-side
 // walking early); batchBytes bounds one batch's row payload (0 means
-// proto.BatchBytes). Proof-carrying scans have no cursor form: a
-// Merkle completeness proof covers the whole result, so verified reads use
-// the buffered Scan.
+// proto.BatchBytes). A verified read is a cursor too: call Prove before the
+// first Next.
 func (s *Store) OpenCursor(name string, f *proto.Filter, projection []string, limit uint64, batchBytes int) (*ScanCursor, error) {
 	if batchBytes <= 0 {
 		batchBytes = proto.BatchBytes
@@ -187,9 +194,29 @@ func (t *table) openCursor(f *proto.Filter, projection []string, limit uint64) (
 	}
 	// One allocation holds both bounds; an index walk overwrites lo in place.
 	bounds := append(append(make([]byte, 0, len(lo)+len(hi)), lo...), hi...)
-	cur.filterCol, cur.lo, cur.hi = ci, bounds[:len(lo):len(lo)], bounds[len(lo):]
+	cur.filter, cur.filterCol, cur.lo, cur.hi = f, ci, bounds[:len(lo):len(lo)], bounds[len(lo):]
 	cur.indexed = t.spec.Columns[ci].Indexed
 	return cur, nil
+}
+
+// Prove asks the batch that ends the scan to carry its completeness proof.
+// The proof is cut under the same hold of the store lock as that batch's
+// rows, from the table version the scan began at; if a write has landed
+// since, the scan fails with ErrConcurrentWrite rather than prove rows of two
+// table states. A scan that cannot be proved — without a filter, with a
+// limit, or over an unindexed column — is refused with ErrBadRequest. Call
+// Prove before the first Next.
+func (cur *ScanCursor) Prove() error {
+	switch {
+	case cur.filter == nil:
+		return fmt.Errorf("%w: proof requires a filter", ErrBadRequest)
+	case cur.remaining != unlimitedRows:
+		return fmt.Errorf("%w: proof incompatible with limit", ErrBadRequest)
+	case !cur.indexed:
+		return fmt.Errorf("%w: column %q is not indexed", ErrBadRequest, cur.filter.Col)
+	}
+	cur.proving = true
+	return nil
 }
 
 // Columns returns the projected column names, for callers that must frame
@@ -197,7 +224,8 @@ func (t *table) openCursor(f *proto.Filter, projection []string, limit uint64) (
 func (cur *ScanCursor) Columns() []string { return cur.cols }
 
 // Next assembles the next batch under a short-lived read lock. It returns
-// (nil, nil) when the scan is exhausted. Batches are never empty.
+// (nil, nil) when the scan is exhausted. Batches are never empty, but for
+// the last of a proved scan, which may carry only the proof.
 func (cur *ScanCursor) Next() (*proto.RowsResponse, error) {
 	if cur.done {
 		return nil, nil
@@ -207,20 +235,33 @@ func (cur *ScanCursor) Next() (*proto.RowsResponse, error) {
 	cur.batch.clear()
 	t, err := cur.s.table(cur.name)
 	if err == nil {
+		if !cur.started { // no row is out yet: the scan begins at this state
+			cur.tab, cur.version = t, t.version
+		}
 		err = cur.walk(t, func(p *page, i int) bool {
 			cur.batch.add(p, i, cur.colIdx)
 			return cur.batch.size() < cur.batchBytes
 		})
 	}
+	// A walk that stopped short of a full batch ran out of rows.
+	cur.done = err != nil || cur.batch.size() < cur.batchBytes || cur.remaining == 0
+	var proof []byte
+	if err == nil && cur.done && cur.proving {
+		if t != cur.tab || t.version != cur.version {
+			err = fmt.Errorf("%w: table %q went from version %d to %d between the scan's batches",
+				ErrConcurrentWrite, cur.name, cur.version, t.version)
+		} else {
+			proof, err = t.proveScan(cur.filter)
+		}
+	}
 	if err != nil {
-		cur.done = true
 		return nil, err
 	}
 	rows := cur.batch.rows()
-	if cur.done = rows == nil || cur.remaining == 0; rows == nil {
+	if rows == nil && proof == nil {
 		return nil, nil
 	}
-	return &proto.RowsResponse{Columns: cur.cols, Rows: rows}, nil
+	return &proto.RowsResponse{Columns: cur.cols, Rows: rows, Proof: proof}, nil
 }
 
 // walk visits the matching rows from the cursor's position on, until visit

@@ -415,3 +415,111 @@ func TestBatchesOwnTheirBytes(t *testing.T) {
 		})
 	}
 }
+
+// TestProvedCursor: a proved cursor's last batch, and only it, carries the
+// proof, the same proof however the rows were cut into batches. The scan
+// begins at its first batch, so a write before it is proved over, while a
+// write between batches fails the scan with ErrConcurrentWrite and no proof
+// — also when the write puts the table back at a state of the same size.
+func TestProvedCursor(t *testing.T) {
+	s := memStore(t)
+	mustCreate(t, s)
+	var rows []proto.Row
+	for i := uint64(1); i <= 200; i++ {
+		rows = append(rows, row(i, i*7%200))
+	}
+	if err := s.Insert("employees", rows); err != nil {
+		t.Fatal(err)
+	}
+	f := &proto.Filter{Col: "salary#o", Op: proto.FilterRange, Lo: oppCell(20), Hi: oppCell(150)}
+	proved := func(batchBytes int) *ScanCursor {
+		t.Helper()
+		cur, err := s.OpenCursor("employees", f, nil, 0, batchBytes)
+		if err == nil {
+			err = cur.Prove()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cur
+	}
+	whole, err := s.Scan("employees", f, nil, 0, true)
+	if err != nil || len(whole.Proof) == 0 {
+		t.Fatalf("Scan with proof: %v", err)
+	}
+	cur := proved(256)
+	// A write before the first batch: the scan proves the state after it.
+	if err := s.Update("employees", []proto.Row{row(7, 7*7%200)}); err != nil {
+		t.Fatal(err)
+	}
+	var got []proto.Row
+	batches := 0
+	for {
+		b, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		batches++
+		got = append(got, b.Rows...)
+		if done := cur.done; done != (len(b.Proof) > 0) {
+			t.Fatalf("batch %d: proof of %d bytes, last = %v", batches, len(b.Proof), done)
+		}
+		if cur.done && (!bytes.Equal(b.Proof, whole.Proof) || !sameRows(whole, &proto.RowsResponse{Rows: got})) {
+			t.Fatal("the batched scan's rows and proof differ from the one-batch scan's")
+		}
+	}
+	if batches < 3 {
+		t.Fatalf("%d batches; want several", batches)
+	}
+
+	// An empty range proves too, in one batch that carries only the proof.
+	empty, err := s.OpenCursor("employees", &proto.Filter{Col: "salary#o", Op: proto.FilterEq, Lo: oppCell(999)}, nil, 0, 0)
+	if err == nil {
+		err = empty.Prove()
+	}
+	if b, err2 := empty.Next(); err != nil || err2 != nil || b == nil || len(b.Rows) != 0 || len(b.Proof) == 0 || b.Columns == nil {
+		t.Fatalf("empty proved scan: %+v, %v, %v", b, err, err2)
+	}
+
+	// A write between batches — a delete and an insert leave as many rows.
+	cur = proved(256)
+	if b, err := cur.Next(); err != nil || b == nil || len(b.Proof) != 0 {
+		t.Fatalf("first batch: %v, %v", b, err)
+	}
+	if _, err := s.Delete("employees", []uint64{100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert("employees", []proto.Row{row(100, 100*7%200)}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		b, err := cur.Next()
+		if errors.Is(err, ErrConcurrentWrite) {
+			break
+		}
+		if err != nil || b == nil || len(b.Proof) != 0 {
+			t.Fatalf("after a write between batches: %+v, %v; want ErrConcurrentWrite and no proof", b, err)
+		}
+	}
+
+	// What cannot be proved is refused when asked, before any batch.
+	for name, c := range map[string]struct {
+		f     *proto.Filter
+		limit uint64
+	}{
+		"no filter": {nil, 0},
+		"a limit":   {f, 3},
+		"unindexed": {&proto.Filter{Col: "note", Op: proto.FilterEq, Lo: []byte("n1")}, 0},
+	} {
+		cur, err := s.OpenCursor("employees", c.f, nil, c.limit, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cur.Prove(); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: Prove = %v, want ErrBadRequest", name, err)
+		}
+	}
+}

@@ -182,9 +182,8 @@ func (s *Store) restoreManifest(img *manifestImage) error {
 			return fmt.Errorf("%w: manifest spec for %q: %v", ErrBadRequest, mt.spec.Name, err)
 		}
 		t := &table{
-			spec:    mt.spec,
-			merkles: make(map[string]*merkleState),
-			heap:    &rowHeap{s: s, tableID: mt.id, nextPageID: mt.nextPageID, shape: shapeOf(&mt.spec)},
+			spec: mt.spec,
+			heap: &rowHeap{s: s, tableID: mt.id, nextPageID: mt.nextPageID, shape: shapeOf(&mt.spec)},
 		}
 		for _, mp := range mt.pages {
 			pm := &pageMeta{

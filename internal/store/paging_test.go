@@ -347,7 +347,10 @@ func benchPagedStore(b *testing.B, cacheBytes int64, ratio int) (*Store, int) {
 	if err := s.CreateTable(testSpec()); err != nil {
 		b.Fatal(err)
 	}
-	rowBytes := proto.RowBytes(row(1, 1))
+	rowBytes := 1 // id 1 as a varint, then the cells
+	for _, c := range row(1, 1).Cells {
+		rowBytes += len(c)
+	}
 	n := int(cacheBytes) * ratio / rowBytes
 	batch := make([]proto.Row, 0, 256)
 	for i := 1; i <= n; i++ {

@@ -48,6 +48,9 @@ var (
 	ErrBadRequest   = errors.New("store: bad request")
 	ErrDuplicateRow = errors.New("store: duplicate row id")
 	ErrNoSuchRow    = errors.New("store: no such row id")
+	// ErrConcurrentWrite fails a verified scan whose table was written
+	// between its batches: no proof covers rows of two table states.
+	ErrConcurrentWrite = errors.New("store: a write landed during the verified scan")
 )
 
 // Options tune a store's paging and durability behaviour. The zero value
@@ -124,17 +127,21 @@ type table struct {
 	// (cell, row id) entries (the id tells rows with one share apart), and
 	// nil at every other column.
 	indexes []*btree.Tree
+	// version counts the rows mutations have put or removed: two reads that
+	// see one version saw one table state. Guarded by the store lock.
+	version uint64
 	// merkleMu guards merkles: the cache is (re)built lazily by readers
 	// holding the store lock shared, so the build itself needs a leaf lock.
 	merkleMu sync.Mutex
-	// merkles caches per-column Merkle state; invalidated by mutations.
-	merkles map[string]*merkleState
+	// merkles caches, at an indexed column's position, its Merkle state.
+	merkles []*merkleState
 }
 
 type merkleState struct {
-	ids  []uint64 // row ids in index order; proofs rebuild leaves from the rows
-	tree *merkle.Tree
-	root merkle.Hash
+	version uint64   // the table version the tree was built at; valid while it holds
+	ids     []uint64 // row ids in index order; proofs rebuild leaves from the rows
+	tree    *merkle.Tree
+	root    merkle.Hash
 }
 
 // walPrefix names the segmented WAL's files: store.wal.<first-LSN>.
@@ -494,7 +501,6 @@ func (s *Store) apply(plan []change) (rows uint64, err error) {
 		case createTable:
 			t.heap = &rowHeap{s: s, tableID: s.nextTableID, shape: shapeOf(&t.spec)}
 			s.nextTableID++
-			t.merkles = make(map[string]*merkleState)
 			t.indexes = newIndexes(&t.spec)
 			s.tables[t.spec.Name] = t
 		case dropTable:
@@ -641,17 +647,13 @@ func (t *table) ensureIndexes() ([]*btree.Tree, error) {
 	return idxs, nil
 }
 
-func (t *table) invalidateMerkles() {
-	t.merkleMu.Lock()
-	clear(t.merkles)
-	t.merkleMu.Unlock()
-}
-
-// put stores a row — new, or in place of the one with its id — and keeps
-// the B+-trees and the Merkle cache in step with the heap. While indexes is
-// nil (manifest-restored table, not yet read through an index) there is
-// nothing to maintain: the lazy build will see the heap's current state.
+// put stores a row — new, or in place of the one with its id — keeps the
+// B+-trees in step with the heap and moves the table to its next version.
+// While indexes is nil (manifest-restored table, not yet read through an
+// index) there is nothing to maintain: the lazy build will see the heap's
+// current state.
 func (t *table) put(row proto.Row) error {
+	t.version++
 	fresh := true
 	err := t.heap.put(row, func(p *page, i int) {
 		fresh = false
@@ -665,15 +667,14 @@ func (t *table) put(row proto.Row) error {
 			idx.Insert(row.Cells[ci], row.ID)
 		}
 	}
-	t.invalidateMerkles()
 	return nil
 }
 
-// remove deletes the row with the id, its index entries and the Merkle cache.
+// remove deletes the row with the id and its index entries, and moves the
+// table to its next version.
 func (t *table) remove(id uint64) error {
-	err := t.heap.delete(id, func(p *page, i int) { t.reindex(p, i, nil) })
-	t.invalidateMerkles()
-	return err
+	t.version++
+	return t.heap.delete(id, func(p *page, i int) { t.reindex(p, i, nil) })
 }
 
 // reindex moves the index entries of row i of p, which is about to become
@@ -745,43 +746,29 @@ func (t *table) filterBounds(f *proto.Filter) (int, []byte, []byte, error) {
 	return ci, lo, hi, nil
 }
 
-// Scan returns rows matching the filter, projected (nil = every column,
-// NoColumns = ids only) and capped at limit (0 = unlimited). With withProof
-// it also returns a Merkle completeness proof; the filter column must then
-// be indexed and limit must be zero. The response owns its bytes.
+// Scan drains a cursor over the scan into one response: rows matching the
+// filter, projected (nil = every column, NoColumns = ids only) and capped at
+// limit (0 = unlimited), with the completeness proof of the last batch when
+// withProof (see ScanCursor.Prove). The response owns its bytes.
 func (s *Store) Scan(name string, f *proto.Filter, projection []string, limit uint64, withProof bool) (*proto.RowsResponse, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, err := s.table(name)
+	cur, err := s.OpenCursor(name, f, projection, limit, 0)
+	if err == nil && withProof {
+		err = cur.Prove()
+	}
 	if err != nil {
 		return nil, err
 	}
-	cur, err := t.openCursor(f, projection, limit)
-	if err != nil {
-		return nil, err
-	}
-	if withProof {
-		if f == nil {
-			return nil, fmt.Errorf("%w: proof requires a filter", ErrBadRequest)
-		}
-		if limit > 0 {
-			return nil, fmt.Errorf("%w: proof incompatible with limit", ErrBadRequest)
-		}
-	}
-	err = cur.walk(t, func(p *page, i int) bool {
-		cur.batch.add(p, i, cur.colIdx)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	resp := &proto.RowsResponse{Columns: cur.cols, Rows: cur.batch.rows()}
-	if withProof {
-		if resp.Proof, err = t.proveScan(f); err != nil {
+	resp := &proto.RowsResponse{Columns: cur.cols}
+	for {
+		batch, err := cur.Next()
+		if err != nil {
 			return nil, err
 		}
+		if batch == nil {
+			return resp, nil
+		}
+		resp.Rows, resp.Proof = append(resp.Rows, batch.Rows...), batch.Proof
 	}
-	return resp, nil
 }
 
 // RowDigest hashes a row's full content; it is the Merkle leaf payload and
@@ -799,26 +786,23 @@ func RowDigest(row proto.Row) []byte {
 	return h.Sum(nil)
 }
 
-// merkleFor returns (building if needed) the Merkle state of an indexed
-// column. Callers hold the store lock at least shared, which pins the heap
-// and indexes; merkleMu additionally serializes cache builds so concurrent
-// proof-carrying scans build each column tree once and then share it.
-func (t *table) merkleFor(col string) (*merkleState, error) {
-	ci := t.spec.ColumnIndex(col)
-	if ci < 0 || !t.spec.Columns[ci].Indexed {
-		return nil, fmt.Errorf("%w: column %q is not indexed", ErrBadRequest, col)
-	}
-	idxs, err := t.ensureIndexes()
-	if err != nil {
-		return nil, err
-	}
-	idx := idxs[ci]
+// merkleFor returns the Merkle state of indexed column ci at the table's
+// current version, building it if the cached one is older. Callers hold the
+// store lock at least shared, which pins the heap, indexes and version, and
+// have walked the index (which builds the indexes); merkleMu additionally
+// serializes cache builds so concurrent proof-carrying scans build each
+// column tree once and then share it.
+func (t *table) merkleFor(ci int) (*merkleState, error) {
+	idx := t.indexes[ci]
 	t.merkleMu.Lock()
 	defer t.merkleMu.Unlock()
-	if m, ok := t.merkles[col]; ok {
+	if t.merkles == nil {
+		t.merkles = make([]*merkleState, len(t.indexes))
+	}
+	if m := t.merkles[ci]; m != nil && m.version == t.version {
 		return m, nil
 	}
-	m := &merkleState{ids: make([]uint64, 0, idx.Len())}
+	m := &merkleState{version: t.version, ids: make([]uint64, 0, idx.Len())}
 	leaves := make([]merkle.Hash, 0, idx.Len())
 	var row proto.Row
 	var it btree.Iter
@@ -835,20 +819,21 @@ func (t *table) merkleFor(col string) (*merkleState, error) {
 	}
 	m.tree = merkle.New(leaves)
 	m.root = m.tree.Root()
-	t.merkles[col] = m
+	t.merkles[ci] = m
 	return m, nil
 }
 
 // proveScan builds the completeness proof for a filter over an indexed
 // column: the run of matching leaves extended by one fence on each side,
-// under the root and leaf count of the tree it was cut from — read under the
-// same lock hold as the scan's rows, so no write can fall between them.
+// under the root and leaf count of the tree it was cut from — the tree of
+// the table's current version, which the caller has checked is the version
+// the scan's rows were read at.
 func (t *table) proveScan(f *proto.Filter) ([]byte, error) {
-	m, err := t.merkleFor(f.Col)
+	ci, lo, hi, err := t.filterBounds(f)
 	if err != nil {
 		return nil, err
 	}
-	ci, lo, hi, err := t.filterBounds(f)
+	m, err := t.merkleFor(ci)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"sync"
@@ -228,7 +229,8 @@ func (c *FaultyConn) CallDeadline(req proto.Message, deadline time.Time) (proto.
 // CallStream implements StreamCaller by forwarding to the wrapped
 // connection, applying the configured faults: a crashed connection fails
 // before any chunk flows, a corrupter is applied to every chunk (a
-// malicious provider can tamper with any part of a streamed result), and an
+// malicious provider can tamper with any part of a streamed result; one that
+// turns a chunk into anything but rows fails the stream), and an
 // armed CrashAfterChunks kills the stream mid-flight after its quota of
 // chunks has been delivered.
 func (c *FaultyConn) CallStream(req proto.Message, yield func(*proto.RowsResponse) error) error {
@@ -262,8 +264,12 @@ func (c *FaultyConn) CallStreamDeadline(req proto.Message, deadline time.Time, y
 		}
 		c.mu.Unlock()
 		if corrupt != nil {
-			if m, ok := corrupt(chunk).(*proto.RowsResponse); ok {
-				chunk = m
+			// A chunk that is not rows fails the stream, as the mux fails a
+			// session on one.
+			m := corrupt(chunk)
+			var ok bool
+			if chunk, ok = m.(*proto.RowsResponse); !ok {
+				return fmt.Errorf("transport: chunk frame carries %T", m)
 			}
 		}
 		return yield(chunk)

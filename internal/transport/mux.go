@@ -633,7 +633,10 @@ func (s *session) sendCancel(id uint64) {
 
 // readLoop is the demux goroutine of a session: it owns the read half
 // of the socket, routes every response frame to its pending call, and on
-// connection death cancels everything in flight.
+// connection death cancels everything in flight. A frame that breaks the
+// protocol — undecodable, a chunk that is not rows, an unchunked frame that
+// is not final — fails the session whichever call it names: nothing after
+// it can be trusted.
 func (s *session) readLoop() {
 	for {
 		id, flags, body, err := readFrame(s.br)
@@ -643,69 +646,44 @@ func (s *session) readLoop() {
 		}
 		s.stats.recv.Add(frameLen(body))
 		msg, err := proto.Decode(body)
+		rr, isRows := msg.(*proto.RowsResponse)
+		chunk, final := flags&flagChunk != 0, flags&flagFinal != 0
+		switch {
+		case err != nil:
+		case chunk && !isRows:
+			err = fmt.Errorf("transport: chunk frame carries %T", msg)
+		case !chunk && !final:
+			err = fmt.Errorf("transport: non-final %T frame without chunk flag", msg)
+		}
 		if err != nil {
-			// Undecodable response: the stream is not trustworthy beyond
-			// this point.
 			s.fail(err)
 			return
 		}
-		final := flags&flagFinal != 0
 		s.mu.Lock()
 		pc, ok := s.pending[id]
 		if ok && final {
 			delete(s.pending, id)
 		}
 		s.mu.Unlock()
-		if !ok {
-			continue // abandoned call; drop the late response
-		}
-		if flags&flagChunk != 0 {
-			rr, isRows := msg.(*proto.RowsResponse)
-			if !isRows {
-				s.fail(fmt.Errorf("transport: chunk frame carries %T", msg))
-				return
-			}
-			if pc.stream != nil {
-				select {
-				case pc.stream <- rr:
-				case <-pc.gone:
-					continue
-				}
+		switch {
+		case !ok:
+			// An abandoned call: drop the late response.
+		case !chunk:
+			// A whole answer: a streaming call yields it once it completes.
+			pc.done <- callResult{msg: msg}
+		case pc.stream != nil:
+			select {
+			case pc.stream <- rr:
 				if final {
 					pc.done <- callResult{}
 				}
-				continue
+			case <-pc.gone:
 			}
-			pc.partial = proto.MergeRowsChunk(pc.partial, rr)
-			if final {
+		default:
+			if pc.partial = proto.MergeRowsChunk(pc.partial, rr); final {
 				pc.done <- callResult{msg: pc.partial}
 			}
-			continue
 		}
-		if !final {
-			s.fail(fmt.Errorf("transport: non-final %T frame without chunk flag", msg))
-			return
-		}
-		if pc.stream != nil {
-			// Small responses arrive unchunked even on streaming calls.
-			if rr, isRows := msg.(*proto.RowsResponse); isRows {
-				select {
-				case pc.stream <- rr:
-				case <-pc.gone:
-					continue
-				}
-				pc.done <- callResult{}
-				continue
-			}
-			pc.done <- callResult{msg: msg}
-			continue
-		}
-		if pc.partial != nil {
-			if rr, isRows := msg.(*proto.RowsResponse); isRows {
-				msg = proto.MergeRowsChunk(pc.partial, rr)
-			}
-		}
-		pc.done <- callResult{msg: msg}
 	}
 }
 

@@ -188,8 +188,25 @@ func TestMuxStatsExact(t *testing.T) {
 	}
 }
 
-// rowsHandler returns n rows of two cells each for any scan.
+// rowsHandler answers any scan with n rows of two cells each: streamed in
+// chunks of at most proto.BatchBytes of rows with the proof on the last, as
+// a provider's cursor sends them, or whole from Handle.
 type rowsHandler struct{ n int }
+
+func (h *rowsHandler) HandleStream(req proto.Message, emit func(*proto.RowsResponse) error) (bool, error) {
+	whole, ok := h.Handle(req).(*proto.RowsResponse)
+	if !ok {
+		return false, nil
+	}
+	const per = proto.BatchBytes / 32 // a row is at most 32 bytes
+	for len(whole.Rows) > per {
+		if err := emit(&proto.RowsResponse{Columns: whole.Columns, Rows: whole.Rows[:per]}); err != nil {
+			return true, err
+		}
+		whole.Rows = whole.Rows[per:]
+	}
+	return true, emit(whole)
+}
 
 func (h *rowsHandler) Handle(req proto.Message) proto.Message {
 	if _, ok := req.(*proto.ScanRequest); !ok {
@@ -208,6 +225,24 @@ func (h *rowsHandler) Handle(req proto.Message) proto.Message {
 // chunkedRows is a row count whose response outgrows one chunk frame: every
 // rowsHandler row is at least 23 bytes.
 const chunkedRows = 2 * proto.BatchBytes / 20
+
+// TestHandleAnswersInOneFrame: a Handle answer is one frame however large —
+// only a StreamHandler's batches become chunk frames.
+func TestHandleAnswersInOneFrame(t *testing.T) {
+	h := &rowsHandler{n: chunkedRows}
+	c := NewLocal(HandlerFunc(h.Handle))
+	defer c.Close()
+	var chunks int
+	err := CallStream(c, &proto.ScanRequest{Table: "t"}, func(rr *proto.RowsResponse) error {
+		if chunks++; len(rr.Rows) != chunkedRows || string(rr.Proof) != "proof" {
+			t.Errorf("chunk %d: %d rows, proof %q", chunks, len(rr.Rows), rr.Proof)
+		}
+		return nil
+	})
+	if err != nil || chunks != 1 {
+		t.Fatalf("streamed a Handle answer in %d pieces, %v; want one", chunks, err)
+	}
+}
 
 // TestMuxStreamingReassembly sends a response larger than one chunk frame
 // and checks that Call transparently reassembles the full response.

@@ -178,17 +178,6 @@ func (s *Server) serveConn(nc net.Conn) {
 	s.serveMux(nc, br, bw, string(tenant))
 }
 
-// handleOne runs one buffered request through the handler, attaching the
-// scheduler's serving stats to stats replies so every ping doubles as a
-// queue-pressure probe.
-func (s *Server) handleOne(req proto.Message) proto.Message {
-	resp := s.handler.Handle(req)
-	if sr, ok := resp.(*proto.StatsResponse); ok {
-		s.sched.fillStats(sr)
-	}
-	return resp
-}
-
 // outFrame is one response frame queued for the writer goroutine.
 type outFrame struct {
 	id    uint64
@@ -198,11 +187,11 @@ type outFrame struct {
 
 // serveMux runs a negotiated connection: the read side decodes request
 // frames and submits each to the server-wide scheduler under this
-// connection's tenant; scheduler workers push response frames — possibly several chunk
-// frames per response — into out, and a single writer goroutine serializes
-// them onto the socket, so responses complete in whatever order the
-// handlers finish. Requests the scheduler sheds are answered inline with
-// CodeServerBusy without consuming a worker.
+// connection's tenant; scheduler workers push response frames — one per
+// answer, or a streamed answer's chunk frames — into out, and a single
+// writer goroutine serializes them onto the socket, so responses complete in
+// whatever order the handlers finish. Requests the scheduler sheds are
+// answered inline with CodeServerBusy without consuming a worker.
 func (s *Server) serveMux(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, tenant string) {
 	out := make(chan outFrame, outQueueLen)
 	var writerWG sync.WaitGroup
@@ -273,28 +262,30 @@ func (s *Server) serveMux(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, tenan
 	writerWG.Wait()
 }
 
-// runRequest executes one admitted request, preferring the streaming path
-// for handlers that support it.
+// runRequest executes one admitted request: a handler that streams it
+// answers in chunk frames (serveStream), and Handle's answer is one frame.
+// A stats reply carries the scheduler's serving stats too, so every ping
+// doubles as a queue-pressure probe.
 func (s *Server) runRequest(id uint64, req proto.Message, cancel chan struct{}, out chan<- outFrame) {
 	if sh, ok := s.handler.(StreamHandler); ok && s.serveStream(sh, id, req, cancel, out) {
 		return
 	}
-	resp := s.handleOne(req)
-	// One handler emits its frames in order into the shared queue;
-	// interleaving with other responses is fine — every frame carries its
-	// request id.
-	for _, f := range responseFrames(id, resp) {
-		out <- f
+	resp := s.handler.Handle(req)
+	if sr, ok := resp.(*proto.StatsResponse); ok {
+		s.sched.fillStats(sr)
 	}
+	out <- outFrame{id: id, flags: flagFinal, body: proto.Encode(resp)}
 }
 
 // serveStream runs one request through the handler's streaming path,
-// emitting each batch as a chunk frame as it is produced. It reports
-// whether the handler accepted the request; false sends nothing and the
-// caller falls back to the buffered Handle path. Because chunk frames must
-// mark the last one final, each emitted batch is held until the next
+// emitting each batch as a chunk frame as it is produced: the only source of
+// chunk frames. It reports whether the handler accepted the request; false
+// sends nothing and the caller falls back to Handle. Because chunk frames
+// must mark the last one final, each emitted batch is held until the next
 // arrives (or the stream ends): the cost is one batch of extra latency at
-// the tail, not a buffered result set.
+// the tail, not a buffered result set. Chunks go out in order into the
+// shared queue; interleaving with other responses is fine — every frame
+// carries its request id.
 func (s *Server) serveStream(sh StreamHandler, id uint64, req proto.Message, cancel <-chan struct{}, out chan<- outFrame) bool {
 	var held *proto.RowsResponse
 	handled, err := sh.HandleStream(req, func(chunk *proto.RowsResponse) error {
@@ -368,46 +359,6 @@ func (s *Server) writeLoop(nc net.Conn, bw *bufio.Writer, out <-chan outFrame) {
 		arm()
 		bw.Flush()
 	}
-}
-
-// responseFrames encodes one response as its on-wire frame sequence. Row
-// responses larger than proto.BatchBytes stream as row chunks — each a
-// complete, independently-decodable RowsResponse carrying the column header,
-// with the completeness proof on the final chunk — so neither side ever
-// buffers the whole result in one contiguous encode buffer.
-func responseFrames(id uint64, resp proto.Message) []outFrame {
-	rr, isRows := resp.(*proto.RowsResponse)
-	if !isRows || len(rr.Rows) < 2 {
-		return []outFrame{{id: id, flags: flagFinal, body: proto.Encode(resp)}}
-	}
-	// Greedily group rows by what each adds to a block.
-	var cuts []int
-	size := 0
-	for i, row := range rr.Rows {
-		rs := proto.RowBytes(row)
-		if size > 0 && size+rs > proto.BatchBytes {
-			cuts = append(cuts, i)
-			size = 0
-		}
-		size += rs
-	}
-	if len(cuts) == 0 {
-		return []outFrame{{id: id, flags: flagFinal, body: proto.Encode(resp)}}
-	}
-	cuts = append(cuts, len(rr.Rows))
-	frames := make([]outFrame, 0, len(cuts))
-	start := 0
-	for i, end := range cuts {
-		chunk := &proto.RowsResponse{Columns: rr.Columns, Rows: rr.Rows[start:end]}
-		flags := uint8(flagChunk)
-		if i == len(cuts)-1 {
-			chunk.Proof = rr.Proof
-			flags |= flagFinal
-		}
-		frames = append(frames, outFrame{id: id, flags: flags, body: proto.Encode(chunk)})
-		start = end
-	}
-	return frames
 }
 
 // quiesce stops accepting new connections. Idempotent.

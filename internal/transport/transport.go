@@ -182,22 +182,22 @@ func yieldWhole(resp proto.Message, yield func(*proto.RowsResponse) error) error
 }
 
 // Handler is the provider side of a transport: it consumes one request and
-// produces one response. The multiplexed server invokes Handle from
-// concurrent worker goroutines, so implementations must be safe for
-// concurrent use.
+// produces one response, sent as one frame. The multiplexed server invokes
+// Handle from concurrent worker goroutines, so implementations must be safe
+// for concurrent use.
 type Handler interface {
 	Handle(req proto.Message) proto.Message
 }
 
-// StreamHandler is optionally implemented by Handlers that can produce a
-// row response incrementally, batch by batch, instead of materializing it.
-// HandleStream reports handled=false (without having called emit) when the
-// request has no streaming form — the transport then falls back to Handle.
-// When handled, emit is called once per batch in order; emit returns
-// ErrStreamCanceled once the client cancels, and the handler must then stop
-// and propagate the error. A handled stream with a nil error must emit at
-// least one batch (an empty RowsResponse carrying Columns for empty
-// results) so the receiver learns the result shape.
+// StreamHandler is optionally implemented by Handlers that produce a row
+// response batch by batch: the only source of chunk frames. HandleStream
+// reports handled=false (without having called emit) when the request has
+// no streaming form — the transport then falls back to Handle. When
+// handled, emit is called once per batch in order, a proof riding the last;
+// emit returns ErrStreamCanceled once the client cancels, and the handler
+// must then stop and propagate the error. A handled stream with a nil error
+// must emit at least one batch (an empty RowsResponse carrying Columns for
+// empty results) so the receiver learns the result shape.
 type StreamHandler interface {
 	HandleStream(req proto.Message, emit func(*proto.RowsResponse) error) (handled bool, err error)
 }
