@@ -52,7 +52,8 @@ race-hedge:
 # path, the store manifest Open reads from disk, a provider's range proof, the
 # index B+-tree against a sorted-set oracle, the transport's frame and
 # handshake readers, the transport's demux of chunk and flag sequences, and
-# the SQL lexer and parser. -fuzz takes one target and one package per run.
+# the SQL lexer and parser, and a client's catalog import. -fuzz takes one
+# target and one package per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBlock$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/proto
@@ -64,12 +65,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzDemux$$' -fuzztime=10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/sql
+	$(GO) test -run '^$$' -fuzz '^FuzzImportCatalog$$' -fuzztime=10s ./internal/client
 
 # The figures ROADMAP.md and CHANGES.md quote for aim 2: non-test lines of
 # the client and the transport (item 6), the store, its index tree and the
-# server over them, the codec and the order-preserving scheme (item 1).
+# server over them, the codec and the order-preserving scheme (item 1), and
+# the experiment harness beside the repository benchmark.
 loc:
-	@for d in internal/client internal/transport internal/store internal/btree internal/server internal/proto internal/opp; do \
+	@for d in internal/client internal/transport internal/store internal/btree internal/server internal/proto internal/opp internal/bench; do \
 		printf '%s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 

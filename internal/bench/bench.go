@@ -182,10 +182,6 @@ func All() []Runner {
 		{"A3", RunA3, "ablation: fixed-width share keys vs big.Int"},
 		{"A4", RunA4, "ablation: OPP polynomial degree"},
 		{"S1", RunS1, "supplementary: latency/bytes vs table size"},
-		{"S2", RunS2, "supplementary: streaming scans"},
-		{"S3", RunS3, "supplementary: degraded writes and hinted-handoff repair"},
-		{"S4", RunS4, "supplementary: horizontal sharding scatter-gather scaling"},
-		{"S5", RunS5, "supplementary: paged storage at 1x/4x/10x cache budget"},
 		{"S6", RunS6, "supplementary: sustained-load serving — admission control and overload shedding"},
 		{"S7", RunS7, "supplementary: multi-statement transactions — 2PC commit latency and abort rate"},
 		{"S8", RunS8, "supplementary: tail-tolerant reads under gray failure — health scoring, hedging, deadlines"},

@@ -38,6 +38,18 @@ func TestExperimentsAreDocumented(t *testing.T) {
 			t.Errorf("paper experiment %s missing from the harness", id)
 		}
 	}
+	// And every experiment DESIGN.md's inventory paragraph names is one the
+	// harness runs, so the inventory cannot keep listing a deleted suite.
+	_, inventory, ok := strings.Cut(string(design), "Beyond E1–E15")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "Beyond E1–E15" inventory paragraph`)
+	}
+	inventory, _, _ = strings.Cut(inventory, "\n\n")
+	for _, id := range regexp.MustCompile(`\b[EAS]\d+\b`).FindAllString(inventory, -1) {
+		if !ids[id] {
+			t.Errorf("DESIGN.md's inventory names %s, which the harness does not run", id)
+		}
+	}
 }
 
 func itoa(i int) string {

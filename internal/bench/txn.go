@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"sssdb/internal/client"
+	"sssdb/internal/server"
+	"sssdb/internal/store"
+	"sssdb/internal/transport"
 )
 
 // S7Suite is one transaction-workload run's machine-readable result
@@ -333,4 +336,35 @@ func RunS7Detailed(scale Scale) (*Table, *S7Result, error) {
 		"sharded commits prepare both groups and hold both groups' locks across the decision",
 		fmt.Sprintf("flaky-W=N: strict quorum turns an unreachable prepare into a clean abort; %d of %d committed, every store converged to exactly the committed rows", res.Suites[3].Committed, res.Suites[3].Txns))
 	return t, res, nil
+}
+
+// newShardedFleet starts `groups` provider groups of n in-process providers
+// each behind one client; S7's sharded suite runs its 2PC across them.
+func newShardedFleet(groups, n, k int, opts client.Options) (*fleet, error) {
+	f := &fleet{}
+	connGroups := make([][]transport.Conn, groups)
+	for g := 0; g < groups; g++ {
+		for i := 0; i < n; i++ {
+			st, err := store.Open("")
+			if err != nil {
+				return nil, err
+			}
+			f.stores = append(f.stores, st)
+			fc := transport.NewFaulty(transport.NewLocal(server.New(st)))
+			f.faults = append(f.faults, fc)
+			f.conns = append(f.conns, fc)
+			connGroups[g] = append(connGroups[g], fc)
+		}
+	}
+	opts.K = k
+	opts.Shards = groups
+	if len(opts.MasterKey) == 0 {
+		opts.MasterKey = []byte("bench master key")
+	}
+	c, err := client.NewSharded(connGroups, opts)
+	if err != nil {
+		return nil, err
+	}
+	f.client = c
+	return f, nil
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 
 	"sssdb/internal/sql"
 )
@@ -144,57 +145,46 @@ func (c *Client) ImportCatalog(data []byte) error {
 		return err
 	}
 	defer unlock()
-	metas := make([]*tableMeta, 0, len(in.Tables))
+	metas := make(map[string]*tableMeta, len(in.Tables))
 	for _, ct := range in.Tables {
-		if _, err := c.cat.table(ct.Name); err == nil {
-			return fmt.Errorf("%w: %q", ErrTableExists, ct.Name)
+		if metas[ct.Name] != nil {
+			return fmt.Errorf("%w: table %q named twice", ErrBadSchema, ct.Name)
 		}
-		if len(ct.Cols) == 0 {
-			return fmt.Errorf("%w: table %q has no columns", ErrBadSchema, ct.Name)
-		}
-		meta := newTableMeta(ct.Name, ct.Public, len(c.groups))
-		for _, cc := range ct.Cols {
+		defs := make([]sql.ColumnDef, len(ct.Cols))
+		for i, cc := range ct.Cols {
 			typ, ok := typeFromName(cc.Type)
 			if !ok {
 				return fmt.Errorf("%w: unknown column type %q", ErrBadSchema, cc.Type)
 			}
-			cm, err := c.buildColMeta(sql.ColumnDef{Name: cc.Name, Type: typ, Arg: cc.Arg})
-			if err != nil {
-				return err
-			}
-			meta.Cols = append(meta.Cols, cm)
+			defs[i] = sql.ColumnDef{Name: cc.Name, Type: typ, Arg: cc.Arg}
 		}
-		nextIDs := []uint64{ct.NextID}
-		if in.Sharding != nil {
-			cs, ok := shards[ct.Name]
-			if !ok {
-				return fmt.Errorf("%w: table %q has no shard map entry", ErrBadSchema, ct.Name)
-			}
-			if len(cs.NextIDs) != len(c.groups) {
-				return fmt.Errorf("%w: table %q has %d row-id counters for %d groups",
-					ErrBadSchema, ct.Name, len(cs.NextIDs), len(c.groups))
-			}
-			nextIDs = cs.NextIDs
-			meta.version = cs.Version
-			meta.nextSeq.Store(cs.NextSeq)
-			if cs.Column != "" {
-				if meta.shardCol = meta.colIndex(cs.Column); meta.shardCol < 0 {
-					return fmt.Errorf("%w: shard key %q is not a column of table %q",
-						ErrBadSchema, cs.Column, ct.Name)
-				}
-			}
+		cs, ok := shards[ct.Name]
+		if in.Sharding == nil {
+			// One group's catalog has no shard map: NextID is its counter.
+			cs, ok = catalogShard{Version: 1, NextIDs: []uint64{ct.NextID}}, true
 		}
-		for g, id := range nextIDs {
+		if !ok {
+			return fmt.Errorf("%w: table %q has no shard map entry", ErrBadSchema, ct.Name)
+		}
+		if len(cs.NextIDs) != len(c.groups) {
+			return fmt.Errorf("%w: table %q has %d row-id counters for %d groups",
+				ErrBadSchema, ct.Name, len(cs.NextIDs), len(c.groups))
+		}
+		meta, err := c.newTableMeta(ct.Name, ct.Public, defs, cs.Column)
+		if err != nil {
+			return err
+		}
+		meta.version = cs.Version
+		meta.nextSeq.Store(cs.NextSeq)
+		for g, id := range cs.NextIDs {
 			if id != 0 {
 				meta.nextID[g] = id
 			}
 		}
-		metas = append(metas, meta)
+		metas[ct.Name] = meta
 	}
 	c.cat.mu.Lock()
-	for _, meta := range metas {
-		c.cat.tables[meta.Name] = meta
-	}
+	maps.Copy(c.cat.tables, metas)
 	c.cat.mu.Unlock()
 	return nil
 }

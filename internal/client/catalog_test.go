@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -84,30 +85,121 @@ func TestCatalogExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+// badCatalogs are catalogs ImportCatalog refuses, by the group count each
+// claims. All but the first two hold a schema CREATE TABLE refuses too.
+var badCatalogs = []struct {
+	name   string
+	groups int
+	data   string
+}{
+	{"not json", 1, `{not json`},
+	{"bad version", 1, `{"version": 99}`},
+	{"bad type", 1, `{"version": 1, "tables": [{"name": "t", "columns": [{"name": "a", "type": "WAT"}]}]}`},
+	{"no columns", 1, `{"version": 1, "tables": [{"name": "t", "columns": []}]}`},
+	{"table named twice", 1, `{"version": 1, "tables": [{"name": "t", "columns": [{"name": "a", "type": "INT"}]}, {"name": "t", "columns": [{"name": "b", "type": "BLOB"}]}]}`},
+	{"duplicate column", 1, `{"version": 1, "tables": [{"name": "v", "columns": [{"name": "a", "type": "INT"}, {"name": "a", "type": "INT"}]}]}`},
+	{"empty table name", 1, `{"version": 1, "tables": [{"name": "", "columns": [{"name": "a", "type": "INT"}]}]}`},
+	{"empty column name", 1, `{"version": 1, "tables": [{"name": "t", "columns": [{"name": "", "type": "INT"}]}]}`},
+	{"BLOB shard key", 2, `{"version": 1, "tables": [{"name": "t", "columns": [{"name": "a", "type": "INT"}, {"name": "b", "type": "BLOB"}]}],
+	  "sharding": {"groups": 2, "tables": [{"table": "t", "column": "b", "version": 1, "next_ids": [1, 1]}]}}`},
+}
+
+// TestImportCatalogRejectsBadInput: the catalog is input from outside the
+// program (dasql, dasload and dasaudit read it with -catalog), so a file
+// that is not a catalog, or that holds a schema CREATE TABLE refuses, is
+// refused and nothing of it is applied.
 func TestImportCatalogRejectsBadInput(t *testing.T) {
-	f := newFleet(t, 3, 2, Options{})
-	c := f.client
-	if err := c.ImportCatalog([]byte("{not json")); err == nil {
-		t.Error("bad json accepted")
+	for i, tc := range badCatalogs {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newShardFleet(t, tc.groups, 3, 2, Options{}).router
+			err := c.ImportCatalog([]byte(tc.data))
+			if err == nil || (i > 0 && !errors.Is(err, ErrBadSchema)) {
+				t.Errorf("import: %v, want ErrBadSchema", err)
+			}
+			if got := c.Tables(); len(got) != 0 {
+				t.Errorf("refused import left tables %q", got)
+			}
+		})
 	}
-	if err := c.ImportCatalog([]byte(`{"version": 99}`)); !errors.Is(err, ErrBadSchema) {
-		t.Errorf("bad version: %v", err)
+	f := newShardFleet(t, 2, 3, 2, Options{ShardKeys: map[string]string{"t": "b"}})
+	if _, err := f.router.Exec(`CREATE TABLE t (a INT, b BLOB)`); !errors.Is(err, ErrBadSchema) {
+		t.Errorf("CREATE TABLE sharded on a BLOB: %v", err)
 	}
-	if err := c.ImportCatalog([]byte(`{"version": 1, "tables": [{"name": "t", "columns": [{"name":"a","type":"WAT"}]}]}`)); !errors.Is(err, ErrBadSchema) {
-		t.Errorf("bad type: %v", err)
-	}
-	if err := c.ImportCatalog([]byte(`{"version": 1, "tables": [{"name": "t", "columns": []}]}`)); !errors.Is(err, ErrBadSchema) {
-		t.Errorf("no columns: %v", err)
+	if _, err := f.router.Exec(`CREATE TABLE v (a INT, a INT)`); !errors.Is(err, ErrBadSchema) {
+		t.Errorf("CREATE TABLE with a duplicate column: %v", err)
 	}
 	// Conflicts with an existing table.
 	f.mustExec(t, `CREATE TABLE emp (a INT)`)
-	blob, err := c.ExportCatalog()
+	blob, err := f.router.ExportCatalog()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ImportCatalog(blob); !errors.Is(err, ErrTableExists) {
+	if err := f.router.ImportCatalog(blob); !errors.Is(err, ErrTableExists) {
 		t.Errorf("conflict: %v", err)
 	}
+}
+
+// FuzzImportCatalog feeds ImportCatalog arbitrary bytes under one and two
+// provider groups. Either the import fails and the catalog is as it was, or
+// it lands and its export is a fixed point: importing that export into an
+// empty catalog and exporting again gives the same bytes. Import calls no
+// provider, so each input starts from an emptied catalog.
+func FuzzImportCatalog(f *testing.F) {
+	clients := []*Client{
+		newFleet(f, 3, 2, Options{}).client,
+		newShardFleet(f, 2, 3, 2, Options{ShardKeys: map[string]string{"emp": "id"}}).router,
+	}
+	forget := func(c *Client) {
+		c.cat.mu.Lock()
+		clear(c.cat.tables)
+		c.cat.mu.Unlock()
+	}
+	for _, c := range clients {
+		for _, q := range []string{
+			`CREATE TABLE emp (id INT, name VARCHAR(8), salary DECIMAL(2), photo BLOB)`,
+			`CREATE PUBLIC TABLE pub (zip INT, info BLOB)`,
+			`INSERT INTO emp VALUES (1, 'JOHN', 100.50, 'p1'), (2, 'ALICE', 200.00, 'p2')`,
+		} {
+			if _, err := c.Exec(q); err != nil {
+				f.Fatal(err)
+			}
+		}
+		data, err := c.ExportCatalog()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		forget(c)
+	}
+	for _, tc := range badCatalogs {
+		f.Add([]byte(tc.data))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range clients {
+			if err := c.ImportCatalog(data); err != nil {
+				if got := c.Tables(); len(got) != 0 {
+					t.Fatalf("%d group(s): refused import (%v) left tables %q", len(c.groups), err, got)
+				}
+				continue
+			}
+			out, err := c.ExportCatalog()
+			forget(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ImportCatalog(out); err != nil {
+				t.Fatalf("%d group(s): re-import of an export: %v\n%s", len(c.groups), err, out)
+			}
+			again, err := c.ExportCatalog()
+			forget(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, out) {
+				t.Fatalf("%d group(s): export changed across a round trip:\n%s\nthen\n%s", len(c.groups), out, again)
+			}
+		}
+	})
 }
 
 func TestExportCatalogDeterministicOrder(t *testing.T) {

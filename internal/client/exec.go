@@ -80,31 +80,9 @@ func (c *Client) execCreateTable(s *sql.CreateTable) (*Result, error) {
 		return nil, err
 	}
 	defer unlock()
-	if _, err := c.cat.table(s.Name); err == nil {
-		return nil, fmt.Errorf("%w: %q", ErrTableExists, s.Name)
-	}
-	meta := newTableMeta(s.Name, s.Public, len(c.groups))
-	seen := make(map[string]bool)
-	for _, def := range s.Columns {
-		if seen[def.Name] {
-			return nil, fmt.Errorf("%w: duplicate column %q", ErrBadSchema, def.Name)
-		}
-		seen[def.Name] = true
-		cm, err := c.buildColMeta(def)
-		if err != nil {
-			return nil, err
-		}
-		meta.Cols = append(meta.Cols, cm)
-	}
-	// Rows are only partitioned — and a shard key only means anything —
-	// across more than one group.
-	if col, ok := c.opts.ShardKeys[s.Name]; ok && len(c.groups) > 1 {
-		if meta.shardCol = meta.colIndex(col); meta.shardCol < 0 {
-			return nil, fmt.Errorf("%w: shard key %q is not a column of table %q", ErrBadSchema, col, s.Name)
-		}
-		if !meta.Cols[meta.shardCol].queryable() {
-			return nil, fmt.Errorf("%w: shard key %q of table %q is a BLOB", ErrBadSchema, col, s.Name)
-		}
+	meta, err := c.newTableMeta(s.Name, s.Public, s.Columns, c.opts.ShardKeys[s.Name])
+	if err != nil {
+		return nil, err
 	}
 	spec := meta.providerSpec()
 	created := make([]bool, len(all))

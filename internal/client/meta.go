@@ -66,14 +66,45 @@ type tableMeta struct {
 	dropped bool
 }
 
-// newTableMeta builds an empty table's entry for a client with the given
-// number of groups.
-func newTableMeta(name string, public bool, groups int) *tableMeta {
-	meta := &tableMeta{Name: name, Public: public, shardCol: -1, version: 1, nextID: make([]uint64, groups)}
+// newTableMeta builds an empty table's catalog entry; CREATE TABLE and
+// ImportCatalog both build through it, so both refuse the same schemas. A
+// shard key ("" = hash the insert sequence) means something only across
+// more than one group.
+func (c *Client) newTableMeta(name string, public bool, defs []sql.ColumnDef, shardKey string) (*tableMeta, error) {
+	if name == "" {
+		return nil, fmt.Errorf("%w: empty table name", ErrBadSchema)
+	}
+	if _, err := c.cat.table(name); err == nil {
+		return nil, fmt.Errorf("%w: %q", ErrTableExists, name)
+	}
+	if len(defs) == 0 {
+		return nil, fmt.Errorf("%w: table %q has no columns", ErrBadSchema, name)
+	}
+	meta := &tableMeta{Name: name, Public: public, shardCol: -1, version: 1, nextID: make([]uint64, len(c.groups))}
 	for g := range meta.nextID {
 		meta.nextID[g] = 1
 	}
-	return meta
+	seen := make(map[string]bool)
+	for _, def := range defs {
+		if def.Name == "" || seen[def.Name] {
+			return nil, fmt.Errorf("%w: empty or duplicate column %q in table %q", ErrBadSchema, def.Name, name)
+		}
+		seen[def.Name] = true
+		cm, err := c.buildColMeta(def)
+		if err != nil {
+			return nil, err
+		}
+		meta.Cols = append(meta.Cols, cm)
+	}
+	if shardKey != "" && len(c.groups) > 1 {
+		if meta.shardCol = meta.colIndex(shardKey); meta.shardCol < 0 {
+			return nil, fmt.Errorf("%w: shard key %q is not a column of table %q", ErrBadSchema, shardKey, name)
+		}
+		if !meta.Cols[meta.shardCol].queryable() {
+			return nil, fmt.Errorf("%w: shard key %q of table %q is a BLOB", ErrBadSchema, shardKey, name)
+		}
+	}
+	return meta, nil
 }
 
 // colIndex returns the position of a client column in t.Cols, or -1.

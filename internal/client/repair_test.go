@@ -143,17 +143,32 @@ func TestInsertRollbackAttemptsAllAndHintsUnreachable(t *testing.T) {
 	}
 }
 
+// TestDegradedWriteBelowQuorumFails: a write that cannot reach its quorum
+// fails, whether the quorum is relaxed (W = 3 of 4, two providers down) or
+// strict (W = N, the default, one provider down), and queues no hint.
 func TestDegradedWriteBelowQuorumFails(t *testing.T) {
-	f := newFleet(t, 4, 2, Options{WriteQuorum: 3})
-	setupEmployees(t, f)
-	f.faults[2].Crash()
-	f.faults[3].Crash()
-	if _, err := f.client.Exec(`INSERT INTO employees VALUES ('Nope', 1, 1)`); !errors.Is(err, ErrNotEnough) {
-		t.Fatalf("insert with 2 of quorum 3 acks: %v", err)
-	}
-	// The failed statement must not queue hints: it never committed.
-	if h := f.client.PendingHints(); h != 0 {
-		t.Fatalf("failed write queued %d hints", h)
+	for _, tc := range []struct {
+		name   string
+		quorum int
+		down   []int
+	}{
+		{"W=3 two down", 3, []int{2, 3}},
+		{"W=N one down", 0, []int{0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFleet(t, 4, 2, Options{WriteQuorum: tc.quorum})
+			setupEmployees(t, f)
+			for _, p := range tc.down {
+				f.faults[p].Crash()
+			}
+			if _, err := f.client.Exec(`INSERT INTO employees VALUES ('Nope', 1, 1)`); !errors.Is(err, ErrNotEnough) {
+				t.Fatalf("insert below its quorum: %v", err)
+			}
+			// The failed statement must not queue hints: it never committed.
+			if h := f.client.PendingHints(); h != 0 {
+				t.Fatalf("failed write queued %d hints", h)
+			}
+		})
 	}
 }
 

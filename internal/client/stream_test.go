@@ -111,6 +111,96 @@ func TestQueryRowsMatchesExec(t *testing.T) {
 	}
 }
 
+// holdBack serves a scan in chunks of streamBatchRows rows, the most the
+// aligner gathers before it reconstructs, and once its first chunk is on the
+// wire holds every later one until release is closed: the scan cannot end
+// before the test lets it.
+type holdBack struct {
+	*server.Provider
+	release <-chan struct{}
+}
+
+func (h holdBack) HandleStream(req proto.Message, emit func(*proto.RowsResponse) error) (bool, error) {
+	if _, ok := req.(*proto.ScanRequest); !ok {
+		return h.Provider.HandleStream(req, emit)
+	}
+	sent := 0
+	return h.Provider.HandleStream(req, func(chunk *proto.RowsResponse) error {
+		for lo := 0; lo < len(chunk.Rows); lo += streamBatchRows {
+			// The transport holds each chunk until the next one arrives, so
+			// the first is on the wire once the second is emitted.
+			if sent == 2 {
+				<-h.release
+			}
+			hi := min(lo+streamBatchRows, len(chunk.Rows))
+			if err := emit(&proto.RowsResponse{Columns: chunk.Columns, Rows: chunk.Rows[lo:hi]}); err != nil {
+				return err
+			}
+			sent++
+		}
+		return nil
+	})
+}
+
+// TestQueryRowsFirstRowBeforeScanEnds: a streamed result can be larger than
+// the client because rows reach the caller as their chunks arrive, not after
+// the scan ends. Every provider holds back the rest of its scan until the
+// caller has read the first row.
+func TestQueryRowsFirstRowBeforeScanEnds(t *testing.T) {
+	release := make(chan struct{})
+	f := newFleetWrapped(t, 3, 2, Options{}, func(_ int, p *server.Provider) transport.Handler {
+		return holdBack{Provider: p, release: release}
+	})
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseAll) // before the fleet's Close
+	f.mustExec(t, `CREATE TABLE big (x INT)`)
+	const n = 4 * streamBatchRows
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = []Value{IntValue(int64(i))}
+	}
+	if _, err := f.client.InsertValues("big", rows); err != nil {
+		t.Fatal(err)
+	}
+
+	first := make(chan *Rows, 1)
+	go func() {
+		r, err := f.client.QueryRows(`SELECT x FROM big`)
+		if err != nil {
+			t.Error(err)
+			close(first)
+			return
+		}
+		r.Next()
+		first <- r
+	}()
+	var r *Rows
+	select {
+	case r = <-first:
+	case <-time.After(5 * time.Second):
+		releaseAll()
+		if r = <-first; r != nil {
+			r.Close()
+		}
+		t.Fatal("no row reached the caller while the providers held back the rest of the scan")
+	}
+	if r == nil {
+		return
+	}
+	defer r.Close()
+	if r.Err() != nil || len(r.Row()) != 1 {
+		t.Fatalf("first row %v, err %v", r.Row(), r.Err())
+	}
+	releaseAll()
+	got := 1
+	for r.Next() {
+		got++
+	}
+	if r.Err() != nil || got != n {
+		t.Fatalf("scan returned %d rows (err %v), want %d", got, r.Err(), n)
+	}
+}
+
 // TestQueryRowsRejectsNonSelect pins the API contract: the cursor form is
 // for SELECT only.
 func TestQueryRowsRejectsNonSelect(t *testing.T) {

@@ -245,6 +245,58 @@ func TestResidentBytesBounded(t *testing.T) {
 	}
 }
 
+// TestTableWithinBudgetNeverEvicts: a table that fits its cache budget is
+// read from disk once and then served from memory. Loaded, checkpointed and
+// reopened with a budget of exactly its resident bytes, it gets through
+// repeated full scans without one eviction.
+func TestTableWithinBudgetNeverEvicts(t *testing.T) {
+	dir := t.TempDir()
+	opts := tinyOptions()
+	opts.CacheBytes = -1
+	s, err := OpenOptions(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCreate(t, s)
+	const rows = 1200 // ~10x tinyOptions' budget, as in TestResidentBytesBounded
+	for i := uint64(1); i <= rows; i++ {
+		if err := s.Insert("employees", []proto.Row{row(i, i*7%10000)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tableBytes := s.Stats().ResidentBytes
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.CacheBytes = int64(tableBytes)
+	s, err = OpenOptions(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for pass := 0; pass < 3; pass++ {
+		resp, err := s.Scan("employees", nil, nil, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Rows) != rows {
+			t.Fatalf("full scan saw %d rows, want %d", len(resp.Rows), rows)
+		}
+	}
+	st := s.Stats()
+	if st.Evictions != 0 {
+		t.Fatalf("%d evictions scanning a %d-byte table under a %d-byte budget", st.Evictions, tableBytes, opts.CacheBytes)
+	}
+	if st.CacheMisses == 0 || st.CacheHits == 0 || st.ResidentBytes != tableBytes {
+		t.Fatalf("table not paged in once and then served from memory: %d misses, %d hits, %d of %d bytes resident",
+			st.CacheMisses, st.CacheHits, st.ResidentBytes, tableBytes)
+	}
+}
+
 // TestTinyCacheRandomizedDifferential is the oracle test under maximum
 // paging pressure: a cache of a few pages, random DML, periodic
 // checkpoints, and a reopen, with cursors cross-checked against scans.
