@@ -52,8 +52,9 @@ race-hedge:
 # path, the store manifest Open reads from disk, a provider's range proof, the
 # index B+-tree against a sorted-set oracle, the transport's frame and
 # handshake readers, the transport's demux of chunk and flag sequences, and
-# the SQL lexer and parser, and a client's catalog import. -fuzz takes one
-# target and one package per run.
+# the SQL lexer and parser, a client's catalog import, and a WAL's segment
+# files opened from a checkpoint. -fuzz takes one target and one package per
+# run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowBlock$$' -fuzztime=10s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=10s ./internal/proto
@@ -66,13 +67,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDemux$$' -fuzztime=10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz '^FuzzImportCatalog$$' -fuzztime=10s ./internal/client
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenSegments$$' -fuzztime=10s ./internal/wal
 
 # The figures ROADMAP.md and CHANGES.md quote for aim 2: non-test lines of
 # the client and the transport (item 6), the store, its index tree and the
-# server over them, the codec and the order-preserving scheme (item 1), and
-# the experiment harness beside the repository benchmark.
+# server over them, the codec and the order-preserving scheme (item 1), the
+# experiment harness beside the repository benchmark, and the WAL.
 loc:
-	@for d in internal/client internal/transport internal/store internal/btree internal/server internal/proto internal/opp internal/bench; do \
+	@for d in internal/client internal/transport internal/store internal/btree internal/server internal/proto internal/opp internal/bench internal/wal; do \
 		printf '%s %s\n' $$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 

@@ -181,6 +181,9 @@ type Client struct {
 	// is recoverable (see tx.go). nil without HintDir. Only Commit (under
 	// every group's exclusive statement lock) and Close touch it.
 	txLog *wal.Log
+	// txUnresolved counts the transactions in txLog that may have reached a
+	// provider and are not resolved yet (see resolveTxLog).
+	txUnresolved int
 	// txHook, when non-nil, runs between 2PC stages ("intent", "prepared",
 	// "committed"); crash-injection tests return an error from it to
 	// simulate the coordinator dying at that point.

@@ -50,19 +50,16 @@ func (h *hintJournal) open(dir string, provider int) error {
 		return fmt.Errorf("client: hint dir: %w", err)
 	}
 	path := filepath.Join(dir, fmt.Sprintf("hints-%d.wal", provider))
-	if err := wal.Replay(path, func(rec []byte) error {
+	var err error
+	h.log, err = wal.Open(path, func(rec []byte) error {
 		msg, err := proto.Decode(rec)
 		if err != nil {
 			return fmt.Errorf("client: decoding hint record: %w", err)
 		}
-		h.records = append(h.records, append([]byte(nil), rec...))
+		h.records = append(h.records, rec)
 		h.noteFloor(msg)
 		return nil
-	}); err != nil {
-		return err
-	}
-	var err error
-	h.log, err = wal.Open(path)
+	})
 	h.lagging = len(h.records) > 0
 	return err
 }

@@ -263,6 +263,26 @@ func (c *Client) syncTxLog() error {
 	return c.txLog.Sync()
 }
 
+// resolveTxLog marks transaction txid resolved (aborted, or committed and
+// applied or hinted everywhere). If no other transaction in the log is
+// unresolved — only a commit that failed midway leaves one, since commits
+// run one at a time under every group's exclusive lock — it empties the log
+// instead, for the same one fsync. Parallel prepares (ROADMAP item 4) will
+// need to truncate through the oldest unresolved transaction instead.
+func (c *Client) resolveTxLog(txid uint64) error {
+	c.txUnresolved--
+	if c.txLog == nil {
+		return nil
+	}
+	if c.txUnresolved == 0 {
+		return c.txLog.Reset()
+	}
+	if err := c.logTxRecord(&proto.TxMarkRecord{TxID: txid, State: proto.TxStateResolved}); err != nil {
+		return err
+	}
+	return c.syncTxLog()
+}
+
 // txProvider maps a global provider index (group*N + provider), as the
 // transaction log records it, onto its engine and provider.
 func (c *Client) txProvider(global int) (*engine, int) {
@@ -317,6 +337,7 @@ func (c *Client) txRun2PC(txid uint64, ops [][]proto.Message) error {
 	if err := c.syncTxLog(); err != nil {
 		return fmt.Errorf("client: tx log: %w", err)
 	}
+	c.txUnresolved++
 	if err := c.txStage("intent"); err != nil {
 		return err
 	}
@@ -327,9 +348,7 @@ func (c *Client) txRun2PC(txid uint64, ops [][]proto.Message) error {
 	}))
 	abort := func(cause error) error {
 		round(prepared.acked, c.txSend(func(int) proto.Message { return &proto.TxAbortRequest{TxID: txid} }))
-		_ = c.logTxRecord(&proto.TxMarkRecord{TxID: txid, State: proto.TxStateAborted})
-		_ = c.logTxRecord(&proto.TxMarkRecord{TxID: txid, State: proto.TxStateResolved})
-		_ = c.syncTxLog()
+		_ = c.resolveTxLog(txid)
 		return fmt.Errorf("%w: %v", ErrTxAborted, cause)
 	}
 	if prepared.rejection != nil {
@@ -373,8 +392,7 @@ func (c *Client) txRun2PC(txid uint64, ops [][]proto.Message) error {
 			e.hint(p, ops[gl]...)
 		}
 	}
-	_ = c.logTxRecord(&proto.TxMarkRecord{TxID: txid, State: proto.TxStateResolved})
-	_ = c.syncTxLog()
+	_ = c.resolveTxLog(txid)
 	return nil
 }
 
@@ -390,71 +408,53 @@ func (c *Client) openTxLog() error {
 	}
 	path := filepath.Join(c.opts.HintDir, txLogName)
 	type txState struct {
-		ops      map[uint32][][]byte
-		order    []uint32
-		state    uint8
-		resolved bool
+		ops                 map[uint32][][]byte
+		order               []uint32
+		committed, resolved bool
 	}
 	txs := make(map[uint64]*txState)
 	var order []uint64
-	if err := wal.Replay(path, func(rec []byte) error {
+	get := func(id uint64) *txState {
+		if txs[id] == nil {
+			txs[id] = &txState{ops: make(map[uint32][][]byte)}
+			order = append(order, id)
+		}
+		return txs[id]
+	}
+	log, err := wal.Open(path, func(rec []byte) error {
 		msg, err := proto.Decode(rec)
 		if err != nil {
 			return fmt.Errorf("client: decoding tx log record: %w", err)
 		}
 		switch m := msg.(type) {
 		case *proto.TxOpsRecord:
-			st := txs[m.TxID]
-			if st == nil {
-				st = &txState{ops: make(map[uint32][][]byte)}
-				txs[m.TxID] = st
-				order = append(order, m.TxID)
-			}
+			st := get(m.TxID)
 			if _, seen := st.ops[m.Provider]; !seen {
 				st.order = append(st.order, m.Provider)
 			}
 			st.ops[m.Provider] = m.Ops
 		case *proto.TxMarkRecord:
-			st := txs[m.TxID]
-			if st == nil {
-				st = &txState{ops: make(map[uint32][][]byte)}
-				txs[m.TxID] = st
-				order = append(order, m.TxID)
-			}
-			switch m.State {
+			switch st := get(m.TxID); m.State {
 			case proto.TxStateResolved:
 				st.resolved = true
-			case proto.TxStateCommitted:
-				st.state = proto.TxStateCommitted
-			case proto.TxStateAborted:
-				st.state = proto.TxStateAborted
-			case proto.TxStateIntent:
-				if st.state == 0 {
-					st.state = proto.TxStateIntent
-				}
+			case proto.TxStateCommitted, proto.TxStateAborted:
+				st.committed = m.State == proto.TxStateCommitted
 			}
 		default:
 			return fmt.Errorf("client: unexpected tx log record %T", msg)
 		}
 		return nil
-	}); err != nil {
-		return err
-	}
-	log, err := wal.Open(path)
+	})
 	if err != nil {
 		return err
 	}
 	c.txLog = log
-	unresolved := false
 	for _, id := range order {
-		st := txs[id]
-		if st.resolved {
-			continue
-		}
-		unresolved = true
-		if st.state == proto.TxStateCommitted {
+		switch st := txs[id]; {
+		case st.resolved: // nothing left to settle
+		case st.committed:
 			c.redriveCommit(id, st.order, st.ops)
-		} else {
+		default:
 			// Presumed abort: the commit record never made it to the log, so
 			// the transaction must not apply anywhere. Providers holding a
 			// staged prepare discard it; ops are never hinted. Failures are
@@ -464,7 +464,7 @@ func (c *Client) openTxLog() error {
 			c.redrive(st.order, &proto.TxAbortRequest{TxID: id})
 		}
 	}
-	if unresolved || len(txs) > 0 {
+	if len(txs) > 0 {
 		// Every logged transaction is now resolved (redriven commits queued
 		// their stragglers in the durable hint journals first), so the log
 		// can restart empty.

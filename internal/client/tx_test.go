@@ -646,6 +646,38 @@ func TestTxLogResetAfterResolve(t *testing.T) {
 	}
 }
 
+// TestTxLogEmptyAfterCommits: the transaction log is emptied as each commit
+// resolves, by the one fsync a resolution record would take, so after 40
+// one-row commits it holds nothing and each commit cost three fsyncs.
+func TestTxLogEmptyAfterCommits(t *testing.T) {
+	opts := Options{K: 2, HintDir: filepath.Join(t.TempDir(), "hints")}
+	f := newFleet(t, 3, 2, opts)
+	setupEmployees(t, f)
+	before, _, _ := f.client.txLog.SyncStats()
+	for i := 0; i < 40; i++ {
+		tx, err := f.client.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Exec(fmt.Sprintf(`INSERT INTO employees VALUES ('Log%d', %d, 1)`, i, i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi, err := os.Stat(txDir(opts.HintDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 0 {
+		t.Errorf("transaction log holds %d bytes after 40 resolved commits, want 0", fi.Size())
+	}
+	if after, _, _ := f.client.txLog.SyncStats(); after-before != 3*40 {
+		t.Errorf("40 commits took %d tx log fsyncs, want %d", after-before, 3*40)
+	}
+}
+
 // TestTxEmptyAndReadOnlyCommit: transactions with no writes commit without
 // touching a provider or the log.
 func TestTxEmptyAndReadOnlyCommit(t *testing.T) {

@@ -168,6 +168,48 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckpointAfterReopenKeepsWrites: a store checkpointed, closed,
+// reopened and checkpointed again before its first write — a provider's
+// shutdown checkpoint, then one right after recovery — must keep the WAL
+// segment it then appends to, so a crash copy taken after the next
+// acknowledged INSERT holds both rows.
+func TestCheckpointAfterReopenKeepsWrites(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenOptions(dir, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCreate(t, s)
+	if err := s.Insert("employees", []proto.Row{row(1, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenOptions(dir, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert("employees", []proto.Row{row(2, 20)}); err != nil {
+		t.Fatal(err)
+	}
+	crashDir := t.TempDir()
+	copyDir(t, dir, crashDir)
+	s2, err := OpenOptions(crashDir, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	checkAgainstOracle(t, s2, map[uint64]uint64{1: 10, 2: 20})
+}
+
 // TestResidentBytesBounded drives a table ~10x the cache budget through
 // full scans and mixed DML and checks after every operation that resident
 // page bytes never exceed the budget plus one page of slack (the page

@@ -409,12 +409,19 @@ func (s *Store) validate(msg proto.Message) ([]change, error) {
 		_, _, ok, err := t.heap.get(id)
 		return ok, -1, err
 	}
-	// step adds one row change, by op n of so many rows, to the plan.
+	// step adds one row change, by op n of so many rows, to the plan. Only a
+	// batch of more than one row or op can meet the row again, so only such
+	// a batch records it in touched.
 	step := func(c change, n, rows int) {
-		if touched == nil {
-			touched, plan = make(map[rowKey]touch, rows), slices.Grow(plan, rows)
+		if plan == nil {
+			plan = make([]change, 0, rows)
 		}
-		touched[rowKey{c.t, c.row.ID}] = touch{live: c.do == putRow, op: n}
+		if len(ops) > 1 || rows > 1 {
+			if touched == nil {
+				touched = make(map[rowKey]touch, rows)
+			}
+			touched[rowKey{c.t, c.row.ID}] = touch{live: c.do == putRow, op: n}
+		}
 		plan = append(plan, c)
 	}
 	put := func(n int, name string, rows []proto.Row, update bool) error {

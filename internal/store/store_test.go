@@ -1064,3 +1064,30 @@ func TestUpdateLeavesUnchangedIndexEntries(t *testing.T) {
 		t.Fatal("a DELETE left index entries behind")
 	}
 }
+
+// TestValidateAllocs: a one-row, one-op mutation — every autocommit INSERT,
+// UPDATE and DELETE of one row — allocates only its plan in validate, not
+// the overlay of ids a batch has touched.
+func TestValidateAllocs(t *testing.T) {
+	s := memStore(t)
+	mustCreate(t, s)
+	if err := s.Insert("employees", []proto.Row{row(1, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range []proto.Message{
+		&proto.InsertRequest{Table: "employees", Rows: []proto.Row{row(2, 20)}},
+		&proto.UpdateRequest{Table: "employees", Rows: []proto.Row{row(1, 11)}},
+		&proto.DeleteRequest{Table: "employees", RowIDs: []uint64{1}},
+	} {
+		s.mu.Lock()
+		allocs := testing.AllocsPerRun(100, func() {
+			if plan, err := s.validate(msg); err != nil || len(plan) != 1 {
+				t.Fatalf("%T: plan %v, %v", msg, plan, err)
+			}
+		})
+		s.mu.Unlock()
+		if allocs > 1 {
+			t.Errorf("%T: validate allocates %.0f objects, want at most 1", msg, allocs)
+		}
+	}
+}

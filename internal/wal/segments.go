@@ -10,13 +10,16 @@ import (
 	"sync"
 )
 
-// Segmented is an append-only log split into sealed segment files plus one
-// active segment, with LSN-aware truncation: every record carries a log
-// sequence number (1-based, monotonic across segments), a segment file is
-// named by the LSN of its first record, and TruncateThrough deletes whole
-// sealed segments once a checkpoint covers them. This is what lets the
-// store's incremental checkpoints drop the replayed prefix without
-// rewriting the live tail.
+// Segmented is an append-only log split into segment files, with LSN-aware
+// truncation: every record carries a log sequence number (1-based,
+// monotonic across segments), a segment file is named by the LSN of its
+// first record, and TruncateThrough deletes whole segments once a
+// checkpoint covers them. This is what lets the store's incremental
+// checkpoints drop the replayed prefix without rewriting the live tail.
+//
+// The file names in the directory are the only record of the segments. The
+// newest segment is the active one, being written, and the only open file;
+// every older one is sealed: complete, fsynced and closed.
 //
 // Append/Sync keep the group-commit behaviour of Log: appends are ordered,
 // one fsync acknowledges every record appended before it ran. Rotate seals
@@ -29,20 +32,17 @@ type Segmented struct {
 	cur      *Log
 	curFirst uint64 // LSN the active segment's first record has (or will have)
 	lsn      uint64 // last appended LSN
-	sealed   []sealedSegment
 
-	// fsync stats of segments already retired by TruncateThrough, folded
-	// in so SyncStats stays cumulative across the log's whole life.
-	retiredFsyncs     uint64
-	retiredFsyncNanos uint64
-	retiredFsyncMax   uint64
+	// fsync stats of the segments Rotate sealed and closed, folded in so
+	// SyncStats stays cumulative across the log's whole life.
+	sealedFsyncs     uint64
+	sealedFsyncNanos uint64
+	sealedFsyncMax   uint64
 }
 
-type sealedSegment struct {
-	log   *Log
+type segment struct {
 	path  string
 	first uint64
-	last  uint64
 }
 
 func segmentPath(dir, prefix string, firstLSN uint64) string {
@@ -52,8 +52,10 @@ func segmentPath(dir, prefix string, firstLSN uint64) string {
 // listSegments returns the existing segment files for prefix, each with the
 // first LSN its name gives, in first-LSN order. Directory order is name
 // order, which matches LSN order only for the zero-padded names segmentPath
-// writes, so the (path, LSN) pairs are sorted as one.
-func listSegments(dir, prefix string) ([]sealedSegment, error) {
+// writes, so the (path, LSN) pairs are sorted as one. A name giving LSN 0,
+// an LSN no record count can follow without overflow, or the LSN of
+// another segment is ErrCorrupt.
+func listSegments(dir, prefix string) ([]segment, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -61,7 +63,7 @@ func listSegments(dir, prefix string) ([]sealedSegment, error) {
 		}
 		return nil, err
 	}
-	var segs []sealedSegment
+	var segs []segment
 	for _, e := range entries {
 		name := e.Name()
 		if !strings.HasPrefix(name, prefix+".") {
@@ -71,66 +73,85 @@ func listSegments(dir, prefix string) ([]sealedSegment, error) {
 		if err != nil {
 			continue // not a segment file
 		}
-		segs = append(segs, sealedSegment{path: filepath.Join(dir, name), first: first})
+		if first == 0 || first >= 1<<63 {
+			return nil, fmt.Errorf("%w: segment %s names LSN %d", ErrCorrupt, name, first)
+		}
+		segs = append(segs, segment{path: filepath.Join(dir, name), first: first})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
+	for i := 1; i < len(segs); i++ {
+		if segs[i].first == segs[i-1].first {
+			return nil, fmt.Errorf("%w: segments %s and %s both start at LSN %d", ErrCorrupt, segs[i-1].path, segs[i].path, segs[i].first)
+		}
+	}
 	return segs, nil
 }
 
 // OpenSegments replays every record with LSN > fromLSN across the segment
-// files under dir, then opens a fresh active segment after the last record
-// and returns the log ready for appending. Records at or below fromLSN are
-// walked (to find frame boundaries) but not delivered. A torn tail is
-// tolerated only in the final segment; an earlier tear means records were
-// lost in the middle of the sequence and is reported as corruption.
+// files under dir, reading each file once, and returns the log ready for
+// appending: the newest segment reopened when its next LSN is the log's
+// next LSN, a fresh one otherwise. Records at or below fromLSN are walked
+// (to find frame boundaries) but not delivered. A torn tail is tolerated
+// only in the newest segment: records missing between two segments, or
+// claimed by two, above fromLSN are reported as corruption.
 // The returned replayed count is the number of records delivered to fn.
 func OpenSegments(dir, prefix string, fromLSN uint64, fn func(lsn uint64, rec []byte) error) (*Segmented, uint64, error) {
 	segs, err := listSegments(dir, prefix)
 	if err != nil {
 		return nil, 0, err
 	}
-	s := &Segmented{dir: dir, prefix: prefix}
-	var replayed uint64
-	last := fromLSN
-	for i, seg := range segs {
-		lsn := seg.first - 1
-		_, _, err := scan(seg.path, func(rec []byte) error {
-			lsn++
-			if lsn <= fromLSN {
-				return nil
-			}
-			if fn != nil {
-				if err := fn(lsn, rec); err != nil {
-					return err
-				}
-			}
-			replayed++
+	var replayed, lsn uint64 // lsn: the last record read
+	deliver := func(rec []byte) error {
+		lsn++
+		if lsn <= fromLSN {
 			return nil
-		})
+		}
+		replayed++
+		if fn == nil {
+			return nil
+		}
+		return fn(lsn, rec)
+	}
+	s := &Segmented{dir: dir, prefix: prefix}
+	for i, seg := range segs {
+		if i > 0 && (seg.first <= lsn && lsn > fromLSN || seg.first > max(lsn, fromLSN)+1) {
+			return nil, 0, fmt.Errorf("%w: segment %s does not follow LSN %d", ErrCorrupt, seg.path, lsn)
+		}
+		lsn = seg.first - 1
+		if i < len(segs)-1 {
+			err = readSegment(seg.path, deliver)
+		} else {
+			s.cur, err = Open(seg.path, deliver)
+			s.curFirst = seg.first
+		}
 		if err != nil {
 			return nil, 0, err
 		}
-		if i < len(segs)-1 && lsn+1 < segs[i+1].first {
-			// Records between this segment's valid tail and the next
-			// segment's first LSN are gone: a mid-sequence tear.
-			if lsn >= fromLSN {
-				return nil, 0, fmt.Errorf("%w: segment %s torn before %s", ErrCorrupt, seg.path, segs[i+1].path)
-			}
-		}
-		if lsn > last {
-			last = lsn
-		}
-		seg.last = lsn
-		s.sealed = append(s.sealed, seg)
 	}
-	s.lsn = last
-	s.curFirst = last + 1
-	cur, err := Open(segmentPath(dir, prefix, s.curFirst))
-	if err != nil {
-		return nil, 0, err
+	s.lsn = max(lsn, fromLSN)
+	if s.cur == nil || lsn < fromLSN {
+		// No segment yet, or the newest ends below the checkpoint: the next
+		// record starts a segment of its own.
+		if s.cur != nil {
+			s.cur.Close()
+		}
+		s.curFirst = s.lsn + 1
+		if s.cur, err = Open(segmentPath(dir, prefix, s.curFirst), nil); err != nil {
+			return nil, 0, err
+		}
 	}
-	s.cur = cur
 	return s, replayed, nil
+}
+
+// readSegment hands every valid record of a sealed segment to fn.
+func readSegment(path string, fn func([]byte) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = scan(f, fn)
+	return err
 }
 
 // Append writes one record to the active segment and returns its LSN. Like
@@ -154,7 +175,9 @@ func (s *Segmented) LSN() uint64 {
 
 // Sync makes every record appended before the call durable. Records in
 // sealed segments were fsynced at Rotate, so only the active segment is
-// flushed; concurrent callers group-commit exactly as on Log.
+// flushed; concurrent callers group-commit exactly as on Log. A caller
+// holding a segment Rotate has since sealed finds its records covered by
+// the sealing fsync and returns without touching the closed file.
 func (s *Segmented) Sync() error {
 	s.mu.Lock()
 	cur := s.cur
@@ -163,33 +186,20 @@ func (s *Segmented) Sync() error {
 }
 
 // SyncStats reports cumulative group-commit fsync count, total nanoseconds,
-// and the single slowest fsync across every segment this log has owned.
+// and the single slowest fsync across every segment this log has written.
 func (s *Segmented) SyncStats() (count, nanos, max uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	count, nanos, max = s.retiredFsyncs, s.retiredFsyncNanos, s.retiredFsyncMax
-	logs := make([]*Log, 0, len(s.sealed)+1)
-	logs = append(logs, s.cur)
-	for _, seg := range s.sealed {
-		if seg.log != nil {
-			logs = append(logs, seg.log)
-		}
+	count, nanos, max = s.cur.SyncStats()
+	if s.sealedFsyncMax > max {
+		max = s.sealedFsyncMax
 	}
-	for _, l := range logs {
-		c, n, m := l.SyncStats()
-		count += c
-		nanos += n
-		if m > max {
-			max = m
-		}
-	}
-	return count, nanos, max
+	return count + s.sealedFsyncs, nanos + s.sealedFsyncNanos, max
 }
 
 // Rotate seals the active segment — flushing and fsyncing it, so every
-// record up to LSN() is durable — and starts a new one. An empty active
-// segment is left in place. The sealed file stays open (and replayable)
-// until TruncateThrough retires it.
+// record up to LSN() is durable — closes it, and starts a new one. An empty
+// active segment is left in place.
 func (s *Segmented) Rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -199,66 +209,40 @@ func (s *Segmented) Rotate() error {
 	if err := s.cur.Sync(); err != nil {
 		return err
 	}
-	s.sealed = append(s.sealed, sealedSegment{
-		log:   s.cur,
-		path:  segmentPath(s.dir, s.prefix, s.curFirst),
-		first: s.curFirst,
-		last:  s.lsn,
-	})
-	next := s.lsn + 1
-	cur, err := Open(segmentPath(s.dir, s.prefix, next))
+	next, err := Open(segmentPath(s.dir, s.prefix, s.lsn+1), nil)
 	if err != nil {
 		return err
 	}
-	s.cur = cur
-	s.curFirst = next
+	sealed := s.cur
+	s.cur, s.curFirst = next, s.lsn+1
+	err = sealed.Close()
+	c, n, m := sealed.SyncStats()
+	s.sealedFsyncs += c
+	s.sealedFsyncNanos += n
+	s.sealedFsyncMax = max(s.sealedFsyncMax, m)
+	return err
+}
+
+// TruncateThrough deletes, oldest first, every segment other than the
+// newest whose successor starts at or below lsn+1 — every segment whose
+// records are all covered by lsn. It reads only the names in the
+// directory: the newest one, the active segment, is never deleted.
+func (s *Segmented) TruncateThrough(lsn uint64) error {
+	segs, err := listSegments(s.dir, s.prefix)
+	if err != nil {
+		return err
+	}
+	for i := 0; i+1 < len(segs) && segs[i+1].first <= lsn+1; i++ {
+		if err := os.Remove(segs[i].path); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
 	return nil
 }
 
-// TruncateThrough deletes sealed segments whose records are all covered by
-// lsn (i.e. last record LSN <= lsn). The active segment is never touched.
-func (s *Segmented) TruncateThrough(lsn uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	kept := s.sealed[:0]
-	var firstErr error
-	for _, seg := range s.sealed {
-		if seg.last > lsn {
-			kept = append(kept, seg)
-			continue
-		}
-		if seg.log != nil {
-			c, n, m := seg.log.SyncStats()
-			s.retiredFsyncs += c
-			s.retiredFsyncNanos += n
-			if m > s.retiredFsyncMax {
-				s.retiredFsyncMax = m
-			}
-			if err := seg.log.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if err := os.Remove(seg.path); err != nil && !os.IsNotExist(err) && firstErr == nil {
-			firstErr = err
-		}
-	}
-	s.sealed = kept
-	return firstErr
-}
-
-// Close flushes and closes the active segment and any sealed segments still
-// open.
+// Close flushes and closes the active segment.
 func (s *Segmented) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.cur.Close()
-	for _, seg := range s.sealed {
-		if seg.log != nil {
-			if e := seg.log.Close(); e != nil && err == nil {
-				err = e
-			}
-		}
-	}
-	s.sealed = nil
-	return err
+	return s.cur.Close()
 }

@@ -7,9 +7,9 @@
 //	| length  uint32 | crc32c  uint32 | payload (length) |
 //	+----------------+----------------+------------------+
 //
-// Replay stops cleanly at the first torn or corrupt record (the common
-// crash shape for an append-only file), reporting how many bytes of the
-// file were valid so the caller can truncate the tail.
+// Open replays a file's records while it scans for their valid prefix. It
+// stops cleanly at the first torn record (the common crash shape for an
+// append-only file) and truncates the tail there.
 package wal
 
 import (
@@ -58,22 +58,27 @@ type Log struct {
 	fsyncMax   atomic.Uint64
 }
 
-// Open opens (creating if needed) the log at path for appending. Any torn
-// tail from a previous crash is truncated away first.
-func Open(path string) (*Log, error) {
-	valid, _, err := scan(path, nil)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
+// Open opens (creating if needed) the log at path for appending. It reads
+// the file once: fn, if not nil, gets every valid record in append order,
+// each its own slice that fn may keep, and any torn tail from a previous
+// crash is truncated away after the last one. Corruption before the tail
+// returns ErrCorrupt; an error from fn is returned as is, with the file
+// left untouched.
+func Open(path string, fn func(record []byte) error) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
+	valid, err := scan(f, fn)
+	if err == nil {
+		if err = f.Truncate(valid); err != nil {
+			err = fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
+		}
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
+	if err == nil {
+		_, err = f.Seek(valid, io.SeekStart)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -149,8 +154,8 @@ func (l *Log) observeFsync(d time.Duration) {
 	}
 }
 
-// SyncStats reports how many group-commit fsyncs ran and their total and
-// maximum wall time in nanoseconds.
+// SyncStats reports how many fsyncs ran — group commits and resets — and
+// their total and maximum wall time in nanoseconds.
 func (l *Log) SyncStats() (count, nanos, max uint64) {
 	return l.fsyncs.Load(), l.fsyncNanos.Load(), l.fsyncMax.Load()
 }
@@ -183,35 +188,23 @@ func (l *Log) Reset() error {
 	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
+	start := time.Now()
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
+	l.observeFsync(time.Since(start))
 	l.synced = l.seq
 	return nil
 }
 
-// Replay invokes fn for every valid record in the log at path in append
-// order. A missing file is not an error (zero records). A torn tail is
-// ignored; corruption before the tail returns ErrCorrupt.
-func Replay(path string, fn func(record []byte) error) error {
-	_, _, err := scan(path, fn)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	return err
-}
-
-// scan walks records, returning the byte offset of the end of the last
-// valid record and the record count.
-func scan(path string, fn func([]byte) error) (validBytes int64, records int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
+// scan walks the records of f from its start, handing each to fn (if not
+// nil), and returns the byte offset of the end of the last valid record. A
+// torn tail ends the walk cleanly; corruption before the tail returns
+// ErrCorrupt.
+func scan(f *os.File, fn func([]byte) error) (validBytes int64, err error) {
 	st, err := f.Stat()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	size := st.Size()
 	br := bufio.NewReaderSize(f, 64<<10)
@@ -220,30 +213,29 @@ func scan(path string, fn func([]byte) error) (validBytes int64, records int, er
 		var hdr [8]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			// Clean EOF or torn header: stop at the last valid offset.
-			return offset, records, nil
+			return offset, nil
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		want := binary.LittleEndian.Uint32(hdr[4:8])
 		if int64(length) > maxRecordSize || offset+8+int64(length) > size {
 			// Torn or absurd tail.
-			return offset, records, nil
+			return offset, nil
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return offset, records, nil
+			return offset, nil
 		}
 		if crc32.Checksum(payload, crcTable) != want {
 			if offset+8+int64(length) == size {
 				// Torn final record.
-				return offset, records, nil
+				return offset, nil
 			}
-			return offset, records, fmt.Errorf("%w at offset %d", ErrCorrupt, offset)
+			return offset, fmt.Errorf("%w at offset %d", ErrCorrupt, offset)
 		}
 		offset += 8 + int64(length)
-		records++
 		if fn != nil {
 			if err := fn(payload); err != nil {
-				return offset, records, err
+				return offset, err
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestAppendReplayRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
-	l, err := Open(path)
+	l, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [][]byte
-	if err := Replay(path, func(r []byte) error {
+	if err := replay(path, func(r []byte) error {
 		got = append(got, append([]byte(nil), r...))
 		return nil
 	}); err != nil {
@@ -44,7 +44,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestReplayMissingFile(t *testing.T) {
-	if err := Replay(filepath.Join(t.TempDir(), "nope.wal"), func([]byte) error {
+	if err := replay(filepath.Join(t.TempDir(), "nope.wal"), func([]byte) error {
 		t.Fatal("callback invoked")
 		return nil
 	}); err != nil {
@@ -54,7 +54,7 @@ func TestReplayMissingFile(t *testing.T) {
 
 func TestEmptyRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
-	l, err := Open(path)
+	l, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestEmptyRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := Replay(path, func(r []byte) error {
+	if err := replay(path, func(r []byte) error {
 		if len(r) != 0 {
 			t.Fatalf("record has %d bytes", len(r))
 		}
@@ -81,7 +81,7 @@ func TestEmptyRecord(t *testing.T) {
 
 func TestOversizeRecordRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
-	l, err := Open(path)
+	l, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestOversizeRecordRejected(t *testing.T) {
 
 func TestTornTailIsTruncatedOnReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
-	l, err := Open(path)
+	l, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +115,15 @@ func TestTornTailIsTruncatedOnReopen(t *testing.T) {
 	}
 	f.Close()
 
-	// Replay sees only the 10 complete records.
+	// Reopening replays only the 10 complete records, truncates the torn
+	// tail, and new appends land cleanly.
 	count := 0
-	if err := Replay(path, func([]byte) error { count++; return nil }); err != nil {
+	l, err = Open(path, func([]byte) error { count++; return nil })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if count != 10 {
 		t.Fatalf("replayed %d records, want 10", count)
-	}
-
-	// Reopen truncates the torn tail and new appends land cleanly.
-	l, err = Open(path)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if err := l.Append([]byte("after-crash")); err != nil {
 		t.Fatal(err)
@@ -137,7 +133,7 @@ func TestTornTailIsTruncatedOnReopen(t *testing.T) {
 	}
 	var last []byte
 	count = 0
-	if err := Replay(path, func(r []byte) error {
+	if err := replay(path, func(r []byte) error {
 		count++
 		last = append(last[:0], r...)
 		return nil
@@ -151,7 +147,7 @@ func TestTornTailIsTruncatedOnReopen(t *testing.T) {
 
 func TestTornFinalRecordBadCRC(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
-	l, err := Open(path)
+	l, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +170,7 @@ func TestTornFinalRecordBadCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := Replay(path, func([]byte) error { count++; return nil }); err != nil {
+	if err := replay(path, func([]byte) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 1 {
@@ -184,7 +180,7 @@ func TestTornFinalRecordBadCRC(t *testing.T) {
 
 func TestMidFileCorruptionIsAnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
-	l, err := Open(path)
+	l, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +201,7 @@ func TestMidFileCorruptionIsAnError(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = Replay(path, func([]byte) error { return nil })
+	err = replay(path, func([]byte) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
@@ -213,7 +209,7 @@ func TestMidFileCorruptionIsAnError(t *testing.T) {
 
 func TestReplayCallbackError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
-	l, err := Open(path)
+	l, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +221,7 @@ func TestReplayCallbackError(t *testing.T) {
 	l.Close()
 	boom := errors.New("boom")
 	count := 0
-	err = Replay(path, func([]byte) error {
+	err = replay(path, func([]byte) error {
 		count++
 		if count == 2 {
 			return boom
@@ -235,11 +231,15 @@ func TestReplayCallbackError(t *testing.T) {
 	if !errors.Is(err, boom) || count != 2 {
 		t.Fatalf("err=%v count=%d", err, count)
 	}
+	// A failed replay leaves the file as it found it.
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 3*(8+1) {
+		t.Fatalf("log after a failed replay: %v, %v", fi, err)
+	}
 }
 
 func TestReset(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.wal")
-	l, err := Open(path)
+	l, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recs []string
-	if err := Replay(path, func(r []byte) error {
+	if err := replay(path, func(r []byte) error {
 		recs = append(recs, string(r))
 		return nil
 	}); err != nil {
@@ -327,11 +327,11 @@ func TestSnapshotCorruptDetected(t *testing.T) {
 func TestOpenErrorPaths(t *testing.T) {
 	// Path is a directory: open must fail cleanly.
 	dir := t.TempDir()
-	if _, err := Open(dir); err == nil {
+	if _, err := Open(dir, nil); err == nil {
 		t.Fatal("Open on a directory succeeded")
 	}
 	// Parent directory missing.
-	if _, err := Open(filepath.Join(dir, "missing", "x.wal")); err == nil {
+	if _, err := Open(filepath.Join(dir, "missing", "x.wal"), nil); err == nil {
 		t.Fatal("Open under a missing directory succeeded")
 	}
 }
@@ -351,7 +351,7 @@ func TestScanOnCorruptMidFileViaOpen(t *testing.T) {
 	// Open must refuse a log with mid-file corruption rather than silently
 	// truncating valid data after the damage.
 	path := filepath.Join(t.TempDir(), "test.wal")
-	l, err := Open(path)
+	l, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,14 +371,14 @@ func TestScanOnCorruptMidFileViaOpen(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(path, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open on corrupt log: %v", err)
 	}
 }
 
 func BenchmarkAppend128B(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.wal")
-	l, err := Open(path)
+	l, err := Open(path, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -391,4 +391,13 @@ func BenchmarkAppend128B(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// replay reads every record of the log at path through Open, then closes it.
+func replay(path string, fn func([]byte) error) error {
+	l, err := Open(path, fn)
+	if err != nil {
+		return err
+	}
+	return l.Close()
 }
