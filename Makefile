@@ -41,10 +41,12 @@ race-txn:
 # whole-response reads and streaming scans, the one spare rule, stall
 # demotion, the provider record's judge and ordering, end-to-end deadlines,
 # the flapping provider's repair loop, and the deadline-aware transport,
-# in-process conns included (a deadline preempts a handler still running).
+# in-process conns included (a deadline preempts a handler still running),
+# whose one frame writer stops a stream when its client is gone, bounds what
+# a provider produces for a stalled reader, and strands no frame.
 race-hedge:
 	$(GO) test -race -count=1 -run 'TestHedge|TestStall|TestNoHedges|TestHealth|TestCircuit|TestDynamic|TestReadDeadline|TestRepairFlapping|TestRemoteErrorDoesNotDemote|TestEveryOutcomeReachesLedger|TestProviderOrder' ./internal/client
-	$(GO) test -race -count=1 -run 'TestFaulty|TestWaitBackoff|TestCallDeadline|TestLocalConn|TestDelaySchedule' ./internal/transport
+	$(GO) test -race -count=2 -run 'TestFaulty|TestWaitBackoff|TestCallDeadline|TestLocalConn|TestDelaySchedule|TestStreamStopsWhenClientGone|TestStalledReaderBoundsServer|TestFrameWriter' ./internal/transport
 
 # Ten seconds on each fuzz target, from the corpora checked in under
 # testdata/fuzz: the share-row block codec, the message decoder (one message of

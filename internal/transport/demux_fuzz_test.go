@@ -162,7 +162,7 @@ func FuzzDemux(f *testing.F) {
 		want := modelDemux(frames)
 
 		client, server := net.Pipe()
-		s := &session{nc: client, br: bufio.NewReader(client), bw: bufio.NewWriter(client),
+		s := &session{nc: client, br: bufio.NewReader(client), w: newFrameWriter(client),
 			stats: &counters{}, pending: make(map[uint64]*pendingCall)}
 		calls := make([]*pendingCall, 3)
 		for i := range calls {
@@ -180,7 +180,7 @@ func FuzzDemux(f *testing.F) {
 		}()
 		go func() {
 			for _, f := range frames {
-				if writeFrame(server, f.id, f.flags, f.body) != nil {
+				if _, err := server.Write(appendFrame(nil, f.id, f.flags, f.body)); err != nil {
 					break
 				}
 			}

@@ -34,7 +34,9 @@ const (
 	busyBackoffCap     = 100 * time.Millisecond
 )
 
-// DialConfig tunes a provider connection.
+// DialConfig tunes a provider connection. Whatever it says, every socket
+// write is bounded by writeStall (30 s), as on the provider's side: a peer
+// that stops reading that long is treated as dead and its session fails.
 type DialConfig struct {
 	// Timeout is the per-call deadline: a Call (including the whole chunk
 	// stream of its response) that does not complete within Timeout fails
@@ -169,26 +171,21 @@ func newMuxConn(addr string, cfg DialConfig, dial func() (net.Conn, error)) *mux
 }
 
 // session is one established connection, shared by any number of
-// in-flight calls: writers serialize frame writes through sendMu, and a
-// single reader goroutine demultiplexes response frames into the pending
-// map by request id.
+// in-flight calls: callers write request frames through the session's
+// frameWriter, and a single reader goroutine demultiplexes response frames
+// into the pending map by request id.
 type session struct {
 	nc    net.Conn
 	br    *bufio.Reader
-	bw    *bufio.Writer
+	w     *frameWriter
 	stats *counters
 
 	// negotiated flips once the hello/ack handshake has succeeded (and the
 	// reader goroutine is running).
 	negotiated atomic.Bool
 
-	// sendMu serializes the handshake and frame writes. It guards
-	// wbuf/wspare/flushing: the double-buffered group-commit write path of
-	// writeRequest.
-	sendMu   sync.Mutex
-	wbuf     []byte
-	wspare   []byte
-	flushing bool
+	// sendMu serializes the handshake.
+	sendMu sync.Mutex
 
 	nextID atomic.Uint64
 
@@ -232,7 +229,7 @@ func (c *muxConn) dialSession() (*session, error) {
 	s := &session{
 		nc:      nc,
 		br:      bufio.NewReaderSize(nc, connBufSize),
-		bw:      bufio.NewWriterSize(nc, connBufSize),
+		w:       newFrameWriter(nc),
 		stats:   &c.counters,
 		pending: make(map[uint64]*pendingCall),
 	}
@@ -263,8 +260,9 @@ func (s *session) isDead() bool {
 	return s.dead
 }
 
-// fail declares the session dead: it closes the socket (unblocking any
-// reader or writer), and completes every pending call with err. Idempotent.
+// fail declares the session dead: it fails the frame writer, which closes
+// the socket (unblocking any reader or writer), and completes every pending
+// call with err. Idempotent.
 func (s *session) fail(err error) {
 	s.mu.Lock()
 	if s.dead {
@@ -276,7 +274,7 @@ func (s *session) fail(err error) {
 	pending := s.pending
 	s.pending = make(map[uint64]*pendingCall)
 	s.mu.Unlock()
-	s.nc.Close()
+	s.w.fail(err)
 	for _, pc := range pending {
 		pc.done <- callResult{err: err}
 	}
@@ -325,10 +323,7 @@ func (c *muxConn) negotiate(s *session, timeout time.Duration) error {
 		}
 	}
 	hello := helloBody(protoVersion, c.cfg.Tenant)
-	if err := writeHandshake(s.bw, hello); err != nil {
-		return err
-	}
-	if err := s.bw.Flush(); err != nil {
+	if err := writeHandshake(s.nc, hello); err != nil {
 		return err
 	}
 	s.stats.sent.Add(handshakeLen(hello))
@@ -578,42 +573,10 @@ func (c *muxConn) muxCall(s *session, body []byte, yield func(*proto.RowsRespons
 	}
 }
 
-// writeRequest enqueues one request frame and ensures it reaches the
-// socket. The first writer becomes the flusher and drains the pending
-// buffer with direct socket writes; writers arriving while a write syscall
-// is in flight append to the other buffer and return immediately — their
-// bytes ride the flusher's next write. This group commit amortizes write
-// syscalls across however many calls are concurrently in flight.
+// writeRequest writes one request frame; a write that fails fails the
+// session.
 func (s *session) writeRequest(id uint64, flags uint8, body []byte) error {
-	s.sendMu.Lock()
-	if s.isDead() {
-		s.sendMu.Unlock()
-		return s.deathErr()
-	}
-	s.wbuf = appendFrame(s.wbuf, id, flags, body)
-	if s.flushing {
-		// The active flusher will pick these bytes up; if its write fails
-		// it fails the session, which completes our pending call too.
-		s.sendMu.Unlock()
-		return nil
-	}
-	s.flushing = true
-	var err error
-	for err == nil && len(s.wbuf) > 0 {
-		buf := s.wbuf
-		s.wbuf = s.wspare[:0]
-		s.sendMu.Unlock()
-		_, err = s.nc.Write(buf)
-		s.sendMu.Lock()
-		s.wspare = buf[:0]
-	}
-	s.flushing = false
-	if err != nil {
-		s.wbuf = nil
-		s.wspare = nil
-	}
-	s.sendMu.Unlock()
-	if err != nil {
+	if err := s.w.write(id, flags, body); err != nil {
 		s.fail(err)
 		return err
 	}

@@ -40,13 +40,12 @@ func busyResponse() *proto.ErrorResponse {
 const schedQuantum = 4
 
 // schedItem is one admitted-or-shed unit of work: a decoded request bound
-// to its connection's response queue.
+// to its connection's frame writer.
 type schedItem struct {
 	enq time.Time
 	run func()
-	// shed, when non-nil, replies busy without executing; drain uses it to
-	// fast-fail work that was queued but never admitted. Falls back to run
-	// when unset.
+	// shed replies busy without executing. Required: drain calls it to
+	// fast-fail every item still queued.
 	shed func()
 }
 
@@ -223,14 +222,10 @@ func (s *scheduler) drain() {
 	s.ringPos = 0
 	s.queued = 0
 	s.mu.Unlock()
-	// Reply outside the lock: shed closures write to connection queues.
+	// Reply outside the lock: shed closures write to their connections.
 	for _, it := range dropped {
 		s.shed.Add(1)
-		if it.shed != nil {
-			it.shed()
-		} else {
-			it.run()
-		}
+		it.shed()
 	}
 }
 

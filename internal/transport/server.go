@@ -16,14 +16,6 @@ const (
 	defaultMaxInflight   = 32
 	acceptBackoffInitial = 5 * time.Millisecond
 	acceptBackoffCap     = time.Second
-	// outQueueLen buffers response frames between handler workers and the
-	// per-connection writer goroutine.
-	outQueueLen = 64
-	// writeStall bounds how long the writer goroutine may sit in one socket
-	// write before the connection is declared dead. With a shared handler
-	// pool, a client that stops reading would otherwise wedge pool workers
-	// behind its full response queue indefinitely.
-	writeStall = 30 * time.Second
 )
 
 // ServerConfig tunes a provider-side transport server.
@@ -152,7 +144,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		nc.Close()
 	}()
 	br := bufio.NewReaderSize(nc, connBufSize)
-	bw := bufio.NewWriterSize(nc, connBufSize)
 	// The first frame must be a hello this server can speak to (it also
 	// names the tenant the session belongs to). Anything else — a stray
 	// client, a peer from another protocol generation — is told why and
@@ -164,45 +155,29 @@ func (s *Server) serveConn(nc net.Conn) {
 	v, tenant, isHello := parseNegotiation(first, helloPrefix)
 	if !isHello || v < protoVersion {
 		bad := &proto.ErrorResponse{Code: proto.CodeBadRequest, Msg: "transport: connection must open with a protocol hello"}
-		if writeHandshake(bw, proto.Encode(bad)) == nil {
-			_ = bw.Flush() // best effort: the connection closes either way
-		}
+		_ = writeHandshake(nc, proto.Encode(bad)) // best effort: the connection closes either way
 		return
 	}
-	if err := writeHandshake(bw, ackBody(protoVersion)); err != nil {
+	if err := writeHandshake(nc, ackBody(protoVersion)); err != nil {
 		return
 	}
-	if err := bw.Flush(); err != nil {
-		return
-	}
-	s.serveMux(nc, br, bw, string(tenant))
-}
-
-// outFrame is one response frame queued for the writer goroutine.
-type outFrame struct {
-	id    uint64
-	flags uint8
-	body  []byte
+	s.serveMux(nc, br, string(tenant))
 }
 
 // serveMux runs a negotiated connection: the read side decodes request
 // frames and submits each to the server-wide scheduler under this
-// connection's tenant; scheduler workers push response frames — one per
-// answer, or a streamed answer's chunk frames — into out, and a single
-// writer goroutine serializes them onto the socket, so responses complete in
-// whatever order the handlers finish. Requests the scheduler sheds are
-// answered inline with CodeServerBusy without consuming a worker.
-func (s *Server) serveMux(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, tenant string) {
-	out := make(chan outFrame, outQueueLen)
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		s.writeLoop(nc, bw, out)
-	}()
+// connection's tenant; scheduler workers write their response frames — one
+// per answer, or a streamed answer's chunk frames — through the connection's
+// frameWriter, so responses complete in whatever order the handlers finish.
+// Requests the scheduler sheds are answered inline with CodeServerBusy
+// without consuming a worker. A failed write closes the connection, ending
+// this loop and failing every later write, so no writer here has anything
+// left to do about one and the errors are dropped.
+func (s *Server) serveMux(nc net.Conn, br *bufio.Reader, tenant string) {
+	w := newFrameWriter(nc)
 	// pending tracks requests this connection has handed to the scheduler
-	// (queued or executing); out may not close until they have produced
-	// their frames.
+	// (queued or executing); the socket may not close until they have
+	// written their frames.
 	var pending sync.WaitGroup
 	// cancels maps in-flight request ids to their cancellation signal. The
 	// read loop registers an id before submitting its work item and
@@ -217,6 +192,7 @@ func (s *Server) serveMux(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, tenan
 		delete(cancels, id)
 		cancelMu.Unlock()
 	}
+	busy := func(id uint64) { _ = w.write(id, flagFinal, proto.Encode(busyResponse())) }
 	for {
 		id, flags, body, err := readFrame(br)
 		if err != nil {
@@ -234,7 +210,7 @@ func (s *Server) serveMux(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, tenan
 		req, err := proto.Decode(body)
 		if err != nil {
 			bad := &proto.ErrorResponse{Code: proto.CodeBadRequest, Msg: err.Error()}
-			out <- outFrame{id: id, flags: flagFinal, body: proto.Encode(bad)}
+			_ = w.write(id, flagFinal, proto.Encode(bad))
 			continue
 		}
 		cancel := make(chan struct{})
@@ -245,48 +221,48 @@ func (s *Server) serveMux(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, tenan
 		admitted := s.sched.submit(tenant, &schedItem{enq: time.Now(), run: func() {
 			defer pending.Done()
 			defer unregister(id)
-			s.runRequest(id, req, cancel, out)
+			s.runRequest(w, id, req, cancel)
 		}, shed: func() {
 			unregister(id)
-			out <- outFrame{id: id, flags: flagFinal, body: proto.Encode(busyResponse())}
+			busy(id)
 			pending.Done()
 		}})
 		if !admitted {
 			unregister(id)
 			pending.Done()
-			out <- outFrame{id: id, flags: flagFinal, body: proto.Encode(busyResponse())}
+			busy(id)
 		}
 	}
 	pending.Wait()
-	close(out)
-	writerWG.Wait()
 }
 
 // runRequest executes one admitted request: a handler that streams it
 // answers in chunk frames (serveStream), and Handle's answer is one frame.
 // A stats reply carries the scheduler's serving stats too, so every ping
 // doubles as a queue-pressure probe.
-func (s *Server) runRequest(id uint64, req proto.Message, cancel chan struct{}, out chan<- outFrame) {
-	if sh, ok := s.handler.(StreamHandler); ok && s.serveStream(sh, id, req, cancel, out) {
+func (s *Server) runRequest(w *frameWriter, id uint64, req proto.Message, cancel chan struct{}) {
+	if sh, ok := s.handler.(StreamHandler); ok && s.serveStream(sh, w, id, req, cancel) {
 		return
 	}
 	resp := s.handler.Handle(req)
 	if sr, ok := resp.(*proto.StatsResponse); ok {
 		s.sched.fillStats(sr)
 	}
-	out <- outFrame{id: id, flags: flagFinal, body: proto.Encode(resp)}
+	_ = w.write(id, flagFinal, proto.Encode(resp))
 }
 
 // serveStream runs one request through the handler's streaming path,
-// emitting each batch as a chunk frame as it is produced: the only source of
+// writing each batch as a chunk frame as it is produced: the only source of
 // chunk frames. It reports whether the handler accepted the request; false
 // sends nothing and the caller falls back to Handle. Because chunk frames
 // must mark the last one final, each emitted batch is held until the next
 // arrives (or the stream ends): the cost is one batch of extra latency at
-// the tail, not a buffered result set. Chunks go out in order into the
-// shared queue; interleaving with other responses is fine — every frame
-// carries its request id.
-func (s *Server) serveStream(sh StreamHandler, id uint64, req proto.Message, cancel <-chan struct{}, out chan<- outFrame) bool {
+// the tail, not a buffered result set. Chunks go out in order and may
+// interleave with other responses — every frame carries its request id. emit
+// fails with ErrStreamCanceled once the client cancels, and with the write
+// error once the connection is dead, so a handler stops producing as soon
+// as nobody can read what it produces.
+func (s *Server) serveStream(sh StreamHandler, w *frameWriter, id uint64, req proto.Message, cancel <-chan struct{}) bool {
 	var held *proto.RowsResponse
 	handled, err := sh.HandleStream(req, func(chunk *proto.RowsResponse) error {
 		select {
@@ -295,7 +271,9 @@ func (s *Server) serveStream(sh StreamHandler, id uint64, req proto.Message, can
 		default:
 		}
 		if held != nil {
-			out <- outFrame{id: id, flags: flagChunk, body: proto.Encode(held)}
+			if err := w.write(id, flagChunk, proto.Encode(held)); err != nil {
+				return err
+			}
 		}
 		held = chunk
 		return nil
@@ -310,55 +288,22 @@ func (s *Server) serveStream(sh StreamHandler, id uint64, req proto.Message, can
 			// empty; frame an empty result so the client is not left hanging.
 			held = &proto.RowsResponse{}
 		}
-		out <- outFrame{id: id, flags: flagChunk | flagFinal, body: proto.Encode(held)}
+		_ = w.write(id, flagChunk|flagFinal, proto.Encode(held))
 	case errors.Is(err, ErrStreamCanceled):
 		// The client abandoned the id before sending the cancel frame, so
 		// any response would be dropped on arrival; send nothing.
 	default:
 		// Mid-stream failure: surface the provider's error code as the
-		// final frame. Chunks already sent are discarded client-side.
+		// final frame (a dead connection fails this write too). Chunks
+		// already sent are discarded client-side.
 		resp := &proto.ErrorResponse{Code: proto.CodeInternal, Msg: err.Error()}
 		var re *proto.RemoteError
 		if errors.As(err, &re) {
 			resp = &proto.ErrorResponse{Code: re.Code, Msg: re.Msg}
 		}
-		out <- outFrame{id: id, flags: flagFinal, body: proto.Encode(resp)}
+		_ = w.write(id, flagFinal, proto.Encode(resp))
 	}
 	return true
-}
-
-// writeLoop drains response frames onto the socket, flushing only when the
-// queue runs dry so bursts of small responses batch into few syscalls. On
-// a write error it closes the socket (unblocking the read loop) and keeps
-// draining so handler workers never block on a dead connection. Each write
-// is bounded by writeStall: a client that stops reading long enough to
-// stall the writer is treated as dead rather than allowed to wedge shared
-// pool workers behind its full response queue.
-func (s *Server) writeLoop(nc net.Conn, bw *bufio.Writer, out <-chan outFrame) {
-	failed := false
-	arm := func() { nc.SetWriteDeadline(time.Now().Add(writeStall)) }
-	for f := range out {
-		if failed {
-			continue
-		}
-		arm()
-		if err := writeFrame(bw, f.id, f.flags, f.body); err != nil {
-			failed = true
-			nc.Close()
-			continue
-		}
-		if len(out) == 0 {
-			arm()
-			if err := bw.Flush(); err != nil {
-				failed = true
-				nc.Close()
-			}
-		}
-	}
-	if !failed {
-		arm()
-		bw.Flush()
-	}
 }
 
 // quiesce stops accepting new connections. Idempotent.
@@ -372,20 +317,21 @@ func (s *Server) quiesce() error {
 }
 
 // Shutdown gracefully stops the server: it stops accepting connections,
-// sheds new requests with CodeServerBusy, waits up to timeout for queued
-// and executing requests to finish, then closes every connection and
-// stops the scheduler. It returns true when the drain completed within the
-// timeout (false means remaining work was cut off by the close).
+// answers new and still-queued requests with CodeServerBusy, waits up to
+// timeout for executing requests to finish and write their answers, then
+// closes every connection and stops the scheduler. It returns true when the
+// drain completed within the timeout (false means remaining work was cut
+// off by the close).
 func (s *Server) Shutdown(timeout time.Duration) bool {
 	s.quiesce()
 	s.sched.drain()
 	drained := s.sched.waitIdle(timeout)
 	if drained {
 		// Close only the read half of each connection: its read loop sees
-		// EOF and winds down through the normal path, which flushes any
-		// response frames still queued for the writer before the socket
-		// closes. A full close here could cut off an answer the drain just
-		// finished computing.
+		// EOF and winds down through the normal path, which waits for every
+		// request it admitted to write its answer before the socket closes.
+		// A full close here could cut off an answer the drain just finished
+		// computing.
 		s.mu.Lock()
 		for nc := range s.conns {
 			if cr, ok := nc.(interface{ CloseRead() error }); ok {

@@ -146,3 +146,92 @@ func TestStreamMidStreamError(t *testing.T) {
 		t.Fatalf("Call after stream error: %v", err)
 	}
 }
+
+// pacedStreamer streams n chunks of one 32 KiB cell each, pausing between
+// them, and counts the chunks emit accepted.
+type pacedStreamer struct {
+	n        int
+	pause    time.Duration
+	emitted  atomic.Int32
+	finished chan struct{} // closed when HandleStream returns
+}
+
+func newPacedStreamer(n int, pause time.Duration) *pacedStreamer {
+	return &pacedStreamer{n: n, pause: pause, finished: make(chan struct{})}
+}
+
+func (h *pacedStreamer) Handle(proto.Message) proto.Message {
+	return &proto.ErrorResponse{Code: proto.CodeBadRequest, Msg: "buffered path unexpected"}
+}
+
+func (h *pacedStreamer) HandleStream(req proto.Message, emit func(*proto.RowsResponse) error) (bool, error) {
+	defer close(h.finished)
+	cell := make([]byte, 32<<10)
+	for i := 0; i < h.n; i++ {
+		chunk := &proto.RowsResponse{Columns: []string{"a"}, Rows: []proto.Row{{ID: uint64(i + 1), Cells: [][]byte{cell}}}}
+		if err := emit(chunk); err != nil {
+			return true, err
+		}
+		h.emitted.Add(1)
+		time.Sleep(h.pause)
+	}
+	return true, nil
+}
+
+// TestStreamStopsWhenClientGone holds the provider to its client's life
+// over TCP: once the client closes its connection mid-stream, emit must fail
+// with the write error and the handler must stop, not produce the rest of a
+// 100,000-chunk cursor for nobody (and hold Server.Close until it has).
+func TestStreamStopsWhenClientGone(t *testing.T) {
+	h := newPacedStreamer(100_000, 200*time.Microsecond)
+	srv := newTestServer(t, h, ServerConfig{})
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	err = CallStream(c, &proto.ScanRequest{Table: "t"}, func(*proto.RowsResponse) error {
+		c.Close()
+		return nil
+	})
+	if err == nil {
+		t.Fatal("stream completed after its client closed")
+	}
+	select {
+	case <-h.finished:
+		t.Logf("handler stopped after %d chunks", h.emitted.Load())
+	case <-time.After(5 * time.Second):
+		t.Fatalf("handler still streaming 5s after its client closed (%d chunks emitted)", h.emitted.Load())
+	}
+}
+
+// TestStalledReaderBoundsServer holds what a provider produces for a client
+// that stops reading: while the in-process client's first yield blocks, the
+// handler may run ahead only by what the client's stream window, the
+// connection's buffers and the frame writer's bound hold, not by a response
+// queue of its own. Once the reader resumes, every chunk still arrives.
+func TestStalledReaderBoundsServer(t *testing.T) {
+	const maxAhead = 24
+	h := newPacedStreamer(200, 0)
+	c := NewLocal(h)
+	defer c.Close()
+	rows := 0
+	ahead := int32(-1)
+	err := CallStream(c, &proto.ScanRequest{Table: "t"}, func(rr *proto.RowsResponse) error {
+		if rows += len(rr.Rows); ahead < 0 {
+			time.Sleep(500 * time.Millisecond)
+			ahead = h.emitted.Load()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("handler emitted %d chunks while its reader stalled", ahead)
+	if ahead > maxAhead {
+		t.Fatalf("handler emitted %d chunks of 32 KiB while its reader stalled, want at most %d", ahead, maxAhead)
+	}
+	if rows != h.n {
+		t.Fatalf("received %d rows, want %d", rows, h.n)
+	}
+}

@@ -26,7 +26,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -194,8 +196,9 @@ type Handler interface {
 // reports handled=false (without having called emit) when the request has
 // no streaming form — the transport then falls back to Handle. When
 // handled, emit is called once per batch in order, a proof riding the last;
-// emit returns ErrStreamCanceled once the client cancels, and the handler
-// must then stop and propagate the error. A handled stream with a nil error
+// emit returns ErrStreamCanceled once the client cancels, or the write error
+// once the connection is dead, and the handler must then stop and propagate
+// the error. A handled stream with a nil error
 // must emit at least one batch (an empty RowsResponse carrying Columns for
 // empty results) so the receiver learns the result shape.
 type StreamHandler interface {
@@ -232,15 +235,12 @@ func (c *counters) snapshot() Stats {
 // (length + crc) plus the payload.
 func handshakeLen(body []byte) uint64 { return uint64(len(body)) + 8 }
 
-// writeHandshake writes one length+crc framed handshake body.
+// writeHandshake writes one length+crc framed handshake body in one write.
 func writeHandshake(w io.Writer, body []byte) error {
 	var hdr [8]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)))
 	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(body, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+	_, err := w.Write(append(hdr[:], body...))
 	return err
 }
 
@@ -304,22 +304,95 @@ func frameHeader(id uint64, flags uint8, body []byte) (hdr [frameHeaderLen]byte)
 	return hdr
 }
 
-// writeFrame writes one frame.
-func writeFrame(w io.Writer, id uint64, flags uint8, body []byte) error {
-	hdr := frameHeader(id, flags, body)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-// appendFrame appends one frame to dst, for callers that batch several
-// frames into a single socket write.
+// appendFrame appends one frame to dst.
 func appendFrame(dst []byte, id uint64, flags uint8, body []byte) []byte {
 	hdr := frameHeader(id, flags, body)
 	dst = append(dst, hdr[:]...)
 	return append(dst, body...)
+}
+
+// writeStall bounds each socket write at either end of a connection. A peer
+// that stops reading for this long is treated as dead, so neither a shared
+// handler worker on the provider nor a caller on the client can be wedged
+// behind it indefinitely.
+const writeStall = 30 * time.Second
+
+// frameWriter puts the frames of any number of goroutines onto one
+// connection; both ends write every frame through one. A writer appends its
+// frame to a pending buffer, and the first writer of a burst becomes the
+// flusher: it writes the buffer out until it is empty, so frames written
+// concurrently share one syscall. A writer waits only while connBufSize
+// bytes are already pending, until the flusher takes them, which bounds what
+// a connection holds for a peer that reads slowly; a frame larger than that
+// still goes out whole. Each socket write is bounded by writeStall. A failed
+// write closes the connection and fails that write, every write waiting on
+// the bound, and every later one.
+type frameWriter struct {
+	nc       net.Conn
+	mu       sync.Mutex
+	taken    sync.Cond // broadcast when the flusher takes the buffer or the writer fails
+	buf      []byte    // frames not yet handed to the socket
+	spare    []byte    // the buffer last written, reused for the next burst
+	flushing bool
+	err      error
+}
+
+func newFrameWriter(nc net.Conn) *frameWriter {
+	w := &frameWriter{nc: nc}
+	w.taken.L = &w.mu
+	return w
+}
+
+// write sends one frame. It returns once the frame is on the socket or in
+// the hands of another writer's flush; that flush failing fails this
+// writer's next write.
+func (w *frameWriter) write(id uint64, flags uint8, body []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.err == nil && len(w.buf) >= connBufSize {
+		w.taken.Wait()
+	}
+	if w.err != nil {
+		return w.err
+	}
+	w.buf = appendFrame(w.buf, id, flags, body)
+	if w.flushing {
+		return nil
+	}
+	w.flushing = true
+	for w.err == nil && len(w.buf) > 0 {
+		buf := w.buf
+		w.buf = w.spare[:0]
+		w.taken.Broadcast()
+		w.mu.Unlock()
+		err := w.nc.SetWriteDeadline(time.Now().Add(writeStall))
+		if err == nil {
+			_, err = w.nc.Write(buf)
+		}
+		if err != nil {
+			w.fail(err)
+		}
+		w.mu.Lock()
+		w.spare = buf[:0]
+	}
+	w.flushing = false
+	return w.err
+}
+
+// fail closes the connection and fails every waiting and later write with
+// err; a writer that has already failed keeps its first error.
+func (w *frameWriter) fail(err error) {
+	w.mu.Lock()
+	first := w.err == nil
+	if first {
+		w.err = err
+		w.buf = nil
+		w.taken.Broadcast()
+	}
+	w.mu.Unlock()
+	if first {
+		w.nc.Close()
+	}
 }
 
 // readFrame reads one frame.
