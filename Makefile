@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-txn race-hedge fuzz-smoke loc bench bench-check bench-s6 bench-s7 bench-s8 experiments experiments-full fmt clean
+.PHONY: all build vet test race race-txn race-hedge fuzz-smoke loc bench bench-check experiments experiments-full fmt clean
 
 all: build vet test
 
@@ -46,7 +46,7 @@ race-txn:
 # a provider produces for a stalled reader, and strands no frame.
 race-hedge:
 	$(GO) test -race -count=1 -run 'TestHedge|TestStall|TestNoHedges|TestHealth|TestCircuit|TestDynamic|TestReadDeadline|TestRepairFlapping|TestRemoteErrorDoesNotDemote|TestEveryOutcomeReachesLedger|TestProviderOrder' ./internal/client
-	$(GO) test -race -count=2 -run 'TestFaulty|TestWaitBackoff|TestCallDeadline|TestLocalConn|TestDelaySchedule|TestStreamStopsWhenClientGone|TestStalledReaderBoundsServer|TestFrameWriter' ./internal/transport
+	$(GO) test -race -count=2 -run 'TestFaulty|TestWaitBackoff|TestCallDeadline|TestLocalConn|TestStreamStopsWhenClientGone|TestStalledReaderBoundsServer|TestFrameWriter' ./internal/transport
 
 # Ten seconds on each fuzz target, from the corpora checked in under
 # testdata/fuzz: the share-row block codec, the message decoder (one message of
@@ -88,22 +88,6 @@ bench:
 bench-check:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
-
-# Sustained-load serving suite with machine-readable output for trend
-# tracking (admission control, overload shedding, tenant fairness).
-bench-s6:
-	$(GO) run ./cmd/ssbench -only S6 -json BENCH_S6.json
-
-# Transaction suite: 2PC commit latency and abort rate under contention,
-# with machine-readable output for trend tracking.
-bench-s7:
-	$(GO) run ./cmd/ssbench -only S7 -json BENCH_S7.json
-
-# Tail-tolerance suite: gray-failure straggler vs healthy p99, hedge
-# counters, and the end-to-end deadline scenario, with machine-readable
-# output for trend tracking.
-bench-s8:
-	$(GO) run ./cmd/ssbench -only S8 -json BENCH_S8.json
 
 # Regenerate the paper's experiment tables (quick sizes).
 experiments:

@@ -1,5 +1,5 @@
 // Command ssbench regenerates the paper's experiment tables (DESIGN.md's
-// E1–E15 plus the ablations A1–A3) and prints them.
+// E1–E15, the ablations A1–A4 and the scaling study S1) and prints them.
 //
 // Usage:
 //
@@ -7,11 +7,9 @@
 //	ssbench -full                 # full sizes (minutes)
 //	ssbench -only E4,E5           # a subset
 //	ssbench -list                 # list experiments
-//	ssbench -json BENCH_S6.json   # also write S6's machine-readable result
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +22,6 @@ func main() {
 	full := flag.Bool("full", false, "run full-size experiments")
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E4,E11)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonPath := flag.String("json", "", "write the S6/S7/S8 suite's machine-readable result to this file")
 	flag.Parse()
 
 	runners := bench.All()
@@ -46,32 +43,7 @@ func main() {
 		if len(want) > 0 && !want[r.ID] {
 			continue
 		}
-		var table *bench.Table
-		var err error
-		switch {
-		case r.ID == "S6" && *jsonPath != "":
-			// The JSON flag wants the suite's raw numbers, not just the
-			// printed table; run the detailed form once and keep both.
-			var detail *bench.S6Result
-			table, detail, err = bench.RunS6Detailed(scale)
-			if err == nil {
-				err = writeJSON(*jsonPath, detail)
-			}
-		case r.ID == "S7" && *jsonPath != "":
-			var detail *bench.S7Result
-			table, detail, err = bench.RunS7Detailed(scale)
-			if err == nil {
-				err = writeJSON(*jsonPath, detail)
-			}
-		case r.ID == "S8" && *jsonPath != "":
-			var detail *bench.S8Result
-			table, detail, err = bench.RunS8Detailed(scale)
-			if err == nil {
-				err = writeJSON(*jsonPath, detail)
-			}
-		default:
-			table, err = r.Fn(scale)
-		}
+		table, err := r.Fn(scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ssbench: %s: %v\n", r.ID, err)
 			os.Exit(1)
@@ -83,17 +55,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ssbench: no experiments matched -only; use -list")
 		os.Exit(1)
 	}
-}
-
-// writeJSON persists a suite's numbers for CI trend tracking.
-func writeJSON(path string, res any) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("ssbench: wrote %s\n", path)
-	return nil
 }

@@ -87,28 +87,26 @@ func (s Scale) pick(quick, full int) int {
 // fleet is an instrumented in-process deployment for experiments.
 type fleet struct {
 	client *client.Client
-	stores []*store.Store
 	faults []*transport.FaultyConn
-	conns  []transport.Conn
 }
 
 func newFleet(n, k int, opts client.Options) (*fleet, error) {
 	f := &fleet{}
+	var conns []transport.Conn
 	for i := 0; i < n; i++ {
 		st, err := store.Open("")
 		if err != nil {
 			return nil, err
 		}
-		f.stores = append(f.stores, st)
 		fc := transport.NewFaulty(transport.NewLocal(server.New(st)))
 		f.faults = append(f.faults, fc)
-		f.conns = append(f.conns, fc)
+		conns = append(conns, fc)
 	}
 	opts.K = k
 	if len(opts.MasterKey) == 0 {
 		opts.MasterKey = []byte("bench master key")
 	}
-	c, err := client.New(f.conns, opts)
+	c, err := client.New(conns, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -182,9 +180,6 @@ func All() []Runner {
 		{"A3", RunA3, "ablation: fixed-width share keys vs big.Int"},
 		{"A4", RunA4, "ablation: OPP polynomial degree"},
 		{"S1", RunS1, "supplementary: latency/bytes vs table size"},
-		{"S6", RunS6, "supplementary: sustained-load serving — admission control and overload shedding"},
-		{"S7", RunS7, "supplementary: multi-statement transactions — 2PC commit latency and abort rate"},
-		{"S8", RunS8, "supplementary: tail-tolerant reads under gray failure — health scoring, hedging, deadlines"},
 	}
 }
 

@@ -282,116 +282,6 @@ func TestAblations(t *testing.T) {
 	runQuick(t, RunS1)
 }
 
-// S6 shape: three serving suites over real TCP providers. The runner
-// asserts the acceptance criteria itself (bounded p99 and held goodput at
-// 4x overload, point-tenant protection under streaming scans); here check
-// the suites ran and the overload run actually shed load.
-func TestS6SustainedLoadServing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second open-loop load run")
-	}
-	table, res, err := RunS6Detailed(Scale{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.ID != "S6" || len(table.Rows) != 3 {
-		t.Fatalf("S6 shape: %+v", table)
-	}
-	if len(res.Suites) != 3 {
-		t.Fatalf("suites: %+v", res.Suites)
-	}
-	names := []string{"max-throughput", "overload-4x", "scan-vs-points"}
-	for i, s := range res.Suites {
-		if s.Name != names[i] {
-			t.Fatalf("suite %d is %q, want %q", i, s.Name, names[i])
-		}
-		if s.Offered == 0 {
-			t.Fatalf("suite %s offered no load", s.Name)
-		}
-	}
-	over := res.Suites[1]
-	if over.Busy+over.SchedShed+over.Dropped == 0 {
-		t.Fatalf("overload suite shed nothing: %+v", over)
-	}
-	if res.SaturationGoodput <= 0 || res.SaturationP99 == 0 {
-		t.Fatalf("saturation point not measured: %+v", res)
-	}
-}
-
-// S7 shape: four transaction suites. The runner asserts atomicity itself
-// (every store converges to exactly the committed transactions' rows, no
-// aborts while healthy, aborts under the flapping W=N provider); here check
-// the suites ran and the flaky suite both aborted and committed work.
-func TestS7TransactionCommit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-suite transaction run")
-	}
-	table, res, err := RunS7Detailed(Scale{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.ID != "S7" || len(table.Rows) != 4 {
-		t.Fatalf("S7 shape: %+v", table)
-	}
-	names := []string{"disjoint", "hot-rows", "sharded-2x3", "flaky-W=N"}
-	if len(res.Suites) != len(names) {
-		t.Fatalf("suites: %+v", res.Suites)
-	}
-	for i, s := range res.Suites {
-		if s.Name != names[i] {
-			t.Fatalf("suite %d is %q, want %q", i, s.Name, names[i])
-		}
-		if s.Committed+s.Aborted != s.Txns {
-			t.Fatalf("suite %s lost transactions: %+v", s.Name, s)
-		}
-		if s.Committed > 0 && s.CommitP50Nanos == 0 {
-			t.Fatalf("suite %s measured no commit latency: %+v", s.Name, s)
-		}
-	}
-	flaky := res.Suites[3]
-	if flaky.Aborted == 0 {
-		t.Fatalf("flaky suite aborted nothing: %+v", flaky)
-	}
-}
-
-// S8 shape: healthy and straggler phases for both read paths plus the
-// deadline scenario. The runner asserts the tail bounds itself (degraded
-// p99 within ~2x healthy, ~zero hedges while healthy, ErrDeadline in
-// bounded time); here check the phases ran and the result is coherent.
-func TestS8TailTolerance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("straggler and deadline phases sleep on injected delays")
-	}
-	table, res, err := RunS8Detailed(Scale{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.ID != "S8" || len(table.Rows) != 4 {
-		t.Fatalf("S8 shape: %+v", table)
-	}
-	names := []string{"point healthy", "scan healthy", "point straggler", "scan straggler"}
-	if len(res.Suites) != len(names) {
-		t.Fatalf("suites: %+v", res.Suites)
-	}
-	for i, s := range res.Suites {
-		if s.Name != names[i] {
-			t.Fatalf("suite %d is %q, want %q", i, s.Name, names[i])
-		}
-		if s.Ops == 0 || s.P50Nanos == 0 || s.P99Nanos < s.P50Nanos {
-			t.Fatalf("suite %s measured nothing: %+v", s.Name, s)
-		}
-	}
-	if res.StragglerDelayNanos < 50_000_000 {
-		t.Fatalf("straggler delay %d below the 50ms floor", res.StragglerDelayNanos)
-	}
-	if !res.DeadlineHit {
-		t.Fatalf("deadline scenario did not surface ErrDeadline: %+v", res)
-	}
-	if res.DeadlineReturnNanos > 2_000_000_000 {
-		t.Fatalf("deadline statement took %dns to fail", res.DeadlineReturnNanos)
-	}
-}
-
 func TestRunAllPrints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")

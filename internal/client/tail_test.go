@@ -326,6 +326,14 @@ func TestReadDeadlineQuery(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("deadline-bounded query took %v", elapsed)
 	}
+	// Clearing the stall leaves nothing sticky behind: the same statement
+	// succeeds under the same deadline.
+	for _, fc := range f.faults {
+		fc.SetDelay(0)
+	}
+	if res := f.mustExec(t, `SELECT name FROM employees`); len(res.Rows) == 0 {
+		t.Fatal("no rows once the stall cleared")
+	}
 }
 
 // The same bound holds for the QueryRows iterator (streaming path): Next

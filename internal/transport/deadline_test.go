@@ -10,89 +10,46 @@ import (
 	"sssdb/internal/proto"
 )
 
-// Two schedules built from the same seed must draw identical delay
-// sequences — straggler experiments depend on exact reproducibility.
-func TestDelayScheduleDeterministic(t *testing.T) {
-	a := NewDelaySchedule(42, time.Millisecond, 4*time.Millisecond)
-	b := NewDelaySchedule(42, time.Millisecond, 4*time.Millisecond)
-	varied := false
-	for i := 0; i < 256; i++ {
-		da, db := a.Next(), b.Next()
-		if da != db {
-			t.Fatalf("draw %d: %v vs %v", i, da, db)
-		}
-		if da < time.Millisecond || da >= 5*time.Millisecond {
-			t.Fatalf("draw %d: %v outside [base, base+jitter)", i, da)
-		}
-		if da != time.Millisecond {
-			varied = true
-		}
-	}
-	if !varied {
-		t.Fatal("jittered schedule never varied")
-	}
-	c := NewDelaySchedule(43, time.Millisecond, 4*time.Millisecond)
-	same := true
-	for i := 0; i < 16; i++ {
-		if a.Next() != c.Next() {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds drew identical sequences")
-	}
-}
-
-func TestDelayScheduleZeroJitter(t *testing.T) {
-	s := NewDelaySchedule(1, 7*time.Millisecond, 0)
-	for i := 0; i < 8; i++ {
-		if d := s.Next(); d != 7*time.Millisecond {
-			t.Fatalf("draw %d: %v", i, d)
-		}
-	}
-}
-
 // A call deadline nearer than the injected delay must park only until the
-// deadline and then fail like a timeout — not sleep the full delay out.
+// deadline and then fail like a timeout — not sleep the full delay out —
+// on a plain call and on a stream alike.
 func TestFaultyDelayRespectsDeadline(t *testing.T) {
-	fc := NewFaulty(NewLocal(HandlerFunc(func(m proto.Message) proto.Message {
-		return &proto.OKResponse{}
-	})))
-	defer fc.Close()
-	fc.SetDelay(5 * time.Second)
-	start := time.Now()
-	_, err := fc.CallDeadline(&proto.PingRequest{}, time.Now().Add(30*time.Millisecond))
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("parked %v despite 30ms deadline", el)
-	}
-	// Without a deadline the same call must still be interruptible by Crash
-	// (covered elsewhere) and succeed once the delay is cleared.
-	fc.SetDelay(0)
-	if _, err := fc.Call(&proto.PingRequest{}); err != nil {
-		t.Fatalf("after clearing delay: %v", err)
-	}
-}
-
-// A schedule-driven delay obeys the deadline the same way.
-func TestFaultyScheduleRespectsDeadline(t *testing.T) {
-	fc := NewFaulty(NewLocal(HandlerFunc(func(m proto.Message) proto.Message {
-		return &proto.OKResponse{}
-	})))
-	defer fc.Close()
-	fc.SetDelaySchedule(NewDelaySchedule(7, 5*time.Second, 0))
-	start := time.Now()
-	err := fc.CallStreamDeadline(&proto.ScanRequest{}, time.Now().Add(30*time.Millisecond), func(*proto.RowsResponse) error {
-		t.Fatal("chunk delivered past deadline")
-		return nil
-	})
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("parked %v despite 30ms deadline", el)
+	for _, tc := range []struct {
+		name string
+		call func(t *testing.T, fc *FaultyConn, deadline time.Time) error
+	}{
+		{"call", func(t *testing.T, fc *FaultyConn, deadline time.Time) error {
+			_, err := fc.CallDeadline(&proto.PingRequest{}, deadline)
+			return err
+		}},
+		{"stream", func(t *testing.T, fc *FaultyConn, deadline time.Time) error {
+			return fc.CallStreamDeadline(&proto.ScanRequest{}, deadline, func(*proto.RowsResponse) error {
+				t.Error("chunk delivered past deadline")
+				return nil
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fc := NewFaulty(NewLocal(HandlerFunc(func(m proto.Message) proto.Message {
+				return &proto.OKResponse{}
+			})))
+			defer fc.Close()
+			fc.SetDelay(5 * time.Second)
+			start := time.Now()
+			if err := tc.call(t, fc, time.Now().Add(30*time.Millisecond)); !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("err = %v, want deadline exceeded", err)
+			}
+			if el := time.Since(start); el > 2*time.Second {
+				t.Fatalf("parked %v despite 30ms deadline", el)
+			}
+			// Without a deadline the same call must still be interruptible by
+			// Crash (covered elsewhere) and get through once the delay is
+			// cleared.
+			fc.SetDelay(0)
+			if _, err := fc.Call(&proto.PingRequest{}); err != nil {
+				t.Fatalf("after clearing delay: %v", err)
+			}
+		})
 	}
 }
 

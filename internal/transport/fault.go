@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"sync"
 	"time"
@@ -33,7 +32,6 @@ type FaultyConn struct {
 	crashed bool
 	closed  bool
 	delay   time.Duration
-	sched   *DelaySchedule
 	corrupt Corrupter
 	// crashAfter, when >= 0, crashes the connection after that many stream
 	// chunks have been delivered (one-shot, armed by CrashAfterChunks).
@@ -94,44 +92,6 @@ func (c *FaultyConn) SetDelay(d time.Duration) {
 	c.delay = d
 }
 
-// DelaySchedule is a deterministic per-call latency distribution: each call
-// draws base + uniform[0, jitter) from a seeded source, so straggler
-// experiments inject realistic (jittered) latency while staying exactly
-// reproducible across runs and safe under -race. A schedule may be shared
-// by several FaultyConns; the draw order then depends on call interleaving,
-// but the multiset of delays drawn stays seed-determined.
-type DelaySchedule struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
-	base   time.Duration
-	jitter time.Duration
-}
-
-// NewDelaySchedule builds a schedule drawing base + uniform[0, jitter) per
-// call from a source seeded with seed. A zero jitter yields exactly base.
-func NewDelaySchedule(seed int64, base, jitter time.Duration) *DelaySchedule {
-	return &DelaySchedule{rng: rand.New(rand.NewSource(seed)), base: base, jitter: jitter}
-}
-
-// Next draws the next per-call delay.
-func (s *DelaySchedule) Next() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := s.base
-	if s.jitter > 0 {
-		d += time.Duration(s.rng.Int63n(int64(s.jitter)))
-	}
-	return d
-}
-
-// SetDelaySchedule installs (or clears, with nil) a per-call delay
-// schedule. A schedule takes precedence over SetDelay's fixed latency.
-func (c *FaultyConn) SetDelaySchedule(s *DelaySchedule) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sched = s
-}
-
 // SetCorrupter installs (or clears, with nil) a response corrupter.
 func (c *FaultyConn) SetCorrupter(f Corrupter) {
 	c.mu.Lock()
@@ -166,9 +126,6 @@ func (c *FaultyConn) gate(deadline time.Time) (Corrupter, error) {
 		return nil, ErrClosed
 	}
 	delay, corrupt, wake := c.delay, c.corrupt, c.wake
-	if c.sched != nil {
-		delay = c.sched.Next()
-	}
 	c.mu.Unlock()
 	if delay > 0 {
 		timedOut := false
