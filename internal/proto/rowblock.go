@@ -385,6 +385,17 @@ func (b *RowBlock) AppendTo(buf []byte) []byte {
 	return append(buf, b.Slab...)
 }
 
+// Clone returns a copy of b with ids, slab and offsets of its own, sharing
+// only the (immutable) shape: mutating either block leaves the other as it
+// was.
+func (b *RowBlock) Clone() *RowBlock {
+	c := *b
+	c.IDs = slices.Clone(b.IDs)
+	c.Slab = slices.Clone(b.Slab)
+	c.Offs = slices.Clone(b.Offs)
+	return &c
+}
+
 // Find returns the position of id among the (ascending) IDs and whether it
 // is present; when absent, the position is the insertion point.
 func (b *RowBlock) Find(id uint64) (int, bool) {

@@ -456,6 +456,60 @@ func TestRowBlockMutations(t *testing.T) {
 	}
 }
 
+// TestRowBlockClone: whatever is done to a clone — Insert, Replace (in place
+// or resized), Delete, Split — the original keeps its rows and its
+// encoding, for fixed and variable shapes, built up by inserts (slices with
+// spare capacity) or decoded (a slab aliasing its payload).
+func TestRowBlockClone(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(37))
+	for _, widths := range [][]int{{13, 8}, {13, Variable, 8}} {
+		cells := func() [][]byte {
+			out := make([][]byte, len(widths))
+			for j, w := range widths {
+				if w < 0 {
+					w = rng.Intn(40)
+				}
+				out[j] = make([]byte, w)
+				rng.Read(out[j])
+			}
+			return out
+		}
+		var m model
+		built := NewRowBlock(NewShape(widths))
+		for i := 0; i < 20; i++ {
+			r := Row{ID: uint64(10 * (i + 1)), Cells: cells()}
+			if err := built.Insert(i, r.ID, r.Cells); err != nil {
+				t.Fatal(err)
+			}
+			m = append(m, r)
+		}
+		decoded := new(RowBlock)
+		if err := decoded.Decode(built.AppendTo(nil), built.Shape); err != nil {
+			t.Fatal(err)
+		}
+		for name, orig := range map[string]*RowBlock{"built": built, "decoded": decoded} {
+			want := orig.AppendTo(nil)
+			c := orig.Clone()
+			checkBlock(t, c, m)
+			if err := c.Insert(3, 35, cells()); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Replace(5, cells()); err != nil { // in place when fixed, resized when variable
+				t.Fatal(err)
+			}
+			c.Delete(7)
+			right := c.Split(c.Mid())
+			if err := right.Replace(0, cells()); err != nil {
+				t.Fatal(err)
+			}
+			if got := orig.AppendTo(nil); !bytes.Equal(got, want) {
+				t.Fatalf("%v %s: mutating the clone changed the original's encoding", widths, name)
+			}
+			checkBlock(t, orig, m)
+		}
+	}
+}
+
 // FuzzRowBlock feeds arbitrary bytes to both readers of the block layout —
 // the row-list decoder of messages and the aliasing decoder of pages. Neither
 // may panic, and whatever decodes must survive re-encoding: decoding the

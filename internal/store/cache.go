@@ -41,6 +41,9 @@ type pageCache struct {
 	// durable manifest or an in-flight checkpoint; they are unlinked only
 	// after the next successful manifest swap.
 	pendingRemove []string
+	// wbuf is the encoding buffer of eviction write-backs, reused across
+	// them.
+	wbuf []byte
 }
 
 func newPageCache(s *Store, budget int64) *pageCache {
@@ -122,6 +125,22 @@ func (c *pageCache) acquire(pm *pageMeta) (*page, error) {
 		return nil, err
 	}
 	return pm.res, nil
+}
+
+// writable returns pm's resident page ready to be mutated in place. When
+// it is the very page object an in-flight checkpoint captured, it is copied
+// first and the copy becomes resident, so the checkpoint goes on writing the
+// state it captured. Such a copy lives beside the captured page until the
+// checkpoint's phase 3 lets the latter go, outside the cache budget; only
+// pages mutated while phase 2 writes pages out are ever copied. The caller
+// holds the store lock exclusively, with pm just acquired.
+func (c *pageCache) writable(pm *pageMeta) *page {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if pm.res == pm.ckpt {
+		pm.res = pm.res.Clone()
+	}
+	return pm.res
 }
 
 // admit registers a freshly created resident page (first insert or split)
@@ -225,7 +244,8 @@ func (c *pageCache) evictOne(pm *pageMeta) error {
 	if pm.dirty {
 		epoch := c.s.nextEpoch()
 		path := c.s.pageFilePath(pm.heap.tableID, pm.id, epoch)
-		if err := wal.SaveSnapshot(path, encodePage(pm.res)); err != nil {
+		var err error
+		if c.wbuf, err = writePage(path, pm.res, c.wbuf); err != nil {
 			return fmt.Errorf("store: writing back page %d of table %d: %w", pm.id, pm.heap.tableID, err)
 		}
 		// The previous runtime file may be mid-promotion by a checkpoint,

@@ -12,16 +12,16 @@ import (
 // worker when Options.CheckpointInterval is zero.
 const DefaultCheckpointInterval = 5 * time.Second
 
-// flushItem is one dirty page captured by a checkpoint: either a freshly
-// encoded payload destined for a new epoch file, or (payload nil) a
-// promotion of the page's newest existing epoch file — a dirty page that
-// was evicted already has a complete write-back on disk, so the checkpoint
-// only has to reference it.
+// flushItem is one dirty page captured by a checkpoint: either a resident
+// page object to write to a new epoch file, or (pg nil) a promotion of the
+// page's newest existing epoch file — a dirty page that was evicted already
+// has a complete write-back on disk, so the checkpoint only has to
+// reference it.
 type flushItem struct {
-	pm      *pageMeta
-	payload []byte
-	epoch   uint64 // file the manifest will reference
-	path    string
+	pm    *pageMeta
+	pg    *page
+	epoch uint64 // file the manifest will reference
+	path  string
 	// oldEpoch/version record the page's state at capture so phase 3 can
 	// tell whether the page was mutated or evicted while the checkpoint ran.
 	oldEpoch uint64
@@ -36,12 +36,17 @@ type flushItem struct {
 //
 // The protocol has three phases. Phase 1 (exclusive store lock): rotate the
 // WAL — sealing the active segment so every captured record is durable —
-// capture the LSN, encode resident dirty pages, and build the manifest
-// image. Phase 2 (no store lock): write the page files, then atomically
-// swap the manifest; a crash anywhere here leaves the old manifest and the
-// full WAL, both still consistent. Phase 3 (store lock again): advance the
-// checkpoint LSN, clear dirty flags on pages whose version is unchanged,
-// delete superseded page files, and truncate covered WAL segments.
+// capture the LSN and each resident dirty page object (pageMeta.ckpt: a
+// mutation copies a captured page rather than change it, see
+// pageCache.writable), and build the manifest image. Phase 2 (no store
+// lock): encode the captured pages one at a time into one buffer and write
+// each to its file, sync the pages directory, then atomically swap the
+// manifest and sync the store directory; a crash anywhere here leaves the
+// old manifest and the full WAL, both still consistent. Phase 3 (store lock
+// again): release the captured pages, advance the checkpoint LSN, clear
+// dirty flags on pages whose version is unchanged, delete superseded page
+// files, and truncate covered WAL segments — only now that the directory
+// entry of the manifest that covers them is durable.
 func (s *Store) Checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
@@ -75,7 +80,8 @@ func (s *Store) Checkpoint() error {
 				it := flushItem{pm: pm, oldEpoch: pm.epoch, version: pm.version}
 				if pm.res != nil && pm.dirty {
 					it.epoch = s.nextEpoch()
-					it.payload = encodePage(pm.res)
+					it.pg = pm.res
+					pm.ckpt = pm.res
 				} else {
 					// Not resident (or resident but clean): the newest epoch
 					// file holds the complete content — eviction writes dirty
@@ -103,29 +109,50 @@ func (s *Store) Checkpoint() error {
 
 	// --- Phase 2: flush and swap, without the store lock.
 	fail := func(err error) error {
+		s.cache.mu.Lock()
+		releaseCaptured(items)
+		s.cache.mu.Unlock()
 		s.cache.returnPending(pending)
 		return err
 	}
+	hook := func(stage string) error {
+		if h := s.ckptHook; h != nil {
+			return h(stage)
+		}
+		return nil
+	}
+	var buf []byte
 	for _, it := range items {
-		if it.payload == nil {
+		if it.pg == nil {
 			continue
 		}
-		if err := wal.SaveSnapshot(it.path, it.payload); err != nil {
+		var err error
+		if buf, err = writePage(it.path, it.pg, buf); err != nil {
+			return fail(err)
+		}
+		if err := hook("page-written"); err != nil {
 			return fail(err)
 		}
 	}
-	if h := s.ckptHook; h != nil {
-		if err := h("pages-flushed"); err != nil {
+	if len(items) > 0 {
+		if err := wal.SyncDir(s.pagesDir()); err != nil {
 			return fail(err)
 		}
+	}
+	if err := hook("pages-flushed"); err != nil {
+		return fail(err)
 	}
 	if err := wal.SaveSnapshot(s.manifestPath(), encodeManifest(img)); err != nil {
 		return fail(err)
 	}
-	if h := s.ckptHook; h != nil {
-		if err := h("manifest-swapped"); err != nil {
-			return fail(err)
-		}
+	if err := hook("manifest-swapped"); err != nil {
+		return fail(err)
+	}
+	if err := wal.SyncDir(s.dir); err != nil {
+		return fail(err)
+	}
+	if err := hook("store-dir-synced"); err != nil {
+		return fail(err)
 	}
 
 	// --- Phase 3: install, under the store lock again.
@@ -133,13 +160,14 @@ func (s *Store) Checkpoint() error {
 	s.checkpointLSN = lsn
 	s.checkpoints++
 	s.cache.mu.Lock()
+	releaseCaptured(items)
 	for _, it := range items {
 		pm := it.pm
 		oldDurable := pm.durableEpoch
 		curEpoch := pm.epoch
 		same := pm.version == it.version
 		pm.durableEpoch = it.epoch
-		if it.payload != nil {
+		if it.pg != nil {
 			if same {
 				// Nothing changed while flushing: the new file is both the
 				// newest and the durable image.
@@ -174,6 +202,14 @@ func (s *Store) Checkpoint() error {
 		return nil
 	}
 	return log.TruncateThrough(lsn)
+}
+
+// releaseCaptured lets go of the pages a checkpoint captured, so that
+// mutations edit them in place again; the caller holds the cache mutex.
+func releaseCaptured(items []flushItem) {
+	for _, it := range items {
+		it.pm.ckpt = nil
+	}
 }
 
 // checkpointLoop is the background worker: a checkpoint every interval.

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"sssdb/internal/proto"
+	"sssdb/internal/wal"
 )
 
 // Storage defaults; see Options.
@@ -39,9 +40,11 @@ func shapeOf(spec *proto.TableSpec) *proto.Shape {
 
 // page is the resident form of one heap page — the decoded share-row block
 // itself (proto/rowblock.go): an id vector ascending by id plus one slab of
-// the rows' bytes. It is mutated in place, and only under the store's
-// exclusive lock; a reader holding the lock shared may alias its cells but
-// must copy what it keeps before letting the lock go.
+// the rows' bytes. It is mutated in place, only under the store's exclusive
+// lock and only as pageCache.writable returns it (a copy, when an in-flight
+// checkpoint captured the resident one); a reader holding the lock shared
+// may alias its cells but must copy what it keeps before letting the lock
+// go.
 type page = proto.RowBlock
 
 // rowAt returns row i of p as a proto.Row whose cells alias the page — for
@@ -54,12 +57,14 @@ func rowAt(p *page, i int, cells [][]byte) proto.Row {
 	return proto.Row{ID: p.IDs[i], Cells: cells}
 }
 
-// encodePage serializes a page into its payload: the block's header plus a
-// copy of ids and slab, len(payload) == p.EncodedSize(). The payload is
-// wrapped in the CRC + atomic-rename envelope of wal.SaveSnapshot when it
-// goes to disk.
-func encodePage(p *page) []byte {
-	return p.AppendTo(make([]byte, 0, p.EncodedSize()))
+// writePage saves a page to path: its payload — the block's header plus a
+// copy of ids and slab, len(payload) == p.EncodedSize() — encoded into buf
+// and wrapped in the CRC + atomic-rename envelope of wal.SaveSnapshot. It
+// returns the buffer for the next page, so a writer that saves many pages
+// encodes them all into one.
+func writePage(path string, p *page, buf []byte) ([]byte, error) {
+	buf = p.AppendTo(buf[:0])
+	return buf, wal.SaveSnapshot(path, buf)
 }
 
 // decodePage validates a page payload against the table's shape (any shape
@@ -76,9 +81,9 @@ func decodePage(data []byte, shape *proto.Shape) (*page, error) {
 }
 
 // pageMeta is the directory entry for one page, resident or not. Residency
-// fields (res, elem, dirty, epoch, version) are guarded by the store's page
-// cache mutex; span fields (firstID..bytes) additionally change only under
-// the store's exclusive lock.
+// fields (res, elem, ckpt, dirty, epoch, version) are guarded by the store's
+// page cache mutex; span fields (firstID..bytes) additionally change only
+// under the store's exclusive lock.
 type pageMeta struct {
 	heap *rowHeap
 	id   uint64
@@ -107,6 +112,10 @@ type pageMeta struct {
 
 	res  *page
 	elem *lruElem
+	// ckpt is the page object an in-flight checkpoint captured and is
+	// writing out, unlocked, in its phase 2 (nil when none): it must not
+	// change, so pageCache.writable copies it before a mutation.
+	ckpt *page
 }
 
 // rowHeap is one table's paged row storage: a directory of pages partitioned
@@ -168,6 +177,7 @@ func (h *rowHeap) put(row proto.Row, old func(p *page, i int)) error {
 	if err != nil {
 		return err
 	}
+	p = h.s.cache.writable(pm)
 	if i, ok := p.Find(row.ID); ok {
 		old(p, i)
 		err = p.Replace(i, row.Cells)
@@ -194,6 +204,7 @@ func (h *rowHeap) delete(id uint64, old func(p *page, i int)) error {
 		return err
 	}
 	old(p, i)
+	p = h.s.cache.writable(h.pages[idx])
 	p.Delete(i)
 	h.count--
 	if p.Len() == 0 {
@@ -211,10 +222,10 @@ func (h *rowHeap) delete(id uint64, old func(p *page, i int)) error {
 // it never observes the split itself.
 func (h *rowHeap) maybeSplit(idx int) error {
 	pm := h.pages[idx]
-	p := pm.res
-	if pm.bytes <= h.s.opts.PageBytes || p.Len() < 2 {
+	if pm.bytes <= h.s.opts.PageBytes || pm.count < 2 {
 		return nil
 	}
+	p := h.s.cache.writable(pm)
 	p2 := &pageMeta{heap: h, id: h.nextPageID, res: p.Split(p.Mid())}
 	h.nextPageID++
 	h.pages = append(h.pages, nil)

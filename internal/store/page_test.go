@@ -61,7 +61,7 @@ func checkPageAccounting(t *testing.T, s *Store) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc := encodePage(p)
+			enc := p.AppendTo(nil)
 			if pm.bytes != len(enc) || pm.count != p.Len() || pm.firstID != p.IDs[0] || pm.lastID != p.IDs[p.Len()-1] {
 				t.Fatalf("page %d: directory says %d rows [%d, %d] in %d bytes; page holds %d rows [%d, %d] in %d bytes",
 					pm.id, pm.count, pm.firstID, pm.lastID, pm.bytes, p.Len(), p.IDs[0], p.IDs[p.Len()-1], len(enc))
@@ -89,7 +89,7 @@ func checkPageAccounting(t *testing.T, s *Store) {
 
 // TestPageAccountingExact drives random tables through insert, update,
 // delete, split, eviction and reload and checks after every phase that the
-// bytes the directory and the cache account are the bytes encodePage writes.
+// bytes the directory and the cache account are the bytes writePage writes.
 func TestPageAccountingExact(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(41))
 	for iter := 0; iter < 12; iter++ {
@@ -406,7 +406,7 @@ func TestPageAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := s.tables["emp"]
-	payload := encodePage(tb.heap.pages[0].res)
+	payload := tb.heap.pages[0].res.AppendTo(nil)
 	if rowsPerPage := tb.heap.pages[0].count; rowsPerPage < 400 {
 		t.Fatalf("first page holds %d rows; the test wants a full one", rowsPerPage)
 	}
@@ -480,7 +480,7 @@ func FuzzDecodePage(f *testing.F) {
 				f.Fatal(err)
 			}
 		}
-		enc := encodePage(p)
+		enc := p.AppendTo(nil)
 		for cut := 0; cut <= len(enc); cut++ {
 			f.Add(enc[:cut]) // truncated at every byte
 		}
@@ -506,7 +506,7 @@ func FuzzDecodePage(f *testing.F) {
 				continue
 			}
 			check := func(stage string) {
-				enc := encodePage(p)
+				enc := p.AppendTo(nil)
 				back, err := decodePage(enc, p.Shape)
 				if err != nil || len(enc) != p.EncodedSize() || !reflect.DeepEqual(back.IDs, p.IDs) || !bytes.Equal(back.Slab, p.Slab) {
 					t.Fatalf("%s: page does not survive re-encoding (err %v, %d bytes, EncodedSize %d)", stage, err, len(enc), p.EncodedSize())

@@ -74,14 +74,17 @@ func checkAgainstOracle(t *testing.T, s *Store, oracle map[uint64]uint64) {
 	}
 }
 
-// TestCrashDuringCheckpoint kills a checkpoint between its page flushes
-// and the manifest swap (and again right after the swap, before cleanup
-// and WAL truncation), then recovers from the abandoned directory state.
-// Either way the store must come back exactly equal to the oracle: before
-// the swap the old manifest plus the full WAL win and the new page files
-// are orphans; after it the new manifest wins and the WAL suffix is empty.
+// TestCrashDuringCheckpoint kills a checkpoint after its first page write,
+// between its page flushes and the manifest swap, and right after the swap
+// (before and after the store directory is synced, and before cleanup and
+// WAL truncation), then recovers from the abandoned directory state. Either
+// way the store must come back exactly equal to the oracle: before the swap
+// the old manifest plus the full WAL win and the new page files are
+// orphans; after it the new manifest wins and the WAL suffix is empty. The
+// failed checkpoint must let go of every page it captured, so the next write
+// edits the resident page in place.
 func TestCrashDuringCheckpoint(t *testing.T) {
-	for _, stage := range []string{"pages-flushed", "manifest-swapped"} {
+	for _, stage := range []string{"page-written", "pages-flushed", "manifest-swapped", "store-dir-synced"} {
 		t.Run(stage, func(t *testing.T) {
 			dir := t.TempDir()
 			s, err := OpenOptions(dir, tinyOptions())
@@ -139,6 +142,9 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 				t.Fatalf("checkpoint error = %v, want simulated crash", err)
 			}
 			s.ckptHook = nil
+			if captured, _ := capturedPages(s); captured != 0 {
+				t.Fatalf("%d pages still captured after the failed checkpoint", captured)
+			}
 
 			s2, err := OpenOptions(crashDir, tinyOptions())
 			if err != nil {
@@ -160,6 +166,24 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 			delete(oracle, 999)
 
 			// The original store shrugged off the failed checkpoint too.
+			checkAgainstOracle(t, s, oracle)
+			var pm *pageMeta
+			s.cache.mu.Lock()
+			for _, m := range s.tables["employees"].heap.pages {
+				if m.res != nil {
+					pm = m
+				}
+			}
+			res := pm.res
+			s.cache.mu.Unlock()
+			id := res.IDs[0]
+			if err := s.Update("employees", []proto.Row{row(id, 4242)}); err != nil {
+				t.Fatal(err)
+			}
+			oracle[id] = 4242
+			if pm.res != res {
+				t.Fatalf("an update after the failed checkpoint copied page %d instead of editing it in place", pm.id)
+			}
 			checkAgainstOracle(t, s, oracle)
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)

@@ -119,7 +119,7 @@ func dumpStore(t testing.TB, s *Store) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&b, " page [%d, %d] %x\n", pm.firstID, pm.lastID, encodePage(p))
+			fmt.Fprintf(&b, " page [%d, %d] %x\n", pm.firstID, pm.lastID, p.AppendTo(nil))
 		}
 		idxs, err := tb.ensureIndexes()
 		if err != nil {

@@ -136,11 +136,29 @@ func OpenSegments(dir, prefix string, fromLSN uint64, fn func(lsn uint64, rec []
 			s.cur.Close()
 		}
 		s.curFirst = s.lsn + 1
-		if s.cur, err = Open(segmentPath(dir, prefix, s.curFirst), nil); err != nil {
+		if s.cur, err = s.create(s.curFirst); err != nil {
 			return nil, 0, err
 		}
 	}
 	return s, replayed, nil
+}
+
+// create starts the segment whose first record will have LSN first, and
+// syncs the directory: records acknowledged later are durable only if the
+// file's name is too. On failure no new segment file is left behind, since
+// the active segment goes on taking the LSNs its name would claim.
+func (s *Segmented) create(first uint64) (*Log, error) {
+	path := segmentPath(s.dir, s.prefix, first)
+	l, err := Open(path, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := SyncDir(s.dir); err != nil {
+		l.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	return l, nil
 }
 
 // readSegment hands every valid record of a sealed segment to fn.
@@ -198,8 +216,9 @@ func (s *Segmented) SyncStats() (count, nanos, max uint64) {
 }
 
 // Rotate seals the active segment — flushing and fsyncing it, so every
-// record up to LSN() is durable — closes it, and starts a new one. An empty
-// active segment is left in place.
+// record up to LSN() is durable — closes it, and starts a new one, its
+// name synced into the directory. An empty active segment is left in
+// place.
 func (s *Segmented) Rotate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -209,7 +228,7 @@ func (s *Segmented) Rotate() error {
 	if err := s.cur.Sync(); err != nil {
 		return err
 	}
-	next, err := Open(segmentPath(s.dir, s.prefix, s.lsn+1), nil)
+	next, err := s.create(s.lsn + 1)
 	if err != nil {
 		return err
 	}

@@ -271,6 +271,21 @@ func SaveSnapshot(path string, data []byte) error {
 	return os.Rename(tmpName, path)
 }
 
+// SyncDir fsyncs the directory dir, so that the files created, renamed or
+// removed in it so far stay that way through a power loss: fsyncing a file
+// makes its bytes durable, not its name.
+func SyncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // LoadSnapshot reads a snapshot written by SaveSnapshot, verifying its
 // checksum. A missing file returns (nil, nil).
 func LoadSnapshot(path string) ([]byte, error) {

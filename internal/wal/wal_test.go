@@ -347,6 +347,16 @@ func TestSaveSnapshotErrorPaths(t *testing.T) {
 	}
 }
 
+func TestSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := SyncDir(dir); err != nil {
+		t.Fatalf("syncing a directory: %v", err)
+	}
+	if err := SyncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("SyncDir of a missing directory succeeded")
+	}
+}
+
 func TestScanOnCorruptMidFileViaOpen(t *testing.T) {
 	// Open must refuse a log with mid-file corruption rather than silently
 	// truncating valid data after the damage.
