@@ -28,8 +28,8 @@ race:
 # indexes it maintains (an UPDATE moving only its changed cells' entries, an
 # entry's heap cost, a cursor resuming across writes, proofs rebuilt from
 # rows), and the verified scan served from that cursor (its proof on the last
-# batch, refused across a write, bounded by its deadline and by one batch of
-# heap).
+# batch, refused across a write, stopped by its client's cancel and bounded
+# by one batch of heap).
 race-txn:
 	$(GO) test -race -count=2 -run 'TestTx|TestWatermark|TestSharded|TestWritePathsAgree|TestAuditWaitsOutHalfLandedInsert|TestCloseFlushesLazyUpdates' ./internal/client
 	$(GO) test -race -count=1 -run 'TestTx' .
@@ -43,10 +43,12 @@ race-txn:
 # the flapping provider's repair loop, and the deadline-aware transport,
 # in-process conns included (a deadline preempts a handler still running),
 # whose one frame writer stops a stream when its client is gone, bounds what
-# a provider produces for a stalled reader, and strands no frame.
+# a provider produces for a stalled reader, and strands no frame, and whose
+# cancel frame stops every abandoned call: unrun if it is still queued, at
+# the next batch if it streams.
 race-hedge:
 	$(GO) test -race -count=1 -run 'TestHedge|TestStall|TestNoHedges|TestHealth|TestCircuit|TestDynamic|TestReadDeadline|TestRepairFlapping|TestRemoteErrorDoesNotDemote|TestEveryOutcomeReachesLedger|TestProviderOrder' ./internal/client
-	$(GO) test -race -count=2 -run 'TestFaulty|TestWaitBackoff|TestCallDeadline|TestLocalConn|TestStreamStopsWhenClientGone|TestStalledReaderBoundsServer|TestFrameWriter' ./internal/transport
+	$(GO) test -race -count=2 -run 'TestFaulty|TestWaitBackoff|TestCallDeadline|TestLocalConn|TestStreamStopsWhenClientGone|TestStalledReaderBoundsServer|TestFrameWriter|TestCancelWhileQueued|TestAbandonedCall' ./internal/transport
 
 # Ten seconds on each fuzz target, from the corpora checked in under
 # testdata/fuzz: the share-row block codec, the message decoder (one message of

@@ -105,8 +105,9 @@ type Options struct {
 	// ReadDeadline, when positive, bounds the end-to-end latency of each
 	// read statement (Query/QueryRows and their sharded scatter-gather):
 	// the absolute deadline is fixed when the statement starts and
-	// propagates through provider calls, streaming scans (providers abandon
-	// cursor batches for it), and transport dial/retry backoffs. A
+	// propagates through provider calls, streaming scans, and transport
+	// dial/retry backoffs; a provider call it cuts short is cancelled at the
+	// provider (a queued request never runs, a scan stops). A
 	// statement that cannot complete in time fails with ErrDeadline instead
 	// of hanging on slow providers. Zero means unbounded. Write statements
 	// and repair-loop scans are never deadline-bounded.

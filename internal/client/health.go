@@ -156,19 +156,3 @@ func (e *engine) readDeadline() time.Time {
 	}
 	return time.Now().Add(e.opts.ReadDeadline)
 }
-
-// timeoutMillis converts an absolute deadline into the relative
-// ScanRequest.TimeoutMillis the provider uses to abandon a scan whose
-// client has already given up. Rounds up so a sub-millisecond remainder
-// still propagates as a bound (zero means unbounded on the wire).
-func timeoutMillis(deadline time.Time) uint64 {
-	if deadline.IsZero() {
-		return 0
-	}
-	rem := time.Until(deadline)
-	if rem <= 0 {
-		return 1
-	}
-	ms := (rem + time.Millisecond - 1) / time.Millisecond
-	return uint64(ms)
-}

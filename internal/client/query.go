@@ -310,12 +310,7 @@ func (e *engine) scanVerified(meta *tableMeta, preds []compiledPred, deadline ti
 	// proof-failing or outvoted providers be dropped while a quorum of K
 	// survives.
 	responses, err := e.collectWhole(e.opts.K, e.opts.N, func(i int) proto.Message {
-		return &proto.ScanRequest{
-			Table:         meta.Name,
-			Filter:        filters[i],
-			WithProof:     true,
-			TimeoutMillis: timeoutMillis(deadline),
-		}
+		return &proto.ScanRequest{Table: meta.Name, Filter: filters[i], WithProof: true}
 	}, deadline)
 	if err != nil {
 		return nil, err

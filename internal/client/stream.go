@@ -405,12 +405,11 @@ func (e *engine) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 			e: e,
 			ask: func(p int, limit uint64) proto.Message {
 				return &proto.ScanRequest{
-					Table:         meta.Name,
-					Filter:        filters[p],
-					Projection:    plan.names,
-					IDsOnly:       plan.idsOnly(),
-					Limit:         limit,
-					TimeoutMillis: timeoutMillis(o.deadline),
+					Table:      meta.Name,
+					Filter:     filters[p],
+					Projection: plan.names,
+					IDsOnly:    plan.idsOnly(),
+					Limit:      limit,
 				}
 			},
 			deadline:  o.deadline,
@@ -629,13 +628,11 @@ func (e *engine) collectStream(meta *tableMeta, preds []compiledPred, o scanOpts
 	}
 }
 
-// mapDeadlineErr folds the two wire shapes of an elapsed read deadline — a
-// local transport timeout and the provider-side scan-abandoned remote error
-// — into ErrDeadline, so callers can tell "out of time" apart from "needs
+// mapDeadlineErr folds an elapsed read deadline, a transport timeout, into
+// ErrDeadline, so callers can tell "out of time" apart from "needs
 // failover".
 func mapDeadlineErr(err error) error {
-	code, answered := remoteCode(err)
-	if errors.Is(err, os.ErrDeadlineExceeded) || (answered && code == proto.CodeDeadlineExceeded) {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
 		return fmt.Errorf("%w: %v", ErrDeadline, err)
 	}
 	return err

@@ -141,18 +141,16 @@ func (m *UpdateRequest) fields(c *codec) {
 // to the named columns (all when empty; none — a zero-cell block, just ids —
 // when IDsOnly), capped at Limit when non-zero.
 // WithProof asks for a Merkle completeness proof over the filtered column.
-// TimeoutMillis, when non-zero, is the client's remaining read deadline at
-// send time: a provider streaming the response checks it between batches
-// and abandons the scan with CodeDeadlineExceeded once it elapses, so a
-// client that has already timed out stops costing the provider work.
+// The request carries no deadline: a client that gives up on the scan sends
+// the transport's cancel frame, which stops the provider's cursor at its
+// next batch (or drops the request unrun if it is still queued).
 type ScanRequest struct {
-	Table         string
-	Filter        *Filter
-	Projection    []string
-	Limit         uint64
-	WithProof     bool
-	IDsOnly       bool
-	TimeoutMillis uint64
+	Table      string
+	Filter     *Filter
+	Projection []string
+	Limit      uint64
+	WithProof  bool
+	IDsOnly    bool
 }
 
 func (*ScanRequest) Kind() Kind { return KScan }
@@ -162,7 +160,6 @@ func (m *ScanRequest) fields(c *codec) {
 	c.strings(&m.Projection)
 	c.uvarint(&m.Limit)
 	c.flags(&m.WithProof, &m.IDsOnly)
-	c.uvarint(&m.TimeoutMillis)
 }
 
 // AggregateRequest computes a provider-side partial aggregate, answered with

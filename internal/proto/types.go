@@ -245,11 +245,6 @@ const (
 	// forgets it. The client treats this as "replay the ops via hints", not
 	// as a hard rejection.
 	CodeNoSuchTx
-	// CodeDeadlineExceeded answers a request whose propagated client
-	// deadline (ScanRequest.TimeoutMillis) elapsed before the provider
-	// finished producing the response. The client has already given up on
-	// the call, so the provider stops doing work for it.
-	CodeDeadlineExceeded
 )
 
 func (c ErrorCode) String() string {
@@ -272,8 +267,6 @@ func (c ErrorCode) String() string {
 		return "server busy"
 	case CodeNoSuchTx:
 		return "no such transaction"
-	case CodeDeadlineExceeded:
-		return "deadline exceeded"
 	default:
 		return "unknown error"
 	}

@@ -7,7 +7,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"sssdb/internal/proto"
 	"sssdb/internal/store"
@@ -39,7 +38,8 @@ var (
 // store cursor, emitting bounded row batches as they are produced instead of
 // materializing the result set, and a proof-carrying scan's last batch
 // carries its completeness proof. A scan that cannot be proved is refused
-// before any row is sent. Every other request reports handled=false.
+// before any row is sent, and one whose client gave up (emit fails) stops at
+// that batch. Every other request reports handled=false.
 func (p *Provider) HandleStream(req proto.Message, emit func(*proto.RowsResponse) error) (bool, error) {
 	m, ok := req.(*proto.ScanRequest)
 	if !ok {
@@ -52,17 +52,7 @@ func (p *Provider) HandleStream(req proto.Message, emit func(*proto.RowsResponse
 	if err != nil {
 		return true, errResponse(err).Err()
 	}
-	// The client's propagated read deadline: once it elapses, the client
-	// has already given up on this call, so producing further batches only
-	// burns provider cycles. Checked between batches (a batch is bounded).
-	var deadline time.Time
-	if m.TimeoutMillis > 0 {
-		deadline = time.Now().Add(time.Duration(m.TimeoutMillis) * time.Millisecond)
-	}
 	for sent := false; ; sent = true {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return true, &proto.RemoteError{Code: proto.CodeDeadlineExceeded, Msg: "scan abandoned: client deadline elapsed"}
-		}
 		batch, err := cur.Next()
 		switch {
 		case err != nil:

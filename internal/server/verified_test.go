@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"sssdb/internal/merkle"
 	"sssdb/internal/proto"
 	"sssdb/internal/store"
+	"sssdb/internal/transport"
 )
 
 // empSpec is the emp shape: four order-preserving columns (13-byte cells)
@@ -139,15 +141,55 @@ func TestVerifiedScanRefusesMixedRows(t *testing.T) {
 	}
 }
 
-// TestVerifiedScanHonoursDeadline: the client's propagated deadline bounds a
-// verified scan between batches, as it bounds any scan.
+// slowEmits serves a provider's scans with a pause before each batch and
+// reports, once HandleStream returns, how many batches it emitted and the
+// error it stopped with.
+type slowEmits struct {
+	*Provider
+	pause   time.Duration
+	emitted int
+	done    chan error
+}
+
+func (h *slowEmits) HandleStream(req proto.Message, emit func(*proto.RowsResponse) error) (bool, error) {
+	handled, err := h.Provider.HandleStream(req, func(b *proto.RowsResponse) error {
+		time.Sleep(h.pause)
+		if err := emit(b); err != nil {
+			return err
+		}
+		h.emitted++
+		return nil
+	})
+	if handled {
+		h.done <- err
+	}
+	return handled, err
+}
+
+// TestVerifiedScanHonoursDeadline: a client that gives up on a verified scan
+// stops the provider. The call fails with os.ErrDeadlineExceeded, and the
+// cancel frame it sends ends the provider's cursor at the next batch instead
+// of at the end of the range.
 func TestVerifiedScanHonoursDeadline(t *testing.T) {
 	p := empProvider(t, 6000)
-	req := &proto.ScanRequest{Table: "emp", Filter: salaries(0, 6000), WithProof: true, TimeoutMillis: 20}
-	_, err := streamScan(t, p, req, func(*proto.RowsResponse) { time.Sleep(30 * time.Millisecond) })
-	var re *proto.RemoteError
-	if !errors.As(err, &re) || re.Code != proto.CodeDeadlineExceeded {
-		t.Fatalf("verified scan past its deadline: %v, want CodeDeadlineExceeded", err)
+	req := &proto.ScanRequest{Table: "emp", Filter: salaries(0, 6000), WithProof: true}
+	all, err := streamScan(t, p, req, nil)
+	if err != nil || len(all) < 2 {
+		t.Fatalf("undisturbed scan: %d batches, %v; want 2 or more", len(all), err)
+	}
+	h := &slowEmits{Provider: p, pause: 30 * time.Millisecond, done: make(chan error, 1)}
+	c := transport.NewLocal(h)
+	defer c.Close()
+	if _, err := transport.CallWithDeadline(c, req, time.Now().Add(20*time.Millisecond)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("verified scan past its deadline: %v, want os.ErrDeadlineExceeded", err)
+	}
+	select {
+	case err = <-h.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("provider still scanning 5s after its client gave up")
+	}
+	if !errors.Is(err, transport.ErrStreamCanceled) || h.emitted >= len(all) {
+		t.Fatalf("provider emitted %d of %d batches and stopped with %v, want it cancelled before the end", h.emitted, len(all), err)
 	}
 }
 

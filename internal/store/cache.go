@@ -193,14 +193,6 @@ func (c *pageCache) forget(pm *pageMeta) {
 	}
 }
 
-// deferRemove schedules a page file for deletion after the next manifest
-// swap.
-func (c *pageCache) deferRemove(path string) {
-	c.mu.Lock()
-	c.pendingRemove = append(c.pendingRemove, path)
-	c.mu.Unlock()
-}
-
 // takePending hands the current deferred-deletion set to a checkpoint.
 func (c *pageCache) takePending() []string {
 	c.mu.Lock()

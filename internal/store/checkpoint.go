@@ -44,9 +44,10 @@ type flushItem struct {
 // manifest and sync the store directory; a crash anywhere here leaves the
 // old manifest and the full WAL, both still consistent. Phase 3 (store lock
 // again): release the captured pages, advance the checkpoint LSN, clear
-// dirty flags on pages whose version is unchanged, delete superseded page
-// files, and truncate covered WAL segments — only now that the directory
-// entry of the manifest that covers them is durable.
+// dirty flags on pages whose version is unchanged, and collect the page
+// files they superseded. Once the lock is released, those files are deleted
+// and covered WAL segments truncated — only now that the directory entry of
+// the manifest that covers them is durable.
 func (s *Store) Checkpoint() error {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
@@ -181,11 +182,11 @@ func (s *Store) Checkpoint() error {
 			// Else an eviction wrote an even newer file; leave it in place.
 		}
 		pm.dirtyCkpt = !same
-		// Delete this page's files that neither the directory nor the new
-		// manifest references anymore. removeFile tolerates repeats.
+		// This page's files that neither the directory nor the new manifest
+		// references anymore go after the lock. removeFile tolerates repeats.
 		for _, e := range [3]uint64{it.oldEpoch, oldDurable, curEpoch} {
 			if e != 0 && e != pm.epoch && e != pm.durableEpoch {
-				removeFile(s.pageFilePath(pm.heap.tableID, pm.id, e))
+				pending = append(pending, s.pageFilePath(pm.heap.tableID, pm.id, e))
 			}
 		}
 	}
@@ -193,8 +194,9 @@ func (s *Store) Checkpoint() error {
 	log := s.log
 	s.mu.Unlock()
 
-	// Files dropped before this checkpoint are unreferenced by the new
-	// manifest; now they can actually go.
+	// Files dropped before this checkpoint and the ones it superseded are
+	// unreferenced by the new manifest, so they can go now, outside the
+	// lock: epochs are never reused, so no page can come to name them again.
 	for _, p := range pending {
 		removeFile(p)
 	}

@@ -38,9 +38,14 @@ const (
 // write is bounded by writeStall (30 s), as on the provider's side: a peer
 // that stops reading that long is treated as dead and its session fails.
 type DialConfig struct {
-	// Timeout is the per-call deadline: a Call (including the whole chunk
-	// stream of its response) that does not complete within Timeout fails
-	// with a net.Error whose Timeout() is true. Zero disables deadlines.
+	// Timeout bounds each step of a call, not the call: the TCP connect,
+	// the protocol handshake, and each exchange (the request and the whole
+	// chunk stream of its response). A step that overruns it fails with a
+	// net.Error whose Timeout() is true. An exchange that timed out is not
+	// retried, but every redial (MaxRedials) and every busy retry
+	// (BusyRetries) starts its steps with a fresh Timeout, so one call can
+	// last several Timeouts plus backoff. A CallDeadline deadline bounds
+	// the whole call. Zero disables these bounds.
 	Timeout time.Duration
 	// MaxRedials caps automatic reconnect attempts per call after the
 	// connection dies. 0 means the default (2); negative disables
@@ -559,9 +564,7 @@ func (c *muxConn) muxCall(s *session, body []byte, yield func(*proto.RowsRespons
 			return r.msg, true, nil
 		case <-timeoutC:
 			s.abandon(id)
-			if pc.stream != nil {
-				s.sendCancel(id)
-			}
+			s.sendCancel(id)
 			if countWedge && s.consecTimeouts.Add(1) >= consecTimeoutLimit {
 				// Nothing has come back across several deadlines: the
 				// connection is wedged; tear it down so the next call
@@ -583,11 +586,12 @@ func (s *session) writeRequest(id uint64, flags uint8, body []byte) error {
 	return nil
 }
 
-// sendCancel asks the server to stop producing the response for an
-// abandoned streaming call (LIMIT satisfied, deadline hit). Best-effort:
-// if the write fails the session is torn down anyway, and if the server
-// has already finished, the unknown id is ignored server-side while the
-// demux drops whatever frames were in flight.
+// sendCancel tells the server the caller abandoned a call (LIMIT satisfied,
+// deadline hit), whatever its kind: a request still queued there never runs,
+// and a stream stops at its next batch. Best-effort: if the write fails the
+// session is torn down anyway, and if the server has already answered, the
+// unknown id is ignored server-side while the demux drops whatever frames
+// were in flight.
 func (s *session) sendCancel(id uint64) {
 	if s.writeRequest(id, flagCancel, nil) == nil {
 		s.stats.sent.Add(frameLen(nil))

@@ -118,17 +118,22 @@ func TestSchedulerQueueBound(t *testing.T) {
 }
 
 // blockingHandler parks scan handlers on a channel (pings answer
-// immediately) so tests control exactly when server capacity frees up.
+// immediately, and are counted) so tests control exactly when server
+// capacity frees up.
 type blockingHandler struct {
 	release chan struct{}
 	once    sync.Once
 	started atomic.Int32
+	pings   atomic.Int32
 }
 
 func (h *blockingHandler) Handle(req proto.Message) proto.Message {
-	if _, ok := req.(*proto.ScanRequest); ok {
+	switch req.(type) {
+	case *proto.ScanRequest:
 		h.started.Add(1)
 		<-h.release
+	case *proto.PingRequest:
+		h.pings.Add(1)
 	}
 	return &proto.OKResponse{}
 }

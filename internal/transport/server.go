@@ -183,8 +183,8 @@ func (s *Server) serveMux(nc net.Conn, br *bufio.Reader, tenant string) {
 	// read loop registers an id before submitting its work item and
 	// processes frames in order, so a cancel frame (which the client writes
 	// after the request) can never observe its request as unregistered. A
-	// cancel for a still-queued request closes the signal early, and the
-	// streaming path checks it before producing anything.
+	// cancel for a still-queued request closes the signal early, and
+	// runRequest drops the request unrun.
 	var cancelMu sync.Mutex
 	cancels := make(map[uint64]chan struct{})
 	unregister := func(id uint64) {
@@ -238,9 +238,16 @@ func (s *Server) serveMux(nc net.Conn, br *bufio.Reader, tenant string) {
 
 // runRequest executes one admitted request: a handler that streams it
 // answers in chunk frames (serveStream), and Handle's answer is one frame.
-// A stats reply carries the scheduler's serving stats too, so every ping
+// A request whose client cancelled it while it queued is dropped unrun and
+// unanswered, whatever its kind: the client has already stopped waiting. A
+// stats reply carries the scheduler's serving stats too, so every ping
 // doubles as a queue-pressure probe.
 func (s *Server) runRequest(w *frameWriter, id uint64, req proto.Message, cancel chan struct{}) {
+	select {
+	case <-cancel:
+		return
+	default:
+	}
 	if sh, ok := s.handler.(StreamHandler); ok && s.serveStream(sh, w, id, req, cancel) {
 		return
 	}

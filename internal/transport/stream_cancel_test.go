@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -233,5 +234,77 @@ func TestStalledReaderBoundsServer(t *testing.T) {
 	}
 	if rows != h.n {
 		t.Fatalf("received %d rows, want %d", rows, h.n)
+	}
+}
+
+// TestCancelWhileQueuedSkipsHandler: a call abandoned while its request
+// still queued at the provider never reaches the handler. With one worker
+// held by a blocked request, a ping times out in the queue; its cancel frame
+// arrives before the worker frees up, so the ping is dropped unrun.
+func TestCancelWhileQueuedSkipsHandler(t *testing.T) {
+	h := &blockingHandler{release: make(chan struct{})}
+	srv := newTestServer(t, h, ServerConfig{MaxInflight: 1})
+	c, err := DialWith(srv.Addr().String(), DialConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	calls := make(chan error, 2)
+	call := func() {
+		_, err := c.Call(&proto.ScanRequest{Table: "t"})
+		calls <- err
+	}
+	go call()
+	waitFor(t, "the first request to hold the worker", func() bool { return h.started.Load() == 1 })
+	if _, err := CallWithDeadline(c, &proto.PingRequest{}, time.Now().Add(50*time.Millisecond)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("queued ping: %v, want os.ErrDeadlineExceeded", err)
+	}
+	// The server reads a connection's frames in order, so once the request
+	// sent after the ping's cancel frame is queued, that cancel has landed.
+	go call()
+	waitFor(t, "the ping and the next request to queue", func() bool { return srv.SchedStats().QueueDepth == 2 })
+	h.unblock()
+	for i := 0; i < 2; i++ {
+		if err := <-calls; err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The queue is FIFO and the ping was ahead of the last request: by now
+	// it has either run or been dropped.
+	if n := h.pings.Load(); n != 0 {
+		t.Fatalf("the handler ran a ping its client had cancelled while it queued (%d runs)", n)
+	}
+}
+
+// TestAbandonedCallStopsStream: a plain call whose deadline passes stops a
+// provider that streams its answer, as a streaming call does: the client
+// sends the cancel frame and the handler's next emit fails, a few chunks
+// past the deadline instead of at the end of its 100.
+func TestAbandonedCallStopsStream(t *testing.T) {
+	const pause, deadline, maxChunks = 5 * time.Millisecond, 50 * time.Millisecond, 20
+	h := newPacedStreamer(100, pause)
+	c := NewLocal(h)
+	defer c.Close()
+	if _, err := CallWithDeadline(c, &proto.ScanRequest{Table: "t"}, time.Now().Add(deadline)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("call past its deadline: %v, want os.ErrDeadlineExceeded", err)
+	}
+	select {
+	case <-h.finished:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("handler still streaming 5s after its client gave up (%d chunks)", h.emitted.Load())
+	}
+	t.Logf("handler stopped after %d chunks", h.emitted.Load())
+	if n := h.emitted.Load(); n > maxChunks {
+		t.Fatalf("handler emitted %d of %d chunks for a call abandoned after %v, want at most %d", n, h.n, deadline, maxChunks)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for start := time.Now(); !cond(); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }

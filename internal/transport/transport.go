@@ -13,7 +13,8 @@
 // one connection, the server dispatches them through its admission
 // scheduler and replies out of order, large row responses stream back as a
 // chunked sequence of frames with bounded buffering on both ends, and a
-// client that has what it needs cancels the rest of a stream by id.
+// client that stops waiting for a call (it has what it needs, or its
+// deadline passed) cancels it by id.
 //
 // The package also provides fault injection (crash, delay, response
 // corruption) used by the fault-tolerance and malicious-provider
@@ -44,8 +45,10 @@ const maxFrameSize = 256 << 20
 // whose order-preserving cells are as wide as the table spec declares, and
 // number their message kinds from proto's kindBase; version 5 answers every
 // aggregate with one message of buckets (proto.GroupResult); version 6 puts
-// the Merkle root inside a verified scan's proof and has no digest request.
-const protoVersion = 6
+// the Merkle root inside a verified scan's proof and has no digest request;
+// version 7 drops the scan's clock deadline, since the cancel frame now
+// stops every abandoned call.
+const protoVersion = 7
 
 // Frame flags.
 const (
@@ -54,8 +57,9 @@ const (
 	// flagChunk marks a frame carrying part of a streamed row response.
 	flagChunk = 0x02
 	// flagCancel, on a client→server frame, asks the server to stop
-	// producing the response for this request id (LIMIT reached, caller
-	// gone). The body is empty. Cancellation is advisory and asymmetric:
+	// producing the response for this request id (LIMIT reached, deadline
+	// hit): a queued request never runs and a stream stops at its next
+	// batch. The body is empty. Cancellation is advisory and asymmetric:
 	// the client has already abandoned the id, so any frames that race the
 	// cancel are dropped on arrival.
 	flagCancel = 0x04

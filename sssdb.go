@@ -125,7 +125,11 @@ func Open(addrs []string, opts Options) (*Client, error) {
 	return OpenWith(addrs, opts, DialConfig{})
 }
 
-// OpenTimeout is Open with a per-call deadline; see DialConfig.Timeout.
+// OpenTimeout is Open with DialConfig.Timeout set: timeout bounds each
+// connect, handshake and request attempt, and a call that redials or is
+// retried after a busy rejection gets a fresh one per attempt, so it is not
+// a bound on the whole call (Options.ReadDeadline bounds a whole read). See
+// DialConfig.Timeout.
 func OpenTimeout(addrs []string, opts Options, timeout time.Duration) (*Client, error) {
 	return OpenWith(addrs, opts, DialConfig{Timeout: timeout})
 }
