@@ -169,9 +169,9 @@ type Client struct {
 	groups []*engine
 	cat    *catalog
 	// domains caches the order-preserving scheme of each value domain, one
-	// instance per group. Only DDL and catalog import touch it, under every
-	// group's exclusive lock.
-	domains map[string][]*opp.Scheme
+	// instance shared by every group. Only DDL and catalog import touch it,
+	// under every group's exclusive lock.
+	domains map[string]*opp.Scheme
 	// forceClientAgg disables provider-side partial aggregation; the E8
 	// ablation benchmark measures what it costs.
 	forceClientAgg atomic.Bool
@@ -318,7 +318,7 @@ func NewSharded(groups [][]transport.Conn, opts Options) (*Client, error) {
 	c := &Client{
 		opts:    opts,
 		cat:     &catalog{tables: make(map[string]*tableMeta)},
-		domains: make(map[string][]*opp.Scheme),
+		domains: make(map[string]*opp.Scheme),
 	}
 	for g, conns := range groups {
 		gopts := opts

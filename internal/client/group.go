@@ -445,11 +445,11 @@ func (e *engine) decodeBuckets(gcm *colMeta, provider int, parts []proto.GroupPa
 	for b, gp := range parts {
 		g := &group{count: gp.Count, vals: map[reduction]Value{}}
 		if gcm != nil {
-			share, err := gcm.oppSch[e.g].ParseShare(gp.Key)
+			share, err := gcm.oppSch.ParseShare(gp.Key)
 			if err != nil {
 				return nil, fmt.Errorf("%w: malformed group key: %v", ErrInconsistent, err)
 			}
-			if g.enc, err = gcm.oppSch[e.g].ReconstructSearch(provider, share); err != nil {
+			if g.enc, err = gcm.oppSch.ReconstructSearch(provider, share); err != nil {
 				return nil, fmt.Errorf("%w: group key has no preimage: %v", ErrVerification, err)
 			}
 			if g.key, err = gcm.decode(g.enc); err != nil {

@@ -253,6 +253,82 @@ func TestGoldenCatalogs(t *testing.T) {
 	}
 }
 
+// TestConcurrentGroupEncodes: at G = 2 both groups encode through the one
+// order-preserving scheme of each domain. Bulk inserts split by the two
+// groups' encode workers run beside GROUP BYs that reconstruct keys through
+// the same scheme's memo; run it under -race. Every read succeeds, and the
+// last one counts exactly what was inserted.
+func TestConcurrentGroupEncodes(t *testing.T) {
+	const depts, batch, batches = 16, 1024, 3
+	f := newShardFleet(t, 2, 3, 2, Options{ParallelWorkers: 2})
+	c := f.router
+	if _, err := c.Exec(`CREATE TABLE t (id INT, dept INT)`); err != nil {
+		t.Fatal(err)
+	}
+	id, dept := &c.cat.tables["t"].Cols[0], &c.cat.tables["t"].Cols[1]
+	if id.oppSch != dept.oppSch || c.domains[id.domain] != id.oppSch {
+		t.Fatal("the INT columns do not share their domain's one scheme")
+	}
+	insert := func(b int) error {
+		rows := make([][]Value, batch)
+		for i := range rows {
+			n := int64(b*batch + i)
+			rows[i] = []Value{IntValue(n), IntValue(n % depts)}
+		}
+		_, err := c.InsertValues("t", rows)
+		return err
+	}
+	if err := insert(0); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for b := 1; b < batches; b++ {
+			if err := insert(b); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	countByDept := func() (map[int64]int64, error) {
+		res, err := c.Exec(`SELECT dept, COUNT(*) FROM t GROUP BY dept`)
+		if err != nil {
+			return nil, err
+		}
+		out := map[int64]int64{}
+		for _, row := range res.Rows {
+			if row[0].I < 0 || row[0].I >= depts {
+				return nil, fmt.Errorf("GROUP BY key %d outside [0, %d)", row[0].I, depts)
+			}
+			out[row[0].I] = row[1].I
+		}
+		return out, nil
+	}
+	for writing := true; writing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		if _, err := countByDept(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := countByDept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := int64(0); d < depts; d++ {
+		if want := int64(batch * batches / depts); got[d] != want {
+			t.Errorf("dept %d: COUNT(*) = %d, want %d", d, got[d], want)
+		}
+	}
+}
+
 // TestHintDirOfOldFormatRefused attaches clients to HintDirs written by the
 // commits before each format change (testdata/format-v1: per-row encodings;
 // testdata/format-v2: row blocks of 24-byte shares, specs without widths): a

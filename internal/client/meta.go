@@ -28,12 +28,11 @@ type colMeta struct {
 	Arg  int // VARCHAR width / DECIMAL scale
 
 	// Queryable columns carry codecs and the per-domain OPP scheme, one
-	// instance per provider group (see domainScheme); engine g uses
-	// oppSch[g].
+	// instance shared by every provider group (see domainScheme).
 	intCodec *numenc.SignedCodec
 	decCodec *numenc.DecimalCodec
 	strCodec *numenc.StringCodec
-	oppSch   []*opp.Scheme
+	oppSch   *opp.Scheme
 	domain   string
 	bits     uint
 }
@@ -199,13 +198,13 @@ func (t *tableMeta) scanPlan(preds []compiledPred, cols []int, verified bool) fe
 }
 
 // providerSpec derives the share-space table spec shipped to providers; an
-// order-preserving column is as wide as its domain's scheme (any group's).
+// order-preserving column is as wide as its domain's scheme.
 func (t *tableMeta) providerSpec() proto.TableSpec {
 	spec := proto.TableSpec{Name: t.Name}
 	for _, c := range t.Cols {
 		if c.queryable() {
 			spec.Columns = append(spec.Columns,
-				proto.ColumnSpec{Name: c.Name + suffixOPP, Kind: proto.KindOPP, Indexed: true, Width: uint8(c.oppSch[0].Width())},
+				proto.ColumnSpec{Name: c.Name + suffixOPP, Kind: proto.KindOPP, Indexed: true, Width: uint8(c.oppSch.Width())},
 				proto.ColumnSpec{Name: c.Name + suffixField, Kind: proto.KindField},
 			)
 		} else {
@@ -285,32 +284,27 @@ func (c *Client) buildColMeta(def sql.ColumnDef) (colMeta, error) {
 
 // domainScheme returns (building and caching on first use) the OPP scheme
 // of a domain. The scheme key is derived from the master key and the domain
-// signature, so all columns of one domain share polynomials across tables —
-// and across groups: every group gets the same scheme, but its own instance
-// of it, because an instance memoizes shares behind one lock and the groups'
-// concurrent bulk encodes would otherwise queue on it.
-func (c *Client) domainScheme(domain string, bits uint) ([]*opp.Scheme, error) {
-	if schs, ok := c.domains[domain]; ok {
-		return schs, nil
+// signature, so all columns of one domain share polynomials across tables
+// and across groups, and one instance serves them all: its bulk encodes
+// (SplitInto) take no lock, and only repeating query bounds and
+// reconstructions go through its share memo.
+func (c *Client) domainScheme(domain string, bits uint) (*opp.Scheme, error) {
+	if sch, ok := c.domains[domain]; ok {
+		return sch, nil
 	}
 	mac := hmac.New(sha256.New, c.opts.MasterKey)
 	mac.Write([]byte("sssdb/domain/"))
 	mac.Write([]byte(domain))
-	key := mac.Sum(nil)
-	schs := make([]*opp.Scheme, len(c.groups))
-	for g := range schs {
-		sch, err := opp.NewScheme(opp.Params{
-			Degree:     c.opts.OPPDegree,
-			DomainBits: bits,
-			N:          c.opts.N,
-		}, key)
-		if err != nil {
-			return nil, err
-		}
-		schs[g] = sch
+	sch, err := opp.NewScheme(opp.Params{
+		Degree:     c.opts.OPPDegree,
+		DomainBits: bits,
+		N:          c.opts.N,
+	}, mac.Sum(nil))
+	if err != nil {
+		return nil, err
 	}
-	c.domains[domain] = schs
-	return schs, nil
+	c.domains[domain] = sch
+	return sch, nil
 }
 
 // parseValue converts a SQL literal into a typed Value for a column.
@@ -429,10 +423,10 @@ func (cm *colMeta) domainBounds() (uint64, uint64) {
 }
 
 // shareBounds returns provider p's serialized order-preserving shares of the
-// encoded values lo and hi under group g's scheme: the bounds of a filter,
-// and what a cell of the column that provider stores compares against.
-func (cm *colMeta) shareBounds(g, p int, lo, hi uint64) (loCell, hiCell []byte, err error) {
-	sch := cm.oppSch[g]
+// encoded values lo and hi: the bounds of a filter, and what a cell of the
+// column that provider stores compares against.
+func (cm *colMeta) shareBounds(p int, lo, hi uint64) (loCell, hiCell []byte, err error) {
+	sch := cm.oppSch
 	loShare, err := sch.ShareAt(lo, p)
 	if err != nil {
 		return nil, nil, err

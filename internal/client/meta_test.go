@@ -129,7 +129,7 @@ func TestDomainSignatures(t *testing.T) {
 	if a.domain != b.domain {
 		t.Fatal("two INT columns have different domains")
 	}
-	if a.oppSch[0] != b.oppSch[0] {
+	if a.oppSch != b.oppSch {
 		t.Fatal("same domain should share one OPP scheme instance")
 	}
 	v8, _ := c.buildColMeta(sql.ColumnDef{Name: "v", Type: sql.TypeVarchar, Arg: 8})

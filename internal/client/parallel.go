@@ -6,8 +6,11 @@ import (
 )
 
 // parallelMinRows is the row count below which chunked work stays on the
-// calling goroutine: per-row share arithmetic is a few hundred nanoseconds,
-// so smaller batches cannot amortize goroutine startup.
+// calling goroutine. A row's share encoding costs Degree HMACs per queryable
+// column (12 for the benchmark's four-column row at degree 3; encodeRow
+// takes ≈6–7 µs a row), so 256 rows are over a millisecond of work, far
+// above a goroutine start-up; the value itself is a guess that no workload
+// measures.
 const parallelMinRows = 256
 
 // lockedReader serializes a caller-supplied randomness source so parallel

@@ -177,7 +177,7 @@ func (e *engine) providerFilters(meta *tableMeta, preds []compiledPred) ([]*prot
 	cp := preds[0]
 	cm := &meta.Cols[cp.ci]
 	for p := range filters {
-		lo, hi, err := cm.shareBounds(e.g, p, cp.lo, cp.hi)
+		lo, hi, err := cm.shareBounds(p, cp.lo, cp.hi)
 		if err != nil {
 			return nil, err
 		}
@@ -582,7 +582,7 @@ func (e *engine) verifyProviderScan(meta *tableMeta, preds []compiledPred, p int
 	if proof.LeftFence != nil {
 		run = append(run, merkle.LeafHash(proof.LeftFence.Key, proof.LeftFence.RowDigest))
 	}
-	lo, hi, err := cm.shareBounds(e.g, p, cp.lo, cp.hi)
+	lo, hi, err := cm.shareBounds(p, cp.lo, cp.hi)
 	if err != nil {
 		return 0, err
 	}

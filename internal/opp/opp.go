@@ -105,18 +105,33 @@ type Scheme struct {
 	maxShare Share
 	width    int
 
-	// cache memoizes p_v(x) per (value, evaluation point): share derivation
-	// is deterministic, and both query rewriting (the same filter bounds
-	// over and over) and ReconstructSearch (the same binary-search probe
-	// ladder for every decoded cell) hit a small working set of values. It
-	// is bounded: when full it is dropped wholesale and rebuilt.
+	// cache memoizes p_v(x) per (value, evaluation point) for the readers
+	// whose values repeat: ShareAt (the same filter bounds over and over)
+	// and ReconstructSearch (the same binary-search probe ladder for every
+	// decoded cell and GROUP BY key). SplitInto, the write path, never
+	// touches it: a bulk load's values are mostly distinct, so memoizing
+	// them only churns the map under its lock. It is bounded: when full it
+	// is dropped wholesale and rebuilt.
 	cacheMu sync.RWMutex
 	cache   map[shareKey]Share
 
-	// macs pools keyed HMAC states: hmac.New runs the full key schedule
-	// (two SHA-256 blocks) and allocates three hash states, while Reset on
-	// a pooled instance just restores the precomputed pads.
+	// macs pools the macState of callers without their own (a Splitter
+	// has one): hmac.New runs the full key schedule (two SHA-256 blocks)
+	// and allocates three hash states, while Reset on a kept instance just
+	// restores the precomputed pads.
 	macs sync.Pool
+}
+
+// coeffLabel prefixes every coefficient HMAC input.
+const coeffLabel = "sssdb/opp-coefficient"
+
+// macState is the scratch of coefficient derivation: the keyed HMAC, its
+// input (coeffLabel, then j and v big-endian) and the digest, kept together
+// so a derivation allocates nothing.
+type macState struct {
+	mac hash.Hash
+	in  [len(coeffLabel) + 16]byte
+	sum [sha256.Size]byte
 }
 
 // shareKey indexes the share cache by (secret value, evaluation point).
@@ -150,7 +165,7 @@ func NewScheme(p Params, key []byte) (*Scheme, error) {
 		key:    append([]byte(nil), key...),
 		cache:  make(map[shareKey]Share),
 	}
-	s.macs.New = func() any { return hmac.New(sha256.New, s.key) }
+	s.macs.New = func() any { return s.newMACState() }
 	xs, err := deriveEvalPoints(key, p.N)
 	if err != nil {
 		return nil, err
@@ -178,6 +193,12 @@ func NewScheme(p Params, key []byte) (*Scheme, error) {
 	s.maxShare = max
 	s.width = (acc.BitLen() + 7) / 8
 	return s, nil
+}
+
+func (s *Scheme) newMACState() *macState {
+	st := &macState{mac: hmac.New(sha256.New, s.key)}
+	copy(st.in[:], coeffLabel)
+	return st
 }
 
 // deriveEvalPoints deterministically derives n distinct points in
@@ -253,27 +274,22 @@ func (s *Scheme) EvalPoint(i int) (uint64, error) {
 }
 
 // coeffOffset derives the keyed pseudo-random offset h_j(v), truncated to
-// SlotBits.
-func (s *Scheme) coeffOffset(j int, v uint64) uint64 {
-	mac := s.macs.Get().(hash.Hash)
-	mac.Reset()
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], uint64(j))
-	binary.BigEndian.PutUint64(buf[8:], v)
-	mac.Write([]byte("sssdb/opp-coefficient"))
-	mac.Write(buf[:])
-	var sumBuf [sha256.Size]byte
-	sum := mac.Sum(sumBuf[:0])
-	s.macs.Put(mac)
+// SlotBits, with st's HMAC.
+func (s *Scheme) coeffOffset(st *macState, j int, v uint64) uint64 {
+	st.mac.Reset()
+	binary.BigEndian.PutUint64(st.in[len(coeffLabel):], uint64(j))
+	binary.BigEndian.PutUint64(st.in[len(coeffLabel)+8:], v)
+	st.mac.Write(st.in[:])
+	h := binary.BigEndian.Uint64(st.mac.Sum(st.sum[:0]))
 	if s.params.SlotBits == 64 {
-		return binary.BigEndian.Uint64(sum[:8])
+		return h
 	}
-	return binary.BigEndian.Uint64(sum[:8]) & (uint64(1)<<s.params.SlotBits - 1)
+	return h & (uint64(1)<<s.params.SlotBits - 1)
 }
 
 // coefficient returns c_j(v) = v·2^SlotBits + h_j(v) for j in [1, Degree].
-func (s *Scheme) coefficient(j int, v uint64) *big.Int {
-	offset := s.coeffOffset(j, v)
+func (s *Scheme) coefficient(st *macState, j int, v uint64) *big.Int {
+	offset := s.coeffOffset(st, j, v)
 	c := new(big.Int).SetUint64(v)
 	c.Lsh(c, s.params.SlotBits)
 	return c.Add(c, new(big.Int).SetUint64(offset))
@@ -287,8 +303,8 @@ func (s *Scheme) coefficient(j int, v uint64) *big.Int {
 type word192 [3]uint64
 
 // coeff192 is coefficient with fixed-width arithmetic.
-func (s *Scheme) coeff192(j int, v uint64) word192 {
-	offset := s.coeffOffset(j, v)
+func (s *Scheme) coeff192(st *macState, j int, v uint64) word192 {
+	offset := s.coeffOffset(st, j, v)
 	sb := s.params.SlotBits
 	if sb == 64 {
 		return word192{offset, v, 0}
@@ -318,12 +334,22 @@ func mulAdd192(a word192, x uint64, c word192) word192 {
 	return r
 }
 
-// evalShare computes p_v(x) with fixed-width Horner evaluation and packs it
-// big-endian into a Share (matching shareFromInt's byte layout exactly).
-func (s *Scheme) evalShare(v, x uint64) Share {
-	acc := s.coeff192(s.params.Degree, v)
+// coeffs192 derives c_1(v) .. c_Degree(v), one HMAC each: the cost of a
+// polynomial, shared by all of its evaluation points.
+func (s *Scheme) coeffs192(st *macState, v uint64) (cs [8]word192) { // Degree <= 8
+	for j := 1; j <= s.params.Degree; j++ {
+		cs[j-1] = s.coeff192(st, j, v)
+	}
+	return cs
+}
+
+// horner evaluates p_v(x) = (...(c_d·x + c_{d-1})·x + ...)·x + v over the
+// coefficients from coeffs192 and packs it big-endian into a Share
+// (matching shareFromInt's byte layout exactly).
+func (s *Scheme) horner(cs *[8]word192, v, x uint64) Share {
+	acc := cs[s.params.Degree-1]
 	for j := s.params.Degree - 1; j >= 1; j-- {
-		acc = mulAdd192(acc, x, s.coeff192(j, v))
+		acc = mulAdd192(acc, x, cs[j-1])
 	}
 	acc = mulAdd192(acc, x, word192{v, 0, 0})
 	var sh Share
@@ -333,16 +359,25 @@ func (s *Scheme) evalShare(v, x uint64) Share {
 	return sh
 }
 
+// evalShare computes p_v(x) with fixed-width arithmetic.
+func (s *Scheme) evalShare(v, x uint64) Share {
+	st := s.macs.Get().(*macState)
+	cs := s.coeffs192(st, v)
+	s.macs.Put(st)
+	return s.horner(&cs, v, x)
+}
+
 // shareInt computes p_v(x) as a big integer. It is the reference
 // implementation that evalShare must match bit for bit (stored shares
 // depend on it); the equivalence is pinned by a test.
 func (s *Scheme) shareInt(v, x uint64) *big.Int {
+	st := s.newMACState()
 	// Horner over coefficients c_d .. c_1, constant term v.
-	acc := s.coefficient(s.params.Degree, v)
+	acc := s.coefficient(st, s.params.Degree, v)
 	bx := new(big.Int).SetUint64(x)
 	for j := s.params.Degree - 1; j >= 1; j-- {
 		acc.Mul(acc, bx)
-		acc.Add(acc, s.coefficient(j, v))
+		acc.Add(acc, s.coefficient(st, j, v))
 	}
 	acc.Mul(acc, bx)
 	return acc.Add(acc, new(big.Int).SetUint64(v))
@@ -389,54 +424,47 @@ func (s *Scheme) Split(v uint64) ([]Share, error) {
 }
 
 // SplitInto is Split into caller storage: out[i] receives provider i's
-// share, len(out) must be N, and nothing is allocated. Cached points are
-// reused; on any miss the polynomial's coefficients are derived once (the
-// HMACs dominate share generation) and evaluated at every point, instead of
-// re-deriving them per point as the single-share path would.
+// share, len(out) must be N, and nothing is allocated. The polynomial's
+// coefficients are derived once (the HMACs dominate share generation) and
+// evaluated at every point. It bypasses the share memo: each call costs
+// Degree HMACs and takes no lock, so concurrent encoders scale.
 func (s *Scheme) SplitInto(out []Share, v uint64) error {
+	st := s.macs.Get().(*macState)
+	err := s.split(st, out, v)
+	s.macs.Put(st)
+	return err
+}
+
+// split is SplitInto with the caller's HMAC state.
+func (s *Scheme) split(st *macState, out []Share, v uint64) error {
 	if v > s.DomainMax() {
 		return fmt.Errorf("%w: %d > %d", ErrOutOfDomain, v, s.DomainMax())
 	}
 	if len(out) != len(s.xs) {
 		return fmt.Errorf("%w: %d shares for %d providers", ErrBadProvider, len(out), len(s.xs))
 	}
-	misses := 0
-	s.cacheMu.RLock()
+	cs := s.coeffs192(st, v)
 	for i, x := range s.xs {
-		sh, ok := s.cache[shareKey{v, x}]
-		if out[i] = sh; !ok {
-			misses++
-		}
+		out[i] = s.horner(&cs, v, x)
 	}
-	s.cacheMu.RUnlock()
-	if misses == 0 {
-		return nil
-	}
-	var coeffs [8]word192 // Degree <= 8
-	for j := 1; j <= s.params.Degree; j++ {
-		coeffs[j-1] = s.coeff192(j, v)
-	}
-	for i, x := range s.xs {
-		// Horner: acc = (...(c_d·x + c_{d-1})·x + ...)·x + v.
-		acc := coeffs[s.params.Degree-1]
-		for j := s.params.Degree - 1; j >= 1; j-- {
-			acc = mulAdd192(acc, x, coeffs[j-1])
-		}
-		acc = mulAdd192(acc, x, word192{v, 0, 0})
-		binary.BigEndian.PutUint64(out[i][0:8], acc[2])
-		binary.BigEndian.PutUint64(out[i][8:16], acc[1])
-		binary.BigEndian.PutUint64(out[i][16:24], acc[0])
-	}
-	s.cacheMu.Lock()
-	if len(s.cache)+misses > shareCacheLimit {
-		s.cache = make(map[shareKey]Share, shareCacheLimit/4)
-	}
-	for i, x := range s.xs {
-		s.cache[shareKey{v, x}] = out[i]
-	}
-	s.cacheMu.Unlock()
 	return nil
 }
+
+// Splitter is SplitInto with its own HMAC state instead of one borrowed
+// from the scheme's pool, for a goroutine that splits many values, such as
+// a client's encode worker: it allocates nothing even after a garbage
+// collection (or the race detector) has emptied the pool. A Splitter is not
+// safe for concurrent use.
+type Splitter struct {
+	s  *Scheme
+	st *macState
+}
+
+// NewSplitter returns a Splitter over s.
+func (s *Scheme) NewSplitter() *Splitter { return &Splitter{s: s, st: s.newMACState()} }
+
+// SplitInto is Scheme.SplitInto.
+func (sp *Splitter) SplitInto(out []Share, v uint64) error { return sp.s.split(sp.st, out, v) }
 
 // ReconstructSearch inverts a single provider's share by binary search over
 // the domain, exploiting strict monotonicity of ShareAt in v. It needs only

@@ -2,7 +2,10 @@ package opp
 
 import (
 	"bytes"
+	"fmt"
 	mrand "math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -136,28 +139,132 @@ func TestDroppedBytesAreZero(t *testing.T) {
 	}
 }
 
-// SplitInto writes what ShareAt computes into caller storage, allocating
-// nothing once the value is cached, and refuses storage of the wrong length.
+// SplitInto, on the scheme or on a Splitter, writes what ShareAt computes
+// into caller storage, allocating nothing even for a value never split
+// before, leaves the share memo alone (it serves query bounds and
+// reconstruction, not bulk loads), and refuses storage of the wrong length.
 func TestSplitInto(t *testing.T) {
 	s := testScheme(t, 4)
-	out := make([]Share, s.N())
-	for _, v := range []uint64{0, 7, s.DomainMax()} {
+	sp := s.NewSplitter()
+	out, viaSplitter := make([]Share, s.N()), make([]Share, s.N())
+	rng := mrand.New(mrand.NewSource(41))
+	values := []uint64{0, 7, s.DomainMax()}
+	for len(values) < 1000 {
+		values = append(values, rng.Uint64()&s.DomainMax())
+	}
+	for _, v := range values {
 		if err := s.SplitInto(out, v); err != nil {
 			t.Fatal(err)
 		}
+		if err := sp.SplitInto(viaSplitter, v); err != nil {
+			t.Fatal(err)
+		}
 		for p := range out {
-			if want, _ := s.ShareAt(v, p); out[p] != want {
-				t.Errorf("SplitInto(%d)[%d] = %x, ShareAt = %x", v, p, out[p], want)
+			if want, _ := s.ShareAt(v, p); out[p] != want || viaSplitter[p] != want {
+				t.Fatalf("v=%d provider %d: SplitInto %x, Splitter %x, ShareAt %x", v, p, out[p], viaSplitter[p], want)
 			}
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = s.SplitInto(out, 7) }); n != 0 {
-		t.Errorf("SplitInto of a cached value allocates %v times", n)
+	cached := len(s.cache)
+	next := s.DomainMax() / 2
+	if n := testing.AllocsPerRun(100, func() { next++; _ = sp.SplitInto(out, next) }); n != 0 {
+		t.Errorf("Splitter.SplitInto of a value never split before allocates %v times", n)
 	}
-	if err := s.SplitInto(out[:3], 7); err == nil {
-		t.Error("SplitInto accepted 3 slots for 4 providers")
+	// The scheme's own SplitInto borrows a pooled HMAC state, which the race
+	// detector's pool sometimes drops.
+	if n := testing.AllocsPerRun(100, func() { next++; _ = s.SplitInto(out, next) }); n != 0 && !raceEnabled {
+		t.Errorf("SplitInto of a value never split before allocates %v times", n)
 	}
-	if err := s.SplitInto(out, s.DomainMax()+1); err == nil {
-		t.Error("SplitInto accepted a value outside the domain")
+	if len(s.cache) != cached {
+		t.Errorf("SplitInto changed the share memo: %d entries, was %d", len(s.cache), cached)
 	}
+	for _, split := range []func([]Share, uint64) error{s.SplitInto, sp.SplitInto} {
+		if err := split(out[:3], 7); err == nil {
+			t.Error("SplitInto accepted 3 slots for 4 providers")
+		}
+		if err := split(out, s.DomainMax()+1); err == nil {
+			t.Error("SplitInto accepted a value outside the domain")
+		}
+	}
+}
+
+// TestConcurrentSchemeUse drives the entry points that share one scheme's
+// pooled HMAC states and memo from several goroutines, each beside its own
+// Splitter, as a client's encode workers and readers do; run it under -race.
+func TestConcurrentSchemeUse(t *testing.T) {
+	s := testScheme(t, 3)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sp := s.NewSplitter()
+			out, viaSplitter := make([]Share, s.N()), make([]Share, s.N())
+			for i := 0; i < 200; i++ {
+				v := uint64(w*1000+i) % 64 * 7919 // values repeat across workers
+				if err := s.SplitInto(out, v); err != nil {
+					errs <- err
+					return
+				}
+				if err := sp.SplitInto(viaSplitter, v); err != nil {
+					errs <- err
+					return
+				}
+				p := i % s.N()
+				sh, err := s.ShareAt(v, p)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if sh != out[p] || sh != viaSplitter[p] {
+					errs <- fmt.Errorf("ShareAt(%d, %d) = %x, SplitInto = %x, Splitter = %x", v, p, sh, out[p], viaSplitter[p])
+					return
+				}
+				if got, err := s.ReconstructSearch(p, sh); err != nil || got != v {
+					errs <- fmt.Errorf("ReconstructSearch(%d, share of %d) = %d, %v", p, v, got, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// BenchmarkSplitInto splits distinct values, as a bulk load of fresh ids
+// does, under the client's INT scheme (degree 3, 40 bits, N = 3): serially,
+// and from GOMAXPROCS goroutines on one scheme (compare -cpu 1,2).
+func BenchmarkSplitInto(b *testing.B) {
+	s, err := NewScheme(Params{Degree: 3, DomainBits: 40, N: 3}, []byte("bench"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("serial", func(b *testing.B) {
+		out := make([]Share, s.N())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := s.SplitInto(out, uint64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		var workers atomic.Uint64
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			out := make([]Share, s.N())
+			v := workers.Add(1) << 32 // a disjoint run of values per goroutine
+			for pb.Next() {
+				v++
+				if err := s.SplitInto(out, v); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }
