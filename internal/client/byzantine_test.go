@@ -3,8 +3,10 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"sssdb/internal/merkle"
 	"sssdb/internal/proto"
 )
 
@@ -14,16 +16,27 @@ type behavior int
 const (
 	honest behavior = iota
 	crashed
-	corruptShares  // flips field-share bits (caught by Merkle row digests)
-	withholdsRows  // drops a matching row (caught by completeness proofs)
+	// corruptShares flips field-share bits. Its proof's row digests catch it;
+	// had it re-cut the proof, only robust reconstruction, the vote on each
+	// value, would.
+	corruptShares
+	// withholdsRows drops a matching row and keeps its proof, which catches
+	// it. recutsProof is the same liar after a re-cut.
+	withholdsRows
 	injectsGarbage // returns malformed cells
 	wrongType      // answers scans with an unrelated message type
 	shortRows      // cuts every row to its first cell
 	badHeader      // names a column it was not asked for
+	// recutsProof drops the last matching row and cuts a new proof, a tree
+	// over the rows it kept. A proof is checked against the root it carries,
+	// so this one passes, and only the vote on (leaf count, row ids) catches
+	// the liar; the vote needs an honest majority of the providers that
+	// answer.
+	recutsProof
 )
 
 func (b behavior) String() string {
-	return [...]string{"honest", "crashed", "corrupt", "withholds", "garbage", "wrongtype", "shortrows", "badheader"}[b]
+	return [...]string{"honest", "crashed", "corrupt", "withholds", "garbage", "wrongtype", "shortrows", "badheader", "recuts"}[b]
 }
 
 func applyBehavior(f *fleet, provider int, b behavior) {
@@ -76,6 +89,24 @@ func applyBehavior(f *fleet, provider int, b behavior) {
 			}
 			return resp
 		})
+	case recutsProof:
+		f.faults[provider].SetCorrupter(func(resp proto.Message) proto.Message {
+			rr, ok := resp.(*proto.RowsResponse)
+			if !ok || rr.Proof == nil || len(rr.Rows) == 0 {
+				return resp
+			}
+			// The verified reads this liar answers range over salary.
+			oppIdx := slices.Index(rr.Columns, "salary"+suffixOPP)
+			rr.Rows = rr.Rows[:len(rr.Rows)-1]
+			leaves := make([]merkle.Hash, len(rr.Rows))
+			for i, row := range rr.Rows {
+				leaves[i] = proofLeaf(row.Cells[oppIdx], row)
+			}
+			tree := merkle.New(leaves)
+			hashes, _ := tree.ProveRange(0, len(leaves)) // the whole tree is a valid range
+			rr.Proof = (&merkle.RangeProof{N: uint64(len(leaves)), Root: tree.Root(), Hashes: hashes}).Marshal()
+			return resp
+		})
 	}
 }
 
@@ -83,9 +114,10 @@ func applyBehavior(f *fleet, provider int, b behavior) {
 // simultaneous provider misbehaviors on an n=5, k=2 fleet. With at most two
 // bad providers and three honest ones, every verified read must return the
 // exact honest result — a malformed answer marks its provider faulty like a
-// failed proof does, and never stops the client.
+// failed proof does, a re-cut proof loses the vote, and neither stops the
+// client.
 func TestByzantineMatrix(t *testing.T) {
-	behaviors := []behavior{honest, crashed, corruptShares, withholdsRows, injectsGarbage, wrongType, shortRows, badHeader}
+	behaviors := []behavior{honest, crashed, corruptShares, withholdsRows, injectsGarbage, wrongType, shortRows, badHeader, recutsProof}
 	for _, b1 := range behaviors {
 		for _, b2 := range behaviors {
 			t.Run(fmt.Sprintf("%v+%v", b1, b2), func(t *testing.T) {
@@ -165,7 +197,9 @@ func TestByzantineAggregatePartials(t *testing.T) {
 
 // Three bad providers of five with k=2 can still be survivable when their
 // faults are detectable per-provider (proof failures), since two honest
-// providers remain — but four bad ones cannot.
+// providers remain — but four bad ones cannot. Three liars that re-cut their
+// proofs are not detectable per provider and would win the vote: that case is
+// open until a verified read checks a root the client holds.
 func TestByzantineBeyondThreshold(t *testing.T) {
 	f := newFleet(t, 5, 2, Options{})
 	setupEmployees(t, f)

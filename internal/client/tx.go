@@ -437,8 +437,8 @@ func (c *Client) openTxLog() error {
 			switch st := get(m.TxID); m.State {
 			case proto.TxStateResolved:
 				st.resolved = true
-			case proto.TxStateCommitted, proto.TxStateAborted:
-				st.committed = m.State == proto.TxStateCommitted
+			case proto.TxStateCommitted:
+				st.committed = true
 			}
 		default:
 			return fmt.Errorf("client: unexpected tx log record %T", msg)

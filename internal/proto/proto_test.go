@@ -89,7 +89,7 @@ func allMessages() []Message {
 // records, so a kind that is retired — 42, once the digest request, and 46,
 // once KAggResult — leaves a hole that decodes as unknown instead of shifting
 // the kinds after it; and allMessages, which seeds FuzzDecode's corpus, has a
-// message of every kind.
+// message of every kind. The tx log's mark states are on disk too.
 func TestKindNumbers(t *testing.T) {
 	want := map[Kind]uint8{
 		KPing: 32, KCreateTable: 33, KDropTable: 34, KListTables: 35, KInsert: 36, KDelete: 37, KUpdate: 38,
@@ -110,6 +110,9 @@ func TestKindNumbers(t *testing.T) {
 		case known && (uint8(k) != n || m.Kind() != k || !sent[k]):
 			t.Errorf("kind %d: pinned as %d, allocates a %T of kind %d, in allMessages: %v", k, n, m, m.Kind(), sent[k])
 		}
+	}
+	if TxStateIntent != 1 || TxStateCommitted != 2 || TxStateResolved != 4 {
+		t.Errorf("tx mark states are %d/%d/%d, pinned as 1/2/4", TxStateIntent, TxStateCommitted, TxStateResolved)
 	}
 	for _, retired := range []Kind{KDigest, 46} {
 		if _, err := Decode([]byte{formatTag | uint8(retired), 0, 0}); err == nil || errors.Is(err, ErrOldFormat) {

@@ -53,12 +53,13 @@ func (m *TxAbortRequest) fields(c *codec) { c.u64(&m.TxID) }
 // commit mark made it to the log is re-driven to completion, anything else
 // is presumed aborted.
 
-// Transaction states recorded in TxMarkRecord.
+// Transaction states recorded in TxMarkRecord. The tx log persists these
+// numbers, so each is spelled out; 3, an abort mark, was never written
+// (an aborted transaction is one with no commit mark).
 const (
-	TxStateIntent uint8 = iota + 1
-	TxStateCommitted
-	TxStateAborted
-	TxStateResolved
+	TxStateIntent    uint8 = 1
+	TxStateCommitted uint8 = 2
+	TxStateResolved  uint8 = 4
 )
 
 // TxOpsRecord is one provider's encoded op batch for a transaction.
