@@ -21,12 +21,12 @@ func (c *Client) Audit(table string) (*AuditReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &selectPlan{meta: meta, targets: c.allGroups(), verified: true, fetch: meta.allCols(), flush: true, oci: -1}
 	// A verified sweep compares row sets across providers, so it holds the
 	// statement locks exclusively, as every verified read does: under a shared
 	// lock a concurrent INSERT could be half-landed and outvote an honest
 	// provider.
-	scan, err := c.gather(p, 0, p.exclusive())
+	p := &selectPlan{meta: meta, targets: c.allGroups(), verified: true, fetch: meta.allCols(), flush: true, oci: -1}
+	scan, err := c.gather(p)
 	if err != nil {
 		return nil, err
 	}

@@ -435,17 +435,18 @@ func (c *Client) scatter(targets []int, exclusive bool, metas []*tableMeta, fn f
 	})
 }
 
-// lockGroup takes group g's statement lock — exclusively, or shared with the
-// escalation of lockForRead — and then confirms that none of the statement's
-// tables was dropped while it waited: DROP flips tableMeta.dropped under
-// every group's exclusive lock, so the answer holds until unlock.
+// lockGroup takes group g's statement lock, exclusively or shared, and then
+// confirms that none of the statement's tables was dropped while it waited:
+// DROP flips tableMeta.dropped under every group's exclusive lock, so the
+// answer holds until unlock.
 func (c *Client) lockGroup(g int, exclusive bool, metas []*tableMeta) (unlock func(), err error) {
 	e := c.groups[g]
 	if exclusive {
 		e.mu.Lock()
 		unlock = e.mu.Unlock
 	} else {
-		unlock = e.lockForRead()
+		e.mu.RLock()
+		unlock = e.mu.RUnlock
 	}
 	for _, meta := range metas {
 		if meta.dropped {

@@ -581,7 +581,7 @@ func TestVerifiedDetectsRowMissingOutsideRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := f.client.gather(p, 0, true)
+		res, err := f.client.gather(p)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}

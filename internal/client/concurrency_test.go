@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // A Client must be safe for concurrent use: Exec serializes on the client
@@ -290,5 +291,49 @@ func TestLazyUpdatesCompose(t *testing.T) {
 	out = f.mustExec(t, `SELECT COUNT(*) FROM employees WHERE dept = 7`)
 	if out.Rows[0][0].I != 2 {
 		t.Fatalf("after flush: %v", out.Rows[0][0])
+	}
+}
+
+// TestSelectBesidePendingUpdateAndOpenRows: a buffered lazy update leaves a
+// plain SELECT a shared reader. It only reads the buffer it overlays, so it
+// runs beside a Rows open on another table instead of waiting for its Close —
+// which, for a caller reading inside its own Rows loop, would be forever.
+func TestSelectBesidePendingUpdateAndOpenRows(t *testing.T) {
+	f := newFleet(t, 3, 2, Options{LazyUpdates: true})
+	setupEmployees(t, f)
+	f.mustExec(t, `CREATE TABLE other (k INT)`)
+	f.mustExec(t, `INSERT INTO other VALUES (1), (2)`)
+	f.mustExec(t, `UPDATE employees SET salary = 99 WHERE name = 'Bob'`)
+	rows, err := f.client.QueryRows(`SELECT k FROM other`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		res, err := f.client.Exec(`SELECT salary FROM employees WHERE name = 'Bob'`)
+		if err == nil && fmt.Sprint(rowsAsStrings(res)) != "[99]" {
+			err = fmt.Errorf("overlaid salary %v, want [99]", rowsAsStrings(res))
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("a plain SELECT waited over 2 s behind a Rows open on another table")
+		rows.Close()
+		<-done
+	}
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Close(); err != nil || rows.Err() != nil || n != 2 {
+		t.Errorf("other: %d rows, err %v", n, rows.Err())
+	}
+	if f.client.PendingUpdates() != 1 {
+		t.Errorf("%d updates buffered, want 1", f.client.PendingUpdates())
 	}
 }

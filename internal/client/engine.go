@@ -22,10 +22,12 @@ import (
 // call a *tableMeta from the one catalog.
 //
 // Locking hierarchy: mu is the group's statement lock. The Client takes it
-// (Client.lock) before calling into the engine — shared for plain scans and
-// INSERT, exclusively for UPDATE/DELETE/DDL, commits and reads that combine
-// per-provider results without row ids to mask — and the repair loop takes
-// it exclusively for a provider's readmission cutover. Below it there is only
+// (Client.lock, Client.scatter) before calling into the engine, in the mode
+// the statement's plan names — shared for plain scans and INSERT,
+// exclusively for UPDATE/DELETE/DDL, commits, flushes of buffered lazy
+// updates and reads that combine per-provider results without row ids to
+// mask — and the repair loop takes it exclusively for a provider's
+// readmission cutover. Below it there is only
 // each provider record's leaf mutex, which response-collection goroutines
 // take while read statements run in parallel; never acquire mu while holding
 // one. (repairMu and insMu are leaves of their own, around the repair loop's
@@ -68,8 +70,7 @@ type engine struct {
 	closed                 bool
 	// pending holds lazy updates: table -> rowID -> full row values, with no
 	// table's map ever empty. It is only mutated under the exclusive statement
-	// lock; read statements escalate to exclusive mode when it is non-empty
-	// (see lockForRead).
+	// lock; a plain scan under the shared lock only reads it, to overlay it.
 	pending map[string]map[uint64][]Value
 	// insMu guards row-id allocation (tableMeta.nextID[g]) and inflight.
 	// INSERT statements hold the statement lock shared so reads can

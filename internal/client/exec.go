@@ -16,15 +16,16 @@ import (
 )
 
 // Exec parses and executes one SQL statement against the provider fleet.
-// Plain scans (SELECT without aggregates, joins, or verification) hold a
-// routed group's statement lock shared and run concurrently with each other
-// and with INSERTs; INSERT also runs shared — it only appends rows under
+// Each statement's plan names its lock mode. Plain scans (SELECT without
+// aggregates, joins, or verification) hold a routed group's statement lock
+// shared and run concurrently with each other and with INSERTs, buffered lazy
+// updates or not; INSERT also runs shared — it only appends rows under
 // freshly reserved ids, and scans hide ids above the stable watermark (see
-// scanTable) so a half-landed insert is never observed. UPDATE, DELETE, DDL,
-// and SELECTs that combine per-provider computations without row ids to
-// filter on (aggregates, joins, verified reads) hold it exclusively, so
-// they observe — and present — either the pre- or post-statement share sets,
-// never a mix.
+// stableWatermark) so a half-landed insert is never observed. UPDATE, DELETE,
+// DDL, and SELECTs that combine per-provider computations without row ids to
+// filter on (aggregates, joins, verified reads) hold it exclusively, so they
+// observe — and present — either the pre- or post-statement share sets, never
+// a mix.
 func (c *Client) Exec(query string) (*Result, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
@@ -50,22 +51,6 @@ func (c *Client) Exec(query string) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnsupported, stmt)
 	}
-}
-
-// lockForRead acquires the group's statement lock in shared mode and returns
-// the matching unlock. A read that encounters buffered lazy updates may have
-// to flush them — a mutation of both client and provider state — so when
-// updates are pending it escalates to the exclusive lock. Pending updates
-// can only be created under the exclusive lock, so the shared-mode check is
-// stable for the duration of the statement.
-func (e *engine) lockForRead() (unlock func()) {
-	e.mu.RLock()
-	if len(e.pending) == 0 {
-		return e.mu.RUnlock
-	}
-	e.mu.RUnlock()
-	e.mu.Lock()
-	return e.mu.Unlock
 }
 
 // --- DDL ---
@@ -161,18 +146,25 @@ const (
 
 // write is a DML statement resolved against the catalog — autocommit or
 // buffered in a Tx alike — which engine.lower turns into provider messages: an
-// INSERT's typed rows, or an UPDATE's or DELETE's WHERE (parsed, for routing,
-// and compiled) and an UPDATE's resolved assignments.
+// INSERT's typed rows, or the read round of an UPDATE or DELETE and an
+// UPDATE's resolved assignments.
 type write struct {
 	kind    writeKind
 	meta    *tableMeta
 	rows    [][]Value
-	where   []sql.Predicate
-	preds   []compiledPred
 	assigns []assign
-	// lazy: an autocommit UPDATE under Options.LazyUpdates, buffered unsent.
+	// read finds an UPDATE's or DELETE's rows: ids only, or whole rows to
+	// re-share. It flushes the table's lazy updates first, unless the UPDATE
+	// is lazy itself: then its scan overlays them.
+	read *selectPlan
+	// lazy: an autocommit UPDATE under Options.LazyUpdates, whose rows are
+	// buffered unsent until Flush.
 	lazy bool
 }
+
+// exclusive is the write's statement-lock mode: an INSERT only appends rows
+// under fresh ids, which scans hide until every provider's fate is settled.
+func (w *write) exclusive() bool { return w.kind != writeInsert }
 
 // InsertValues outsources pre-typed rows, bypassing SQL parsing; bulk
 // loaders and the workload generators use it.
@@ -185,9 +177,11 @@ func (c *Client) InsertValues(table string, rows [][]Value) (*Result, error) {
 // missing table or column, a mistyped literal or a row of the wrong arity, an
 // assignment to the shard key — surfaces before anything is routed or
 // buffered. typed, when non-nil, are an INSERT's rows already typed
-// (InsertValues).
-func (c *Client) resolveWrite(stmt sql.Statement, typed [][]Value) (*write, error) {
+// (InsertValues); autocommit is false for a write a Tx buffers, which is never
+// lazy.
+func (c *Client) resolveWrite(stmt sql.Statement, typed [][]Value, autocommit bool) (*write, error) {
 	var w write
+	var where []sql.Predicate
 	var err error
 	switch s := stmt.(type) {
 	case *sql.Insert:
@@ -200,16 +194,22 @@ func (c *Client) resolveWrite(stmt sql.Statement, typed [][]Value) (*write, erro
 			w.rows, err = parseRows(w.meta, s.Rows, (*colMeta).parseValue)
 		}
 	case *sql.Update:
-		w.kind, w.where = writeUpdate, s.Where
+		w.kind, where = writeUpdate, s.Where
 		if w.meta, err = c.cat.table(s.Table); err == nil {
 			w.assigns, err = resolveAssigns(w.meta, s.Set)
 		}
 	case *sql.Delete:
-		w.kind, w.where = writeDelete, s.Where
+		w.kind, where = writeDelete, s.Where
 		w.meta, err = c.cat.table(s.Table)
 	}
 	if err == nil && w.kind != writeInsert {
-		w.preds, err = compilePredicates(w.meta, w.where, "")
+		w.lazy = autocommit && w.kind == writeUpdate && c.opts.LazyUpdates
+		w.read = &selectPlan{meta: w.meta, flush: !w.lazy, oci: -1}
+		w.read.targets, w.read.route = c.routeGroups(w.meta, where)
+		if w.kind == writeUpdate {
+			w.read.fetch = w.meta.allCols()
+		}
+		w.read.preds, err = compilePredicates(w.meta, where, "")
 	}
 	if err != nil {
 		return nil, err
@@ -277,26 +277,25 @@ func (c *Client) route(w *write) (targets []int, batches [][][]Value, err error)
 	if w.kind == writeInsert {
 		return c.partitionRows(w.meta, w.rows)
 	}
-	return c.routeGroups(w.meta, w.where), make([][][]Value, len(c.groups)), nil
+	return w.read.targets, make([][][]Value, len(c.groups)), nil
 }
 
 // execWrite runs one DML statement on its own: resolve, route, and in every
-// routed group — under its statement lock, shared for an INSERT (see Exec) —
-// lower it and deliver the messages, or buffer a lazy UPDATE's rows. Atomicity
+// routed group — under its statement lock, in the write's mode — lower it and
+// deliver the messages, or buffer a lazy UPDATE's rows. Atomicity
 // is per group: a group that fails its part (an INSERT's is rolled back there)
 // leaves the parts other groups committed, and the joined error names it.
 func (c *Client) execWrite(stmt sql.Statement, typed [][]Value) (*Result, error) {
-	w, err := c.resolveWrite(stmt, typed)
+	w, err := c.resolveWrite(stmt, typed, true)
 	if err != nil {
 		return nil, err
 	}
-	w.lazy = w.kind == writeUpdate && c.opts.LazyUpdates
 	targets, batches, err := c.route(w)
 	if err != nil {
 		return nil, err
 	}
 	var affected atomic.Uint64
-	err = c.scatter(targets, w.kind != writeInsert, []*tableMeta{w.meta}, func(_ int, e *engine) error {
+	err = c.scatter(targets, w.exclusive(), []*tableMeta{w.meta}, func(_ int, e *engine) error {
 		l, err := e.lower(w, batches[e.g])
 		if err != nil {
 			return err
@@ -356,12 +355,11 @@ type lowered struct {
 
 // lower is the one place a write becomes provider messages — the paper's
 // update flow (Sec. V-C) in one group. An INSERT reserves fresh ids for batch,
-// the group's share of its rows; an UPDATE or DELETE first pushes the table's
-// buffered lazy UPDATEs, unless it is one itself (its scan overlays them), then
-// retrieves the matching rows — a DELETE their ids, an UPDATE whole rows with
-// its assignments applied — and the rows are re-shared into each provider's
-// request. The caller holds the group's statement lock (exclusively for an
-// UPDATE or DELETE) and retires an INSERT's reservation, based at ids[0], once
+// the group's share of its rows; an UPDATE or DELETE runs its read round
+// (write.read) — a DELETE's finds row ids, an UPDATE's whole rows, to which
+// its assignments are applied — and the rows are re-shared into each
+// provider's request. The caller holds the group's statement lock in the
+// write's mode and retires an INSERT's reservation, based at ids[0], once
 // every provider's fate is settled: until then scans hide the range (see
 // stableWatermark), so no reader sees the batch on one provider and not another.
 func (e *engine) lower(w *write, batch [][]Value) (*lowered, error) {
@@ -373,16 +371,7 @@ func (e *engine) lower(w *write, batch [][]Value) (*lowered, error) {
 			l.ids[r] = base + uint64(r)
 		}
 	} else {
-		if !w.lazy {
-			if err := e.flushTableLocked(meta.Name); err != nil {
-				return nil, err
-			}
-		}
-		var cols []int // a DELETE reads row ids only
-		if w.kind == writeUpdate {
-			cols = meta.allCols() // whole rows are re-shared
-		}
-		scan, err := e.scanTable(meta, w.preds, e.readOpts(cols, 0, false))
+		scan, err := e.scanPlan(w.read)
 		if err != nil {
 			return nil, err
 		}

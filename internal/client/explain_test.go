@@ -1,8 +1,11 @@
 package client
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"sssdb/internal/sql"
 )
 
 func planText(t *testing.T, f interface {
@@ -117,12 +120,107 @@ func TestExplainVerified(t *testing.T) {
 }
 
 func TestExplainDoesNotExecute(t *testing.T) {
-	f := newFleet(t, 3, 2, Options{})
+	for _, lazy := range []bool{false, true} {
+		f := newFleet(t, 3, 2, Options{LazyUpdates: lazy})
+		setupEmployees(t, f)
+		if lazy {
+			// A buffered row EXPLAIN must neither flush nor add to.
+			f.mustExec(t, `UPDATE employees SET dept = 7 WHERE name = 'Bob'`)
+		}
+		before, pending := f.client.Stats().Calls, f.client.PendingUpdates()
+		for _, q := range []string{
+			`EXPLAIN SELECT * FROM employees WHERE salary BETWEEN 10 AND 80`,
+			`EXPLAIN SELECT name FROM employees WHERE salary > 10 LIMIT 2`,
+			`EXPLAIN UPDATE employees SET dept = 9 WHERE salary > 10`,
+			`EXPLAIN DELETE FROM employees WHERE salary > 10`,
+		} {
+			planText(t, f, q)
+			if f.client.Stats().Calls != before {
+				t.Fatalf("lazy %v: %s contacted providers", lazy, q)
+			}
+			if n := f.client.PendingUpdates(); n != pending {
+				t.Fatalf("lazy %v: %s left %d updates buffered, want %d", lazy, q, n, pending)
+			}
+		}
+	}
+}
+
+// TestExplainLazyUpdate: under LazyUpdates an UPDATE reads K providers and
+// buffers the rows until Flush — its plan says so rather than "send" — and a
+// LIMIT over a table with buffered rows is applied client-side.
+func TestExplainLazyUpdate(t *testing.T) {
+	f := newFleet(t, 3, 2, Options{LazyUpdates: true, HedgeDelay: -1})
 	setupEmployees(t, f)
+	const update = `UPDATE employees SET dept = 9 WHERE salary > 10`
+	plan := planText(t, f, "EXPLAIN "+update)
+	for _, want := range []string{
+		"UPDATE employees: reconstruct the matching rows, buffer them until Flush re-shares them to all 3 providers\n",
+		`SCAN employees: push share-range filter on "salary"#o (indexed) to 2 of 3 providers` + "\n",
+	} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("plan lacks %q:\n%s", want, plan)
+		}
+	}
+	if strings.Contains(plan, "send") {
+		t.Errorf("a lazy UPDATE's plan sends:\n%s", plan)
+	}
+	// The statement itself: one read round of K calls, five rows buffered.
 	before := f.client.Stats().Calls
-	planText(t, f, `EXPLAIN SELECT * FROM employees WHERE salary BETWEEN 10 AND 80`)
-	if f.client.Stats().Calls != before {
-		t.Fatal("EXPLAIN contacted providers")
+	if res := f.mustExec(t, update); res.Affected != 5 {
+		t.Fatalf("affected = %d, want 5", res.Affected)
+	}
+	if calls := f.client.Stats().Calls - before; calls != 2 {
+		t.Errorf("the lazy UPDATE made %d provider calls, want the 2 of its read round", calls)
+	}
+	if n := f.client.PendingUpdates(); n != 5 {
+		t.Errorf("%d updates buffered, want 5", n)
+	}
+	plan = planText(t, f, `EXPLAIN SELECT name FROM employees WHERE salary > 10 LIMIT 2`)
+	if !strings.Contains(plan, "LIMIT 2: applied client-side (buffered lazy updates may drop or add rows after the scan)") {
+		t.Errorf("LIMIT over buffered rows not explained as client-side:\n%s", plan)
+	}
+	if err := f.client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if plan = planText(t, f, `EXPLAIN SELECT name FROM employees WHERE salary > 10 LIMIT 2`); !strings.Contains(plan, "LIMIT 2: pushed to providers") {
+		t.Errorf("LIMIT after Flush not pushed:\n%s", plan)
+	}
+	if res := f.mustExec(t, `SELECT COUNT(*) FROM employees WHERE dept = 9`); res.Rows[0][0].I != 5 {
+		t.Errorf("after Flush %d rows in dept 9, want 5", res.Rows[0][0].I)
+	}
+}
+
+// TestExplainRoutesIn: the routing line names the predicate that routed the
+// statement, so an IN whose members all hash to one group reads as an IN, not
+// as a point predicate.
+func TestExplainRoutesIn(t *testing.T) {
+	two := newShardFleet(t, 2, 3, 2, Options{ShardKeys: map[string]string{"employees": "dept"}})
+	two.mustExec(t, `CREATE TABLE employees (name VARCHAR(8), salary INT, dept INT)`)
+	// Two departments the shard key sends to one group.
+	groupOf := func(dept int) int {
+		stmt, err := sql.Parse(fmt.Sprintf(`SELECT name FROM employees WHERE dept = %d`, dept))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := two.router.planSelect(stmt.(*sql.Select), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.targets[0]
+	}
+	a, b := 1, 2
+	for groupOf(b) != groupOf(a) {
+		b++
+	}
+	plan := planText(t, two, fmt.Sprintf(`EXPLAIN SELECT name FROM employees WHERE dept IN (%d, %d)`, a, b))
+	want := `SHARD employees: IN predicate on shard key "dept" routes to 1 of 2 groups`
+	if first, _, _ := strings.Cut(plan, "\n"); first != want {
+		t.Errorf("routing line %q, want %q", first, want)
+	}
+	plan = planText(t, two, fmt.Sprintf(`EXPLAIN SELECT name FROM employees WHERE dept = %d`, a))
+	want = fmt.Sprintf(`SHARD employees: point predicate on shard key "dept" routes to group %d of 2`, groupOf(a))
+	if first, _, _ := strings.Cut(plan, "\n"); first != want {
+		t.Errorf("routing line %q, want %q", first, want)
 	}
 }
 

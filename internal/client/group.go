@@ -1,6 +1,7 @@
 package client
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -224,7 +225,7 @@ func havingMatches(meta *tableMeta, hp sql.HavingPredicate, v Value) (bool, erro
 			if err != nil {
 				return 0, err
 			}
-			return compareInt64(v.I, lv), nil
+			return cmp.Compare(v.I, lv), nil
 		}
 		cm, err := meta.col(hp.Item.Col.Name)
 		if err != nil {
@@ -240,19 +241,9 @@ func havingMatches(meta *tableMeta, hp sql.HavingPredicate, v Value) (bool, erro
 				return 0, err
 			}
 			b, err := cm.encode(lv)
-			if err != nil {
-				return 0, err
-			}
-			switch {
-			case a < b:
-				return -1, nil
-			case a > b:
-				return 1, nil
-			default:
-				return 0, nil
-			}
+			return cmp.Compare(a, b), err
 		}
-		return compareInt64(v.I, lv.I), nil
+		return cmp.Compare(v.I, lv.I), nil
 	}
 	lo, err := cmpLit(hp.Lo)
 	if err != nil {
@@ -289,17 +280,6 @@ func parseCountLiteral(lit sql.Literal) (int64, error) {
 		return 0, fmt.Errorf("%w: %q: %v", ErrTypeMismatch, lit.Text, err)
 	}
 	return v, nil
-}
-
-func compareInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // groupedFromScan buckets the gathered matching rows by the key column — all
@@ -347,10 +327,8 @@ func groupedFromScan(meta *tableMeta, gcm *colMeta, gci int, scan *scanResult, i
 // shares (Lagrange). One round per distinct reduction: every round's buckets
 // carry their counts, so COUNT costs a round only when nothing else is asked.
 func (e *engine) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPred, items []sql.SelectItem) ([]*group, error) {
-	for _, cp := range preds {
-		if cp.empty {
-			return nil, nil
-		}
+	if emptyWhere(preds) {
+		return nil, nil
 	}
 	filters, err := e.providerFilters(meta, preds)
 	if err != nil {
@@ -366,7 +344,7 @@ func (e *engine) groupedRemote(meta *tableMeta, gcm *colMeta, preds []compiledPr
 	var groups []*group
 	for ri, red := range rounds {
 		picks := red.op != proto.AggCount && red.op != proto.AggSum
-		responses, err := e.collectWhole(e.opts.K, e.opts.K, func(i int) proto.Message {
+		responses, err := e.collectWhole(e.opts.K, e.opts.readQuorum(false), func(i int) proto.Message {
 			r := &proto.AggregateRequest{Table: meta.Name, Op: red.op, Filter: filters[i]}
 			if gcm != nil {
 				r.GroupCol = gcm.Name + suffixOPP

@@ -15,21 +15,10 @@ type joinItem struct {
 	name string
 }
 
-// joinSideCols lists the columns the select list reads from one side.
-func joinSideCols(items []joinItem, left bool) []int {
-	var cols []int
-	for _, it := range items {
-		if it.left == left {
-			cols = append(cols, it.ci)
-		}
-	}
-	return cols
-}
-
 // joinPlan is an equijoin resolved against the catalog: each side planned
 // like a single-table scan (where it routes, its compiled predicates, the
-// columns a gathered scan of it reads), how the sides pair up, and where the
-// join runs.
+// columns a gathered scan of it reads), how the sides pair up, where the join
+// runs, and what each side's providers ship (shipped).
 type joinPlan struct {
 	left, right *selectPlan
 	// lc and rc are the ON columns, lci and rci their indices.
@@ -41,6 +30,21 @@ type joinPlan struct {
 	// why says what keeps the join from running at the providers; empty
 	// means nothing does.
 	why string
+}
+
+// exclusive is the join's statement-lock mode, its sides' (each flushes its
+// table's buffered lazy updates): one task per group holds it for both.
+func (j *joinPlan) exclusive() bool { return j.left.exclusive() || j.right.exclusive() }
+
+// shipped is what side's providers send per row: the value cells of its
+// select-list columns — its fetch without the key, last — when the providers
+// pair the rows (they match the keys themselves), otherwise its gathered
+// scan's.
+func (j *joinPlan) shipped(side *selectPlan) fetchPlan {
+	if j.why != "" {
+		return side.shipped()
+	}
+	return side.meta.fetchPlan(side.fetch[:len(side.fetch)-1])
 }
 
 // planJoin resolves SELECT ... FROM a JOIN b ON a.x = b.y.
@@ -104,8 +108,15 @@ func (c *Client) planJoin(s *sql.Select) (*joinPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &selectPlan{meta: meta, targets: c.routeGroups(meta, where), preds: preds,
-			fetch: append(joinSideCols(j.items, isLeft), key), flush: true, oci: -1}, nil
+		p := &selectPlan{meta: meta, preds: preds, flush: true, oci: -1}
+		for _, it := range j.items {
+			if it.left == isLeft {
+				p.fetch = append(p.fetch, it.ci)
+			}
+		}
+		p.fetch = append(p.fetch, key)
+		p.targets, p.route = c.routeGroups(meta, where)
+		return p, nil
 	}
 	if j.left, err = side(left, leftPreds, true, j.lci); err != nil {
 		return nil, err
@@ -145,9 +156,10 @@ func (c *Client) planJoin(s *sql.Select) (*joinPlan, error) {
 	return j, nil
 }
 
-// execJoin runs one task per group of the lock set, exclusively: the task
-// reads whichever sides route to its group under one hold of the group's
-// lock, so a group never shows the join two different states of itself.
+// execJoin runs one task per group of the lock set, under the join's lock
+// mode: the task reads whichever sides route to its group under one hold of
+// the group's lock, so a group never shows the join two different states of
+// itself.
 func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 	j, err := c.planJoin(s)
 	if err != nil {
@@ -156,7 +168,7 @@ func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 	var remote *Result
 	lScans := make([]*scanResult, len(j.targets))
 	rScans := make([]*scanResult, len(j.targets))
-	err = c.scatter(j.targets, true, []*tableMeta{j.left.meta, j.right.meta}, func(i int, e *engine) (err error) {
+	err = c.scatter(j.targets, j.exclusive(), []*tableMeta{j.left.meta, j.right.meta}, func(i int, e *engine) (err error) {
 		if j.why == "" {
 			for _, side := range []*selectPlan{j.left, j.right} {
 				if err := e.flushTableLocked(side.meta.Name); err != nil {
@@ -167,12 +179,12 @@ func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 			return err
 		}
 		if slices.Contains(j.left.targets, e.g) {
-			if lScans[i], err = e.scanPlan(j.left, 0); err != nil {
+			if lScans[i], err = e.scanPlan(j.left); err != nil {
 				return err
 			}
 		}
 		if slices.Contains(j.right.targets, e.g) {
-			rScans[i], err = e.scanPlan(j.right, 0)
+			rScans[i], err = e.scanPlan(j.right)
 		}
 		return err
 	})
@@ -291,20 +303,16 @@ func predicateSide(left, right *tableMeta, p sql.Predicate) (int, error) {
 func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 	left, right, items := j.left.meta, j.right.meta, j.items
 	res := &Result{Columns: joinColumns(items)}
-	for _, cp := range j.left.preds {
-		if cp.empty {
-			return res, nil
-		}
+	if emptyWhere(j.left.preds) {
+		return res, nil
 	}
 	filters, err := e.providerFilters(left, j.left.preds)
 	if err != nil {
 		return nil, err
 	}
-	// The providers match pairs on the keys' order-preserving shares and
-	// ship back only the value cells of the selected columns.
-	lPlan := left.fetchPlan(joinSideCols(items, true))
-	rPlan := right.fetchPlan(joinSideCols(items, false))
-	responses, err := e.collectWhole(e.opts.K, e.opts.K, func(i int) proto.Message {
+	// The providers match pairs on the keys' order-preserving shares.
+	lPlan, rPlan := j.shipped(j.left), j.shipped(j.right)
+	responses, err := e.collectWhole(e.opts.K, e.opts.readQuorum(false), func(i int) proto.Message {
 		return &proto.JoinRequest{
 			LeftTable:    left.Name,
 			LeftCol:      j.lc.Name + suffixOPP,

@@ -34,7 +34,9 @@ type compiledPred struct {
 // compilePredicates lowers WHERE conjuncts onto domain intervals — once per
 // statement: the result depends on the schema alone, so every routed group
 // is handed the same compiled predicates. qualifier is the table name
-// predicates may be qualified with ("" accepts only unqualified columns).
+// predicates may be qualified with ("" accepts only unqualified columns). A
+// provably empty conjunct empties the whole WHERE, so it is returned alone:
+// a reader tests preds[0].empty (see emptyWhere).
 func compilePredicates(meta *tableMeta, preds []sql.Predicate, qualifier string) ([]compiledPred, error) {
 	out := make([]compiledPred, 0, len(preds))
 	for _, p := range preds {
@@ -48,8 +50,16 @@ func compilePredicates(meta *tableMeta, preds []sql.Predicate, qualifier string)
 		}
 		out = append(out, cp)
 	}
+	for _, cp := range out {
+		if cp.empty {
+			return []compiledPred{cp}, nil
+		}
+	}
 	return out, nil
 }
+
+// emptyWhere reports compiled predicates no row can match.
+func emptyWhere(preds []compiledPred) bool { return len(preds) > 0 && preds[0].empty }
 
 func compilePredicate(meta *tableMeta, p sql.Predicate) (compiledPred, error) {
 	cm, err := meta.col(p.Col.Name)
@@ -195,8 +205,8 @@ func (e *engine) providerFilters(meta *tableMeta, preds []compiledPred) ([]*prot
 type scanResult struct {
 	ids []uint64
 	// values holds one typed row per id, indexed like meta.Cols. Only the
-	// columns the scan fetched (scanOpts.cols plus the residual predicates')
-	// are set; a verified scan and pending lazy updates set all of them.
+	// columns the scan fetched (scanOpts.fetch) are set; a verified scan and
+	// pending lazy updates set all of them.
 	values [][]Value
 	// faulty lists providers whose shares were identified as corrupt
 	// during robust reconstruction (verified mode).
@@ -207,13 +217,13 @@ type scanResult struct {
 
 // scanOpts are the per-statement knobs of a table scan.
 type scanOpts struct {
-	// cols are the client columns (indices into meta.Cols) the caller will
-	// read from the result; no other column's cell is fetched, except those
-	// the scan's own residual predicates test. Empty means row ids only. A
-	// verified scan ignores it and reconstructs whole rows.
-	cols []int
-	// limit caps the rows returned (0 = all).
-	limit uint64
+	// fetch is what each provider ships per row: the cells of the columns
+	// the caller reads and the scan's residual predicates test, none for
+	// row ids only, every stored cell for a verified scan.
+	fetch fetchPlan
+	// limit is how many result rows the scan may stop after, and push the
+	// bound each provider is sent (0 = none for either; see limitAt).
+	limit, push uint64
 	// verified selects the proof-carrying whole-response path.
 	verified bool
 	// epoch hides rows with ids at or above it, which is what gives reads
@@ -225,11 +235,35 @@ type scanOpts struct {
 	deadline time.Time
 }
 
-// readOpts is the scanOpts of a foreground read outside a transaction. The
-// statement's deadline is fixed here, once: a scan that re-opens after a
-// provider failure shares it, so failover cannot extend the budget.
-func (e *engine) readOpts(cols []int, limit uint64, verified bool) scanOpts {
-	return scanOpts{cols: cols, limit: limit, verified: verified, epoch: noEpoch, deadline: e.readDeadline()}
+// limitAt is the one placement of a scan's LIMIT, for the executor and
+// EXPLAIN alike: the result rows the scan may stop after, the bound each
+// provider is sent, and why the providers are not sent it ("" when they are).
+// The caller cuts the merged rows. sorted is an ORDER BY; pending, lazy
+// updates buffered for the table in the group scanned.
+func limitAt(limit uint64, preds []compiledPred, verified, sorted, pending bool) (stop, push uint64, why string) {
+	switch {
+	case limit == 0:
+		return 0, 0, ""
+	case verified:
+		return 0, 0, "a completeness proof covers the whole range"
+	case sorted:
+		return 0, 0, "the sort must see every matching row"
+	case pending:
+		return 0, 0, "buffered lazy updates may drop or add rows after the scan"
+	case len(residualPreds(preds)) > 0:
+		return limit, 0, "residual predicates drop rows after reconstruction"
+	}
+	return limit, limit, ""
+}
+
+// readQuorum is how many of a group's providers a read asks: K, or every
+// one for a verified read, so faulty providers can be dropped while a quorum
+// survives.
+func (o *Options) readQuorum(verified bool) int {
+	if verified {
+		return o.N
+	}
+	return o.K
 }
 
 // scanTable runs the paper's core read path: rewrite the (first) predicate
@@ -241,24 +275,16 @@ func (e *engine) readOpts(cols []int, limit uint64, verified bool) scanOpts {
 // Verified scans are the one genuinely different algorithm — a Merkle
 // completeness proof covers a whole response, and every live provider is
 // consulted so corrupt ones can be outvoted — and take scanVerified. Both
-// are post-processed the same way: pending lazy updates overlay the result,
-// then LIMIT truncates it.
+// are post-processed the same way: pending lazy updates overlay the result.
+// The caller cuts it to its LIMIT.
 func (e *engine) scanTable(meta *tableMeta, preds []compiledPred, o scanOpts) (*scanResult, error) {
-	for _, cp := range preds {
-		if cp.empty {
-			return &scanResult{verified: o.verified}, nil
-		}
-	}
-	limit := o.limit
-	if e.hasPending(meta.Name) {
-		// The overlay may drop or add rows after the fact; fetch unlimited
-		// and truncate at the end.
-		o.limit = 0
+	if emptyWhere(preds) {
+		return &scanResult{verified: o.verified}, nil
 	}
 	var res *scanResult
 	var err error
 	if o.verified {
-		res, err = e.scanVerified(meta, preds, o.deadline)
+		res, err = e.scanVerified(meta, preds, o)
 	} else {
 		res, err = e.collectStream(meta, preds, o)
 	}
@@ -270,10 +296,6 @@ func (e *engine) scanTable(meta *tableMeta, preds []compiledPred, o scanOpts) (*
 	if err := e.overlayPending(meta, res, preds); err != nil {
 		return nil, err
 	}
-	if limit > 0 && uint64(len(res.ids)) > limit {
-		res.ids = res.ids[:limit]
-		res.values = res.values[:limit]
-	}
 	return res, nil
 }
 
@@ -282,12 +304,12 @@ func (e *engine) scanTable(meta *tableMeta, preds []compiledPred, o scanOpts) (*
 // completeness proof, keeps the majority row set, and robust-reconstructs
 // cells to identify corrupt providers. The caller holds the exclusive
 // statement lock, so no insert is in flight and no row needs masking. A
-// completeness proof covers a whole range, so no LIMIT is pushed down:
-// scanTable truncates the result. Whole rows are fetched whatever the caller
-// reads: the proof's leaf digest hashes every cell, the range check reads the
-// order-preserving one, and robust reconstruction of every column is what
-// identifies a corrupt provider.
-func (e *engine) scanVerified(meta *tableMeta, preds []compiledPred, deadline time.Time) (*scanResult, error) {
+// completeness proof covers a whole range, so no LIMIT is pushed down. Whole
+// rows are fetched (o.fetch) whatever the caller reads: the proof's leaf
+// digest hashes every cell, the range check reads the order-preserving one,
+// and robust reconstruction of every column is what identifies a corrupt
+// provider.
+func (e *engine) scanVerified(meta *tableMeta, preds []compiledPred, o scanOpts) (*scanResult, error) {
 	if len(preds) == 0 {
 		// Synthesize a full-domain range on the first queryable column so
 		// the provider can attach a completeness proof.
@@ -306,24 +328,20 @@ func (e *engine) scanVerified(meta *tableMeta, preds []compiledPred, deadline ti
 	if err != nil {
 		return nil, err
 	}
-	// Every reachable provider is asked: redundancy is what lets
-	// proof-failing or outvoted providers be dropped while a quorum of K
-	// survives.
-	responses, err := e.collectWhole(e.opts.K, e.opts.N, func(i int) proto.Message {
+	responses, err := e.collectWhole(e.opts.K, e.opts.readQuorum(true), func(i int) proto.Message {
 		return &proto.ScanRequest{Table: meta.Name, Filter: filters[i], WithProof: true}
-	}, deadline)
+	}, o.deadline)
 	if err != nil {
 		return nil, err
 	}
 	// Detection AND recovery: drop providers whose answers are malformed,
 	// whose completeness proofs fail or that disagree with the majority row
 	// set, as long as a quorum of K honest-looking providers remains.
-	plan := meta.scanPlan(preds, nil, true)
-	providers, resps, faulty, err := e.applyVerification(meta, preds, &plan, responses)
+	providers, resps, faulty, err := e.applyVerification(meta, preds, &o.fetch, responses)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.reconstructRows(meta, &plan, providers, resps, true)
+	res, err := e.reconstructRows(meta, &o.fetch, providers, resps, true)
 	if err != nil {
 		return nil, err
 	}
@@ -336,10 +354,6 @@ func (e *engine) scanVerified(meta *tableMeta, preds []compiledPred, deadline ti
 		return nil, err
 	}
 	return res, nil
-}
-
-func (e *engine) hasPending(table string) bool {
-	return len(e.pending[table]) > 0
 }
 
 // reconstructRows is the one place provider rows are checked and combined:

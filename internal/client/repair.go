@@ -325,7 +325,7 @@ func (e *engine) reseedTable(p int, meta *tableMeta) error {
 	// No deadline deliberately: repair scans rebuild provider state and
 	// must run to completion even when the client bounds its foreground
 	// reads with Options.ReadDeadline.
-	scan, err := e.scanTable(meta, nil, scanOpts{cols: meta.allCols(), epoch: noEpoch, deadline: noDeadline})
+	scan, err := e.scanTable(meta, nil, scanOpts{fetch: meta.fetchPlan(meta.allCols()), epoch: noEpoch, deadline: noDeadline})
 	if err != nil {
 		return err
 	}

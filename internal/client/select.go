@@ -1,6 +1,7 @@
 package client
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -23,10 +24,15 @@ var ErrEmptyAggregate = errors.New("client: aggregate over an empty row set")
 type selectPlan struct {
 	s    *sql.Select
 	meta *tableMeta
-	// targets are the routed groups, ascending.
+	// targets are the routed groups, ascending, and route the shard-key
+	// comparison that narrowed them (see routeGroups).
 	targets  []int
+	route    sql.CompareOp
 	preds    []compiledPred
 	verified bool
+	// limit is the LIMIT of a plain select, the one a routed group's scan is
+	// given (see limitAt); 0 for everything else.
+	limit uint64
 	// epochs, when non-nil, is a transaction's snapshot: group g's scan is
 	// capped at epochs[g].
 	epochs []uint64
@@ -59,12 +65,23 @@ type selectPlan struct {
 // bucketed reports that the plan answers with buckets, not rows.
 func (p *selectPlan) bucketed() bool { return p.computeItems != nil }
 
-// exclusive reports that the statement must serialize against writers. A
-// plain scan tolerates concurrent INSERTs — the watermark hides partially
-// landed rows by id — but aggregation and verified reads compare or linearly
-// combine per-provider results that carry no ids to filter on.
+// exclusive is the plan's statement-lock mode. A plain scan tolerates
+// concurrent INSERTs — the watermark hides partially landed rows by id — and
+// only reads the lazy updates it overlays; aggregation and verified reads
+// combine per-provider results with no ids to filter on, and a flush mutates.
 func (p *selectPlan) exclusive() bool {
-	return p.verified || p.bucketed()
+	return p.verified || p.bucketed() || p.flush
+}
+
+// residual lists the predicates the client re-checks after reconstruction
+// (residualPreds).
+func (p *selectPlan) residual() []compiledPred { return residualPreds(p.preds) }
+
+// shipped is what each provider sends per row of the plan's scan: the value
+// cells of the columns it reads and of its residual predicates', or every
+// stored cell of a verified read (tableMeta.scanPlan).
+func (p *selectPlan) shipped() fetchPlan {
+	return p.meta.scanPlan(p.preds, p.fetch, p.verified)
 }
 
 // planSelect resolves a single-table SELECT. epochs is a transaction's
@@ -90,7 +107,7 @@ func (c *Client) planSelect(s *sql.Select, epochs []uint64) (*selectPlan, error)
 	if p.preds, err = compilePredicates(meta, s.Where, ""); err != nil {
 		return nil, err
 	}
-	p.targets = c.routeGroups(meta, s.Where)
+	p.targets, p.route = c.routeGroups(meta, s.Where)
 	switch {
 	case aggregate:
 		// Provider-side reduction handles a single pushed-down interval
@@ -122,7 +139,7 @@ func (c *Client) planSelect(s *sql.Select, epochs []uint64) (*selectPlan, error)
 		if p.cols, p.idx, err = selectColumns(meta, s.Items); err != nil {
 			return nil, err
 		}
-		p.fetch = p.idx
+		p.fetch, p.limit = p.idx, s.Limit
 		if s.OrderBy != nil {
 			if p.oci, err = orderColumn(meta, s.OrderBy); err != nil {
 				return nil, err
@@ -155,7 +172,7 @@ func (c *Client) runSelect(p *selectPlan) (*Result, error) {
 		verified := false
 		if p.onProviders {
 			parts := make([][]*group, len(p.targets))
-			err := c.scatter(p.targets, true, []*tableMeta{meta}, func(i int, e *engine) (err error) {
+			err := c.scatter(p.targets, p.exclusive(), []*tableMeta{meta}, func(i int, e *engine) (err error) {
 				if err := e.flushTableLocked(meta.Name); err != nil {
 					return err
 				}
@@ -169,7 +186,7 @@ func (c *Client) runSelect(p *selectPlan) (*Result, error) {
 				return nil, err
 			}
 		} else {
-			scan, err := c.gather(p, 0, true)
+			scan, err := c.gather(p)
 			if err != nil {
 				return nil, err
 			}
@@ -185,13 +202,9 @@ func (c *Client) runSelect(p *selectPlan) (*Result, error) {
 		return renderGroups(meta, s, groups, verified)
 
 	default:
-		// Every group receives LIMIT as a superset bound — unless a sort
-		// follows, which must see every matching row first.
-		limit := s.Limit
-		if p.oci >= 0 {
-			limit = 0
-		}
-		scan, err := c.gather(p, limit, p.exclusive())
+		// Each group's scan stops where limitAt lets it; the exact cut is
+		// made here, on the merged rows.
+		scan, err := c.gather(p)
 		if err != nil {
 			return nil, err
 		}
@@ -199,22 +212,22 @@ func (c *Client) runSelect(p *selectPlan) (*Result, error) {
 			// Ties between equal sort keys from different groups are broken
 			// by each group's private row ids, so cross-group tie order is
 			// unspecified.
-			if err := orderScan(meta, scan, p.oci, s.OrderBy.Desc, s.Limit); err != nil {
+			if err := orderScan(meta, scan, p.oci, s.OrderBy.Desc, p.limit); err != nil {
 				return nil, err
 			}
-		} else if limit > 0 && uint64(len(scan.ids)) > limit {
-			scan.ids, scan.values = scan.ids[:limit], scan.values[:limit]
+		} else if p.limit > 0 && uint64(len(scan.ids)) > p.limit {
+			scan.ids, scan.values = scan.ids[:p.limit], scan.values[:p.limit]
 		}
 		return projectScan(p.cols, p.idx, scan), nil
 	}
 }
 
-// gather runs the plan's scan in every routed group — limit pushed to each
-// as a superset bound — and merges the row partials.
-func (c *Client) gather(p *selectPlan, limit uint64, exclusive bool) (*scanResult, error) {
+// gather runs the plan's scan in every routed group, under the plan's lock
+// mode, and merges the row partials.
+func (c *Client) gather(p *selectPlan) (*scanResult, error) {
 	scans := make([]*scanResult, len(p.targets))
-	err := c.scatter(p.targets, exclusive, []*tableMeta{p.meta}, func(i int, e *engine) (err error) {
-		scans[i], err = e.scanPlan(p, limit)
+	err := c.scatter(p.targets, p.exclusive(), []*tableMeta{p.meta}, func(i int, e *engine) (err error) {
+		scans[i], err = e.scanPlan(p)
 		return err
 	})
 	if err != nil {
@@ -225,17 +238,40 @@ func (c *Client) gather(p *selectPlan, limit uint64, exclusive bool) (*scanResul
 
 // scanPlan runs the plan's scan in this group; the caller holds the group's
 // statement lock.
-func (e *engine) scanPlan(p *selectPlan, limit uint64) (*scanResult, error) {
+func (e *engine) scanPlan(p *selectPlan) (*scanResult, error) {
 	if p.flush {
 		if err := e.flushTableLocked(p.meta.Name); err != nil {
 			return nil, err
 		}
 	}
-	o := e.readOpts(p.fetch, limit, p.verified)
+	o, _ := e.planOpts(p)
+	return e.scanTable(p.meta, p.preds, o)
+}
+
+// planOpts is the scanOpts of the plan's scan in this group, and why its
+// LIMIT stays off the providers (limitAt); the caller holds the group's
+// statement lock. The deadline is fixed here, once: a scan that re-opens
+// after a provider failure shares it, so failover cannot extend the budget.
+func (e *engine) planOpts(p *selectPlan) (scanOpts, string) {
+	o := scanOpts{fetch: p.shipped(), verified: p.verified, epoch: noEpoch, deadline: e.readDeadline()}
 	if p.epochs != nil {
 		o.epoch = p.epochs[e.g]
 	}
-	return e.scanTable(p.meta, p.preds, o)
+	var why string
+	o.limit, o.push, why = limitAt(p.limit, p.preds, p.verified, p.oci >= 0, len(e.pending[p.meta.Name]) > 0)
+	return o, why
+}
+
+// limitWhy is where the plan's LIMIT applies in its routed groups as they
+// stand — the reason planOpts gives for keeping it off the providers, ""
+// when they receive it — looked up under the plan's own statement locks.
+func (c *Client) limitWhy(p *selectPlan) (string, error) {
+	whys := make([]string, len(p.targets))
+	err := c.scatter(p.targets, p.exclusive(), []*tableMeta{p.meta}, func(i int, e *engine) error {
+		_, whys[i] = e.planOpts(p)
+		return nil
+	})
+	return cmp.Or(whys...), err
 }
 
 // mergeScans merges row partials: concatenation in target order (cross-group
@@ -291,14 +327,11 @@ func orderScan(meta *tableMeta, scan *scanResult, ci int, desc bool, limit uint6
 		}
 		keys[r] = keyed{enc: enc, id: scan.ids[r], pos: r}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].enc != keys[b].enc {
-			if desc {
-				return keys[a].enc > keys[b].enc
-			}
-			return keys[a].enc < keys[b].enc
+	slices.SortFunc(keys, func(a, b keyed) int {
+		if desc {
+			a.enc, b.enc = b.enc, a.enc
 		}
-		return keys[a].id < keys[b].id
+		return cmp.Or(cmp.Compare(a.enc, b.enc), cmp.Compare(a.id, b.id))
 	})
 	if limit > 0 && uint64(len(keys)) > limit {
 		keys = keys[:limit]

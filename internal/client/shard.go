@@ -38,13 +38,14 @@ func (c *Client) groupForHash(u uint64) int {
 }
 
 // routeGroups picks the target groups of a statement from its WHERE
-// conjuncts, in ascending order: a top-level equality on the shard key
-// routes to the one owning group, IN to the union of its members' groups,
-// anything else (or any value that fails to parse — the scatter path
-// surfaces the identical error) to every group.
-func (c *Client) routeGroups(meta *tableMeta, where []sql.Predicate) []int {
+// conjuncts, in ascending order, and the shard-key comparison that narrowed
+// them (0 when none did): a top-level equality on the shard key routes to the
+// one owning group, IN to the union of its members' groups, anything else (or
+// any value that fails to parse — the scatter path surfaces the identical
+// error) to every group.
+func (c *Client) routeGroups(meta *tableMeta, where []sql.Predicate) ([]int, sql.CompareOp) {
 	if meta.shardCol < 0 || len(c.groups) == 1 {
-		return c.allGroups()
+		return c.allGroups(), 0
 	}
 	cm := &meta.Cols[meta.shardCol]
 	groupOf := func(lit sql.Literal) (int, bool) {
@@ -65,30 +66,30 @@ func (c *Client) routeGroups(meta *tableMeta, where []sql.Predicate) []int {
 		switch p.Op {
 		case sql.OpEq:
 			if g, ok := groupOf(p.Lo); ok {
-				return []int{g}
+				return []int{g}, sql.OpEq
 			}
-			return c.allGroups()
+			return c.allGroups(), 0
 		case sql.OpIn:
 			seen := make(map[int]bool)
 			var targets []int
 			for _, lit := range p.List {
 				g, ok := groupOf(lit)
 				if !ok {
-					return c.allGroups()
+					return c.allGroups(), 0
 				}
 				if !seen[g] {
 					seen[g] = true
 					targets = append(targets, g)
 				}
 			}
-			if len(targets) == 0 {
-				return c.allGroups()
+			if len(targets) == 0 || len(targets) == len(c.groups) {
+				return c.allGroups(), 0
 			}
 			sort.Ints(targets)
-			return targets
+			return targets, sql.OpIn
 		}
 	}
-	return c.allGroups()
+	return c.allGroups(), 0
 }
 
 // partitionRows splits an INSERT's rows, resolved to the schema's arity,

@@ -90,10 +90,6 @@ type rowStream struct {
 	preds []compiledPred
 	o     scanOpts
 	avoid []int
-
-	// plan is what every stream of the scan asks for (see ask).
-	plan      fetchPlan
-	pushLimit uint64
 }
 
 // interrupt signals the provider goroutines to abandon their calls (the
@@ -360,20 +356,12 @@ func (s *slots) race(old, rival *slot) *slot {
 	}
 }
 
-// openRowStream starts a streaming scan over the best-ranked K providers
-// not in avoid (at least K must remain). Any error after this point
-// surfaces through rs.err when rs.out closes. o.epoch caps the insert
-// watermark (transactional reads) and o.deadline bounds every provider
-// stream. Providers ship only the value cells of o.cols and of the residual
-// predicates' columns.
+// openRowStream starts a streaming scan over the best-ranked read quorum
+// of providers not in avoid (at least that many must remain). Any error
+// after this point surfaces through rs.err when rs.out closes. o.epoch caps
+// the insert watermark (transactional reads), o.deadline bounds every
+// provider stream, and each provider ships o.fetch and is sent o.push.
 func (e *engine) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts, avoid []int) (*rowStream, error) {
-	pushLimit := o.limit
-	if len(residualPreds(preds)) > 0 {
-		// Residual predicates drop rows client-side, so the provider cannot
-		// know when `limit` matches have been found; stream unlimited and
-		// cancel from here.
-		pushLimit = 0
-	}
 	filters, err := e.providerFilters(meta, preds)
 	if err != nil {
 		return nil, err
@@ -387,9 +375,10 @@ func (e *engine) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 	if o.epoch < watermark {
 		watermark = o.epoch
 	}
+	quorum := e.opts.readQuorum(false)
 	order := e.providerOrder(true)
 	order = slices.DeleteFunc(order, func(p int) bool { return slices.Contains(avoid, p) })
-	providers := append([]int(nil), order[:e.opts.K]...)
+	providers := append([]int(nil), order[:quorum]...)
 	sort.Ints(providers)
 	// If failover put a lagging provider (one with queued hints) in the
 	// chosen K, cap the watermark by its lag floor: its rows below the floor
@@ -399,7 +388,6 @@ func (e *engine) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 		watermark = min(watermark, e.provs[p].lagFloor(meta.Name))
 	}
 
-	plan := meta.scanPlan(preds, o.cols, false)
 	rs := &rowStream{
 		slots: slots{
 			e: e,
@@ -407,8 +395,8 @@ func (e *engine) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 				return &proto.ScanRequest{
 					Table:      meta.Name,
 					Filter:     filters[p],
-					Projection: plan.names,
-					IDsOnly:    plan.idsOnly(),
+					Projection: o.fetch.names,
+					IDsOnly:    o.fetch.idsOnly(),
 					Limit:      limit,
 				}
 			},
@@ -416,19 +404,17 @@ func (e *engine) openRowStream(meta *tableMeta, preds []compiledPred, o scanOpts
 			done:      make(chan struct{}),
 			watermark: watermark,
 			threshold: e.hedgeThreshold(),
-			spares:    slices.DeleteFunc(order[e.opts.K:], func(p int) bool { return e.provs[p].lagging() }),
+			spares:    slices.DeleteFunc(order[quorum:], func(p int) bool { return e.provs[p].lagging() }),
 		},
-		out:       make(chan alignedBatch, 1),
-		meta:      meta,
-		preds:     preds,
-		o:         o,
-		avoid:     avoid,
-		plan:      plan,
-		pushLimit: pushLimit,
+		out:   make(chan alignedBatch, 1),
+		meta:  meta,
+		preds: preds,
+		o:     o,
+		avoid: avoid,
 	}
 	streams := make([]*slot, len(providers))
 	for i, p := range providers {
-		streams[i] = rs.start(p, 0, pushLimit)
+		streams[i] = rs.start(p, 0, o.push)
 	}
 	go rs.align(streams)
 	return rs, nil
@@ -449,7 +435,7 @@ func (rs *rowStream) failover() (*rowStream, error) {
 		return nil, err
 	}
 	avoid := append(rs.avoid[:len(rs.avoid):len(rs.avoid)], rs.failed.p)
-	if n, k := rs.e.opts.N, rs.e.opts.K; n-len(avoid) < k {
+	if n, k := rs.e.opts.N, rs.e.opts.readQuorum(false); n-len(avoid) < k {
 		return nil, fmt.Errorf("%w: %d of %d failed this scan, %d needed, last: %w", ErrNotEnough, len(avoid), n, k, err)
 	}
 	return rs.e.openRowStream(rs.meta, rs.preds, rs.o, avoid)
@@ -498,7 +484,7 @@ func (rs *rowStream) align(streams []*slot) {
 			providers[i] = ps.p
 			resps[i] = &proto.RowsResponse{Columns: ps.cols, Rows: batch[i]}
 		}
-		res, err := e.reconstructRows(meta, &rs.plan, providers, resps, false)
+		res, err := e.reconstructRows(meta, &rs.o.fetch, providers, resps, false)
 		if err != nil {
 			rs.err = err
 			return true
@@ -585,7 +571,7 @@ func (rs *rowStream) align(streams []*slot) {
 			rs.err = fmt.Errorf("%w: provider %d ended its stream before provider %d", ErrInconsistent, short, long)
 			return
 		}
-		if rs.pushLimit > 0 && uint64(batched+avail) > remaining {
+		if rs.o.push > 0 && uint64(batched+avail) > remaining {
 			// No residual filter, so every aligned row is a result row:
 			// stop at LIMIT. Streams need not agree past it — one that
 			// continued unlimited has rows its limited peers never sent.
@@ -596,7 +582,7 @@ func (rs *rowStream) align(streams []*slot) {
 			ps.off += avail
 		}
 		batched += avail
-		if batched >= streamBatchRows || (rs.pushLimit > 0 && uint64(batched) == remaining) {
+		if batched >= streamBatchRows || (rs.o.push > 0 && uint64(batched) == remaining) {
 			if flush() {
 				return
 			}
@@ -712,7 +698,7 @@ func (c *Client) QueryRows(query string) (*Rows, error) {
 			return nil, err
 		}
 		for _, g := range p.targets {
-			materialize = materialize || c.groups[g].hasPending(p.meta.Name)
+			materialize = materialize || len(c.groups[g].pending[p.meta.Name]) > 0
 		}
 		if materialize {
 			unlock()
@@ -725,16 +711,15 @@ func (c *Client) QueryRows(query string) (*Rows, error) {
 		}
 		return materializedRows(res), nil
 	}
-	r := &Rows{cols: p.cols, idx: p.idx, client: c, unlock: unlock, limit: s.Limit}
-	for _, cp := range p.preds {
-		if cp.empty {
-			r.finish()
-			return r, nil
-		}
+	r := &Rows{cols: p.cols, idx: p.idx, client: c, unlock: unlock, limit: p.limit}
+	if emptyWhere(p.preds) {
+		r.finish()
+		return r, nil
 	}
 	for _, g := range p.targets {
 		e := c.groups[g]
-		rs, err := e.openRowStream(p.meta, p.preds, e.readOpts(p.fetch, s.Limit, false), nil)
+		o, _ := e.planOpts(p)
+		rs, err := e.openRowStream(p.meta, p.preds, o, nil)
 		if err != nil {
 			r.finish()
 			return nil, c.tagGroup(g, err)

@@ -144,7 +144,7 @@ func (tx *Tx) buffer(stmt sql.Statement, typed [][]Value) (*Result, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
-	w, err := tx.c.resolveWrite(stmt, typed)
+	w, err := tx.c.resolveWrite(stmt, typed, false)
 	if err != nil {
 		return nil, err
 	}

@@ -140,7 +140,7 @@ func TestRowsMatchReferenceDecoder(t *testing.T) {
 			t.Fatalf("iter %d: arena decoder stopped at %d of %d (err %v):\n got %v\nwant %v", iter, got.off, end, got.err, rows, src)
 		}
 		// Every truncation fails in both decoders, and decodes nothing.
-		for cut := 0; cut < end; cut++ {
+		for _, cut := range truncations(end, int64(iter)) {
 			got := &reader{buf: w.buf[:cut]}
 			_, _, refErr := decodeRowsReference(w.buf[:cut])
 			if rows := got.rows(); rows != nil || got.err == nil || refErr == nil {
@@ -149,6 +149,31 @@ func TestRowsMatchReferenceDecoder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// truncations lists the cuts of an end-byte encoding that
+// TestRowsMatchReferenceDecoder decodes: every one of them, or under the race
+// detector a seeded sample — the first and last 16 and 32 between. Decoding
+// every prefix is quadratic in the chunk, the test runs on one goroutine, and
+// the detector slows it tenfold while it has nothing to detect.
+func truncations(end int, seed int64) []int {
+	const edge, middle = 16, 32
+	if !raceEnabled || end <= 2*edge+middle {
+		cuts := make([]int, end)
+		for i := range cuts {
+			cuts[i] = i
+		}
+		return cuts
+	}
+	rng := mrand.New(mrand.NewSource(seed))
+	cuts := make([]int, 0, 2*edge+middle)
+	for i := 0; i < edge; i++ {
+		cuts = append(cuts, i, end-1-i)
+	}
+	for i := 0; i < middle; i++ {
+		cuts = append(cuts, edge+rng.Intn(end-2*edge))
+	}
+	return cuts
 }
 
 // Hostile counts must fail on the missing bytes, not allocate for what they
