@@ -67,7 +67,9 @@ type Options struct {
 	Rand io.Reader
 	// Verified requests verification on every read: queries go to all live
 	// providers, field cells are robust-reconstructed, and row sets are
-	// cross-checked.
+	// cross-checked. Joins and a transaction's snapshot reads run
+	// unverified and report Result.Verified = false; an explicit VERIFIED
+	// on either is refused with ErrUnsupported.
 	Verified bool
 	// LazyUpdates buffers UPDATE statements client-side until Flush (the
 	// paper's Sec. V-C lazy update direction). Reads overlay pending

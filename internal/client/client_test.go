@@ -1,8 +1,10 @@
 package client
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -325,14 +327,18 @@ func TestJoinRemoteSameDomain(t *testing.T) {
 	g.mustExec(t, `CREATE TABLE managers (eid INT, level INT)`)
 	g.mustExec(t, `INSERT INTO employees VALUES (1, 'John', 10), (2, 'Alice', 20), (3, 'Bob', 40)`)
 	g.mustExec(t, `INSERT INTO managers VALUES (2, 100), (3, 200)`)
-	for name, lie := range map[string]func(*proto.JoinResult){
-		"right id":  func(jr *proto.JoinResult) { jr.RightIDs[len(jr.RightIDs)-1]++ },
-		"short row": func(jr *proto.JoinResult) { jr.Rows[0].Cells = jr.Rows[0].Cells[:1] },
-		"header":    func(jr *proto.JoinResult) { jr.Columns[0] = "bogus#f" },
+	for name, lie := range map[string]func(*proto.RowsResponse){
+		"right id": func(rr *proto.RowsResponse) {
+			pair := rr.Rows[len(rr.Rows)-1].Cells
+			rid := slices.Index(rr.Columns, proto.JoinRightID)
+			pair[rid] = binary.BigEndian.AppendUint64(nil, binary.BigEndian.Uint64(pair[rid])+1)
+		},
+		"short row": func(rr *proto.RowsResponse) { rr.Rows[0].Cells = rr.Rows[0].Cells[:1] },
+		"header":    func(rr *proto.RowsResponse) { rr.Columns[0] = "bogus#f" },
 	} {
 		g.faults[1].SetCorrupter(func(resp proto.Message) proto.Message {
-			if jr, ok := resp.(*proto.JoinResult); ok && len(jr.Rows) > 0 {
-				lie(jr)
+			if rr, ok := resp.(*proto.RowsResponse); ok && len(rr.Rows) > 0 {
+				lie(rr)
 			}
 			return resp
 		})
@@ -341,6 +347,81 @@ func TestJoinRemoteSameDomain(t *testing.T) {
 		if !errors.Is(err, ErrInconsistent) {
 			t.Errorf("a provider lying about a joined pair's %s: %v, %v; want ErrInconsistent", name, res, err)
 		}
+	}
+}
+
+// A LIMIT cuts a join's pairs — provider-side, where every provider receives
+// it and stops there, and client-side — and an aggregate's buckets in key
+// order after HAVING, through Exec and QueryRows alike.
+func TestJoinAndAggregateLimit(t *testing.T) {
+	c, caps := newCapturedFleet(t)
+	for _, q := range []string{
+		`CREATE TABLE employees (eid INT, name VARCHAR(8), salary INT)`,
+		`CREATE TABLE managers (eid INT, level INT)`,
+		`INSERT INTO employees VALUES (1, 'John', 10), (2, 'Alice', 20), (3, 'Bob', 40), (4, 'Eve', 20)`,
+		`INSERT INTO managers VALUES (1, 1), (2, 2), (3, 3), (4, 4)`,
+	} {
+		if _, err := c.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for q, want := range map[string]string{
+		`SELECT employees.name FROM employees JOIN managers ON employees.eid = managers.eid LIMIT 1`:                          "[John]",
+		`SELECT employees.name FROM employees JOIN managers ON employees.eid = managers.eid LIMIT 9`:                          "[John Alice Bob Eve]",
+		`SELECT employees.name FROM employees JOIN managers ON employees.eid = managers.eid WHERE managers.level > 1 LIMIT 2`: "[Alice Bob]",
+		`SELECT salary, COUNT(*) FROM employees GROUP BY salary LIMIT 1`:                                                      "[10,1]",
+		`SELECT salary, COUNT(*) FROM employees GROUP BY salary HAVING COUNT(*) < 2 LIMIT 2`:                                  "[10,1 40,1]",
+		`SELECT COUNT(*) FROM employees LIMIT 1`:                                                                              "[4]",
+	} {
+		res, err := c.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := fmt.Sprint(rowsAsStrings(res)); got != want {
+			t.Errorf("Exec(%s) = %s, want %s", q, got, want)
+		}
+		rows, err := c.QueryRows(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := fmt.Sprint(drainRows(t, rows)); got != want {
+			t.Errorf("QueryRows(%s) = %s, want %s", q, got, want)
+		}
+	}
+	asked := 0
+	for p, cc := range caps {
+		for _, j := range cc.joins {
+			if asked++; j.Limit != 1 && j.Limit != 9 {
+				t.Errorf("provider %d was asked for a join with limit %d, want the statement's", p, j.Limit)
+			}
+		}
+	}
+	if asked < 2*2*2 { // two provider-side statements, each run twice, at K = 2
+		t.Errorf("%d join requests reached the providers, want at least 8", asked)
+	}
+}
+
+// A VERIFIED join is refused: no completeness proof covers a join's pairs.
+// Options.Verified does not refuse joins; they run unverified and say so.
+func TestJoinVerified(t *testing.T) {
+	f := newFleet(t, 3, 2, Options{})
+	f.mustExec(t, `CREATE TABLE employees (eid INT, name VARCHAR(8))`)
+	f.mustExec(t, `CREATE TABLE managers (eid INT, level INT)`)
+	f.mustExec(t, `INSERT INTO employees VALUES (1, 'John')`)
+	f.mustExec(t, `INSERT INTO managers VALUES (1, 5)`)
+	join := `SELECT employees.name FROM employees JOIN managers ON employees.eid = managers.eid`
+	for _, q := range []string{join + " VERIFIED", "EXPLAIN " + join + " VERIFIED"} {
+		if res, err := f.client.Exec(q); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("%s: %v, %v; want ErrUnsupported", q, res, err)
+		}
+	}
+	g := newFleet(t, 3, 2, Options{Verified: true})
+	g.mustExec(t, `CREATE TABLE employees (eid INT, name VARCHAR(8))`)
+	g.mustExec(t, `CREATE TABLE managers (eid INT, level INT)`)
+	g.mustExec(t, `INSERT INTO employees VALUES (1, 'John')`)
+	g.mustExec(t, `INSERT INTO managers VALUES (1, 5)`)
+	if res := g.mustExec(t, join); res.Verified || fmt.Sprint(rowsAsStrings(res)) != "[John]" {
+		t.Errorf("join under Options.Verified: %v verified = %v", rowsAsStrings(res), res.Verified)
 	}
 }
 

@@ -113,9 +113,10 @@ func (c *Client) execExplain(e *sql.Explain) (*Result, error) {
 		routing(j.left)
 		routing(j.right)
 		if j.why == "" {
-			line("JOIN %s ⋈ %s ON %s = %s: provider-side share-equality hash join (same domain %q)",
+			line("JOIN %s ⋈ %s ON %s = %s: provider-side share-equality index join (same domain %q)",
 				left.Name, right.Name, j.lc.Name, j.rc.Name, j.lc.domain)
-			line("  send JoinRequest to %d of %d providers; reconstruct pairs from aligned responses", c.opts.readQuorum(false), c.opts.N)
+			line("  send JoinRequest to %d of %d providers: each walks %s and looks each row up in %s's %q#o index, streaming the pairs; reconstruct pairs from aligned responses",
+				c.opts.readQuorum(false), c.opts.N, left.Name, right.Name, j.rc.Name)
 		} else {
 			line("JOIN %s ⋈ %s: CLIENT-SIDE fallback — %s", left.Name, right.Name, j.why)
 			line("  scan both tables, reconstruct, hash-join locally on typed values")
@@ -124,6 +125,13 @@ func (c *Client) execExplain(e *sql.Explain) (*Result, error) {
 		line("  %s: %s", right.Name, fetchLine(right, j.shipped(j.right)))
 		if len(s.Where) > 0 {
 			line("WHERE: %d conjunct(s); left-side leading predicate pushed when provider-side", len(s.Where))
+		}
+		switch {
+		case j.limit == 0:
+		case j.why == "":
+			line("LIMIT %d: pushed to providers (each stops after %d pairs)", j.limit, j.limit)
+		default:
+			line("LIMIT %d: applied client-side to the locally joined pairs", j.limit)
 		}
 		return res, nil
 	}
@@ -157,6 +165,9 @@ func (c *Client) execExplain(e *sql.Explain) (*Result, error) {
 		}
 		if len(s.Having) > 0 {
 			line("HAVING: %d conjunct(s) applied to reconstructed group aggregates", len(s.Having))
+		}
+		if s.Limit > 0 {
+			line("LIMIT %d: applied client-side to the buckets in key order, after HAVING", s.Limit)
 		}
 	default:
 		describeScan(p)

@@ -93,12 +93,22 @@ func TestExplainJoin(t *testing.T) {
 	f.mustExec(t, `CREATE TABLE b (k INT, y INT)`)
 	f.mustExec(t, `CREATE TABLE c (k VARCHAR(4), y INT)`)
 	plan := planText(t, f, `EXPLAIN SELECT * FROM a JOIN b ON a.k = b.k`)
-	if !strings.Contains(plan, "provider-side share-equality hash join") {
+	if !strings.Contains(plan, "provider-side share-equality index join") || !strings.Contains(plan, `looks each row up in b's "k"#o index`) {
 		t.Fatalf("plan:\n%s", plan)
 	}
 	plan = planText(t, f, `EXPLAIN SELECT a.x FROM a JOIN c ON a.k = c.k`)
 	if !strings.Contains(plan, "CLIENT-SIDE fallback") || !strings.Contains(plan, "domains differ") {
 		t.Fatalf("plan:\n%s", plan)
+	}
+	// EXPLAIN says where a join's LIMIT applies.
+	for q, want := range map[string]string{
+		`EXPLAIN SELECT a.x FROM a JOIN b ON a.k = b.k LIMIT 2`:                    "LIMIT 2: pushed to providers (each stops after 2 pairs)",
+		`EXPLAIN SELECT a.x FROM a JOIN b ON a.k = b.k WHERE b.y > 1 LIMIT 2`:      "LIMIT 2: applied client-side to the locally joined pairs",
+		`EXPLAIN SELECT k, COUNT(*) FROM a GROUP BY k HAVING COUNT(*) > 1 LIMIT 3`: "LIMIT 3: applied client-side to the buckets in key order, after HAVING",
+	} {
+		if plan := planText(t, f, q); !strings.Contains(plan, want) {
+			t.Errorf("%s: plan lacks %q:\n%s", q, want, plan)
+		}
 	}
 }
 

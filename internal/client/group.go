@@ -153,8 +153,8 @@ func planBuckets(meta *tableMeta, s *sql.Select) (gcm *colMeta, gci int, compute
 	return gcm, gci, computeItems, nil
 }
 
-// renderGroups applies HAVING and renders the merged group list into a Result
-// in select-list order.
+// renderGroups applies HAVING, then the LIMIT in bucket order, and renders
+// the merged group list into a Result in select-list order.
 func renderGroups(meta *tableMeta, s *sql.Select, groups []*group, verified bool) (*Result, error) {
 	var err error
 	if len(s.Having) > 0 {
@@ -162,6 +162,9 @@ func renderGroups(meta *tableMeta, s *sql.Select, groups []*group, verified bool
 		if err != nil {
 			return nil, err
 		}
+	}
+	if s.Limit > 0 && uint64(len(groups)) > s.Limit {
+		groups = groups[:s.Limit]
 	}
 	res := &Result{Verified: verified}
 	for _, item := range s.Items {

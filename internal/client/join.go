@@ -30,6 +30,9 @@ type joinPlan struct {
 	// why says what keeps the join from running at the providers; empty
 	// means nothing does.
 	why string
+	// limit is the LIMIT (0 = none). Providers that pair the rows stop
+	// after that many pairs; the pairs are cut to it either way.
+	limit uint64
 }
 
 // exclusive is the join's statement-lock mode, its sides' (each flushes its
@@ -60,6 +63,9 @@ func (c *Client) planJoin(s *sql.Select) (*joinPlan, error) {
 	if left.Name == right.Name {
 		return nil, fmt.Errorf("%w: self joins", ErrUnsupported)
 	}
+	if s.Verified {
+		return nil, fmt.Errorf("%w: VERIFIED joins", ErrUnsupported)
+	}
 	if s.GroupBy != nil {
 		return nil, fmt.Errorf("%w: GROUP BY over joins", ErrUnsupported)
 	}
@@ -77,7 +83,7 @@ func (c *Client) planJoin(s *sql.Select) (*joinPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &joinPlan{lci: left.colIndex(lcName), rci: right.colIndex(rcName)}
+	j := &joinPlan{lci: left.colIndex(lcName), rci: right.colIndex(rcName), limit: s.Limit}
 	if j.lc, err = left.col(lcName); err != nil {
 		return nil, err
 	}
@@ -159,13 +165,13 @@ func (c *Client) planJoin(s *sql.Select) (*joinPlan, error) {
 // execJoin runs one task per group of the lock set, under the join's lock
 // mode: the task reads whichever sides route to its group under one hold of
 // the group's lock, so a group never shows the join two different states of
-// itself.
+// itself. The LIMIT cuts the pairs, in the order the join produced them.
 func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 	j, err := c.planJoin(s)
 	if err != nil {
 		return nil, err
 	}
-	var remote *Result
+	var res *Result
 	lScans := make([]*scanResult, len(j.targets))
 	rScans := make([]*scanResult, len(j.targets))
 	err = c.scatter(j.targets, j.exclusive(), []*tableMeta{j.left.meta, j.right.meta}, func(i int, e *engine) (err error) {
@@ -175,7 +181,7 @@ func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 					return err
 				}
 			}
-			remote, err = e.joinRemote(j)
+			res, err = e.joinRemote(j)
 			return err
 		}
 		if slices.Contains(j.left.targets, e.g) {
@@ -188,8 +194,8 @@ func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 		}
 		return err
 	})
-	if err != nil || remote != nil {
-		return remote, err
+	if err != nil {
+		return nil, err
 	}
 	// side merges the row partials of the groups one side was read in.
 	side := func(slots []*scanResult) *scanResult {
@@ -202,7 +208,13 @@ func (c *Client) execJoin(s *sql.Select) (*Result, error) {
 		}
 		return c.mergeScans(scans, groups)
 	}
-	return joinFromScans(j.lci, j.rci, j.items, side(lScans), side(rScans)), nil
+	if res == nil {
+		res = joinFromScans(j.lci, j.rci, j.items, side(lScans), side(rScans))
+	}
+	if j.limit > 0 && uint64(len(res.Rows)) > j.limit {
+		res.Rows = res.Rows[:j.limit]
+	}
+	return res, nil
 }
 
 // resolveOn orients the ON clause onto (leftCol, rightCol).
@@ -296,10 +308,12 @@ func predicateSide(left, right *tableMeta, p sql.Predicate) (int, error) {
 }
 
 // joinRemote executes the equijoin at this group's providers (same-domain
-// keys, both sides wholly in this group). Each provider's pairs are cut into
-// their two sides — left ids and cells, right ids and cells — and each side
-// is checked and combined like a scan of its own table, so the K providers
-// agree on a pair exactly when they agree on both of its halves.
+// keys, both sides wholly in this group), which stream their pairs, at most
+// the LIMIT of them, as row chunks that the transport reassembles. Each
+// provider's pairs are cut into their two sides — left ids and cells, right
+// ids and cells — and each side is checked and combined like a scan of its
+// own table, so the K providers agree on a pair exactly when they agree on
+// both of its halves.
 func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 	left, right, items := j.left.meta, j.right.meta, j.items
 	res := &Result{Columns: joinColumns(items)}
@@ -323,6 +337,7 @@ func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 			Filter:       filters[i],
 			LeftIDsOnly:  lPlan.idsOnly(),
 			RightIDsOnly: rPlan.idsOnly(),
+			Limit:        j.limit,
 		}
 	}, e.readDeadline())
 	if err != nil {
@@ -332,12 +347,14 @@ func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 	lResps := make([]*proto.RowsResponse, len(responses))
 	rResps := make([]*proto.RowsResponse, len(responses))
 	for i, r := range responses {
-		jr, err := as[*proto.JoinResult](r.p, r.msg)
+		rr, err := as[*proto.RowsResponse](r.p, r.msg)
 		if err != nil {
 			return nil, err
 		}
 		providers[i] = r.p
-		lResps[i], rResps[i] = splitPairs(jr, len(lPlan.names))
+		if lResps[i], rResps[i], err = splitPairs(r.p, rr, len(lPlan.names)); err != nil {
+			return nil, err
+		}
 	}
 	lScan, err := e.reconstructRows(left, &lPlan, providers, lResps, false)
 	if err != nil {
@@ -362,21 +379,27 @@ func (e *engine) joinRemote(j *joinPlan) (*Result, error) {
 }
 
 // splitPairs cuts one provider's joined pairs into its two sides' answers:
-// the first nl header names and cells of every pair under the left row ids,
-// the rest under RightIDs. Each cut is clamped to what is there, so a header
-// or pair of the wrong width leaves a side malformed — which reconstructRows
-// refuses before reading a cell — and never slices out of range; Decode
-// already refuses right ids that do not pair up with the rows.
-func splitPairs(jr *proto.JoinResult, nl int) (l, r *proto.RowsResponse) {
-	cut := min(nl, len(jr.Columns))
-	l = &proto.RowsResponse{Columns: jr.Columns[:cut], Rows: make([]proto.Row, len(jr.Rows))}
-	r = &proto.RowsResponse{Columns: jr.Columns[cut:], Rows: make([]proto.Row, len(jr.Rows))}
-	for i, pair := range jr.Rows {
-		cut := min(nl, len(pair.Cells))
-		l.Rows[i] = proto.Row{ID: pair.ID, Cells: pair.Cells[:cut]}
-		r.Rows[i] = proto.Row{ID: jr.RightIDs[i], Cells: pair.Cells[cut:]}
+// the first nl header names and cells of every pair under the pair's left row
+// id, and the names and cells after the right-id cell under the right row id
+// that cell carries. A header or pair without that cell where nl puts it is
+// ErrInconsistent; a side of the wrong width is left malformed, which
+// reconstructRows refuses before reading a cell.
+func splitPairs(provider int, rr *proto.RowsResponse, nl int) (l, r *proto.RowsResponse, err error) {
+	if len(rr.Columns) <= nl || rr.Columns[nl] != proto.JoinRightID {
+		return nil, nil, fmt.Errorf("%w: provider %d answered a join with columns %v, no right row id after %d",
+			ErrInconsistent, provider, rr.Columns, nl)
 	}
-	return l, r
+	l = &proto.RowsResponse{Columns: rr.Columns[:nl], Rows: make([]proto.Row, len(rr.Rows))}
+	r = &proto.RowsResponse{Columns: rr.Columns[nl+1:], Rows: make([]proto.Row, len(rr.Rows))}
+	for i, pair := range rr.Rows {
+		if len(pair.Cells) <= nl || len(pair.Cells[nl]) != 8 {
+			return nil, nil, fmt.Errorf("%w: provider %d sent a pair of left row %d without a right row id",
+				ErrInconsistent, provider, pair.ID)
+		}
+		l.Rows[i] = proto.Row{ID: pair.ID, Cells: pair.Cells[:nl]}
+		r.Rows[i] = proto.Row{ID: beUint64(pair.Cells[nl]), Cells: pair.Cells[nl+1:]}
+	}
+	return l, r, nil
 }
 
 func joinColumns(items []joinItem) []string {

@@ -75,13 +75,8 @@ func (c *capConn) Call(req proto.Message) (proto.Message, error) {
 	inspect := c.note(req)
 	resp, err := c.Conn.Call(req)
 	if inspect {
-		switch m := resp.(type) {
-		case *proto.RowsResponse:
+		if m, ok := resp.(*proto.RowsResponse); ok {
 			c.inspectRows(req, m.Rows)
-		case *proto.JoinResult:
-			for _, row := range m.Rows {
-				c.inspect(row.Cells)
-			}
 		}
 	}
 	return resp, err

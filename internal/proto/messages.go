@@ -49,7 +49,9 @@ const (
 	// 4. Retired, never reused, and nothing after it renumbered: later kinds
 	// are on disk in WAL, hint and tx-log records.
 	_
-	KJoinResult
+	// 47 was KJoinResult, a join's whole answer up to wire version 7; since
+	// 8 a join streams its pairs as RowsResponse chunks. Retired like 46.
+	_
 	KDigestResult
 	KTables
 	KGroupResult
@@ -188,8 +190,10 @@ func (m *AggregateRequest) fields(c *codec) {
 }
 
 // JoinRequest equijoins two tables on share-equality of the named columns
-// (same-domain referential joins, paper Sec. V-A). The provider returns the
-// projected cells of both sides for each matching pair; a side whose
+// (same-domain referential joins, paper Sec. V-A). The provider streams the
+// matching pairs as RowsResponse chunks, one row per pair: the left row's id,
+// the left projection's cells, the right row's id as one 8-byte big-endian
+// cell (column JoinRightID), then the right projection's cells. A side whose
 // IDsOnly flag is set contributes its row id and no cells.
 type JoinRequest struct {
 	LeftTable  string
@@ -201,7 +205,13 @@ type JoinRequest struct {
 	// Filter optionally restricts the left side before joining.
 	Filter                    *Filter
 	LeftIDsOnly, RightIDsOnly bool
+	// Limit caps the pairs sent (0 = no limit).
+	Limit uint64
 }
+
+// JoinRightID names the cell of a join's pair that carries the right row's
+// id.
+const JoinRightID = "#right-id"
 
 func (*JoinRequest) Kind() Kind { return KJoin }
 func (m *JoinRequest) fields(c *codec) {
@@ -213,6 +223,7 @@ func (m *JoinRequest) fields(c *codec) {
 	c.strings(&m.RightProj)
 	c.filter(&m.Filter)
 	c.flags(&m.LeftIDsOnly, &m.RightIDsOnly)
+	c.uvarint(&m.Limit)
 }
 
 // TableStateRequest asks for a provider-neutral resync digest of a whole
@@ -364,24 +375,6 @@ func (m *GroupResult) fields(c *codec) {
 	})
 }
 
-// JoinResult carries equijoin output, one matched pair per row: Rows[i]
-// holds the left row's id and the pair's cells — the left projection then
-// the right one, as Columns names them — and RightIDs[i] the right row's id.
-type JoinResult struct {
-	Columns  []string
-	Rows     []Row
-	RightIDs []uint64
-}
-
-func (*JoinResult) Kind() Kind { return KJoinResult }
-func (m *JoinResult) fields(c *codec) {
-	c.strings(&m.Columns)
-	c.rows(&m.Rows)
-	if c.u64s(&m.RightIDs); len(m.RightIDs) != len(m.Rows) {
-		c.r.fail(fmt.Errorf("proto: join result of %d rows with %d right ids", len(m.Rows), len(m.RightIDs)))
-	}
-}
-
 // DigestResult carries a table's provider-neutral resync root and row count
 // (the answer to a TableStateRequest).
 type DigestResult struct {
@@ -417,8 +410,7 @@ var emptyMessage = [...]func() Message{
 	KListTables: mk[ListTablesRequest], KInsert: mk[InsertRequest], KDelete: mk[DeleteRequest],
 	KUpdate: mk[UpdateRequest], KScan: mk[ScanRequest], KAggregate: mk[AggregateRequest],
 	KJoin: mk[JoinRequest], KOK: mk[OKResponse], KError: mk[ErrorResponse],
-	KRows: mk[RowsResponse], KJoinResult: mk[JoinResult],
-	KDigestResult: mk[DigestResult], KTables: mk[TablesResponse], KGroupResult: mk[GroupResult],
+	KRows: mk[RowsResponse], KDigestResult: mk[DigestResult], KTables: mk[TablesResponse], KGroupResult: mk[GroupResult],
 	KTableState: mk[TableStateRequest], KStats: mk[StatsResponse], KTxPrepare: mk[TxPrepareRequest],
 	KTxCommit: mk[TxCommitRequest], KTxAbort: mk[TxAbortRequest], KTxOps: mk[TxOpsRecord], KTxMark: mk[TxMarkRecord],
 }

@@ -53,18 +53,11 @@ func allMessages() []Message {
 			LeftProj: []string{"salary#f"}, RightProj: []string{"mid#f"},
 			Filter: &Filter{Col: "dept#o", Op: FilterEq, Lo: []byte{7}},
 		},
+		&JoinRequest{LeftTable: "d", LeftCol: "k#o", RightTable: "a", RightCol: "k#o", RightIDsOnly: true, Limit: 500},
 		&OKResponse{Affected: 42},
 		&ErrorResponse{Code: CodeNoSuchTable, Msg: "employees"},
 		&RowsResponse{Columns: []string{"a", "b", "c"}, Rows: rows, Proof: []byte{0xde, 0xad}},
 		&RowsResponse{},
-		&JoinResult{
-			Columns: []string{"salary#f", "mid#f"},
-			Rows: []Row{
-				{ID: 1, Cells: [][]byte{{1}, {2}}},
-				{ID: 3},
-			},
-			RightIDs: []uint64{2, 4},
-		},
 		&DigestResult{Root: []byte{1, 2, 3, 4}, Count: 1000},
 		&TablesResponse{Specs: []TableSpec{spec}},
 		&TablesResponse{},
@@ -86,15 +79,15 @@ func allMessages() []Message {
 
 // TestKindNumbers pins the wire number of every kind. Mutations and the tx
 // records (KInsert…KTxMark) are on disk in WAL, hint-journal and tx-log
-// records, so a kind that is retired — 42, once the digest request, and 46,
-// once KAggResult — leaves a hole that decodes as unknown instead of shifting
-// the kinds after it; and allMessages, which seeds FuzzDecode's corpus, has a
+// records, so a kind that is retired — 42, once the digest request, 46, once
+// KAggResult, and 47, once KJoinResult — leaves a hole that decodes as
+// unknown instead of shifting the kinds after it; and allMessages, which seeds FuzzDecode's corpus, has a
 // message of every kind. The tx log's mark states are on disk too.
 func TestKindNumbers(t *testing.T) {
 	want := map[Kind]uint8{
 		KPing: 32, KCreateTable: 33, KDropTable: 34, KListTables: 35, KInsert: 36, KDelete: 37, KUpdate: 38,
 		KScan: 39, KAggregate: 40, KJoin: 41, KOK: 43, KError: 44, KRows: 45,
-		KJoinResult: 47, KDigestResult: 48, KTables: 49, KGroupResult: 50, KTableState: 51, KStats: 52,
+		KDigestResult: 48, KTables: 49, KGroupResult: 50, KTableState: 51, KStats: 52,
 		KTxPrepare: 53, KTxCommit: 54, KTxAbort: 55, KTxOps: 56, KTxMark: 57,
 	}
 	sent := map[Kind]bool{}
@@ -114,7 +107,7 @@ func TestKindNumbers(t *testing.T) {
 	if TxStateIntent != 1 || TxStateCommitted != 2 || TxStateResolved != 4 {
 		t.Errorf("tx mark states are %d/%d/%d, pinned as 1/2/4", TxStateIntent, TxStateCommitted, TxStateResolved)
 	}
-	for _, retired := range []Kind{KDigest, 46} {
+	for _, retired := range []Kind{KDigest, 46, 47} {
 		if _, err := Decode([]byte{formatTag | uint8(retired), 0, 0}); err == nil || errors.Is(err, ErrOldFormat) {
 			t.Errorf("retired kind %d: %v, want an unknown-kind error", retired, err)
 		}

@@ -19,7 +19,7 @@
 // a proof-carrying scan ships whole rows.
 //
 // Rows have one encoding, the share-row block (rowblock.go). It is the row
-// list inside every Insert/Update/Rows/Agg/Join message — and therefore
+// list inside every Insert/Update/Rows message — and therefore
 // inside every WAL, hint-journal and tx-log record — it is the payload of a
 // store page, and, decoded in place (RowBlock), it is the resident page:
 //

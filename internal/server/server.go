@@ -34,20 +34,26 @@ var (
 	_ transport.StreamHandler = (*Provider)(nil)
 )
 
-// HandleStream implements transport.StreamHandler: every scan runs on a
-// store cursor, emitting bounded row batches as they are produced instead of
-// materializing the result set, and a proof-carrying scan's last batch
-// carries its completeness proof. A scan that cannot be proved is refused
-// before any row is sent, and one whose client gave up (emit fails) stops at
-// that batch. Every other request reports handled=false.
+// HandleStream implements transport.StreamHandler: every scan and every join
+// runs on a store cursor, emitting bounded row batches — a join's pairs — as
+// they are produced instead of materializing the result set, and a
+// proof-carrying scan's last batch carries its completeness proof. A read
+// that cannot run (or be proved) is refused before any row is sent, and one
+// whose client gave up (emit fails) stops at that batch. Every other request
+// reports handled=false.
 func (p *Provider) HandleStream(req proto.Message, emit func(*proto.RowsResponse) error) (bool, error) {
-	m, ok := req.(*proto.ScanRequest)
-	if !ok {
+	var cur *store.ScanCursor
+	var err error
+	switch m := req.(type) {
+	case *proto.ScanRequest:
+		cur, err = p.store.OpenCursor(m.Table, m.Filter, store.Projection(m.Projection, m.IDsOnly), m.Limit, 0)
+		if err == nil && m.WithProof {
+			err = cur.Prove()
+		}
+	case *proto.JoinRequest:
+		cur, err = p.store.OpenJoin(m, 0)
+	default:
 		return false, nil
-	}
-	cur, err := p.store.OpenCursor(m.Table, m.Filter, store.Projection(m.Projection, m.IDsOnly), m.Limit, 0)
-	if err == nil && m.WithProof {
-		err = cur.Prove()
 	}
 	if err != nil {
 		return true, errResponse(err).Err()
@@ -106,12 +112,6 @@ func (p *Provider) Handle(req proto.Message) proto.Message {
 		return &proto.TablesResponse{Specs: p.store.ListTables()}
 	case *proto.AggregateRequest:
 		res, err := p.store.Aggregate(m)
-		if err != nil {
-			return errResponse(err)
-		}
-		return res
-	case *proto.JoinRequest:
-		res, err := p.store.Join(m)
 		if err != nil {
 			return errResponse(err)
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,10 +117,18 @@ func TestHandleFullLifecycle(t *testing.T) {
 		t.Fatalf("agg: %#v", agg)
 	}
 	join, ok := call(&proto.JoinRequest{
-		LeftTable: "t", LeftCol: "a#o", RightTable: "t", RightCol: "a#o",
-	}).(*proto.JoinResult)
-	if !ok || len(join.Rows) != 3 {
+		LeftTable: "t", LeftCol: "a#o", RightTable: "t", RightCol: "a#o", LeftProj: []string{"a#f"}, RightIDsOnly: true,
+	}).(*proto.RowsResponse)
+	if !ok || len(join.Rows) != 3 || !slices.Equal(join.Columns, []string{"a#f", proto.JoinRightID}) {
 		t.Fatalf("join: %#v", join)
+	}
+	for _, pair := range join.Rows {
+		if rid := binary.BigEndian.Uint64(pair.Cells[1]); rid != pair.ID {
+			t.Fatalf("self join paired row %d with row %d", pair.ID, rid)
+		}
+	}
+	if e, ok := p.Handle(&proto.JoinRequest{LeftTable: "t", LeftCol: "a#o", RightTable: "t", RightCol: "a#o"}).(*proto.ErrorResponse); !ok || e.Code != proto.CodeBadRequest {
+		t.Fatalf("Handle answered a join: %#v", e)
 	}
 	proved, ok := call(&proto.ScanRequest{
 		Table: "t", WithProof: true,

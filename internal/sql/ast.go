@@ -207,7 +207,8 @@ type Select struct {
 	Having []HavingPredicate
 	// OrderBy names the sort column (nil = provider/index order).
 	OrderBy *OrderClause
-	Limit   uint64
+	// Limit caps the rows (0 = no LIMIT; the parser refuses LIMIT 0).
+	Limit uint64
 	// Verified requests Merkle completeness verification of the scan.
 	Verified bool
 }

@@ -383,8 +383,11 @@ func (p *parser) parseSelect() (Statement, error) {
 			return nil, err
 		}
 		n, err := strconv.ParseUint(t.Text, 10, 64)
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, errorf(t.Pos, "bad LIMIT %q", t.Text)
+		case n == 0:
+			return nil, errorf(t.Pos, "LIMIT 0 selects no row; leave the LIMIT out to select every row")
 		}
 		sel.Limit = n
 	}

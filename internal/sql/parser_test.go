@@ -193,6 +193,25 @@ func TestParseGroupBy(t *testing.T) {
 	}
 }
 
+// LIMIT 0 is refused where it stands: a LIMIT of 0 means no LIMIT inside
+// the engine, so accepting it would return every row.
+func TestParseRefusesLimitZero(t *testing.T) {
+	for _, q := range []string{
+		"SELECT a FROM t LIMIT 0",
+		"SELECT a, COUNT(*) FROM t GROUP BY a LIMIT 00",
+		"SELECT t.a FROM t JOIN u ON t.a = u.a LIMIT 0 VERIFIED",
+	} {
+		_, err := Parse(q)
+		var se *SyntaxError
+		if !errors.As(err, &se) || q[se.Pos:se.Pos+1] != "0" {
+			t.Errorf("Parse(%q): %v, want a syntax error at the 0", q, err)
+		}
+	}
+	if sel := mustParse(t, "SELECT a FROM t LIMIT 1").(*Select); sel.Limit != 1 {
+		t.Fatalf("LIMIT 1 parsed as %d", sel.Limit)
+	}
+}
+
 func TestParseOrderBy(t *testing.T) {
 	sel := mustParse(t, `SELECT a FROM t WHERE a > 1 ORDER BY a DESC LIMIT 3`).(*Select)
 	if sel.OrderBy == nil || sel.OrderBy.Col.Name != "a" || !sel.OrderBy.Desc {

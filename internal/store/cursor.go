@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"sssdb/internal/btree"
+	"sssdb/internal/opp"
 	"sssdb/internal/proto"
 )
 
@@ -48,8 +51,10 @@ type ScanCursor struct {
 	// moved up to that row's cell. started is false before the first row.
 	afterID uint64
 	started bool
-	// tab and version are the table and its version the scan began at, which
-	// a proving cursor's last batch proves.
+	// tab is the table the cursor was opened on: a table of its name found
+	// by a later batch is another one, dropped and made again in between.
+	// version is its version as the scan began, which a proving cursor's
+	// last batch proves.
 	tab     *table
 	version uint64
 	proving bool
@@ -61,6 +66,9 @@ type ScanCursor struct {
 	// batch is the builder every batch is assembled in; its scratch space is
 	// reused from one batch to the next.
 	batch rowBatch
+	// join, set on a join's cursor (see OpenJoin), pairs each row the walk
+	// visits with the right table's rows.
+	join *joinProbe
 }
 
 // rowBatch assembles the rows of one response out of page slabs: ids and
@@ -86,7 +94,7 @@ func (rb *rowBatch) reset(shape *proto.Shape, cols []int) {
 	rb.extend(shape, cols)
 }
 
-// extend adds cols of shape to the output cells (a join's second side).
+// extend adds cols of shape to the output cells.
 func (rb *rowBatch) extend(shape *proto.Shape, cols []int) {
 	for _, ci := range cols {
 		rb.widths = append(rb.widths, shape.Widths[ci])
@@ -113,6 +121,20 @@ func (rb *rowBatch) addCells(p *page, i int, cols []int) {
 		}
 	}
 }
+
+// reserve makes room for rows more rows of cells more bytes, at least
+// doubling what it grows (append grows a large buffer by a quarter).
+func (rb *rowBatch) reserve(rows, cells int) {
+	if len(rb.ids)+rows > cap(rb.ids) {
+		rb.ids = slices.Grow(rb.ids, max(rows, cap(rb.ids)))
+	}
+	if len(rb.buf)+cells > cap(rb.buf) {
+		rb.buf = slices.Grow(rb.buf, max(cells, cap(rb.buf)))
+	}
+}
+
+// addID appends id to the row last started as one 8-byte big-endian cell.
+func (rb *rowBatch) addID(id uint64) { rb.buf = binary.BigEndian.AppendUint64(rb.buf, id) }
 
 // size bounds what the batch will weigh in a block from above: its cell
 // bytes, and its ids at their widest.
@@ -173,18 +195,15 @@ func (s *Store) OpenCursor(name string, f *proto.Filter, projection []string, li
 
 // openCursor validates a read of t — projection, filter, limit (0 = none) —
 // and positions a cursor at its start. Every read of the store is a walk of
-// such a cursor: Next's batches, Scan, the aggregates and the join's left
-// side. The caller holds the store lock.
+// such a cursor: Next's batches, Scan, the aggregates and a join, whose
+// cursor walks its left side. The caller holds the store lock.
 func (t *table) openCursor(f *proto.Filter, projection []string, limit uint64) (*ScanCursor, error) {
 	cols, colIdx, err := t.resolveProjection(projection)
 	if err != nil {
 		return nil, err
 	}
-	cur := &ScanCursor{name: t.spec.Name, cols: cols, colIdx: colIdx, filterCol: -1, remaining: unlimitedRows}
+	cur := &ScanCursor{name: t.spec.Name, tab: t, cols: cols, colIdx: colIdx, filterCol: -1, remaining: cmp.Or(limit, unlimitedRows)}
 	cur.batch.reset(t.heap.shape, colIdx)
-	if limit > 0 {
-		cur.remaining = limit
-	}
 	if f == nil {
 		return cur, nil
 	}
@@ -197,6 +216,159 @@ func (t *table) openCursor(f *proto.Filter, projection []string, limit uint64) (
 	cur.filter, cur.filterCol, cur.lo, cur.hi = f, ci, bounds[:len(lo):len(lo)], bounds[len(lo):]
 	cur.indexed = t.spec.Columns[ci].Indexed
 	return cur, nil
+}
+
+// OpenJoin returns a cursor over the pairs of an equijoin of two tables on
+// byte-equality of the named columns: shares of one domain are
+// deterministic, so this is the client-level referential join of Sec. V-A.
+// The cursor walks the left side as OpenCursor's would, and looks each left
+// row's key cell up in the right table's index. A pair is one row: the left
+// row's id and cells, the right row's id as one 8-byte cell (column
+// proto.JoinRightID), the right row's cells. A batch ends after the left row
+// whose pairs fill it; Limit (0 = none) caps the pairs.
+func (s *Store) OpenJoin(req *proto.JoinRequest, batchBytes int) (*ScanCursor, error) {
+	cur, err := s.OpenCursor(req.LeftTable, req.Filter, Projection(req.LeftProj, req.LeftIDsOnly), 0, batchBytes)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	lt := cur.tab
+	rt, err := s.table(req.RightTable)
+	if err != nil {
+		return nil, err
+	}
+	lci, err := lt.usableCol(req.LeftCol, "join on", false)
+	if err != nil {
+		return nil, err
+	}
+	rci, err := rt.usableCol(req.RightCol, "join on", false)
+	if err != nil {
+		return nil, err
+	}
+	if lw, rw := lt.heap.shape.Widths[lci], rt.heap.shape.Widths[rci]; lw != rw {
+		return nil, fmt.Errorf("%w: join of %q with %q: cell widths %d and %d (%d = variable) are not one domain's",
+			ErrBadRequest, req.LeftCol, req.RightCol, lw, rw, proto.Variable)
+	}
+	if !rt.spec.Columns[rci].Indexed {
+		return nil, fmt.Errorf("%w: join of %q with %q: the right column has no index to seek", ErrBadRequest, req.LeftCol, req.RightCol)
+	}
+	rNames, rIdx, err := rt.resolveProjection(Projection(req.RightProj, req.RightIDsOnly))
+	if err != nil {
+		return nil, err
+	}
+	cur.cols = append(append(slices.Clip(cur.cols), proto.JoinRightID), rNames...)
+	cur.batch.widths = append(cur.batch.widths, 8)
+	cur.batch.extend(rt.heap.shape, rIdx)
+	cur.join = &joinProbe{rt: rt, lci: lci, rci: rci, colIdx: rIdx, remaining: cmp.Or(req.Limit, unlimitedRows),
+		memo: make(map[opp.Share][2]int, 64), ids: make([]uint64, 0, 64)}
+	for _, w := range cur.batch.widths {
+		cur.join.width += max(w, 0)
+	}
+	return cur, nil
+}
+
+// joinProbe is a join cursor's right side: the right table as the join found
+// it, the key cells lci and rci, the right projection, a pair's fixed-width
+// bytes, and the pairs the limit still allows (^0 = unlimited).
+type joinProbe struct {
+	rt              *table
+	lci, rci, width int
+	colIdx          []int
+	remaining       uint64
+	// memo maps each key seeked during one batch — one hold of the store
+	// lock: the right table may change between batches — to its right row
+	// ids, ids[from:to], so a key repeated on the left seeks the index once
+	// a batch. An indexed cell is an order-preserving share: the memo holds
+	// each key zero-padded to a whole one.
+	memo map[opp.Share][2]int
+	ids  []uint64
+	// it stands where the batch's last index lookup left it: last is the
+	// key looked up (page bytes, still under the batch's lock; nil before
+	// the first), and more that it stands on the first entry above last
+	// rather than past the end.
+	it   btree.Iter
+	last []byte
+	more bool
+	hit  bool  // the last key was in the memo
+	err  error // a right row that failed to fault in
+}
+
+// pairs returns, for one batch, the visitor that adds a left row's pairs to
+// cur's batch; a right table dropped and made again since the join began
+// fails the join, as Next fails a left one. The caller holds the store lock.
+func (j *joinProbe) pairs(cur *ScanCursor) (func(*page, int) bool, error) {
+	rt, err := cur.s.table(j.rt.spec.Name)
+	if err == nil && rt != j.rt {
+		err = fmt.Errorf("%w: table %q was dropped and made again during the join", ErrBadRequest, rt.spec.Name)
+	}
+	if err != nil {
+		return nil, err
+	}
+	idxs, err := rt.ensureIndexes()
+	if err != nil {
+		return nil, err
+	}
+	clear(j.memo)
+	j.ids, j.last, j.hit = j.ids[:0], nil, false
+	// Keys often come in ascending order: one above the last key looked up
+	// and at most the entry after its run has that entry for its first, or
+	// none, and needs neither a seek nor the memo.
+	follows := func(key []byte) bool {
+		return j.last != nil && bytes.Compare(j.last, key) < 0 && (!j.more || bytes.Compare(key, j.it.Key()) <= 0)
+	}
+	return func(lp *page, li int) bool {
+		key := lp.Cell(li, j.lci)
+		// After a memo hit the memo is asked first, else whether key follows.
+		var mk opp.Share
+		var span [2]int
+		hit, forward := false, !j.hit && follows(key)
+		if !forward {
+			copy(mk[:], key)
+			if span, hit = j.memo[mk]; !hit && j.hit {
+				forward = follows(key)
+			}
+		}
+		if j.hit = hit; !hit {
+			if !forward {
+				idxs[j.rci].Seek(&j.it, key, 0)
+				j.more = j.it.Next()
+			}
+			span[0] = len(j.ids)
+			for ; j.more && bytes.Equal(j.it.Key(), key); j.more = j.it.Next() {
+				j.ids = append(j.ids, j.it.ID())
+			}
+			span[1], j.last = len(j.ids), key
+			if !forward {
+				j.memo[mk] = span
+			}
+		}
+		rids := j.ids[span[0]:span[1]]
+		if forward { // only the memo's ids stay
+			j.ids = j.ids[:span[0]]
+		}
+		cur.batch.reserve(len(rids), len(rids)*j.width)
+		for _, rid := range rids {
+			if j.remaining == 0 {
+				return false
+			}
+			rp, ri, ok, err := rt.heap.get(rid)
+			if err != nil {
+				j.err = err
+				return false
+			}
+			if !ok { // an index entry without its row: see walk
+				continue
+			}
+			cur.batch.add(lp, li, cur.colIdx)
+			cur.batch.addID(rid)
+			cur.batch.addCells(rp, ri, j.colIdx)
+			if j.remaining != unlimitedRows {
+				j.remaining--
+			}
+		}
+		return j.remaining > 0 && cur.batch.size() < cur.batchBytes
+	}, nil
 }
 
 // Prove asks the batch that ends the scan to carry its completeness proof.
@@ -234,20 +406,33 @@ func (cur *ScanCursor) Next() (*proto.RowsResponse, error) {
 	defer cur.s.mu.RUnlock()
 	cur.batch.clear()
 	t, err := cur.s.table(cur.name)
+	if err == nil && t != cur.tab {
+		err = fmt.Errorf("%w: table %q was dropped and made again during the read", ErrBadRequest, cur.name)
+	}
 	if err == nil {
 		if !cur.started { // no row is out yet: the scan begins at this state
-			cur.tab, cur.version = t, t.version
+			cur.version = t.version
 		}
-		err = cur.walk(t, func(p *page, i int) bool {
+		visit := func(p *page, i int) bool {
 			cur.batch.add(p, i, cur.colIdx)
 			return cur.batch.size() < cur.batchBytes
-		})
+		}
+		if cur.join != nil {
+			visit, err = cur.join.pairs(cur)
+		}
+		if err == nil {
+			err = cur.walk(t, visit)
+		}
+		if err == nil && cur.join != nil {
+			err = cur.join.err
+		}
 	}
 	// A walk that stopped short of a full batch ran out of rows.
-	cur.done = err != nil || cur.batch.size() < cur.batchBytes || cur.remaining == 0
+	cur.done = err != nil || cur.batch.size() < cur.batchBytes || cur.remaining == 0 ||
+		cur.join != nil && cur.join.remaining == 0
 	var proof []byte
 	if err == nil && cur.done && cur.proving {
-		if t != cur.tab || t.version != cur.version {
+		if t.version != cur.version {
 			err = fmt.Errorf("%w: table %q went from version %d to %d between the scan's batches",
 				ErrConcurrentWrite, cur.name, cur.version, t.version)
 		} else {
@@ -302,13 +487,7 @@ func (cur *ScanCursor) walk(t *table, visit func(p *page, i int) bool) error {
 	if err != nil {
 		return err
 	}
-	var idx *btree.Tree
-	if cur.filterCol < len(idxs) {
-		idx = idxs[cur.filterCol]
-	}
-	if idx == nil || idx.Width() != len(cur.hi) { // the table was dropped and made again
-		return fmt.Errorf("%w: table %q lost the index the scan walks", ErrBadRequest, cur.name)
-	}
+	idx := idxs[cur.filterCol]
 	if cur.started {
 		idx.SeekAfter(&cur.it, cur.lo, cur.afterID)
 	} else {

@@ -138,6 +138,38 @@ func TestCursorErrors(t *testing.T) {
 	if b, err := cur.Next(); err != nil || b != nil {
 		t.Fatalf("cursor not sticky after error: %v, %v", b, err)
 	}
+	// A table dropped and made again mid-scan — here with one short plain
+	// column, whose rows the scan's projection would read past — is another
+	// table: the next batch fails, on a heap walk and an index walk alike.
+	for _, f := range []*proto.Filter{nil, {Col: "salary#o", Op: proto.FilterRange, Lo: oppCell(0), Hi: oppCell(99)}} {
+		mustCreate(t, s)
+		if err := s.Insert("employees", []proto.Row{row(1, 1), row(2, 2)}); err != nil {
+			t.Fatal(err)
+		}
+		cur, err := s.OpenCursor("employees", f, nil, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := cur.Next(); err != nil || len(b.Rows) != 1 {
+			t.Fatalf("first batch: %v, %v", b, err)
+		}
+		if err := s.DropTable("employees"); err != nil {
+			t.Fatal(err)
+		}
+		short := proto.TableSpec{Name: "employees", Columns: []proto.ColumnSpec{{Name: "salary#o", Kind: proto.KindPlain}}}
+		if err := s.CreateTable(short); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Insert("employees", []proto.Row{{ID: 3, Cells: [][]byte{[]byte("x")}}}); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := cur.Next(); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("filter %v: Next after the table was made again: %v, %v; want ErrBadRequest", f, b, err)
+		}
+		if err := s.DropTable("employees"); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestCursorSkipsConcurrentDeletes checks the indexed cursor tolerates rows

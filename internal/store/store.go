@@ -1074,78 +1074,8 @@ func (s *Store) AggregateGrouped(name string, op proto.AggOp, valueCol, groupCol
 	return s.Aggregate(&proto.AggregateRequest{Table: name, Op: op, ValueCol: valueCol, GroupCol: groupCol, Filter: f})
 }
 
-// Join equijoins two tables on byte-equality of the named columns,
-// optionally pre-filtering the left side. Share determinism within one
-// domain makes this exactly the client-level referential join of Sec. V-A.
-func (s *Store) Join(req *proto.JoinRequest) (*proto.JoinResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	lt, err := s.table(req.LeftTable)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := s.table(req.RightTable)
-	if err != nil {
-		return nil, err
-	}
-	lci, err := lt.usableCol(req.LeftCol, "join on", false)
-	if err != nil {
-		return nil, err
-	}
-	rci, err := rt.usableCol(req.RightCol, "join on", false)
-	if err != nil {
-		return nil, err
-	}
-	if lw, rw := lt.heap.shape.Widths[lci], rt.heap.shape.Widths[rci]; lw != rw {
-		return nil, fmt.Errorf("%w: join of %q with %q: cell widths %d and %d (%d = variable) are not one domain's",
-			ErrBadRequest, req.LeftCol, req.RightCol, lw, rw, proto.Variable)
-	}
-	left, err := lt.openCursor(req.Filter, Projection(req.LeftProj, req.LeftIDsOnly), 0)
-	if err != nil {
-		return nil, err
-	}
-	rNames, rIdx, err := rt.resolveProjection(Projection(req.RightProj, req.RightIDsOnly))
-	if err != nil {
-		return nil, err
-	}
-	// Hash join: build on the right side, one page pass.
-	build := make(map[string][]uint64, rt.heap.count)
-	err = rt.heap.ascendPages(0, false, func(p *page, _ int) (bool, error) {
-		for i, id := range p.IDs {
-			cell := p.Cell(i, rci)
-			build[string(cell)] = append(build[string(cell)], id)
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &proto.JoinResult{Columns: append(slices.Clone(left.cols), rNames...)}
-	rb := &left.batch
-	rb.extend(rt.heap.shape, rIdx)
-	var probeErr error
-	err = left.walk(lt, func(lp *page, li int) bool {
-		for _, rid := range build[string(lp.Cell(li, lci))] {
-			rp, ri, err := rt.row(rid)
-			if err != nil {
-				probeErr = err
-				return false
-			}
-			rb.add(lp, li, left.colIdx)
-			rb.addCells(rp, ri, rIdx)
-			out.RightIDs = append(out.RightIDs, rid)
-		}
-		return true
-	})
-	if err = errors.Join(err, probeErr); err != nil {
-		return nil, err
-	}
-	out.Rows = rb.rows()
-	return out, nil
-}
-
 // Projection turns a request's projection — its column names and its
-// ids-only flag — into the one Scan, OpenCursor and Join take: no name means
+// ids-only flag — into the one Scan, OpenCursor and OpenJoin take: no name means
 // every column (nil) unless the request asked for ids only (NoColumns).
 func Projection(names []string, idsOnly bool) []string {
 	switch {

@@ -377,88 +377,6 @@ func TestAggregateSumModular(t *testing.T) {
 	}
 }
 
-func TestJoin(t *testing.T) {
-	s := memStore(t)
-	mustCreate(t, s)
-	managers := proto.TableSpec{
-		Name: "managers",
-		Columns: []proto.ColumnSpec{
-			{Name: "eid#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize},
-			{Name: "level#f", Kind: proto.KindField},
-		},
-	}
-	if err := s.CreateTable(managers); err != nil {
-		t.Fatal(err)
-	}
-	// employees keyed by salary#o here standing in for eid; rows 1..4.
-	for i := uint64(1); i <= 4; i++ {
-		if err := s.Insert("employees", []proto.Row{row(i, i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// managers reference eids 2 and 4; eid 2 twice.
-	mrow := func(id, eid, lvl uint64) proto.Row {
-		return proto.Row{ID: id, Cells: [][]byte{oppCell(eid), fieldCell(lvl)}}
-	}
-	if err := s.Insert("managers", []proto.Row{mrow(1, 2, 100), mrow(2, 4, 200), mrow(3, 2, 300)}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Join(&proto.JoinRequest{
-		LeftTable: "employees", LeftCol: "salary#o",
-		RightTable: "managers", RightCol: "eid#o",
-		LeftProj: []string{"salary#f"}, RightProj: []string{"level#f"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("join produced %d rows, want 3", len(res.Rows))
-	}
-	if len(res.Columns) != 2 || res.Columns[0] != "salary#f" || res.Columns[1] != "level#f" {
-		t.Fatalf("join columns: %v", res.Columns)
-	}
-	matched := map[[2]uint64]bool{}
-	for i, jr := range res.Rows {
-		matched[[2]uint64{jr.ID, res.RightIDs[i]}] = true
-		if len(jr.Cells) != 2 {
-			t.Fatalf("joined cells: %d", len(jr.Cells))
-		}
-	}
-	for _, want := range [][2]uint64{{2, 1}, {4, 2}, {2, 3}} {
-		if !matched[want] {
-			t.Fatalf("missing pair %v; got %v", want, matched)
-		}
-	}
-	// Filter restricts the left side.
-	res, err = s.Join(&proto.JoinRequest{
-		LeftTable: "employees", LeftCol: "salary#o",
-		RightTable: "managers", RightCol: "eid#o",
-		Filter: &proto.Filter{Col: "salary#o", Op: proto.FilterEq, Lo: oppCell(4)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0].ID != 4 {
-		t.Fatalf("filtered join: %+v", res.Rows)
-	}
-	// Error cases.
-	if _, err := s.Join(&proto.JoinRequest{LeftTable: "zz", RightTable: "managers", LeftCol: "a", RightCol: "b"}); !errors.Is(err, ErrNoSuchTable) {
-		t.Fatalf("join missing table: %v", err)
-	}
-	if _, err := s.Join(&proto.JoinRequest{
-		LeftTable: "employees", LeftCol: "salary#f",
-		RightTable: "managers", RightCol: "eid#o",
-	}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("join on field col: %v", err)
-	}
-	if _, err := s.Join(&proto.JoinRequest{
-		LeftTable: "employees", LeftCol: "nope",
-		RightTable: "managers", RightCol: "eid#o",
-	}); !errors.Is(err, ErrNoSuchColumn) {
-		t.Fatalf("join on missing col: %v", err)
-	}
-}
-
 // proofRoot is the root and leaf count of the salary column's Merkle tree,
 // as the proof of a whole-range verified scan carries them.
 func proofRoot(s *Store) (merkle.Hash, uint64, error) {
@@ -967,8 +885,8 @@ func TestBoundWidths(t *testing.T) {
 				return err
 			},
 			"join": func() error {
-				_, err := s.Join(&proto.JoinRequest{LeftTable: "employees", LeftCol: "salary#o",
-					RightTable: "employees", RightCol: "salary#o", Filter: tc.f})
+				_, err := s.OpenJoin(&proto.JoinRequest{LeftTable: "employees", LeftCol: "salary#o",
+					RightTable: "employees", RightCol: "salary#o", Filter: tc.f}, 0)
 				return err
 			},
 		}
@@ -987,19 +905,20 @@ func TestBoundWidths(t *testing.T) {
 			}
 		}
 	}
-	// Join keys of different fixed widths are not one domain.
+	// Join keys of different fixed widths are not one domain, and plain
+	// (variable) keys have no index for the join to seek.
 	for _, tc := range []struct {
 		name           string
 		lt, lc, rt, rc string
 		ok             bool
 	}{
 		{"same width", "employees", "salary#o", "employees", "salary#o", true},
-		{"both variable", "employees", "note", "names", "tag", true},
+		{"both variable", "employees", "note", "names", "tag", false},
 		{"13 against 14", "employees", "salary#o", "names", "name#o", false},
 		{"14 against 13", "names", "name#o", "employees", "salary#o", false},
 		{"share against plain", "employees", "salary#o", "names", "tag", false},
 	} {
-		_, err := s.Join(&proto.JoinRequest{LeftTable: tc.lt, LeftCol: tc.lc, RightTable: tc.rt, RightCol: tc.rc})
+		_, err := s.OpenJoin(&proto.JoinRequest{LeftTable: tc.lt, LeftCol: tc.lc, RightTable: tc.rt, RightCol: tc.rc}, 0)
 		if tc.ok && err != nil || !tc.ok && !errors.Is(err, ErrBadRequest) {
 			t.Errorf("join %s: %v, want ok = %v", tc.name, err, tc.ok)
 		}

@@ -47,8 +47,9 @@ const maxFrameSize = 256 << 20
 // aggregate with one message of buckets (proto.GroupResult); version 6 puts
 // the Merkle root inside a verified scan's proof and has no digest request;
 // version 7 drops the scan's clock deadline, since the cancel frame now
-// stops every abandoned call.
-const protoVersion = 7
+// stops every abandoned call; version 8 streams a join's pairs as row chunks
+// and has no join result message.
+const protoVersion = 8
 
 // Frame flags.
 const (

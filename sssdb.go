@@ -26,7 +26,7 @@
 // Appending VERIFIED to a SELECT (or setting Options.Verified) turns on the
 // trust machinery: Merkle completeness proofs per provider, cross-provider
 // row-set voting, and robust share reconstruction that identifies which
-// providers returned corrupted data.
+// providers returned corrupted data. Joins run unverified.
 //
 // The packages under internal/ implement every subsystem — field
 // arithmetic, Shamir sharing, order-preserving polynomials, the provider
@@ -217,7 +217,8 @@ func (c *Cluster) CorruptProvider(i int, on bool) {
 		if rr, ok := resp.(*proto.RowsResponse); ok {
 			for r := range rr.Rows {
 				for j, cell := range rr.Rows[r].Cells {
-					if len(cell) == 8 {
+					// A join pair's right row id is 8 bytes too, and no share.
+					if len(cell) == 8 && (j >= len(rr.Columns) || rr.Columns[j] != proto.JoinRightID) {
 						rr.Rows[r].Cells[j][0] ^= 0xa5
 					}
 				}
