@@ -74,10 +74,15 @@ type node struct {
 
 // NewWidth returns an empty tree of width-byte keys, 0 ≤ width ≤ maxWidth.
 func NewWidth(width int) *Tree {
+	checkTreeWidth(width)
+	return &Tree{root: &node{sfx: uint8(width)}, width: width}
+}
+
+// checkTreeWidth refuses a key width no tree takes.
+func checkTreeWidth(width int) {
 	if width < 0 || width > maxWidth {
 		panic(fmt.Sprintf("btree: key width %d outside [0, %d]", width, maxWidth))
 	}
-	return &Tree{root: &node{sfx: uint8(width)}, width: width}
 }
 
 // New returns a tree for the Set and Get adapters, whose first Set fixes its

@@ -211,7 +211,8 @@ func TestResidentBytesAreHeapBytes(t *testing.T) {
 
 // TestIndexEntryHeapBytes holds what an index entry costs in live heap: a
 // table of indexed order-preserving columns, loaded with and without
-// Indexed, differs by at most so many bytes per entry after two GCs. Random
+// Indexed and then read through its first column's index (which builds the
+// indexes), differs by at most so many bytes per entry after two GCs. Random
 // 13-byte cells (20 000 rows, two columns) share little but their high id
 // bytes, and leave at most 24. The benchmark fixture's real shares (100 000
 // rows of emp, see fixtureCells) share more — a leaf's entries start alike
@@ -256,6 +257,10 @@ func TestIndexEntryHeapBytes(t *testing.T) {
 					if err := s.Insert("t", batch); err != nil {
 						t.Fatal(err)
 					}
+				}
+				first := tc.rows[0][0]
+				if _, err := s.Scan("t", &proto.Filter{Col: "c0#o", Op: proto.FilterEq, Lo: first}, NoColumns, 0, false); err != nil {
+					t.Fatal(err)
 				}
 				runtime.GC()
 				runtime.GC()

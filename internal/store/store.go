@@ -117,11 +117,14 @@ type Store struct {
 type table struct {
 	spec proto.TableSpec
 	heap *rowHeap
-	// indexMu guards the lazy build of indexes. Tables restored from a
-	// manifest start with indexes nil and build them on first indexed
-	// access — one heap walk — so reopening a big store stays cheap.
-	// Mutations skip index maintenance while indexes is nil; the eventual
-	// build sees their effect in the heap.
+	// indexMu guards the lazy build of indexes. Every table — made by
+	// CREATE, by WAL replay or by a manifest restore — starts with indexes
+	// nil, and mutations maintain none while it is. The first read that
+	// needs an index builds them all (ensureIndexes): one heap walk, one
+	// sort per index, leaves packed full; from then on every write moves
+	// its rows' entries one by one. Four indexes of 100 k rows take
+	// ≈70–110 ms to build (BenchmarkLoad, 2 vCPU), paid by that first read
+	// under the store's read lock, so writes wait for it.
 	indexMu sync.Mutex
 	// indexes holds, at an indexed column's position, a B+-tree set of
 	// (cell, row id) entries (the id tells rows with one share apart), and
@@ -508,7 +511,6 @@ func (s *Store) apply(plan []change) (rows uint64, err error) {
 		case createTable:
 			t.heap = &rowHeap{s: s, tableID: s.nextTableID, shape: shapeOf(&t.spec)}
 			s.nextTableID++
-			t.indexes = newIndexes(&t.spec)
 			s.tables[t.spec.Name] = t
 		case dropTable:
 			t.heap.drop()
@@ -615,33 +617,28 @@ func (t *table) row(id uint64) (*page, int, error) {
 	return p, i, err
 }
 
-// newIndexes returns an empty B+-tree for each indexed column of spec, at
-// the column's position, as wide as its cells.
-func newIndexes(spec *proto.TableSpec) []*btree.Tree {
-	idxs := make([]*btree.Tree, len(spec.Columns))
-	for i, c := range spec.Columns {
-		if c.Indexed {
-			idxs[i] = btree.NewWidth(int(c.Width))
-		}
-	}
-	return idxs
-}
-
-// ensureIndexes returns the table's B+-trees, building them with one heap
-// walk on first indexed access after a manifest restore. Callers hold the
-// store lock at least shared; indexMu serializes the build.
+// ensureIndexes returns the table's B+-trees — at an indexed column's
+// position its tree, nil at every other — building them if the table has
+// none yet: one heap walk hands each index's (cell, row id) entries to a
+// btree.Loader, which sorts them and builds the tree bottom-up. Callers hold
+// the store lock at least shared; indexMu serializes the build.
 func (t *table) ensureIndexes() ([]*btree.Tree, error) {
 	t.indexMu.Lock()
 	defer t.indexMu.Unlock()
 	if t.indexes != nil {
 		return t.indexes, nil
 	}
-	idxs := newIndexes(&t.spec)
+	loaders := make([]*btree.Loader, len(t.spec.Columns))
+	for ci, c := range t.spec.Columns {
+		if c.Indexed {
+			loaders[ci] = btree.NewLoader(int(c.Width), t.heap.count)
+		}
+	}
 	err := t.heap.ascendPages(0, false, func(p *page, _ int) (bool, error) {
-		for i, id := range p.IDs {
-			for ci, idx := range idxs {
-				if idx != nil {
-					idx.Insert(p.Cell(i, ci), id)
+		for ci, l := range loaders {
+			if l != nil {
+				for i, id := range p.IDs {
+					l.Add(p.Cell(i, ci), id)
 				}
 			}
 		}
@@ -650,15 +647,20 @@ func (t *table) ensureIndexes() ([]*btree.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	idxs := make([]*btree.Tree, len(loaders))
+	for ci, l := range loaders {
+		if l != nil {
+			idxs[ci] = l.Tree()
+		}
+	}
 	t.indexes = idxs
 	return idxs, nil
 }
 
 // put stores a row — new, or in place of the one with its id — keeps the
 // B+-trees in step with the heap and moves the table to its next version.
-// While indexes is nil (manifest-restored table, not yet read through an
-// index) there is nothing to maintain: the lazy build will see the heap's
-// current state.
+// While indexes is nil (no read has needed one yet) there is nothing to
+// maintain: the build will see the heap's current state.
 func (t *table) put(row proto.Row) error {
 	t.version++
 	fresh := true
