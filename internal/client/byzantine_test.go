@@ -8,6 +8,7 @@ import (
 
 	"sssdb/internal/merkle"
 	"sssdb/internal/proto"
+	"sssdb/internal/store"
 )
 
 // byzantine behaviors a provider can exhibit in the matrix test.
@@ -100,7 +101,7 @@ func applyBehavior(f *fleet, provider int, b behavior) {
 			rr.Rows = rr.Rows[:len(rr.Rows)-1]
 			leaves := make([]merkle.Hash, len(rr.Rows))
 			for i, row := range rr.Rows {
-				leaves[i] = proofLeaf(row.Cells[oppIdx], row)
+				leaves[i] = merkle.LeafHash(store.ProofLeaf(nil, row.Cells[oppIdx], row))
 			}
 			tree := merkle.New(leaves)
 			hashes, _ := tree.ProveRange(0, len(leaves)) // the whole tree is a valid range
@@ -234,7 +235,7 @@ func TestWrongTypeStreamFailsOver(t *testing.T) {
 	if got := fmt.Sprint(rowsAsStrings(f.mustExec(t, q))); got != want {
 		t.Fatalf("with provider %d answering chunks with another type: %s, want %s", liar, got, want)
 	}
-	if failing, _ := e.provs[liar].failures(); !failing {
+	if !e.provs[liar].isFailing() {
 		t.Fatalf("provider %d answered a stream with a non-row chunk and is not marked failing", liar)
 	}
 }

@@ -1,19 +1,15 @@
 // Tail tolerance for reads. Secret sharing means any K of N providers can
 // serve a read, so the client is free to route around a provider that is
 // merely slow — a gray failure the failing bit cannot see, because the
-// provider still answers eventually. Two mechanisms live on the provider
-// record (provider.go): a ledger — EWMA latency and consecutive failures, fed
-// by the one judge of every call, repair-loop pings included, and read by
-// providerOrder so read sets prefer the currently-fastest K — and a half-open
-// circuit breaker: consecutive transport failures open it for a cooldown
-// (doubling per re-trip) during which the provider ranks behind every
-// closed-breaker peer in its tier; once the cooldown lapses, the next read
-// that selects the provider is the probe. This file holds their tuning and
-// the third mechanism, kept per fleet — a hedge budget: when a read-set
-// member exceeds the straggler threshold (Options.HedgeDelay, or dynamically
-// a multiple of the recent p99), the read hedges onto a spare provider, but
-// only while hedges stay a small fraction of total calls, so a uniformly
-// slow cluster cannot double its own load by hedging every request.
+// provider still answers eventually. The provider record (provider.go) keeps
+// a ledger — EWMA latency and the failing bit, fed by the one judge of every
+// call, repair-loop pings included, and read by providerOrder so read sets
+// prefer the currently-fastest K. This file holds its tuning and the second
+// mechanism, kept per fleet — a hedge budget: when a read-set member exceeds
+// the straggler threshold (Options.HedgeDelay, or dynamically a multiple of
+// the recent p99), the read hedges onto a spare provider, but only while
+// hedges stay a small fraction of total calls, so a uniformly slow cluster
+// cannot double its own load by hedging every request.
 package client
 
 import (
@@ -28,13 +24,6 @@ import (
 const (
 	// ewmaWeight is the weight of each new latency observation (x1000).
 	ewmaWeightMilli = 200
-	// breakerTripFails opens the breaker: this many consecutive transport
-	// failures (timeouts, dead connections) with no success between.
-	breakerTripFails = 3
-	// breakerBaseCooldown..breakerMaxCooldown bound the open interval;
-	// each re-trip while unhealthy doubles it.
-	breakerBaseCooldown = 250 * time.Millisecond
-	breakerMaxCooldown  = 8 * time.Second
 	// healthStaleAfter: observations older than this no longer demote a
 	// provider — with no fresh signal it ranks as unknown (neutral), so a
 	// recovered-but-idle provider gets probed back into rotation instead

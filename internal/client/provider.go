@@ -34,12 +34,6 @@ type provider struct {
 	// staleness decay.
 	ewma    time.Duration
 	lastObs time.Time
-	// consecFails counts transport failures since the last answer.
-	consecFails int
-	// openUntil, when in the future, holds the breaker open; cooldown is
-	// the interval the next trip will use (doubles per re-trip).
-	openUntil time.Time
-	cooldown  time.Duration
 	// hints is the hinted-handoff journal (hints.go); while it queues
 	// anything the provider is "lagging".
 	hints hintJournal
@@ -78,32 +72,22 @@ func remoteCode(err error) (code proto.ErrorCode, answered bool) {
 // observe is the one judge of a finished call: engine.call and a provider
 // stream's goroutine hand it every outcome, and nothing else decides what a
 // failure is. A transport error (dead connection, timeout) marks the
-// provider failing and advances the breaker. Anything the provider answered
-// — a response or a RemoteError — proves it reachable: it clears failing,
-// closes the breaker, and d feeds the EWMA and the fleet's straggler
-// histogram. That includes CodeServerBusy left after the transport's
-// busy-retries: the provider is up, and the retries' backoff is inside d, so
-// the EWMA alone ranks an overloaded provider behind its peers.
+// provider failing. Anything the provider answered — a response or a
+// RemoteError — proves it reachable: it clears failing, and d feeds the EWMA
+// and the fleet's straggler histogram. That includes CodeServerBusy left
+// after the transport's busy-retries: the provider is up, and the retries'
+// backoff is inside d, so the EWMA alone ranks an overloaded provider behind
+// its peers.
 func (p *provider) observe(d time.Duration, err error) {
 	p.fleet.calls.Add(1)
 	_, answered := remoteCode(err)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.failing = err != nil && !answered; p.failing {
-		if p.consecFails++; p.consecFails >= breakerTripFails {
-			if p.cooldown == 0 {
-				p.cooldown = breakerBaseCooldown
-			} else if p.cooldown < breakerMaxCooldown {
-				p.cooldown *= 2
-			}
-			p.openUntil = time.Now().Add(p.cooldown)
-			p.consecFails = 0
-		}
 		return
 	}
 	p.fleet.lat.Observe(d)
 	p.foldLatency(d)
-	p.consecFails, p.cooldown, p.openUntil = 0, 0, time.Time{}
 }
 
 // observeStall folds an in-flight call's stall into the EWMA: the call has
@@ -112,9 +96,9 @@ func (p *provider) observe(d time.Duration, err error) {
 // provider after the first hedge instead of waiting for its stalled calls to
 // complete or time out — without it, a provider whose calls never finish
 // keeps a neutral rank, stays in every read set, and drains the hedge budget
-// until statements start dying on the deadline. The breaker and the budget
-// denominator are untouched: the call may yet succeed, and a stall is not a
-// wire round trip.
+// until statements start dying on the deadline. The failing bit and the
+// budget denominator are untouched: the call may yet succeed, and a stall is
+// not a wire round trip.
 func (p *provider) observeStall(d time.Duration) {
 	p.mu.Lock()
 	p.foldLatency(d)
@@ -135,9 +119,8 @@ func (p *provider) foldLatency(d time.Duration) {
 // failing. rank breaks ties within a tier, lower is better: the EWMA,
 // bucketed on a log scale so jitter between similarly fast providers does not
 // flap the order while a genuine straggler (an order of magnitude slower)
-// sorts decisively last. An open breaker ranks behind every closed-breaker
-// peer; stale observations rank neutral (0) so an idle provider gets
-// re-probed.
+// sorts decisively last. Stale observations rank neutral (0) so an idle
+// provider gets re-probed.
 func (p *provider) standing(now time.Time) (tier, rank int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -149,9 +132,6 @@ func (p *provider) standing(now time.Time) (tier, rank int) {
 	}
 	if !p.lastObs.IsZero() && now.Sub(p.lastObs) < healthStaleAfter && p.ewma > 0 {
 		rank = bits.Len64(uint64(p.ewma / time.Microsecond))
-	}
-	if p.openUntil.After(now) {
-		rank += 1 << 16
 	}
 	return tier, rank
 }

@@ -36,11 +36,11 @@ func (h *rejecter) HandleStream(req proto.Message, emit func(*proto.RowsResponse
 	return h.Provider.HandleStream(req, emit)
 }
 
-// failures reads the ledger's failing bit and consecutive-failure count.
-func (p *provider) failures() (failing bool, consec int) {
+// isFailing reads the ledger's failing bit.
+func (p *provider) isFailing() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.failing, p.consecFails
+	return p.failing
 }
 
 // A remote error is not an outage: the statement routes around the answer
@@ -72,8 +72,8 @@ func TestRemoteErrorDoesNotDemote(t *testing.T) {
 				t.Fatalf("after %s: providerOrder(%v) = %v, want provider %d still first", after, allowLagging, order, victim)
 			}
 		}
-		if failing, consec := e.provs[victim].failures(); failing || consec != 0 {
-			t.Fatalf("after %s: failing=%v consecFails=%d, want a clean ledger", after, failing, consec)
+		if e.provs[victim].isFailing() {
+			t.Fatalf("after %s: the provider is judged failing", after)
 		}
 	}
 	check("setup")
@@ -99,19 +99,17 @@ func TestRemoteErrorDoesNotDemote(t *testing.T) {
 
 // Every transport outcome reaches the ledger, whoever is still waiting for
 // it: a stream that dies after its first chunk and a hedge loser that fails
-// after its statement returned both leave the provider in the failing tier
-// and with a failure on the breaker's count.
+// after its statement returned both leave the provider in the failing tier.
 func TestEveryOutcomeReachesLedger(t *testing.T) {
 	wantFailing := func(t *testing.T, p *provider) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			failing, consec := p.failures()
-			if tier, _ := p.standing(time.Now()); failing && consec > 0 && tier&2 != 0 {
+			if tier, _ := p.standing(time.Now()); p.isFailing() && tier&2 != 0 {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("failing=%v consecFails=%d: the outcome never reached the ledger", failing, consec)
+				t.Fatal("the outcome never reached the ledger")
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -142,8 +140,8 @@ func TestEveryOutcomeReachesLedger(t *testing.T) {
 		if got := fmt.Sprint(rowsAsStrings(f.mustExec(t, `SELECT SUM(salary) FROM employees WHERE dept = 1`))); got != "[30]" {
 			t.Fatalf("hedged aggregate returned %s, want [30]", got)
 		}
-		if failing, consec := e.provs[slow].failures(); failing || consec != 0 {
-			t.Fatalf("failing=%v consecFails=%d while the loser is still parked", failing, consec)
+		if e.provs[slow].isFailing() {
+			t.Fatal("the provider is judged failing while the loser is still parked")
 		}
 		// The abandoned call, still parked in its delay, now dies.
 		f.faults[slow].Crash()
@@ -152,16 +150,16 @@ func TestEveryOutcomeReachesLedger(t *testing.T) {
 }
 
 // The one ordering function, driven directly: the availability tier
-// (failing, lagging) dominates, health (breaker, EWMA bucket) ranks within
-// it, stale observations are neutral, ties keep index order, and lagging
+// (failing, lagging) dominates, health (the EWMA bucket) ranks within it,
+// stale observations are neutral, ties keep index order, and lagging
 // providers are candidates only with allowLagging.
 func TestProviderOrder(t *testing.T) {
 	now := time.Now()
 	fresh, stale := now.Add(-time.Second), now.Add(-2*healthStaleAfter)
 	type prov struct {
-		failing, lagging, open bool
-		ewma                   time.Duration
-		obs                    time.Time
+		failing, lagging bool
+		ewma             time.Duration
+		obs              time.Time
 	}
 	for _, tc := range []struct {
 		name        string
@@ -178,9 +176,6 @@ func TestProviderOrder(t *testing.T) {
 		{"a stale observation is neutral",
 			[]prov{{ewma: time.Second, obs: stale}, {ewma: time.Millisecond, obs: fresh}},
 			[]int{0, 1}, []int{0, 1}},
-		{"an open breaker ranks behind any EWMA",
-			[]prov{{open: true}, {ewma: time.Second, obs: fresh}, {}},
-			[]int{2, 1, 0}, []int{2, 1, 0}},
 		{"failing sorts behind slow",
 			[]prov{{failing: true}, {ewma: time.Second, obs: fresh}, {}},
 			[]int{2, 1, 0}, []int{2, 1, 0}},
@@ -188,16 +183,13 @@ func TestProviderOrder(t *testing.T) {
 			[]prov{{failing: true}, {lagging: true}, {ewma: time.Second, obs: fresh}, {failing: true, lagging: true}},
 			[]int{2, 1, 0, 3}, []int{2, 0}},
 		{"tier dominates health",
-			[]prov{{lagging: true, ewma: time.Microsecond, obs: fresh}, {open: true, ewma: time.Second, obs: fresh}},
+			[]prov{{lagging: true, ewma: time.Microsecond, obs: fresh}, {ewma: time.Second, obs: fresh}},
 			[]int{1, 0}, []int{1}},
 	} {
 		e := &engine{}
 		for _, s := range tc.provs {
 			p := &provider{failing: s.failing, ewma: s.ewma, lastObs: s.obs}
 			p.hints.lagging = s.lagging
-			if s.open {
-				p.openUntil = now.Add(time.Minute)
-			}
 			e.provs = append(e.provs, p)
 		}
 		if got := e.providerOrder(true); fmt.Sprint(got) != fmt.Sprint(tc.all) {

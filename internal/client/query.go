@@ -607,7 +607,7 @@ func (e *engine) verifyProviderScan(meta *tableMeta, preds []compiledPred, p int
 		if len(cell) != len(lo) || bytes.Compare(cell, lo) < 0 || bytes.Compare(cell, hi) > 0 {
 			return 0, fmt.Errorf("%w: provider %d returned a row outside the range", ErrVerification, p)
 		}
-		run = append(run, proofLeaf(cell, row))
+		run = append(run, merkle.LeafHash(store.ProofLeaf(nil, cell, row)))
 	}
 	if proof.RightFence != nil {
 		run = append(run, merkle.LeafHash(proof.RightFence.Key, proof.RightFence.RowDigest))
@@ -644,16 +644,6 @@ func (e *engine) verifyProviderScan(meta *tableMeta, preds []compiledPred, p int
 		return 0, fmt.Errorf("%w: provider %d proof does not match its root", ErrVerification, p)
 	}
 	return proof.N, nil
-}
-
-// proofLeaf is row's leaf in the provider's tree over the index whose
-// order-preserving share of the row is cell: the index key (the share, then
-// the row id) and the row's digest.
-func proofLeaf(cell []byte, row proto.Row) merkle.Hash {
-	key := make([]byte, len(cell)+8)
-	copy(key, cell)
-	binary.BigEndian.PutUint64(key[len(cell):], row.ID)
-	return merkle.LeafHash(key, store.RowDigest(row))
 }
 
 // residualPreds returns the predicates the providers did not apply, for the

@@ -225,39 +225,6 @@ func TestHealthRankingDemotesStraggler(t *testing.T) {
 	}
 }
 
-// Consecutive transport failures open the circuit breaker; within its
-// availability tier the provider then ranks behind every closed-breaker
-// peer, and a success closes the breaker again.
-func TestCircuitBreakerDemotesAndRecovers(t *testing.T) {
-	f := newFleet(t, 3, 2, Options{})
-	boom := errors.New("connection reset")
-	provs := f.client.groups[0].provs
-	rank := func(p int, now time.Time) int {
-		_, r := provs[p].standing(now)
-		return r
-	}
-	for i := 0; i < breakerTripFails; i++ {
-		provs[1].observe(time.Millisecond, boom)
-	}
-	now := time.Now()
-	if r := rank(1, now); r < 1<<16 {
-		t.Fatalf("tripped breaker ranks %d, want open-breaker bias", r)
-	}
-	if r := rank(0, now); r >= 1<<16 {
-		t.Fatalf("untouched provider ranks %d", r)
-	}
-	// One success closes it.
-	provs[1].observe(time.Millisecond, nil)
-	if r := rank(1, now); r >= 1<<16 {
-		t.Fatalf("breaker still open after success: rank %d", r)
-	}
-	// Fewer than breakerTripFails failures never trip it.
-	provs[2].observe(time.Millisecond, boom)
-	if r := rank(2, now); r >= 1<<16 {
-		t.Fatalf("single failure tripped the breaker: rank %d", r)
-	}
-}
-
 // The hedge budget bounds issued hedges to a small fraction of total
 // calls: with no call history only the burst allowance is available.
 func TestHedgeBudget(t *testing.T) {

@@ -317,7 +317,7 @@ func (j *joinProbe) pairs(cur *ScanCursor) (func(*page, int) bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	idxs, err := rt.ensureIndexes()
+	idx, err := rt.index(j.rci)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +343,7 @@ func (j *joinProbe) pairs(cur *ScanCursor) (func(*page, int) bool, error) {
 		}
 		if j.hit = hit; !hit {
 			if !forward {
-				idxs[j.rci].Seek(&j.it, key, 0)
+				idx.Seek(&j.it, key, 0)
 				j.more = j.it.Next()
 			}
 			span[0] = len(j.ids)
@@ -495,11 +495,10 @@ func (cur *ScanCursor) walk(t *table, visit func(p *page, i int) bool) error {
 			return true, nil
 		})
 	}
-	idxs, err := t.ensureIndexes()
+	idx, err := t.index(cur.filterCol)
 	if err != nil {
 		return err
 	}
-	idx := idxs[cur.filterCol]
 	if cur.started {
 		idx.SeekAfter(&cur.it, cur.lo, cur.afterID)
 	} else {

@@ -77,22 +77,118 @@ func rowsDigest(rows []proto.Row) string {
 	return fmt.Sprintf("%d rows %x", len(rows), h.Sum(nil))
 }
 
-// unbuilt requires that no index of s has been built.
+// unbuilt requires that no read has built any column's state in s.
 func unbuilt(t *testing.T, s *Store, when string) {
 	t.Helper()
 	for name, tb := range s.tables {
-		if tb.indexes != nil {
-			t.Fatalf("%s: table %s has built its indexes before any read needed one", when, name)
+		if trees, merkles := built(tb); len(trees)+len(merkles) > 0 {
+			t.Fatalf("%s: table %s has built the trees of %v and the Merkle state of %v before any read needed them",
+				when, name, trees, merkles)
 		}
 	}
+}
+
+// built names the columns of tb whose tree, and those whose Merkle state, a
+// read has built.
+func built(tb *table) (trees, merkles []string) {
+	tb.lazyMu.Lock()
+	defer tb.lazyMu.Unlock()
+	for ci, c := range tb.cols {
+		if c.index != nil {
+			trees = append(trees, tb.spec.Columns[ci].Name)
+		}
+		if c.merkle != nil {
+			merkles = append(merkles, tb.spec.Columns[ci].Name)
+		}
+	}
+	return trees, merkles
+}
+
+// TestFirstReadBuildsOnlyItsColumn: a read builds the state of the one
+// column it walks and of no other — a filtered scan its filter column's
+// tree, a join its right key column's, a proved scan its column's tree and
+// Merkle state — and a row written afterwards is found through a column no
+// read had built yet.
+func TestFirstReadBuildsOnlyItsColumn(t *testing.T) {
+	s := memStore(t)
+	spec := proto.TableSpec{Name: "emp", Columns: []proto.ColumnSpec{
+		{Name: "id#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize},
+		{Name: "name#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize},
+		{Name: "salary#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize},
+		{Name: "dept#o", Kind: proto.KindOPP, Indexed: true, Width: oppCellSize},
+		{Name: "salary#f", Kind: proto.KindField},
+	}}
+	emp := func(id, salary, dept uint64) proto.Row {
+		return proto.Row{ID: id, Cells: [][]byte{oppCell(id), oppCell(id * 7 % 1000), oppCell(salary), oppCell(dept), fieldCell(salary)}}
+	}
+	for _, spec := range []proto.TableSpec{spec, joinSpec("l"), joinSpec("r")} {
+		if err := s.CreateTable(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var emps, ls []proto.Row
+	for id := uint64(1); id <= 500; id++ {
+		emps = append(emps, emp(id, 10*id, id%4))
+		ls = append(ls, proto.Row{ID: id, Cells: [][]byte{oppCell(id % 5), oppCell(id), fieldCell(id), []byte("n")}})
+	}
+	for name, rows := range map[string][]proto.Row{"emp": emps, "l": ls, "r": ls} {
+		if err := s.Insert(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unbuilt(t, s, "after the load")
+	expect := func(when string, want map[string][2][]string) {
+		t.Helper()
+		for _, name := range []string{"emp", "l", "r"} {
+			trees, merkles := built(s.tables[name])
+			if w := want[name]; !slices.Equal(trees, w[0]) || !slices.Equal(merkles, w[1]) {
+				t.Fatalf("%s: table %s has built the trees of %v and the Merkle state of %v, want %v and %v",
+					when, name, trees, merkles, w[0], w[1])
+			}
+		}
+	}
+	salary := []string{"salary#o"}
+	if _, err := s.Scan("emp", &proto.Filter{Col: "salary#o", Op: proto.FilterRange, Lo: oppCell(100), Hi: oppCell(200)}, NoColumns, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	expect("after a salary range", map[string][2][]string{"emp": {salary}})
+
+	if pairs, _ := drainJoin(t, s, &proto.JoinRequest{LeftTable: "l", LeftCol: "k#o", RightTable: "r", RightCol: "k#o"}, 512); len(pairs.Rows) != 500*100 {
+		t.Fatalf("the join gave %d pairs, want %d", len(pairs.Rows), 500*100)
+	}
+	expect("after a join", map[string][2][]string{"emp": {salary}, "r": {{"k#o"}}})
+
+	proved, err := s.Scan("l", &proto.Filter{Col: "v#o", Op: proto.FilterRange, Lo: oppCell(10), Hi: oppCell(20)}, NoColumns, 0, true)
+	if err != nil || len(proved.Rows) != 11 || proved.Proof == nil {
+		t.Fatalf("proved scan: %v, %v", proved, err)
+	}
+	expect("after a proved scan", map[string][2][]string{"emp": {salary}, "l": {{"v#o"}, {"v#o"}}, "r": {{"k#o"}}})
+
+	if err := s.Insert("emp", []proto.Row{emp(1000, 99999, 9)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*proto.Filter{
+		{Col: "dept#o", Op: proto.FilterEq, Lo: oppCell(9)},       // unbuilt until this read
+		{Col: "salary#o", Op: proto.FilterEq, Lo: oppCell(99999)}, // built, and maintained by the insert
+	} {
+		resp, err := s.Scan("emp", f, NoColumns, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Rows) != 1 || resp.Rows[0].ID != 1000 {
+			t.Fatalf("a read through %s after the insert found %v, want row 1000", f.Col, resp.Rows)
+		}
+	}
+	expect("after the insert", map[string][2][]string{"emp": {{"salary#o", "dept#o"}}, "l": {{"v#o"}, {"v#o"}}, "r": {{"k#o"}}})
 }
 
 // TestLazyIndexDifferential: indexes built at the end by one sort answer as
 // indexes built at the first read and then maintained row by row. Two
 // stores take the same random mutations of two joinSpec tables — batches
 // of inserts, updates and deletes, and committed transactions; one reads
-// through its indexes after every mutation, the other reads nothing until
-// the end. Indexed scans, a proved scan, aggregates and joins must then
+// through an index of a column picked at random after every mutation, so
+// its columns are built at different points of the history, and the other
+// reads nothing until the end. Indexed scans, a proved scan, aggregates and joins must then
 // agree, as must every page and index entry (dumpStore); and so again after
 // the lazy store reopens by WAL replay and after it reopens from a
 // checkpoint's manifest, each time with no index built until a read.
@@ -172,8 +268,8 @@ func TestLazyIndexDifferential(t *testing.T) {
 				}
 			}
 		}
-		k := oppCell(uint64(rng.Intn(20)))
-		if _, err := eager.Scan(name, &proto.Filter{Col: "k#o", Op: proto.FilterEq, Lo: k}, NoColumns, 0, false); err != nil {
+		col, k := []string{"k#o", "v#o"}[rng.Intn(2)], oppCell(uint64(rng.Intn(20)))
+		if _, err := eager.Scan(name, &proto.Filter{Col: col, Op: proto.FilterEq, Lo: k}, NoColumns, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,9 +312,12 @@ func TestLazyIndexDifferential(t *testing.T) {
 }
 
 // TestFirstIndexedReadsRaceInserts: the first indexed reads of a loaded
-// table race each other and a stream of INSERTs and DELETEs. Each index is
-// built once — every reader finds the same trees — every read sees the
-// stable rows exactly, and the indexes end holding exactly the heap's rows.
+// table race each other and a stream of INSERTs and DELETEs. Each column's
+// tree is built once — every reader's ask of each column's accessor finds
+// the same tree — every read sees the stable rows exactly, and the indexes
+// end holding exactly the heap's rows. The reads through v#o carry a proof,
+// so the column's Merkle state is built, and rebuilt as writes land, by
+// racing readers too.
 func TestFirstIndexedReadsRaceInserts(t *testing.T) {
 	s := memStore(t)
 	if err := s.CreateTable(joinSpec("l")); err != nil {
@@ -249,7 +348,7 @@ func TestFirstIndexedReadsRaceInserts(t *testing.T) {
 				if f.Col == "k#o" {
 					f.Lo, f.Hi = oppCell(10), oppCell(10) // the stable rows with k = 10
 				}
-				resp, err := s.Scan("l", f, NoColumns, 0, false)
+				resp, err := s.Scan("l", f, NoColumns, 0, f.Col == "v#o")
 				if err != nil {
 					errs <- err
 					return
@@ -263,13 +362,17 @@ func TestFirstIndexedReadsRaceInserts(t *testing.T) {
 					return
 				}
 				s.mu.RLock()
-				idxs, err := tb.ensureIndexes()
+				k, err := tb.index(0)
+				var v *btree.Tree
+				if err == nil {
+					v, err = tb.index(1)
+				}
 				s.mu.RUnlock()
 				if err != nil {
 					errs <- err
 					return
 				}
-				trees <- [2]*btree.Tree{idxs[0], idxs[1]}
+				trees <- [2]*btree.Tree{k, v}
 			}
 		}(r)
 	}
@@ -305,7 +408,7 @@ func TestFirstIndexedReadsRaceInserts(t *testing.T) {
 	first := <-trees
 	for got := range trees {
 		if got != first {
-			t.Fatal("a reader found indexes other than the first reader's: they were built twice")
+			t.Fatal("a reader found a tree other than the first reader's: a column was built twice")
 		}
 	}
 	dumpStore(t, s) // each index holds exactly the heap's rows
@@ -325,8 +428,11 @@ func countStable(resp *proto.RowsResponse, stable uint64) int {
 // BenchmarkLoad loads 100 k rows of the benchmark fixture's emp shape (real
 // order-preserving shares, see fixtureCells) into a memory store in
 // 2 000-row Inserts, then runs the first indexed scan, a 100-row salary
-// range. It reports the load and the first read in ms per iteration; the
-// first read is where a table's indexes are built.
+// range, which builds the salary column's index. Into a second store it
+// loads the same rows and runs one equality read through each of the four
+// indexed columns, which builds them all. It reports in ms per iteration
+// the first load (load-ms), the first read (first-read-ms) and the four
+// reads together (all-reads-ms).
 func BenchmarkLoad(b *testing.B) {
 	const n, batch = 100_000, 2_000
 	opp := fixtureCells(b, n)
@@ -346,25 +452,42 @@ func BenchmarkLoad(b *testing.B) {
 	slices.Sort(salaries)
 	lo, hi := []byte(salaries[n/2]), []byte(salaries[n/2+99]) // about 100 rows
 	f := &proto.Filter{Col: "salary#o", Op: proto.FilterRange, Lo: lo, Hi: hi}
-	var load, first time.Duration
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	var eqs []*proto.Filter
+	for k, col := range []string{"id#o", "name#o", "salary#o", "dept#o"} {
+		eqs = append(eqs, &proto.Filter{Col: col, Op: proto.FilterEq, Lo: opp[n/2][k]})
+	}
+	loaded := func() *Store {
 		s := memStore(b)
 		if err := s.CreateTable(empSpec()); err != nil {
 			b.Fatal(err)
 		}
-		start := time.Now()
 		for at := 0; at < n; at += batch {
 			if err := s.Insert("emp", rows[at:at+batch]); err != nil {
 				b.Fatal(err)
 			}
 		}
-		mid := time.Now()
-		if _, err := s.Scan("emp", f, NoColumns, 0, false); err != nil {
-			b.Fatal(err)
-		}
-		load, first = load+mid.Sub(start), first+time.Since(mid)
+		return s
 	}
-	b.ReportMetric(float64(load.Milliseconds())/float64(b.N), "load-ms")
-	b.ReportMetric(float64(first.Microseconds())/1e3/float64(b.N), "first-read-ms")
+	timed := func(s *Store, fs ...*proto.Filter) time.Duration {
+		start := time.Now()
+		for _, f := range fs {
+			if _, err := s.Scan("emp", f, NoColumns, 0, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	var load, first, all time.Duration
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		s := loaded()
+		load += time.Since(start)
+		first += timed(s, f)
+		all += timed(loaded(), eqs...)
+	}
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+	b.ReportMetric(ms(load), "load-ms")
+	b.ReportMetric(ms(first), "first-read-ms")
+	b.ReportMetric(ms(all), "all-reads-ms")
 }

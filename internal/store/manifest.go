@@ -171,8 +171,8 @@ func loadManifest(path string) (*manifestImage, error) {
 
 // restoreManifest rebuilds the table directory from a manifest image. No
 // page is loaded and no index is built: pages fault in on demand, and a
-// table's share indexes are built at the first read that needs them, as
-// every table's are (see table.indexMu), so reopening a large store costs
+// column's share index is built by the first read that walks it, as every
+// table's are (see table.index), so reopening a large store costs
 // O(WAL suffix), not O(table).
 func (s *Store) restoreManifest(img *manifestImage) error {
 	s.checkpointLSN = img.checkpointLSN
@@ -185,6 +185,7 @@ func (s *Store) restoreManifest(img *manifestImage) error {
 		t := &table{
 			spec: mt.spec,
 			heap: &rowHeap{s: s, tableID: mt.id, nextPageID: mt.nextPageID, shape: shapeOf(&mt.spec)},
+			cols: make([]lazyCol, len(mt.spec.Columns)),
 		}
 		for _, mp := range mt.pages {
 			pm := &pageMeta{

@@ -75,8 +75,8 @@ type Options struct {
 // statements from the data source — the transport layer may deliver
 // requests concurrently — execute in parallel; mutations (DDL, DML, WAL
 // append, checkpoint capture) hold it exclusively. The page cache and WAL
-// have their own leaf locks; lock order is always store.mu, then
-// indexMu/merkleMu, then cache.mu, then the log.
+// have their own leaf locks; lock order is always store.mu, then a
+// table's lazyMu, then cache.mu, then the log.
 type Store struct {
 	mu     sync.RWMutex
 	dir    string
@@ -117,27 +117,27 @@ type Store struct {
 type table struct {
 	spec proto.TableSpec
 	heap *rowHeap
-	// indexMu guards the lazy build of indexes. Every table — made by
-	// CREATE, by WAL replay or by a manifest restore — starts with indexes
-	// nil, and mutations maintain none while it is. The first read that
-	// needs an index builds them all (ensureIndexes): one heap walk, one
-	// sort per index, leaves packed full; from then on every write moves
-	// its rows' entries one by one. Four indexes of 100 k rows take
-	// ≈70–110 ms to build (BenchmarkLoad, 2 vCPU), paid by that first read
-	// under the store's read lock, so writes wait for it.
-	indexMu sync.Mutex
-	// indexes holds, at an indexed column's position, a B+-tree set of
-	// (cell, row id) entries (the id tells rows with one share apart), and
-	// nil at every other column.
-	indexes []*btree.Tree
 	// version counts the rows mutations have put or removed: two reads that
 	// see one version saw one table state. Guarded by the store lock.
 	version uint64
-	// merkleMu guards merkles: the cache is (re)built lazily by readers
-	// holding the store lock shared, so the build itself needs a leaf lock.
-	merkleMu sync.Mutex
-	// merkles caches, at an indexed column's position, its Merkle state.
-	merkles []*merkleState
+	// lazyMu guards cols: the state a read builds for the column it walks,
+	// while it holds the store lock only shared.
+	lazyMu sync.Mutex
+	// cols holds one slot per column, made with the table (by CREATE, WAL
+	// replay or a manifest restore) and empty until a read needs the
+	// column's state.
+	cols []lazyCol
+}
+
+// lazyCol is what reads build for one indexed column. index is a B+-tree
+// set of (cell, row id) entries — the id tells rows with one share apart —
+// built by the first read that walks the column (see table.index); from
+// then on every write moves its rows' entries one by one, and while it is
+// nil writes maintain nothing. merkle caches the column's Merkle state for
+// proofs, rebuilt when the table's version has moved on.
+type lazyCol struct {
+	index  *btree.Tree
+	merkle *merkleState
 }
 
 type merkleState struct {
@@ -461,7 +461,7 @@ func (s *Store) validate(msg proto.Message) ([]change, error) {
 			if _, ok := s.tables[m.Spec.Name]; ok {
 				return nil, fmt.Errorf("%w: %q", ErrTableExists, m.Spec.Name)
 			}
-			plan = append(plan, change{do: createTable, t: &table{spec: m.Spec}})
+			plan = append(plan, change{do: createTable, t: &table{spec: m.Spec, cols: make([]lazyCol, len(m.Spec.Columns))}})
 		case *proto.DropTableRequest:
 			t, err := s.table(m.Table)
 			if err != nil {
@@ -607,6 +607,15 @@ func appendIndexKey(dst, cell []byte, rowID uint64) []byte {
 	return binary.BigEndian.AppendUint64(append(slices.Grow(dst, len(cell)+8), cell...), rowID)
 }
 
+// ProofLeaf returns the two halves of row's leaf in the Merkle tree over an
+// indexed column whose cell of the row is cell: the index key (cell, then
+// the row id), appended to dst, and the row's digest. merkle.LeafHash of
+// the two is the leaf; the provider's proofs and the client's check of them
+// both take it from here.
+func ProofLeaf(dst, cell []byte, row proto.Row) (key, digest []byte) {
+	return appendIndexKey(dst, cell, row.ID), RowDigest(row)
+}
+
 // row locates one row by id, faulting its page in if needed: the page and
 // the row's position in it.
 func (t *table) row(id uint64) (*page, int, error) {
@@ -617,50 +626,35 @@ func (t *table) row(id uint64) (*page, int, error) {
 	return p, i, err
 }
 
-// ensureIndexes returns the table's B+-trees — at an indexed column's
-// position its tree, nil at every other — building them if the table has
-// none yet: one heap walk hands each index's (cell, row id) entries to a
-// btree.Loader, which sorts them and builds the tree bottom-up. Callers hold
-// the store lock at least shared; indexMu serializes the build.
-func (t *table) ensureIndexes() ([]*btree.Tree, error) {
-	t.indexMu.Lock()
-	defer t.indexMu.Unlock()
-	if t.indexes != nil {
-		return t.indexes, nil
+// index returns indexed column ci's B+-tree, building it if no read has
+// walked the column yet: one heap walk hands the column's (cell, row id)
+// entries to a btree.Loader, which sorts them and builds the tree bottom-up.
+// Callers hold the store lock at least shared; lazyMu serializes the build.
+func (t *table) index(ci int) (*btree.Tree, error) {
+	t.lazyMu.Lock()
+	defer t.lazyMu.Unlock()
+	c := &t.cols[ci]
+	if c.index != nil {
+		return c.index, nil
 	}
-	loaders := make([]*btree.Loader, len(t.spec.Columns))
-	for ci, c := range t.spec.Columns {
-		if c.Indexed {
-			loaders[ci] = btree.NewLoader(int(c.Width), t.heap.count)
-		}
-	}
+	l := btree.NewLoader(int(t.spec.Columns[ci].Width), t.heap.count)
 	err := t.heap.ascendPages(0, false, func(p *page, _ int) (bool, error) {
-		for ci, l := range loaders {
-			if l != nil {
-				for i, id := range p.IDs {
-					l.Add(p.Cell(i, ci), id)
-				}
-			}
+		for i, id := range p.IDs {
+			l.Add(p.Cell(i, ci), id)
 		}
 		return true, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	idxs := make([]*btree.Tree, len(loaders))
-	for ci, l := range loaders {
-		if l != nil {
-			idxs[ci] = l.Tree()
-		}
-	}
-	t.indexes = idxs
-	return idxs, nil
+	c.index = l.Tree()
+	return c.index, nil
 }
 
 // put stores a row — new, or in place of the one with its id — keeps the
-// B+-trees in step with the heap and moves the table to its next version.
-// While indexes is nil (no read has needed one yet) there is nothing to
-// maintain: the build will see the heap's current state.
+// built B+-trees in step with the heap and moves the table to its next
+// version. A column whose tree no read has built yet needs nothing: the
+// build will see the heap's current state.
 func (t *table) put(row proto.Row) error {
 	t.version++
 	fresh := true
@@ -671,9 +665,9 @@ func (t *table) put(row proto.Row) error {
 	if err != nil {
 		return err
 	}
-	for ci, idx := range t.indexes {
-		if fresh && idx != nil {
-			idx.Insert(row.Cells[ci], row.ID)
+	for ci, c := range t.cols {
+		if fresh && c.index != nil {
+			c.index.Insert(row.Cells[ci], row.ID)
 		}
 	}
 	return nil
@@ -691,14 +685,14 @@ func (t *table) remove(id uint64) error {
 // shares are deterministic, so an UPDATE of one column touches one index.
 func (t *table) reindex(p *page, i int, cells [][]byte) {
 	id := p.IDs[i]
-	for ci, idx := range t.indexes {
-		if idx == nil {
+	for ci, c := range t.cols {
+		if c.index == nil {
 			continue
 		}
 		if old := p.Cell(i, ci); cells == nil || !bytes.Equal(old, cells[ci]) {
-			idx.Delete(old, id)
+			c.index.Delete(old, id)
 			if cells != nil {
-				idx.Insert(cells[ci], id)
+				c.index.Insert(cells[ci], id)
 			}
 		}
 	}
@@ -797,25 +791,24 @@ func RowDigest(row proto.Row) []byte {
 
 // merkleFor returns the Merkle state of indexed column ci at the table's
 // current version, building it if the cached one is older. Callers hold the
-// store lock at least shared, which pins the heap, indexes and version, and
-// have walked the index (which builds the indexes); merkleMu additionally
-// serializes cache builds so concurrent proof-carrying scans build each
-// column tree once and then share it.
+// store lock at least shared, which pins the heap, the column's tree and the
+// version; lazyMu additionally serializes builds, so concurrent
+// proof-carrying scans build each column's state once and then share it.
 func (t *table) merkleFor(ci int) (*merkleState, error) {
-	idx := t.indexes[ci]
-	t.merkleMu.Lock()
-	defer t.merkleMu.Unlock()
-	if t.merkles == nil {
-		t.merkles = make([]*merkleState, len(t.indexes))
+	idx, err := t.index(ci)
+	if err != nil {
+		return nil, err
 	}
-	if m := t.merkles[ci]; m != nil && m.version == t.version {
+	t.lazyMu.Lock()
+	defer t.lazyMu.Unlock()
+	if m := t.cols[ci].merkle; m != nil && m.version == t.version {
 		return m, nil
 	}
 	m := &merkleState{version: t.version, ids: make([]uint64, 0, idx.Len())}
 	leaves := make([]merkle.Hash, 0, idx.Len())
 	var row proto.Row
 	var it btree.Iter
-	var key []byte
+	var key, digest []byte
 	for idx.Seek(&it, nil, 0); it.Next(); {
 		p, i, err := t.row(it.ID())
 		if err != nil {
@@ -823,12 +816,12 @@ func (t *table) merkleFor(ci int) (*merkleState, error) {
 		}
 		row = rowAt(p, i, row.Cells)
 		m.ids = append(m.ids, it.ID())
-		key = appendIndexKey(key[:0], it.Key(), it.ID())
-		leaves = append(leaves, merkle.LeafHash(key, RowDigest(row)))
+		key, digest = ProofLeaf(key[:0], it.Key(), row)
+		leaves = append(leaves, merkle.LeafHash(key, digest))
 	}
 	m.tree = merkle.New(leaves)
 	m.root = m.tree.Root()
-	t.merkles[ci] = m
+	t.cols[ci].merkle = m
 	return m, nil
 }
 
@@ -862,8 +855,11 @@ func (t *table) proveScan(f *proto.Filter) ([]byte, error) {
 	start := sort.Search(len(m.ids), func(i int) bool { return bytes.Compare(keyAt(i), loKey) >= 0 })
 	end := sort.Search(len(m.ids), func(i int) bool { return bytes.Compare(keyAt(i), hiKey) > 0 })
 	fence := func(i int) *merkle.FenceLeaf {
-		k := keyAt(i)
-		return &merkle.FenceLeaf{Key: k, RowDigest: RowDigest(row)}
+		if keyAt(i) == nil {
+			return nil
+		}
+		k, d := ProofLeaf(nil, row.Cells[ci], row)
+		return &merkle.FenceLeaf{Key: k, RowDigest: d}
 	}
 	runStart, runEnd := start, end
 	p := &merkle.RangeProof{N: uint64(len(m.ids)), Root: m.root}

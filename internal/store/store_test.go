@@ -439,8 +439,7 @@ func TestDigestAndProof(t *testing.T) {
 		run = append(run, merkle.LeafHash(p.LeftFence.Key, p.LeftFence.RowDigest))
 	}
 	for _, r := range resp.Rows {
-		key := appendIndexKey(nil, r.Cells[0], r.ID)
-		run = append(run, merkle.LeafHash(key, RowDigest(r)))
+		run = append(run, merkle.LeafHash(ProofLeaf(nil, r.Cells[0], r)))
 	}
 	if p.RightFence != nil {
 		run = append(run, merkle.LeafHash(p.RightFence.Key, p.RightFence.RowDigest))
@@ -506,7 +505,7 @@ func TestProofAtEdges(t *testing.T) {
 			run = append(run, merkle.LeafHash(p.LeftFence.Key, p.LeftFence.RowDigest))
 		}
 		for _, r := range resp.Rows {
-			run = append(run, merkle.LeafHash(appendIndexKey(nil, r.Cells[0], r.ID), RowDigest(r)))
+			run = append(run, merkle.LeafHash(ProofLeaf(nil, r.Cells[0], r)))
 		}
 		if p.RightFence != nil {
 			run = append(run, merkle.LeafHash(p.RightFence.Key, p.RightFence.RowDigest))
@@ -985,11 +984,13 @@ func TestUpdateLeavesUnchangedIndexEntries(t *testing.T) {
 	if err := s.Insert("emp", rows); err != nil {
 		t.Fatal(err)
 	}
-	// A read through an index builds the table's indexes.
-	if _, err := s.Scan("emp", &proto.Filter{Col: "salary#o", Op: proto.FilterEq, Lo: oppCell(10)}, nil, 0, false); err != nil {
-		t.Fatal(err)
+	// A read through a column's index builds its tree.
+	for _, col := range []string{"salary#o", "dept#o"} {
+		if _, err := s.Scan("emp", &proto.Filter{Col: col, Op: proto.FilterEq, Lo: oppCell(10)}, nil, 0, false); err != nil {
+			t.Fatal(err)
+		}
 	}
-	salary, dept := s.tables["emp"].indexes[0], s.tables["emp"].indexes[1]
+	salary, dept := s.tables["emp"].cols[0].index, s.tables["emp"].cols[1].index
 
 	salary.Delete(oppCell(70), 7)
 	if err := s.Update("emp", []proto.Row{emp(7, 70, 1, "a")}); err != nil { // dept 3 → 1
